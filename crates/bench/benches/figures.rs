@@ -2,7 +2,7 @@
 //! evaluated system — so `cargo bench` exercises the full harness and
 //! tracks regressions in the simulator's own (wall-clock) performance.
 //! The *virtual-time* results the paper's figures report come from the
-//! figure binaries (`cargo run -p hamband-bench --bin all_figures`).
+//! figure binaries (`cargo run -p hamband-bench --bin figures`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! chaos [--seeds N] [--start S] [--nodes N] [--ops N] [--max-faults N]
-//!       [--seed S] [--restarts] [--canary]
+//!       [--sync-shards N] [--seed S] [--restarts] [--canary]
 //! ```
 //!
 //! * `--seeds N`     number of campaign cases (default 100)
@@ -14,6 +14,7 @@
 //! * `--nodes N`     cluster size (default 4)
 //! * `--ops N`       calls per case (default 300)
 //! * `--max-faults N` schedule length cap (default 6)
+//! * `--sync-shards N` key shards per synchronization group (default 1)
 //! * `--restarts`    pair every generated crash with a later restart
 //!   (half of them losing unfenced writes); such cases run with the
 //!   persist log enabled and exercise crash-restart recovery + rejoin
@@ -21,7 +22,6 @@
 //!   silences a node is flagged, and the campaign must both catch it
 //!   and shrink it to a repro of at most 3 entries. Exit code 0 then
 //!   means the detection+shrinking machinery works end to end.
-//!   Also armed by `HAMBAND_CHAOS_CANARY=1`.
 //!
 //! Exit code: 0 iff the campaign is clean (or, with the canary armed,
 //! iff the canary was caught and every repro shrank to <= 3 entries).
@@ -99,9 +99,12 @@ fn main() {
     if let Some(n) = num_flag(&args, "--max-faults") {
         opts.max_faults = n as usize;
     }
+    if let Some(n) = num_flag(&args, "--sync-shards") {
+        assert!(n >= 1, "--sync-shards must be at least 1");
+        opts.sync_shards = n as usize;
+    }
     opts.restarts = bool_flag(&args, "--restarts");
-    opts.canary = bool_flag(&args, "--canary")
-        || std::env::var("HAMBAND_CHAOS_CANARY").map(|v| v == "1").unwrap_or(false);
+    opts.canary = bool_flag(&args, "--canary");
 
     let (start, count) = match num_flag(&args, "--seed") {
         Some(s) => (s, 1),
@@ -109,11 +112,12 @@ fn main() {
     };
 
     println!(
-        "chaos campaign: seeds {start}..{} | {} nodes, {} ops, <= {} faults{}{}",
+        "chaos campaign: seeds {start}..{} | {} nodes, {} ops, <= {} faults, {} shard(s){}{}",
         start + count,
         opts.nodes,
         opts.ops,
         opts.max_faults,
+        opts.sync_shards,
         if opts.restarts { " | restarts" } else { "" },
         if opts.canary { " | CANARY ARMED" } else { "" }
     );

@@ -6,6 +6,15 @@
 //! extractor for committed baseline JSON, and the write-the-report
 //! epilogue. They live here once; the binaries keep only their
 //! actual experiment logic and gate arithmetic.
+//!
+//! This is also the only file in the workspace that reads the
+//! environment: `HAMBAND_OPS`, `HAMBAND_SEED` ([`ExpOptions::from_env`])
+//! and `HAMBAND_LOAD_OPS` ([`LoadOptions::from_env`]) scale a bench
+//! binary's op budget. Everything else a run depends on is set through
+//! the `RunConfig` / `RuntimeConfig` / `WorkloadSpec` builders.
+
+use crate::experiments::ExpOptions;
+use crate::load::LoadOptions;
 
 /// Collected argv, minus the program name.
 pub fn argv() -> Vec<String> {
@@ -28,6 +37,34 @@ pub fn num_flag(args: &[String], flag: &str) -> Option<u64> {
 /// Whether the bare switch `--flag` is present.
 pub fn bool_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// The environment variable `name` parsed as a number; unset or
+/// unparseable means `None` (the caller keeps its default).
+fn env_num(name: &str) -> Option<u64> {
+    std::env::var(name).ok()?.trim().parse().ok()
+}
+
+impl ExpOptions {
+    /// Defaults overridden by `HAMBAND_OPS` (calls per data point) and
+    /// `HAMBAND_SEED` (base RNG seed).
+    pub fn from_env() -> Self {
+        let d = ExpOptions::default();
+        ExpOptions {
+            ops: env_num("HAMBAND_OPS").unwrap_or(d.ops),
+            seed: env_num("HAMBAND_SEED").unwrap_or(d.seed),
+        }
+    }
+}
+
+impl LoadOptions {
+    /// Defaults with the op budget per sweep point overridden by a
+    /// positive `HAMBAND_LOAD_OPS` (default one million — CI passes a
+    /// small value so the shape gate stays cheap).
+    pub fn from_env() -> Self {
+        let d = LoadOptions::default();
+        LoadOptions { ops: env_num("HAMBAND_LOAD_OPS").filter(|&n| n > 0).unwrap_or(d.ops), ..d }
+    }
 }
 
 /// Pull the first `"key": <number>` after `anchor` out of `json`

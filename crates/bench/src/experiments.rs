@@ -4,7 +4,7 @@
 //! figure of the paper's §5 and returns a [`FigOutcome`]: the rendered
 //! table plus a list of *shape checks* — the qualitative claims the
 //! paper makes about the figure (who wins, roughly by how much, which
-//! trends hold). `all_figures` evaluates every check; the integration
+//! trends hold). The `figures` binary evaluates every check; the integration
 //! tests run scaled-down versions and assert they pass.
 
 use std::fmt::Write as _;
@@ -29,24 +29,6 @@ pub struct ExpOptions {
 impl Default for ExpOptions {
     fn default() -> Self {
         ExpOptions { ops: 2_000, seed: 0x5eed }
-    }
-}
-
-impl ExpOptions {
-    /// Read options from the environment (`HAMBAND_OPS`, `HAMBAND_SEED`).
-    pub fn from_env() -> Self {
-        let mut o = ExpOptions::default();
-        if let Ok(v) = std::env::var("HAMBAND_OPS") {
-            if let Ok(n) = v.parse() {
-                o.ops = n;
-            }
-        }
-        if let Ok(v) = std::env::var("HAMBAND_SEED") {
-            if let Ok(n) = v.parse() {
-                o.seed = n;
-            }
-        }
-        o
     }
 }
 

@@ -1,13 +1,15 @@
 //! # hamband-bench — regenerating the Hamband paper's evaluation
 //!
-//! One binary per figure (`fig8` … `fig13`), an `all_figures` binary
-//! that runs the whole evaluation and prints the headline comparisons
-//! of §5, and ablation binaries for the design choices DESIGN.md calls
-//! out. Criterion micro-benchmarks live under `benches/`.
+//! One `figures` binary regenerates any figure (`figures 8` …
+//! `figures 13`), the headline comparisons of §5, or — the default —
+//! the whole evaluation; gate and ablation binaries cover the design
+//! choices DESIGN.md calls out. Criterion micro-benchmarks live under
+//! `benches/`.
 //!
 //! Scale the per-data-point operation count with the `HAMBAND_OPS`
 //! environment variable (default 2000; the paper used 4M — virtual
 //! time makes the extra volume unnecessary for the reported ratios).
+//! The environment is read in [`cli`] only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -52,23 +52,6 @@ impl Default for LoadOptions {
     }
 }
 
-impl LoadOptions {
-    /// Defaults scaled by the `HAMBAND_LOAD_OPS` environment variable
-    /// (op budget per sweep point; default one million — CI passes a
-    /// small value so the shape gate stays cheap).
-    pub fn from_env() -> Self {
-        let mut o = LoadOptions::default();
-        if let Ok(v) = std::env::var("HAMBAND_LOAD_OPS") {
-            if let Ok(n) = v.trim().parse::<u64>() {
-                if n > 0 {
-                    o.ops = n;
-                }
-            }
-        }
-        o
-    }
-}
-
 /// One measured point of the latency-vs-offered-load curve.
 #[derive(Debug)]
 pub struct LoadPoint {

@@ -6,18 +6,14 @@
 //! decides who supplies memory, messaging, timers and time. The
 //! simulator path stays in [`crate::harness`] (it owns the
 //! `Simulator` plumbing, traces and fault plans); this module holds
-//! the two cluster backends — loopback and threaded — plus the shared
-//! config checks and outcome assembly they both need.
+//! the threaded path.
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::object::WorkloadSupport;
 use hamband_core::wire::Wire;
-use rdma_sim::{SimDuration, SimTime, Stats};
+use rdma_sim::SimTime;
 
-use crate::harness::{run_replicas, summarize, NodeEndState, RunConfig, RunOutcome, TraceMode};
-use crate::ingress::SessionStats;
-use crate::loopback::LoopbackCluster;
-use crate::metrics::NodeMetrics;
+use crate::harness::{collect, run_replicas, NodeEndState, RunConfig, RunOutcome, TraceMode};
 use crate::replica::HambandNode;
 use crate::threaded::ThreadedCluster;
 
@@ -32,8 +28,6 @@ use crate::threaded::ThreadedCluster;
 ///   The default, and the only backend for
 ///   [`System::Msg`](crate::System::Msg) and for runs with faults or
 ///   tracing.
-/// * [`Backend::Loopback`] — single-threaded in-process loopback:
-///   plain memory, FIFO queues, virtual time without a latency model.
 /// * [`Backend::Threaded`] — one OS thread per replica over
 ///   process-shared atomic memory, wall-clock timers. Here
 ///   [`RunConfig::max_time`] is a *wall-clock* cap (nanoseconds), and
@@ -43,8 +37,6 @@ pub enum Backend {
     /// Discrete-event simulation over [`rdma_sim`] (the default).
     #[default]
     Sim,
-    /// In-process loopback: one thread, plain memory, virtual time.
-    Loopback,
     /// One OS thread per replica, shared atomic memory, wall clock.
     Threaded,
 }
@@ -54,27 +46,7 @@ impl Backend {
     pub fn label(self) -> &'static str {
         match self {
             Backend::Sim => "sim",
-            Backend::Loopback => "loopback",
             Backend::Threaded => "threaded",
-        }
-    }
-
-    /// The backend selected by the `HAMBAND_BACKEND` environment
-    /// variable (`sim` / `loopback` / `threaded`, case-insensitive;
-    /// unset or empty means [`Backend::Sim`]). Panics on an
-    /// unrecognized value — a misspelled backend silently simming
-    /// would invalidate a wall-clock experiment.
-    pub fn from_env() -> Backend {
-        match std::env::var("HAMBAND_BACKEND") {
-            Err(_) => Backend::Sim,
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "" | "sim" => Backend::Sim,
-                "loopback" => Backend::Loopback,
-                "threaded" => Backend::Threaded,
-                other => panic!(
-                    "HAMBAND_BACKEND={other:?} is not a backend (expected sim, loopback, or threaded)"
-                ),
-            },
         }
     }
 }
@@ -94,93 +66,8 @@ where
 {
     match run.backend {
         Backend::Sim => run_replicas(spec, coord, run, label),
-        Backend::Loopback => run_loopback(spec, coord, run, label),
         Backend::Threaded => run_threaded(spec, coord, run, label),
     }
-}
-
-/// Reject config knobs only the simulator honours — silently ignoring
-/// an injected fault plan or a requested trace would invalidate the
-/// experiment.
-fn check_cluster_config(run: &RunConfig) {
-    let b = run.backend.label();
-    assert!(
-        run.faults.entries().is_empty(),
-        "the {b} backend cannot inject faults; use Backend::Sim"
-    );
-    assert!(
-        run.trace == TraceMode::Off,
-        "the {b} backend has no trace sink; use Backend::Sim"
-    );
-    assert!(
-        run.leaders.is_none(),
-        "the {b} backend uses the coordination spec's default leaders; use Backend::Sim"
-    );
-}
-
-/// Assemble a [`RunOutcome`] from per-node metrics gathered off a
-/// cluster backend (loopback or threaded). Completion time is the
-/// latest apply any node recorded — the same measure the simulator
-/// path uses.
-fn cluster_outcome<O: WorkloadSupport>(
-    label: &str,
-    run: &RunConfig,
-    spec: &O,
-    node_metrics: Vec<NodeMetrics>,
-    sessions: Vec<SessionStats>,
-    stats: Stats,
-    converged: bool,
-) -> RunOutcome {
-    let completed_at =
-        node_metrics.iter().map(|m| m.last_apply).max().unwrap_or(SimTime::ZERO);
-    let report = summarize(
-        label,
-        run.nodes,
-        &node_metrics,
-        &sessions,
-        spec,
-        completed_at,
-        converged,
-        &stats,
-    );
-    RunOutcome { report, events: Vec::new(), node_metrics, stats }
-}
-
-fn run_loopback<O>(
-    spec: &O,
-    coord: &CoordSpec,
-    run: &RunConfig,
-    label: &str,
-) -> (RunOutcome, Vec<NodeEndState<O::State>>)
-where
-    O: WorkloadSupport + Clone,
-    O::Update: Wire,
-{
-    check_cluster_config(run);
-    let mut cluster = LoopbackCluster::new(
-        run.nodes,
-        spec,
-        coord,
-        run.runtime.clone(),
-        run.workload.clone(),
-    );
-    let converged = cluster.run_to_convergence(SimDuration(run.max_time.0));
-    let nodes: Vec<&HambandNode<O>> = (0..run.nodes).map(|i| cluster.node(i)).collect();
-    let metrics = nodes.iter().map(|n| n.metrics.clone()).collect();
-    let sessions = nodes.iter().flat_map(|n| n.session_stats()).collect();
-    let states = nodes
-        .iter()
-        .map(|n| NodeEndState {
-            alive: !n.is_halted(),
-            state: n.state_snapshot(),
-            status: n.status().to_string(),
-        })
-        .collect();
-    // The loopback net counts no fabric traffic (its verbs are plain
-    // memcpys), so the traffic columns of the report read zero.
-    let outcome =
-        cluster_outcome(label, run, spec, metrics, sessions, Stats::new(run.nodes), converged);
-    (outcome, states)
 }
 
 fn run_threaded<O>(
@@ -194,7 +81,21 @@ where
     O::Update: Wire + Send,
     O::State: Send,
 {
-    check_cluster_config(run);
+    // Reject config knobs only the simulator honours — silently
+    // ignoring an injected fault plan or a requested trace would
+    // invalidate the experiment.
+    assert!(
+        run.faults.entries().is_empty(),
+        "the threaded backend cannot inject faults; use Backend::Sim"
+    );
+    assert!(
+        run.trace == TraceMode::Off,
+        "the threaded backend has no trace sink; use Backend::Sim"
+    );
+    assert!(
+        run.leaders.is_none(),
+        "the threaded backend uses the coordination spec's default leaders; use Backend::Sim"
+    );
     let mut cluster = ThreadedCluster::new(
         run.nodes,
         spec,
@@ -203,20 +104,13 @@ where
         run.workload.clone(),
     );
     // Threaded runs on the wall clock: max_time caps wall nanoseconds.
-    let limit = std::time::Duration::from_nanos(run.max_time.0);
-    let converged = cluster.run_to_convergence(limit);
-    let stats = cluster.stats();
-    let nodes: Vec<&HambandNode<O>> = (0..run.nodes).map(|i| cluster.node(i)).collect();
-    let metrics = nodes.iter().map(|n| n.metrics.clone()).collect();
-    let sessions = nodes.iter().flat_map(|n| n.session_stats()).collect();
-    let states = nodes
-        .iter()
-        .map(|n| NodeEndState {
-            alive: !n.is_halted(),
-            state: n.state_snapshot(),
-            status: n.status().to_string(),
-        })
-        .collect();
-    let outcome = cluster_outcome(label, run, spec, metrics, sessions, stats, converged);
-    (outcome, states)
+    let converged = cluster.run_to_convergence(std::time::Duration::from_nanos(run.max_time.0));
+    // No fabric to crash a node here. Completion time is the latest
+    // apply any node recorded — the same measure the simulator path
+    // uses.
+    let nodes: Vec<(&HambandNode<O>, bool)> =
+        (0..run.nodes).map(|i| (cluster.node(i), false)).collect();
+    let completed_at =
+        nodes.iter().map(|(n, _)| n.metrics.last_apply).max().unwrap_or(SimTime::ZERO);
+    collect(&nodes, spec, label, completed_at, converged, cluster.stats(), Vec::new())
 }

@@ -25,9 +25,9 @@
 //! ([`FaultPlan::to_literal`]) for a regression test.
 //!
 //! The `chaos` binary in `hamband-bench` fronts this module on the
-//! command line; `--canary` (or `HAMBAND_CHAOS_CANARY=1`) plants a
-//! deliberate checker bug to prove end-to-end that the campaign both
-//! *catches* a violation and *shrinks* it to a tiny repro.
+//! command line; `--canary` plants a deliberate checker bug to prove
+//! end-to-end that the campaign both *catches* a violation and
+//! *shrinks* it to a tiny repro.
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::object::WorkloadSupport;
@@ -56,9 +56,8 @@ pub struct ChaosOptions {
     pub system: System,
     /// Per-sync-group key shards (see
     /// [`RuntimeConfig::sync_shards`](crate::config::RuntimeConfig::sync_shards)).
-    /// Defaults to the env-derived runtime default, so a campaign run
-    /// with `HAMBAND_SYNC_SHARDS=4` exercises the sharded issue paths
-    /// without any code change.
+    /// Defaults to the runtime default (`1`); the `chaos` binary's
+    /// `--sync-shards 4` exercises the sharded issue paths.
     pub sync_shards: usize,
     /// Plant the deliberate checker bug (shrinker self-test): any
     /// schedule containing a `Crash` or `SuspendHeartbeat` is flagged

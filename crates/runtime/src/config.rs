@@ -5,7 +5,7 @@ use rdma_sim::SimDuration;
 use crate::persist::DurabilityMode;
 
 /// Tuning for a Hamband cluster (buffer geometry, protocol timers,
-//  workload pacing).
+/// workload pacing).
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Maximum encoded size of a call + its dependency array, bytes.
@@ -59,26 +59,6 @@ pub struct RuntimeConfig {
     pub persist_log_bytes: usize,
 }
 
-/// Default `max_batch`, overridable via the `HAMBAND_MAX_BATCH`
-/// environment variable (used by `scripts/check.sh` to run the full
-/// suite in both the batched and the unbatched configuration).
-fn default_max_batch() -> usize {
-    match std::env::var("HAMBAND_MAX_BATCH") {
-        Ok(v) => v.parse::<usize>().ok().filter(|&b| b >= 1).unwrap_or(16),
-        Err(_) => 16,
-    }
-}
-
-/// Default `sync_shards`, overridable via the `HAMBAND_SYNC_SHARDS`
-/// environment variable (used by `scripts/check.sh` and CI to run the
-/// chaos campaigns in the sharded configuration).
-fn default_sync_shards() -> usize {
-    match std::env::var("HAMBAND_SYNC_SHARDS") {
-        Ok(v) => v.parse::<usize>().ok().filter(|&s| s >= 1).unwrap_or(1),
-        Err(_) => 1,
-    }
-}
-
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
@@ -93,9 +73,9 @@ impl Default for RuntimeConfig {
             fd_interval: SimDuration::micros(8),
             fd_suspect_after: 3,
             window: 8,
-            max_batch: default_max_batch(),
-            sync_shards: default_sync_shards(),
-            durability: DurabilityMode::from_env(),
+            max_batch: 16,
+            sync_shards: 1,
+            durability: DurabilityMode::Off,
             persist_log_bytes: 1 << 20,
         }
     }
@@ -242,10 +222,11 @@ mod tests {
 
     #[test]
     fn sync_shards_builder_and_default() {
-        // Tests may run with HAMBAND_SYNC_SHARDS set (check.sh chaos
-        // pass), so only assert the builder and the ≥1 floor here.
-        assert!(RuntimeConfig::default().sync_shards >= 1);
-        assert_eq!(RuntimeConfig::default().with_sync_shards(8).sync_shards, 8);
+        // The defaults are constants: builders are the only way to
+        // change them, never the environment.
+        let c = RuntimeConfig::default();
+        assert_eq!((c.max_batch, c.sync_shards, c.durability), (16, 1, DurabilityMode::Off));
+        assert_eq!(c.with_sync_shards(8).sync_shards, 8);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub struct WorkloadSpec {
 impl WorkloadSpec {
     /// Builder entry point: a workload of `total_ops` calls with an
     /// even update/query mix, one session per node, window 8, uniform
-    /// keys. Chain `with_*` calls to customize.
+    /// keys, closed loop. Chain `with_*` calls to customize.
     pub fn ops(total_ops: u64) -> Self {
         WorkloadSpec {
             total_ops,
@@ -76,7 +76,7 @@ impl WorkloadSpec {
             window: 8,
             seed: 0xda7a,
             skew: KeySkew::Uniform,
-            offered_load: default_offered_load(),
+            offered_load: None,
         }
     }
 
@@ -127,17 +127,6 @@ impl WorkloadSpec {
     pub fn closed_loop(mut self) -> Self {
         self.offered_load = None;
         self
-    }
-}
-
-/// Default `offered_load`, overridable via the `HAMBAND_OFFERED_LOAD`
-/// environment variable (cluster-wide ops/s; unset, empty, or `0`
-/// means closed-loop). Lets `scripts/check.sh` and CI flip an entire
-/// bench invocation to open-loop without plumbing a flag everywhere.
-fn default_offered_load() -> Option<f64> {
-    match std::env::var("HAMBAND_OFFERED_LOAD") {
-        Ok(v) => v.trim().parse::<f64>().ok().filter(|r| r.is_finite() && *r > 0.0),
-        Err(_) => None,
     }
 }
 

@@ -1,6 +1,10 @@
 //! End-to-end run harness: build a cluster for one of the three
 //! systems, drive the workload to completion, and measure.
 //!
+//! [`assemble`] is the one place a [`RunConfig`] becomes a prepared
+//! simulator cluster; [`Runner`] and every test or example that steps
+//! a cluster by hand start from it.
+//!
 //! The entry point is [`Runner`]: pick a [`System`], build a
 //! [`RunConfig`] (builder-style, starting from [`RunConfig::for_nodes`]
 //! or [`RunConfig::new`]), and call [`Runner::run`] with the object
@@ -16,7 +20,7 @@
 //! average over all calls (now also reported as per-phase
 //! p50/p90/p99/max distributions).
 
-use hamband_core::coord::{CoordSpec, GroupMapper};
+use hamband_core::coord::CoordSpec;
 use hamband_core::counts::CountMap;
 use hamband_core::ids::Pid;
 use hamband_core::object::WorkloadSupport;
@@ -64,7 +68,6 @@ impl System {
     }
 }
 
-
 /// How a run delivers the structured protocol trace
 /// ([`rdma_sim::TraceEvent`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,8 +108,7 @@ pub struct RunConfig {
     pub leaders: Option<Vec<Pid>>,
     /// How this run delivers trace events.
     pub trace: TraceMode,
-    /// Which transport backend executes the run (defaults to the
-    /// `HAMBAND_BACKEND` environment selection, normally
+    /// Which transport backend executes the run (defaults to
     /// [`Backend::Sim`]).
     pub backend: Backend,
 }
@@ -132,7 +134,7 @@ impl RunConfig {
             max_time: SimTime(200_000_000), // 200 virtual milliseconds
             leaders: None,
             trace: TraceMode::Off,
-            backend: Backend::from_env(),
+            backend: Backend::Sim,
         }
     }
 
@@ -195,8 +197,7 @@ impl RunConfig {
         self
     }
 
-    /// Execute the run on this backend (overrides the
-    /// `HAMBAND_BACKEND` environment selection).
+    /// Execute the run on this backend.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -321,8 +322,8 @@ impl Runner {
                 // SMR orders *every* update through the one log: under
                 // the complete conflict relation cross-key calls
                 // conflict too, so key sharding would be unsound here
-                // and is forced off regardless of the configured (or
-                // env-injected) shard count.
+                // and is forced off regardless of the configured shard
+                // count.
                 let mut config = self.config.clone();
                 config.runtime.sync_shards = 1;
                 dispatch_replicas(spec, &complete_coord(spec.method_count()), &config, label)
@@ -358,7 +359,7 @@ fn complete_coord(n_methods: usize) -> CoordSpec {
 
 /// What the generic drive loop needs from a replica application —
 /// implemented by [`HambandNode`] and [`MsgCrdtNode`].
-trait HarnessNode: App {
+pub(crate) trait HarnessNode: App {
     /// Comparable object-state snapshot (convergence check).
     type Snapshot: PartialEq;
 
@@ -543,26 +544,26 @@ fn drive<A: HarnessNode>(sim: &mut Simulator<A>, run: &RunConfig) -> (SimTime, b
     (completed_at, converged)
 }
 
-fn collect_outcome<A: HarnessNode, O: WorkloadSupport>(
-    sim: &Simulator<A>,
+/// Gather a finished cluster into the run's outcome and its per-node
+/// end states (shared by both backends and both replica kinds).
+/// `nodes` pairs each replica with whether the fabric crashed it.
+pub(crate) fn collect<A: HarnessNode, O: WorkloadSupport>(
+    nodes: &[(&A, bool)],
     spec: &O,
     label: &str,
-    run: &RunConfig,
     completed_at: SimTime,
     converged: bool,
-    buffer: Option<TraceBuffer>,
-) -> RunOutcome {
+    stats: Stats,
+    events: Vec<TraceRecord>,
+) -> (RunOutcome, Vec<NodeEndState<A::Snapshot>>) {
     // Metrics cover every node: a failed node's pre-failure work is
     // real work (the paper counts all calls); only convergence and
     // completion checks exclude it.
-    let node_metrics: Vec<NodeMetrics> =
-        (0..run.nodes).map(|i| sim.app(NodeId(i)).metrics().clone()).collect();
-    let sessions: Vec<SessionStats> =
-        (0..run.nodes).flat_map(|i| sim.app(NodeId(i)).session_stats()).collect();
-    let stats = sim.stats().clone();
+    let node_metrics: Vec<NodeMetrics> = nodes.iter().map(|(a, _)| a.metrics().clone()).collect();
+    let sessions: Vec<SessionStats> = nodes.iter().flat_map(|(a, _)| a.session_stats()).collect();
     let report = summarize(
         label,
-        run.nodes,
+        nodes.len(),
         &node_metrics,
         &sessions,
         spec,
@@ -570,32 +571,73 @@ fn collect_outcome<A: HarnessNode, O: WorkloadSupport>(
         converged,
         &stats,
     );
-    RunOutcome {
-        report,
-        events: buffer.map(|b| b.take()).unwrap_or_default(),
-        node_metrics,
-        stats,
-    }
-}
-
-/// Final per-node aliveness + state snapshots, taken after the drive
-/// loop (shared by both replica kinds).
-fn collect_states<A: HarnessNode>(
-    sim: &Simulator<A>,
-    n: usize,
-) -> Vec<NodeEndState<A::Snapshot>> {
-    (0..n)
-        .map(|i| {
-            let id = NodeId(i);
-            NodeEndState {
-                alive: !sim.is_crashed(id) && !sim.app(id).is_halted(),
-                state: sim.app(id).snapshot(),
-                status: sim.app(id).status_line(),
-            }
+    let states = nodes
+        .iter()
+        .map(|&(a, crashed)| NodeEndState {
+            alive: !crashed && !a.is_halted(),
+            state: a.snapshot(),
+            status: a.status_line(),
         })
-        .collect()
+        .collect();
+    (RunOutcome { report, events, node_metrics, stats }, states)
 }
 
+/// Drive a prepared simulator cluster to completion and collect it.
+fn drive_and_collect<A: HarnessNode, O: WorkloadSupport>(
+    mut sim: Simulator<A>,
+    trace: Option<TraceBuffer>,
+    spec: &O,
+    run: &RunConfig,
+    label: &str,
+) -> (RunOutcome, Vec<NodeEndState<A::Snapshot>>) {
+    let (completed_at, converged) = drive(&mut sim, run);
+    let nodes: Vec<(&A, bool)> =
+        (0..run.nodes).map(NodeId).map(|id| (sim.app(id), sim.is_crashed(id))).collect();
+    let events = trace.map(|b| b.take()).unwrap_or_default();
+    collect(&nodes, spec, label, completed_at, converged, sim.stats().clone(), events)
+}
+
+/// Build the prepared simulator cluster `run` describes, ready to be
+/// stepped: fabric (latency model, seed), trace sink, the registered
+/// [`Layout`], the fault plan, and one [`HambandNode`] per node with
+/// `run.leaders` (or the default round-robin assignment) as initial
+/// leaders. Returns the simulator, the layout the replicas share, and
+/// the trace buffer when `run.trace` is [`TraceMode::Collect`].
+///
+/// This is the only assembly routine: [`Runner`] drives what it
+/// returns to completion, and tests or examples that need to step a
+/// cluster by hand (inject mid-run state, watch an election) start
+/// from it instead of wiring `Layout` and replicas themselves.
+///
+/// ```
+/// use hamband_runtime::{assemble, RunConfig};
+/// use hamband_types::Counter;
+/// use rdma_sim::{NodeId, SimDuration};
+///
+/// let c = Counter::default();
+/// let (mut sim, _layout, _trace) = assemble(&c, &c.coord_spec(), &RunConfig::for_nodes(3));
+/// sim.run_for(SimDuration::millis(1));
+/// assert!(sim.app(NodeId(0)).workload_done());
+/// ```
+pub fn assemble<O>(
+    spec: &O,
+    coord: &CoordSpec,
+    run: &RunConfig,
+) -> (Simulator<HambandNode<O>>, Layout, Option<TraceBuffer>)
+where
+    O: WorkloadSupport + Clone,
+    O::Update: Wire,
+{
+    let mut sim = Simulator::new(run.nodes, run.latency.clone(), run.seed);
+    let trace = install_trace(&mut sim, run.trace);
+    let layout = Layout::install(&mut sim, coord, &run.runtime);
+    sim.install_fault_plan(&run.faults);
+    sim.set_apps(|id| {
+        let leaders = run.leaders.as_deref();
+        HambandNode::new(spec, coord, &run.runtime, &layout, id, leaders, &run.workload)
+    });
+    (sim, layout, trace)
+}
 
 pub(crate) fn run_replicas<O>(
     spec: &O,
@@ -607,36 +649,8 @@ where
     O: WorkloadSupport + Clone,
     O::Update: Wire,
 {
-    let n = run.nodes;
-    let mut sim: Simulator<HambandNode<O>> = Simulator::new(n, run.latency.clone(), run.seed);
-    let buffer = install_trace(&mut sim, run.trace);
-    let layout = Layout::install(&mut sim, coord, &run.runtime);
-    // One leader per mapped group (sync group × shard), round-robin
-    // over the cluster so shard leadership spreads across nodes.
-    let mapper = GroupMapper::new(coord, run.runtime.sync_shards);
-    let leaders: Vec<Pid> = run.leaders.clone().unwrap_or_else(|| mapper.default_leaders(n));
-    sim.install_fault_plan(&run.faults);
-    {
-        let spec = spec.clone();
-        let coord = coord.clone();
-        let cfg = run.runtime.clone();
-        let workload = run.workload.clone();
-        sim.set_apps(move |id| {
-            HambandNode::new(
-                spec.clone(),
-                coord.clone(),
-                cfg.clone(),
-                layout.clone(),
-                id,
-                n,
-                &leaders,
-                workload.clone(),
-            )
-        });
-    }
-    let (completed_at, converged) = drive(&mut sim, run);
-    let states = collect_states(&sim, n);
-    (collect_outcome(&sim, spec, label, run, completed_at, converged, buffer), states)
+    let (sim, _layout, trace) = assemble(spec, coord, run);
+    drive_and_collect(sim, trace, spec, run, label)
 }
 
 fn run_msg_cluster<O>(
@@ -651,19 +665,10 @@ where
 {
     let n = run.nodes;
     let mut sim: Simulator<MsgCrdtNode<O>> = Simulator::new(n, run.latency.clone(), run.seed);
-    let buffer = install_trace(&mut sim, run.trace);
+    let trace = install_trace(&mut sim, run.trace);
     sim.install_fault_plan(&run.faults);
-    {
-        let spec = spec.clone();
-        let coord = coord.clone();
-        let workload = run.workload.clone();
-        sim.set_apps(move |id| {
-            MsgCrdtNode::new(spec.clone(), coord.clone(), id, n, workload.clone())
-        });
-    }
-    let (completed_at, converged) = drive(&mut sim, run);
-    let states = collect_states(&sim, n);
-    (collect_outcome(&sim, spec, label, run, completed_at, converged, buffer), states)
+    sim.set_apps(|id| MsgCrdtNode::new(spec.clone(), coord.clone(), id, n, run.workload.clone()));
+    drive_and_collect(sim, trace, spec, run, label)
 }
 
 /// Cross-session fairness over every session's completion stats: how
@@ -706,7 +711,7 @@ fn summarize_fairness(sessions: &[SessionStats], completed_at: SimTime) -> Optio
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn summarize<O: WorkloadSupport>(
+fn summarize<O: WorkloadSupport>(
     label: &str,
     nodes: usize,
     metrics: &[NodeMetrics],
@@ -816,21 +821,8 @@ mod tests {
     #[test]
     fn backend_labels_and_default() {
         assert_eq!(Backend::Sim.label(), "sim");
-        assert_eq!(Backend::Loopback.label(), "loopback");
         assert_eq!(Backend::Threaded.label(), "threaded");
         assert_eq!(Backend::default(), Backend::Sim);
-    }
-
-    #[test]
-    fn loopback_backend_runs_through_runner() {
-        let c = hamband_types::Counter::default();
-        let config = RunConfig::new(3, WorkloadSpec::ops(150).with_update_ratio(0.5))
-            .with_backend(Backend::Loopback);
-        let outcome = Runner::new(System::Hamband, config).run(&c, &c.coord_spec());
-        assert!(outcome.report.converged, "loopback run did not converge");
-        assert_eq!(outcome.report.total_calls, 150);
-        assert!(outcome.report.mean_rt_us > 0.0);
-        assert!(outcome.events.is_empty(), "loopback collects no trace");
     }
 
     #[test]
@@ -852,7 +844,7 @@ mod tests {
         let c = hamband_types::Counter::default();
         let faults = FaultPlan::new().at(SimTime(1_000), rdma_sim::Fault::Crash(NodeId(0)));
         let config = RunConfig::for_nodes(3)
-            .with_backend(Backend::Loopback)
+            .with_backend(Backend::Threaded)
             .with_faults(faults);
         let _ = Runner::new(System::Hamband, config).run(&c, &c.coord_spec());
     }

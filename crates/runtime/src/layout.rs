@@ -89,8 +89,8 @@ impl Layout {
     /// region through `alloc` (called once per region, in a fixed
     /// order, with the region's byte size and whether it holds hard —
     /// restart-surviving — state). [`Layout::install`] passes the
-    /// simulator's registrar; the loopback backend passes its own
-    /// in-process allocator (and may ignore the durability flag — it
+    /// simulator's registrar; the threaded backend passes its
+    /// shared-memory allocator (and ignores the durability flag — it
     /// never sees restart faults). Every backend must allocate the same
     /// regions in the same order so remote offsets agree.
     pub fn plan(

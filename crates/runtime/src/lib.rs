@@ -12,10 +12,9 @@
 //! * [`layout`] — the registered-memory map every replica shares;
 //! * [`transport`] — the [`Transport`] trait the whole runtime is
 //!   generic over: one-sided verbs, messaging, timers, permissions and
-//!   trace hooks, implemented by the simulator's `Ctx`, by the
-//!   in-process [`loopback`] backend, and by the [`threaded`] backend
-//!   (one OS thread per replica over process-shared atomic memory,
-//!   real wall-clock timers);
+//!   trace hooks, implemented by the simulator's `Ctx` and by the
+//!   [`threaded`] backend (one OS thread per replica over
+//!   process-shared atomic memory, real wall-clock timers);
 //! * [`replica`] — [`replica::HambandNode`], the per-node orchestrator
 //!   over the protocol modules: [`reduce`] / [`free`] / [`conf`] issue
 //!   paths (with [`commit`] advancement, [`election`] and takeover,
@@ -127,7 +126,6 @@ pub mod harness;
 pub mod heartbeat;
 pub mod ingress;
 pub mod layout;
-pub mod loopback;
 pub mod membership;
 pub mod messages;
 pub mod metrics;
@@ -147,10 +145,11 @@ pub use chaos::{run_case, run_seed, shrink, shrink_case, CaseReport, ChaosOption
 pub use conf::{GroupEngine, LeaderState, Role};
 pub use config::RuntimeConfig;
 pub use driver::{Planned, QuotaSplit, WorkloadSpec};
-pub use harness::{Backend, NodeEndState, RunConfig, RunOutcome, Runner, System, TraceMode};
+pub use harness::{
+    assemble, Backend, NodeEndState, RunConfig, RunOutcome, Runner, System, TraceMode,
+};
 pub use ingress::{ClientSession, Ingress, SessionStats};
 pub use layout::Layout;
-pub use loopback::{LoopbackCluster, LoopbackCtx};
 pub use membership::Membership;
 pub use metrics::{
     FairnessSummary, LatencyHistogram, LatencySummary, NodeMetrics, RunReport,

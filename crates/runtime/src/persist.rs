@@ -55,17 +55,6 @@ pub enum DurabilityMode {
     Fenced,
 }
 
-impl DurabilityMode {
-    /// The env-derived default: `HAMBAND_DURABILITY=fenced` turns the
-    /// seam on for every run in the process (used by chaos smokes).
-    pub fn from_env() -> Self {
-        match std::env::var("HAMBAND_DURABILITY") {
-            Ok(v) if v.eq_ignore_ascii_case("fenced") || v == "1" => DurabilityMode::Fenced,
-            _ => DurabilityMode::Off,
-        }
-    }
-}
-
 /// Why a persist log could not be decoded at all (per-record damage is
 /// not an error: it marks the torn frontier and replay stops there).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -435,13 +424,5 @@ mod tests {
         let mut image = encode_all(&[]);
         image[0] = 0;
         assert!(matches!(decode_log(&image), Err(FormatError::BadMagic(_))));
-    }
-
-    #[test]
-    fn env_default_parses() {
-        // Not exercised via set_var (tests share the process env);
-        // just pin the Off default when the variable is absent-ish.
-        let mode = DurabilityMode::from_env();
-        assert!(matches!(mode, DurabilityMode::Off | DurabilityMode::Fenced));
     }
 }

@@ -19,7 +19,7 @@
 //! client pump, the completion/message dispatchers, and the
 //! [`App`] event-loop glue. Everything runs over a generic
 //! [`Transport`], so the same replica drives the discrete-event
-//! simulator and the in-process [`loopback`](crate::loopback) backend.
+//! simulator and the [`threaded`](crate::threaded) backend.
 //!
 //! Applying conflicting entries at commit rather than at issue is a
 //! deliberate deviation from the paper's Fig. 7 (whose CONF rule
@@ -165,24 +165,31 @@ where
     O: WorkloadSupport,
     O::Update: Wire,
 {
-    /// Build the replica for node `me` of an `n`-node cluster.
+    /// Build the replica for node `me` of the cluster `layout` was
+    /// planned for — the one constructor every backend's cluster
+    /// assembly goes through.
     ///
-    /// `layout` must come from [`Layout::install`] on the same
-    /// simulator (with the same `cfg.sync_shards`), and `leaders`
+    /// `layout` must come from [`Layout::plan`] with the same `coord`
+    /// and `cfg` (in particular the same `cfg.sync_shards`). `leaders`
     /// assigns the initial leader per *mapped* group (sync group ×
-    /// shard, [`GroupMapper::group_count`] entries).
-    #[allow(clippy::too_many_arguments)]
+    /// shard, [`GroupMapper::group_count`] entries); `None` takes the
+    /// mapper's round-robin default, which spreads shard leadership
+    /// across the nodes.
     pub fn new(
-        spec: O,
-        coord: CoordSpec,
-        cfg: RuntimeConfig,
-        layout: Layout,
+        spec: &O,
+        coord: &CoordSpec,
+        cfg: &RuntimeConfig,
+        layout: &Layout,
         me: NodeId,
-        n: usize,
-        leaders: &[Pid],
-        workload: WorkloadSpec,
-    ) -> Self {
-        let mapper = GroupMapper::new(&coord, cfg.sync_shards);
+        leaders: Option<&[Pid]>,
+        workload: &WorkloadSpec,
+    ) -> Self
+    where
+        O: Clone,
+    {
+        let n = layout.nodes;
+        let mapper = GroupMapper::new(coord, cfg.sync_shards);
+        let leaders = leaders.map_or_else(|| mapper.default_leaders(n), <[Pid]>::to_vec);
         assert_eq!(leaders.len(), mapper.group_count(), "one leader per mapped group");
         assert_eq!(layout.conf.len(), mapper.group_count(), "layout planned for these shards");
         assert!(cfg.window <= cfg.backup_slots, "backup ring must cover the window");
@@ -190,7 +197,7 @@ where
         // Backup slots are addressed `call_id % backup_slots`, so the
         // ingress caps node-wide in-flight calls at the slot count no
         // matter how many sessions the spec asks for.
-        let ingress = Ingress::new(&workload, &coord, mapper, me.index(), n, cfg.backup_slots);
+        let ingress = Ingress::new(workload, coord, mapper, me.index(), n, cfg.backup_slots);
         let sum_cache = coord
             .sum_groups()
             .iter()
@@ -237,7 +244,7 @@ where
                 .with_min_sample_gap(cfg.heartbeat_interval),
             adopted: vec![false; n],
             ingress,
-            workload,
+            workload: workload.clone(),
             metrics: NodeMetrics::default(),
             speculative_store: Vec::new(),
             next_call_id: 0,
@@ -249,14 +256,14 @@ where
             retry_timer_armed: false,
             halted: false,
             log: layout.persist_log.map(|r| NodeLog::new(r, cfg.persist_log_bytes)),
-            initial_leaders: leaders.to_vec(),
-            workload_retired: false,
             join_epoch: vec![0; leaders.len()],
+            initial_leaders: leaders,
+            workload_retired: false,
             pending_arrival: None,
-            spec,
-            coord,
-            cfg,
-            layout,
+            spec: spec.clone(),
+            coord: coord.clone(),
+            cfg: cfg.clone(),
+            layout: layout.clone(),
             me,
             n,
         }
@@ -368,7 +375,7 @@ where
     }
 
     /// Feed one event-loop event to the replica. Public so non-`App`
-    /// event loops (the loopback backend) can drive the same state
+    /// event loops (the threaded backend) can drive the same state
     /// machine the simulator does.
     pub fn handle_event<T: Transport>(&mut self, ctx: &mut T, event: Event) {
         match event {

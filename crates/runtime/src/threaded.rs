@@ -1,16 +1,14 @@
 //! Threaded backend: one OS thread per replica over process-shared
 //! atomic memory, with real wall-clock timers.
 //!
-//! This is the third [`Transport`](crate::transport::Transport)
-//! implementor, and the first where replicas race for real. The
-//! simulator serializes everything behind a virtual clock; the
-//! [`loopback`](crate::loopback) backend interleaves replicas
-//! cooperatively on one thread; here each replica runs its own event
-//! loop on its own thread, "RDMA" is plain stores into another
-//! thread's registered memory, and latency is whatever the machine
-//! gives you — which is exactly what a wall-clock latency-under-load
-//! benchmark needs, and the closest in-process rehearsal of an
-//! ibverbs backend the codebase can have.
+//! This is the second [`Transport`](crate::transport::Transport)
+//! implementor, and the one where replicas race for real. The
+//! simulator serializes everything behind a virtual clock; here each
+//! replica runs its own event loop on its own thread, "RDMA" is plain
+//! stores into another thread's registered memory, and latency is
+//! whatever the machine gives you — which is exactly what a
+//! wall-clock latency-under-load benchmark needs, and the closest
+//! in-process rehearsal of an ibverbs backend the codebase can have.
 //!
 //! Structure:
 //!

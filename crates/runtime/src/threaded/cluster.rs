@@ -5,8 +5,7 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hamband_core::coord::{CoordSpec, GroupMapper};
-use hamband_core::ids::Pid;
+use hamband_core::coord::CoordSpec;
 use hamband_core::object::WorkloadSupport;
 use hamband_core::wire::Wire;
 use rdma_sim::{Event, NodeId, SimDuration, SimTime, Stats};
@@ -73,25 +72,13 @@ where
         // durable flag is accepted and ignored.
         let layout = Layout::plan(n, coord, &cfg, |size, _durable| mem.add_region_all(size));
         let mem = Arc::new(mem);
-        let leaders: Vec<Pid> = GroupMapper::new(coord, cfg.sync_shards).default_leaders(n);
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
         let epoch = Instant::now();
         let ctxs = (0..n)
             .map(|i| ThreadedCtx::new(NodeId(i), n, Arc::clone(&mem), senders.clone(), epoch))
             .collect();
         let nodes = (0..n)
-            .map(|i| {
-                HambandNode::new(
-                    spec.clone(),
-                    coord.clone(),
-                    cfg.clone(),
-                    layout.clone(),
-                    NodeId(i),
-                    n,
-                    &leaders,
-                    workload.clone(),
-                )
-            })
+            .map(|i| HambandNode::new(spec, coord, &cfg, &layout, NodeId(i), None, &workload))
             .collect();
         ThreadedCluster {
             n,
@@ -191,7 +178,7 @@ where
         self.n
     }
 
-    /// Always false: a cluster has at least one replica.
+    /// Whether the cluster has no replicas.
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }

@@ -139,10 +139,6 @@ impl Transport for ThreadedCtx {
         SimTime(self.epoch.elapsed().as_nanos() as u64)
     }
 
-    fn cluster_size(&self) -> usize {
-        self.n
-    }
-
     /// CPU cost is real here — executing the method body *is* the
     /// cost — so the accounting hook is a no-op.
     fn consume(&mut self, _cost: SimDuration) {}

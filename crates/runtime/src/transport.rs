@@ -25,14 +25,12 @@
 //! * **trace & accounting hooks** — [`emit`](Transport::emit),
 //!   [`consume`](Transport::consume), [`note_ring_write`](Transport::note_ring_write).
 //!
-//! Three implementations exist: [`rdma_sim::Ctx`] (the discrete-event
-//! simulator with latency and fault modelling), the in-process
-//! [`loopback`](crate::loopback) backend (direct memory + FIFO event
-//! queues, no simulator), and the [`threaded`](crate::threaded)
-//! backend (one OS thread per replica over process-shared atomic
-//! memory, real wall-clock timers). A real-ibverbs backend would be a
-//! fourth implementor; nothing in the protocol modules names the
-//! simulator.
+//! Two implementations exist: [`rdma_sim::Ctx`] (the discrete-event
+//! simulator with latency and fault modelling) and the
+//! [`threaded`](crate::threaded) backend (one OS thread per replica
+//! over process-shared atomic memory, real wall-clock timers). A
+//! real-ibverbs backend would be a third implementor; nothing in the
+//! protocol modules names the simulator.
 //!
 //! The *vocabulary* types ([`NodeId`], [`RegionId`], [`WrId`],
 //! [`Event`](rdma_sim::Event), [`TraceEvent`], [`SimTime`]) are shared
@@ -57,9 +55,6 @@ pub trait Transport {
 
     /// Current (virtual) time.
     fn now(&self) -> SimTime;
-
-    /// Cluster size.
-    fn cluster_size(&self) -> usize;
 
     /// Charge `cost` of local CPU work (e.g. executing a method body).
     fn consume(&mut self, cost: SimDuration);
@@ -126,8 +121,8 @@ pub trait Transport {
     /// Make this node's *local* stores to a durable region survive a
     /// crash-restart (see [`crate::persist`]). Remote one-sided WRITEs
     /// are durable as they land; local CPU stores are not until fenced.
-    /// Backends without a durability model (loopback, threaded — they
-    /// never see restart faults) inherit the no-op default.
+    /// A backend without a durability model (threaded — it never sees
+    /// restart faults) inherits the no-op default.
     fn fence_region(&mut self, _region: RegionId) {}
 }
 
@@ -139,9 +134,6 @@ impl Transport for Ctx<'_> {
     }
     fn now(&self) -> SimTime {
         Ctx::now(self)
-    }
-    fn cluster_size(&self) -> usize {
-        Ctx::cluster_size(self)
     }
     fn consume(&mut self, cost: SimDuration) {
         Ctx::consume(self, cost)

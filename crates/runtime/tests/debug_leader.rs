@@ -5,39 +5,18 @@
 //! (Run with `--nocapture` to see the per-node status trail.)
 
 use hamband_core::ids::Pid;
-use hamband_runtime::{HambandNode, Layout, RuntimeConfig, WorkloadSpec};
+use hamband_runtime::{assemble, RunConfig, WorkloadSpec};
 use hamband_types::Courseware;
-use rdma_sim::{Fault, FaultPlan, LatencyModel, NodeId, SimDuration, SimTime, Simulator};
+use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime};
 
 #[test]
 fn leader_failure_trace() {
     let cw = Courseware::default();
-    let coord = cw.coord_spec();
     let n = 4;
-    let workload = WorkloadSpec::ops(600).with_update_ratio(0.5);
-    let cfg = RuntimeConfig::default();
-    let mut sim: Simulator<HambandNode<Courseware>> =
-        Simulator::new(n, LatencyModel::default(), 0x5eed);
-    let layout = Layout::install(&mut sim, &coord, &cfg);
-    let leaders: Vec<Pid> = coord.default_leaders(n);
-    sim.install_fault_plan(
-        &FaultPlan::new().at(SimTime(60_000), Fault::SuspendHeartbeat(NodeId(0))),
+    let run = RunConfig::new(n, WorkloadSpec::ops(600).with_update_ratio(0.5)).with_faults(
+        FaultPlan::new().at(SimTime(60_000), Fault::SuspendHeartbeat(NodeId(0))),
     );
-    {
-        let coord = coord.clone();
-        sim.set_apps(move |id| {
-            HambandNode::new(
-                cw.clone(),
-                coord.clone(),
-                cfg.clone(),
-                layout.clone(),
-                id,
-                n,
-                &leaders,
-                workload.clone(),
-            )
-        });
-    }
+    let (mut sim, _layout, _trace) = assemble(&cw, &cw.coord_spec(), &run);
     for step in 0..60 {
         sim.run_for(SimDuration::micros(50));
         if step % 4 == 0 {

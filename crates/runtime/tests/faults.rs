@@ -4,40 +4,15 @@
 use hamband_core::counts::DepMap;
 use hamband_core::ids::{Pid, Rid};
 use hamband_runtime::codec::{compose_backup_slot, Entry, BACKUP_FREE};
-use hamband_runtime::{HambandNode, Layout, RuntimeConfig, WorkloadSpec};
-use hamband_types::{Counter, GSet};
-use rdma_sim::{Fault, FaultPlan, LatencyModel, NodeId, SimDuration, SimTime, Simulator};
+use hamband_runtime::{assemble, HambandNode, RunConfig, WorkloadSpec};
+use hamband_types::{Bank, Counter, GSet};
+use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
 
-fn counter_cluster(
-    n: usize,
-    ops: u64,
-    plan: &FaultPlan,
-) -> (Simulator<HambandNode<Counter>>, Layout) {
+fn counter_cluster(n: usize, ops: u64, plan: FaultPlan) -> Simulator<HambandNode<Counter>> {
     let c = Counter::default();
-    let coord = c.coord_spec();
-    let cfg = RuntimeConfig::default();
     let workload = WorkloadSpec::ops(ops).with_update_ratio(0.5).with_seed(0xfa01);
-    let mut sim = Simulator::new(n, LatencyModel::default(), 0xfa02);
-    let layout = Layout::install(&mut sim, &coord, &cfg);
-    let leaders = coord.default_leaders(n);
-    sim.install_fault_plan(plan);
-    {
-        let coord = coord.clone();
-        let layout = layout.clone();
-        sim.set_apps(move |id| {
-            HambandNode::new(
-                c.clone(),
-                coord.clone(),
-                cfg.clone(),
-                layout.clone(),
-                id,
-                n,
-                &leaders,
-                workload.clone(),
-            )
-        });
-    }
-    (sim, layout)
+    let run = RunConfig::new(n, workload).with_seed(0xfa02).with_faults(plan);
+    assemble(&c, &c.coord_spec(), &run).0
 }
 
 /// A node crashes (fail-stop) with a pending conflict-free broadcast
@@ -50,32 +25,13 @@ fn crash_recovery_delivers_pending_broadcast() {
     // Use the buffered GSet so calls flow through F rings.
     let g = GSet::default();
     let coord = g.coord_spec_buffered();
-    let cfg = RuntimeConfig::default();
     let n = 3;
     // No client workload: we inject the pending broadcast by hand.
     let workload = WorkloadSpec::ops(0).with_update_ratio(0.5).with_seed(1);
-    let mut sim: Simulator<HambandNode<GSet>> = Simulator::new(n, LatencyModel::default(), 7);
-    let layout = Layout::install(&mut sim, &coord, &cfg);
-    let leaders = coord.default_leaders(n);
     // Crash node 2 shortly after start.
-    sim.install_fault_plan(&FaultPlan::new().at(SimTime(30_000), Fault::Crash(NodeId(2))));
-    {
-        let coord2 = coord.clone();
-        let g2 = g.clone();
-        let layout = layout.clone();
-        sim.set_apps(move |id| {
-            HambandNode::new(
-                g2.clone(),
-                coord2.clone(),
-                cfg.clone(),
-                layout.clone(),
-                id,
-                n,
-                &leaders,
-                workload.clone(),
-            )
-        });
-    }
+    let plan = FaultPlan::new().at(SimTime(30_000), Fault::Crash(NodeId(2)));
+    let run = RunConfig::new(n, workload).with_seed(7).with_faults(plan);
+    let (mut sim, layout, _trace) = assemble(&g, &coord, &run);
     // Before the crash fires, plant a pending broadcast in node 2's
     // backup region: a conflict-free call (seq 1 in node 2's F rings)
     // that "was about to be written" but never went out — the crash
@@ -113,7 +69,7 @@ fn crash_recovery_delivers_pending_broadcast() {
 #[test]
 fn torn_writes_do_not_corrupt_replication() {
     let plan = FaultPlan::new().at(SimTime::ZERO, Fault::TornWrites(NodeId(1)));
-    let (mut sim, _layout) = counter_cluster(3, 400, &plan);
+    let mut sim = counter_cluster(3, 400, plan);
     for _ in 0..400 {
         sim.run_for(SimDuration::micros(50));
         if (0..3).all(|i| sim.app(NodeId(i)).workload_done()) {
@@ -133,7 +89,7 @@ fn torn_writes_do_not_corrupt_replication() {
 #[test]
 fn follower_crash_survivors_converge() {
     let plan = FaultPlan::new().at(SimTime(40_000), Fault::Crash(NodeId(3)));
-    let (mut sim, _layout) = counter_cluster(4, 400, &plan);
+    let mut sim = counter_cluster(4, 400, plan);
     for _ in 0..800 {
         sim.run_for(SimDuration::micros(50));
         let survivors_done = (0..3).all(|i| sim.app(NodeId(i)).workload_done());
@@ -163,31 +119,10 @@ fn leader_crash_during_election_reelects() {
         .at(SimTime(62_000), Fault::Crash(NodeId(1)));
     // Bank has a conflicting method, so group 0 actually runs
     // leader-based replication (Counter is reduce-only).
-    let b = hamband_types::Bank::default();
-    let coord = b.coord_spec();
-    let cfg = RuntimeConfig::default();
-    let n = 5;
+    let b = Bank::default();
     let workload = WorkloadSpec::ops(400).with_update_ratio(0.5).with_seed(0xfa03);
-    let mut sim: Simulator<HambandNode<hamband_types::Bank>> =
-        Simulator::new(n, LatencyModel::default(), 0xfa04);
-    let layout = Layout::install(&mut sim, &coord, &cfg);
-    let leaders = coord.default_leaders(n);
-    sim.install_fault_plan(&plan);
-    {
-        let coord = coord.clone();
-        sim.set_apps(move |id| {
-            HambandNode::new(
-                b.clone(),
-                coord.clone(),
-                cfg.clone(),
-                layout.clone(),
-                id,
-                n,
-                &leaders,
-                workload.clone(),
-            )
-        });
-    }
+    let run = RunConfig::new(5, workload).with_seed(0xfa04).with_faults(plan);
+    let (mut sim, _layout, _trace) = assemble(&b, &b.coord_spec(), &run);
     for _ in 0..1600 {
         sim.run_for(SimDuration::micros(50));
         let done = (2..5).all(|i| sim.app(NodeId(i)).workload_done());

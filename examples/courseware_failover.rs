@@ -10,42 +10,20 @@
 //! ```
 
 use hamband::core::ids::Pid;
-use hamband::runtime::{HambandNode, Layout, RuntimeConfig, WorkloadSpec};
-use hamband::sim::{Fault, FaultPlan, LatencyModel, NodeId, SimDuration, SimTime, Simulator};
+use hamband::runtime::{assemble, RunConfig, WorkloadSpec};
+use hamband::sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime};
 use hamband::types::Courseware;
 
 fn main() {
     let courseware = Courseware::default();
-    let coord = courseware.coord_spec();
     let n = 4;
     let workload = WorkloadSpec::ops(3_000).with_update_ratio(0.5).with_seed(7);
-    let cfg = RuntimeConfig::default();
-
-    let mut sim: Simulator<HambandNode<Courseware>> =
-        Simulator::new(n, LatencyModel::default(), 42);
-    let layout = Layout::install(&mut sim, &coord, &cfg);
-    let leaders: Vec<Pid> = coord.default_leaders(n);
-    println!("initial leader of the course group: {}", leaders[0]);
-
     // Fail the leader 300 us in.
-    sim.install_fault_plan(
-        &FaultPlan::new().at(SimTime(300_000), Fault::SuspendHeartbeat(NodeId(0))),
-    );
-    {
-        let coord = coord.clone();
-        sim.set_apps(move |id| {
-            HambandNode::new(
-                courseware.clone(),
-                coord.clone(),
-                cfg.clone(),
-                layout.clone(),
-                id,
-                n,
-                &leaders,
-                workload.clone(),
-            )
-        });
-    }
+    let run = RunConfig::new(n, workload)
+        .with_seed(42)
+        .with_faults(FaultPlan::new().at(SimTime(300_000), Fault::SuspendHeartbeat(NodeId(0))));
+    let (mut sim, _layout, _trace) = assemble(&courseware, &courseware.coord_spec(), &run);
+    println!("initial leader of the course group: {}", sim.app(NodeId(1)).leader_view(0));
 
     let mut failover_seen = false;
     for _ in 0..400 {

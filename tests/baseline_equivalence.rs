@@ -8,10 +8,7 @@
 //! assert convergence and the exact acknowledged update count instead.
 
 use hamband::core::coord::CoordSpec;
-use hamband::core::ids::Pid;
-use hamband::runtime::{
-    HambandNode, Layout, MsgCrdtNode, RunConfig, Runner, RuntimeConfig, System, WorkloadSpec,
-};
+use hamband::runtime::{assemble, MsgCrdtNode, RunConfig, Runner, System, WorkloadSpec};
 use hamband::sim::{LatencyModel, NodeId, SimDuration, Simulator};
 use hamband::types::Counter;
 
@@ -32,26 +29,8 @@ fn complete_coord() -> CoordSpec {
 
 fn run_hamband_like(coord: CoordSpec) -> i64 {
     let c = Counter::default();
-    let cfg = RuntimeConfig::default();
-    let mut sim: Simulator<HambandNode<Counter>> =
-        Simulator::new(N, LatencyModel::default(), SEED ^ 0xfab);
-    let layout = Layout::install(&mut sim, &coord, &cfg);
-    let leaders: Vec<Pid> = coord.default_leaders(N);
-    {
-        let coord = coord.clone();
-        sim.set_apps(move |id| {
-            HambandNode::new(
-                c.clone(),
-                coord.clone(),
-                cfg.clone(),
-                layout.clone(),
-                id,
-                N,
-                &leaders,
-                workload(),
-            )
-        });
-    }
+    let run = RunConfig::new(N, workload()).with_seed(SEED ^ 0xfab);
+    let (mut sim, _layout, _trace) = assemble(&c, &coord, &run);
     for _ in 0..1_000 {
         sim.run_for(SimDuration::micros(50));
         let done = (0..N).all(|i| sim.app(NodeId(i)).workload_done())

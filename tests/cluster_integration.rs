@@ -17,10 +17,16 @@ where
     O::Update: Wire + Send,
     O::State: Send,
 {
-    let run = RunConfig::new(nodes, WorkloadSpec::ops(600).with_update_ratio(0.4).with_seed(0xc0de));
-    let rep = Runner::new(System::Hamband, run).run(spec, coord).report;
-    assert!(rep.converged, "{} did not converge: {rep}", spec.name());
-    assert!(rep.total_updates > 0, "{} acked no updates", spec.name());
+    // Unbatched (one WRITE per ring entry) and the doorbell-batched
+    // default: every shipped type runs the protocol both ways.
+    for max_batch in [1, 16] {
+        let workload = WorkloadSpec::ops(600).with_update_ratio(0.4).with_seed(0xc0de);
+        let mut run = RunConfig::new(nodes, workload);
+        run.runtime = run.runtime.with_max_batch(max_batch);
+        let rep = Runner::new(System::Hamband, run).run(spec, coord).report;
+        assert!(rep.converged, "{} (max_batch {max_batch}) did not converge: {rep}", spec.name());
+        assert!(rep.total_updates > 0, "{} (max_batch {max_batch}) acked no updates", spec.name());
+    }
 }
 
 fn smr_converges<O>(spec: &O, nodes: usize)
@@ -110,34 +116,14 @@ fn seven_node_cluster_like_the_paper() {
 
 #[test]
 fn final_states_satisfy_invariants() {
-    use hamband::runtime::{HambandNode, Layout, RuntimeConfig};
-    use hamband::sim::{LatencyModel, NodeId, SimDuration, Simulator};
+    use hamband::runtime::assemble;
+    use hamband::sim::{NodeId, SimDuration};
 
     let p = Project::default();
-    let coord = p.coord_spec();
     let n = 4;
     let workload = WorkloadSpec::ops(800).with_update_ratio(0.5).with_seed(3);
-    let cfg = RuntimeConfig::default();
-    let mut sim: Simulator<HambandNode<Project>> =
-        Simulator::new(n, LatencyModel::default(), 9);
-    let layout = Layout::install(&mut sim, &coord, &cfg);
-    let leaders = coord.default_leaders(n);
-    {
-        let coord = coord.clone();
-        let p2 = p.clone();
-        sim.set_apps(move |id| {
-            HambandNode::new(
-                p2.clone(),
-                coord.clone(),
-                cfg.clone(),
-                layout.clone(),
-                id,
-                n,
-                &leaders,
-                workload.clone(),
-            )
-        });
-    }
+    let run = RunConfig::new(n, workload).with_seed(9);
+    let (mut sim, _layout, _trace) = assemble(&p, &p.coord_spec(), &run);
     for _ in 0..200 {
         sim.run_for(SimDuration::micros(50));
         if (0..n).all(|i| sim.app(NodeId(i)).workload_done()) {

@@ -1,7 +1,7 @@
 //! Scaled-down smoke runs of the figure harness: the qualitative shape
 //! checks of the paper's evaluation must hold even at small operation
 //! counts. (The full sweeps live in `cargo run -p hamband-bench --bin
-//! all_figures`; these cover the cheaper figures.)
+//! figures`; these cover the cheaper figures.)
 
 use hamband_bench::{fig10, fig11, fig13, headline, ExpOptions};
 

@@ -1,12 +1,11 @@
 //! Cross-backend transport conformance suite.
 //!
-//! The same `HambandNode` state machine runs over three transports
-//! (simulator, loopback, threaded); the simulator's behaviour is
-//! pinned elsewhere (golden trace fingerprints, chaos campaigns), so
-//! this suite pins the other two: for each object shape — reducible
-//! (Counter), conflicting (Bank), buffered conflict-free with
-//! state-aware updates (OrSet) — and each cluster size 3..=5, a run
-//! must
+//! The same `HambandNode` state machine runs over two transports
+//! (simulator, threaded). For each object shape — reducible (Counter),
+//! conflicting (Bank), buffered conflict-free with state-aware updates
+//! (OrSet) — each cluster size 3..=5, and both the unbatched
+//! (`max_batch` 1) and the doorbell-batched (16) ring protocol, a run
+//! on either backend must
 //!
 //! 1. **converge**: every replica ends with the same applied-call
 //!    count, the same per-(node, method) applied map, and the same
@@ -22,10 +21,10 @@
 //! data-race gate for the `threaded` backend's word-level publication
 //! discipline.
 //!
-//! Leadership failover is exercised on the loopback backend (the
-//! threaded backend injects no faults): suspend the heartbeat of a
-//! group leader mid-run and the survivors must elect a replacement
-//! and finish without it.
+//! Leadership failover is exercised on the simulator (the threaded
+//! backend injects no faults): suspend the heartbeat of a group leader
+//! mid-run and the survivors must elect a replacement and finish
+//! without it.
 
 use std::time::Duration;
 
@@ -34,10 +33,10 @@ use hamband_core::counts::CountMap;
 use hamband_core::object::WorkloadSupport;
 use hamband_core::wire::Wire;
 use hamband_runtime::{
-    HambandNode, LoopbackCluster, RuntimeConfig, ThreadedCluster, WorkloadSpec,
+    assemble, HambandNode, RunConfig, RuntimeConfig, ThreadedCluster, WorkloadSpec,
 };
 use hamband_types::{Bank, Counter, OrSet};
-use rdma_sim::{AppFault, SimDuration, SimTime};
+use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
 
 /// What the conformance checks need from one finished replica.
 struct NodeObs<S> {
@@ -86,28 +85,50 @@ fn check<S: PartialEq + std::fmt::Debug>(obs: &[NodeObs<S>], what: &str) {
     }
 }
 
-fn run_loopback<O>(spec: &O, coord: &CoordSpec, n: usize, workload: WorkloadSpec, what: &str)
-where
+fn run_sim<O>(
+    spec: &O,
+    coord: &CoordSpec,
+    n: usize,
+    cfg: RuntimeConfig,
+    workload: WorkloadSpec,
+    what: &str,
+) where
     O: WorkloadSupport + Clone,
     O::Update: Wire,
 {
-    let mut cluster = LoopbackCluster::new(n, spec, coord, RuntimeConfig::default(), workload);
+    let run = RunConfig::new(n, workload).with_runtime(cfg);
+    let (mut sim, _layout, _trace) = assemble(spec, coord, &run);
+    let converged = |sim: &Simulator<HambandNode<O>>| {
+        let first = sim.app(NodeId(0)).applied_map();
+        (0..n).map(|i| sim.app(NodeId(i))).all(|a| a.workload_done() && a.applied_map() == first)
+    };
+    while !converged(&sim) && sim.now() < SimTime(500_000_000) {
+        sim.run_for(SimDuration::micros(50));
+    }
     assert!(
-        cluster.run_to_convergence(SimDuration::millis(500)),
-        "{what}: loopback cluster did not converge: {}",
-        (0..n).map(|i| cluster.node(i).status().to_string()).collect::<Vec<_>>().join(" | "),
+        converged(&sim),
+        "{what}: simulator cluster did not converge: {}",
+        (0..n).map(|i| sim.app(NodeId(i)).status().to_string()).collect::<Vec<_>>().join(" | "),
     );
-    let obs: Vec<_> = (0..n).map(|i| observe(cluster.node(i))).collect();
+    // Let trailing acks (commit-index and summary writes) land.
+    sim.run_for(SimDuration::millis(1));
+    let obs: Vec<_> = (0..n).map(|i| observe(sim.app(NodeId(i)))).collect();
     check(&obs, what);
 }
 
-fn run_threaded<O>(spec: &O, coord: &CoordSpec, n: usize, workload: WorkloadSpec, what: &str)
-where
+fn run_threaded<O>(
+    spec: &O,
+    coord: &CoordSpec,
+    n: usize,
+    cfg: RuntimeConfig,
+    workload: WorkloadSpec,
+    what: &str,
+) where
     O: WorkloadSupport + Clone + Send,
     O::Update: Wire + Send,
     O::State: Send,
 {
-    let mut cluster = ThreadedCluster::new(n, spec, coord, RuntimeConfig::default(), workload);
+    let mut cluster = ThreadedCluster::new(n, spec, coord, cfg, workload);
     assert!(
         cluster.run_to_convergence(Duration::from_secs(60)),
         "{what}: threaded cluster did not converge: {}",
@@ -117,7 +138,8 @@ where
     check(&obs, what);
 }
 
-/// One object across both backends and cluster sizes 3..=5.
+/// One object across both backends, cluster sizes 3..=5, and the
+/// unbatched and batched ring protocol.
 fn conform<O>(spec: &O, coord: &CoordSpec, name: &str)
 where
     O: WorkloadSupport + Clone + Send,
@@ -125,9 +147,13 @@ where
     O::State: Send,
 {
     for n in 3..=5 {
-        let workload = WorkloadSpec::ops(240).with_update_ratio(0.6).with_seed(90 + n as u64);
-        run_loopback(spec, coord, n, workload.clone(), &format!("{name}/loopback/n={n}"));
-        run_threaded(spec, coord, n, workload, &format!("{name}/threaded/n={n}"));
+        for max_batch in [1, 16] {
+            let cfg = RuntimeConfig::default().with_max_batch(max_batch);
+            let workload = WorkloadSpec::ops(240).with_update_ratio(0.6).with_seed(90 + n as u64);
+            let what = format!("{name}/n={n}/max_batch={max_batch}");
+            run_sim(spec, coord, n, cfg.clone(), workload.clone(), &format!("{what}/sim"));
+            run_threaded(spec, coord, n, cfg, workload, &format!("{what}/threaded"));
+        }
     }
 }
 
@@ -157,46 +183,51 @@ fn sessions_conform_across_backends() {
     let coord = c.coord_spec();
     let workload =
         WorkloadSpec::ops(400).with_update_ratio(0.5).with_sessions(40).with_seed(17);
-    run_loopback(&c, &coord, 3, workload.clone(), "counter-sessions/loopback");
-    run_threaded(&c, &coord, 3, workload, "counter-sessions/threaded");
+    let cfg = RuntimeConfig::default();
+    run_sim(&c, &coord, 3, cfg.clone(), workload.clone(), "counter-sessions/sim");
+    run_threaded(&c, &coord, 3, cfg, workload, "counter-sessions/threaded");
 }
 
-/// Suspend a group leader's heartbeat mid-run over loopback: the
-/// survivors must suspect it, elect a replacement, and finish the
-/// workload without it (§5's failure-injection method, previously
-/// exercised only under the simulator).
+/// Suspend a group leader's heartbeat mid-run: the survivors must
+/// suspect it, elect a replacement, and finish the workload without
+/// it (§5's failure-injection method).
 #[test]
-fn election_under_loopback_replaces_suspended_leader() {
+fn election_replaces_suspended_leader() {
     let b = Bank::default();
-    let coord = b.coord_spec();
     let n = 3;
     let workload = WorkloadSpec::ops(300).with_update_ratio(0.8).with_seed(11);
-    let mut cluster = LoopbackCluster::new(n, &b, &coord, RuntimeConfig::default(), workload);
-
-    // Let leadership establish, then read group 0's leader.
-    cluster.step_until(SimTime(50_000));
-    let old = cluster.node(0).leader_view(0);
-    cluster.inject_fault(old.index(), AppFault::SuspendHeartbeat);
+    // Group 0's initial leader is node 0 (round-robin default);
+    // leadership has established well before 50 us.
+    let old = NodeId(0);
+    let run = RunConfig::new(n, workload)
+        .with_faults(FaultPlan::new().at(SimTime(50_000), Fault::SuspendHeartbeat(old)));
+    let (mut sim, _layout, _trace) = assemble(&b, &b.coord_spec(), &run);
+    sim.run_for(SimDuration::micros(40));
+    assert_eq!(sim.app(NodeId(1)).leader_view(0).index(), old.index(), "node 0 leads at first");
 
     // Plenty of virtual time: suspicion, election, ring catch-up, and
     // the survivors' (plus the dead node's adopted) quota.
-    cluster.step_until(SimTime(200_000_000));
-
-    let survivors: Vec<usize> = (0..n).filter(|&i| i != old.index()).collect();
-    for &i in &survivors {
-        let view = cluster.node(i).leader_view(0);
-        assert_ne!(view, old, "node {i} still believes the suspended leader leads group 0");
-        assert!(!cluster.node(i).is_halted(), "survivor {i} halted");
-        assert!(
-            cluster.node(i).workload_done(),
-            "survivor {i} never finished: {}",
-            cluster.node(i).status()
-        );
+    let survivors: Vec<NodeId> = (0..n).map(NodeId).filter(|&id| id != old).collect();
+    while !survivors.iter().all(|&id| sim.app(id).workload_done())
+        && sim.now() < SimTime(200_000_000)
+    {
+        sim.run_for(SimDuration::micros(50));
     }
-    let s0 = cluster.node(survivors[0]).state_snapshot();
-    let m0 = cluster.node(survivors[0]).applied_map().clone();
-    for &i in &survivors[1..] {
-        assert!(cluster.node(i).state_snapshot() == s0, "survivor {i} state diverges");
-        assert_eq!(*cluster.node(i).applied_map(), m0, "survivor {i} applied map diverges");
+    sim.run_for(SimDuration::millis(1));
+
+    for &id in &survivors {
+        let node = sim.app(id);
+        assert_ne!(
+            node.leader_view(0).index(),
+            old.index(),
+            "{id:?} still believes the suspended leader leads group 0"
+        );
+        assert!(!node.is_halted(), "survivor {id:?} halted");
+        assert!(node.workload_done(), "survivor {id:?} never finished: {}", node.status());
+    }
+    let first = sim.app(survivors[0]);
+    for &id in &survivors[1..] {
+        assert!(sim.app(id).state_snapshot() == first.state_snapshot(), "{id:?} state diverges");
+        assert_eq!(sim.app(id).applied_map(), first.applied_map(), "{id:?} applied map diverges");
     }
 }
