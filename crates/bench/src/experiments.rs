@@ -13,8 +13,8 @@ use hamband_core::coord::CoordSpec;
 use hamband_core::ids::Pid;
 use hamband_core::object::WorkloadSupport;
 use hamband_core::wire::Wire;
-use hamband_runtime::{KeySkew, RunConfig, RunReport, Runner, System, WorkloadSpec};
-use hamband_types::{Bank, Cart, Counter, Courseware, GSet, LwwRegister, Movie, OrSet, Project};
+use hamband_runtime::{RunConfig, RunReport, Runner, System, WorkloadSpec};
+use hamband_types::{Cart, Counter, Courseware, GSet, LwwRegister, Movie, OrSet, Project};
 use rdma_sim::{Fault, FaultPlan, NodeId, SimTime};
 
 /// Experiment scaling options.
@@ -720,125 +720,4 @@ pub fn headline(opts: &ExpOptions) -> FigOutcome {
         ),
     ];
     FigOutcome { name: "Headline (§5 summary claims)".into(), table, checks }
-}
-
-// ---------------------------------------------------------------------
-// Ingress session sweep (flat-combining scaling)
-// ---------------------------------------------------------------------
-
-/// Sessions-per-node points of the ingress sweep.
-pub const INGRESS_SWEEP_SESSIONS: [usize; 6] = [1, 8, 64, 256, 1_024, 10_000];
-
-/// Flat-combining ingress sweep: Counter on four nodes, growing the
-/// number of client sessions per node from 1 to 10k while holding the
-/// total op budget fixed. Each session gets a small window (2), so the
-/// aggregate in-flight budget grows with the session count until it
-/// saturates the replica's backup-slot cap — throughput should rise
-/// from 1 session to ~1k and then plateau, while the report's
-/// `fairness` block tracks per-user rates and Jain's index.
-pub fn ingress_sweep(opts: &ExpOptions) -> Vec<(usize, RunReport)> {
-    let c = Counter::default();
-    let coord = c.coord_spec();
-    INGRESS_SWEEP_SESSIONS
-        .iter()
-        .map(|&sessions| {
-            let spec = WorkloadSpec::ops(opts.ops)
-                .with_update_ratio(0.25)
-                .with_sessions(sessions)
-                .with_window(2)
-                .with_seed(opts.seed + 700);
-            let rc = RunConfig::new(4, spec).with_seed(opts.seed ^ 0xfab);
-            let rep = Runner::new(System::Hamband, rc)
-                .with_label(format!("hamband-{sessions}sess"))
-                .run(&c, &coord)
-                .report;
-            (sessions, rep)
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Key-sharded sync-group sweep
-// ---------------------------------------------------------------------
-
-/// Shard counts of the sync-shard sweep.
-pub const SHARDS_SWEEP_POINTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
-
-/// Key-sharded sync groups: the headline bank mix (0.5 update ratio,
-/// same seeds) on six nodes over a 256-account space, growing
-/// `sync_shards` from 1 to 32 under uniform and zipfian (θ = 0.9)
-/// account popularity. With one shard the lone withdraw leader
-/// serializes every conflicting call — the paper's layout, and the
-/// sweep's cross-check against the committed headline throughput.
-/// Higher points split the withdraw group across per-account logs
-/// whose leaders spread over the cluster (six nodes so the 8-shard
-/// point still buys distinct leaders), so uniform-key throughput
-/// rises monotonically to 8 shards and plateaus, while the zipfian
-/// sweep shows hot accounts bounding the win. Returns
-/// `(shards, uniform report, zipfian report)` per point.
-pub fn shards_sweep(opts: &ExpOptions) -> Vec<(usize, RunReport, RunReport)> {
-    let b = Bank::new(256, 50);
-    let coord = b.coord_spec();
-    SHARDS_SWEEP_POINTS
-        .iter()
-        .map(|&shards| {
-            let run = |skew: KeySkew, label: &str| {
-                let rc = cfg(6, opts.ops, 0.5, opts.seed + 900)
-                    .with_sync_shards(shards)
-                    .with_workload(
-                        WorkloadSpec::ops(opts.ops)
-                            .with_update_ratio(0.5)
-                            .with_skew(skew)
-                            .with_seed(opts.seed + 900),
-                    );
-                Runner::new(System::Hamband, rc)
-                    .with_label(format!("hamband-{label}-{shards}sh"))
-                    .run(&b, &coord)
-                    .report
-            };
-            (
-                shards,
-                run(KeySkew::Uniform, "uni"),
-                run(KeySkew::Zipfian { theta: 0.9 }, "zipf"),
-            )
-        })
-        .collect()
-}
-
-/// A machine-readable headline run: Hamband on the bank schema, whose
-/// three methods cover all three issue paths (`open` is reducible,
-/// `deposit` irreducible conflict-free, `withdraw` conflicting), so the
-/// report's `phases` map carries REDUCE, FREE, and CONF latency
-/// distributions. Serialize with [`RunReport::to_json`].
-pub fn headline_report(opts: &ExpOptions) -> RunReport {
-    let b = Bank::default();
-    let rc = cfg(4, opts.ops, 0.5, opts.seed + 900);
-    Runner::new(System::Hamband, rc).run(&b, &b.coord_spec()).report
-}
-
-/// The same bank headline with doorbell batching disabled
-/// (`max_batch = 1`): the write-combining ablation. Summary
-/// write-combining stays on — it is a protocol property, not a knob.
-pub fn headline_report_unbatched(opts: &ExpOptions) -> RunReport {
-    let b = Bank::default();
-    let rc = cfg(4, opts.ops, 0.5, opts.seed + 900);
-    let runtime = rc.runtime.clone().with_max_batch(1);
-    let rc = rc.with_runtime(runtime);
-    Runner::new(System::Hamband, rc)
-        .with_label("hamband-unbatched")
-        .run(&b, &b.coord_spec())
-        .report
-}
-
-/// A reducible-only companion run: Counter with a 100% update ratio,
-/// so every call takes the REDUCE path. With summary write-combining,
-/// `writes_per_op` at steady state sits *below one write per peer* —
-/// the paper's amortized-O(1)-writes claim, measurable in the report.
-pub fn reduce_report(opts: &ExpOptions) -> RunReport {
-    let c = Counter::default();
-    let rc = cfg(4, opts.ops, 1.0, opts.seed + 910);
-    Runner::new(System::Hamband, rc)
-        .with_label("hamband-counter-reduce")
-        .run(&c, &c.coord_spec())
-        .report
 }

@@ -2,9 +2,10 @@
 //!
 //! One `figures` binary regenerates any figure (`figures 8` …
 //! `figures 13`), the headline comparisons of §5, or — the default —
-//! the whole evaluation; gate and ablation binaries cover the design
-//! choices DESIGN.md calls out. Criterion micro-benchmarks live under
-//! `benches/`.
+//! the whole evaluation; the `chaos`, `model_check` and ablation
+//! binaries cover the design choices DESIGN.md calls out. Performance
+//! is measured in one place, the standalone `benchmark/` package
+//! (`BENCHMARK.json`), not here.
 //!
 //! Scale the per-data-point operation count with the `HAMBAND_OPS`
 //! environment variable (default 2000; the paper used 4M — virtual
@@ -16,10 +17,5 @@
 
 pub mod cli;
 pub mod experiments;
-pub mod load;
 
-pub use experiments::{
-    fig10, fig11, fig12, fig13, fig8, fig9, headline, headline_report, headline_report_unbatched,
-    ingress_sweep, reduce_report, shards_sweep, ExpOptions, FigOutcome, INGRESS_SWEEP_SESSIONS,
-    SHARDS_SWEEP_POINTS,
-};
+pub use experiments::{fig10, fig11, fig12, fig13, fig8, fig9, headline, ExpOptions, FigOutcome};

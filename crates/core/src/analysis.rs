@@ -482,8 +482,8 @@ mod tests {
         fn invariant(&self, state: &i128) -> bool {
             self.0.invariant(state)
         }
-        fn apply(&self, state: &i128, call: &Self::Update) -> i128 {
-            self.0.apply(state, call)
+        fn apply_mut(&self, state: &mut i128, call: &Self::Update) {
+            self.0.apply_mut(state, call)
         }
         fn query(&self, state: &i128, query: &Self::Query) -> i128 {
             self.0.query(state, query)

@@ -18,7 +18,7 @@ use rand::Rng;
 
 use crate::coord::CoordSpec;
 use crate::ids::MethodId;
-use crate::object::{ObjectSpec, SpecSampler, WorkloadSupport};
+use crate::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
 use crate::wire::{DecodeError, Reader, Wire, Writer};
 
 /// Method index of `deposit`.
@@ -111,10 +111,10 @@ impl ObjectSpec for Account {
         *state >= 0
     }
 
-    fn apply(&self, state: &i128, call: &AccountUpdate) -> i128 {
+    fn apply_mut(&self, state: &mut i128, call: &AccountUpdate) {
         match *call {
-            AccountUpdate::Deposit(v) => state + i128::from(v),
-            AccountUpdate::Withdraw(v) => state - i128::from(v),
+            AccountUpdate::Deposit(v) => *state += i128::from(v),
+            AccountUpdate::Withdraw(v) => *state -= i128::from(v),
         }
     }
 
@@ -172,6 +172,7 @@ impl WorkloadSupport for Account {
         _seq: u64,
         method: MethodId,
         rng: &mut StdRng,
+        _skew: KeySkew,
     ) -> Option<AccountUpdate> {
         match method {
             DEPOSIT => Some(AccountUpdate::Deposit(rng.gen_range(1..=self.max_sample_amount))),

@@ -15,8 +15,8 @@ use crate::ids::MethodId;
 ///
 /// The paper's evaluation draws keys uniformly; production traffic is
 /// rarely uniform, so the ingress layer lets workloads skew key
-/// popularity. Generators that have a notion of a key honor this via
-/// [`WorkloadSupport::gen_update_skewed`]; key-free types (counters,
+/// popularity. Generators that have a notion of a key honor this in
+/// [`WorkloadSupport::gen_update`]; key-free types (counters,
 /// registers) ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum KeySkew {
@@ -38,9 +38,8 @@ pub enum KeySkew {
 impl KeySkew {
     /// Sample a key in `0..space` under this skew.
     ///
-    /// `Uniform` draws exactly one `gen_range(0..space)` so a uniform
-    /// skewed generator consumes the same RNG stream as its unskewed
-    /// counterpart (the ingress parity tests rely on this).
+    /// `Uniform` draws exactly one `gen_range(0..space)` (the golden
+    /// traces of the ingress parity tests pin this RNG stream).
     ///
     /// # Panics
     ///
@@ -81,8 +80,10 @@ impl KeySkew {
 /// * [`initial`](ObjectSpec::initial) — the initial state `σ₀`, which
 ///   must satisfy the invariant.
 /// * [`invariant`](ObjectSpec::invariant) — the integrity predicate `I`.
-/// * [`apply`](ObjectSpec::apply) — the update definition
-///   `d = λx, σ. e` (total: callers gate on permissibility separately).
+/// * [`apply_mut`](ObjectSpec::apply_mut) — the update definition
+///   `d = λx, σ. e` (total: callers gate on permissibility separately),
+///   written once, in place; [`apply`](ObjectSpec::apply) is its pure
+///   form, provided.
 /// * [`query`](ObjectSpec::query) — the query definition.
 /// * [`summarize`](ObjectSpec::summarize) — the partial summarization
 ///   function of §3.3: `Summarize(c, c') = c''` with
@@ -112,12 +113,22 @@ pub trait ObjectSpec {
     /// The integrity predicate `I` of the class.
     fn invariant(&self, state: &Self::State) -> bool;
 
-    /// Execute the update call, producing the post-state.
+    /// Execute the update call in place. The runtime uses this on its
+    /// hot path.
     ///
-    /// `apply` must be a *total function of its arguments*: callers are
+    /// It must be a *total function of its arguments*: callers are
     /// responsible for checking permissibility
     /// (`I(apply(state, call))`) before committing the result.
-    fn apply(&self, state: &Self::State, call: &Self::Update) -> Self::State;
+    fn apply_mut(&self, state: &mut Self::State, call: &Self::Update);
+
+    /// Execute the update call on a copy, producing the post-state: the
+    /// pure form of [`apply_mut`](Self::apply_mut), used by the
+    /// semantics and checkers.
+    fn apply(&self, state: &Self::State, call: &Self::Update) -> Self::State {
+        let mut post = state.clone();
+        self.apply_mut(&mut post, call);
+        post
+    }
 
     /// Execute a query call against a state.
     fn query(&self, state: &Self::State, query: &Self::Query) -> Self::Reply;
@@ -136,14 +147,6 @@ pub trait ObjectSpec {
     fn summarize(&self, first: &Self::Update, second: &Self::Update) -> Option<Self::Update> {
         let _ = (first, second);
         None
-    }
-
-    /// Execute the update call in place. Semantically identical to
-    /// [`apply`](Self::apply); override for states where cloning is
-    /// expensive (large sets/maps). The runtime uses this on its hot
-    /// path; the semantics and checkers use the pure `apply`.
-    fn apply_mut(&self, state: &mut Self::State, call: &Self::Update) {
-        *state = self.apply(state, call);
     }
 
     /// Whether re-applying a *newer version* of a summary call on top of
@@ -230,27 +233,10 @@ pub trait WorkloadSupport: SpecSampler {
     /// tags). Return `None` when no sensible call exists in this state
     /// (e.g. removing from an empty set); the driver will pick another
     /// method.
-    fn gen_update(
-        &self,
-        state: &Self::State,
-        node: usize,
-        seq: u64,
-        method: MethodId,
-        rng: &mut StdRng,
-    ) -> Option<Self::Update> {
-        let _ = (state, node, seq);
-        Some(self.sample_update_of(method, rng))
-    }
-
-    /// [`gen_update`](Self::gen_update) with key-popularity skew.
     ///
-    /// Types with a notion of a key (bank accounts, set elements)
-    /// override this to draw their key through `skew`; the override's
-    /// `KeySkew::Uniform` path must consume the identical RNG stream as
-    /// `gen_update` so uniform workloads stay bit-compatible with the
-    /// pre-skew driver. Key-free types keep this default, which ignores
-    /// `skew` entirely.
-    fn gen_update_skewed(
+    /// Types with a notion of a key (bank accounts, set elements) draw
+    /// it through `skew`; key-free types, and this default, ignore it.
+    fn gen_update(
         &self,
         state: &Self::State,
         node: usize,
@@ -259,8 +245,8 @@ pub trait WorkloadSupport: SpecSampler {
         rng: &mut StdRng,
         skew: KeySkew,
     ) -> Option<Self::Update> {
-        let _ = skew;
-        self.gen_update(state, node, seq, method, rng)
+        let _ = (state, node, seq, skew);
+        Some(self.sample_update_of(method, rng))
     }
 }
 

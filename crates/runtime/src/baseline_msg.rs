@@ -25,6 +25,7 @@ use crate::codec::Entry;
 use crate::driver::{Planned, WorkloadSpec};
 use crate::ingress::Ingress;
 use crate::metrics::NodeMetrics;
+use crate::transport::Transport;
 
 const TAG_PUMP: u64 = 0;
 
@@ -191,8 +192,7 @@ where
                 None => return,
                 Some((_, Planned::Query(q))) => {
                     let _ = self.spec.query(&self.state, &q);
-                    ctx.consume(ctx.latency().apply_cost);
-                    let cost = ctx.latency().apply_cost;
+                    let cost = ctx.charge_apply();
                     self.metrics.ack_query(cost);
                 }
                 Some((session, Planned::Update(u))) => self.issue(ctx, u, session),
@@ -208,7 +208,7 @@ where
             self.ingress.on_abort(session);
             return;
         }
-        ctx.consume(ctx.latency().apply_cost);
+        ctx.charge_apply();
         let deps = self.applied.project(self.coord.dependencies(method));
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -266,7 +266,7 @@ where
                         break;
                     }
                     let entry = self.pending[src].pop_front().expect("front checked");
-                    ctx.consume(ctx.latency().apply_cost);
+                    ctx.charge_apply();
                     let method = self.spec.method_of(&entry.update);
                     self.spec.apply_mut(&mut self.state, &entry.update);
                     self.applied.increment(entry.rid.issuer, method);

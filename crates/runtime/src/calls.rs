@@ -113,8 +113,7 @@ where
                         .unwrap_or(SimDuration(0));
                     let reply = self.spec.query(self.check_view(), &q);
                     let _ = reply;
-                    ctx.consume(ctx.latency().apply_cost);
-                    let cost = ctx.latency().apply_cost;
+                    let cost = ctx.charge_apply();
                     self.metrics.ack_query(cost + waited);
                 }
                 Some((session, Planned::Update(u))) => {

@@ -376,7 +376,7 @@ where
             self.reject(method, session);
             return;
         }
-        ctx.consume(ctx.latency().apply_cost);
+        ctx.charge_apply();
         let deps = self.applied.project(self.coord.dependencies(method));
         let (call_id, rid) = self.mint_call(method);
         // Speculative view gains the call; σ/mat only at commit.
@@ -454,7 +454,7 @@ where
                 if !self.applied.satisfies(&entry.deps) {
                     break;
                 }
-                ctx.consume(ctx.latency().apply_cost);
+                ctx.charge_apply();
                 let method = self.spec.method_of(&entry.update);
                 self.spec.apply_mut(&mut self.sigma, &entry.update);
                 // Own uncommitted entry reaching commit: it is already

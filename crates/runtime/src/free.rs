@@ -71,7 +71,7 @@ where
             self.reject(method, session);
             return;
         }
-        ctx.consume(ctx.latency().apply_cost);
+        ctx.charge_apply();
         let deps = self.applied.project(self.coord.dependencies(method));
         let (call_id, rid) = self.mint_call(method);
         self.spec.apply_mut(&mut self.sigma, &update);
@@ -145,7 +145,7 @@ where
                 if !self.applied.satisfies(&entry.deps) {
                     break; // blocked on a dependency; retry next poll
                 }
-                ctx.consume(ctx.latency().apply_cost);
+                ctx.charge_apply();
                 let method = self.spec.method_of(&entry.update);
                 self.spec.apply_mut(&mut self.sigma, &entry.update);
                 self.apply_to_views(&entry.update);

@@ -533,8 +533,12 @@ fn drive<A: HarnessNode>(sim: &mut Simulator<A>, run: &RunConfig) -> (SimTime, b
         .map(|&id| sim.app(id).metrics().last_apply)
         .max()
         .unwrap_or(SimTime::ZERO);
-    let s0 = sim.app(alive[0]).snapshot();
-    let converged = done && alive.iter().all(|&id| sim.app(id).snapshot() == s0);
+    // A fault plan may leave no node alive; such a run is unconverged.
+    let converged = done
+        && alive.first().is_some_and(|&first| {
+            let s0 = sim.app(first).snapshot();
+            alive.iter().all(|&id| sim.app(id).snapshot() == s0)
+        });
     if verbose && !converged {
         eprintln!("run not converged: done={done} at {}", sim.now());
         for id in 0..n {

@@ -517,7 +517,7 @@ impl Ingress {
                 for _ in 0..ROUTE_TRIES {
                     let sess = &mut self.sessions[s];
                     let Some(u) =
-                        spec.gen_update_skewed(state, node, seq, method, &mut sess.rng, skew)
+                        spec.gen_update(state, node, seq, method, &mut sess.rng, skew)
                     else {
                         break;
                     };

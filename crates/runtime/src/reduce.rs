@@ -47,7 +47,7 @@ where
             self.reject(method, session);
             return;
         }
-        ctx.consume(ctx.latency().apply_cost);
+        ctx.charge_apply();
         let me = self.me.index();
         let group_methods: Vec<MethodId> = self.coord.sum_groups()[g].clone();
         let midx = group_methods.iter().position(|&m| m == method).expect("method in group");
@@ -174,7 +174,7 @@ where
                 if slot.version <= self.sum_cache[g][src].version {
                     continue;
                 }
-                ctx.consume(ctx.latency().apply_cost);
+                ctx.charge_apply();
                 for (i, &m) in group_methods.iter().enumerate() {
                     let old = self.applied.get(Pid(src), m);
                     self.applied.set(Pid(src), m, old.max(slot.counts[i]));

@@ -302,7 +302,6 @@ where
     // ------------------------------------------------------------------
 
     fn poll<T: Transport>(&mut self, ctx: &mut T) {
-        ctx.consume(self.cfg.poll_cost);
         self.poll_summaries(ctx);
         self.poll_free(ctx);
         self.poll_conf(ctx);
@@ -445,6 +444,12 @@ where
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        // A poll pass is CPU work on the virtual clock; on real threads
+        // it costs what it costs, so the charge lives here and not
+        // behind `Transport`.
+        if matches!(event, Event::Timer { tag: TAG_POLL, .. }) {
+            ctx.consume(self.cfg.poll_cost);
+        }
         self.handle_event(ctx, event);
     }
 

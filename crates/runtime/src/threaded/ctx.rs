@@ -60,7 +60,7 @@ pub(crate) struct ThreadedCtx {
     mem: Arc<SharedMem>,
     senders: Vec<Sender<Event>>,
     epoch: Instant,
-    latency: LatencyModel,
+    apply_cost: SimDuration,
     /// Synchronous verb completions, drained by the thread's event
     /// loop before it polls the cross-thread channel.
     pub(crate) local_q: VecDeque<Event>,
@@ -85,7 +85,7 @@ impl ThreadedCtx {
             mem,
             senders,
             epoch,
-            latency: LatencyModel::deterministic(),
+            apply_cost: LatencyModel::default().apply_cost,
             local_q: VecDeque::new(),
             timers: BinaryHeap::new(),
             // Disjoint per-node id spaces, so ids stay unique
@@ -140,11 +140,10 @@ impl Transport for ThreadedCtx {
     }
 
     /// CPU cost is real here — executing the method body *is* the
-    /// cost — so the accounting hook is a no-op.
-    fn consume(&mut self, _cost: SimDuration) {}
-
-    fn latency(&self) -> &LatencyModel {
-        &self.latency
+    /// cost — so nothing is charged; the figure returned is the
+    /// simulator's default modelled cost.
+    fn charge_apply(&mut self) -> SimDuration {
+        self.apply_cost
     }
 
     /// No trace sink: cross-thread trace collection would serialize

@@ -23,7 +23,8 @@
 //!   the QP-permission mechanism Mu-style consensus uses for leader
 //!   exclusion;
 //! * **trace & accounting hooks** — [`emit`](Transport::emit),
-//!   [`consume`](Transport::consume), [`note_ring_write`](Transport::note_ring_write).
+//!   [`charge_apply`](Transport::charge_apply),
+//!   [`note_ring_write`](Transport::note_ring_write).
 //!
 //! Two implementations exist: [`rdma_sim::Ctx`] (the discrete-event
 //! simulator with latency and fault modelling) and the
@@ -38,7 +39,7 @@
 //! wire-level identifiers.
 
 use bytes::Bytes;
-use rdma_sim::{Ctx, LatencyModel, NodeId, RegionId, SimDuration, SimTime, TimerId, TraceEvent, WrId};
+use rdma_sim::{Ctx, NodeId, RegionId, SimDuration, SimTime, TimerId, TraceEvent, WrId};
 
 /// The operations a Hamband replica requires from its fabric.
 ///
@@ -56,12 +57,9 @@ pub trait Transport {
     /// Current (virtual) time.
     fn now(&self) -> SimTime;
 
-    /// Charge `cost` of local CPU work (e.g. executing a method body).
-    fn consume(&mut self, cost: SimDuration);
-
-    /// The latency model in effect (read-only; used for CPU-cost
-    /// constants such as `apply_cost`).
-    fn latency(&self) -> &LatencyModel;
+    /// Charge the local CPU for executing one method body, and return
+    /// the modelled cost charged (a query's whole service time).
+    fn charge_apply(&mut self) -> SimDuration;
 
     /// Emit a protocol-level trace event to the run's sink, if any.
     /// The closure must only run when a sink is installed, so hot
@@ -135,11 +133,10 @@ impl Transport for Ctx<'_> {
     fn now(&self) -> SimTime {
         Ctx::now(self)
     }
-    fn consume(&mut self, cost: SimDuration) {
-        Ctx::consume(self, cost)
-    }
-    fn latency(&self) -> &LatencyModel {
-        Ctx::latency(self)
+    fn charge_apply(&mut self) -> SimDuration {
+        let cost = self.latency().apply_cost;
+        self.consume(cost);
+        cost
     }
     fn emit(&mut self, make: impl FnOnce() -> TraceEvent) {
         Ctx::emit(self, make)

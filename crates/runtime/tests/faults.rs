@@ -4,7 +4,7 @@
 use hamband_core::counts::DepMap;
 use hamband_core::ids::{Pid, Rid};
 use hamband_runtime::codec::{compose_backup_slot, Entry, BACKUP_FREE};
-use hamband_runtime::{assemble, HambandNode, RunConfig, WorkloadSpec};
+use hamband_runtime::{assemble, HambandNode, RunConfig, Runner, System, WorkloadSpec};
 use hamband_types::{Bank, Counter, GSet};
 use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
 
@@ -104,6 +104,20 @@ fn follower_crash_survivors_converge() {
     for i in 1..3 {
         assert_eq!(sim.app(NodeId(i)).state_snapshot(), s0, "survivor {i} diverged");
     }
+}
+
+/// A plan that crashes every node leaves nobody to agree: the harness
+/// reports the run as unconverged instead of failing on an empty
+/// survivor list.
+#[test]
+fn all_nodes_crashed_is_unconverged() {
+    let plan = (0..3)
+        .fold(FaultPlan::new(), |plan, i| plan.at(SimTime(40_000), Fault::Crash(NodeId(i))));
+    let c = Counter::default();
+    let workload = WorkloadSpec::ops(400).with_update_ratio(0.5).with_seed(0xfa01);
+    let run = RunConfig::new(3, workload).with_seed(0xfa02).with_faults(plan);
+    let out = Runner::new(System::Hamband, run).run(&c, &c.coord_spec());
+    assert!(!out.report.converged);
 }
 
 /// The group leader crashes; the next-in-line candidate (node 1)

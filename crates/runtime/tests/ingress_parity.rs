@@ -149,6 +149,27 @@ fn many_session_counter_run_converges_with_fairness() {
 }
 
 #[test]
+fn sixty_four_sessions_outrun_one() {
+    // The ingress sweep's configuration: Counter on four nodes, 2000
+    // ops, window 2 per session. The combiner must turn extra sessions
+    // into extra in-flight budget, not overhead.
+    let c = Counter::default();
+    let tput = |sessions: usize| {
+        let spec = WorkloadSpec::ops(2_000)
+            .with_update_ratio(0.25)
+            .with_sessions(sessions)
+            .with_window(2)
+            .with_seed(0x5eed + 700);
+        let cfg = RunConfig::new(4, spec).with_seed(0x5eed ^ 0xfab);
+        let report = Runner::new(System::Hamband, cfg).run(&c, &c.coord_spec()).report;
+        assert!(report.converged, "{sessions} session(s)/node must converge");
+        report.throughput_ops_per_us
+    };
+    let (one, many) = (tput(1), tput(64));
+    assert!(many > one, "64 sessions: {many:.3} ops/us, 1 session: {one:.3} ops/us");
+}
+
+#[test]
 fn many_session_bank_run_converges_across_protocol_paths() {
     // Bank exercises REDUCE (deposit) and CONF (withdraw) with
     // session fan-in; convergence plus a clean fairness block means

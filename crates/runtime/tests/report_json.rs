@@ -1,8 +1,7 @@
 //! Adversarial audit of [`RunReport::to_json`]'s hand-rolled encoder.
 //!
-//! The bench gates parse the committed `BENCH_*.json` files with a
-//! string scanner, and external tooling parses them with real JSON
-//! parsers — so the encoder must emit strictly well-formed JSON for
+//! External tooling parses the report with real JSON parsers — so the
+//! encoder must emit strictly well-formed JSON for
 //! *any* system label or method name an object spec might carry:
 //! quotes, backslashes, control characters, astral-plane unicode. The
 //! tree has no JSON dependency, so this test carries its own strict

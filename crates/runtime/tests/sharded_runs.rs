@@ -10,7 +10,7 @@
 use hamband_core::coord::{CoordSpec, GroupMapper};
 use hamband_core::ids::GroupId;
 use hamband_runtime::{
-    Phase, RunConfig, Runner, System, TraceMode, TraceRecord, WorkloadSpec,
+    KeySkew, Phase, RunConfig, Runner, System, TraceMode, TraceRecord, WorkloadSpec,
 };
 use hamband_types::{Bank, OrSet};
 use proptest::prelude::*;
@@ -54,15 +54,20 @@ fn assert_commit_before_ack(events: &[TraceRecord]) {
 #[test]
 fn bank_converges_with_four_shards() {
     let b = Bank::new(64, 50);
-    for seed in [1u64, 7, 13] {
-        let spec = WorkloadSpec::ops(600).with_update_ratio(0.6).with_seed(seed);
-        let cfg = RunConfig::new(4, spec)
-            .with_seed(seed)
-            .with_sync_shards(4)
-            .with_trace(TraceMode::Collect);
-        let out = Runner::new(System::Hamband, cfg).run(&b, &b.coord_spec());
-        assert!(out.report.converged, "bank seed={seed} with 4 shards must converge");
-        assert_commit_before_ack(&out.events);
+    // Hot accounts pile conflicting calls onto few shards; uniform
+    // keys spread them.
+    for skew in [KeySkew::Uniform, KeySkew::Zipfian { theta: 0.9 }] {
+        for seed in [1u64, 7, 13] {
+            let spec =
+                WorkloadSpec::ops(600).with_update_ratio(0.6).with_skew(skew).with_seed(seed);
+            let cfg = RunConfig::new(4, spec)
+                .with_seed(seed)
+                .with_sync_shards(4)
+                .with_trace(TraceMode::Collect);
+            let out = Runner::new(System::Hamband, cfg).run(&b, &b.coord_spec());
+            assert!(out.report.converged, "bank seed={seed} {skew:?} with 4 shards must converge");
+            assert_commit_before_ack(&out.events);
+        }
     }
 }
 
@@ -111,6 +116,25 @@ fn smr_baseline_ignores_shard_config() {
     let cfg = RunConfig::new(3, spec).with_seed(5).with_sync_shards(4);
     let out = Runner::new(System::MuSmr, cfg).run(&b, &b.coord_spec());
     assert!(out.report.converged, "MuSmr must converge regardless of sync_shards");
+}
+
+#[test]
+fn eight_shards_outrun_one_on_uniform_keys() {
+    // The sync-shard sweep's configuration: the headline bank mix on
+    // six nodes over 256 accounts, uniform keys, 2000 ops. One shard is
+    // the paper's lone withdraw leader; eight spread the conflicting
+    // group over per-account logs with distinct leaders.
+    let b = Bank::new(256, 50);
+    let tput = |shards: usize| {
+        let spec = WorkloadSpec::ops(2_000).with_update_ratio(0.5).with_seed(0x5eed + 900);
+        let cfg =
+            RunConfig::new(6, spec).with_seed((0x5eed + 900) ^ 0xfab).with_sync_shards(shards);
+        let report = Runner::new(System::Hamband, cfg).run(&b, &b.coord_spec()).report;
+        assert!(report.converged, "{shards} shard(s) must converge");
+        report.throughput_ops_per_us
+    };
+    let (one, eight) = (tput(1), tput(8));
+    assert!(eight > one, "8 shards: {eight:.3} ops/us, 1 shard: {one:.3} ops/us");
 }
 
 /// A two-group conflict spec (methods 0↔1 and 2↔3 conflict) to exercise

@@ -132,12 +132,6 @@ impl ObjectSpec for Bank {
             .all(|(acct, &bal)| bal >= 0 && s.open.contains(acct))
     }
 
-    fn apply(&self, s: &BankState, call: &BankUpdate) -> BankState {
-        let mut s = s.clone();
-        self.apply_mut(&mut s, call);
-        s
-    }
-
     fn apply_mut(&self, s: &mut BankState, call: &BankUpdate) {
         match call {
             BankUpdate::OpenAccounts(accts) => {
@@ -242,6 +236,7 @@ impl WorkloadSupport for Bank {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
+        skew: KeySkew,
     ) -> Option<BankUpdate> {
         match method {
             OPEN => Some(BankUpdate::OpenAccounts(vec![
@@ -254,52 +249,13 @@ impl WorkloadSupport for Bank {
                     return None;
                 }
                 Some(BankUpdate::Deposit(
-                    open[rng.gen_range(0..open.len())],
+                    open[skew.sample_index(rng, open.len())],
                     rng.gen_range(1..=self.max_amount),
                 ))
             }
             WITHDRAW => {
                 // Withdraw at most half the visible balance, as in the
                 // single-account demo, so workloads never wedge.
-                let funded: Vec<(u64, i128)> = state
-                    .balances
-                    .iter()
-                    .filter(|&(_, &b)| b >= 2)
-                    .map(|(&a, &b)| (a, b))
-                    .collect();
-                if funded.is_empty() {
-                    return None;
-                }
-                let (acct, bal) = funded[rng.gen_range(0..funded.len())];
-                let cap = (bal / 2).min(i128::from(self.max_amount)) as u64;
-                Some(BankUpdate::Withdraw(acct, rng.gen_range(1..=cap.max(1))))
-            }
-            other => panic!("bank has no method {other}"),
-        }
-    }
-
-    fn gen_update_skewed(
-        &self,
-        state: &BankState,
-        node: usize,
-        seq: u64,
-        method: MethodId,
-        rng: &mut StdRng,
-        skew: KeySkew,
-    ) -> Option<BankUpdate> {
-        match method {
-            OPEN => self.gen_update(state, node, seq, method, rng),
-            DEPOSIT => {
-                let open: Vec<u64> = state.open.iter().copied().collect();
-                if open.is_empty() {
-                    return None;
-                }
-                Some(BankUpdate::Deposit(
-                    open[skew.sample_index(rng, open.len())],
-                    rng.gen_range(1..=self.max_amount),
-                ))
-            }
-            WITHDRAW => {
                 let funded: Vec<(u64, i128)> = state
                     .balances
                     .iter()
@@ -447,16 +403,17 @@ mod tests {
         use rand::SeedableRng;
         let bank = Bank::default();
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(bank.gen_update(&bank.initial(), 0, 0, DEPOSIT, &mut rng), None);
-        assert_eq!(bank.gen_update(&bank.initial(), 0, 0, WITHDRAW, &mut rng), None);
+        let uni = KeySkew::Uniform;
+        assert_eq!(bank.gen_update(&bank.initial(), 0, 0, DEPOSIT, &mut rng, uni), None);
+        assert_eq!(bank.gen_update(&bank.initial(), 0, 0, WITHDRAW, &mut rng, uni), None);
         let mut s = bank.apply(&bank.initial(), &BankUpdate::OpenAccounts(vec![4]));
-        let dep = bank.gen_update(&s, 0, 0, DEPOSIT, &mut rng).expect("account open");
+        let dep = bank.gen_update(&s, 0, 0, DEPOSIT, &mut rng, uni).expect("account open");
         assert!(bank.permissible(&s, &dep));
         s = bank.apply(&s, &dep);
         // Top up so a withdraw is visible whatever amount the sampled
         // deposit had (gen_update only withdraws from balances >= 2).
         s = bank.apply(&s, &BankUpdate::Deposit(4, 2));
-        let wd = bank.gen_update(&s, 0, 1, WITHDRAW, &mut rng).expect("funds available");
+        let wd = bank.gen_update(&s, 0, 1, WITHDRAW, &mut rng, uni).expect("funds available");
         assert!(bank.permissible(&s, &wd));
     }
 

@@ -15,7 +15,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{ObjectSpec, SpecSampler, WorkloadSupport};
+use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
 use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
 
 /// Method index of `add`.
@@ -110,20 +110,6 @@ impl ObjectSpec for Cart {
         true
     }
 
-    fn apply(&self, state: &CartState, call: &CartUpdate) -> CartState {
-        let mut s = state.clone();
-        let (item, delta) = match *call {
-            CartUpdate::Add { item, qty } => (item, i64::from(qty)),
-            CartUpdate::Remove { item, qty } => (item, -i64::from(qty)),
-        };
-        let net = s.entry(item).or_insert(0);
-        *net += delta;
-        if *net == 0 {
-            s.remove(&item);
-        }
-        s
-    }
-
     fn query(&self, state: &CartState, query: &CartQuery) -> u64 {
         match query {
             CartQuery::Quantity(item) => state.get(item).copied().unwrap_or(0).max(0) as u64,
@@ -200,6 +186,7 @@ impl WorkloadSupport for Cart {
         _seq: u64,
         method: MethodId,
         rng: &mut StdRng,
+        _skew: KeySkew,
     ) -> Option<CartUpdate> {
         match method {
             ADD => Some(self.sample_update_of(ADD, rng)),
@@ -299,9 +286,9 @@ mod tests {
         use rand::SeedableRng;
         let c = Cart::default();
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(c.gen_update(&c.initial(), 0, 0, REMOVE, &mut rng), None);
+        assert_eq!(c.gen_update(&c.initial(), 0, 0, REMOVE, &mut rng, KeySkew::Uniform), None);
         let s = c.apply(&c.initial(), &CartUpdate::Add { item: 4, qty: 3 });
-        match c.gen_update(&s, 0, 0, REMOVE, &mut rng) {
+        match c.gen_update(&s, 0, 0, REMOVE, &mut rng, KeySkew::Uniform) {
             Some(CartUpdate::Remove { item: 4, qty }) => assert!((1..=3).contains(&qty)),
             other => panic!("unexpected {other:?}"),
         }

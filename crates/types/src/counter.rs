@@ -87,9 +87,9 @@ impl ObjectSpec for Counter {
         true
     }
 
-    fn apply(&self, state: &i64, call: &CounterUpdate) -> i64 {
+    fn apply_mut(&self, state: &mut i64, call: &CounterUpdate) {
         let CounterUpdate::Add(d) = call;
-        state.wrapping_add(*d)
+        *state = state.wrapping_add(*d);
     }
 
     fn query(&self, state: &i64, _query: &CounterQuery) -> i64 {

@@ -19,7 +19,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{ObjectSpec, SpecSampler, WorkloadSupport};
+use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
 use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
 
 /// Method index of `add_course`.
@@ -113,26 +113,6 @@ impl ObjectSpec for Courseware {
         s.enrollment
             .iter()
             .all(|&(st, c)| s.students.contains(&st) && s.courses.contains(&c))
-    }
-
-    fn apply(&self, state: &CoursewareState, call: &CoursewareUpdate) -> CoursewareState {
-        let mut s = state.clone();
-        match call {
-            CoursewareUpdate::AddCourse(c) => {
-                s.courses.insert(*c);
-            }
-            CoursewareUpdate::DeleteCourse(c) => {
-                s.courses.remove(c);
-                s.enrollment.retain(|&(_, course)| course != *c);
-            }
-            CoursewareUpdate::Enroll(st, c) => {
-                s.enrollment.insert((*st, *c));
-            }
-            CoursewareUpdate::RegisterStudents(ss) => {
-                s.students.extend(ss.iter().copied());
-            }
-        }
-        s
     }
 
     fn query(&self, state: &CoursewareState, query: &CoursewareQuery) -> u64 {
@@ -248,6 +228,7 @@ impl WorkloadSupport for Courseware {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
+        _skew: KeySkew,
     ) -> Option<CoursewareUpdate> {
         match method {
             ADD_COURSE => Some(CoursewareUpdate::AddCourse(node as u64 * 1_000_000 + seq)),
@@ -386,12 +367,12 @@ mod tests {
         let cw = Courseware::default();
         let mut rng = StdRng::seed_from_u64(2);
         let mut s = cw.initial();
-        assert_eq!(cw.gen_update(&s, 0, 0, ENROLL, &mut rng), None);
+        assert_eq!(cw.gen_update(&s, 0, 0, ENROLL, &mut rng, KeySkew::Uniform), None);
         s = cw.apply(&s, &CoursewareUpdate::AddCourse(3));
-        assert_eq!(cw.gen_update(&s, 0, 0, ENROLL, &mut rng), None);
+        assert_eq!(cw.gen_update(&s, 0, 0, ENROLL, &mut rng, KeySkew::Uniform), None);
         s = cw.apply(&s, &CoursewareUpdate::RegisterStudents(vec![5]));
         assert_eq!(
-            cw.gen_update(&s, 0, 0, ENROLL, &mut rng),
+            cw.gen_update(&s, 0, 0, ENROLL, &mut rng, KeySkew::Uniform),
             Some(CoursewareUpdate::Enroll(5, 3))
         );
     }

@@ -106,13 +106,6 @@ impl ObjectSpec for GSet {
         true
     }
 
-    fn apply(&self, state: &BTreeSet<u64>, call: &GSetUpdate) -> BTreeSet<u64> {
-        let GSetUpdate::AddAll(elems) = call;
-        let mut s = state.clone();
-        s.extend(elems.iter().copied());
-        s
-    }
-
     fn query(&self, state: &BTreeSet<u64>, query: &GSetQuery) -> u64 {
         match query {
             GSetQuery::Contains(e) => u64::from(state.contains(e)),

@@ -11,7 +11,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{ObjectSpec, SpecSampler, WorkloadSupport};
+use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
 use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
 
 /// Method index of `write`.
@@ -107,11 +107,11 @@ impl ObjectSpec for LwwRegister {
         true
     }
 
-    fn apply(&self, state: &LwwState, call: &LwwUpdate) -> LwwState {
+    fn apply_mut(&self, state: &mut LwwState, call: &LwwUpdate) {
         let LwwUpdate::Write { stamp, value } = *call;
         match state {
-            Some((s, _)) if *s >= stamp => *state,
-            _ => Some((stamp, value)),
+            Some((s, _)) if *s >= stamp => {}
+            _ => *state = Some((stamp, value)),
         }
     }
 
@@ -174,6 +174,7 @@ impl WorkloadSupport for LwwRegister {
         seq: u64,
         _method: MethodId,
         rng: &mut StdRng,
+        _skew: KeySkew,
     ) -> Option<LwwUpdate> {
         // Stamps advance past the locally visible maximum, like a
         // Lamport clock, so writes from a live workload keep winning.
@@ -263,7 +264,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let state = Some((Stamp { time: 10, node: 0 }, 5));
         let Some(LwwUpdate::Write { stamp, .. }) =
-            reg.gen_update(&state, 2, 0, WRITE, &mut rng)
+            reg.gen_update(&state, 2, 0, WRITE, &mut rng, KeySkew::Uniform)
         else {
             panic!("write expected")
         };

@@ -18,7 +18,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{ObjectSpec, SpecSampler, WorkloadSupport};
+use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
 use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
 
 /// Method index of `add_customer`.
@@ -105,25 +105,6 @@ impl ObjectSpec for Movie {
 
     fn invariant(&self, _state: &MovieState) -> bool {
         true
-    }
-
-    fn apply(&self, state: &MovieState, call: &MovieUpdate) -> MovieState {
-        let mut s = state.clone();
-        match *call {
-            MovieUpdate::AddCustomer(c) => {
-                s.customers.insert(c);
-            }
-            MovieUpdate::DeleteCustomer(c) => {
-                s.customers.remove(&c);
-            }
-            MovieUpdate::AddMovie(m) => {
-                s.movies.insert(m);
-            }
-            MovieUpdate::DeleteMovie(m) => {
-                s.movies.remove(&m);
-            }
-        }
-        s
     }
 
     fn query(&self, state: &MovieState, query: &MovieQuery) -> u64 {
@@ -216,6 +197,7 @@ impl WorkloadSupport for Movie {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
+        _skew: KeySkew,
     ) -> Option<MovieUpdate> {
         let fresh = node as u64 * 1_000_000 + seq;
         match method {

@@ -128,26 +128,6 @@ impl ObjectSpec for OrSet {
         true
     }
 
-    fn apply(&self, state: &OrSetState, call: &OrSetUpdate) -> OrSetState {
-        let mut s = state.clone();
-        match call {
-            OrSetUpdate::Add { element, tag } => {
-                s.entry(*element).or_default().insert(*tag);
-            }
-            OrSetUpdate::Remove { element, tags } => {
-                if let Some(live) = s.get_mut(element) {
-                    for t in tags {
-                        live.remove(t);
-                    }
-                    if live.is_empty() {
-                        s.remove(element);
-                    }
-                }
-            }
-        }
-        s
-    }
-
     fn query(&self, state: &OrSetState, query: &OrSetQuery) -> u64 {
         match query {
             OrSetQuery::Contains(e) => u64::from(state.contains_key(e)),
@@ -246,35 +226,6 @@ impl WorkloadSupport for OrSet {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-    ) -> Option<OrSetUpdate> {
-        match method {
-            ADD => Some(OrSetUpdate::Add {
-                element: rng.gen_range(0..self.element_space),
-                tag: (node as u64, seq),
-            }),
-            REMOVE => {
-                // Remove an element this replica actually observes.
-                if state.is_empty() {
-                    return None;
-                }
-                let idx = rng.gen_range(0..state.len());
-                let (element, tags) = state.iter().nth(idx).expect("index in range");
-                Some(OrSetUpdate::Remove {
-                    element: *element,
-                    tags: tags.iter().copied().collect(),
-                })
-            }
-            other => panic!("orset has no method {other}"),
-        }
-    }
-
-    fn gen_update_skewed(
-        &self,
-        state: &OrSetState,
-        node: usize,
-        seq: u64,
-        method: MethodId,
-        rng: &mut StdRng,
         skew: KeySkew,
     ) -> Option<OrSetUpdate> {
         match method {
@@ -283,6 +234,7 @@ impl WorkloadSupport for OrSet {
                 tag: (node as u64, seq),
             }),
             REMOVE => {
+                // Remove an element this replica actually observes.
                 if state.is_empty() {
                     return None;
                 }
@@ -404,9 +356,10 @@ mod tests {
     fn workload_remove_targets_observed_state() {
         let o = OrSet::default();
         let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(o.gen_update(&o.initial(), 0, 0, REMOVE, &mut rng), None);
+        let uni = KeySkew::Uniform;
+        assert_eq!(o.gen_update(&o.initial(), 0, 0, REMOVE, &mut rng, uni), None);
         let s = o.apply(&o.initial(), &OrSetUpdate::Add { element: 7, tag: (0, 0) });
-        let rm = o.gen_update(&s, 1, 5, REMOVE, &mut rng).expect("non-empty state");
+        let rm = o.gen_update(&s, 1, 5, REMOVE, &mut rng, uni).expect("non-empty state");
         assert_eq!(rm, OrSetUpdate::Remove { element: 7, tags: vec![(0, 0)] });
     }
 

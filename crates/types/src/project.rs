@@ -26,7 +26,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{ObjectSpec, SpecSampler, WorkloadSupport};
+use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
 use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
 
 /// Method index of `add_project`.
@@ -120,26 +120,6 @@ impl ObjectSpec for Project {
         s.works_on
             .iter()
             .all(|&(e, p)| s.employees.contains(&e) && s.projects.contains(&p))
-    }
-
-    fn apply(&self, state: &ProjectState, call: &ProjectUpdate) -> ProjectState {
-        let mut s = state.clone();
-        match call {
-            ProjectUpdate::AddProject(p) => {
-                s.projects.insert(*p);
-            }
-            ProjectUpdate::DeleteProject(p) => {
-                s.projects.remove(p);
-                s.works_on.retain(|&(_, proj)| proj != *p);
-            }
-            ProjectUpdate::WorksOn(e, p) => {
-                s.works_on.insert((*e, *p));
-            }
-            ProjectUpdate::AddEmployees(es) => {
-                s.employees.extend(es.iter().copied());
-            }
-        }
-        s
     }
 
     fn query(&self, state: &ProjectState, query: &ProjectQuery) -> u64 {
@@ -252,6 +232,7 @@ impl WorkloadSupport for Project {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
+        _skew: KeySkew,
     ) -> Option<ProjectUpdate> {
         match method {
             ADD_PROJECT => {
@@ -401,11 +382,11 @@ mod tests {
         use rand::SeedableRng;
         let pm = Project::default();
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(pm.gen_update(&pm.initial(), 0, 0, WORKS_ON, &mut rng), None);
+        assert_eq!(pm.gen_update(&pm.initial(), 0, 0, WORKS_ON, &mut rng, KeySkew::Uniform), None);
         let mut s = pm.initial();
         s = pm.apply(&s, &ProjectUpdate::AddProject(5));
         s = pm.apply(&s, &ProjectUpdate::AddEmployees(vec![9]));
-        let w = pm.gen_update(&s, 0, 0, WORKS_ON, &mut rng).expect("refs exist");
+        let w = pm.gen_update(&s, 0, 0, WORKS_ON, &mut rng, KeySkew::Uniform).expect("refs exist");
         assert_eq!(w, ProjectUpdate::WorksOn(9, 5));
         assert!(pm.permissible(&s, &w));
     }

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use hamband::core::analysis::{infer, validate, AnalysisConfig};
 use hamband::core::ids::MethodId;
-use hamband::core::object::{ObjectSpec, SpecSampler, WorkloadSupport};
+use hamband::core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
 use hamband::core::wire::{DecodeError, Reader, Wire, Writer};
 use hamband::runtime::{RunConfig, Runner, System};
 use hamband::runtime::WorkloadSpec;
@@ -67,8 +67,7 @@ impl ObjectSpec for Inventory {
         s.values().all(|&v| v >= 0)
     }
 
-    fn apply(&self, s: &Stock, call: &InventoryUpdate) -> Stock {
-        let mut s = s.clone();
+    fn apply_mut(&self, s: &mut Stock, call: &InventoryUpdate) {
         match call {
             InventoryUpdate::Restock(batch) => {
                 for &(item, n) in batch {
@@ -79,7 +78,6 @@ impl ObjectSpec for Inventory {
                 *s.entry(*item).or_insert(0) -= i64::from(*n);
             }
         }
-        s
     }
 
     fn query(&self, s: &Stock, q: &InventoryQuery) -> i64 {
@@ -141,6 +139,7 @@ impl WorkloadSupport for Inventory {
         _seq: u64,
         method: MethodId,
         rng: &mut StdRng,
+        _skew: KeySkew,
     ) -> Option<InventoryUpdate> {
         match method {
             RESTOCK => Some(self.sample_update_of(RESTOCK, rng)),

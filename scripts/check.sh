@@ -38,43 +38,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== rustdoc (broken intra-doc links are errors) =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace -q
 
-echo "== headline regression gate (vs committed BENCH_headline.json) =="
-cargo build --release -p hamband-bench
-scratch="$(mktemp -d)"
-(cd "$scratch" && "$OLDPWD/target/release/headline" --baseline "$OLDPWD/BENCH_headline.json" > headline.log) \
-  || { cat "$scratch/headline.log"; exit 1; }
-tail -n 3 "$scratch/headline.log"
-rm -rf "$scratch"
+echo "== benchmark package tests (benchmark/, standalone) =="
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== ingress session-sweep gate (vs committed BENCH_ingress.json) =="
-scratch="$(mktemp -d)"
-(cd "$scratch" && "$OLDPWD/target/release/ingress" --baseline "$OLDPWD/BENCH_ingress.json" > ingress.log) \
-  || { cat "$scratch/ingress.log"; exit 1; }
-tail -n 4 "$scratch/ingress.log"
-rm -rf "$scratch"
-
-echo "== sync-shard sweep gate (vs committed BENCH_shards.json + headline) =="
-scratch="$(mktemp -d)"
-(cd "$scratch" && "$OLDPWD/target/release/shards" \
-    --baseline "$OLDPWD/BENCH_shards.json" \
-    --headline "$OLDPWD/BENCH_headline.json" > shards.log) \
-  || { cat "$scratch/shards.log"; exit 1; }
-tail -n 4 "$scratch/shards.log"
-rm -rf "$scratch"
-
-echo "== open-loop load sweep shape gate (threaded backend) =="
-# Wall-clock numbers are machine-specific, so the gate is shape-only
-# (the bin exits nonzero unless every point converges, sub-knee points
-# achieve >= 90% of offered, and latency distributions are finite);
-# the wall-clock baseline that is held to a bound is the benchmark's
-# `thr-counter-open` workload (benchmark/README.md).
-scratch="$(mktemp -d)"
-(cd "$scratch" && HAMBAND_LOAD_OPS=50000 "$OLDPWD/target/release/load" > load.log) \
-  || { cat "$scratch/load.log"; exit 1; }
-tail -n 8 "$scratch/load.log"
-rm -rf "$scratch"
+echo "== benchmark self-check (every workload's outputs and metric names) =="
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- self-check
 
 echo "== chaos smoke (16 seeds) =="
+cargo build --release -p hamband-bench
 ./target/release/chaos --seeds 16
 
 echo "== chaos smoke, key-sharded (16 seeds, --sync-shards 4) =="

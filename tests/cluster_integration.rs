@@ -115,6 +115,20 @@ fn seven_node_cluster_like_the_paper() {
 }
 
 #[test]
+fn reduce_only_counter_combines_summary_writes() {
+    // The paper's amortized-O(1)-writes claim: with every call on the
+    // REDUCE path, summary write-combining keeps the steady state below
+    // one WRITE per peer per update.
+    let c = Counter::default();
+    let workload = WorkloadSpec::ops(2_000).with_update_ratio(1.0).with_seed(0x5eed + 910);
+    let run = RunConfig::new(4, workload).with_seed((0x5eed + 910) ^ 0xfab);
+    let report = Runner::new(System::Hamband, run).run(&c, &c.coord_spec()).report;
+    assert!(report.converged);
+    let per_peer = report.writes_per_op / (report.nodes - 1) as f64;
+    assert!(per_peer < 1.0, "{per_peer:.2} writes per update per peer");
+}
+
+#[test]
 fn final_states_satisfy_invariants() {
     use hamband::runtime::assemble;
     use hamband::sim::{NodeId, SimDuration};

@@ -6,7 +6,7 @@
 
 use hamband::core::coord::{CoordSpec, MethodCategory};
 use hamband::core::ids::{GroupId, MethodId, Pid};
-use hamband::core::object::WorkloadSupport;
+use hamband::core::object::{KeySkew, WorkloadSupport};
 use hamband::core::rdma_sem::RdmaWrdt;
 use hamband::core::refinement::replay_and_check;
 use hamband::types::{Cart, Counter, Courseware, GSet, Movie, OrSet, Project};
@@ -36,7 +36,7 @@ where
             }
             _ => (p, k.current_state(Pid(p))),
         };
-        if let Some(call) = spec.gen_update(&state, issuer, seq, m, &mut rng) {
+        if let Some(call) = spec.gen_update(&state, issuer, seq, m, &mut rng, KeySkew::Uniform) {
             seq += 1;
             let _ = k.issue(issuer, call);
         }
