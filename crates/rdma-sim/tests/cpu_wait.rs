@@ -1,0 +1,319 @@
+//! The simulator's CPU model at its edges: an event that finds its
+//! node's CPU busy waits for `cpu_free` and leaves in original sequence
+//! order; what each fault arm does to an event that is waiting.
+//!
+//! Every expectation here was first written against the scheduler that
+//! re-pushed each blocked event through the global queue, and holds
+//! unchanged on the per-node wait queues that replaced it.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use bytes::Bytes;
+use rdma_sim::{
+    App, Ctx, Event, Fault, FaultPlan, LatencyModel, NodeId, RegionId, SimDuration, SimTime,
+    Simulator, TimerId,
+};
+
+/// `(virtual ns, node, what)` per handled event, shared by all nodes so
+/// cross-node order is visible.
+type Log = Rc<RefCell<Vec<(u64, usize, String)>>>;
+
+/// A timer's tag says what it is called and what handling it costs.
+const fn tag(label: u64, cpu_ns: u64) -> u64 {
+    label * 1_000_000 + cpu_ns
+}
+
+/// What a timer's handler does besides charging CPU.
+enum Extra {
+    Cancel(TimerId),
+    Write(RegionId),
+}
+
+/// Logs every event; a timer charges the CPU its tag names.
+struct Worker {
+    log: Log,
+    /// `(label, action)`: run `action` when the timer `label` fires.
+    extras: Vec<(u64, Extra)>,
+}
+
+impl App for Worker {
+    fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        let what = match &event {
+            Event::Timer { tag, .. } => format!("t{}", tag / 1_000_000),
+            Event::Message { payload, .. } => format!("m{}", payload[0]),
+            Event::Completion { wr, .. } => format!("c{}", wr.0),
+            Event::Fault { .. } => "fault".to_string(),
+        };
+        self.log.borrow_mut().push((ctx.now().nanos(), ctx.node().index(), what));
+        if let Event::Timer { tag, .. } = event {
+            ctx.consume(SimDuration::nanos(tag % 1_000_000));
+            for (label, extra) in &self.extras {
+                if *label == tag / 1_000_000 {
+                    match extra {
+                        Extra::Cancel(id) => ctx.cancel_timer(*id),
+                        Extra::Write(region) => {
+                            ctx.post_write(NodeId(1), *region, 0, &[7]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn cluster(n: usize) -> (Simulator<Worker>, RegionId, Log) {
+    let log: Log = Rc::default();
+    let mut sim = Simulator::new(n, LatencyModel::deterministic(), 1);
+    let region = sim.add_region_all(64);
+    sim.set_apps(|_| Worker { log: log.clone(), extras: Vec::new() });
+    (sim, region, log)
+}
+
+/// Arm a timer on `node` from outside, at virtual time zero.
+fn timer(sim: &mut Simulator<Worker>, node: usize, at_ns: u64, label: u64, cpu_ns: u64) -> TimerId {
+    sim.with_app_ctx(NodeId(node), |_, ctx| {
+        ctx.set_timer(SimDuration::nanos(at_ns), tag(label, cpu_ns))
+    })
+}
+
+fn isolated(sim: &mut Simulator<Worker>, node: usize, at_ns: u64, label: u64, cpu_ns: u64) {
+    sim.with_app_ctx(NodeId(node), |_, ctx| {
+        ctx.set_timer_isolated(SimDuration::nanos(at_ns), tag(label, cpu_ns));
+    });
+}
+
+fn entries(log: &Log) -> Vec<(u64, usize, String)> {
+    log.borrow().clone()
+}
+
+fn e(at: u64, node: usize, what: &str) -> (u64, usize, String) {
+    (at, node, what.to_string())
+}
+
+#[test]
+fn waiting_events_leave_in_seq_order_interleaved_with_other_nodes() {
+    let (mut sim, _, log) = cluster(2);
+    timer(&mut sim, 0, 0, 1, 1_000); // node 0 busy until 1000
+    timer(&mut sim, 0, 300, 2, 0); // seq 1
+    timer(&mut sim, 1, 1_000, 3, 0); // seq 2, other node, same time
+    timer(&mut sim, 0, 200, 4, 0); // seq 3
+    timer(&mut sim, 1, 1_000, 5, 0); // seq 4
+    timer(&mut sim, 0, 1_000, 6, 0); // seq 5: fresh at 1000, still behind seq 3
+    sim.run_for(SimDuration::micros(10));
+    assert_eq!(
+        entries(&log),
+        vec![
+            e(0, 0, "t1"),
+            e(1_000, 0, "t2"),
+            e(1_000, 1, "t3"),
+            e(1_000, 0, "t4"),
+            e(1_000, 1, "t5"),
+            e(1_000, 0, "t6"),
+        ]
+    );
+}
+
+#[test]
+fn a_handler_that_charges_cpu_makes_the_rest_wait_again() {
+    let (mut sim, _, log) = cluster(1);
+    timer(&mut sim, 0, 0, 1, 1_000);
+    timer(&mut sim, 0, 100, 2, 250);
+    timer(&mut sim, 0, 100, 3, 250);
+    timer(&mut sim, 0, 1_100, 4, 0); // arrives while t2's charge is running
+    sim.run_for(SimDuration::micros(10));
+    assert_eq!(
+        entries(&log),
+        vec![e(0, 0, "t1"), e(1_000, 0, "t2"), e(1_250, 0, "t3"), e(1_500, 0, "t4")]
+    );
+}
+
+#[test]
+fn later_arrival_with_lower_seq_goes_first() {
+    let (mut sim, _, log) = cluster(2);
+    timer(&mut sim, 0, 0, 1, 1_000);
+    timer(&mut sim, 0, 500, 2, 0); // seq 1 arrives second
+    timer(&mut sim, 1, 1_000, 3, 0); // seq 2: between the two on the other node
+    timer(&mut sim, 0, 100, 4, 0); // seq 3 arrives first and waits at the head
+    sim.run_for(SimDuration::micros(10));
+    assert_eq!(
+        entries(&log),
+        vec![e(0, 0, "t1"), e(1_000, 0, "t2"), e(1_000, 1, "t3"), e(1_000, 0, "t4")]
+    );
+}
+
+#[test]
+fn cpu_extended_while_events_wait_delays_them() {
+    let (mut sim, _, log) = cluster(1);
+    timer(&mut sim, 0, 0, 1, 1_000);
+    timer(&mut sim, 0, 100, 2, 0);
+    isolated(&mut sim, 0, 400, 3, 300); // dedicated thread charges 300: free at 1300
+    timer(&mut sim, 0, 1_200, 4, 0);
+    sim.run_for(SimDuration::micros(10));
+    assert_eq!(
+        entries(&log),
+        vec![e(0, 0, "t1"), e(400, 0, "t3"), e(1_300, 0, "t2"), e(1_300, 0, "t4")]
+    );
+}
+
+#[test]
+fn isolated_timers_bypass_and_cancellation_reaches_a_waiting_timer() {
+    let (mut sim, _, log) = cluster(1);
+    timer(&mut sim, 0, 0, 1, 1_000);
+    let doomed = timer(&mut sim, 0, 100, 2, 0);
+    timer(&mut sim, 0, 200, 3, 0);
+    isolated(&mut sim, 0, 500, 4, 0); // fires at 500 although busy, cancels t2
+    sim.app_mut(NodeId(0)).extras.push((4, Extra::Cancel(doomed)));
+    sim.run_for(SimDuration::micros(10));
+    assert_eq!(entries(&log), vec![e(0, 0, "t1"), e(500, 0, "t4"), e(1_000, 0, "t3")]);
+}
+
+#[test]
+fn crashed_node_drops_waiting_events_when_due() {
+    let (mut sim, _, log) = cluster(1);
+    timer(&mut sim, 0, 0, 1, 1_000);
+    timer(&mut sim, 0, 100, 2, 0); // due at 1000, inside the outage
+    timer(&mut sim, 0, 1_600, 3, 0);
+    sim.install_fault_plan(
+        &FaultPlan::new()
+            .at(SimTime(200), Fault::Crash(NodeId(0)))
+            .at(SimTime(1_500), Fault::Restart(NodeId(0), false)),
+    );
+    sim.run_for(SimDuration::micros(10));
+    assert_eq!(entries(&log), vec![e(0, 0, "t1"), e(1_600, 0, "t3")]);
+}
+
+#[test]
+fn waiting_events_due_after_a_restart_are_delivered() {
+    let (mut sim, _, log) = cluster(1);
+    timer(&mut sim, 0, 0, 1, 1_000);
+    timer(&mut sim, 0, 100, 2, 0);
+    sim.install_fault_plan(
+        &FaultPlan::new()
+            .at(SimTime(200), Fault::Crash(NodeId(0)))
+            .at(SimTime(600), Fault::Restart(NodeId(0), false)),
+    );
+    sim.run_for(SimDuration::micros(10));
+    // The restart resets `cpu_free` to 600; the event keeps its due time.
+    assert_eq!(entries(&log), vec![e(0, 0, "t1"), e(1_000, 0, "t2")]);
+}
+
+#[test]
+fn each_waiting_event_is_dropped_or_kept_by_its_own_due_time() {
+    let (mut sim, _, log) = cluster(1);
+    timer(&mut sim, 0, 0, 1, 1_000);
+    timer(&mut sim, 0, 100, 2, 0); // saw cpu_free = 1000
+    isolated(&mut sim, 0, 400, 3, 500); // cpu_free = 1500
+    timer(&mut sim, 0, 450, 4, 0); // saw cpu_free = 1500
+    sim.install_fault_plan(
+        &FaultPlan::new()
+            .at(SimTime(900), Fault::Crash(NodeId(0)))
+            .at(SimTime(1_200), Fault::Restart(NodeId(0), false)),
+    );
+    sim.run_for(SimDuration::micros(10));
+    assert_eq!(entries(&log), vec![e(0, 0, "t1"), e(400, 0, "t3"), e(1_500, 0, "t4")]);
+}
+
+/// Node 0 posts a one-byte WRITE to node 1 at time zero; its completion
+/// arrives back at 1110 (110 NIC + 1000 wire; landing and completion at
+/// the same instant).
+fn write_at_zero(sim: &mut Simulator<Worker>, region: RegionId) {
+    sim.with_app_ctx(NodeId(0), |_, ctx| {
+        ctx.post_write(NodeId(1), region, 0, &[9]);
+    });
+}
+
+#[test]
+fn completion_is_duplicated_once_on_arrival_even_if_it_then_waits() {
+    let (mut sim, region, log) = cluster(2);
+    write_at_zero(&mut sim, region);
+    timer(&mut sim, 0, 1_000, 1, 5_000); // busy 1000..6000
+    sim.install_fault_plan(
+        &FaultPlan::new().at(SimTime(500), Fault::DuplicateCompletion(NodeId(0))),
+    );
+    sim.run_for(SimDuration::micros(20));
+    assert_eq!(entries(&log), vec![e(1_000, 0, "t1"), e(6_000, 0, "c0"), e(6_000, 0, "c0")]);
+}
+
+#[test]
+fn completion_already_waiting_is_duplicated_when_it_comes_due() {
+    let (mut sim, region, log) = cluster(2);
+    write_at_zero(&mut sim, region);
+    timer(&mut sim, 0, 1_000, 1, 5_000);
+    sim.install_fault_plan(
+        &FaultPlan::new().at(SimTime(2_000), Fault::DuplicateCompletion(NodeId(0))),
+    );
+    sim.run_for(SimDuration::micros(20));
+    assert_eq!(entries(&log), vec![e(1_000, 0, "t1"), e(6_000, 0, "c0"), e(6_000, 0, "c0")]);
+}
+
+#[test]
+fn duplicate_goes_to_the_waiting_completion_that_comes_due_first() {
+    let (mut sim, region, log) = cluster(2);
+    write_at_zero(&mut sim, region); // c0 arrives 1110, due 6000
+    timer(&mut sim, 0, 1_000, 1, 5_000);
+    isolated(&mut sim, 0, 3_000, 2, 1_000); // cpu_free = 7000
+    // Posts a second WRITE at 5500 (60 more CPU: cpu_free = 7060); its
+    // completion c1 arrives at 6610, after c0 came due at 6000 and
+    // took the duplicate.
+    isolated(&mut sim, 0, 5_500, 3, 0);
+    sim.app_mut(NodeId(0)).extras.push((3, Extra::Write(region)));
+    sim.install_fault_plan(
+        &FaultPlan::new().at(SimTime(2_000), Fault::DuplicateCompletion(NodeId(0))),
+    );
+    sim.run_for(SimDuration::micros(20));
+    assert_eq!(
+        entries(&log),
+        vec![
+            e(1_000, 0, "t1"),
+            e(3_000, 0, "t2"),
+            e(5_500, 0, "t3"),
+            e(7_060, 0, "c0"),
+            e(7_060, 0, "c0"),
+            e(7_060, 0, "c1"),
+        ]
+    );
+}
+
+/// Node 1 sends a one-byte message at time zero; it reaches node 0 at
+/// 25110 (110 NIC + 25000 wire).
+fn message_at_zero(sim: &mut Simulator<Worker>) {
+    sim.with_app_ctx(NodeId(1), |_, ctx| ctx.send(NodeId(0), Bytes::from_static(&[5])));
+}
+
+#[test]
+fn message_deferred_into_a_partition_waits_for_heal() {
+    let (mut sim, _, log) = cluster(2);
+    message_at_zero(&mut sim);
+    timer(&mut sim, 0, 20_000, 1, 20_000); // busy 20000..40000
+    sim.install_fault_plan(
+        &FaultPlan::new()
+            .at(SimTime(30_000), Fault::Partition(vec![NodeId(0)], vec![NodeId(1)]))
+            .at(SimTime(100_000), Fault::Heal),
+    );
+    sim.run_for(SimDuration::micros(200));
+    assert_eq!(entries(&log), vec![e(20_000, 0, "t1"), e(100_000, 0, "m5")]);
+}
+
+#[test]
+fn message_held_by_a_partition_is_not_in_the_cpu_queue() {
+    let (mut sim, _, log) = cluster(2);
+    message_at_zero(&mut sim);
+    timer(&mut sim, 0, 20_000, 1, 20_000); // message due at 40000
+    isolated(&mut sim, 0, 35_000, 2, 20_000); // still busy then: cpu_free = 60000
+    sim.install_fault_plan(
+        &FaultPlan::new()
+            .at(SimTime(30_000), Fault::Partition(vec![NodeId(0)], vec![NodeId(1)]))
+            .at(SimTime(45_000), Fault::Crash(NodeId(0)))
+            .at(SimTime(55_000), Fault::Restart(NodeId(0), false))
+            .at(SimTime(58_000), Fault::Heal),
+    );
+    sim.run_for(SimDuration::micros(200));
+    // Held by the partition at 40000, so neither dropped by the crash
+    // nor kept waiting for the pre-crash `cpu_free`.
+    assert_eq!(
+        entries(&log),
+        vec![e(20_000, 0, "t1"), e(35_000, 0, "t2"), e(58_000, 0, "m5")]
+    );
+}

@@ -34,12 +34,14 @@
 //! entries, so no ring byte counts in its timings). Any future
 //! mismatch is a regression, not an excuse for another bless.
 
+use hamband_core::wire::Wire;
+use hamband_core::{CoordSpec, WorkloadSupport};
 use hamband_runtime::{
-    RunConfig, Runner, System, TraceMode, TraceRecord, WorkloadSpec,
+    DurabilityMode, RunConfig, Runner, RuntimeConfig, System, TraceMode, TraceRecord, WorkloadSpec,
 };
-use hamband_types::{Bank, Counter, GSet};
+use hamband_types::{Bank, Counter, GSet, OrSet};
 use proptest::prelude::*;
-use rdma_sim::{Fault, FaultPlan, NodeId, SimTime};
+use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime};
 
 /// FNV-1a over the debug rendering of the full event stream — the same
 /// digest `examples/trace_fingerprint.rs` prints.
@@ -128,6 +130,80 @@ fn one_session_parity_survives_faults_and_quota_adoption() {
         let out = Runner::new(System::Hamband, cfg).run(&b, &b.coord_spec());
         assert!(out.report.converged);
         assert_eq!(digest(&out.events), (events, hash), "bank+leaderfault seed={seed}");
+    }
+}
+
+/// Saturated goldens: 64 sessions per node keep every node's CPU busy,
+/// so hundreds of completions and poll timers wait on it at once —
+/// the simulator's CPU-wait path, which the 1-session runs above never
+/// load. The plan walks every fault arm that path crosses. Pinned
+/// against the re-push scheduler (PR 14's first commit); the per-node
+/// wait queues that replaced it must reproduce them byte for byte.
+const GOLDEN_ORSET_SATURATED: [(u64, usize, u64); 3] = [
+    (1, 36311, 0xb7abf8c1e48b3755),
+    (7, 36311, 0xbdf6f2252b1b5ef6),
+    (13, 36311, 0x59524782db76ca54),
+];
+const GOLDEN_BANK_SATURATED: [(u64, usize, u64); 3] = [
+    (1, 13962, 0x8e96acff658140d9),
+    (7, 14091, 0xdbb7d1e99d2a2f81),
+    (13, 14052, 0x5685ee46760df091),
+];
+
+/// Partition + heal, a duplicated completion, a delay spike and a
+/// crash-restart, all inside the first 140 us of a saturated run.
+fn saturated_plan(nodes: usize) -> FaultPlan {
+    let last = NodeId(nodes - 1);
+    FaultPlan::new()
+        .at(SimTime(20_000), Fault::Partition(vec![NodeId(0)], vec![NodeId(1), last]))
+        .at(SimTime(45_000), Fault::Heal)
+        .at(SimTime(60_000), Fault::DuplicateCompletion(NodeId(1)))
+        .at(SimTime(70_000), Fault::DelaySpike(NodeId(0), 6, SimDuration::micros(15)))
+        .at(SimTime(100_000), Fault::Crash(last))
+        .at(SimTime(103_000), Fault::DuplicateCompletion(last))
+        .at(SimTime(104_000), Fault::Restart(last, true))
+        .at(SimTime(130_000), Fault::DuplicateCompletion(NodeId(0)))
+}
+
+fn saturated_digest<O>(
+    obj: &O,
+    coord: &CoordSpec,
+    nodes: usize,
+    spec: WorkloadSpec,
+    seed: u64,
+) -> (usize, u64)
+where
+    O: WorkloadSupport + Clone + Send,
+    O::Update: Wire + Send,
+    O::State: Send,
+{
+    // Restarts need the persist log (as in `chaos::run_case`).
+    let runtime = RuntimeConfig::default().with_durability(DurabilityMode::Fenced);
+    let cfg = RunConfig::new(nodes, spec.with_seed(seed))
+        .with_seed(seed)
+        .with_runtime(runtime)
+        .with_faults(saturated_plan(nodes))
+        .with_trace(TraceMode::Collect);
+    let out = Runner::new(System::Hamband, cfg).run(obj, coord);
+    assert!(out.report.converged, "saturated run must converge, seed={seed}");
+    digest(&out.events)
+}
+
+#[test]
+fn saturated_sessions_match_repush_scheduler_goldens() {
+    for &(seed, events, hash) in &GOLDEN_ORSET_SATURATED {
+        let o = OrSet::default();
+        let spec =
+            WorkloadSpec::ops(6_000).with_update_ratio(0.25).with_sessions(64).with_window(8);
+        let got = saturated_digest(&o, &o.coord_spec(), 6, spec, seed);
+        assert_eq!(got, (events, hash), "orset saturated seed={seed}");
+    }
+    for &(seed, events, hash) in &GOLDEN_BANK_SATURATED {
+        let b = Bank::default();
+        let spec =
+            WorkloadSpec::ops(2_400).with_update_ratio(0.5).with_sessions(64).with_window(2);
+        let got = saturated_digest(&b, &b.coord_spec(), 4, spec, seed);
+        assert_eq!(got, (events, hash), "bank saturated seed={seed}");
     }
 }
 
