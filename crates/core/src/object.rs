@@ -187,7 +187,10 @@ pub trait ObjectSpec {
     }
 
     /// Permissibility `𝒫(σ, c)` (§3.2): the invariant holds in the
-    /// post-state of the call.
+    /// post-state of the call. The runtime asks this on every update it
+    /// issues; the default builds the post-state on a clone of `state`,
+    /// so a class whose invariant is constant, or can be judged from
+    /// `state` and `call` alone, should override it.
     fn permissible(&self, state: &Self::State, call: &Self::Update) -> bool {
         self.invariant(&self.apply(state, call))
     }

@@ -5,7 +5,10 @@
 //!
 //! * a **CPU clock** per node — event handlers and verb posting charge
 //!   it; event delivery waits for it (this is what makes two-sided
-//!   receive paths expensive and one-sided writes free for the target);
+//!   receive paths expensive and one-sided writes free for the target).
+//!   Events that find the CPU busy wait in the node's own queues
+//!   (`NodeFabric::waiting`) behind one *wake* entry in the global
+//!   queue, and leave in original sequence order;
 //! * a **NIC transmit clock** per node — each posted verb serializes
 //!   through it, bounding a node's injection rate;
 //! * a **FIFO channel clock** per (issuer, target) pair — Reliable
@@ -15,7 +18,7 @@
 //!   the primitive Mu-style leader change is built on.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -101,11 +104,50 @@ impl Region {
     }
 }
 
+/// An event waiting for its node's CPU, ordered by the sequence number
+/// it was first queued with.
+#[derive(Debug)]
+pub(crate) struct Waiting {
+    pub(crate) seq: u64,
+    pub(crate) event: Event,
+}
+
+impl PartialEq for Waiting {
+    fn eq(&self, other: &Self) -> bool {
+        self.seq == other.seq
+    }
+}
+impl Eq for Waiting {}
+impl PartialOrd for Waiting {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Waiting {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.seq.cmp(&other.seq)
+    }
+}
+
+/// The events of one node that come due at the same time, lowest
+/// sequence number first.
+pub(crate) type WaitSet = BinaryHeap<Reverse<Waiting>>;
+
 #[derive(Debug)]
 pub(crate) struct NodeFabric {
     pub(crate) regions: Vec<Region>,
     /// CPU availability: events are handled no earlier than this.
     pub(crate) cpu_free: SimTime,
+    /// Events that found the CPU busy, keyed by when they come due —
+    /// the `cpu_free` they found. Events with the same due time wait
+    /// together and move together if the CPU is still busy then. No
+    /// set is empty.
+    pub(crate) waiting: BTreeMap<SimTime, WaitSet>,
+    /// `(time, seq)` of this node's wake entry in the global queue:
+    /// the earliest due time and the lowest sequence number waiting
+    /// for it. An [`Action::Wake`] that pops with another key was
+    /// superseded and is ignored.
+    pub(crate) wake: Option<(SimTime, u64)>,
     /// NIC transmit availability.
     pub(crate) nic_free: SimTime,
     pub(crate) crashed: bool,
@@ -132,6 +174,8 @@ impl NodeFabric {
     /// Clear per-node fault modes and timer bookkeeping across a
     /// crash-restart. `next_wr`/`next_timer` stay monotone so
     /// post-restart ids never collide with stale in-flight ones.
+    /// Events still waiting for the CPU came due after the outage and
+    /// keep their due times.
     pub(crate) fn reset_for_restart(&mut self, now: SimTime) {
         self.crashed = false;
         self.torn_writes = false;
@@ -184,6 +228,11 @@ pub(crate) enum Action {
         return_delay: SimDuration,
     },
     InjectFault(Fault),
+    /// The earliest events waiting for `node`'s CPU are due: deliver
+    /// the first if the CPU is free, else they all wait on.
+    Wake {
+        node: NodeId,
+    },
 }
 
 impl Action {
@@ -261,6 +310,8 @@ impl Fabric {
                 .map(|_| NodeFabric {
                     regions: Vec::new(),
                     cpu_free: SimTime::ZERO,
+                    waiting: BTreeMap::new(),
+                    wake: None,
                     nic_free: SimTime::ZERO,
                     crashed: false,
                     torn_writes: false,
@@ -320,13 +371,47 @@ impl Fabric {
         self.queue.push(Reverse(QueueEntry { time, seq, action }));
     }
 
-    /// Re-enqueue a deferred event *keeping its original sequence
-    /// number*, so that a postponed delivery cannot be overtaken at the
-    /// same timestamp by a logically later event that still carries a
-    /// lower sequence number (per-channel FIFO would silently break
-    /// otherwise).
+    /// Enqueue under an *existing* sequence number — a held-back action
+    /// released by `Heal`, or a node's wake standing in for the waiting
+    /// event with that number — so that a postponed delivery cannot be
+    /// overtaken at the same timestamp by a logically later event
+    /// (per-channel FIFO would silently break otherwise).
     pub(crate) fn push_with_seq(&mut self, time: SimTime, seq: u64, action: Action) {
         self.queue.push(Reverse(QueueEntry { time, seq, action }));
+    }
+
+    /// Spend `node`'s pending `DuplicateCompletion` on `event`: a copy is
+    /// queued as a fresh entry at the current time, so it arrives right
+    /// after the original.
+    pub(crate) fn duplicate_completion(&mut self, node: NodeId, event: &Event) {
+        self.nodes[node.index()].duplicate_next_completion = false;
+        self.push(self.now, Action::Deliver { node, event: event.clone() });
+    }
+
+    /// `event` found `node`'s CPU busy: it waits until `cpu_free`,
+    /// keeping its sequence number.
+    pub(crate) fn park(&mut self, node: NodeId, seq: u64, event: Event) {
+        let nf = &mut self.nodes[node.index()];
+        nf.waiting.entry(nf.cpu_free).or_default().push(Reverse(Waiting { seq, event }));
+        self.arm_wake(node);
+    }
+
+    /// Keep `node`'s wake entry keyed by its earliest due time and the
+    /// lowest sequence number waiting for it, so the head of the wait
+    /// queue takes its turn among the other nodes' entries exactly
+    /// where the event itself would.
+    pub(crate) fn arm_wake(&mut self, node: NodeId) {
+        let nf = &mut self.nodes[node.index()];
+        let head = nf.waiting.first_key_value().map(|(&due, set)| {
+            let Reverse(first) = set.peek().expect("wait sets are never empty");
+            (due, first.seq)
+        });
+        if head != nf.wake {
+            nf.wake = head;
+            if let Some((due, seq)) = head {
+                self.push_with_seq(due, seq, Action::Wake { node });
+            }
+        }
     }
 
     pub(crate) fn mint_wr(&mut self, node: NodeId) -> WrId {

@@ -265,6 +265,12 @@ impl<A: App> Simulator<A> {
         !self.fabric.queue.is_empty()
     }
 
+    /// Entries in the global event queue. However many events wait for
+    /// one node's CPU, they stand behind a single entry: its wake.
+    pub fn pending_events(&self) -> usize {
+        self.fabric.queue.len()
+    }
+
     fn dispatch(&mut self, seq: u64, action: Action) {
         // An active partition parks cross-side traffic (one-sided verbs
         // and messages) instead of dropping it: an RC transport
@@ -413,6 +419,67 @@ impl<A: App> Simulator<A> {
                 );
             }
             Action::InjectFault(fault) => self.inject(fault),
+            Action::Wake { node } => self.wake(seq, node),
+        }
+    }
+
+    /// `node`'s earliest waiting events are due. If the CPU is free (or
+    /// the node crashed) the first of them takes the path of any
+    /// arriving event — partition check, crash drop, duplication,
+    /// delivery — and the wake is re-armed for the next; if the CPU was
+    /// extended meanwhile they all wait on.
+    fn wake(&mut self, seq: u64, node: NodeId) {
+        let now = self.fabric.now;
+        let nf = &mut self.fabric.nodes[node.index()];
+        if nf.wake != Some((now, seq)) {
+            // Superseded: an event with a lower seq joined the set.
+            return;
+        }
+        nf.wake = None;
+        if nf.cpu_free > now && !nf.crashed {
+            self.wait_on(node);
+        } else {
+            let mut due = nf.waiting.first_entry().expect("an armed wake has a wait set");
+            let Reverse(first) = due.get_mut().pop().expect("wait sets are never empty");
+            if due.get().is_empty() {
+                due.remove();
+            }
+            self.dispatch(first.seq, Action::Deliver { node, event: first.event });
+        }
+        self.fabric.arm_wake(node);
+    }
+
+    /// The set due now finds `node` alive and its CPU busy: it joins
+    /// the events waiting for the new `cpu_free`. Coming due is a pass
+    /// through `dispatch` for every member, so an active partition
+    /// takes the messages it separates and a pending
+    /// `DuplicateCompletion` goes to the first completion.
+    fn wait_on(&mut self, node: NodeId) {
+        let fabric = &mut self.fabric;
+        let (_, mut set) =
+            fabric.nodes[node.index()].waiting.pop_first().expect("an armed wake has a wait set");
+        if fabric.part_a.contains(&true) {
+            let (held, free): (Vec<_>, Vec<_>) = set.into_iter().partition(|Reverse(w)| {
+                matches!(&w.event, Event::Message { from, .. } if fabric.partition_blocks(*from, node))
+            });
+            fabric.parked.extend(
+                held.into_iter()
+                    .map(|Reverse(w)| (w.seq, Action::Deliver { node, event: w.event })),
+            );
+            set = free.into();
+        }
+        if fabric.nodes[node.index()].duplicate_next_completion {
+            let first = set
+                .iter()
+                .filter(|Reverse(w)| matches!(w.event, Event::Completion { .. }))
+                .min_by_key(|Reverse(w)| w.seq);
+            if let Some(Reverse(w)) = first {
+                fabric.duplicate_completion(node, &w.event);
+            }
+        }
+        if !set.is_empty() {
+            let nf = &mut fabric.nodes[node.index()];
+            nf.waiting.entry(nf.cpu_free).or_default().append(&mut set);
         }
     }
 
@@ -426,20 +493,17 @@ impl<A: App> Simulator<A> {
         // duplicate is a fresh queue entry at the same timestamp, so it
         // arrives right after the original.
         if nf.duplicate_next_completion && matches!(&event, Event::Completion { .. }) {
-            self.fabric.nodes[node.index()].duplicate_next_completion = false;
-            let at = self.fabric.now;
-            self.fabric.push(at, Action::Deliver { node, event: event.clone() });
+            self.fabric.duplicate_completion(node, &event);
         }
         let nf = &self.fabric.nodes[node.index()];
         // Respect the node's CPU availability: if it is busy, the event
         // waits — keeping its original sequence number so arrival order
-        // is preserved among deferred and fresh events. Isolated timers
+        // is preserved among waiting and fresh events. Isolated timers
         // (dedicated-thread model) bypass the wait.
         let bypass = matches!(&event, Event::Timer { id, .. }
             if nf.isolated.contains(id));
         if !bypass && nf.cpu_free > self.fabric.now {
-            let at = nf.cpu_free;
-            self.fabric.push_with_seq(at, seq, Action::Deliver { node, event });
+            self.fabric.park(node, seq, event);
             return;
         }
         // Cancelled timers are dropped; fired isolated timers are

@@ -317,3 +317,18 @@ fn message_held_by_a_partition_is_not_in_the_cpu_queue() {
         vec![e(20_000, 0, "t1"), e(35_000, 0, "t2"), e(58_000, 0, "m5")]
     );
 }
+
+#[test]
+fn events_waiting_on_one_node_stand_behind_one_queue_entry() {
+    let (mut sim, _, log) = cluster(1);
+    timer(&mut sim, 0, 0, 1, 1_000);
+    for i in 0..50 {
+        timer(&mut sim, 0, 100 + i, 2, 0);
+    }
+    assert_eq!(sim.pending_events(), 51);
+    sim.run_until(SimTime(500));
+    assert_eq!(sim.pending_events(), 1, "fifty events wait behind the node's wake");
+    sim.run_until(SimTime(1_000));
+    assert_eq!(sim.pending_events(), 0);
+    assert_eq!(entries(&log).len(), 51);
+}

@@ -216,8 +216,8 @@ where
     ) -> usize {
         let idx = (call_id % self.layout.backup_slots() as u64) as usize;
         let (off, size) = self.layout.backup_slot(idx);
-        let buf = compose_backup_slot(kind, group, seq, slot, size);
-        ctx.local_write(self.layout.backup, off, &buf);
+        compose_backup_slot(&mut self.backup_buf, kind, group, seq, slot, size);
+        ctx.local_write(self.layout.backup, off, &self.backup_buf);
         idx
     }
 

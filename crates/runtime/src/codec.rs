@@ -306,7 +306,8 @@ pub const BACKUP_FREE: u8 = 1;
 /// Marker in backup slots: a summary slot.
 pub const BACKUP_SUMMARY: u8 = 2;
 
-/// Compose a backup-slot image of `slot_size` bytes:
+/// Compose into `buf` (cleared first) the used prefix of a backup-slot
+/// image, `12 + inner.len()` bytes for a slot of `slot_size`:
 ///
 /// ```text
 /// [0]       kind (BACKUP_FREE / BACKUP_SUMMARY; 0 = cleared)
@@ -316,16 +317,21 @@ pub const BACKUP_SUMMARY: u8 = 2;
 /// [12..)    inner slot image
 /// ```
 ///
+/// [`parse_backup_slot`] reads by the length field, so the rest of the
+/// slot — whatever a longer, older image left there — is never looked
+/// at and need not be written.
+///
 /// # Panics
 ///
 /// Panics if the inner image exceeds the u16 length field or the slot.
 pub fn compose_backup_slot(
+    buf: &mut Vec<u8>,
     kind: u8,
     group: u8,
     seq: u64,
     inner: &[u8],
     slot_size: usize,
-) -> Vec<u8> {
+) {
     assert!(
         inner.len() <= u16::MAX as usize,
         "backup inner image of {} bytes overflows the u16 length field",
@@ -337,13 +343,11 @@ pub fn compose_backup_slot(
         inner.len(),
         slot_size - 12
     );
-    let mut buf = vec![0u8; slot_size];
-    buf[0] = kind;
-    buf[1] = group;
-    buf[2..10].copy_from_slice(&seq.to_le_bytes());
-    buf[10..12].copy_from_slice(&(inner.len() as u16).to_le_bytes());
-    buf[12..12 + inner.len()].copy_from_slice(inner);
-    buf
+    buf.clear();
+    buf.extend_from_slice(&[kind, group]);
+    buf.extend_from_slice(&seq.to_le_bytes());
+    buf.extend_from_slice(&(inner.len() as u16).to_le_bytes());
+    buf.extend_from_slice(inner);
 }
 
 /// Parse a backup-slot image composed by [`compose_backup_slot`].
@@ -583,8 +587,9 @@ mod tests {
     #[test]
     fn backup_slot_roundtrip() {
         let inner = entry().to_slot(17, 107);
-        let slot = compose_backup_slot(BACKUP_FREE, 0xff, 17, &inner, 256);
-        assert_eq!(slot.len(), 256);
+        let mut slot = vec![0xaa; 300]; // reused: earlier content is dropped
+        compose_backup_slot(&mut slot, BACKUP_FREE, 0xff, 17, &inner, 256);
+        assert_eq!(slot.len(), 12 + inner.len());
         let (kind, group, seq, got) = parse_backup_slot(&slot).unwrap();
         assert_eq!(kind, BACKUP_FREE);
         assert_eq!(group, 0xff);
@@ -600,7 +605,8 @@ mod tests {
         assert!(parse_backup_slot(&[0u8; 64]).is_none(), "cleared slot");
         assert!(parse_backup_slot(&[9u8; 64]).is_none(), "unknown kind");
         assert!(parse_backup_slot(&[1u8; 8]).is_none(), "too short");
-        let mut slot = compose_backup_slot(BACKUP_SUMMARY, 2, 3, &[1, 2, 3], 64);
+        let mut slot = Vec::new();
+        compose_backup_slot(&mut slot, BACKUP_SUMMARY, 2, 3, &[1, 2, 3], 64);
         // Corrupt the length so it points past the slot end.
         slot[10..12].copy_from_slice(&1000u16.to_le_bytes());
         assert!(parse_backup_slot(&slot).is_none());
@@ -609,6 +615,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds slot capacity")]
     fn backup_slot_overflow_panics() {
-        let _ = compose_backup_slot(BACKUP_FREE, 0xff, 1, &[0u8; 64], 32);
+        compose_backup_slot(&mut Vec::new(), BACKUP_FREE, 0xff, 1, &[0u8; 64], 32);
     }
 }

@@ -95,6 +95,9 @@ pub struct HambandNode<O: ObjectSpec> {
     /// latest own summary slot (the used prefix — exactly the bytes a
     /// repost must write).
     pub(crate) sum_slot_buf: Vec<Vec<u8>>,
+    /// Reusable buffer for the backup-slot image of the call being
+    /// issued.
+    pub(crate) backup_buf: Vec<u8>,
 
     pub(crate) free_writers: Vec<Option<RingWriter>>,
     pub(crate) free_readers: Vec<Option<RingReader>>,
@@ -236,6 +239,7 @@ where
             sum_inflight: (0..sum_group_count).map(|_| vec![None; n]).collect(),
             sum_waiters: (0..sum_group_count).map(|_| vec![VecDeque::new(); n]).collect(),
             sum_slot_buf: vec![Vec::new(); sum_group_count],
+            backup_buf: Vec::new(),
             free_writers: Vec::new(),
             free_readers: Vec::new(),
             engines,

@@ -67,8 +67,7 @@ where
     /// the current check view.
     pub(crate) fn permissible_now(&mut self, update: &O::Update) -> bool {
         self.refresh_mat();
-        let post = self.spec.apply(self.check_view(), update);
-        self.spec.invariant(&post)
+        self.spec.permissible(self.check_view(), update)
     }
 
     /// Rebuild the speculative view after a non-monotone summary

@@ -3,7 +3,9 @@
 
 use hamband_core::counts::DepMap;
 use hamband_core::ids::{Pid, Rid};
-use hamband_runtime::codec::{compose_backup_slot, Entry, BACKUP_FREE};
+use hamband_runtime::codec::{
+    compose_backup_slot, Entry, SummarySlot, BACKUP_FREE, BACKUP_SUMMARY,
+};
 use hamband_runtime::{assemble, HambandNode, RunConfig, Runner, System, WorkloadSpec};
 use hamband_types::{Bank, Counter, GSet};
 use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
@@ -44,7 +46,8 @@ fn crash_recovery_delivers_pending_broadcast() {
     };
     let slot = entry.to_slot(1, layout.entry_size());
     let (off, size) = layout.backup_slot(0);
-    let backup = compose_backup_slot(BACKUP_FREE, 0xff, 1, &slot, size);
+    let mut backup = Vec::new();
+    compose_backup_slot(&mut backup, BACKUP_FREE, 0xff, 1, &slot, size);
     sim.with_app_ctx(NodeId(2), |_, ctx| {
         ctx.local_write(layout.backup, off, &backup);
     });
@@ -61,6 +64,52 @@ fn crash_recovery_delivers_pending_broadcast() {
     }
     let s0 = sim.app(NodeId(0)).state_snapshot();
     assert_eq!(sim.app(NodeId(1)).state_snapshot(), s0, "survivors agree");
+}
+
+/// `write_backup` stores only the used prefix of an image, so a slot can
+/// hold a short image over the tail of a longer, older one (slots are
+/// shared by every call with the same `call_id % backup_slots`).
+/// Recovery must re-execute exactly the short image.
+#[test]
+fn short_backup_image_over_a_longer_stale_one_recovers_the_short_one() {
+    use hamband_types::gset::GSetUpdate;
+    let g = GSet::default();
+    let coord = g.coord_spec();
+    let workload = WorkloadSpec::ops(0).with_update_ratio(0.5).with_seed(1);
+    let plan = FaultPlan::new().at(SimTime(30_000), Fault::Crash(NodeId(2)));
+    let run = RunConfig::new(3, workload).with_seed(7).with_faults(plan);
+    let (mut sim, layout, _trace) = assemble(&g, &coord, &run);
+    sim.run_for(SimDuration::micros(5));
+    let (off, size) = layout.backup_slot(0);
+    let summary_slot = run.runtime.summary_slot_size(1);
+    let image = |version: u64, elems: Vec<u64>| {
+        let inner = SummarySlot {
+            version,
+            counts: vec![version],
+            summary: Some(GSetUpdate::AddAll(elems)),
+        }
+        .to_slot(summary_slot);
+        let mut backup = Vec::new();
+        compose_backup_slot(&mut backup, BACKUP_SUMMARY, 0, version, &inner, size);
+        backup
+    };
+    let stale = image(1, (100..140).collect());
+    let fresh = image(2, vec![42, 43]);
+    assert!(fresh.len() < stale.len());
+    sim.with_app_ctx(NodeId(2), |_, ctx| {
+        ctx.local_write(layout.backup, off, &stale);
+        ctx.local_write(layout.backup, off, &fresh);
+    });
+    sim.run_for(SimDuration::millis(2));
+    assert!(sim.is_crashed(NodeId(2)));
+    for i in 0..2 {
+        let state = sim.app(NodeId(i)).state_snapshot();
+        assert_eq!(
+            state.iter().copied().collect::<Vec<u64>>(),
+            vec![42, 43],
+            "node {i} must see the short image only"
+        );
+    }
 }
 
 /// The canary protocol under torn landings: with the fabric splitting

@@ -110,6 +110,10 @@ impl ObjectSpec for Cart {
         true
     }
 
+    fn permissible(&self, _state: &CartState, _call: &CartUpdate) -> bool {
+        true // the invariant is constant: no post-state to build
+    }
+
     fn query(&self, state: &CartState, query: &CartQuery) -> u64 {
         match query {
             CartQuery::Quantity(item) => state.get(item).copied().unwrap_or(0).max(0) as u64,

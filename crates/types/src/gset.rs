@@ -106,6 +106,10 @@ impl ObjectSpec for GSet {
         true
     }
 
+    fn permissible(&self, _state: &BTreeSet<u64>, _call: &GSetUpdate) -> bool {
+        true // the invariant is constant: no post-state to build
+    }
+
     fn query(&self, state: &BTreeSet<u64>, query: &GSetQuery) -> u64 {
         match query {
             GSetQuery::Contains(e) => u64::from(state.contains(e)),

@@ -107,6 +107,10 @@ impl ObjectSpec for LwwRegister {
         true
     }
 
+    fn permissible(&self, _state: &LwwState, _call: &LwwUpdate) -> bool {
+        true // the invariant is constant: no post-state to build
+    }
+
     fn apply_mut(&self, state: &mut LwwState, call: &LwwUpdate) {
         let LwwUpdate::Write { stamp, value } = *call;
         match state {

@@ -107,6 +107,10 @@ impl ObjectSpec for Movie {
         true
     }
 
+    fn permissible(&self, _state: &MovieState, _call: &MovieUpdate) -> bool {
+        true // the invariant is constant: no post-state to build
+    }
+
     fn query(&self, state: &MovieState, query: &MovieQuery) -> u64 {
         match query {
             MovieQuery::Customers => state.customers.len() as u64,

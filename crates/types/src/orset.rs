@@ -128,6 +128,10 @@ impl ObjectSpec for OrSet {
         true
     }
 
+    fn permissible(&self, _state: &OrSetState, _call: &OrSetUpdate) -> bool {
+        true // the invariant is constant: no post-state to build
+    }
+
     fn query(&self, state: &OrSetState, query: &OrSetQuery) -> u64 {
         match query {
             OrSetQuery::Contains(e) => u64::from(state.contains_key(e)),

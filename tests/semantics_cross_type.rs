@@ -6,10 +6,12 @@
 
 use hamband::core::coord::{CoordSpec, MethodCategory};
 use hamband::core::ids::{GroupId, MethodId, Pid};
-use hamband::core::object::{KeySkew, WorkloadSupport};
+use hamband::core::object::{KeySkew, SpecSampler, WorkloadSupport};
 use hamband::core::rdma_sem::RdmaWrdt;
 use hamband::core::refinement::replay_and_check;
-use hamband::types::{Cart, Counter, Courseware, GSet, Movie, OrSet, Project};
+use hamband::types::{
+    Bank, Cart, Counter, Courseware, GSet, LwwRegister, Movie, OrSet, Project,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -122,4 +124,33 @@ fn courseware_refines() {
     for seed in 0..5 {
         random_run_refines(&cw, &cw.coord_spec(), 4, 100, seed);
     }
+}
+
+/// A type may answer `permissible` without building the post-state;
+/// whatever it answers must be the paper's `I(apply(state, call))`.
+fn permissible_is_invariant_of_post_state<O: SpecSampler>(spec: &O) {
+    let mut rng = StdRng::seed_from_u64(0xbe11);
+    for _ in 0..200 {
+        let state = spec.sample_state(&mut rng);
+        let call = spec.sample_update(&mut rng);
+        assert_eq!(
+            spec.permissible(&state, &call),
+            spec.invariant(&spec.apply(&state, &call)),
+            "{}: {call:?} on {state:?}",
+            spec.name()
+        );
+    }
+}
+
+#[test]
+fn permissible_overrides_agree_with_the_definition() {
+    permissible_is_invariant_of_post_state(&Counter::default());
+    permissible_is_invariant_of_post_state(&LwwRegister::default());
+    permissible_is_invariant_of_post_state(&GSet::default());
+    permissible_is_invariant_of_post_state(&OrSet::default());
+    permissible_is_invariant_of_post_state(&Cart::default());
+    permissible_is_invariant_of_post_state(&Movie::default());
+    permissible_is_invariant_of_post_state(&Bank::default());
+    permissible_is_invariant_of_post_state(&Project::default());
+    permissible_is_invariant_of_post_state(&Courseware::default());
 }
