@@ -187,10 +187,23 @@ pub trait ObjectSpec {
     }
 
     /// Permissibility `𝒫(σ, c)` (§3.2): the invariant holds in the
-    /// post-state of the call. The runtime asks this on every update it
-    /// issues; the default builds the post-state on a clone of `state`,
-    /// so a class whose invariant is constant, or can be judged from
-    /// `state` and `call` alone, should override it.
+    /// post-state of the call, `I(c(σ))`.
+    ///
+    /// **Precondition: `I(state)`.** Every caller — rule CALL of both
+    /// semantics, the runtime's issue paths, the relation checkers —
+    /// asks about a state that already has integrity (Lemma 1 keeps it
+    /// so), and an override may rely on that.
+    ///
+    /// The runtime asks this on every update it issues, so its cost is
+    /// on the call path. The default evaluates the definition literally:
+    /// clone `state`, apply, scan the whole invariant — O(|σ|) per call.
+    /// An override should follow the *footprint rule*: given `I(state)`,
+    /// the post-state can only violate `I` in the part of the state the
+    /// call writes, so check the invariant's clauses over that footprint
+    /// alone (the account a withdrawal debits, the two keys an
+    /// enrollment references) and answer `true` for invariant-sufficient
+    /// calls. The answer must equal `I(apply(state, call))` on every
+    /// state with integrity.
     fn permissible(&self, state: &Self::State, call: &Self::Update) -> bool {
         self.invariant(&self.apply(state, call))
     }

@@ -379,14 +379,12 @@ where
         ctx.charge_apply();
         let deps = self.applied.project(self.coord.dependencies(method));
         let (call_id, rid) = self.mint_call(method);
-        // Speculative view gains the call; σ/mat only at commit.
-        if self.spec_mat.is_none() {
-            self.refresh_mat();
-            self.spec_mat = Some(self.mat.clone());
-        }
-        if let Some(sm) = self.spec_mat.as_mut() {
-            self.spec.apply_mut(sm, &update);
-        }
+        // Speculative view gains the call; σ/mat only at commit. The
+        // view is seeded from `mat` (already refreshed by the check
+        // above) by the first call of a leadership and kept from then
+        // on, so this clone is per leadership, not per pipeline drain.
+        let spec_mat = self.spec_mat.get_or_insert_with(|| self.mat.clone());
+        self.spec.apply_mut(spec_mat, &update);
 
         self.speculative_store.push(update.clone());
         let entry = Entry { rid, update, deps };
@@ -469,9 +467,6 @@ where
                     self.speculative_pop();
                     if !self.mat_dirty {
                         self.spec.apply_mut(&mut self.mat, &entry.update);
-                    }
-                    if self.no_uncommitted() {
-                        self.spec_mat = None;
                     }
                 } else {
                     self.apply_to_views(&entry.update);

@@ -8,8 +8,17 @@
 //!   summaries invalidate it wholesale);
 //! * **spec_mat** — the speculative view a group leader checks
 //!   permissibility against: `mat` plus its own uncommitted conflicting
-//!   calls (`None` while there are none, in which case the check view
-//!   *is* `mat`).
+//!   calls. `None` until the node first issues a conflicting call (the
+//!   check view *is* `mat`); from then on it is kept while the node
+//!   leads — every call that reaches `mat` reaches it too, so whenever
+//!   nothing is uncommitted it equals `mat` and needs no re-seeding.
+//!
+//! Each view is a full copy of the object state, so copying one is the
+//! only O(|σ|) step on the call path and happens in three places only:
+//! `state_snapshot` (a refresh of `mat` after a non-monotone summary or
+//! a rejoin, and the harness's end-of-run comparison), the seeding of
+//! `spec_mat` (once per leadership), and `rebuild_spec_mat` (a
+//! non-monotone summary arriving while calls are uncommitted).
 //!
 //! Lemma 1 (§3.3) needs permissibility checked against a view that
 //! contains every earlier call of the same synchronization group —
@@ -77,19 +86,20 @@ where
     /// summaries and uncommitted entries can only coexist for objects
     /// whose conflicting methods commute with summaries (summaries are
     /// conflict-free by construction), replaying is legal — we keep the
-    /// payloads for exactly this purpose.
+    /// payloads for exactly this purpose. With nothing uncommitted the
+    /// view is `mat` itself: it is dropped (the next conflicting call
+    /// re-seeds it) and `mat` stays lazily dirty.
     pub(crate) fn rebuild_spec_mat(&mut self) {
+        if self.speculative_store.is_empty() {
+            self.spec_mat = None;
+            return;
+        }
         self.refresh_mat();
-        // Replay: collect pending own entries from the replay store.
         let mut view = self.mat.clone();
-        for u in &self.pending_speculative_updates() {
+        for u in &self.speculative_store {
             self.spec.apply_mut(&mut view, u);
         }
         self.spec_mat = Some(view);
-    }
-
-    fn pending_speculative_updates(&self) -> Vec<O::Update> {
-        self.speculative_store.clone()
     }
 
     pub(crate) fn speculative_pop(&mut self) {
@@ -100,11 +110,5 @@ where
 
     pub(crate) fn speculative_clear(&mut self) {
         self.speculative_store.clear();
-    }
-
-    /// Whether no synchronization group holds own uncommitted entries
-    /// (then the speculative view collapses back into `mat`).
-    pub(crate) fn no_uncommitted(&self) -> bool {
-        self.engines.iter().all(|e| e.leader().is_none_or(|l| l.uncommitted.is_empty()))
     }
 }

@@ -28,6 +28,8 @@ use hamband_core::ids::MethodId;
 use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
 use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
 
+use crate::sets::{insert_missing, sorted_union};
+
 /// Method index of `open_accounts`.
 pub const OPEN: MethodId = MethodId(0);
 /// Method index of `deposit`.
@@ -134,9 +136,7 @@ impl ObjectSpec for Bank {
 
     fn apply_mut(&self, s: &mut BankState, call: &BankUpdate) {
         match call {
-            BankUpdate::OpenAccounts(accts) => {
-                s.open.extend(accts.iter().copied());
-            }
+            BankUpdate::OpenAccounts(accts) => insert_missing(&mut s.open, accts),
             BankUpdate::Deposit(acct, amount) => {
                 *s.balances.entry(*acct).or_insert(0) += i128::from(*amount);
             }
@@ -168,9 +168,7 @@ impl ObjectSpec for Bank {
     fn summarize(&self, a: &BankUpdate, b: &BankUpdate) -> Option<BankUpdate> {
         match (a, b) {
             (BankUpdate::OpenAccounts(x), BankUpdate::OpenAccounts(y)) => {
-                let mut union: BTreeSet<u64> = x.iter().copied().collect();
-                union.extend(y.iter().copied());
-                Some(BankUpdate::OpenAccounts(union.into_iter().collect()))
+                Some(BankUpdate::OpenAccounts(sorted_union(x, y)))
             }
             _ => None,
         }
@@ -178,6 +176,19 @@ impl ObjectSpec for Bank {
 
     fn summaries_monotone(&self) -> bool {
         true
+    }
+
+    /// Given `I(s)`, only the touched account can break the invariant:
+    /// it must be open, and a withdrawal must leave its balance ≥ 0.
+    fn permissible(&self, s: &BankState, call: &BankUpdate) -> bool {
+        match call {
+            BankUpdate::OpenAccounts(_) => true,
+            BankUpdate::Deposit(acct, _) => s.open.contains(acct),
+            BankUpdate::Withdraw(acct, amount) => {
+                s.open.contains(acct)
+                    && s.balances.get(acct).copied().unwrap_or(0) >= i128::from(*amount)
+            }
+        }
     }
 
     /// Deposits and withdrawals operate on one account: two withdrawals
@@ -244,28 +255,23 @@ impl WorkloadSupport for Bank {
                     + node as u64 * self.account_space,
             ])),
             DEPOSIT => {
-                let open: Vec<u64> = state.open.iter().copied().collect();
-                if open.is_empty() {
+                if state.open.is_empty() {
                     return None;
                 }
-                Some(BankUpdate::Deposit(
-                    open[skew.sample_index(rng, open.len())],
-                    rng.gen_range(1..=self.max_amount),
-                ))
+                let idx = skew.sample_index(rng, state.open.len());
+                let acct = *state.open.iter().nth(idx).expect("index in range");
+                Some(BankUpdate::Deposit(acct, rng.gen_range(1..=self.max_amount)))
             }
             WITHDRAW => {
                 // Withdraw at most half the visible balance, as in the
                 // single-account demo, so workloads never wedge.
-                let funded: Vec<(u64, i128)> = state
-                    .balances
-                    .iter()
-                    .filter(|&(_, &b)| b >= 2)
-                    .map(|(&a, &b)| (a, b))
-                    .collect();
-                if funded.is_empty() {
+                let funded = || state.balances.iter().filter(|&(_, &b)| b >= 2);
+                let count = funded().count();
+                if count == 0 {
                     return None;
                 }
-                let (acct, bal) = funded[skew.sample_index(rng, funded.len())];
+                let (&acct, &bal) =
+                    funded().nth(skew.sample_index(rng, count)).expect("index in range");
                 let cap = (bal / 2).min(i128::from(self.max_amount)) as u64;
                 Some(BankUpdate::Withdraw(acct, rng.gen_range(1..=cap.max(1))))
             }
@@ -415,6 +421,54 @@ mod tests {
         s = bank.apply(&s, &BankUpdate::Deposit(4, 2));
         let wd = bank.gen_update(&s, 0, 1, WITHDRAW, &mut rng, uni).expect("funds available");
         assert!(bank.permissible(&s, &wd));
+    }
+
+    /// `gen_update` as it was while it copied the open set and the funded
+    /// balances into vectors to index them.
+    fn collecting_gen_update(
+        bank: &Bank,
+        state: &BankState,
+        node: usize,
+        seq: u64,
+        method: MethodId,
+        rng: &mut StdRng,
+        skew: KeySkew,
+    ) -> Option<BankUpdate> {
+        match method {
+            DEPOSIT => {
+                let open: Vec<u64> = state.open.iter().copied().collect();
+                if open.is_empty() {
+                    return None;
+                }
+                Some(BankUpdate::Deposit(
+                    open[skew.sample_index(rng, open.len())],
+                    rng.gen_range(1..=bank.max_amount),
+                ))
+            }
+            WITHDRAW => {
+                let funded: Vec<(u64, i128)> = state
+                    .balances
+                    .iter()
+                    .filter(|&(_, &b)| b >= 2)
+                    .map(|(&a, &b)| (a, b))
+                    .collect();
+                if funded.is_empty() {
+                    return None;
+                }
+                let (acct, bal) = funded[skew.sample_index(rng, funded.len())];
+                let cap = (bal / 2).min(i128::from(bank.max_amount)) as u64;
+                Some(BankUpdate::Withdraw(acct, rng.gen_range(1..=cap.max(1))))
+            }
+            _ => bank.gen_update(state, node, seq, method, rng, skew),
+        }
+    }
+
+    #[test]
+    fn iterator_sampling_draws_what_collecting_drew() {
+        let bank = Bank::default();
+        crate::gen_parity::assert_same_draws(&bank, |state, node, seq, method, rng, skew| {
+            collecting_gen_update(&bank, state, node, seq, method, rng, skew)
+        });
     }
 
     #[test]

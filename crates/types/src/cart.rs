@@ -196,13 +196,14 @@ impl WorkloadSupport for Cart {
             ADD => Some(self.sample_update_of(ADD, rng)),
             REMOVE => {
                 // Prefer removing items actually in the cart.
-                let present: Vec<u64> =
-                    state.iter().filter(|&(_, &q)| q > 0).map(|(&i, _)| i).collect();
-                if present.is_empty() {
+                let present = || state.iter().filter(|&(_, &q)| q > 0);
+                let count = present().count();
+                if count == 0 {
                     return None;
                 }
-                let item = present[rng.gen_range(0..present.len())];
-                let have = state[&item].max(1) as u32;
+                let (&item, &have) =
+                    present().nth(rng.gen_range(0..count)).expect("index in range");
+                let have = have.max(1) as u32;
                 Some(CartUpdate::Remove { item, qty: rng.gen_range(1..=have.min(self.max_qty)) })
             }
             other => panic!("cart has no method {other}"),
@@ -296,6 +297,38 @@ mod tests {
             Some(CartUpdate::Remove { item: 4, qty }) => assert!((1..=3).contains(&qty)),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// `gen_update` as it was while it copied the present items into a
+    /// vector to index them.
+    fn collecting_gen_update(
+        cart: &Cart,
+        state: &CartState,
+        node: usize,
+        seq: u64,
+        method: MethodId,
+        rng: &mut StdRng,
+        skew: KeySkew,
+    ) -> Option<CartUpdate> {
+        if method != REMOVE {
+            return cart.gen_update(state, node, seq, method, rng, skew);
+        }
+        let present: Vec<u64> =
+            state.iter().filter(|&(_, &q)| q > 0).map(|(&i, _)| i).collect();
+        if present.is_empty() {
+            return None;
+        }
+        let item = present[rng.gen_range(0..present.len())];
+        let have = state[&item].max(1) as u32;
+        Some(CartUpdate::Remove { item, qty: rng.gen_range(1..=have.min(cart.max_qty)) })
+    }
+
+    #[test]
+    fn iterator_sampling_draws_what_collecting_drew() {
+        let cart = Cart::default();
+        crate::gen_parity::assert_same_draws(&cart, |state, node, seq, method, rng, skew| {
+            collecting_gen_update(&cart, state, node, seq, method, rng, skew)
+        });
     }
 
     #[test]

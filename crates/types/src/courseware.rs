@@ -22,6 +22,8 @@ use hamband_core::ids::MethodId;
 use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
 use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
 
+use crate::sets::{insert_missing, pick, sorted_union};
+
 /// Method index of `add_course`.
 pub const ADD_COURSE: MethodId = MethodId(0);
 /// Method index of `delete_course`.
@@ -147,14 +149,24 @@ impl ObjectSpec for Courseware {
             CoursewareUpdate::Enroll(st, c) => {
                 state.enrollment.insert((*st, *c));
             }
-            CoursewareUpdate::RegisterStudents(ss) => {
-                state.students.extend(ss.iter().copied());
-            }
+            CoursewareUpdate::RegisterStudents(ss) => insert_missing(&mut state.students, ss),
         }
     }
 
     fn summaries_monotone(&self) -> bool {
         true
+    }
+
+    /// Given `I(state)`, only a new enrollment can dangle: `AddCourse`
+    /// and `RegisterStudents` grow what enrollments point at, and
+    /// `DeleteCourse` cascades.
+    fn permissible(&self, state: &CoursewareState, call: &CoursewareUpdate) -> bool {
+        match call {
+            CoursewareUpdate::Enroll(st, c) => {
+                state.students.contains(st) && state.courses.contains(c)
+            }
+            _ => true,
+        }
     }
 
     fn summarize(
@@ -164,9 +176,7 @@ impl ObjectSpec for Courseware {
     ) -> Option<CoursewareUpdate> {
         match (first, second) {
             (CoursewareUpdate::RegisterStudents(a), CoursewareUpdate::RegisterStudents(b)) => {
-                let mut union: BTreeSet<u64> = a.iter().copied().collect();
-                union.extend(b.iter().copied());
-                Some(CoursewareUpdate::RegisterStudents(union.into_iter().collect()))
+                Some(CoursewareUpdate::RegisterStudents(sorted_union(a, b)))
             }
             _ => None,
         }
@@ -232,23 +242,14 @@ impl WorkloadSupport for Courseware {
     ) -> Option<CoursewareUpdate> {
         match method {
             ADD_COURSE => Some(CoursewareUpdate::AddCourse(node as u64 * 1_000_000 + seq)),
-            DELETE_COURSE => {
-                let cs: Vec<u64> = state.courses.iter().copied().collect();
-                if cs.is_empty() {
-                    return None;
-                }
-                Some(CoursewareUpdate::DeleteCourse(cs[rng.gen_range(0..cs.len())]))
-            }
+            DELETE_COURSE => Some(CoursewareUpdate::DeleteCourse(pick(&state.courses, rng)?)),
             ENROLL => {
-                let cs: Vec<u64> = state.courses.iter().copied().collect();
-                let ss: Vec<u64> = state.students.iter().copied().collect();
-                if cs.is_empty() || ss.is_empty() {
+                if state.courses.is_empty() {
                     return None;
                 }
-                Some(CoursewareUpdate::Enroll(
-                    ss[rng.gen_range(0..ss.len())],
-                    cs[rng.gen_range(0..cs.len())],
-                ))
+                // Student first, then course: the draw order is pinned.
+                let student = pick(&state.students, rng)?;
+                Some(CoursewareUpdate::Enroll(student, pick(&state.courses, rng)?))
             }
             REGISTER_STUDENTS => Some(CoursewareUpdate::RegisterStudents(vec![
                 node as u64 * 1_000_000 + seq,
@@ -375,6 +376,48 @@ mod tests {
             cw.gen_update(&s, 0, 0, ENROLL, &mut rng, KeySkew::Uniform),
             Some(CoursewareUpdate::Enroll(5, 3))
         );
+    }
+
+    /// `gen_update` as it was while it copied the course and student
+    /// sets into vectors to index them.
+    fn collecting_gen_update(
+        cw: &Courseware,
+        state: &CoursewareState,
+        node: usize,
+        seq: u64,
+        method: MethodId,
+        rng: &mut StdRng,
+        skew: KeySkew,
+    ) -> Option<CoursewareUpdate> {
+        match method {
+            DELETE_COURSE => {
+                let cs: Vec<u64> = state.courses.iter().copied().collect();
+                if cs.is_empty() {
+                    return None;
+                }
+                Some(CoursewareUpdate::DeleteCourse(cs[rng.gen_range(0..cs.len())]))
+            }
+            ENROLL => {
+                let cs: Vec<u64> = state.courses.iter().copied().collect();
+                let ss: Vec<u64> = state.students.iter().copied().collect();
+                if cs.is_empty() || ss.is_empty() {
+                    return None;
+                }
+                Some(CoursewareUpdate::Enroll(
+                    ss[rng.gen_range(0..ss.len())],
+                    cs[rng.gen_range(0..cs.len())],
+                ))
+            }
+            _ => cw.gen_update(state, node, seq, method, rng, skew),
+        }
+    }
+
+    #[test]
+    fn iterator_sampling_draws_what_collecting_drew() {
+        let cw = Courseware::default();
+        crate::gen_parity::assert_same_draws(&cw, |state, node, seq, method, rng, skew| {
+            collecting_gen_update(&cw, state, node, seq, method, rng, skew)
+        });
     }
 
     #[test]

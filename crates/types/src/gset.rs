@@ -23,6 +23,8 @@ use hamband_core::ids::MethodId;
 use hamband_core::object::{ObjectSpec, SpecSampler, WorkloadSupport};
 use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
 
+use crate::sets::{insert_missing, sorted_union};
+
 /// Method index of `add_all`.
 pub const ADD_ALL: MethodId = MethodId(0);
 
@@ -127,7 +129,7 @@ impl ObjectSpec for GSet {
 
     fn apply_mut(&self, state: &mut BTreeSet<u64>, call: &GSetUpdate) {
         let GSetUpdate::AddAll(elems) = call;
-        state.extend(elems.iter().copied());
+        insert_missing(state, elems);
     }
 
     fn summaries_monotone(&self) -> bool {
@@ -136,9 +138,7 @@ impl ObjectSpec for GSet {
 
     fn summarize(&self, first: &GSetUpdate, second: &GSetUpdate) -> Option<GSetUpdate> {
         let (GSetUpdate::AddAll(a), GSetUpdate::AddAll(b)) = (first, second);
-        let mut union: BTreeSet<u64> = a.iter().copied().collect();
-        union.extend(b.iter().copied());
-        Some(GSetUpdate::AddAll(union.into_iter().collect()))
+        Some(GSetUpdate::AddAll(sorted_union(a, b)))
     }
 }
 

@@ -32,11 +32,14 @@ pub mod bank;
 pub mod cart;
 pub mod counter;
 pub mod courseware;
+#[cfg(test)]
+mod gen_parity;
 pub mod gset;
 pub mod lww;
 pub mod movie;
 pub mod orset;
 pub mod project;
+mod sets;
 
 pub use account::Account;
 pub use bank::Bank;

@@ -21,6 +21,8 @@ use hamband_core::ids::MethodId;
 use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
 use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
 
+use crate::sets::pick;
+
 /// Method index of `add_customer`.
 pub const ADD_CUSTOMER: MethodId = MethodId(0);
 /// Method index of `delete_customer`.
@@ -207,20 +209,8 @@ impl WorkloadSupport for Movie {
         match method {
             ADD_CUSTOMER => Some(MovieUpdate::AddCustomer(fresh)),
             ADD_MOVIE => Some(MovieUpdate::AddMovie(fresh)),
-            DELETE_CUSTOMER => {
-                let cs: Vec<u64> = state.customers.iter().copied().collect();
-                if cs.is_empty() {
-                    return None;
-                }
-                Some(MovieUpdate::DeleteCustomer(cs[rng.gen_range(0..cs.len())]))
-            }
-            DELETE_MOVIE => {
-                let ms: Vec<u64> = state.movies.iter().copied().collect();
-                if ms.is_empty() {
-                    return None;
-                }
-                Some(MovieUpdate::DeleteMovie(ms[rng.gen_range(0..ms.len())]))
-            }
+            DELETE_CUSTOMER => Some(MovieUpdate::DeleteCustomer(pick(&state.customers, rng)?)),
+            DELETE_MOVIE => Some(MovieUpdate::DeleteMovie(pick(&state.movies, rng)?)),
             other => panic!("movie schema has no method {other}"),
         }
     }
@@ -296,6 +286,44 @@ mod tests {
         s = m.apply(&s, &MovieUpdate::DeleteCustomer(1));
         assert_eq!(m.query(&s, &MovieQuery::Customers), 0);
         assert_eq!(m.query(&s, &MovieQuery::Movies), 1);
+    }
+
+    /// `gen_update` as it was while it copied the customer and movie
+    /// sets into vectors to index them.
+    fn collecting_gen_update(
+        mv: &Movie,
+        state: &MovieState,
+        node: usize,
+        seq: u64,
+        method: MethodId,
+        rng: &mut StdRng,
+        skew: KeySkew,
+    ) -> Option<MovieUpdate> {
+        match method {
+            DELETE_CUSTOMER => {
+                let cs: Vec<u64> = state.customers.iter().copied().collect();
+                if cs.is_empty() {
+                    return None;
+                }
+                Some(MovieUpdate::DeleteCustomer(cs[rng.gen_range(0..cs.len())]))
+            }
+            DELETE_MOVIE => {
+                let ms: Vec<u64> = state.movies.iter().copied().collect();
+                if ms.is_empty() {
+                    return None;
+                }
+                Some(MovieUpdate::DeleteMovie(ms[rng.gen_range(0..ms.len())]))
+            }
+            _ => mv.gen_update(state, node, seq, method, rng, skew),
+        }
+    }
+
+    #[test]
+    fn iterator_sampling_draws_what_collecting_drew() {
+        let mv = Movie::default();
+        crate::gen_parity::assert_same_draws(&mv, |state, node, seq, method, rng, skew| {
+            collecting_gen_update(&mv, state, node, seq, method, rng, skew)
+        });
     }
 
     #[test]

@@ -29,6 +29,8 @@ use hamband_core::ids::MethodId;
 use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
 use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
 
+use crate::sets::{insert_missing, pick, sorted_union};
+
 /// Method index of `add_project`.
 pub const ADD_PROJECT: MethodId = MethodId(0);
 /// Method index of `delete_project`.
@@ -154,9 +156,7 @@ impl ObjectSpec for Project {
             ProjectUpdate::WorksOn(e, p) => {
                 state.works_on.insert((*e, *p));
             }
-            ProjectUpdate::AddEmployees(es) => {
-                state.employees.extend(es.iter().copied());
-            }
+            ProjectUpdate::AddEmployees(es) => insert_missing(&mut state.employees, es),
         }
     }
 
@@ -164,12 +164,22 @@ impl ObjectSpec for Project {
         true
     }
 
+    /// Given `I(state)`, only a new assignment can dangle: `AddProject`
+    /// and `AddEmployees` grow what assignments point at, and
+    /// `DeleteProject` cascades.
+    fn permissible(&self, state: &ProjectState, call: &ProjectUpdate) -> bool {
+        match call {
+            ProjectUpdate::WorksOn(e, p) => {
+                state.employees.contains(e) && state.projects.contains(p)
+            }
+            _ => true,
+        }
+    }
+
     fn summarize(&self, first: &ProjectUpdate, second: &ProjectUpdate) -> Option<ProjectUpdate> {
         match (first, second) {
             (ProjectUpdate::AddEmployees(a), ProjectUpdate::AddEmployees(b)) => {
-                let mut union: BTreeSet<u64> = a.iter().copied().collect();
-                union.extend(b.iter().copied());
-                Some(ProjectUpdate::AddEmployees(union.into_iter().collect()))
+                Some(ProjectUpdate::AddEmployees(sorted_union(a, b)))
             }
             _ => None,
         }
@@ -239,23 +249,14 @@ impl WorkloadSupport for Project {
                 // Fresh ids per node avoid add/delete ping-pong.
                 Some(ProjectUpdate::AddProject(node as u64 * 1_000_000 + seq))
             }
-            DELETE_PROJECT => {
-                let ps: Vec<u64> = state.projects.iter().copied().collect();
-                if ps.is_empty() {
-                    return None;
-                }
-                Some(ProjectUpdate::DeleteProject(ps[rng.gen_range(0..ps.len())]))
-            }
+            DELETE_PROJECT => Some(ProjectUpdate::DeleteProject(pick(&state.projects, rng)?)),
             WORKS_ON => {
-                let ps: Vec<u64> = state.projects.iter().copied().collect();
-                let es: Vec<u64> = state.employees.iter().copied().collect();
-                if ps.is_empty() || es.is_empty() {
+                if state.projects.is_empty() {
                     return None;
                 }
-                Some(ProjectUpdate::WorksOn(
-                    es[rng.gen_range(0..es.len())],
-                    ps[rng.gen_range(0..ps.len())],
-                ))
+                // Employee first, then project: the draw order is pinned.
+                let employee = pick(&state.employees, rng)?;
+                Some(ProjectUpdate::WorksOn(employee, pick(&state.projects, rng)?))
             }
             ADD_EMPLOYEES => Some(ProjectUpdate::AddEmployees(vec![
                 node as u64 * 1_000_000 + seq,
@@ -389,6 +390,48 @@ mod tests {
         let w = pm.gen_update(&s, 0, 0, WORKS_ON, &mut rng, KeySkew::Uniform).expect("refs exist");
         assert_eq!(w, ProjectUpdate::WorksOn(9, 5));
         assert!(pm.permissible(&s, &w));
+    }
+
+    /// `gen_update` as it was while it copied the project and employee
+    /// sets into vectors to index them.
+    fn collecting_gen_update(
+        pm: &Project,
+        state: &ProjectState,
+        node: usize,
+        seq: u64,
+        method: MethodId,
+        rng: &mut StdRng,
+        skew: KeySkew,
+    ) -> Option<ProjectUpdate> {
+        match method {
+            DELETE_PROJECT => {
+                let ps: Vec<u64> = state.projects.iter().copied().collect();
+                if ps.is_empty() {
+                    return None;
+                }
+                Some(ProjectUpdate::DeleteProject(ps[rng.gen_range(0..ps.len())]))
+            }
+            WORKS_ON => {
+                let ps: Vec<u64> = state.projects.iter().copied().collect();
+                let es: Vec<u64> = state.employees.iter().copied().collect();
+                if ps.is_empty() || es.is_empty() {
+                    return None;
+                }
+                Some(ProjectUpdate::WorksOn(
+                    es[rng.gen_range(0..es.len())],
+                    ps[rng.gen_range(0..ps.len())],
+                ))
+            }
+            _ => pm.gen_update(state, node, seq, method, rng, skew),
+        }
+    }
+
+    #[test]
+    fn iterator_sampling_draws_what_collecting_drew() {
+        let pm = Project::default();
+        crate::gen_parity::assert_same_draws(&pm, |state, node, seq, method, rng, skew| {
+            collecting_gen_update(&pm, state, node, seq, method, rng, skew)
+        });
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use hamband::core::coord::{CoordSpec, MethodCategory};
 use hamband::core::ids::{GroupId, MethodId, Pid};
-use hamband::core::object::{KeySkew, SpecSampler, WorkloadSupport};
+use hamband::core::object::{KeySkew, ObjectSpec, WorkloadSupport};
 use hamband::core::rdma_sem::RdmaWrdt;
 use hamband::core::refinement::replay_and_check;
 use hamband::types::{
@@ -127,18 +127,37 @@ fn courseware_refines() {
 }
 
 /// A type may answer `permissible` without building the post-state;
-/// whatever it answers must be the paper's `I(apply(state, call))`.
-fn permissible_is_invariant_of_post_state<O: SpecSampler>(spec: &O) {
-    let mut rng = StdRng::seed_from_u64(0xbe11);
-    for _ in 0..200 {
-        let state = spec.sample_state(&mut rng);
-        let call = spec.sample_update(&mut rng);
+/// whatever it answers must be the paper's `I(apply(state, call))` on
+/// every state with integrity — checked on 200 sampled states (which
+/// hold at most 8 elements per relation) and on every intermediate
+/// state of a 500-call run that grows well past that.
+fn permissible_is_invariant_of_post_state<O: WorkloadSupport>(spec: &O) {
+    let check = |state: &O::State, call: &O::Update| {
         assert_eq!(
-            spec.permissible(&state, &call),
-            spec.invariant(&spec.apply(&state, &call)),
+            spec.permissible(state, call),
+            spec.invariant(&spec.apply(state, call)),
             "{}: {call:?} on {state:?}",
             spec.name()
         );
+    };
+    let mut rng = StdRng::seed_from_u64(0xbe11);
+    for _ in 0..200 {
+        check(&spec.sample_state(&mut rng), &spec.sample_update(&mut rng));
+    }
+    let mut state = spec.initial();
+    for seq in 0..500 {
+        // An oblivious call (often impermissible: unknown keys, large
+        // amounts) and a state-aware one (usually permissible).
+        check(&state, &spec.sample_update(&mut rng));
+        let m = MethodId(rng.gen_range(0..spec.method_count()));
+        let Some(call) = spec.gen_update(&state, 0, seq, m, &mut rng, KeySkew::Uniform) else {
+            continue;
+        };
+        check(&state, &call);
+        if spec.permissible(&state, &call) {
+            state = spec.apply(&state, &call);
+        }
+        assert!(spec.invariant(&state), "{}: run left integrity", spec.name());
     }
 }
 
@@ -153,4 +172,46 @@ fn permissible_overrides_agree_with_the_definition() {
     permissible_is_invariant_of_post_state(&Bank::default());
     permissible_is_invariant_of_post_state(&Project::default());
     permissible_is_invariant_of_post_state(&Courseware::default());
+}
+
+/// The three types whose invariant is not constant judge a call from
+/// its footprint alone: the answer does not change when integrity is
+/// broken *elsewhere* in the state (outside `permissible`'s
+/// precondition — the definition, which scans the whole post-state,
+/// answers `false` there). This is what makes the check O(log |σ|).
+#[test]
+fn permissible_reads_only_the_footprint() {
+    use hamband::types::bank::BankUpdate;
+    use hamband::types::courseware::CoursewareUpdate;
+    use hamband::types::project::ProjectUpdate;
+
+    let bank = Bank::default();
+    let mut s = bank.initial();
+    s = bank.apply(&s, &BankUpdate::OpenAccounts(vec![1]));
+    s = bank.apply(&s, &BankUpdate::Deposit(1, 10));
+    s = bank.apply(&s, &BankUpdate::Deposit(99, 5)); // 99 was never opened
+    assert!(!bank.invariant(&s));
+    assert!(bank.permissible(&s, &BankUpdate::Withdraw(1, 10)));
+    assert!(!bank.permissible(&s, &BankUpdate::Withdraw(1, 11)));
+    assert!(!bank.permissible(&s, &BankUpdate::Deposit(2, 1)));
+
+    let cw = Courseware::default();
+    let mut s = cw.initial();
+    s = cw.apply(&s, &CoursewareUpdate::AddCourse(1));
+    s = cw.apply(&s, &CoursewareUpdate::RegisterStudents(vec![7]));
+    s = cw.apply(&s, &CoursewareUpdate::Enroll(8, 9)); // dangling
+    assert!(!cw.invariant(&s));
+    assert!(cw.permissible(&s, &CoursewareUpdate::Enroll(7, 1)));
+    assert!(!cw.permissible(&s, &CoursewareUpdate::Enroll(7, 2)));
+    assert!(cw.permissible(&s, &CoursewareUpdate::AddCourse(2)));
+
+    let pm = Project::default();
+    let mut s = pm.initial();
+    s = pm.apply(&s, &ProjectUpdate::AddProject(1));
+    s = pm.apply(&s, &ProjectUpdate::AddEmployees(vec![7]));
+    s = pm.apply(&s, &ProjectUpdate::WorksOn(8, 9)); // dangling
+    assert!(!pm.invariant(&s));
+    assert!(pm.permissible(&s, &ProjectUpdate::WorksOn(7, 1)));
+    assert!(!pm.permissible(&s, &ProjectUpdate::WorksOn(8, 1)));
+    assert!(pm.permissible(&s, &ProjectUpdate::DeleteProject(1)));
 }
