@@ -18,14 +18,16 @@
 //!   the primitive Mu-style leader change is built on.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::fault::Fault;
+use crate::idmap::IdSet;
 use crate::latency::LatencyModel;
+use crate::queue::EventQueue;
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceHandle};
@@ -163,11 +165,11 @@ pub(crate) struct NodeFabric {
     pub(crate) duplicate_next_completion: bool,
     pub(crate) next_wr: u64,
     pub(crate) next_timer: u64,
-    pub(crate) cancelled: HashSet<TimerId>,
+    pub(crate) cancelled: IdSet<TimerId>,
     /// Timers that fire even while the node's (application) CPU is
     /// busy — modelling dedicated threads such as the paper's
     /// heartbeat thread on a multi-core node.
-    pub(crate) isolated: HashSet<TimerId>,
+    pub(crate) isolated: IdSet<TimerId>,
 }
 
 impl NodeFabric {
@@ -251,35 +253,11 @@ impl Action {
     }
 }
 
-#[derive(Debug)]
-pub(crate) struct QueueEntry {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) action: Action,
-}
-
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for QueueEntry {}
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
 /// The shared fabric state (everything except the applications).
 #[derive(Debug)]
 pub struct Fabric {
     pub(crate) now: SimTime,
-    pub(crate) queue: BinaryHeap<Reverse<QueueEntry>>,
+    pub(crate) queue: EventQueue,
     pub(crate) seq: u64,
     pub(crate) nodes: Vec<NodeFabric>,
     pub(crate) latency: LatencyModel,
@@ -304,7 +282,7 @@ impl Fabric {
         assert!(n > 0, "cluster must be non-empty");
         Fabric {
             now: SimTime::ZERO,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             seq: 0,
             nodes: (0..n)
                 .map(|_| NodeFabric {
@@ -320,8 +298,8 @@ impl Fabric {
                     duplicate_next_completion: false,
                     next_wr: 0,
                     next_timer: 0,
-                    cancelled: HashSet::new(),
-                    isolated: HashSet::new(),
+                    cancelled: IdSet::default(),
+                    isolated: IdSet::default(),
                 })
                 .collect(),
             latency,
@@ -368,7 +346,7 @@ impl Fabric {
     pub(crate) fn push(&mut self, time: SimTime, action: Action) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(QueueEntry { time, seq, action }));
+        self.queue.push(time, seq, action);
     }
 
     /// Enqueue under an *existing* sequence number — a held-back action
@@ -377,7 +355,7 @@ impl Fabric {
     /// overtaken at the same timestamp by a logically later event
     /// (per-channel FIFO would silently break otherwise).
     pub(crate) fn push_with_seq(&mut self, time: SimTime, seq: u64, action: Action) {
-        self.queue.push(Reverse(QueueEntry { time, seq, action }));
+        self.queue.push(time, seq, action);
     }
 
     /// Spend `node`'s pending `DuplicateCompletion` on `event`: a copy is
@@ -809,19 +787,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn queue_orders_by_time_then_seq() {
+    fn push_numbers_entries_in_queueing_order() {
         let mut f = Fabric::new(1, LatencyModel::deterministic(), 0);
         f.push(SimTime(10), Action::InjectFault(Fault::Crash(NodeId(0))));
         f.push(SimTime(5), Action::InjectFault(Fault::Crash(NodeId(0))));
         f.push(SimTime(5), Action::InjectFault(Fault::TornWrites(NodeId(0))));
-        let Reverse(e1) = f.queue.pop().unwrap();
-        let Reverse(e2) = f.queue.pop().unwrap();
-        let Reverse(e3) = f.queue.pop().unwrap();
-        assert_eq!(e1.time, SimTime(5));
-        assert!(matches!(e1.action, Action::InjectFault(Fault::Crash(_))));
-        assert_eq!(e2.time, SimTime(5));
-        assert!(matches!(e2.action, Action::InjectFault(Fault::TornWrites(_))));
-        assert_eq!(e3.time, SimTime(10));
+        let (t1, s1, a1) = f.queue.pop().unwrap();
+        let (t2, s2, a2) = f.queue.pop().unwrap();
+        let (t3, s3, _) = f.queue.pop().unwrap();
+        assert_eq!((t1, s1), (SimTime(5), 1));
+        assert!(matches!(a1, Action::InjectFault(Fault::Crash(_))));
+        assert_eq!((t2, s2), (SimTime(5), 2));
+        assert!(matches!(a2, Action::InjectFault(Fault::TornWrites(_))));
+        assert_eq!((t3, s3), (SimTime(10), 0));
     }
 
     #[test]

@@ -33,7 +33,9 @@
 
 pub mod fabric;
 pub mod fault;
+pub mod idmap;
 pub mod latency;
+mod queue;
 pub mod sim;
 pub mod stats;
 pub mod time;
@@ -42,6 +44,7 @@ pub mod verbs;
 
 pub use fabric::{Ctx, Fabric};
 pub use fault::{Fault, FaultGenConfig, FaultPlan};
+pub use idmap::{IdMap, IdSet};
 pub use latency::LatencyModel;
 pub use sim::{App, Simulator};
 pub use stats::Stats;

@@ -241,14 +241,14 @@ impl<A: App> Simulator<A> {
     /// exceeds `deadline`. Returns the time reached.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
         self.start();
-        while let Some(Reverse(head)) = self.fabric.queue.peek() {
-            if head.time > deadline {
+        while let Some(due) = self.fabric.queue.next_time() {
+            if due > deadline {
                 self.fabric.now = deadline;
                 return deadline;
             }
-            let Reverse(entry) = self.fabric.queue.pop().expect("peeked");
-            self.fabric.now = self.fabric.now.max(entry.time);
-            self.dispatch(entry.seq, entry.action);
+            let (time, seq, action) = self.fabric.queue.pop().expect("peeked");
+            self.fabric.now = self.fabric.now.max(time);
+            self.dispatch(seq, action);
         }
         self.fabric.now = self.fabric.now.max(deadline);
         deadline

@@ -84,21 +84,25 @@ where
         self.ingress.release_arrivals(ctx.now());
         let mut reject_streak = 0u32;
         loop {
-            let is_leader: Vec<bool> =
-                self.engines.iter().map(|e| e.accepting_issues()).collect();
             // Group-wide quota accounting: our own tail for shards we
             // lead, the replicated applied count for shards led
             // elsewhere (a follower's `tail_hint` is only refreshed by
             // elections, so it would hide sibling shards' progress and
             // let every shard leader consume the whole group quota).
-            let appended: Vec<u64> = self
-                .engines
-                .iter()
-                .map(|e| if e.is_leader() { e.known_tail() } else { e.reader.applied() })
-                .collect();
+            for (g, e) in self.engines.iter().enumerate() {
+                self.gate_accepting[g] = e.accepting_issues();
+                self.gate_appended[g] =
+                    if e.is_leader() { e.known_tail() } else { e.reader.applied() };
+            }
             let planned = {
                 let view = self.spec_mat.as_ref().unwrap_or(&self.mat);
-                self.ingress.next(&self.spec, view, &self.coord, &is_leader, &appended)
+                self.ingress.next(
+                    &self.spec,
+                    view,
+                    &self.coord,
+                    &self.gate_accepting,
+                    &self.gate_appended,
+                )
             };
             match planned {
                 None => break,
@@ -182,19 +186,17 @@ where
     }
 
     /// Mint a fresh (call id, replica-unique request id) pair.
-    pub(crate) fn mint_call(&mut self, method: MethodId) -> (u64, Rid) {
+    pub(crate) fn mint_call(&mut self) -> (u64, Rid) {
         let call_id = self.next_call_id;
         self.next_call_id += 1;
         let rid = Rid::new(Pid(self.me.index()), self.next_rid_seq);
         self.next_rid_seq += 1;
-        let _ = method;
         (call_id, rid)
     }
 
     /// Reject an impermissible call: count it, free the session's
     /// window slot, and let the ingress plan a replacement.
-    pub(crate) fn reject(&mut self, method: MethodId, session: u32) {
-        let _ = method;
+    pub(crate) fn reject(&mut self, session: u32) {
         // A rejected call never became outstanding; drop its arrival
         // stamp so the replacement call doesn't inherit it twice.
         self.pending_arrival = None;

@@ -36,22 +36,16 @@ where
             let node = self.me;
             ctx.emit(|| TraceEvent::CommitAdvance { node, group: g, commit });
         }
-        // Acknowledge committed client calls.
-        let mut acked = Vec::new();
-        if let Some(l) = self.engines[g].leader_mut() {
-            acked = l
-                .client_by_seq
-                .iter()
-                .filter(|&(&seq, _)| seq <= commit)
-                .map(|(_, &cid)| cid)
-                .collect();
-            let seqs: Vec<u64> =
-                l.client_by_seq.keys().copied().filter(|&s| s <= commit).collect();
-            for s in seqs {
-                l.client_by_seq.remove(&s);
+        // Acknowledge the committed client calls, in sequence order.
+        // The head is re-read every round: acknowledging re-enters the
+        // pump, which may append (and, on one node, commit) further
+        // calls.
+        while let Some(leader) = self.engines[g].leader_mut() {
+            let Some(&(seq, cid)) = leader.client_by_seq.front() else { break };
+            if seq > commit {
+                break;
             }
-        }
-        for cid in acked {
+            leader.client_by_seq.pop_front();
             if let Some(o) = self.outstanding.get_mut(&cid) {
                 o.ack_remaining = 0;
             }

@@ -32,7 +32,7 @@
 //! issue floor), applying committed ring entries, and retrying
 //! permission-denied ring writes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, VecDeque};
 
 use hamband_core::ids::{MethodId, Pid};
 use hamband_core::object::WorkloadSupport;
@@ -84,8 +84,9 @@ pub struct LeaderState {
     pub(crate) issue_floor: u64,
     /// Remote-ack counts per sequence number awaiting majority.
     pub(crate) pending_acks: BTreeMap<u64, usize>,
-    /// seq → client call id awaiting commit.
-    pub(crate) client_by_seq: HashMap<u64, u64>,
+    /// `(seq, client call id)` awaiting commit, in sequence order (the
+    /// order they were appended in).
+    pub(crate) client_by_seq: VecDeque<(u64, u64)>,
     /// Own uncommitted entries (suffix of the ring), oldest first.
     pub(crate) uncommitted: Vec<(u64, MethodId)>,
 }
@@ -97,7 +98,7 @@ impl LeaderState {
             tail,
             issue_floor,
             pending_acks: BTreeMap::new(),
-            client_by_seq: HashMap::new(),
+            client_by_seq: VecDeque::new(),
             uncommitted: Vec::new(),
         }
     }
@@ -373,12 +374,12 @@ where
         session: u32,
     ) {
         if !self.permissible_now(&update) {
-            self.reject(method, session);
+            self.reject(session);
             return;
         }
         ctx.charge_apply();
         let deps = self.applied.project(self.coord.dependencies(method));
-        let (call_id, rid) = self.mint_call(method);
+        let (call_id, rid) = self.mint_call();
         // Speculative view gains the call; σ/mat only at commit. The
         // view is seeded from `mat` (already refreshed by the check
         // above) by the first call of a leadership and kept from then
@@ -409,7 +410,7 @@ where
             debug_assert_eq!(s, seq, "conf rings advance with the group ordinal");
         }
         leader.pending_acks.insert(seq, 0);
-        leader.client_by_seq.insert(seq, call_id);
+        leader.client_by_seq.push_back((seq, call_id));
         self.outstanding.insert(
             call_id,
             Outstanding {
@@ -583,11 +584,10 @@ where
         // Abort unacknowledged conflicting calls: their entries may or
         // may not survive into the new leader's log; the speculative
         // view simply vanishes (σ and mat were never touched).
-        let orphans: Vec<u64> = dropped.client_by_seq.values().copied().collect();
         self.conf_retries.retain(|&(rg, _, _)| rg != g);
         self.speculative_clear();
         self.spec_mat = None;
-        for cid in orphans {
+        for (_, cid) in dropped.client_by_seq {
             if let Some(o) = self.outstanding.remove(&cid) {
                 self.metrics.rejected += 1;
                 self.ingress.on_abort(o.session);
@@ -673,7 +673,7 @@ mod tests {
         e.install_leader(writers(3, 0), 4, 0);
         let l = e.leader_mut().unwrap();
         l.pending_acks.insert(5, 1);
-        l.client_by_seq.insert(5, 42);
+        l.client_by_seq.push_back((5, 42));
         l.uncommitted.push((5, MethodId(0)));
 
         // A higher-epoch LeaderRequest arrives: promise and depose.
@@ -682,7 +682,7 @@ mod tests {
         assert!(matches!(e.role, Role::Follower));
         assert_eq!(e.promised, 7);
         assert_eq!(e.leader_view, Pid(2));
-        assert_eq!(dropped.client_by_seq.get(&5), Some(&42), "orphans surface");
+        assert_eq!(dropped.client_by_seq, [(5, 42)], "orphans surface");
         assert!(e.leader().is_none(), "no leader field survives deposition");
         assert_eq!(e.tail_hint, 4, "tail hint survives for future elections");
         assert!(e.depose_leader().is_none(), "deposing a follower is a no-op");

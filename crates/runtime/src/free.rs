@@ -68,12 +68,12 @@ where
         session: u32,
     ) {
         if !self.permissible_now(&update) {
-            self.reject(method, session);
+            self.reject(session);
             return;
         }
         ctx.charge_apply();
         let deps = self.applied.project(self.coord.dependencies(method));
-        let (call_id, rid) = self.mint_call(method);
+        let (call_id, rid) = self.mint_call();
         self.spec.apply_mut(&mut self.sigma, &update);
         self.apply_to_views(&update);
         self.applied.increment(Pid(self.me.index()), method);

@@ -26,9 +26,8 @@
 //!
 //! [`min_sample_gap`]: FailureDetector::with_min_sample_gap
 
-use std::collections::HashMap;
 
-use rdma_sim::{NodeId, RegionId, SimDuration, SimTime, WrId};
+use rdma_sim::{IdMap, NodeId, RegionId, SimDuration, SimTime, WrId};
 
 use crate::membership::Membership;
 use crate::transport::Transport;
@@ -91,7 +90,7 @@ pub struct FailureDetector {
     suspect_after: u32,
     min_sample_gap: SimDuration,
     peers: Vec<PeerView>,
-    inflight: HashMap<WrId, NodeId>,
+    inflight: IdMap<WrId, NodeId>,
     me: NodeId,
 }
 
@@ -115,7 +114,7 @@ impl FailureDetector {
                 };
                 n
             ],
-            inflight: HashMap::new(),
+            inflight: IdMap::default(),
             me,
         }
     }

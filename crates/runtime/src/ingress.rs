@@ -206,6 +206,10 @@ pub struct Ingress {
     halted: bool,
     /// Open-loop arrival process (`None` = classic closed loop).
     open_loop: Option<OpenLoop>,
+    /// Scratch of [`next`](Ingress::next), kept for its capacity: the
+    /// update methods with quota left, and the ones not yet tried.
+    candidates: Vec<(MethodId, u64)>,
+    tries: Vec<(MethodId, u64)>,
 }
 
 impl Ingress {
@@ -268,6 +272,8 @@ impl Ingress {
             dry_streak: 0,
             halted: false,
             open_loop,
+            candidates: Vec::new(),
+            tries: Vec::new(),
         }
     }
 
@@ -423,7 +429,7 @@ impl Ingress {
             return None;
         }
         // Candidate update methods with remaining quota (node-level).
-        let mut candidates: Vec<(MethodId, u64)> = Vec::new();
+        self.candidates.clear();
         let mut updates_left = 0u64;
         for m in 0..coord.method_count() {
             let left = match coord.category(MethodId(m)) {
@@ -442,7 +448,7 @@ impl Ingress {
                 _ => self.free_left[m],
             };
             if left > 0 {
-                candidates.push((MethodId(m), left));
+                self.candidates.push((MethodId(m), left));
                 updates_left += left;
             }
         }
@@ -485,11 +491,12 @@ impl Ingress {
             // Weighted method choice by remaining quota; fall back to
             // other methods when the generator has no valid call in
             // this state.
-            let mut tries = candidates.clone();
-            while !tries.is_empty() {
-                let total: u64 = tries.iter().map(|&(_, w)| w).sum();
+            self.tries.clone_from(&self.candidates);
+            while !self.tries.is_empty() {
+                let total: u64 = self.tries.iter().map(|&(_, w)| w).sum();
                 let mut pick = self.sessions[s].rng.gen_range(0..total);
-                let idx = tries
+                let idx = self
+                    .tries
                     .iter()
                     .position(|&(_, w)| {
                         if pick < w {
@@ -500,7 +507,7 @@ impl Ingress {
                         }
                     })
                     .expect("weighted pick in range");
-                let (method, _) = tries.swap_remove(idx);
+                let (method, _) = self.tries.swap_remove(idx);
                 let seq = self.next_seq;
                 let node = self.node;
                 let skew = self.skew;

@@ -44,13 +44,15 @@ where
         session: u32,
     ) {
         if !self.permissible_now(&update) {
-            self.reject(method, session);
+            self.reject(session);
             return;
         }
         ctx.charge_apply();
         let me = self.me.index();
-        let group_methods: Vec<MethodId> = self.coord.sum_groups()[g].clone();
-        let midx = group_methods.iter().position(|&m| m == method).expect("method in group");
+        let midx = self.coord.sum_groups()[g]
+            .iter()
+            .position(|&m| m == method)
+            .expect("method in group");
         // Summarize with the current own summary.
         let new_summary = match &self.sum_cache[g][me].summary {
             None => update.clone(),
@@ -82,7 +84,7 @@ where
         self.apply_to_views(&update);
         self.metrics.last_apply = ctx.now();
 
-        let (call_id, _rid) = self.mint_call(method);
+        let (call_id, _rid) = self.mint_call();
         // Reliable broadcast: backup first, then the remote writes.
         let backup_slot = self.write_backup(ctx, call_id, crate::codec::BACKUP_SUMMARY, g as u8, version, &slot);
         let offset = self.layout.summary_offset(g, self.me);
@@ -153,7 +155,6 @@ where
     pub(crate) fn poll_summaries<T: Transport>(&mut self, ctx: &mut T) {
         let monotone = self.spec.summaries_monotone();
         for g in 0..self.sum_cache.len() {
-            let group_methods: Vec<MethodId> = self.coord.sum_groups()[g].clone();
             for src in 0..self.n {
                 if src == self.me.index() {
                     continue;
@@ -168,14 +169,14 @@ where
                     if summary_version(bytes) <= self.sum_cache[g][src].version {
                         continue;
                     }
-                    SummarySlot::<O::Update>::from_slot(bytes, group_methods.len())
+                    SummarySlot::<O::Update>::from_slot(bytes, self.coord.sum_groups()[g].len())
                 };
                 let Some(slot) = parsed else { continue };
                 if slot.version <= self.sum_cache[g][src].version {
                     continue;
                 }
                 ctx.charge_apply();
-                for (i, &m) in group_methods.iter().enumerate() {
+                for (i, &m) in self.coord.sum_groups()[g].iter().enumerate() {
                     let old = self.applied.get(Pid(src), m);
                     self.applied.set(Pid(src), m, old.max(slot.counts[i]));
                 }

@@ -28,7 +28,7 @@
 //! vanish without state rollback, so even a suspended leader converges
 //! with the rest of the cluster. See DESIGN.md.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use hamband_core::coord::{CoordSpec, GroupMapper};
 use hamband_core::counts::CountMap;
@@ -36,7 +36,8 @@ use hamband_core::ids::Pid;
 use hamband_core::object::{ObjectSpec, WorkloadSupport};
 use hamband_core::wire::Wire;
 use rdma_sim::{
-    App, AppFault, CompletionStatus, Ctx, Event, NodeId, RingKind, SimTime, TraceEvent, WrId,
+    App, AppFault, CompletionStatus, Ctx, Event, IdMap, NodeId, RingKind, SimTime, TraceEvent,
+    WrId,
 };
 
 use crate::calls::{Outstanding, Route};
@@ -124,10 +125,10 @@ pub struct HambandNode<O: ObjectSpec> {
     pub(crate) speculative_store: Vec<O::Update>,
     pub(crate) next_call_id: u64,
     pub(crate) next_rid_seq: u64,
-    pub(crate) outstanding: HashMap<u64, Outstanding>,
+    pub(crate) outstanding: IdMap<u64, Outstanding>,
     /// (free ring seq) → call id.
-    pub(crate) free_call_by_seq: HashMap<u64, u64>,
-    pub(crate) wr_routes: HashMap<WrId, Route>,
+    pub(crate) free_call_by_seq: IdMap<u64, u64>,
+    pub(crate) wr_routes: IdMap<WrId, Route>,
     /// Denied conflicting-ring writes awaiting retry: (group, target,
     /// seq). A denial means the target has not (yet) granted this
     /// leader write permission; retried until it does or until a higher
@@ -156,6 +157,11 @@ pub struct HambandNode<O: ObjectSpec> {
     /// the first ack in even when the replayed promise exceeds the
     /// current winning epoch (a dead pre-crash candidacy).
     pub(crate) join_epoch: Vec<u64>,
+    /// Per mapped group, refreshed by the pump before each planning
+    /// step: whether this node may issue conflicting calls there, and
+    /// how many entries the group's ring carries (the quota gate).
+    pub(crate) gate_accepting: Vec<bool>,
+    pub(crate) gate_appended: Vec<u64>,
     /// Open-loop arrival timestamp of the call being issued right now:
     /// set by the pump before dispatching a planned update, taken by
     /// the issue path as the call's `issued_at` so response time
@@ -253,14 +259,16 @@ where
             speculative_store: Vec::new(),
             next_call_id: 0,
             next_rid_seq: 0,
-            outstanding: HashMap::new(),
-            free_call_by_seq: HashMap::new(),
-            wr_routes: HashMap::new(),
+            outstanding: IdMap::default(),
+            free_call_by_seq: IdMap::default(),
+            wr_routes: IdMap::default(),
             conf_retries: Vec::new(),
             retry_timer_armed: false,
             halted: false,
             log: layout.persist_log.map(|r| NodeLog::new(r, cfg.persist_log_bytes)),
             join_epoch: vec![0; leaders.len()],
+            gate_accepting: vec![false; leaders.len()],
+            gate_appended: vec![0; leaders.len()],
             initial_leaders: leaders,
             workload_retired: false,
             pending_arrival: None,

@@ -25,10 +25,10 @@
 //! oblivious to batching: a coalesced WRITE lands as the same slot
 //! bytes the per-entry WRITEs would have produced.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use hamband_core::wire::Wire;
-use rdma_sim::{CompletionStatus, NodeId, RegionId, RingKind, TraceEvent, WrId};
+use rdma_sim::{CompletionStatus, IdMap, NodeId, RegionId, RingKind, TraceEvent, WrId};
 
 use crate::codec::Entry;
 use crate::transport::Transport;
@@ -56,7 +56,7 @@ pub struct RingWriter {
     /// (and, beyond the flow-control window, awaiting ring space).
     pending: VecDeque<(u64, Vec<u8>)>,
     /// In-flight writes: work request → (first, last) sequence spanned.
-    posted: HashMap<WrId, (u64, u64)>,
+    posted: IdMap<WrId, (u64, u64)>,
     /// In-flight head read, if any.
     head_read: Option<WrId>,
     /// Where the reader keeps its head counter (reader-local region).
@@ -122,7 +122,7 @@ impl RingWriter {
             next_seq: 1,
             acked_head: 0,
             pending: VecDeque::new(),
-            posted: HashMap::new(),
+            posted: IdMap::default(),
             head_read: None,
             head_region,
             head_offset,

@@ -9,6 +9,7 @@ use hamband_types::Counter;
 /// Every acknowledged conflicting update is covered by a
 /// `CommitAdvance` earlier in the trace: the acking node advanced its
 /// commit index past the call's ring seq before acking the client.
+/// A node acknowledges a group's calls in ring order.
 #[test]
 fn conf_acks_follow_commit_advance() {
     let a = Account::new(100);
@@ -20,6 +21,7 @@ fn conf_acks_follow_commit_advance() {
     assert!(!outcome.events.is_empty(), "collect mode must record events");
 
     let mut conf_acks = 0usize;
+    let mut last_acked = std::collections::HashMap::new();
     for (i, rec) in outcome.events.iter().enumerate() {
         let TraceEvent::Ack { node, phase: Phase::Conf, group: Some(g), seq: Some(s), .. } =
             rec.event
@@ -27,6 +29,9 @@ fn conf_acks_follow_commit_advance() {
             continue;
         };
         conf_acks += 1;
+        if let Some(prev) = last_acked.insert((node, g), s) {
+            assert!(prev < s, "node {node:?} acked seq {s} of group {g} after seq {prev}");
+        }
         let committed = outcome.events[..i].iter().any(|earlier| {
             matches!(
                 earlier.event,
