@@ -46,7 +46,9 @@ impl EventQueue {
     /// Remove the earliest entry: `(time, seq, action)`.
     pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, Action)> {
         let Reverse((time, seq, slot)) = self.heap.pop()?;
-        let action = self.slab[slot as usize].take().expect("a queued key owns its slot");
+        let action = self.slab[slot as usize]
+            .take()
+            .expect("a queued key owns its slot");
         self.free.push(slot);
         Some((time, seq, action))
     }
@@ -71,7 +73,11 @@ mod tests {
         let mut q = EventQueue::default();
         q.push(SimTime(10), 0, Action::InjectFault(Fault::Crash(NodeId(0))));
         q.push(SimTime(5), 1, Action::InjectFault(Fault::Crash(NodeId(1))));
-        q.push(SimTime(5), 2, Action::InjectFault(Fault::TornWrites(NodeId(2))));
+        q.push(
+            SimTime(5),
+            2,
+            Action::InjectFault(Fault::TornWrites(NodeId(2))),
+        );
         assert_eq!(q.len(), 3);
         assert_eq!(q.next_time(), Some(SimTime(5)));
         let (t1, s1, a1) = q.pop().unwrap();

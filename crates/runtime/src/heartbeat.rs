@@ -26,7 +26,6 @@
 //!
 //! [`min_sample_gap`]: FailureDetector::with_min_sample_gap
 
-
 use rdma_sim::{IdMap, NodeId, RegionId, SimDuration, SimTime, WrId};
 
 use crate::membership::Membership;

@@ -19,6 +19,7 @@ use std::sync::Arc;
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
 use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
+use hamband_core::wire::Wire;
 use hamband_runtime::{RunConfig, Runner, System, WorkloadSpec};
 use hamband_types::{Bank, Courseware};
 use rand::rngs::StdRng;
@@ -32,7 +33,10 @@ struct Counted<S> {
 impl<S: Clone> Clone for Counted<S> {
     fn clone(&self) -> Self {
         self.clones.fetch_add(1, Ordering::Relaxed);
-        Counted { state: self.state.clone(), clones: Arc::clone(&self.clones) }
+        Counted {
+            state: self.state.clone(),
+            clones: Arc::clone(&self.clones),
+        }
     }
 }
 
@@ -58,7 +62,10 @@ impl<O: ObjectSpec> ObjectSpec for Counting<O> {
         self.inner.name()
     }
     fn initial(&self) -> Self::State {
-        Counted { state: self.inner.initial(), clones: Arc::clone(&self.clones) }
+        Counted {
+            state: self.inner.initial(),
+            clones: Arc::clone(&self.clones),
+        }
     }
     fn invariant(&self, s: &Self::State) -> bool {
         self.inner.invariant(&s.state)
@@ -91,7 +98,10 @@ impl<O: ObjectSpec> ObjectSpec for Counting<O> {
 
 impl<O: SpecSampler> SpecSampler for Counting<O> {
     fn sample_state(&self, rng: &mut StdRng) -> Self::State {
-        Counted { state: self.inner.sample_state(rng), clones: Arc::clone(&self.clones) }
+        Counted {
+            state: self.inner.sample_state(rng),
+            clones: Arc::clone(&self.clones),
+        }
     }
     fn sample_update_of(&self, method: MethodId, rng: &mut StdRng) -> Self::Update {
         self.inner.sample_update_of(method, rng)
@@ -111,7 +121,8 @@ impl<O: WorkloadSupport> WorkloadSupport for Counting<O> {
         rng: &mut StdRng,
         skew: KeySkew,
     ) -> Option<Self::Update> {
-        self.inner.gen_update(&s.state, node, seq, method, rng, skew)
+        self.inner
+            .gen_update(&s.state, node, seq, method, rng, skew)
     }
 }
 
@@ -120,16 +131,23 @@ impl<O: WorkloadSupport> WorkloadSupport for Counting<O> {
 fn clones_of_a_run<O>(inner: &O, coord: &CoordSpec, total_ops: u64) -> (usize, u64)
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: hamband_core::wire::Wire + Send,
+    O::Update: Wire + Send,
     O::State: Send,
 {
     let clones = Arc::new(AtomicUsize::new(0));
-    let spec = Counting { inner: inner.clone(), clones: Arc::clone(&clones) };
+    let spec = Counting {
+        inner: inner.clone(),
+        clones: Arc::clone(&clones),
+    };
     // Window 1: the leader's pipeline drains after every conflicting
     // call, the case in which a per-drain copy would be a per-call copy.
-    let workload = WorkloadSpec::ops(total_ops).with_update_ratio(0.5).with_window(1);
+    let workload = WorkloadSpec::ops(total_ops)
+        .with_update_ratio(0.5)
+        .with_window(1);
     let config = RunConfig::new(4, workload);
-    let report = Runner::new(System::Hamband, config).run(&spec, coord).report;
+    let report = Runner::new(System::Hamband, config)
+        .run(&spec, coord)
+        .report;
     assert!(report.converged, "{report}");
     (clones.load(Ordering::Relaxed), report.total_updates)
 }
@@ -137,12 +155,15 @@ where
 fn clone_count_is_independent_of_run_length<O>(inner: &O, coord: &CoordSpec)
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: hamband_core::wire::Wire + Send,
+    O::Update: Wire + Send,
     O::State: Send,
 {
     let (short, short_updates) = clones_of_a_run(inner, coord, 2_000);
     let (long, long_updates) = clones_of_a_run(inner, coord, 8_000);
-    assert!(long_updates > 3 * short_updates, "{short_updates} vs {long_updates} updates");
+    assert!(
+        long_updates > 3 * short_updates,
+        "{short_updates} vs {long_updates} updates"
+    );
     assert_eq!(
         short,
         long,
@@ -151,7 +172,11 @@ where
     );
     // 4 nodes: `mat` at construction, the harness's convergence
     // comparison and end states, one `spec_mat` seed at the leader.
-    assert!(long <= 16, "{}: {long} state clones in one run", inner.name());
+    assert!(
+        long <= 16,
+        "{}: {long} state clones in one run",
+        inner.name()
+    );
 }
 
 #[test]

@@ -39,6 +39,10 @@ pub(crate) fn assert_same_draws<O: WorkloadSupport>(
                 }
             }
         }
-        assert!(generated > 500, "{}: only {generated} calls generated", spec.name());
+        assert!(
+            generated > 500,
+            "{}: only {generated} calls generated",
+            spec.name()
+        );
     }
 }

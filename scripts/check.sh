@@ -44,6 +44,9 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 echo "== benchmark self-check (every workload's outputs and metric names) =="
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- self-check
 
+echo "== virtual fingerprints (five workloads, two seeds, against scripts/fingerprints.txt) =="
+./scripts/fingerprints.sh --check
+
 echo "== chaos smoke (16 seeds) =="
 cargo build --release -p hamband-bench
 ./target/release/chaos --seeds 16
