@@ -10,6 +10,12 @@
 //! completions find their handler. The `pump`
 //! drains the driver's plan into the per-category issue paths
 //! (`reduce.rs` / `free.rs` / `conf.rs`).
+//!
+//! The pump runs once per handled event (`HambandNode::handle_event`
+//! ends with it) and is never re-entered: every acknowledgement an
+//! event produces frees its window slot first, then one planning pass
+//! refills all of them and one flush posts the burst — so the appends
+//! of a coalesced WRITE's completion coalesce again.
 
 use hamband_core::coord::MethodCategory;
 use hamband_core::ids::{MethodId, Pid, Rid};
@@ -231,8 +237,9 @@ where
     /// Acknowledge a call whose ack countdown reached zero: record the
     /// latency, emit the trace event, fan the completion back to the
     /// issuing session, and GC the backup slot once no write is in
-    /// flight. Re-enters the pump — an ack frees window budget for the
-    /// next planned call.
+    /// flight. The freed window budget is planned by the pump that
+    /// ends the event being handled, together with every other ack of
+    /// that event.
     pub(crate) fn finish_call<T: Transport>(&mut self, ctx: &mut T, call_id: u64) {
         if let Some(o) = self.outstanding.get_mut(&call_id) {
             if o.ack_remaining != 0 {
@@ -266,7 +273,6 @@ where
                 o.ack_remaining = 0;
             }
         }
-        self.pump(ctx);
     }
 
     /// One peer now durably holds this reducible call's summary: the

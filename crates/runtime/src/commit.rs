@@ -37,9 +37,6 @@ where
             ctx.emit(|| TraceEvent::CommitAdvance { node, group: g, commit });
         }
         // Acknowledge the committed client calls, in sequence order.
-        // The head is re-read every round: acknowledging re-enters the
-        // pump, which may append (and, on one node, commit) further
-        // calls.
         while let Some(leader) = self.engines[g].leader_mut() {
             let Some(&(seq, cid)) = leader.client_by_seq.front() else { break };
             if seq > commit {

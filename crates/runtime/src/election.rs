@@ -239,7 +239,8 @@ where
 
     /// Complete the takeover of `g`: install the writers at the adopted
     /// tail, rebroadcast the uncommitted window so every ring copy
-    /// converges, announce, and resume the group's quota.
+    /// converges, and announce. The group's quota resumes with the pump
+    /// that ends the event being handled.
     pub(crate) fn finish_takeover<T: Transport>(&mut self, ctx: &mut T, g: usize, max_tail: u64) {
         let (leader, epoch) = (self.me, self.engines[g].epoch);
         ctx.emit(|| TraceEvent::LeaderChange { group: g, leader, epoch });
@@ -276,7 +277,6 @@ where
             }
         }
         self.advance_commit(ctx, g);
-        self.pump(ctx);
     }
 
     /// A catch-up slot READ completed: install the slot bytes into our

@@ -85,8 +85,20 @@ where
                 })
                 .collect();
             // Query progress at the suspect is unobservable directly;
-            // estimate it from its observable update progress (the
-            // ingress interleaves both uniformly) and adopt the rest.
+            // estimate it from its observable update progress and adopt
+            // the rest. The ingress does NOT interleave the two
+            // uniformly: it plans queries whenever every window is full,
+            // so a node's first pump runs its whole query quota at t = 0
+            // and a suspect's true remainder is 0. `seen_updates` sums
+            // the conflicting calls the suspect issued as a leader, which
+            // `planned_updates` (its conflict-free quota) excludes, so a
+            // leader that has committed that many calls of any kind
+            // saturates the `min` below, reads as "queries done" and has
+            // 0 queries adopted. That is exact —
+            // `faults.rs::leader_failure_completes_exactly_the_budget` —
+            // but only because of the t = 0 burst. A follower (or a
+            // leader suspected very early) has the share of its queries
+            // that matches its unseen updates run again by the adopter.
             let planned_updates: u64 =
                 (0..self.coord.method_count()).map(|m| their.free[m]).sum();
             let seen_updates: u64 = (0..self.coord.method_count())
@@ -115,7 +127,6 @@ where
                 self.start_election(ctx, g);
             }
         }
-        self.pump(ctx);
     }
 
     /// Post the RDMA read of `suspect`'s whole backup region (its

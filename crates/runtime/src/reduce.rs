@@ -8,7 +8,7 @@
 //! one summary WRITE per (group, peer) channel is in flight; calls
 //! folded in meanwhile wait (`sum_waiters`) for a later write to carry
 //! their — or a newer — version, and a completion that lands stale
-//! reposts the latest slot before crediting anyone.
+//! reposts the latest slot.
 
 use hamband_core::ids::{MethodId, Pid};
 use hamband_core::object::WorkloadSupport;
@@ -223,27 +223,13 @@ where
         let q = target.index();
         debug_assert_eq!(self.sum_inflight[g][q], Some(version), "routed write matches");
         self.sum_inflight[g][q] = None;
-        // The slot is last-writer-wins: landing version v makes
-        // every folded-in call up to v durable at this peer.
-        let mut credited = Vec::new();
-        while let Some(&(v, cid)) = self.sum_waiters[g][q].front() {
-            if v > version {
-                break;
-            }
-            self.sum_waiters[g][q].pop_front();
-            credited.push(cid);
-        }
-        // Dirty channel: the local summary moved past what
-        // landed — repost the latest slot (it is already
-        // encoded in the group's reuse buffer). This must
-        // happen BEFORE crediting: crediting re-enters the
-        // pump, and a fresh reduce issued there must find the
-        // channel busy again, not post a second in-flight
-        // write on it.
+        // Dirty channel: the local summary moved past what landed —
+        // repost the latest slot (it is already encoded in the group's
+        // reuse buffer).
         let latest = self.sum_cache[g][self.me.index()].version;
         if latest > version {
             debug_assert!(
-                !self.sum_waiters[g][q].is_empty(),
+                self.sum_waiters[g][q].back().is_some_and(|&(v, _)| v > version),
                 "a newer local version implies someone still waits"
             );
             let slot = std::mem::take(&mut self.sum_slot_buf[g]);
@@ -251,7 +237,13 @@ where
             self.post_summary(ctx, g, target, latest, &slot, method);
             self.sum_slot_buf[g] = slot;
         }
-        for cid in credited {
+        // The slot is last-writer-wins: landing version v makes
+        // every folded-in call up to v durable at this peer.
+        while let Some(&(v, cid)) = self.sum_waiters[g][q].front() {
+            if v > version {
+                break;
+            }
+            self.sum_waiters[g][q].pop_front();
             self.credit_summary_peer(ctx, cid);
         }
     }

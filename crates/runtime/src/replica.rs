@@ -320,7 +320,6 @@ where
         for g in 0..self.engines.len() {
             self.flush_commit(ctx, g);
         }
-        self.pump(ctx);
     }
 
     fn on_completion<T: Transport>(
@@ -388,7 +387,17 @@ where
     /// Feed one event-loop event to the replica. Public so non-`App`
     /// event loops (the threaded backend) can drive the same state
     /// machine the simulator does.
+    ///
+    /// Every event that runs on the application CPU ends with exactly
+    /// one `pump`: whatever the event acknowledged, applied or unblocked
+    /// is planned in one pass and flushed as one coalesced burst. The
+    /// heartbeat and failure-detector timers are dedicated threads (§4)
+    /// and a fault is injected from outside, so those do not plan.
     pub fn handle_event<T: Transport>(&mut self, ctx: &mut T, event: Event) {
+        let on_app_cpu = !matches!(
+            event,
+            Event::Timer { tag: TAG_HEARTBEAT | TAG_FD, .. } | Event::Fault { .. }
+        );
         match event {
             Event::Timer { tag: TAG_POLL, .. } => {
                 self.poll(ctx);
@@ -442,6 +451,9 @@ where
                     }
                 }
             }
+        }
+        if on_app_cpu {
+            self.pump(ctx);
         }
     }
 }

@@ -7,7 +7,7 @@ use hamband_runtime::codec::{
     compose_backup_slot, Entry, SummarySlot, BACKUP_FREE, BACKUP_SUMMARY,
 };
 use hamband_runtime::{assemble, HambandNode, RunConfig, Runner, System, WorkloadSpec};
-use hamband_types::{Bank, Counter, GSet};
+use hamband_types::{Bank, Counter, Courseware, GSet};
 use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
 
 fn counter_cluster(n: usize, ops: u64, plan: FaultPlan) -> Simulator<HambandNode<Counter>> {
@@ -153,6 +153,24 @@ fn follower_crash_survivors_converge() {
     for i in 1..3 {
         assert_eq!(sim.app(NodeId(i)).state_snapshot(), s0, "survivor {i} diverged");
     }
+}
+
+/// The group leader's heartbeat stops mid-run (Fig. 13). The adopter
+/// takes over the leader's unseen conflict-free quota and none of its
+/// queries — the leader ran all of them in its first pump — and the new
+/// leader serves the rest of the pooled conflicting quota, so the run
+/// completes exactly its call budget: nothing lost, nothing run twice.
+#[test]
+fn leader_failure_completes_exactly_the_budget() {
+    let c = Courseware::default();
+    let total_ops = 1_536;
+    let workload = WorkloadSpec::ops(total_ops).with_update_ratio(0.5).with_window(8).with_seed(1);
+    let plan = FaultPlan::new().at(SimTime(150_000), Fault::SuspendHeartbeat(NodeId(0)));
+    let run = RunConfig::new(4, workload).with_seed(1).with_faults(plan);
+    let report = Runner::new(System::Hamband, run).run(&c, &c.coord_spec()).report;
+    assert!(report.converged);
+    assert!(report.completed_at > SimTime(150_000), "the fault must land mid-run");
+    assert_eq!(report.total_calls, total_ops);
 }
 
 /// A plan that crashes every node leaves nobody to agree: the harness

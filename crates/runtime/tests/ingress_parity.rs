@@ -1,6 +1,7 @@
-//! Flat-combining ingress: behavior parity and many-session runs.
+//! Flat-combining ingress: behavior parity, many-session runs, and
+//! the batching the combiner exists to deliver.
 //!
-//! Two families of guarantees:
+//! Three families of guarantees:
 //!
 //! 1. **Parity** — a fixed-seed run must reproduce its golden trace
 //!    fingerprint exactly; equality means every protocol event (ring
@@ -10,6 +11,9 @@
 //! 2. **Many sessions** — session fan-in must not break convergence,
 //!    determinism, or the per-session accounting that fairness
 //!    reporting is built on.
+//! 3. **Batching** — a saturated FREE workload must reach the fabric as
+//!    coalesced ring WRITEs: slots per WRITE near `max_batch`, exactly 1
+//!    at `max_batch = 1`, the same converged state either way.
 //!
 //! Golden provenance: the fingerprints were originally captured from
 //! `examples/trace_fingerprint.rs` against the pre-ingress closed-loop
@@ -31,14 +35,22 @@
 //! stale trailer cannot validate the next epoch's half-landed entry
 //! under word-granularity concurrent readers. Counter goldens were
 //! unchanged both times (its calls ride the summary path; no ring
-//! entries, so no ring byte counts in its timings). Any future
-//! mismatch is a regression, not an excuse for another bless.
+//! entries, so no ring byte counts in its timings). A FOURTH re-bless
+//! (PR 16, "one pump per handled event") moved every golden whose run
+//! appends to a ring — Bank, buffered GSet, Bank + leader fault and both
+//! saturated sets: the replica now plans and flushes once per handled
+//! event, not once per acknowledged call, so the appends an event
+//! unblocks leave as one coalesced WRITE per peer (fewer `RingWrite`
+//! events, earlier completions). Counter goldens are again unchanged:
+//! summaries never touch a ring. Any future mismatch is a regression,
+//! not an excuse for another bless.
 
 use hamband_core::wire::Wire;
 use hamband_core::{CoordSpec, WorkloadSupport};
 use hamband_runtime::{
     DurabilityMode, RunConfig, Runner, RuntimeConfig, System, TraceMode, TraceRecord, WorkloadSpec,
 };
+use hamband_types::orset::OrSetState;
 use hamband_types::{Bank, Counter, GSet, OrSet};
 use proptest::prelude::*;
 use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime};
@@ -66,19 +78,19 @@ const GOLDEN_COUNTER: [(u64, usize, u64); 3] = [
     (13, 918, 0xd21778286864edb0),
 ];
 const GOLDEN_BANK: [(u64, usize, u64); 3] = [
-    (1, 3345, 0x110889163c896b2c),
-    (7, 3348, 0xa52e1334eaa7d8cd),
-    (13, 3372, 0xcffb608059cec8b5),
+    (1, 3282, 0x9c204119187de852),
+    (7, 3285, 0x202372b17199239e),
+    (13, 3291, 0x83c7a08334e4db0f),
 ];
 const GOLDEN_GSET_FAULTS: [(u64, usize, u64); 3] = [
-    (1, 2675, 0x725f6fe8df6ba1d5),
-    (7, 2675, 0xfce172e469afb5a3),
-    (13, 2675, 0xa16b947c55f8a459),
+    (1, 2111, 0xb0db0475afbadb2d),
+    (7, 2111, 0x590c9523f46a1b34),
+    (13, 2111, 0x25abd8b1c923bd15),
 ];
 const GOLDEN_BANK_LEADERFAULT: [(u64, usize, u64); 3] = [
-    (1, 4736, 0x8ba74939100c9ec6),
-    (7, 4708, 0x699dec5bf3e48500),
-    (13, 4711, 0xba5f52f03312bf99),
+    (1, 4632, 0xdae77c3e38332545),
+    (7, 4612, 0x5442dd67ef32aadf),
+    (13, 4620, 0x9a46abe50bddb7dc),
 ];
 
 #[test]
@@ -136,18 +148,19 @@ fn one_session_parity_survives_faults_and_quota_adoption() {
 /// Saturated goldens: 64 sessions per node keep every node's CPU busy,
 /// so hundreds of completions and poll timers wait on it at once —
 /// the simulator's CPU-wait path, which the 1-session runs above never
-/// load. The plan walks every fault arm that path crosses. Pinned
-/// against the re-push scheduler (PR 14's first commit); the per-node
-/// wait queues that replaced it must reproduce them byte for byte.
+/// load. The plan walks every fault arm that path crosses. First pinned
+/// against the re-push scheduler (PR 14's first commit), which the
+/// per-node wait queues reproduced byte for byte; re-blessed with the
+/// other ring goldens in PR 16 (module header).
 const GOLDEN_ORSET_SATURATED: [(u64, usize, u64); 3] = [
-    (1, 36311, 0xb7abf8c1e48b3755),
-    (7, 36311, 0xbdf6f2252b1b5ef6),
-    (13, 36311, 0x59524782db76ca54),
+    (1, 25124, 0xca256d0a5d0d0132),
+    (7, 25124, 0x901c973062c62766),
+    (13, 25124, 0xb6b22d497e0a7818),
 ];
 const GOLDEN_BANK_SATURATED: [(u64, usize, u64); 3] = [
-    (1, 13962, 0x8e96acff658140d9),
-    (7, 14091, 0xdbb7d1e99d2a2f81),
-    (13, 14052, 0x5685ee46760df091),
+    (1, 11895, 0x7775945cab013cfd),
+    (7, 11790, 0x5f716e6faaeb7072),
+    (13, 11920, 0xdbde6ee06b459ec3),
 ];
 
 /// Partition + heal, a duplicated completion, a delay spike and a
@@ -205,6 +218,37 @@ fn saturated_sessions_match_repush_scheduler_goldens() {
         let got = saturated_digest(&b, &b.coord_spec(), 4, spec, seed);
         assert_eq!(got, (events, hash), "bank saturated seed={seed}");
     }
+}
+
+/// OrSet on 6 nodes x 64 sessions, window 8: every call is a FREE ring
+/// append and every node's combiner always has a backlog. Returns ring
+/// slots per ring WRITE and the converged state.
+fn saturated_orset_batching(max_batch: usize) -> (f64, OrSetState) {
+    let o = OrSet::default();
+    let spec = WorkloadSpec::ops(2_000)
+        .with_update_ratio(0.25)
+        .with_sessions(64)
+        .with_window(8)
+        .with_seed(1);
+    let runtime = RuntimeConfig::default().with_max_batch(max_batch);
+    let cfg = RunConfig::new(6, spec).with_seed(1).with_runtime(runtime);
+    let (out, states) = Runner::new(System::Hamband, cfg).run_with_states(&o, &o.coord_spec());
+    assert!(out.report.converged, "max_batch={max_batch} must converge");
+    assert_eq!(out.report.total_calls, 2_000);
+    let factor = out.stats.ring_slots as f64 / out.stats.ring_writes as f64;
+    (factor, states[0].state.clone())
+}
+
+#[test]
+fn saturated_free_appends_reach_the_fabric_coalesced() {
+    // The combiner plans once per handled event, so the appends that a
+    // coalesced WRITE's completion unblocks leave coalesced again. A
+    // pump per acknowledged call coalesces only the t = 0 burst: 3.6.
+    let (batched, state_batched) = saturated_orset_batching(16);
+    assert!(batched >= 8.0, "max_batch = 16 delivers {batched:.2} slots per ring WRITE");
+    let (single, state_single) = saturated_orset_batching(1);
+    assert_eq!(single, 1.0, "max_batch = 1 is one slot per WRITE");
+    assert_eq!(state_batched, state_single, "batching is pure cost: same final state");
 }
 
 #[test]
