@@ -404,6 +404,7 @@ impl Fabric {
         let nf = &mut self.nodes[node.index()];
         let start = nf.cpu_free.max(self.now);
         nf.cpu_free = start + cost;
+        self.stats.cpu_busy_ns[node.index()] += cost.as_nanos();
         nf.cpu_free
     }
 
@@ -413,6 +414,7 @@ impl Fabric {
         let nf = &mut self.nodes[node.index()];
         let start = nf.nic_free.max(self.now);
         nf.nic_free = start + cost;
+        self.stats.nic_busy_ns[node.index()] += cost.as_nanos();
         nf.nic_free
     }
 
@@ -519,6 +521,20 @@ impl Ctx<'_> {
     /// Charge `cost` of local CPU work (e.g. executing a method body).
     pub fn consume(&mut self, cost: SimDuration) {
         self.fabric.charge_cpu(self.node, cost);
+    }
+
+    /// Whether events are parked waiting for this node's CPU — a poll
+    /// loop's "the completion queue is not drained yet". They came due
+    /// while an earlier charge was running; only delivery parks events,
+    /// so the answer holds for the whole handler. False for an event
+    /// that found the CPU free, true for every parked event but the
+    /// last to leave; an isolated timer never waits, so never counts.
+    ///
+    /// A counted event can still leave without a handler call (a
+    /// cancelled timer, a message a partition holds back, a crashed
+    /// node), so whoever defers work on this needs a timer behind it.
+    pub fn cpu_backlog(&self) -> bool {
+        !self.fabric.nodes[self.node.index()].waiting.is_empty()
     }
 
     /// The configured latency model (read-only).

@@ -27,12 +27,25 @@ pub struct Stats {
     pub ring_slots: u64,
     /// Per-node posted verb counts (writes + reads + cas + sends).
     pub per_node_ops: Vec<u64>,
+    /// Per-node virtual nanoseconds of CPU charged (handlers, verb
+    /// posting, message receive) — against the run's span, which
+    /// resource binds a workload. A backend without a CPU model
+    /// (threaded) leaves it 0.
+    pub cpu_busy_ns: Vec<u64>,
+    /// Per-node virtual nanoseconds of NIC transmit time reserved (one
+    /// `nic_tx_cost` per posted verb or message). 0 on threaded.
+    pub nic_busy_ns: Vec<u64>,
 }
 
 impl Stats {
     /// Zeroed statistics for a cluster of `n` nodes.
     pub fn new(n: usize) -> Self {
-        Stats { per_node_ops: vec![0; n], ..Stats::default() }
+        Stats {
+            per_node_ops: vec![0; n],
+            cpu_busy_ns: vec![0; n],
+            nic_busy_ns: vec![0; n],
+            ..Stats::default()
+        }
     }
 
     /// Total one-sided verbs posted.
@@ -53,5 +66,6 @@ mod tests {
         s.cas = 1;
         assert_eq!(s.one_sided_total(), 6);
         assert_eq!(s.per_node_ops.len(), 2);
+        assert_eq!((s.cpu_busy_ns.len(), s.nic_busy_ns.len()), (2, 2));
     }
 }

@@ -1,6 +1,7 @@
 //! The simulator's CPU model at its edges: an event that finds its
 //! node's CPU busy waits for `cpu_free` and leaves in original sequence
-//! order; what each fault arm does to an event that is waiting.
+//! order; what each fault arm does to an event that is waiting; what
+//! a handler is told about the events waiting behind it.
 //!
 //! Every expectation here was first written against the scheduler that
 //! re-pushed each blocked event through the global queue, and holds
@@ -30,9 +31,13 @@ enum Extra {
     Write(RegionId),
 }
 
+/// `Ctx::cpu_backlog` as each handler saw it, in handling order.
+type Backlog = Rc<RefCell<Vec<bool>>>;
+
 /// Logs every event; a timer charges the CPU its tag names.
 struct Worker {
     log: Log,
+    backlog: Backlog,
     /// `(label, action)`: run `action` when the timer `label` fires.
     extras: Vec<(u64, Extra)>,
 }
@@ -47,6 +52,7 @@ impl App for Worker {
             Event::Fault { .. } => "fault".to_string(),
         };
         self.log.borrow_mut().push((ctx.now().nanos(), ctx.node().index(), what));
+        self.backlog.borrow_mut().push(ctx.cpu_backlog());
         if let Event::Timer { tag, .. } = event {
             ctx.consume(SimDuration::nanos(tag % 1_000_000));
             for (label, extra) in &self.extras {
@@ -65,9 +71,10 @@ impl App for Worker {
 
 fn cluster(n: usize) -> (Simulator<Worker>, RegionId, Log) {
     let log: Log = Rc::default();
+    let backlog: Backlog = Rc::default();
     let mut sim = Simulator::new(n, LatencyModel::deterministic(), 1);
     let region = sim.add_region_all(64);
-    sim.set_apps(|_| Worker { log: log.clone(), extras: Vec::new() });
+    sim.set_apps(|_| Worker { log: log.clone(), backlog: backlog.clone(), extras: Vec::new() });
     (sim, region, log)
 }
 
@@ -167,6 +174,60 @@ fn isolated_timers_bypass_and_cancellation_reaches_a_waiting_timer() {
     sim.app_mut(NodeId(0)).extras.push((4, Extra::Cancel(doomed)));
     sim.run_for(SimDuration::micros(10));
     assert_eq!(entries(&log), vec![e(0, 0, "t1"), e(500, 0, "t4"), e(1_000, 0, "t3")]);
+}
+
+/// What each handled event was, and whether its handler was told that
+/// more events wait for the CPU.
+fn backlog_seen(sim: &Simulator<Worker>, log: &Log) -> Vec<(String, bool)> {
+    let seen = sim.app(NodeId(0)).backlog.borrow();
+    log.borrow().iter().map(|(_, _, what)| what.clone()).zip(seen.iter().copied()).collect()
+}
+
+fn told(what: &str, backlog: bool) -> (String, bool) {
+    (what.to_string(), backlog)
+}
+
+#[test]
+fn backlog_is_reported_until_the_last_waiting_event_leaves() {
+    let (mut sim, _, log) = cluster(1);
+    timer(&mut sim, 0, 0, 1, 1_000); // finds the CPU free
+    timer(&mut sim, 0, 100, 2, 250); // first of three that wait
+    timer(&mut sim, 0, 200, 3, 0);
+    timer(&mut sim, 0, 300, 4, 0); // the last to leave
+    timer(&mut sim, 0, 2_000, 5, 0); // free again
+    sim.run_for(SimDuration::micros(10));
+    assert_eq!(
+        entries(&log),
+        vec![
+            e(0, 0, "t1"),
+            e(1_000, 0, "t2"),
+            e(1_250, 0, "t3"),
+            e(1_250, 0, "t4"),
+            e(2_000, 0, "t5"),
+        ]
+    );
+    assert_eq!(
+        backlog_seen(&sim, &log),
+        vec![told("t1", false), told("t2", true), told("t3", true), told("t4", false), told("t5", false)]
+    );
+}
+
+#[test]
+fn isolated_timer_neither_counts_as_backlog_nor_waits() {
+    let (mut sim, _, log) = cluster(1);
+    timer(&mut sim, 0, 0, 1, 1_000);
+    timer(&mut sim, 0, 100, 2, 0); // waits alone
+    isolated(&mut sim, 0, 500, 3, 0); // runs at 500 and sees t2 waiting
+    isolated(&mut sim, 0, 1_000, 4, 0); // due when t2 leaves, never queued
+    sim.run_for(SimDuration::micros(10));
+    assert_eq!(
+        entries(&log),
+        vec![e(0, 0, "t1"), e(500, 0, "t3"), e(1_000, 0, "t2"), e(1_000, 0, "t4")]
+    );
+    assert_eq!(
+        backlog_seen(&sim, &log),
+        vec![told("t1", false), told("t3", true), told("t2", false), told("t4", false)]
+    );
 }
 
 #[test]

@@ -11,11 +11,16 @@
 //! drains the driver's plan into the per-category issue paths
 //! (`reduce.rs` / `free.rs` / `conf.rs`).
 //!
-//! The pump runs once per handled event (`HambandNode::handle_event`
-//! ends with it) and is never re-entered: every acknowledgement an
-//! event produces frees its window slot first, then one planning pass
-//! refills all of them and one flush posts the burst — so the appends
-//! of a coalesced WRITE's completion coalesce again.
+//! The pump is the planning step the backend's event loop calls once
+//! the events already due for the node are handled — never from inside
+//! a handler, so it is never re-entered. Every acknowledgement those
+//! events produce frees its window slot first; then one planning pass
+//! refills all of them and one flush posts the burst, so what k waiting
+//! completions freed leaves as one coalesced WRITE per peer, not k. The
+//! simulator shell plans when no event is parked waiting for the node's
+//! CPU (`replica.rs`, `impl App`); the threaded shell once per loop
+//! iteration, after its messages and due timers
+//! (`threaded/cluster.rs`).
 
 use hamband_core::coord::MethodCategory;
 use hamband_core::ids::{MethodId, Pid, Rid};
@@ -46,8 +51,6 @@ pub(crate) enum Route {
     CatchupRead {
         group: usize,
         from_seq: u64,
-        #[allow(dead_code)]
-        count: u64,
         max_tail: u64,
     },
 }
@@ -80,7 +83,11 @@ where
     /// until the ingress yields (or an impermissible streak suggests
     /// waiting for the views to move), then flush the whole combined
     /// burst as coalesced ring appends.
-    pub(crate) fn pump<T: Transport>(&mut self, ctx: &mut T) {
+    ///
+    /// Public because the event loop decides when: after the events
+    /// that are due for this node have been through
+    /// [`handle_event`](HambandNode::handle_event), once.
+    pub fn pump<T: Transport>(&mut self, ctx: &mut T) {
         if self.halted {
             return;
         }
@@ -237,9 +244,8 @@ where
     /// Acknowledge a call whose ack countdown reached zero: record the
     /// latency, emit the trace event, fan the completion back to the
     /// issuing session, and GC the backup slot once no write is in
-    /// flight. The freed window budget is planned by the pump that
-    /// ends the event being handled, together with every other ack of
-    /// that event.
+    /// flight. The freed window budget is planned by the event loop's
+    /// next pump, together with every other ack handled before it.
     pub(crate) fn finish_call<T: Transport>(&mut self, ctx: &mut T, call_id: u64) {
         if let Some(o) = self.outstanding.get_mut(&call_id) {
             if o.ack_remaining != 0 {

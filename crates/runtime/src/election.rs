@@ -214,7 +214,6 @@ where
         if own_tail < won.max_tail && won.max_tail_holder != self.me {
             // Catch up: read the missing suffix from the best follower.
             let from_seq = own_tail + 1;
-            let count = won.max_tail - own_tail;
             self.engines[g].begin_takeover(won.max_tail);
             // Ring is positional: read slot-by-slot range; wrap handled
             // by issuing one read per slot (the suffix is short).
@@ -229,7 +228,7 @@ where
                 );
                 self.wr_routes.insert(
                     wr,
-                    Route::CatchupRead { group: g, from_seq: s, count, max_tail: won.max_tail },
+                    Route::CatchupRead { group: g, from_seq: s, max_tail: won.max_tail },
                 );
             }
         } else {
@@ -239,8 +238,8 @@ where
 
     /// Complete the takeover of `g`: install the writers at the adopted
     /// tail, rebroadcast the uncommitted window so every ring copy
-    /// converges, and announce. The group's quota resumes with the pump
-    /// that ends the event being handled.
+    /// converges, and announce. The group's quota resumes with the next
+    /// planning pass — the event loop's, once its due events are handled.
     pub(crate) fn finish_takeover<T: Transport>(&mut self, ctx: &mut T, g: usize, max_tail: u64) {
         let (leader, epoch) = (self.me, self.engines[g].epoch);
         ctx.emit(|| TraceEvent::LeaderChange { group: g, leader, epoch });

@@ -761,6 +761,8 @@ fn summarize<O: WorkloadSupport>(
         } else {
             0.0
         },
+        cpu_busy_ns: stats.cpu_busy_ns.clone(),
+        nic_busy_ns: stats.nic_busy_ns.clone(),
         per_method_rt_us: per_method.into_iter().map(|(k, h)| (k, h.mean_us())).collect(),
         phases: Phase::ALL
             .iter()

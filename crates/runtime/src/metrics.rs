@@ -301,6 +301,14 @@ pub struct RunReport {
     /// reducible-only workload this drops below 1.0 per peer once
     /// summary write-combining collapses k reduces into one WRITE.
     pub writes_per_op: f64,
+    /// Per node: virtual nanoseconds of CPU charged and of NIC transmit
+    /// time reserved over the whole simulated span (which runs a settle
+    /// period past [`completed_at`](Self::completed_at)). Against the
+    /// span they say which resource binds the workload, and on which
+    /// node. All zero on the threaded backend, which models neither.
+    pub cpu_busy_ns: Vec<u64>,
+    /// See [`cpu_busy_ns`](Self::cpu_busy_ns).
+    pub nic_busy_ns: Vec<u64>,
     /// Mean response time per method name.
     pub per_method_rt_us: BTreeMap<String, f64>,
     /// Latency distribution per protocol phase, keyed by
@@ -329,6 +337,18 @@ fn push_json_str(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// Append `vs` as a JSON array of integers.
+fn push_json_u64s(out: &mut String, vs: &[u64]) {
+    out.push('[');
+    for (i, v) in vs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&v.to_string());
+    }
+    out.push(']');
 }
 
 /// Append `v` as a JSON number (non-finite values become 0).
@@ -380,6 +400,10 @@ impl RunReport {
         ));
         out.push_str(",\"writes_per_op\":");
         push_json_f64(&mut out, self.writes_per_op);
+        out.push_str(",\"cpu_busy_ns\":");
+        push_json_u64s(&mut out, &self.cpu_busy_ns);
+        out.push_str(",\"nic_busy_ns\":");
+        push_json_u64s(&mut out, &self.nic_busy_ns);
         out.push_str(",\"converged\":");
         out.push_str(if self.converged { "true" } else { "false" });
         out.push_str(",\"per_method_rt_us\":{");
@@ -602,6 +626,8 @@ mod tests {
             writes_posted: 60,
             bytes_written: 6_000,
             writes_per_op: 2.4,
+            cpu_busy_ns: vec![900_000; 4],
+            nic_busy_ns: vec![300_000; 4],
             per_method_rt_us: BTreeMap::new(),
             phases,
             converged: true,
@@ -644,6 +670,8 @@ mod tests {
             writes_posted: 12,
             bytes_written: 3_400,
             writes_per_op: 3.0,
+            cpu_busy_ns: vec![2_400, 1_800, 0],
+            nic_busy_ns: vec![1_320, 0, 0],
             per_method_rt_us: per_method,
             phases,
             converged: false,
@@ -655,6 +683,7 @@ mod tests {
             "{\"system\":\"mu-smr\",\"nodes\":3,\"total_calls\":7,\"total_updates\":4,\
              \"completed_at_us\":2.5,\"throughput_ops_per_us\":0,\"mean_rt_us\":1.25,\
              \"writes_posted\":12,\"bytes_written\":3400,\"writes_per_op\":3,\
+             \"cpu_busy_ns\":[2400,1800,0],\"nic_busy_ns\":[1320,0,0],\
              \"converged\":false,\"per_method_rt_us\":{\"with \\\"quote\\\"\":2.5},\
              \"phases\":{\"conf\":{\"count\":3,\"mean_us\":1,\"p50_us\":1,\"p90_us\":2,\
              \"p99_us\":2,\"max_us\":2.25}}}"
@@ -674,6 +703,8 @@ mod tests {
             writes_posted: 5,
             bytes_written: 500,
             writes_per_op: 1.0,
+            cpu_busy_ns: Vec::new(),
+            nic_busy_ns: Vec::new(),
             per_method_rt_us: BTreeMap::new(),
             phases: BTreeMap::new(),
             converged: true,

@@ -378,7 +378,7 @@ where
                     self.recover_backups(ctx, suspect, bytes);
                 }
             }
-            Route::CatchupRead { group, from_seq, max_tail, .. } => {
+            Route::CatchupRead { group, from_seq, max_tail } => {
                 self.on_catchup_read(ctx, group, from_seq, max_tail, data);
             }
         }
@@ -388,12 +388,15 @@ where
     /// event loops (the threaded backend) can drive the same state
     /// machine the simulator does.
     ///
-    /// Every event that runs on the application CPU ends with exactly
-    /// one `pump`: whatever the event acknowledged, applied or unblocked
-    /// is planned in one pass and flushed as one coalesced burst. The
+    /// Handling never plans: it frees window slots, applies entries and
+    /// advances commits, and leaves the planning pass
+    /// ([`pump`](HambandNode::pump)) to the backend's event loop, which
+    /// knows when its input is drained. Returns whether the event ran on
+    /// the application CPU and so left something a plan could use — the
     /// heartbeat and failure-detector timers are dedicated threads (§4)
-    /// and a fault is injected from outside, so those do not plan.
-    pub fn handle_event<T: Transport>(&mut self, ctx: &mut T, event: Event) {
+    /// and a fault is injected from outside, so those return `false`.
+    #[must_use = "the event loop owes a `pump` once its due events are handled"]
+    pub fn handle_event<T: Transport>(&mut self, ctx: &mut T, event: Event) -> bool {
         let on_app_cpu = !matches!(
             event,
             Event::Timer { tag: TAG_HEARTBEAT | TAG_FD, .. } | Event::Fault { .. }
@@ -452,9 +455,7 @@ where
                 }
             }
         }
-        if on_app_cpu {
-            self.pump(ctx);
-        }
+        on_app_cpu
     }
 }
 
@@ -474,7 +475,16 @@ where
         if matches!(event, Event::Timer { tag: TAG_POLL, .. }) {
             ctx.consume(self.cfg.poll_cost);
         }
-        self.handle_event(ctx, event);
+        // A poll loop takes every completion that is there before it
+        // serves clients. Events parked behind this one were due while
+        // the CPU was busy — already in the completion queue — so the
+        // plan waits for the last of them and one flush carries what
+        // they all freed. Should the rest never reach a handler (a
+        // partition holds a parked message back), the next poll timer
+        // plans: it is always re-armed.
+        if self.handle_event(ctx, event) && !ctx.cpu_backlog() {
+            self.pump(ctx);
+        }
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {

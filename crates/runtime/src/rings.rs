@@ -33,9 +33,6 @@ use rdma_sim::{CompletionStatus, IdMap, NodeId, RegionId, RingKind, TraceEvent, 
 use crate::codec::Entry;
 use crate::transport::Transport;
 
-/// How many encoded-slot buffers a writer keeps around for reuse.
-const SPARE_SLOTS: usize = 32;
-
 /// Writer-side state of one ring (one per (writer, reader) pair for `F`
 /// buffers; one per reader for each `L` buffer the leader feeds).
 #[derive(Debug)]
@@ -62,7 +59,10 @@ pub struct RingWriter {
     /// Where the reader keeps its head counter (reader-local region).
     head_region: RegionId,
     head_offset: usize,
-    /// Recycled slot buffers (capacity `slot_size` each).
+    /// Recycled slot buffers (capacity `slot_size` each): every buffer a
+    /// flush empties comes back here, so the pool grows to the largest
+    /// burst ever queued — which the ingress bounds by its in-flight cap —
+    /// and an append allocates only while a burst is setting that mark.
     spare: Vec<Vec<u8>>,
     /// Scratch for assembling a multi-slot WRITE payload.
     batch_buf: Vec<u8>,
@@ -163,12 +163,6 @@ impl RingWriter {
         self.base + (((seq - 1) % self.cap) as usize) * self.slot_size
     }
 
-    fn recycle(&mut self, slot: Vec<u8>) {
-        if self.spare.len() < SPARE_SLOTS {
-            self.spare.push(slot);
-        }
-    }
-
     /// Append an encoded entry; returns its sequence number. The entry
     /// is only queued: call [`flush`](Self::flush) to post the pending
     /// entries (coalesced) once the current burst of appends is done.
@@ -251,7 +245,7 @@ impl RingWriter {
                 let (seq, slot) = self.pending.pop_front().expect("front checked");
                 debug_assert_eq!(slot.len(), self.slot_size, "slots are fixed-size");
                 self.batch_buf.extend_from_slice(&slot);
-                self.recycle(slot);
+                self.spare.push(slot);
                 last = seq;
             }
             let offset = self.slot_offset(first);

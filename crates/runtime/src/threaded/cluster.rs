@@ -184,10 +184,25 @@ where
     }
 }
 
-/// The per-replica event loop. Each iteration drains synchronous verb
-/// completions, a bounded batch of cross-thread messages, and every
-/// due timer, then publishes progress and yields the core — the yield
-/// is what keeps an n-thread cluster live on fewer-than-n cores.
+/// Handle every synchronous verb completion queued so far (handlers may
+/// post more). Returns whether any ran on the application CPU.
+fn drain_completions<O>(node: &mut HambandNode<O>, ctx: &mut ThreadedCtx) -> bool
+where
+    O: WorkloadSupport,
+    O::Update: Wire,
+{
+    let mut on_app_cpu = false;
+    while let Some(ev) = ctx.local_q.pop_front() {
+        on_app_cpu |= node.handle_event(ctx, ev);
+    }
+    on_app_cpu
+}
+
+/// The per-replica event loop. Each iteration handles a bounded batch
+/// of cross-thread messages and every due timer, plans once for all of
+/// them, handles the completions of what the plan posted, then
+/// publishes progress and yields the core — the yield is what keeps an
+/// n-thread cluster live on fewer-than-n cores.
 fn replica_thread<O>(
     node: &mut HambandNode<O>,
     ctx: &mut ThreadedCtx,
@@ -203,26 +218,30 @@ fn replica_thread<O>(
     if first {
         node.start(ctx);
     }
+    // Whether anything handled since the last plan ran on the
+    // application CPU.
+    let mut owes_plan = false;
     loop {
-        while let Some(ev) = ctx.local_q.pop_front() {
-            node.handle_event(ctx, ev);
-        }
         for _ in 0..MSG_BUDGET {
             let Ok(ev) = rx.try_recv() else { break };
-            node.handle_event(ctx, ev);
-            while let Some(ev) = ctx.local_q.pop_front() {
-                node.handle_event(ctx, ev);
-            }
+            owes_plan |= node.handle_event(ctx, ev);
+            owes_plan |= drain_completions(node, ctx);
         }
         // Timers armed while firing land strictly later than `now`,
         // so this inner loop terminates.
         let now = ctx.now();
         while let Some(ev) = ctx.pop_due_timer(now) {
-            node.handle_event(ctx, ev);
-            while let Some(ev) = ctx.local_q.pop_front() {
-                node.handle_event(ctx, ev);
-            }
+            owes_plan |= node.handle_event(ctx, ev);
+            owes_plan |= drain_completions(node, ctx);
         }
+        // Everything that was due is handled: plan once.
+        if std::mem::take(&mut owes_plan) {
+            node.pump(ctx);
+        }
+        // Verbs complete synchronously here, so what the plan posted is
+        // already due: acknowledge it before giving up the core. The
+        // plan those completions owe is the next iteration's.
+        owes_plan |= drain_completions(node, ctx);
         done.store(node.workload_done(), Ordering::Release);
         applied.store(node.applied_updates(), Ordering::Release);
         if shutdown.load(Ordering::Acquire) {

@@ -3,12 +3,17 @@
 
 use hamband_core::counts::DepMap;
 use hamband_core::ids::{Pid, Rid};
+use hamband_core::CoordSpec;
 use hamband_runtime::codec::{
     compose_backup_slot, Entry, SummarySlot, BACKUP_FREE, BACKUP_SUMMARY,
 };
-use hamband_runtime::{assemble, HambandNode, RunConfig, Runner, System, WorkloadSpec};
+use hamband_runtime::{
+    assemble, HambandNode, RunConfig, Runner, RuntimeConfig, System, TraceMode, WorkloadSpec,
+};
 use hamband_types::{Bank, Counter, Courseware, GSet};
-use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
+use rdma_sim::{
+    Fault, FaultPlan, NodeId, RingKind, SimDuration, SimTime, Simulator, TraceEvent,
+};
 
 fn counter_cluster(n: usize, ops: u64, plan: FaultPlan) -> Simulator<HambandNode<Counter>> {
     let c = Counter::default();
@@ -222,5 +227,87 @@ fn leader_crash_during_election_reelects() {
     // Leadership moved past both crashed nodes to the lowest survivor.
     for i in 2..5 {
         assert_eq!(sim.app(NodeId(i)).leader_view(0), Pid(2), "node {i} leader view");
+    }
+}
+
+/// The replica plans only when no event is parked waiting for its CPU
+/// (DESIGN.md §5). The one parked event that never reaches a handler is
+/// a message a partition takes out of the wait set — and if it was the
+/// whole backlog, the plan skipped for it has nobody left to make it.
+/// The poll timer does, within one `poll_interval`.
+///
+/// Counter with its one method declared conflicting, so node 0 orders
+/// every add through its log, one at a time (window 1). Node 0 spends
+/// its first ~90 us on its query quota, so the poll timer, the two
+/// completions of its first append and — last in line — a message from
+/// node 2 all wait for its CPU. The first completion commits and
+/// acknowledges the call but does not plan (two events wait), and posts
+/// the commit index, which keeps the CPU for 120 ns: in that gap a
+/// partition cuts node 0 from node 2. The second completion does not
+/// plan either (the message waits), and the message's turn then finds
+/// the partition and is held back until the heal.
+#[test]
+fn plan_skipped_for_a_partitioned_message_is_made_up_by_the_next_poll() {
+    let c = Counter::default();
+    let coord = CoordSpec::builder(1).conflict(0, 0).build();
+    let total_ops = 1_800;
+    let workload =
+        WorkloadSpec::ops(total_ops).with_update_ratio(0.02).with_window(1).with_seed(3);
+    // Detector reads would queue completions behind the message.
+    let mut runtime = RuntimeConfig::default().with_window(1);
+    runtime.fd_interval = SimDuration::millis(50);
+    let poll_interval = runtime.poll_interval;
+    let run = RunConfig::new(3, workload)
+        .with_seed(3)
+        .with_runtime(runtime)
+        .with_trace(TraceMode::Collect);
+    let (mut sim, _layout, trace) = assemble(&c, &coord, &run);
+    // An undecodable control message: ignored by its handler, but an
+    // application-CPU event like any other. Arrives at ~35 us.
+    sim.run_until(SimTime(10_000));
+    sim.with_app_ctx(NodeId(2), |_, ctx| ctx.send(NodeId(0), vec![0xff].into()));
+    while sim.app(NodeId(0)).metrics.updates_acked == 0 {
+        sim.run_for(SimDuration::nanos(20));
+        assert!(sim.now() < SimTime(1_000_000), "node 0 never acknowledged its first call");
+    }
+    let heal_at = SimTime(400_000);
+    sim.install_fault_plan(
+        &FaultPlan::new()
+            .at(sim.now() + SimDuration::nanos(1), Fault::Partition(vec![NodeId(0)], vec![NodeId(2)]))
+            .at(heal_at, Fault::Heal),
+    );
+    sim.run_until(SimTime(2_000_000));
+
+    let events = trace.expect("collecting").take();
+    let first_at = |what: &str, is: &dyn Fn(&TraceEvent) -> bool| {
+        events.iter().find(|r| is(&r.event)).unwrap_or_else(|| panic!("node 0 never {what}")).at
+    };
+    let first_ack =
+        first_at("acknowledges", &|e| matches!(e, TraceEvent::Ack { node: NodeId(0), .. }));
+    let second_issue = first_at("issues its second call", &|e| {
+        matches!(e, TraceEvent::RingAppend { ring: RingKind::Conf, writer: NodeId(0), seq: 2, .. })
+    });
+    let own_apply = first_at("applies its first entry", &|e| {
+        matches!(e, TraceEvent::RingApply { ring: RingKind::Conf, reader: NodeId(0), seq: 1, .. })
+    });
+    assert!(second_issue > first_ack, "the committing completion must not plan: two events wait");
+    assert!(
+        second_issue <= first_ack + poll_interval,
+        "the next poll plans: ack at {first_ack}, next call at {second_issue}"
+    );
+    assert!(second_issue < heal_at, "and not the message, which arrives with the heal");
+    // It was a poll that planned: the same handler applied the leader's
+    // own first entry, which only a traversal does.
+    assert_eq!(own_apply, second_issue, "the call was planned by the poll that applied seq 1");
+    let calls: u64 = (0..3)
+        .map(|i| {
+            let m = &sim.app(NodeId(i)).metrics;
+            m.updates_acked + m.queries
+        })
+        .sum();
+    assert_eq!(calls, total_ops, "the run completes exactly its budget");
+    let s0 = sim.app(NodeId(0)).state_snapshot();
+    for i in 1..3 {
+        assert_eq!(sim.app(NodeId(i)).state_snapshot(), s0, "node {i} diverged");
     }
 }

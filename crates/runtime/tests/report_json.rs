@@ -233,6 +233,8 @@ fn report_with(system: String, methods: Vec<String>, phase: String) -> RunReport
         writes_posted: 7,
         bytes_written: 700,
         writes_per_op: 1.75,
+        cpu_busy_ns: vec![1_200, 0, u64::MAX],
+        nic_busy_ns: Vec::new(),
         per_method_rt_us: per_method,
         phases,
         converged: true,
@@ -263,6 +265,12 @@ proptest! {
             prop_assert!(decoded.contains(m), "method name lost in encoding: {m:?}");
         }
         prop_assert!(decoded.contains(&phase), "phase label lost in encoding: {phase:?}");
+        // Per-node busy times are integer arrays: exact at u64::MAX
+        // (no float round trip), and `[]` for a cluster of none.
+        prop_assert!(
+            json.contains("\"cpu_busy_ns\":[1200,0,18446744073709551615],\"nic_busy_ns\":[],"),
+            "busy arrays missing or misencoded: {json}"
+        );
     }
 }
 

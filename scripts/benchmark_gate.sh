@@ -6,9 +6,12 @@
 # Why: since "one pump per handled event" (ROADMAP item 2(a)) the
 # `orset-sessions` run at self-check's 1/20 scale is CPU-lockstep: the
 # fabric's seeded jitter is absorbed by busy CPUs, so the default and the
-# hold-out seed give one fingerprint (they do at --scale 0.05 and 0.1,
-# and differ from 0.25 up; at the parent only `harness.virt_us` told them
-# apart). `selfcheck.rs` therefore reports
+# hold-out seed give one fingerprint. Then they did at --scale 0.05 and
+# 0.1 and differed from 0.25 up; since "plan when the completion queue is
+# drained" (PR 17) they give one at full scale as well — every node's CPU
+# is busy for the whole run (`cpu_busy_ns` in the report equals the span)
+# and each completion waits for it, whenever the fabric delivered it.
+# `selfcheck.rs` therefore reports
 #
 #     orset-sessions: the hold-out seed repeats the default seed's fingerprint
 #
@@ -22,8 +25,11 @@
 # `self-check` stops at its first failure, so it no longer reaches
 # `courseware-leaderfail`, `thr-counter-open` or its child-containment
 # check. What it held for them stays held elsewhere:
-#   - one seed one fingerprint, hold-out differs, on all five workloads:
-#     `scripts/fingerprints.sh --check`, at full scale (check.sh runs it);
+#   - one seed one fingerprint on all five workloads, and a hold-out seed
+#     that differs on the four whose run is not CPU-lockstep (all but
+#     `orset-sessions`, whose two lines in scripts/fingerprints.txt are
+#     equal): `scripts/fingerprints.sh --check`, at full scale (check.sh
+#     runs it);
 #   - tracing changes nothing, a leader failure's stages sum to its
 #     outage, no suspicion without a fault: the tally of a `--trace 1`
 #     run, made below for the three workloads from `orset-sessions` on.

@@ -44,6 +44,9 @@ echo "== benchmark package tests + self-check (ONE expected failure — see the 
 echo "== virtual fingerprints (five workloads, two seeds, against scripts/fingerprints.txt) =="
 ./scripts/fingerprints.sh --check
 
+echo "== figure shape checks (Figs. 8-13 + headline at 2000 ops, against scripts/figures.txt) =="
+./scripts/figures.sh --check
+
 echo "== chaos smoke (16 seeds) =="
 cargo build --release -p hamband-bench
 ./target/release/chaos --seeds 16
