@@ -16,7 +16,9 @@
 //! a handler, so it is never re-entered. Every acknowledgement those
 //! events produce frees its window slot first; then one planning pass
 //! refills all of them and one flush posts the burst, so what k waiting
-//! completions freed leaves as one coalesced WRITE per peer, not k. The
+//! completions freed leaves as one coalesced WRITE per peer, not k —
+//! ring appends and summary slots alike: nothing is posted while
+//! handling or planning, only in the flush that ends the pump. The
 //! simulator shell plans when no event is parked waiting for the node's
 //! CPU (`replica.rs`, `impl App`); the threaded shell once per loop
 //! iteration, after its messages and due timers
@@ -89,6 +91,11 @@ where
     /// [`handle_event`](HambandNode::handle_event), once.
     pub fn pump<T: Transport>(&mut self, ctx: &mut T) {
         if self.halted {
+            // A suspended node plans nothing, but the calls it folded
+            // in before the fault still wait for a summary WRITE, and
+            // the flush is the only place one is posted: keep draining
+            // its channels.
+            self.flush_summaries(ctx);
             return;
         }
         self.refresh_mat();
@@ -157,16 +164,19 @@ where
                 }
             }
         }
-        // The whole burst of appends is queued by now: post it as
-        // coalesced ring WRITEs (deferring to here is free in virtual
-        // time — same instant, fewer doorbells).
+        // The whole burst is queued by now: post it as one summary
+        // WRITE per idle channel and coalesced ring WRITEs (deferring
+        // to here is free in virtual time — same instant, fewer
+        // doorbells).
         self.flush_writers(ctx);
     }
 
-    /// Post everything the pump queued: coalesced WRITEs for the free
-    /// rings and for any leader-fed conflicting rings. Idle writers
-    /// cost one empty check each.
+    /// Post everything the pump queued: the latest summary slot on
+    /// every idle channel with a waiter, then coalesced WRITEs for the
+    /// free rings and for any leader-fed conflicting rings. Idle
+    /// channels and writers cost one empty check each.
     fn flush_writers<T: Transport>(&mut self, ctx: &mut T) {
+        self.flush_summaries(ctx);
         for w in self.free_writers.iter_mut().flatten() {
             w.flush(ctx);
         }

@@ -454,6 +454,25 @@ impl std::fmt::Display for RunReport {
                 s.count, s.p50_us, s.p90_us, s.p99_us, s.max_us
             )?;
         }
+        // Which resource binds the run, on which node. The counters also
+        // cover the settle period past `completed_at` (idle polls), so a
+        // saturated node can read a little over the span: cap at 100.
+        let span_ns = self.completed_at.0;
+        if span_ns > 0 && self.cpu_busy_ns.iter().any(|&b| b > 0) {
+            let shares = |busy: &[u64]| {
+                let pct: Vec<String> = busy
+                    .iter()
+                    .map(|&b| ((b * 100 + span_ns / 2) / span_ns).min(100).to_string())
+                    .collect();
+                pct.join("/")
+            };
+            write!(
+                f,
+                "\n           busy cpu {} % nic {} %",
+                shares(&self.cpu_busy_ns),
+                shares(&self.nic_busy_ns)
+            )?;
+        }
         if let Some(fair) = &self.fairness {
             write!(
                 f,
@@ -648,6 +667,19 @@ mod tests {
         assert!(s.contains("p99=3.00us"));
         assert!(s.contains("sessions=4000"));
         assert!(s.contains("jain=0.987"));
+        // Busy shares of the span, after the phase lines.
+        assert!(s.contains("busy cpu 90/90/90/90 % nic 30/30/30/30 %"));
+        assert!(s.find("p99=3.00us") < s.find("busy cpu"));
+        let with_busy = |cpu: Vec<u64>, nic: Vec<u64>| {
+            RunReport { cpu_busy_ns: cpu, nic_busy_ns: nic, ..r.clone() }.to_string()
+        };
+        // Per node, rounded; the settle period's polls are charged too,
+        // so a saturated node reads 100, not 101.
+        let s = with_busy(vec![1_012_000, 720_400, 715_000, 0], vec![360_000, 120_000, 124_999, 0]);
+        assert!(s.contains("\n           busy cpu 100/72/72/0 % nic 36/12/12/0 %\n"), "{s}");
+        // No CPU model (threaded: all zero) or no counters at all: no line.
+        assert!(!with_busy(vec![0; 4], vec![0; 4]).contains("busy"));
+        assert!(!with_busy(Vec::new(), Vec::new()).contains("busy"));
     }
 
     #[test]

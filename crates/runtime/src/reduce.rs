@@ -5,10 +5,18 @@
 //! issuer's current summary for its summarization group; peers learn it
 //! by polling the issuer's summary slot (last-writer-wins, carrying the
 //! per-method applied counts). The broadcast is write-combined: at most
-//! one summary WRITE per (group, peer) channel is in flight; calls
-//! folded in meanwhile wait (`sum_waiters`) for a later write to carry
-//! their — or a newer — version, and a completion that lands stale
-//! reposts the latest slot.
+//! one summary WRITE per (group, peer) channel is in flight, and a
+//! landed version acknowledges every call folded in up to it.
+//!
+//! The channel obeys the rule the rings obey — queue while handling and
+//! planning, post once in the pump's flush. `issue_reduce` folds and
+//! queues its waiter (`sum_waiters`) and never posts;
+//! `on_summary_write_done` frees the channel and credits what landed
+//! and never reposts; `flush_summaries`, at the end of every pump,
+//! posts the latest slot wherever a channel is idle and someone waits.
+//! So the calls a planning pass issues into the window slots a
+//! completion freed ride the very WRITE that completion made room for,
+//! not the one after it (DESIGN.md §5a).
 
 use hamband_core::ids::{MethodId, Pid};
 use hamband_core::object::WorkloadSupport;
@@ -93,10 +101,11 @@ where
         // record of its reducible calls — fence it before the remote
         // copies can land.
         ctx.fence_region(self.layout.summaries);
-        // Write-combining: post only where the (group, peer) channel is
-        // idle; otherwise the call waits for a later write to carry its
-        // (or a newer) version — the slot is last-writer-wins, so a
-        // landed version v acknowledges every call folded in up to v.
+        // Write-combining: the call only queues here. The pump's flush
+        // posts the latest slot on every idle channel once the whole
+        // planning pass has folded in — the slot is last-writer-wins,
+        // so a landed version v acknowledges every call folded in up
+        // to v.
         let mut remotes = 0;
         for q in 0..self.n {
             if q == me {
@@ -104,9 +113,6 @@ where
             }
             remotes += 1;
             self.sum_waiters[g][q].push_back((version, call_id));
-            if self.sum_inflight[g][q].is_none() {
-                self.post_summary(ctx, g, NodeId(q), version, &slot, method.index());
-            }
         }
         self.sum_slot_buf[g] = slot;
         self.outstanding.insert(
@@ -127,24 +133,37 @@ where
         }
     }
 
-    /// Post one summary WRITE of `slot` (carrying `version`) to
-    /// `target` and mark the (group, peer) channel busy. `method` only
-    /// labels the trace event (a combined write carries the whole
-    /// group's summary).
-    pub(crate) fn post_summary<T: Transport>(
-        &mut self,
-        ctx: &mut T,
-        g: usize,
-        target: NodeId,
-        version: u64,
-        slot: &[u8],
-        method: usize,
-    ) {
+    /// Post the group's latest encoded slot on every (group, peer)
+    /// channel that is idle and has a waiter. Called once per planning
+    /// pass, after the last fold, so one WRITE per peer carries every
+    /// call the pass issued and every call that folded in while the
+    /// previous WRITE was in flight.
+    pub(crate) fn flush_summaries<T: Transport>(&mut self, ctx: &mut T) {
+        for g in 0..self.sum_waiters.len() {
+            for q in 0..self.n {
+                if self.sum_inflight[g][q].is_none() && !self.sum_waiters[g][q].is_empty() {
+                    self.post_summary(ctx, g, NodeId(q));
+                }
+            }
+        }
+    }
+
+    /// Post one summary WRITE of the group's latest slot to `target`
+    /// and mark the (group, peer) channel busy. A combined write
+    /// carries the whole group's summary, so the trace event is
+    /// labelled with the group's first method.
+    fn post_summary<T: Transport>(&mut self, ctx: &mut T, g: usize, target: NodeId) {
         debug_assert!(self.sum_inflight[g][target.index()].is_none(), "one in flight per peer");
+        let version = self.sum_cache[g][self.me.index()].version;
         let offset = self.layout.summary_offset(g, self.me);
-        let wr = ctx.post_write(target, self.layout.summaries, offset, slot);
+        let wr = ctx.post_write(target, self.layout.summaries, offset, &self.sum_slot_buf[g]);
         let issuer = self.me;
-        ctx.emit(|| TraceEvent::SummaryWrite { issuer, target, method, version });
+        ctx.emit(|| TraceEvent::SummaryWrite {
+            issuer,
+            target,
+            method: self.coord.sum_groups()[g][0].index(),
+            version,
+        });
         self.sum_inflight[g][target.index()] = Some(version);
         self.wr_routes.insert(wr, Route::SummaryWrite { group: g, target, version });
     }
@@ -208,9 +227,12 @@ where
         }
     }
 
-    /// A summary WRITE to `(g, target)` completed: free the channel,
-    /// repost if the local summary already moved past what landed, and
-    /// credit every call whose version the landed write covers.
+    /// A summary WRITE to `(g, target)` completed: free the channel and
+    /// credit every call whose version the landed write covers. Never
+    /// reposts — if the local summary moved past what landed, the
+    /// waiters left behind make the next pump's flush post the latest
+    /// slot, together with whatever that pump plans into the window
+    /// slots this completion frees.
     pub(crate) fn on_summary_write_done<T: Transport>(
         &mut self,
         ctx: &mut T,
@@ -223,20 +245,6 @@ where
         let q = target.index();
         debug_assert_eq!(self.sum_inflight[g][q], Some(version), "routed write matches");
         self.sum_inflight[g][q] = None;
-        // Dirty channel: the local summary moved past what landed —
-        // repost the latest slot (it is already encoded in the group's
-        // reuse buffer).
-        let latest = self.sum_cache[g][self.me.index()].version;
-        if latest > version {
-            debug_assert!(
-                self.sum_waiters[g][q].back().is_some_and(|&(v, _)| v > version),
-                "a newer local version implies someone still waits"
-            );
-            let slot = std::mem::take(&mut self.sum_slot_buf[g]);
-            let method = self.coord.sum_groups()[g][0].index();
-            self.post_summary(ctx, g, target, latest, &slot, method);
-            self.sum_slot_buf[g] = slot;
-        }
         // The slot is last-writer-wins: landing version v makes
         // every folded-in call up to v durable at this peer.
         while let Some(&(v, cid)) = self.sum_waiters[g][q].front() {
@@ -246,5 +254,113 @@ where
             self.sum_waiters[g][q].pop_front();
             self.credit_summary_peer(ctx, cid);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{assemble, RunConfig, WorkloadSpec};
+    use hamband_types::counter::{Counter, CounterUpdate, ADD};
+    use rdma_sim::{SimDuration, Simulator};
+
+    const N0: NodeId = NodeId(0);
+
+    /// Three started Counter replicas with no workload of their own:
+    /// the tests issue node 0's REDUCE calls by hand.
+    fn idle_cluster() -> Simulator<HambandNode<Counter>> {
+        let c = Counter::default();
+        let run = RunConfig::new(3, WorkloadSpec::ops(0)).with_seed(1);
+        let (mut sim, _layout, _trace) = assemble(&c, &c.coord_spec(), &run);
+        sim.run_for(SimDuration::nanos(1));
+        sim
+    }
+
+    fn add(sim: &mut Simulator<HambandNode<Counter>>, delta: i64) {
+        sim.with_app_ctx(N0, |app, ctx| {
+            app.issue_reduce(ctx, CounterUpdate::Add(delta), ADD, 0, 0);
+        });
+    }
+
+    fn flush(sim: &mut Simulator<HambandNode<Counter>>) {
+        sim.with_app_ctx(N0, |app, ctx| app.flush_summaries(ctx));
+    }
+
+    /// Versions waiting on node 0's channel to `q`, oldest first.
+    fn waiting(sim: &Simulator<HambandNode<Counter>>, q: usize) -> Vec<u64> {
+        sim.app(N0).sum_waiters[0][q].iter().map(|&(v, _)| v).collect()
+    }
+
+    #[test]
+    fn idle_channel_without_waiter_posts_nothing() {
+        let mut sim = idle_cluster();
+        flush(&mut sim);
+        assert_eq!(sim.stats().writes, 0);
+        assert_eq!(sim.app(N0).sum_inflight[0], [None; 3]);
+    }
+
+    #[test]
+    fn calls_of_one_pump_share_one_write_carrying_the_latest_version() {
+        let mut sim = idle_cluster();
+        add(&mut sim, 1);
+        add(&mut sim, 2);
+        assert_eq!(sim.stats().writes, 0, "issuing only queues");
+        assert_eq!(waiting(&sim, 1), [1, 2]);
+        flush(&mut sim);
+        assert_eq!(sim.stats().writes, 2, "one WRITE per peer, not one per call");
+        assert_eq!(sim.app(N0).sum_inflight[0], [None, Some(2), Some(2)]);
+        // Both completions land, each followed by a pump with nothing
+        // left to post: version 2 covered both waiters.
+        sim.run_for(SimDuration::micros(5));
+        let app = sim.app(N0);
+        assert_eq!(app.sum_inflight[0], [None; 3]);
+        assert!(waiting(&sim, 1).is_empty() && waiting(&sim, 2).is_empty());
+        assert_eq!(app.metrics.updates_acked, 2);
+        assert!(app.outstanding.is_empty());
+        assert_eq!(sim.stats().writes, 2);
+        assert_eq!(sim.app(NodeId(1)).state_snapshot(), 3);
+        assert_eq!(sim.app(NodeId(2)).state_snapshot(), 3);
+    }
+
+    #[test]
+    fn busy_channel_holds_newer_waiters_until_the_pump_after_its_completion() {
+        let mut sim = idle_cluster();
+        add(&mut sim, 1);
+        flush(&mut sim);
+        assert_eq!(sim.app(N0).sum_inflight[0], [None, Some(1), Some(1)]);
+        add(&mut sim, 2);
+        flush(&mut sim);
+        assert_eq!(sim.stats().writes, 2, "at most one summary WRITE in flight per channel");
+        assert_eq!(waiting(&sim, 1), [1, 2]);
+        // Version 1 lands at node 1. The handler frees the channel and
+        // credits what landed; it does not repost.
+        sim.with_app_ctx(N0, |app, ctx| app.on_summary_write_done(ctx, 0, NodeId(1), 1));
+        assert_eq!(sim.stats().writes, 2);
+        assert_eq!(sim.app(N0).sum_inflight[0], [None, None, Some(1)]);
+        assert_eq!(waiting(&sim, 1), [2]);
+        // The next pump's flush does, on that channel only.
+        flush(&mut sim);
+        assert_eq!(sim.stats().writes, 3);
+        assert_eq!(sim.app(N0).sum_inflight[0], [None, Some(2), Some(1)]);
+        assert_eq!(waiting(&sim, 2), [1, 2]);
+    }
+
+    #[test]
+    fn dirty_channels_drain_through_the_event_loop() {
+        // The same sequence left to the simulator shell: each completion
+        // is followed by a pump, whose flush reposts version 2.
+        let mut sim = idle_cluster();
+        add(&mut sim, 1);
+        flush(&mut sim);
+        add(&mut sim, 2);
+        flush(&mut sim);
+        sim.run_for(SimDuration::micros(10));
+        assert_eq!(sim.stats().writes, 4, "versions 1 and 2, once per peer");
+        let app = sim.app(N0);
+        assert_eq!(app.sum_inflight[0], [None; 3]);
+        assert_eq!(app.metrics.updates_acked, 2);
+        assert!(app.outstanding.is_empty());
+        assert_eq!(sim.app(NodeId(1)).state_snapshot(), 3);
+        assert_eq!(sim.app(NodeId(2)).state_snapshot(), 3);
     }
 }

@@ -83,9 +83,10 @@ pub struct HambandNode<O: ObjectSpec> {
     /// Write-combining: version of the summary WRITE in flight per
     /// (summarization group, peer); `None` = the channel is idle. At
     /// most one summary WRITE per (group, peer) is ever in flight —
-    /// further reduces only fold locally, and completion reposts the
-    /// latest slot if it moved past what landed (slots are
-    /// last-writer-wins, so this is the paper's own amortization).
+    /// further reduces only fold locally, and the first pump after the
+    /// completion posts the latest slot if it moved past what landed
+    /// (slots are last-writer-wins, so this is the paper's own
+    /// amortization).
     pub(crate) sum_inflight: Vec<Vec<Option<u64>>>,
     /// Per (summarization group, peer): calls whose summary version has
     /// not yet landed at that peer, oldest first (`(version, call_id)`).
@@ -93,8 +94,8 @@ pub struct HambandNode<O: ObjectSpec> {
     /// version `<= v`.
     pub(crate) sum_waiters: Vec<Vec<VecDeque<(u64, u64)>>>,
     /// Per summarization group: reusable encode buffer holding the
-    /// latest own summary slot (the used prefix — exactly the bytes a
-    /// repost must write).
+    /// latest own summary slot (the used prefix — exactly the bytes
+    /// the pump's flush writes).
     pub(crate) sum_slot_buf: Vec<Vec<u8>>,
     /// Reusable buffer for the backup-slot image of the call being
     /// issued.

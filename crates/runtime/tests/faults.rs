@@ -3,7 +3,8 @@
 
 use hamband_core::counts::DepMap;
 use hamband_core::ids::{Pid, Rid};
-use hamband_core::CoordSpec;
+use hamband_core::wire::Wire;
+use hamband_core::{CoordSpec, WorkloadSupport};
 use hamband_runtime::codec::{
     compose_backup_slot, Entry, SummarySlot, BACKUP_FREE, BACKUP_SUMMARY,
 };
@@ -12,7 +13,7 @@ use hamband_runtime::{
 };
 use hamband_types::{Bank, Counter, Courseware, GSet};
 use rdma_sim::{
-    Fault, FaultPlan, NodeId, RingKind, SimDuration, SimTime, Simulator, TraceEvent,
+    Fault, FaultPlan, NodeId, RingKind, SimDuration, SimTime, Simulator, TraceEvent, VerbKind,
 };
 
 fn counter_cluster(n: usize, ops: u64, plan: FaultPlan) -> Simulator<HambandNode<Counter>> {
@@ -20,6 +21,21 @@ fn counter_cluster(n: usize, ops: u64, plan: FaultPlan) -> Simulator<HambandNode
     let workload = WorkloadSpec::ops(ops).with_update_ratio(0.5).with_seed(0xfa01);
     let run = RunConfig::new(n, workload).with_seed(0xfa02).with_faults(plan);
     assemble(&c, &c.coord_spec(), &run).0
+}
+
+/// Calls acknowledged across the cluster's `n` nodes, halted ones
+/// included: what `RunReport::total_calls` counts.
+fn calls_made<O>(sim: &Simulator<HambandNode<O>>, n: usize) -> u64
+where
+    O: WorkloadSupport,
+    O::Update: Wire,
+{
+    (0..n)
+        .map(|i| {
+            let m = &sim.app(NodeId(i)).metrics;
+            m.updates_acked + m.queries
+        })
+        .sum()
 }
 
 /// A node crashes (fail-stop) with a pending conflict-free broadcast
@@ -299,15 +315,92 @@ fn plan_skipped_for_a_partitioned_message_is_made_up_by_the_next_poll() {
     // It was a poll that planned: the same handler applied the leader's
     // own first entry, which only a traversal does.
     assert_eq!(own_apply, second_issue, "the call was planned by the poll that applied seq 1");
-    let calls: u64 = (0..3)
-        .map(|i| {
-            let m = &sim.app(NodeId(i)).metrics;
-            m.updates_acked + m.queries
-        })
-        .sum();
-    assert_eq!(calls, total_ops, "the run completes exactly its budget");
+    assert_eq!(calls_made(&sim, 3), total_ops, "the run completes exactly its budget");
     let s0 = sim.app(NodeId(0)).state_snapshot();
     for i in 1..3 {
         assert_eq!(sim.app(NodeId(i)).state_snapshot(), s0, "node {i} diverged");
     }
+}
+
+/// Summary WRITEs leave from the pump's flush (DESIGN.md §5a), and a
+/// suspended node no longer plans — but what it folded before the fault
+/// still waits for a WRITE, so its pump must keep flushing. Without
+/// that, a call folded in while its channel was busy is never shipped:
+/// the completion frees the channel, nothing reposts, and the call
+/// stays outstanding for ever.
+///
+/// Bank on three nodes, every call an update: a follower's `open` calls
+/// ride the summary channel and its `deposit`s the rings, and with its
+/// CPU mostly idle each completion is followed by a plan, so an `open`
+/// regularly finds a channel busy. Node 1's heartbeat is suspended at
+/// such an instant — found from the trace: a summary WRITE that has not
+/// completed at the fabric carries an older version than the node's
+/// summary has reached.
+#[test]
+fn suspended_node_still_drains_its_summary_channels() {
+    use hamband_types::bank::OPEN;
+    let b = Bank::default();
+    let n = 3;
+    let total_ops = 2_400;
+    let workload = WorkloadSpec::ops(total_ops).with_update_ratio(1.0).with_window(8).with_seed(1);
+    let run = RunConfig::new(n, workload).with_seed(1).with_trace(TraceMode::Collect);
+    let (mut sim, _layout, trace) = assemble(&b, &b.coord_spec(), &run);
+    let trace = trace.expect("collecting");
+    let victim = NodeId(1);
+    // Per peer: the (work request, version) of the victim's summary
+    // WRITE in flight there. `post_write` traces the verb, then the
+    // replica labels it a summary write.
+    let mut last_write = vec![None; n];
+    let mut in_flight: Vec<Option<(rdma_sim::WrId, u64)>> = vec![None; n];
+    sim.run_until(SimTime(60_000));
+    loop {
+        sim.run_for(SimDuration::nanos(20));
+        for r in trace.take() {
+            match r.event {
+                TraceEvent::VerbPosted { issuer, kind: VerbKind::Write, target, wr, .. }
+                    if issuer == victim =>
+                {
+                    last_write[target.index()] = Some(wr);
+                }
+                TraceEvent::SummaryWrite { issuer, target, version, .. } if issuer == victim => {
+                    let wr = last_write[target.index()].expect("posted just before");
+                    in_flight[target.index()] = Some((wr, version));
+                }
+                TraceEvent::VerbCompleted { issuer, wr, .. } if issuer == victim => {
+                    for chan in in_flight.iter_mut().filter(|c| c.is_some_and(|(w, _)| w == wr)) {
+                        *chan = None;
+                    }
+                }
+                _ => {}
+            }
+        }
+        // One reducible method, so the summary version is its count.
+        let own_version = sim.app(victim).applied_map().get(Pid(victim.index()), OPEN);
+        if in_flight.iter().flatten().any(|&(_, v)| v < own_version) {
+            break;
+        }
+        assert!(sim.now() < SimTime(1_000_000), "no busy channel ever had a later waiter");
+    }
+    sim.install_fault_plan(
+        &FaultPlan::new().at(sim.now() + SimDuration::nanos(1), Fault::SuspendHeartbeat(victim)),
+    );
+    for _ in 0..400 {
+        sim.run_for(SimDuration::micros(50));
+        if (0..n).all(|i| sim.app(NodeId(i)).workload_done()) {
+            break;
+        }
+    }
+    sim.run_for(SimDuration::millis(1));
+    assert!(sim.app(victim).is_halted(), "the fault landed");
+    assert_eq!(
+        sim.app(victim).status().outstanding,
+        0,
+        "every call the suspended node folded in was shipped and acknowledged"
+    );
+    assert_eq!(calls_made(&sim, n), total_ops, "the run completes exactly its budget");
+    assert_eq!(
+        sim.app(NodeId(2)).state_snapshot(),
+        sim.app(NodeId(0)).state_snapshot(),
+        "the survivors diverged"
+    );
 }

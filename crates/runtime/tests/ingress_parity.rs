@@ -15,7 +15,8 @@
 //!    coalesced ring WRITEs: slots per WRITE near `max_batch`, exactly 1
 //!    at `max_batch = 1`, the same converged state either way. A mixed
 //!    workload whose leader is merely busy must coalesce what arrived
-//!    while it was.
+//!    while it was. A saturated REDUCE workload must put a whole window
+//!    of calls on each summary WRITE.
 //!
 //! Golden provenance: the fingerprints were originally captured from
 //! `examples/trace_fingerprint.rs` against the pre-ingress closed-loop
@@ -53,13 +54,23 @@
 //! move only in time. One saturated OrSet run (seed 13) grew: its node 0
 //! now ends on a remove-only tail over an empty set, and the ingress
 //! waits out its 2 000 dry polls before forfeiting the last 8 calls —
-//! designed behaviour, 9 102 failure-detector verb events long. Any
-//! future mismatch is a regression, not an excuse for another bless.
+//! designed behaviour, 9 102 failure-detector verb events long. A SIXTH
+//! re-bless (PR 18, "summary WRITEs leave from the plan's flush") moved
+//! every golden whose run has a REDUCE call — Counter for the first time
+//! since PR 8, Bank, Bank + leader fault and saturated Bank: the summary
+//! slot is posted by the pump's flush, after the plan that refills the
+//! window its predecessor's completion freed, so one WRITE per peer
+//! carries the whole burst and a call waits out one WRITE, not two
+//! (Counter: 918 -> 756 events on every seed; Bank 2 973 -> 2 856 on
+//! seed 1). The buffered-GSet and saturated-OrSet sets have no
+//! summarization group and did not move. Any future mismatch is a
+//! regression, not an excuse for another bless.
 
 use hamband_core::wire::Wire;
 use hamband_core::{CoordSpec, ObjectSpec, WorkloadSupport};
 use hamband_runtime::{
-    DurabilityMode, RunConfig, Runner, RuntimeConfig, System, TraceMode, TraceRecord, WorkloadSpec,
+    DurabilityMode, RunConfig, RunOutcome, Runner, RuntimeConfig, System, TraceMode, TraceRecord,
+    WorkloadSpec,
 };
 use hamband_types::orset::OrSetState;
 use hamband_types::{Bank, Counter, GSet, OrSet};
@@ -84,14 +95,14 @@ fn digest(events: &[TraceRecord]) -> (usize, u64) {
 /// header for provenance and the one re-bless). A mismatch means a
 /// fixed-seed run no longer reproduces its blessed event stream.
 const GOLDEN_COUNTER: [(u64, usize, u64); 3] = [
-    (1, 918, 0x772c6b53c61ff199),
-    (7, 918, 0x769ee5965b53e51d),
-    (13, 918, 0xd21778286864edb0),
+    (1, 756, 0x3d686f9ccb527e0b),
+    (7, 756, 0xc00e4879e758e9e0),
+    (13, 756, 0x7f74950c81ddbf15),
 ];
 const GOLDEN_BANK: [(u64, usize, u64); 3] = [
-    (1, 2973, 0xe9d65ded2d8b9c7f),
-    (7, 3018, 0xd859a9e9e8c45d19),
-    (13, 3012, 0x58a21e0631cd3ea8),
+    (1, 2856, 0xd6dbfd7fca128bd2),
+    (7, 2847, 0x88ccf7b1d59d94fb),
+    (13, 2844, 0x81004361633fa311),
 ];
 const GOLDEN_GSET_FAULTS: [(u64, usize, u64); 3] = [
     (1, 2111, 0xaa98ca14dbe8134f),
@@ -99,9 +110,9 @@ const GOLDEN_GSET_FAULTS: [(u64, usize, u64); 3] = [
     (13, 2111, 0x93f50ad96edd2a64),
 ];
 const GOLDEN_BANK_LEADERFAULT: [(u64, usize, u64); 3] = [
-    (1, 4268, 0x96721af7a3cf039e),
-    (7, 4220, 0x868c7e5f8287f835),
-    (13, 4229, 0x19fb0e961e9154ed),
+    (1, 4040, 0x8ca465c17ffa4352),
+    (7, 4012, 0xeb667c6f499afc46),
+    (13, 4044, 0x1d7dbc973f606d22),
 ];
 
 #[test]
@@ -162,16 +173,17 @@ fn one_session_parity_survives_faults_and_quota_adoption() {
 /// load. The plan walks every fault arm that path crosses. First pinned
 /// against the re-push scheduler (PR 14's first commit), which the
 /// per-node wait queues reproduced byte for byte; re-blessed with the
-/// other ring goldens in PR 16 and PR 17 (module header).
+/// other ring goldens in PR 16 and PR 17, and Bank's alone in PR 18
+/// (module header).
 const GOLDEN_ORSET_SATURATED: [(u64, usize, u64); 3] = [
     (1, 25124, 0x1378118035d584a5),
     (7, 25124, 0xeba935379f8c265a),
     (13, 34226, 0x355f4843b8111ea5),
 ];
 const GOLDEN_BANK_SATURATED: [(u64, usize, u64); 3] = [
-    (1, 10362, 0x2598206db37ca58f),
-    (7, 10353, 0x56e600c38ec62ba8),
-    (13, 10397, 0x7e2006093111ae30),
+    (1, 10224, 0xd7f1bc96ef206e53),
+    (7, 10239, 0x08c09eca283ab471),
+    (13, 10224, 0x71fcfa3e8ef84330),
 ];
 
 /// Partition + heal, a duplicated completion, a delay spike and a
@@ -299,6 +311,54 @@ fn loaded_conf_and_free_appends_batch_naturally() {
         nic_batched < nic_single,
         "leader NIC busy {nic_batched} ns batched, {nic_single} ns unbatched"
     );
+}
+
+/// Counter on 4 nodes, one session per node, every call a REDUCE update
+/// — the benchmark's `counter-reduce` at a size a test can run. Returns
+/// the traced outcome and node 0's final count.
+fn reduce_burst(session_window: usize) -> (RunOutcome, i64) {
+    let c = Counter::default();
+    let spec = WorkloadSpec::ops(4_800)
+        .with_update_ratio(1.0)
+        .with_window(session_window)
+        .with_seed(1);
+    let cfg = RunConfig::new(4, spec)
+        .with_seed(1)
+        .with_runtime(RuntimeConfig::default().with_window(8))
+        .with_trace(TraceMode::Collect);
+    let (out, states) = Runner::new(System::Hamband, cfg).run_with_states(&c, &c.coord_spec());
+    assert!(out.report.converged, "window {session_window} must converge");
+    assert_eq!(out.report.total_updates, 4_800);
+    (out, states[0].state)
+}
+
+/// Window 1 never has anything to combine: an idle channel's WRITE
+/// leaves in the pump that issued its call, at the same instant and in
+/// the same order whether `issue_reduce` or the pump's flush posts it.
+/// Pinned when the post moved to the flush; the parent gives the same.
+const GOLDEN_REDUCE_WINDOW_1: (usize, u64) = (54_288, 0xac1da0999fe6add1);
+
+#[test]
+fn saturated_reduce_burst_boards_the_write_its_acks_enable() {
+    // A summary WRITE's completion frees the whole window; the plan
+    // refills it and only then the flush posts, so all eight new calls
+    // ride that WRITE: 8.000 calls per WRITE per peer (1 800 WRITEs),
+    // one WRITE time each (1.911 vus). Reposting from the completion
+    // handler sends the slot off a moment before the plan, and the
+    // eight wait it out plus the next: 4.000 (3 600 WRITEs), 3.124 vus.
+    let (full, state_full) = reduce_burst(8);
+    let peers = (full.report.nodes - 1) as f64;
+    let calls_per_write = full.report.total_updates as f64 * peers / full.stats.writes as f64;
+    assert!(calls_per_write >= 7.0, "{calls_per_write:.3} calls per summary WRITE per peer");
+    assert!(
+        full.report.mean_rt_us <= 2.2,
+        "mean update response time {:.3} vus",
+        full.report.mean_rt_us
+    );
+    let (single, state_single) = reduce_burst(1);
+    assert_eq!(single.stats.writes, 14_400, "window 1: one WRITE per peer per call");
+    assert_eq!(digest(&single.events), GOLDEN_REDUCE_WINDOW_1, "window 1 must not move");
+    assert_eq!(state_full, state_single, "combining is pure cost: same final state");
 }
 
 #[test]

@@ -117,15 +117,18 @@ fn seven_node_cluster_like_the_paper() {
 #[test]
 fn reduce_only_counter_combines_summary_writes() {
     // The paper's amortized-O(1)-writes claim: with every call on the
-    // REDUCE path, summary write-combining keeps the steady state below
-    // one WRITE per peer per update.
+    // REDUCE path, one summary WRITE per peer carries the whole window
+    // of eight calls (0.126 here) and a call waits out one WRITE, not
+    // two (1.90 us). Posting from the completion handler, before the
+    // plan that refills the window, gives 0.252 and 3.12 us.
     let c = Counter::default();
     let workload = WorkloadSpec::ops(2_000).with_update_ratio(1.0).with_seed(0x5eed + 910);
     let run = RunConfig::new(4, workload).with_seed((0x5eed + 910) ^ 0xfab);
     let report = Runner::new(System::Hamband, run).run(&c, &c.coord_spec()).report;
     assert!(report.converged);
     let per_peer = report.writes_per_op / (report.nodes - 1) as f64;
-    assert!(per_peer < 1.0, "{per_peer:.2} writes per update per peer");
+    assert!(per_peer < 0.2, "{per_peer:.3} writes per update per peer");
+    assert!(report.mean_rt_us < 2.5, "mean response time {:.2} us", report.mean_rt_us);
 }
 
 #[test]
