@@ -29,7 +29,6 @@
 use hamband_bench::cli::{argv, bool_flag, num_flag};
 use hamband_core::coord::CoordSpec;
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 use hamband_runtime::chaos::{run_seed, shrink_case, ChaosOptions};
 use hamband_types::{Bank, Counter, GSet};
 
@@ -43,7 +42,7 @@ struct CaseResult {
 fn run_one<O>(name: &str, spec: &O, coord: &CoordSpec, seed: u64, opts: &ChaosOptions) -> CaseResult
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     let case = run_seed(spec, coord, seed, opts);

@@ -12,7 +12,6 @@ use std::fmt::Write as _;
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::Pid;
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 use hamband_runtime::{RunConfig, RunReport, Runner, System, WorkloadSpec};
 use hamband_types::{Cart, Counter, Courseware, GSet, LwwRegister, Movie, OrSet, Project};
 use rdma_sim::{Fault, FaultPlan, NodeId, SimTime};
@@ -83,7 +82,7 @@ fn cfg(nodes: usize, ops: u64, ratio: f64, seed: u64) -> RunConfig {
 fn run_hb<O>(spec: &O, coord: &CoordSpec, rc: &RunConfig) -> RunReport
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     Runner::new(System::Hamband, rc.clone()).run(spec, coord).report
@@ -92,7 +91,7 @@ where
 fn run_msg<O>(spec: &O, coord: &CoordSpec, rc: &RunConfig) -> RunReport
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     Runner::new(System::Msg, rc.clone()).run(spec, coord).report
@@ -101,7 +100,7 @@ where
 fn run_mu<O>(spec: &O, rc: &RunConfig) -> RunReport
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     // The Mu-SMR runner derives the complete conflict relation itself;

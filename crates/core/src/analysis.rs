@@ -24,7 +24,7 @@ use rand::SeedableRng;
 
 use crate::coord::CoordSpec;
 use crate::ids::MethodId;
-use crate::object::SpecSampler;
+use crate::object::WorkloadSupport;
 use crate::relations::BoundedRelations;
 
 /// A discrepancy between a declared [`CoordSpec`] and sampled behaviour.
@@ -154,7 +154,7 @@ impl Default for AnalysisConfig {
     }
 }
 
-fn sampled_calls<O: SpecSampler>(
+fn sampled_calls<O: WorkloadSupport>(
     spec: &O,
     m: MethodId,
     cfg: &AnalysisConfig,
@@ -169,7 +169,7 @@ fn sampled_calls<O: SpecSampler>(
 /// Sound for refutation: every reported violation carries a concrete
 /// witness. Passing is bounded evidence only (as with any testing-based
 /// analysis).
-pub fn validate<O: SpecSampler>(
+pub fn validate<O: WorkloadSupport>(
     spec: &O,
     coord: &CoordSpec,
     cfg: &AnalysisConfig,
@@ -305,7 +305,7 @@ pub fn validate<O: SpecSampler>(
 /// edges are added wherever a witness is found; summarization groups are
 /// the equivalence classes of methods whose sampled calls pairwise
 /// summarize soundly.
-pub fn infer<O: SpecSampler>(spec: &O, cfg: &AnalysisConfig) -> CoordSpec {
+pub fn infer<O: WorkloadSupport>(spec: &O, cfg: &AnalysisConfig) -> CoordSpec {
     let rel = BoundedRelations::new(spec, cfg.seed, cfg.state_samples);
     let n = spec.method_count();
     let mut builder = CoordSpec::builder(n);
@@ -505,9 +505,12 @@ mod tests {
         }
     }
 
-    impl crate::object::SpecSampler for MiskeyedAccount {
+    impl WorkloadSupport for MiskeyedAccount {
         fn sample_state(&self, rng: &mut rand::rngs::StdRng) -> i128 {
             self.0.sample_state(rng)
+        }
+        fn sample_query(&self, rng: &mut rand::rngs::StdRng) -> Self::Query {
+            self.0.sample_query(rng)
         }
         fn sample_update_of(
             &self,

@@ -18,13 +18,7 @@ use rand::Rng;
 
 use crate::coord::CoordSpec;
 use crate::ids::MethodId;
-use crate::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
-use crate::wire::{DecodeError, Reader, Wire, Writer};
-
-/// Method index of `deposit`.
-pub const DEPOSIT: MethodId = MethodId(0);
-/// Method index of `withdraw`.
-pub const WITHDRAW: MethodId = MethodId(1);
+use crate::object::{KeySkew, ObjectSpec, WorkloadSupport};
 
 /// An update call on the account.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,6 +27,13 @@ pub enum AccountUpdate {
     Deposit(u64),
     /// `withdraw(amount)`: subtract from the balance.
     Withdraw(u64),
+}
+
+crate::calls! {
+    AccountUpdate {
+        DEPOSIT = "deposit" => Deposit(amount),
+        WITHDRAW = "withdraw" => Withdraw(amount),
+    }
 }
 
 /// A query call on the account.
@@ -60,7 +61,7 @@ pub struct Account {
 }
 
 impl Account {
-    /// An account class whose [`SpecSampler`] draws amounts in
+    /// An account class whose sampler draws amounts in
     /// `1..=max_sample_amount`.
     pub fn new(max_sample_amount: u64) -> Self {
         assert!(max_sample_amount > 0, "sample amounts must be positive");
@@ -125,14 +126,11 @@ impl ObjectSpec for Account {
     }
 
     fn method_names(&self) -> Vec<&'static str> {
-        vec!["deposit", "withdraw"]
+        AccountUpdate::METHOD_NAMES.to_vec()
     }
 
     fn method_of(&self, call: &AccountUpdate) -> MethodId {
-        match call {
-            AccountUpdate::Deposit(_) => DEPOSIT,
-            AccountUpdate::Withdraw(_) => WITHDRAW,
-        }
+        call.method()
     }
 
     fn summarize(&self, first: &AccountUpdate, second: &AccountUpdate) -> Option<AccountUpdate> {
@@ -145,7 +143,7 @@ impl ObjectSpec for Account {
     }
 }
 
-impl SpecSampler for Account {
+impl WorkloadSupport for Account {
     fn sample_state(&self, rng: &mut StdRng) -> i128 {
         i128::from(rng.gen_range(0..=self.max_sample_amount * 4))
     }
@@ -158,9 +156,7 @@ impl SpecSampler for Account {
             other => panic!("account has no method {other}"),
         }
     }
-}
 
-impl WorkloadSupport for Account {
     fn sample_query(&self, _rng: &mut StdRng) -> AccountQuery {
         AccountQuery::Balance
     }
@@ -187,29 +183,6 @@ impl WorkloadSupport for Account {
                 Some(AccountUpdate::Withdraw(rng.gen_range(1..=cap)))
             }
             other => panic!("account has no method {other}"),
-        }
-    }
-}
-
-impl Wire for AccountUpdate {
-    fn encode(&self, w: &mut Writer) {
-        match *self {
-            AccountUpdate::Deposit(v) => {
-                w.u8(0);
-                w.varint(v);
-            }
-            AccountUpdate::Withdraw(v) => {
-                w.u8(1);
-                w.varint(v);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(AccountUpdate::Deposit(r.varint()?)),
-            1 => Ok(AccountUpdate::Withdraw(r.varint()?)),
-            _ => Err(DecodeError),
         }
     }
 }

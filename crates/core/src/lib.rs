@@ -7,6 +7,9 @@
 //! * [`object`] — the object data type model ⟨Σ, I, ū:=d̄, q̄:=d̄⟩ of
 //!   Fig. 3: a state type, an integrity invariant, and executable update
 //!   and query methods, captured by the [`ObjectSpec`] trait.
+//! * [`wire`] — the byte-level encoding of calls (§4), and [`calls!`]:
+//!   the method list of an update enum declared once, from which its
+//!   method constants, names and codec are derived.
 //! * [`relations`] — the semantic coordination relations of §3.2
 //!   (S-commutativity, permissibility, invariant-sufficiency, 𝒫-R/L-
 //!   commutativity, conflict and dependency) as executable checks.
@@ -73,5 +76,5 @@ pub use coord::{mix64, CoordSpec, GroupMapper, MethodCategory};
 pub use counts::{CountMap, DepMap};
 pub use error::SemError;
 pub use ids::{GroupId, MethodId, Pid, Rid};
-pub use object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
+pub use object::{KeySkew, ObjectSpec, WorkloadSupport};
 pub use rdma_sem::RdmaWrdt;

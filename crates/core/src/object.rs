@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::Rng as _;
 
 use crate::ids::MethodId;
+use crate::wire::Wire;
 
 /// How workload generators pick keys (accounts, set elements, cart
 /// line-items) out of a key space.
@@ -73,6 +74,9 @@ impl KeySkew {
 /// * `State` is the state type `Σ`.
 /// * `Update` is the type of update calls `u(v)` — typically an enum
 ///   with one variant per update method, carrying the argument `v`.
+///   Every call "is serialized into a byte stream" (§4), so the type
+///   is [`Wire`]; [`calls!`](crate::calls) declares the method list of
+///   such an enum once and derives its constants, names and codec.
 /// * `Query`/`Reply` are query calls `q(v)` and their return values.
 ///
 /// The executable definitions:
@@ -98,7 +102,7 @@ pub trait ObjectSpec {
     /// The object state `Σ`.
     type State: Clone + PartialEq + std::fmt::Debug;
     /// An update call `u(v)`: the method together with its argument.
-    type Update: Clone + PartialEq + std::fmt::Debug;
+    type Update: Clone + PartialEq + std::fmt::Debug + Wire;
     /// A query call `q(v)`.
     type Query: Clone + std::fmt::Debug;
     /// A query return value.
@@ -209,38 +213,35 @@ pub trait ObjectSpec {
     }
 }
 
-/// Random generation of states and calls, used by the bounded relation
-/// checker in [`crate::analysis`] and by property tests.
+/// Random generation of states and calls: the one trait a class
+/// implements beside [`ObjectSpec`].
 ///
 /// The paper assumes the conflict and dependency relations are given by
-/// an upstream analysis (Hamsaz-style); this trait supplies the sampling
-/// oracle our bounded checker uses to *validate* a declared
-/// [`crate::coord::CoordSpec`] against the executable definitions.
-pub trait SpecSampler: ObjectSpec {
-    /// Sample a reachable-looking state satisfying the invariant.
-    fn sample_state(&self, rng: &mut StdRng) -> Self::State;
-
-    /// Sample an update call on the given method.
-    fn sample_update_of(&self, method: MethodId, rng: &mut StdRng) -> Self::Update;
-
-    /// Sample an update call on any method.
-    fn sample_update(&self, rng: &mut StdRng) -> Self::Update {
-        let m = rng.gen_range(0..self.method_count());
-        self.sample_update_of(MethodId(m), rng)
-    }
-}
-
-/// Everything a workload driver needs from an object class, beyond the
-/// state-oblivious sampling of [`SpecSampler`]:
+/// an upstream analysis (Hamsaz-style); the state-oblivious samplers
+/// here are the oracle our bounded checker in [`crate::analysis`] uses
+/// to *validate* a declared [`crate::coord::CoordSpec`] against the
+/// executable definitions. A workload driver needs two things more:
 ///
 /// * query sampling (the evaluation mixes update and query calls);
 /// * *state-aware* update generation — e.g. an OR-set `remove` must
 ///   target observed elements, a courseware `enroll` must reference a
 ///   registered student. The default delegates to the oblivious
 ///   sampler, which suffices for context-free types like counters.
-pub trait WorkloadSupport: SpecSampler {
+pub trait WorkloadSupport: ObjectSpec {
+    /// Sample a reachable-looking state satisfying the invariant.
+    fn sample_state(&self, rng: &mut StdRng) -> Self::State;
+
+    /// Sample an update call on the given method.
+    fn sample_update_of(&self, method: MethodId, rng: &mut StdRng) -> Self::Update;
+
     /// Sample a query call.
     fn sample_query(&self, rng: &mut StdRng) -> Self::Query;
+
+    /// Sample an update call on any method.
+    fn sample_update(&self, rng: &mut StdRng) -> Self::Update {
+        let m = rng.gen_range(0..self.method_count());
+        self.sample_update_of(MethodId(m), rng)
+    }
 
     /// Generate an update call on `method` appropriate for `state`.
     ///

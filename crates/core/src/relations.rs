@@ -17,7 +17,7 @@
 //! The universal quantification over `Σ` is undecidable in general, so
 //! this module provides *per-state* checks (exact, used as building
 //! blocks) and *bounded* checks that sample states through a
-//! [`SpecSampler`]. Bounded checks are sound for *refuting* a relation
+//! [`WorkloadSupport`]. Bounded checks are sound for *refuting* a relation
 //! (a found counterexample is real) and best-effort for confirming it —
 //! exactly the role they play in [`crate::analysis`].
 //!
@@ -36,7 +36,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::object::{ObjectSpec, SpecSampler};
+use crate::object::{ObjectSpec, WorkloadSupport};
 
 /// Per-state S-commutativity: do `c1` and `c2` commute on `state`?
 pub fn s_commute_on<O: ObjectSpec>(
@@ -86,7 +86,7 @@ pub fn p_l_commutes_on<O: ObjectSpec>(
 }
 
 /// A bounded checker for the quantified relations, sampling states and
-/// calls through a [`SpecSampler`].
+/// calls through a [`WorkloadSupport`].
 ///
 /// ```
 /// use hamband_core::demo::Account;
@@ -110,7 +110,7 @@ pub struct BoundedRelations<'a, O> {
     samples: usize,
 }
 
-impl<'a, O: SpecSampler> BoundedRelations<'a, O> {
+impl<'a, O: WorkloadSupport> BoundedRelations<'a, O> {
     /// A checker drawing `samples` states per query from a deterministic
     /// stream seeded with `seed`.
     pub fn new(spec: &'a O, seed: u64, samples: usize) -> Self {

@@ -4,9 +4,10 @@
 //! §4 of the paper: "Before propagation, a call is assigned a unique
 //! id, paired with its dependency arrays and is serialized into a byte
 //! stream." This module defines the compact little-endian varint codec
-//! the runtime uses, and the [`Wire`] trait each data type's update
-//! enum implements so its calls can live in ring-buffer entries and
-//! summary slots.
+//! the runtime uses, the [`Wire`] trait each data type's update enum
+//! implements so its calls can live in ring-buffer entries and summary
+//! slots, and [`calls!`](crate::calls), which writes that impl from the
+//! enum's one list of methods.
 
 use std::fmt;
 
@@ -230,6 +231,17 @@ impl Wire for u64 {
     }
 }
 
+/// Travels as a varint; a decoded value above `u32::MAX` is a
+/// malformed message, not a silent truncation to some other index.
+impl Wire for u32 {
+    fn encode(&self, w: &mut Writer) {
+        w.varint(u64::from(*self));
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        u32::try_from(r.varint()?).map_err(|_| DecodeError)
+    }
+}
+
 impl Wire for i64 {
     fn encode(&self, w: &mut Writer) {
         w.svarint(*self);
@@ -277,6 +289,124 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok((A::decode(r)?, B::decode(r)?))
     }
+}
+
+/// Declare the call list of an update enum once.
+///
+/// ```
+/// use hamband_core::wire::Wire;
+///
+/// #[derive(Debug, Clone, PartialEq)]
+/// pub enum StockUpdate {
+///     Restock(Vec<(u64, u32)>),
+///     Ship { item: u64, units: u32 },
+/// }
+///
+/// hamband_core::calls! {
+///     StockUpdate {
+///         RESTOCK = "restock" => Restock(batch),
+///         SHIP = "ship" => Ship { item, units },
+///     }
+/// }
+///
+/// let call = StockUpdate::Ship { item: 7, units: 2 };
+/// assert_eq!(call.method(), SHIP);
+/// assert_eq!(StockUpdate::METHOD_NAMES[SHIP.index()], "ship");
+/// assert_eq!(call.to_bytes(), [1, 7, 2]);
+/// assert_eq!(StockUpdate::from_bytes(&[1, 7, 2]), Ok(call));
+/// ```
+///
+/// Each line names a method's [`MethodId`](crate::ids::MethodId)
+/// constant, its name, and the enum variant that carries its calls
+/// with one binder per field. From the one list come, in step by
+/// construction: the `pub const`s (dense, in declaration order),
+/// `Enum::METHOD_NAMES`, `Enum::method(&self)` — what
+/// [`ObjectSpec::method_names`](crate::object::ObjectSpec::method_names)
+/// and [`method_of`](crate::object::ObjectSpec::method_of) delegate to
+/// — and `impl Wire`: one tag byte, the method index, then the fields
+/// in the order written here, each through its own [`Wire`].
+///
+/// Two more forms: `calls! { untagged Enum { CONST = "name" =>
+/// Variant(..) } }` for an enum with a single method, whose calls
+/// travel without the tag byte; and the codec alone, for a tagged
+/// union or a struct that is not a call list — `calls! { wire Enum {
+/// Variant { a, b }, Unit, .. } }`, `calls! { wire struct Name { a, b
+/// } }`.
+#[macro_export]
+macro_rules! calls {
+    ($enum:ident { $($konst:ident = $name:literal => $variant:ident
+            $(($($t:ident),*))? $({$($s:ident),*})?),+ $(,)? }) => {
+        $crate::calls!(@methods $enum { $($konst = $name => $variant),+ });
+        $crate::calls!(@wire true $enum { $($variant $(($($t),*))? $({$($s),*})?),+ });
+    };
+    (untagged $enum:ident { $konst:ident = $name:literal => $variant:ident
+            $(($($t:ident),*))? $({$($s:ident),*})? $(,)? }) => {
+        $crate::calls!(@methods $enum { $konst = $name => $variant });
+        $crate::calls!(@wire false $enum { $variant $(($($t),*))? $({$($s),*})? });
+    };
+    (wire struct $name:ident { $($f:ident),+ $(,)? }) => {
+        const _: () = {
+            use $crate::wire::{DecodeError, Reader, Wire, Writer};
+            impl Wire for $name {
+                fn encode(&self, w: &mut Writer) {
+                    $(Wire::encode(&self.$f, w);)+
+                }
+                fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                    Ok($name { $($f: Wire::decode(r)?),+ })
+                }
+            }
+        };
+    };
+    (wire $enum:ident { $($body:tt)+ }) => {
+        $crate::calls!(@wire true $enum { $($body)+ });
+    };
+    (@methods $enum:ident { $($konst:ident = $name:literal => $variant:ident),+ }) => {
+        $crate::calls!(@consts 0; $($konst $name)+);
+        impl $enum {
+            /// The update method names, in dense `MethodId` order.
+            pub const METHOD_NAMES: &'static [&'static str] = &[$($name),+];
+
+            /// The method this call belongs to.
+            pub fn method(&self) -> $crate::ids::MethodId {
+                match self { $($enum::$variant { .. } => $konst),+ }
+            }
+        }
+    };
+    (@consts $index:expr;) => {};
+    (@consts $index:expr; $konst:ident $name:literal $($rest:tt)*) => {
+        #[doc = concat!("Method index of `", $name, "`.")]
+        pub const $konst: $crate::ids::MethodId = $crate::ids::MethodId($index);
+        $crate::calls!(@consts $index + 1; $($rest)*);
+    };
+    // The tag of a variant is its position in the list; `$tagged` is
+    // `false` only for a single variant, which then travels bare.
+    (@wire $tagged:literal $enum:ident { $($variant:ident
+            $(($($t:ident),*))? $({$($s:ident),*})?),+ $(,)? }) => {
+        const _: () = {
+            use $crate::wire::{DecodeError, Reader, Wire, Writer};
+            enum WireTag { $($variant),+ }
+            impl Wire for $enum {
+                fn encode(&self, w: &mut Writer) {
+                    match self {
+                        $($enum::$variant $(($($t),*))? $({$($s),*})? => {
+                            if $tagged {
+                                w.u8(WireTag::$variant as u8);
+                            }
+                            $($(Wire::encode($t, w);)*)? $($(Wire::encode($s, w);)*)?
+                        })+
+                    }
+                }
+                fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                    let tag = if $tagged { r.u8()? } else { 0 };
+                    $(if tag == WireTag::$variant as u8 {
+                        $($(let $t = Wire::decode(r)?;)*)? $($(let $s = Wire::decode(r)?;)*)?
+                        return Ok($enum::$variant $(($($t),*))? $({$($s),*})?);
+                    })+
+                    Err(DecodeError)
+                }
+            }
+        };
+    };
 }
 
 #[cfg(test)]

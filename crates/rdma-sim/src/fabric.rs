@@ -20,7 +20,6 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -205,7 +204,7 @@ pub(crate) enum Action {
         target: NodeId,
         region: RegionId,
         offset: usize,
-        bytes: Bytes,
+        bytes: Vec<u8>,
         /// Whether to notify the issuer on landing (false for the first
         /// half of a torn write).
         notify: bool,
@@ -610,7 +609,7 @@ impl Ctx<'_> {
                 target,
                 region,
                 offset,
-                bytes: Bytes::copy_from_slice(data),
+                bytes: data.to_vec(),
                 notify: true,
             },
         );
@@ -705,7 +704,7 @@ impl Ctx<'_> {
 
     /// Send a two-sided message (SEND/RECV through the network stack).
     /// Costs the receiver CPU time on delivery; per-pair FIFO.
-    pub fn send(&mut self, target: NodeId, payload: Bytes) {
+    pub fn send(&mut self, target: NodeId, payload: Vec<u8>) {
         let wr = self.fabric.mint_wr(self.node);
         let post_cost = self.fabric.latency.post_cost;
         self.fabric.charge_cpu(self.node, post_cost);

@@ -2,7 +2,6 @@
 
 use std::cmp::Reverse;
 
-use bytes::Bytes;
 
 use crate::fabric::{Action, Ctx, Fabric, Region};
 use crate::fault::{Fault, FaultPlan};
@@ -316,7 +315,7 @@ impl<A: App> Simulator<A> {
                                 target,
                                 region,
                                 offset: offset + split,
-                                bytes: bytes.slice(split..),
+                                bytes: bytes[split..].to_vec(),
                                 notify: false,
                             },
                         );
@@ -357,7 +356,7 @@ impl<A: App> Simulator<A> {
                 let status = self.fabric.check_access(issuer, target, region, offset, len, false);
                 let data = if status.is_success() {
                     let r = &self.fabric.nodes[target.index()].regions[region.index()];
-                    Some(Bytes::copy_from_slice(&r.bytes[offset..offset + len]))
+                    Some(r.bytes[offset..offset + len].to_vec())
                 } else {
                     None
                 };
@@ -393,7 +392,7 @@ impl<A: App> Simulator<A> {
                         r.bytes[offset..offset + 8].copy_from_slice(&swap.to_le_bytes());
                         r.land_through(offset, 8);
                     }
-                    Some(Bytes::copy_from_slice(&prior.to_le_bytes()))
+                    Some(prior.to_le_bytes().to_vec())
                 } else {
                     None
                 };

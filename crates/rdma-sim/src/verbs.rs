@@ -7,8 +7,6 @@
 //! region (no remote CPU involved). Two-sided messages model SEND/RECV
 //! through the network stack and *do* consume receiver CPU.
 
-use bytes::Bytes;
-
 use crate::time::SimTime;
 
 /// A node of the simulated cluster.
@@ -109,7 +107,7 @@ pub enum Event {
         /// The sending node.
         from: NodeId,
         /// The payload.
-        payload: Bytes,
+        payload: Vec<u8>,
     },
     /// A posted work request completed.
     Completion {
@@ -120,7 +118,7 @@ pub enum Event {
         /// Outcome.
         status: CompletionStatus,
         /// For READ: the fetched bytes; for CAS: the 8-byte prior value.
-        data: Option<Bytes>,
+        data: Option<Vec<u8>>,
         /// When the operation took effect at the target.
         completed_at: SimTime,
     },

@@ -10,7 +10,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use rdma_sim::{
     App, Ctx, Event, Fault, FaultPlan, LatencyModel, NodeId, RegionId, SimDuration, SimTime,
     Simulator, TimerId,
@@ -340,7 +339,7 @@ fn duplicate_goes_to_the_waiting_completion_that_comes_due_first() {
 /// Node 1 sends a one-byte message at time zero; it reaches node 0 at
 /// 25110 (110 NIC + 25000 wire).
 fn message_at_zero(sim: &mut Simulator<Worker>) {
-    sim.with_app_ctx(NodeId(1), |_, ctx| ctx.send(NodeId(0), Bytes::from_static(&[5])));
+    sim.with_app_ctx(NodeId(1), |_, ctx| ctx.send(NodeId(0), vec![5]));
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! Property tests of the fabric's ordering guarantees — the invariants
 //! every protocol in the runtime is built on.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use rdma_sim::{App, Ctx, Event, LatencyModel, NodeId, RegionId, SimDuration, Simulator};
 
@@ -26,7 +25,7 @@ impl App for Chaos {
         if ctx.node().index() == 0 {
             for op in self.plan.clone() {
                 match op {
-                    ChaosOp::Send(i) => ctx.send(NodeId(1), Bytes::copy_from_slice(&i.to_le_bytes())),
+                    ChaosOp::Send(i) => ctx.send(NodeId(1), i.to_le_bytes().to_vec()),
                     ChaosOp::Write(i) => {
                         // Writes go to slot (i % 16); landing order is
                         // checked via the message stream only.
@@ -135,7 +134,7 @@ proptest! {
                         for i in 0..self.count {
                             ctx.post_write(NodeId(1), self.region, (i as usize % 8) * 8, &i.to_le_bytes());
                             if i % 3 == 0 {
-                                ctx.send(NodeId(1), Bytes::copy_from_slice(&i.to_le_bytes()));
+                                ctx.send(NodeId(1), i.to_le_bytes().to_vec());
                             }
                         }
                     }

@@ -2,7 +2,6 @@
 //! semantics, RC ordering, timers, fault injection, determinism.
 //! (Moved out of `src/sim.rs` to keep modules under the size guard.)
 
-use bytes::Bytes;
 use rdma_sim::{
     App, AppFault, CompletionStatus, Ctx, Event, Fault, FaultPlan, LatencyModel, NodeId,
     RegionId, SimDuration, SimTime, Simulator, VerbKind,
@@ -13,9 +12,9 @@ struct Recorder {
     #[allow(dead_code)]
     region: RegionId,
     completions: Vec<(CompletionStatus, VerbKind)>,
-    messages: Vec<Bytes>,
+    messages: Vec<Vec<u8>>,
     timer_fires: usize,
-    read_data: Option<Bytes>,
+    read_data: Option<Vec<u8>>,
     cas_prior: Option<u64>,
     heartbeat_suspended: bool,
 }
@@ -154,8 +153,8 @@ fn cas_swaps_only_on_match() {
 fn messages_deliver_in_fifo_order_and_cost_cpu() {
     let (mut sim, _region) = two_nodes();
     sim.with_app_ctx(NodeId(0), |_, ctx| {
-        ctx.send(NodeId(1), Bytes::from_static(b"first"));
-        ctx.send(NodeId(1), Bytes::from_static(b"second"));
+        ctx.send(NodeId(1), b"first".to_vec());
+        ctx.send(NodeId(1), b"second".to_vec());
     });
     sim.run_for(SimDuration::millis(1));
     let msgs = &sim.app(NodeId(1)).messages;
@@ -200,7 +199,7 @@ fn crash_stops_event_delivery_but_memory_lives() {
     sim.install_fault_plan(&plan);
     sim.run_for(SimDuration::micros(1));
     sim.with_app_ctx(NodeId(0), |_, ctx| {
-        ctx.send(NodeId(1), Bytes::from_static(b"lost"));
+        ctx.send(NodeId(1), b"lost".to_vec());
         ctx.post_write(NodeId(1), region, 0, b"kept");
     });
     sim.run_for(SimDuration::millis(1));
@@ -256,7 +255,7 @@ fn partition_parks_traffic_until_heal() {
     sim.with_app_ctx(NodeId(0), |_, ctx| {
         ctx.post_write(NodeId(1), region, 0, b"ab");
         ctx.post_write(NodeId(1), region, 2, b"cd");
-        ctx.send(NodeId(1), Bytes::from_static(b"msg"));
+        ctx.send(NodeId(1), b"msg".to_vec());
     });
     sim.with_app_ctx(NodeId(1), |_, ctx| {
         // Same-side traffic is unaffected.
@@ -351,7 +350,7 @@ fn deterministic_replay() {
         sim.with_app_ctx(NodeId(0), |_, ctx| {
             for i in 0..10u64 {
                 ctx.post_write(NodeId(1), region, (i as usize) * 8, &i.to_le_bytes());
-                ctx.send(NodeId(1), Bytes::copy_from_slice(&i.to_le_bytes()));
+                ctx.send(NodeId(1), i.to_le_bytes().to_vec());
             }
         });
         sim.run_for(SimDuration::millis(5));
@@ -372,7 +371,7 @@ fn messages_stay_fifo_under_busy_receiver() {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             if ctx.node().index() == 0 {
                 for i in 0..200u64 {
-                    ctx.send(NodeId(1), Bytes::copy_from_slice(&i.to_le_bytes()));
+                    ctx.send(NodeId(1), i.to_le_bytes().to_vec());
                 }
             }
         }

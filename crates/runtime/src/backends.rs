@@ -10,7 +10,6 @@
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 use rdma_sim::SimTime;
 
 use crate::harness::{collect, run_replicas, NodeEndState, RunConfig, RunOutcome, TraceMode};
@@ -61,7 +60,7 @@ pub(crate) fn dispatch_replicas<O>(
 ) -> (RunOutcome, Vec<NodeEndState<O::State>>)
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     match run.backend {
@@ -78,7 +77,7 @@ fn run_threaded<O>(
 ) -> (RunOutcome, Vec<NodeEndState<O::State>>)
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     // Reject config knobs only the simulator honours — silently

@@ -82,7 +82,6 @@ pub struct MsgCrdtNode<O: ObjectSpec> {
     /// Own call seq → (call id, acks still expected, issue time,
     /// method, issuing session).
     awaiting: HashMap<u64, (u64, usize, SimTime, MethodId, u32)>,
-    outstanding_meta: HashMap<u64, ()>,
     next_seq: u64,
     next_call_id: u64,
     halted: bool,
@@ -90,11 +89,7 @@ pub struct MsgCrdtNode<O: ObjectSpec> {
     pub metrics: NodeMetrics,
 }
 
-impl<O> MsgCrdtNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport> MsgCrdtNode<O> {
     /// Build the baseline replica.
     ///
     /// # Panics
@@ -117,7 +112,6 @@ where
             pending: (0..n).map(|_| VecDeque::new()).collect(),
             ingress,
             awaiting: HashMap::new(),
-            outstanding_meta: HashMap::new(),
             next_seq: 0,
             next_call_id: 0,
             halted: false,
@@ -222,11 +216,10 @@ where
         let frame = Frame::Op(entry).encode();
         for q in 0..self.n {
             if q != self.me.index() {
-                ctx.send(NodeId(q), frame.clone().into());
+                ctx.send(NodeId(q), frame.clone());
             }
         }
         self.awaiting.insert(seq, (call_id, self.n - 1, ctx.now(), method, session));
-        self.outstanding_meta.insert(call_id, ());
         if self.n == 1 {
             self.complete(ctx, seq);
         }
@@ -272,7 +265,7 @@ where
                     self.applied.increment(entry.rid.issuer, method);
                     self.metrics.remote_applied += 1;
                     self.metrics.last_apply = ctx.now();
-                    ctx.send(entry.rid.issuer_node(), Frame::<O::Update>::Ack(entry.rid.seq).encode().into());
+                    ctx.send(entry.rid.issuer_node(), Frame::<O::Update>::Ack(entry.rid.seq).encode());
                     progressed = true;
                 }
             }
@@ -294,11 +287,7 @@ impl RidExt for Rid {
     }
 }
 
-impl<O> App for MsgCrdtNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport> App for MsgCrdtNode<O> {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.set_timer(rdma_sim::SimDuration::micros(1), TAG_PUMP);
         self.pump(ctx);

@@ -27,7 +27,6 @@
 use hamband_core::coord::MethodCategory;
 use hamband_core::ids::{MethodId, Pid, Rid};
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 use rdma_sim::{NodeId, Phase, SimDuration, SimTime, TraceEvent};
 
 use crate::codec::compose_backup_slot;
@@ -75,11 +74,7 @@ pub(crate) struct Outstanding {
     pub(crate) backup_slot: Option<usize>,
 }
 
-impl<O> HambandNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport> HambandNode<O> {
     /// The flat-combining drain: act as the combiner for the node's
     /// client sessions, planning and issuing their calls round-robin
     /// until the ingress yields (or an impermissible streak suggests

@@ -31,7 +31,6 @@
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 use rdma_sim::{Fault, FaultGenConfig, FaultPlan, NodeId, Phase, SimTime, TraceEvent};
 
 use crate::driver::WorkloadSpec;
@@ -139,7 +138,7 @@ pub fn run_case<O>(
 ) -> Vec<Violation>
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     let workload = WorkloadSpec::ops(opts.ops).with_update_ratio(opts.update_ratio).with_seed(seed);
@@ -247,7 +246,7 @@ where
 pub fn run_seed<O>(spec: &O, coord: &CoordSpec, seed: u64, opts: &ChaosOptions) -> CaseReport
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     let leaders: Vec<NodeId> = hamband_core::coord::GroupMapper::new(coord, opts.sync_shards)
@@ -349,7 +348,7 @@ pub fn shrink_case<O>(
 ) -> FaultPlan
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     shrink(plan, |candidate| !run_case(spec, coord, seed, candidate, opts).is_empty())

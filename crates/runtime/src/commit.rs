@@ -10,18 +10,13 @@
 //! the next (`HambandNode::flush_commit`).
 
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 use rdma_sim::{CompletionStatus, NodeId, TraceEvent};
 
 use crate::calls::Route;
 use crate::replica::HambandNode;
 use crate::transport::Transport;
 
-impl<O> HambandNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport> HambandNode<O> {
     /// Advance group `g`'s commit index over newly majority-acked
     /// sequences, acknowledge the committed client calls, and push the
     /// index to followers.

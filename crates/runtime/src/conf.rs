@@ -36,7 +36,6 @@ use std::collections::{BTreeMap, VecDeque};
 
 use hamband_core::ids::{MethodId, Pid};
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 use rdma_sim::{CompletionStatus, NodeId, RingKind, SimDuration, TraceEvent, WrId};
 
 use crate::calls::Outstanding;
@@ -317,11 +316,7 @@ impl GroupEngine {
 // Node-side CONF path (issue, apply, write completions, retries)
 // ---------------------------------------------------------------------
 
-impl<O> HambandNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport> HambandNode<O> {
     /// Install the startup permission grants for every group (only the
     /// initial leader may write a group's ring and commit cell — the Mu
     /// permission discipline) and become the writer of any group we

@@ -42,11 +42,7 @@ pub struct Election {
     pub(crate) max_commit: u64,
 }
 
-impl<O> HambandNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport> HambandNode<O> {
     /// Start an election for group `g`: vote for ourselves (grant our
     /// own permission, tally our own tail/commit) and solicit acks from
     /// every unsuspected peer.
@@ -64,7 +60,7 @@ where
         let msg = ControlMsg::LeaderRequest { group: g as u32, epoch };
         for q in 0..self.n {
             if q != self.me.index() && !self.fd.is_suspected(NodeId(q)) {
-                ctx.send(NodeId(q), msg.to_bytes().into());
+                ctx.send(NodeId(q), msg.to_bytes());
             }
         }
         self.maybe_win(ctx, g);
@@ -120,7 +116,7 @@ where
                     let tail = self.landed_tail(ctx, g);
                     let commit = self.known_commit(ctx, g);
                     let ack = ControlMsg::LeaderAck { group, epoch, tail, commit };
-                    ctx.send(from, ack.to_bytes().into());
+                    ctx.send(from, ack.to_bytes());
                 }
             }
             ControlMsg::LeaderAck { group, epoch, tail, commit } => {
@@ -148,7 +144,7 @@ where
                         epoch: self.engines[g].promised,
                         leader: self.engines[g].leader_view.index() as u32,
                     };
-                    ctx.send(from, ack.to_bytes().into());
+                    ctx.send(from, ack.to_bytes());
                 }
             }
             ControlMsg::JoinAck { group, epoch, leader } => {
@@ -272,7 +268,7 @@ where
         };
         for q in 0..self.n {
             if q != self.me.index() {
-                ctx.send(NodeId(q), msg.to_bytes().into());
+                ctx.send(NodeId(q), msg.to_bytes());
             }
         }
         self.advance_commit(ctx, g);

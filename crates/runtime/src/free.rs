@@ -10,7 +10,6 @@
 
 use hamband_core::ids::{MethodId, Pid};
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 use rdma_sim::{CompletionStatus, NodeId, Phase, RingKind, WrId};
 
 use crate::calls::Outstanding;
@@ -19,11 +18,7 @@ use crate::replica::HambandNode;
 use crate::rings::{RingReader, RingWriter};
 use crate::transport::Transport;
 
-impl<O> HambandNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport> HambandNode<O> {
     /// Build the `F`-ring endpoints: one writer feeding our ring at
     /// each peer, one reader over each peer's ring copy here.
     pub(crate) fn setup_free_endpoints(&mut self) {

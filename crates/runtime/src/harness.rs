@@ -24,7 +24,6 @@ use hamband_core::coord::CoordSpec;
 use hamband_core::counts::CountMap;
 use hamband_core::ids::Pid;
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 use rdma_sim::{
     App, CollectingSink, FaultPlan, LatencyModel, NodeId, Phase, SimDuration, SimTime, Simulator,
     Stats, StderrSink, TraceBuffer, TraceRecord,
@@ -296,7 +295,7 @@ impl Runner {
     pub fn run<O>(&self, spec: &O, coord: &CoordSpec) -> RunOutcome
     where
         O: WorkloadSupport + Clone + Send,
-        O::Update: Wire + Send,
+        O::Update: Send,
         O::State: Send,
     {
         self.run_with_states(spec, coord).0
@@ -312,7 +311,7 @@ impl Runner {
     ) -> (RunOutcome, Vec<NodeEndState<O::State>>)
     where
         O: WorkloadSupport + Clone + Send,
-        O::Update: Wire + Send,
+        O::Update: Send,
         O::State: Send,
     {
         let label = self.label.as_deref().unwrap_or(self.system.label());
@@ -375,11 +374,7 @@ pub(crate) trait HarnessNode: App {
     fn status_line(&self) -> String;
 }
 
-impl<O> HarnessNode for HambandNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport + Clone> HarnessNode for HambandNode<O> {
     type Snapshot = O::State;
 
     fn is_halted(&self) -> bool {
@@ -408,11 +403,7 @@ where
     }
 }
 
-impl<O> HarnessNode for MsgCrdtNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport> HarnessNode for MsgCrdtNode<O> {
     type Snapshot = O::State;
 
     fn is_halted(&self) -> bool {
@@ -630,7 +621,6 @@ pub fn assemble<O>(
 ) -> (Simulator<HambandNode<O>>, Layout, Option<TraceBuffer>)
 where
     O: WorkloadSupport + Clone,
-    O::Update: Wire,
 {
     let mut sim = Simulator::new(run.nodes, run.latency.clone(), run.seed);
     let trace = install_trace(&mut sim, run.trace);
@@ -651,7 +641,6 @@ pub(crate) fn run_replicas<O>(
 ) -> (RunOutcome, Vec<NodeEndState<O::State>>)
 where
     O: WorkloadSupport + Clone,
-    O::Update: Wire,
 {
     let (sim, _layout, trace) = assemble(spec, coord, run);
     drive_and_collect(sim, trace, spec, run, label)
@@ -665,7 +654,6 @@ fn run_msg_cluster<O>(
 ) -> (RunOutcome, Vec<NodeEndState<O::State>>)
 where
     O: WorkloadSupport + Clone,
-    O::Update: Wire,
 {
     let n = run.nodes;
     let mut sim: Simulator<MsgCrdtNode<O>> = Simulator::new(n, run.latency.clone(), run.seed);

@@ -5,7 +5,6 @@
 //! others to accept it as the leader and waits for a majority of them
 //! to acknowledge", §4) and its announcement.
 
-use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
 
 /// A control message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,80 +64,24 @@ pub enum ControlMsg {
     },
 }
 
-impl Wire for ControlMsg {
-    fn encode(&self, w: &mut Writer) {
-        match *self {
-            ControlMsg::LeaderRequest { group, epoch } => {
-                w.u8(0);
-                w.varint(u64::from(group));
-                w.varint(epoch);
-            }
-            ControlMsg::LeaderAck { group, epoch, tail, commit } => {
-                w.u8(1);
-                w.varint(u64::from(group));
-                w.varint(epoch);
-                w.varint(tail);
-                w.varint(commit);
-            }
-            ControlMsg::LeaderAnnounce { group, epoch, leader } => {
-                w.u8(2);
-                w.varint(u64::from(group));
-                w.varint(epoch);
-                w.varint(u64::from(leader));
-            }
-            ControlMsg::Retired => {
-                w.u8(3);
-            }
-            ControlMsg::JoinRequest => {
-                w.u8(4);
-            }
-            ControlMsg::JoinAck { group, epoch, leader } => {
-                w.u8(5);
-                w.varint(u64::from(group));
-                w.varint(epoch);
-                w.varint(u64::from(leader));
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        // Narrow u64 varints with a checked conversion: a wire value
-        // that does not fit the field is a malformed message, not a
-        // silent truncation to some other group/leader index.
-        fn narrow(v: u64) -> Result<u32, DecodeError> {
-            u32::try_from(v).map_err(|_| DecodeError)
-        }
-        match r.u8()? {
-            0 => Ok(ControlMsg::LeaderRequest {
-                group: narrow(r.varint()?)?,
-                epoch: r.varint()?,
-            }),
-            1 => Ok(ControlMsg::LeaderAck {
-                group: narrow(r.varint()?)?,
-                epoch: r.varint()?,
-                tail: r.varint()?,
-                commit: r.varint()?,
-            }),
-            2 => Ok(ControlMsg::LeaderAnnounce {
-                group: narrow(r.varint()?)?,
-                epoch: r.varint()?,
-                leader: narrow(r.varint()?)?,
-            }),
-            3 => Ok(ControlMsg::Retired),
-            4 => Ok(ControlMsg::JoinRequest),
-            5 => Ok(ControlMsg::JoinAck {
-                group: narrow(r.varint()?)?,
-                epoch: r.varint()?,
-                leader: narrow(r.varint()?)?,
-            }),
-            _ => Err(DecodeError),
-        }
+// `group` and `leader` are `u32`: a wire value that does not fit the
+// field is a malformed message, not a silent truncation to some other
+// group or leader index.
+hamband_core::calls! {
+    wire ControlMsg {
+        LeaderRequest { group, epoch },
+        LeaderAck { group, epoch, tail, commit },
+        LeaderAnnounce { group, epoch, leader },
+        Retired,
+        JoinRequest,
+        JoinAck { group, epoch, leader },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hamband_core::wire::{DecodeError, Wire, Writer};
 
     #[test]
     fn roundtrip_all_variants() {

@@ -19,7 +19,6 @@
 use hamband_core::coord::MethodCategory;
 use hamband_core::ids::{MethodId, Pid};
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 use rdma_sim::{NodeId, TraceEvent};
 
 use crate::calls::Route;
@@ -28,11 +27,7 @@ use crate::driver::QuotaSplit;
 use crate::replica::HambandNode;
 use crate::transport::Transport;
 
-impl<O> HambandNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport> HambandNode<O> {
     /// React to the failure detector (or a `Retired` announcement)
     /// suspecting `suspect`.
     pub(crate) fn on_suspect<T: Transport>(&mut self, ctx: &mut T, suspect: NodeId) {

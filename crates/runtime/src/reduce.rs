@@ -20,7 +20,6 @@
 
 use hamband_core::ids::{MethodId, Pid};
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 use rdma_sim::{NodeId, Phase, TraceEvent};
 
 use crate::calls::{Outstanding, Route};
@@ -37,11 +36,7 @@ pub(crate) struct CachedSummary<U> {
     pub(crate) summary: Option<U>,
 }
 
-impl<O> HambandNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport> HambandNode<O> {
     /// REDUCE: fold into the summary, broadcast the slot.
     pub(crate) fn issue_reduce<T: Transport>(
         &mut self,

@@ -34,31 +34,19 @@
 //! retired leader would wedge convergence because peers keep its
 //! suspicion sticky.
 
-use std::collections::VecDeque;
-
-use hamband_core::coord::GroupMapper;
-use hamband_core::counts::CountMap;
 use hamband_core::ids::{MethodId, Pid};
 use hamband_core::object::WorkloadSupport;
 use hamband_core::wire::Wire;
-use rdma_sim::{NodeId, RingKind};
+use rdma_sim::NodeId;
 
 use crate::codec::{Entry, SummarySlot};
-use crate::conf::GroupEngine;
-use crate::heartbeat::{FailureDetector, Heartbeat};
-use crate::ingress::Ingress;
 use crate::messages::ControlMsg;
 use crate::persist::LogRecord;
 use crate::reduce::CachedSummary;
 use crate::replica::{HambandNode, TAG_FD, TAG_HEARTBEAT, TAG_POLL};
-use crate::rings::RingReader;
 use crate::transport::Transport;
 
-impl<O> HambandNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport> HambandNode<O> {
     /// Append a [`LogRecord::GroupHard`] snapshot of group `g`'s hard
     /// consensus state (epoch, promise, commit) and fence it. Called at
     /// every point where that state changes *before* its consequences
@@ -89,7 +77,10 @@ where
     /// The recovery pass. Runs on the restart event, after the fabric
     /// has restored the node's regions (durable contents kept or rolled
     /// back to the last fence; volatile contents zeroed).
-    pub(crate) fn restart_recover<T: Transport>(&mut self, ctx: &mut T) {
+    pub(crate) fn restart_recover<T: Transport>(&mut self, ctx: &mut T)
+    where
+        O: Clone,
+    {
         if self.log.is_none() {
             // Crash-stop configuration: nothing durable survived, so a
             // "restarted" node can only stay silent — exactly the
@@ -248,88 +239,41 @@ where
         // currently recognizes per mapped group.
         for q in 0..self.n {
             if q != self.me.index() {
-                ctx.send(NodeId(q), ControlMsg::Retired.to_bytes().into());
-                ctx.send(NodeId(q), ControlMsg::JoinRequest.to_bytes().into());
+                ctx.send(NodeId(q), ControlMsg::Retired.to_bytes());
+                ctx.send(NodeId(q), ControlMsg::JoinRequest.to_bytes());
             }
         }
     }
 
-    /// Reset every piece of *soft* (reconstructible) state to its
-    /// initial value, exactly as [`HambandNode::new`] builds it — the
-    /// replay pass then folds the durable hard state over this blank
-    /// slate.
-    fn reset_soft_state(&mut self) {
-        self.sigma = self.spec.initial();
-        self.mat = self.sigma.clone();
-        self.mat_dirty = false;
-        self.spec_mat = None;
-        self.applied = CountMap::new(self.n, self.coord.method_count());
-        let sum_group_count = self.coord.sum_groups().len();
-        self.sum_cache = self
-            .coord
-            .sum_groups()
-            .iter()
-            .map(|g| {
-                (0..self.n)
-                    .map(|_| CachedSummary { version: 0, counts: vec![0; g.len()], summary: None })
-                    .collect()
-            })
-            .collect();
-        self.sum_inflight = (0..sum_group_count).map(|_| vec![None; self.n]).collect();
-        self.sum_waiters =
-            (0..sum_group_count).map(|_| vec![VecDeque::new(); self.n]).collect();
-        self.sum_slot_buf = vec![Vec::new(); sum_group_count];
-        self.free_writers.clear();
-        self.free_readers.clear();
-        self.setup_free_endpoints();
-        let leaders = self.initial_leaders.clone();
-        self.engines = leaders
-            .iter()
-            .enumerate()
-            .map(|(g, &l)| {
-                GroupEngine::new(
-                    l,
-                    RingReader::new(
-                        RingKind::Conf,
-                        self.layout.conf[g],
-                        self.layout.conf_ring_base(),
-                        self.layout.conf_cap(),
-                        self.layout.entry_size(),
-                        self.layout.heads,
-                        self.layout.conf_head_offset(g),
-                    ),
-                )
-            })
-            .collect();
-        self.hb = Heartbeat::new(self.layout.heartbeat);
-        self.fd = FailureDetector::new(self.me, self.n, self.layout.heartbeat, self.cfg.fd_suspect_after)
-            .with_min_sample_gap(self.cfg.heartbeat_interval);
-        self.adopted = vec![false; self.n];
-        let mapper = GroupMapper::new(&self.coord, self.cfg.sync_shards);
-        self.ingress = Ingress::new(
-            &self.workload,
+    /// Reset every piece of *soft* (reconstructible) state by building
+    /// the node afresh — the replay pass then folds the durable hard
+    /// state over this blank slate. What deliberately survives:
+    /// measurements span the restart, request ids must never be reused
+    /// even though no further calls are minted, and the persist log is
+    /// the hard state itself.
+    fn reset_soft_state(&mut self)
+    where
+        O: Clone,
+    {
+        let fresh = HambandNode::new(
+            &self.spec,
             &self.coord,
-            mapper,
-            self.me.index(),
-            self.n,
-            self.cfg.backup_slots,
+            &self.cfg,
+            &self.layout,
+            self.me,
+            Some(&self.initial_leaders),
+            &self.workload,
         );
+        let old = std::mem::replace(self, fresh);
+        self.metrics = old.metrics;
+        self.next_call_id = old.next_call_id;
+        self.next_rid_seq = old.next_rid_seq;
+        self.log = old.log;
+        self.setup_free_endpoints();
         // The pre-crash client sessions are gone: the rejoined node
         // participates in the protocol but issues no further workload.
         self.ingress.halt();
         self.workload_retired = true;
-        self.speculative_store.clear();
-        self.outstanding.clear();
-        self.free_call_by_seq.clear();
-        self.wr_routes.clear();
-        self.conf_retries.clear();
-        self.retry_timer_armed = false;
-        self.halted = false;
-        self.pending_arrival = None;
-        self.join_epoch = vec![0; self.engines.len()];
-        // `metrics`, `next_call_id`, `next_rid_seq` deliberately
-        // survive: measurements span the restart, and request ids must
-        // never be reused even though no further calls are minted.
     }
 }
 

@@ -170,11 +170,7 @@ pub struct HambandNode<O: ObjectSpec> {
     pub(crate) pending_arrival: Option<SimTime>,
 }
 
-impl<O> HambandNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport> HambandNode<O> {
     /// Build the replica for node `me` of the cluster `layout` was
     /// planned for — the one constructor every backend's cluster
     /// assembly goes through.
@@ -450,7 +446,7 @@ where
                     let msg = ControlMsg::Retired;
                     for q in 0..self.n {
                         if q != self.me.index() {
-                            ctx.send(NodeId(q), msg.to_bytes().into());
+                            ctx.send(NodeId(q), msg.to_bytes());
                         }
                     }
                 }
@@ -460,11 +456,7 @@ where
     }
 }
 
-impl<O> App for HambandNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport + Clone> App for HambandNode<O> {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.start(ctx);
     }

@@ -12,7 +12,6 @@ use std::fmt;
 
 use hamband_core::ids::{GroupId, Pid};
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 
 use crate::conf::Role;
 use crate::replica::HambandNode;
@@ -133,11 +132,7 @@ impl fmt::Display for NodeStatus {
     }
 }
 
-impl<O> HambandNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport> HambandNode<O> {
     /// The applied-calls map `A`.
     pub fn applied_map(&self) -> &hamband_core::counts::CountMap {
         &self.applied

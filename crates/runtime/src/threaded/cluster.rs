@@ -7,7 +7,6 @@ use std::time::{Duration, Instant};
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 use rdma_sim::{Event, NodeId, SimDuration, SimTime, Stats};
 
 use super::ctx::ThreadedCtx;
@@ -42,7 +41,7 @@ pub struct ThreadedCluster<O: WorkloadSupport> {
 impl<O> ThreadedCluster<O>
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: PartialEq + Send,
 {
     /// Build an `n`-node cluster: allocate the standard region
@@ -162,13 +161,12 @@ where
             let c = &ctx.counters;
             s.writes += c.writes;
             s.reads += c.reads;
-            s.cas += c.cas;
             s.messages += c.messages;
             s.one_sided_bytes += c.one_sided_bytes;
             s.message_bytes += c.message_bytes;
             s.ring_writes += c.ring_writes;
             s.ring_slots += c.ring_slots;
-            s.per_node_ops[i] = c.writes + c.reads + c.cas + c.messages;
+            s.per_node_ops[i] = c.writes + c.reads + c.messages;
         }
         s
     }
@@ -186,11 +184,10 @@ where
 
 /// Handle every synchronous verb completion queued so far (handlers may
 /// post more). Returns whether any ran on the application CPU.
-fn drain_completions<O>(node: &mut HambandNode<O>, ctx: &mut ThreadedCtx) -> bool
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+fn drain_completions<O: WorkloadSupport>(
+    node: &mut HambandNode<O>,
+    ctx: &mut ThreadedCtx,
+) -> bool {
     let mut on_app_cpu = false;
     while let Some(ev) = ctx.local_q.pop_front() {
         on_app_cpu |= node.handle_event(ctx, ev);
@@ -203,7 +200,7 @@ where
 /// them, handles the completions of what the plan posted, then
 /// publishes progress and yields the core — the yield is what keeps an
 /// n-thread cluster live on fewer-than-n cores.
-fn replica_thread<O>(
+fn replica_thread<O: WorkloadSupport>(
     node: &mut HambandNode<O>,
     ctx: &mut ThreadedCtx,
     rx: &mut Receiver<Event>,
@@ -211,10 +208,7 @@ fn replica_thread<O>(
     shutdown: &AtomicBool,
     done: &AtomicBool,
     applied: &AtomicU64,
-) where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+) {
     if first {
         node.start(ctx);
     }

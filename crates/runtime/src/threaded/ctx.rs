@@ -20,7 +20,6 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::Bytes;
 use rdma_sim::{
     Event, LatencyModel, NodeId, RegionId, SimDuration, SimTime, TimerId, TraceEvent, VerbKind,
     WrId,
@@ -45,7 +44,6 @@ struct TimerEntry {
 pub(crate) struct Counters {
     pub writes: u64,
     pub reads: u64,
-    pub cas: u64,
     pub messages: u64,
     pub one_sided_bytes: u64,
     pub message_bytes: u64,
@@ -114,7 +112,13 @@ impl ThreadedCtx {
         id
     }
 
-    fn complete(&mut self, wr: WrId, kind: VerbKind, status: rdma_sim::CompletionStatus, data: Option<Bytes>) {
+    fn complete(
+        &mut self,
+        wr: WrId,
+        kind: VerbKind,
+        status: rdma_sim::CompletionStatus,
+        data: Option<Vec<u8>>,
+    ) {
         let completed_at = self.now();
         self.local_q.push_back(Event::Completion { wr, kind, status, data, completed_at });
     }
@@ -173,7 +177,7 @@ impl Transport for ThreadedCtx {
         let data = status.is_success().then(|| {
             let mut buf = Vec::new();
             self.mem.read_into(target, region, offset, len, &mut buf);
-            Bytes::from(buf)
+            buf
         });
         self.counters.reads += 1;
         self.counters.one_sided_bytes += len as u64;
@@ -181,27 +185,7 @@ impl Transport for ThreadedCtx {
         wr
     }
 
-    fn post_cas(
-        &mut self,
-        target: NodeId,
-        region: RegionId,
-        offset: usize,
-        expected: u64,
-        swap: u64,
-    ) -> WrId {
-        let wr = self.mint_wr();
-        let status = self.mem.check(self.node, target, region, offset, 8, true);
-        let data = status.is_success().then(|| {
-            let prior = self.mem.cas(target, region, offset, expected, swap);
-            Bytes::copy_from_slice(&prior.to_le_bytes())
-        });
-        self.counters.cas += 1;
-        self.counters.one_sided_bytes += 8;
-        self.complete(wr, VerbKind::CompareAndSwap, status, data);
-        wr
-    }
-
-    fn send(&mut self, target: NodeId, payload: Bytes) {
+    fn send(&mut self, target: NodeId, payload: Vec<u8>) {
         self.counters.messages += 1;
         self.counters.message_bytes += payload.len() as u64;
         let from = self.node;

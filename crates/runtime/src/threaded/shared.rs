@@ -24,9 +24,9 @@
 //!   the snapshot. See `DESIGN.md` § "Threading and memory-ordering
 //!   model" for the full argument.
 //!
-//! Words hold region bytes little-endian, so the 8-byte cells the
-//! protocol CASes (ring heads, commit cells) map 1:1 onto one atomic
-//! word and [`SharedMem::cas`] is a plain `compare_exchange`.
+//! Words hold region bytes little-endian. There is no atomic
+//! read-modify-write: the protocol avoids CAS by design (§2), so the
+//! loads and stores above are the whole interface.
 //!
 //! [`RuntimeConfig::entry_size`]: crate::config::RuntimeConfig::entry_size
 
@@ -157,29 +157,6 @@ impl SharedMem {
         }
     }
 
-    /// Compare-and-swap the little-endian u64 at `offset` (which must
-    /// be 8-aligned, as every cell the protocol CASes is); returns the
-    /// prior value. Bounds and permission must have been checked.
-    pub(crate) fn cas(
-        &self,
-        node: NodeId,
-        region: RegionId,
-        offset: usize,
-        expected: u64,
-        swap: u64,
-    ) -> u64 {
-        assert_eq!(offset % 8, 0, "CAS targets must be word-aligned");
-        let r = &self.regions[node.index()][region.index()];
-        match r.words[offset / 8].compare_exchange(
-            expected,
-            swap,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(prior) | Err(prior) => prior,
-        }
-    }
-
     /// Grant or revoke `source`'s write permission on `(node, region)`.
     pub(crate) fn set_perm(&self, node: NodeId, region: RegionId, source: NodeId, allowed: bool) {
         self.regions[node.index()][region.index()].perms[source.index()]
@@ -209,17 +186,6 @@ mod tests {
         m.read_into(NodeId(0), r, 0, 64, &mut out);
         assert_eq!(&out[0..5], &[0; 5]);
         assert_eq!(&out[28..], &[0; 36]);
-    }
-
-    #[test]
-    fn cas_swaps_only_on_match() {
-        let (m, r) = mem();
-        m.write(NodeId(1), r, 8, &7u64.to_le_bytes());
-        assert_eq!(m.cas(NodeId(1), r, 8, 6, 9), 7, "mismatch returns prior");
-        assert_eq!(m.cas(NodeId(1), r, 8, 7, 9), 7, "match swaps");
-        let mut out = Vec::new();
-        m.read_into(NodeId(1), r, 8, 8, &mut out);
-        assert_eq!(u64::from_le_bytes(out.try_into().unwrap()), 9);
     }
 
     #[test]

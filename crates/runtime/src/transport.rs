@@ -8,10 +8,11 @@
 //! calling [`rdma_sim::Ctx`] directly. The trait captures exactly the
 //! surface the runtime consumes:
 //!
-//! * **one-sided verbs** — [`post_write`](Transport::post_write),
-//!   [`post_read`](Transport::post_read),
-//!   [`post_cas`](Transport::post_cas): asynchronous, completing later
-//!   through [`Event::Completion`](rdma_sim::Event);
+//! * **one-sided verbs** — [`post_write`](Transport::post_write) and
+//!   [`post_read`](Transport::post_read): asynchronous, completing
+//!   later through [`Event::Completion`](rdma_sim::Event). There is no
+//!   compare-and-swap: the protocol avoids CAS by design (§2), and the
+//!   ablation that prices it drives the simulator directly;
 //! * **messaging** — [`send`](Transport::send), the two-sided slow path
 //!   (elections, announcements, retirement);
 //! * **timers** — [`set_timer`](Transport::set_timer) and the
@@ -38,7 +39,6 @@
 //! across backends — the trait abstracts the operations, not the
 //! wire-level identifiers.
 
-use bytes::Bytes;
 use rdma_sim::{Ctx, NodeId, RegionId, SimDuration, SimTime, TimerId, TraceEvent, WrId};
 
 /// The operations a Hamband replica requires from its fabric.
@@ -79,20 +79,8 @@ pub trait Transport {
     /// `(target, region, offset)`; the completion carries the bytes.
     fn post_read(&mut self, target: NodeId, region: RegionId, offset: usize, len: usize) -> WrId;
 
-    /// Post a one-sided compare-and-swap on the 8-byte little-endian
-    /// word at `(target, region, offset)`; the completion carries the
-    /// *prior* value (the swap happened iff it equals `expected`).
-    fn post_cas(
-        &mut self,
-        target: NodeId,
-        region: RegionId,
-        offset: usize,
-        expected: u64,
-        swap: u64,
-    ) -> WrId;
-
     /// Send a two-sided message (SEND/RECV; costs receiver CPU).
-    fn send(&mut self, target: NodeId, payload: Bytes);
+    fn send(&mut self, target: NodeId, payload: Vec<u8>);
 
     /// Arm a timer that fires after `delay` with the given tag.
     fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId;
@@ -156,17 +144,7 @@ impl Transport for Ctx<'_> {
     fn post_read(&mut self, target: NodeId, region: RegionId, offset: usize, len: usize) -> WrId {
         Ctx::post_read(self, target, region, offset, len)
     }
-    fn post_cas(
-        &mut self,
-        target: NodeId,
-        region: RegionId,
-        offset: usize,
-        expected: u64,
-        swap: u64,
-    ) -> WrId {
-        Ctx::post_cas(self, target, region, offset, expected, swap)
-    }
-    fn send(&mut self, target: NodeId, payload: Bytes) {
+    fn send(&mut self, target: NodeId, payload: Vec<u8>) {
         Ctx::send(self, target, payload)
     }
     fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {

@@ -27,15 +27,10 @@
 //! non-monotone summary refresh.
 
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 
 use crate::replica::HambandNode;
 
-impl<O> HambandNode<O>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+impl<O: WorkloadSupport> HambandNode<O> {
     /// The node's current (committed) object state.
     pub fn state_snapshot(&self) -> O::State {
         let mut s = self.sigma.clone();

@@ -3,7 +3,6 @@
 
 use hamband_core::counts::DepMap;
 use hamband_core::ids::{Pid, Rid};
-use hamband_core::wire::Wire;
 use hamband_core::{CoordSpec, WorkloadSupport};
 use hamband_runtime::codec::{
     compose_backup_slot, Entry, SummarySlot, BACKUP_FREE, BACKUP_SUMMARY,
@@ -25,11 +24,7 @@ fn counter_cluster(n: usize, ops: u64, plan: FaultPlan) -> Simulator<HambandNode
 
 /// Calls acknowledged across the cluster's `n` nodes, halted ones
 /// included: what `RunReport::total_calls` counts.
-fn calls_made<O>(sim: &Simulator<HambandNode<O>>, n: usize) -> u64
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+fn calls_made<O: WorkloadSupport + Clone>(sim: &Simulator<HambandNode<O>>, n: usize) -> u64 {
     (0..n)
         .map(|i| {
             let m = &sim.app(NodeId(i)).metrics;
@@ -281,7 +276,7 @@ fn plan_skipped_for_a_partitioned_message_is_made_up_by_the_next_poll() {
     // An undecodable control message: ignored by its handler, but an
     // application-CPU event like any other. Arrives at ~35 us.
     sim.run_until(SimTime(10_000));
-    sim.with_app_ctx(NodeId(2), |_, ctx| ctx.send(NodeId(0), vec![0xff].into()));
+    sim.with_app_ctx(NodeId(2), |_, ctx| ctx.send(NodeId(0), vec![0xff]));
     while sim.app(NodeId(0)).metrics.updates_acked == 0 {
         sim.run_for(SimDuration::nanos(20));
         assert!(sim.now() < SimTime(1_000_000), "node 0 never acknowledged its first call");

@@ -66,7 +66,6 @@
 //! summarization group and did not move. Any future mismatch is a
 //! regression, not an excuse for another bless.
 
-use hamband_core::wire::Wire;
 use hamband_core::{CoordSpec, ObjectSpec, WorkloadSupport};
 use hamband_runtime::{
     DurabilityMode, RunConfig, RunOutcome, Runner, RuntimeConfig, System, TraceMode, TraceRecord,
@@ -210,7 +209,7 @@ fn saturated_digest<O>(
 ) -> (usize, u64)
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     // Restarts need the persist log (as in `chaos::run_case`).

@@ -18,8 +18,7 @@ use std::sync::Arc;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
-use hamband_core::wire::Wire;
+use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
 use hamband_runtime::{RunConfig, Runner, System, WorkloadSpec};
 use hamband_types::{Bank, Courseware};
 use rand::rngs::StdRng;
@@ -96,7 +95,7 @@ impl<O: ObjectSpec> ObjectSpec for Counting<O> {
     }
 }
 
-impl<O: SpecSampler> SpecSampler for Counting<O> {
+impl<O: WorkloadSupport> WorkloadSupport for Counting<O> {
     fn sample_state(&self, rng: &mut StdRng) -> Self::State {
         Counted {
             state: self.inner.sample_state(rng),
@@ -106,9 +105,6 @@ impl<O: SpecSampler> SpecSampler for Counting<O> {
     fn sample_update_of(&self, method: MethodId, rng: &mut StdRng) -> Self::Update {
         self.inner.sample_update_of(method, rng)
     }
-}
-
-impl<O: WorkloadSupport> WorkloadSupport for Counting<O> {
     fn sample_query(&self, rng: &mut StdRng) -> Self::Query {
         self.inner.sample_query(rng)
     }
@@ -131,7 +127,7 @@ impl<O: WorkloadSupport> WorkloadSupport for Counting<O> {
 fn clones_of_a_run<O>(inner: &O, coord: &CoordSpec, total_ops: u64) -> (usize, u64)
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     let clones = Arc::new(AtomicUsize::new(0));
@@ -155,7 +151,7 @@ where
 fn clone_count_is_independent_of_run_length<O>(inner: &O, coord: &CoordSpec)
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     let (short, short_updates) = clones_of_a_run(inner, coord, 2_000);

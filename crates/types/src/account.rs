@@ -16,16 +16,7 @@ pub use hamband_core::demo::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamband_core::analysis::{validate, AnalysisConfig};
     use hamband_core::coord::MethodCategory;
-    use hamband_core::wire::Wire;
-
-    #[test]
-    fn coord_spec_validates() {
-        let acc = Account::new(20);
-        let report = validate(&acc, &acc.coord_spec(), &AnalysisConfig::default());
-        assert!(report.is_valid(), "{report}");
-    }
 
     #[test]
     fn categories_match_fig1() {
@@ -34,12 +25,5 @@ mod tests {
         assert!(matches!(c.category(DEPOSIT), MethodCategory::Reducible { .. }));
         assert!(c.category(WITHDRAW).is_conflicting());
         assert_eq!(c.dependencies(WITHDRAW), &[DEPOSIT]);
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        for u in [Account::deposit(5), Account::withdraw(1 << 40)] {
-            assert_eq!(AccountUpdate::from_bytes(&u.to_bytes()).unwrap(), u);
-        }
     }
 }

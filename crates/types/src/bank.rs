@@ -25,17 +25,9 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
-use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
+use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
 
 use crate::sets::{insert_missing, sorted_union};
-
-/// Method index of `open_accounts`.
-pub const OPEN: MethodId = MethodId(0);
-/// Method index of `deposit`.
-pub const DEPOSIT: MethodId = MethodId(1);
-/// Method index of `withdraw`.
-pub const WITHDRAW: MethodId = MethodId(2);
 
 /// The bank state: the set of open accounts and their balances.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -55,6 +47,14 @@ pub enum BankUpdate {
     Deposit(u64, u64),
     /// `withdraw(account, amount)`.
     Withdraw(u64, u64),
+}
+
+hamband_core::calls! {
+    BankUpdate {
+        OPEN = "open_accounts" => OpenAccounts(accounts),
+        DEPOSIT = "deposit" => Deposit(account, amount),
+        WITHDRAW = "withdraw" => Withdraw(account, amount),
+    }
 }
 
 /// A query call on the bank.
@@ -154,15 +154,11 @@ impl ObjectSpec for Bank {
     }
 
     fn method_names(&self) -> Vec<&'static str> {
-        vec!["open_accounts", "deposit", "withdraw"]
+        BankUpdate::METHOD_NAMES.to_vec()
     }
 
     fn method_of(&self, call: &BankUpdate) -> MethodId {
-        match call {
-            BankUpdate::OpenAccounts(_) => OPEN,
-            BankUpdate::Deposit(..) => DEPOSIT,
-            BankUpdate::Withdraw(..) => WITHDRAW,
-        }
+        call.method()
     }
 
     fn summarize(&self, a: &BankUpdate, b: &BankUpdate) -> Option<BankUpdate> {
@@ -203,7 +199,7 @@ impl ObjectSpec for Bank {
     }
 }
 
-impl SpecSampler for Bank {
+impl WorkloadSupport for Bank {
     fn sample_state(&self, rng: &mut StdRng) -> BankState {
         let mut s = BankState::default();
         for _ in 0..rng.gen_range(0..8) {
@@ -229,9 +225,7 @@ impl SpecSampler for Bank {
             other => panic!("bank has no method {other}"),
         }
     }
-}
 
-impl WorkloadSupport for Bank {
     fn sample_query(&self, rng: &mut StdRng) -> BankQuery {
         if rng.gen_bool(0.7) {
             BankQuery::Balance(rng.gen_range(0..self.account_space))
@@ -280,40 +274,9 @@ impl WorkloadSupport for Bank {
     }
 }
 
-impl Wire for BankUpdate {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            BankUpdate::OpenAccounts(accts) => {
-                w.u8(0);
-                accts.encode(w);
-            }
-            BankUpdate::Deposit(acct, amount) => {
-                w.u8(1);
-                w.varint(*acct);
-                w.varint(*amount);
-            }
-            BankUpdate::Withdraw(acct, amount) => {
-                w.u8(2);
-                w.varint(*acct);
-                w.varint(*amount);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(BankUpdate::OpenAccounts(Vec::<u64>::decode(r)?)),
-            1 => Ok(BankUpdate::Deposit(r.varint()?, r.varint()?)),
-            2 => Ok(BankUpdate::Withdraw(r.varint()?, r.varint()?)),
-            _ => Err(DecodeError),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamband_core::analysis::{validate, AnalysisConfig};
     use hamband_core::coord::MethodCategory;
     use hamband_core::relations::BoundedRelations;
 
@@ -328,13 +291,6 @@ mod tests {
         assert!(c.category(WITHDRAW).is_conflicting());
         assert_eq!(c.dependencies(DEPOSIT), &[OPEN]);
         assert_eq!(c.dependencies(WITHDRAW), &[OPEN, DEPOSIT]);
-    }
-
-    #[test]
-    fn coord_spec_validates() {
-        let bank = Bank::default();
-        let report = validate(&bank, &bank.coord_spec(), &AnalysisConfig::default());
-        assert!(report.is_valid(), "{report}");
     }
 
     #[test]
@@ -469,16 +425,5 @@ mod tests {
         crate::gen_parity::assert_same_draws(&bank, |state, node, seq, method, rng, skew| {
             collecting_gen_update(&bank, state, node, seq, method, rng, skew)
         });
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        for u in [
-            BankUpdate::OpenAccounts(vec![1, 2, 3]),
-            BankUpdate::Deposit(9, 1 << 40),
-            BankUpdate::Withdraw(9, 7),
-        ] {
-            assert_eq!(BankUpdate::from_bytes(&u.to_bytes()).unwrap(), u);
-        }
     }
 }

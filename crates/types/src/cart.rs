@@ -15,13 +15,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
-use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
-
-/// Method index of `add`.
-pub const ADD: MethodId = MethodId(0);
-/// Method index of `remove`.
-pub const REMOVE: MethodId = MethodId(1);
+use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
 
 /// The cart state: item → net signed quantity.
 pub type CartState = BTreeMap<u64, i64>;
@@ -43,6 +37,13 @@ pub enum CartUpdate {
         /// How many to remove.
         qty: u32,
     },
+}
+
+hamband_core::calls! {
+    CartUpdate {
+        ADD = "add" => Add { item, qty },
+        REMOVE = "remove" => Remove { item, qty },
+    }
 }
 
 /// A query call on the cart.
@@ -122,14 +123,11 @@ impl ObjectSpec for Cart {
     }
 
     fn method_names(&self) -> Vec<&'static str> {
-        vec!["add", "remove"]
+        CartUpdate::METHOD_NAMES.to_vec()
     }
 
     fn method_of(&self, call: &CartUpdate) -> MethodId {
-        match call {
-            CartUpdate::Add { .. } => ADD,
-            CartUpdate::Remove { .. } => REMOVE,
-        }
+        call.method()
     }
 
     fn apply_mut(&self, state: &mut CartState, call: &CartUpdate) {
@@ -154,7 +152,7 @@ impl ObjectSpec for Cart {
     }
 }
 
-impl SpecSampler for Cart {
+impl WorkloadSupport for Cart {
     fn sample_state(&self, rng: &mut StdRng) -> CartState {
         let n = rng.gen_range(0..10);
         (0..n)
@@ -172,9 +170,7 @@ impl SpecSampler for Cart {
             other => panic!("cart has no method {other}"),
         }
     }
-}
 
-impl WorkloadSupport for Cart {
     fn sample_query(&self, rng: &mut StdRng) -> CartQuery {
         if rng.gen_bool(0.5) {
             CartQuery::Quantity(rng.gen_range(0..self.item_space))
@@ -211,38 +207,9 @@ impl WorkloadSupport for Cart {
     }
 }
 
-impl Wire for CartUpdate {
-    fn encode(&self, w: &mut Writer) {
-        match *self {
-            CartUpdate::Add { item, qty } => {
-                w.u8(0);
-                w.varint(item);
-                w.varint(u64::from(qty));
-            }
-            CartUpdate::Remove { item, qty } => {
-                w.u8(1);
-                w.varint(item);
-                w.varint(u64::from(qty));
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let tag = r.u8()?;
-        let item = r.varint()?;
-        let qty = u32::try_from(r.varint()?).map_err(|_| DecodeError)?;
-        match tag {
-            0 => Ok(CartUpdate::Add { item, qty }),
-            1 => Ok(CartUpdate::Remove { item, qty }),
-            _ => Err(DecodeError),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamband_core::analysis::{validate, AnalysisConfig};
     use hamband_core::relations::BoundedRelations;
 
     #[test]
@@ -257,10 +224,8 @@ mod tests {
     }
 
     #[test]
-    fn coord_spec_validates() {
+    fn both_methods_are_irreducible_free() {
         let c = Cart::default();
-        let report = validate(&c, &c.coord_spec(), &AnalysisConfig::default());
-        assert!(report.is_valid(), "{report}");
         assert!(c.coord_spec().category(ADD).is_irreducible_free());
         assert!(c.coord_spec().category(REMOVE).is_irreducible_free());
     }
@@ -329,12 +294,5 @@ mod tests {
         crate::gen_parity::assert_same_draws(&cart, |state, node, seq, method, rng, skew| {
             collecting_gen_update(&cart, state, node, seq, method, rng, skew)
         });
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        for u in [CartUpdate::Add { item: 7, qty: 1 }, CartUpdate::Remove { item: 0, qty: 9 }] {
-            assert_eq!(CartUpdate::from_bytes(&u.to_bytes()).unwrap(), u);
-        }
     }
 }

@@ -11,17 +11,17 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{ObjectSpec, SpecSampler, WorkloadSupport};
-use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
-
-/// Method index of `add`.
-pub const ADD: MethodId = MethodId(0);
+use hamband_core::object::{ObjectSpec, WorkloadSupport};
 
 /// An update call on the counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterUpdate {
     /// `add(delta)`: add a (possibly negative) delta.
     Add(i64),
+}
+
+hamband_core::calls! {
+    untagged CounterUpdate { ADD = "add" => Add(delta) }
 }
 
 /// A query call on the counter.
@@ -101,11 +101,11 @@ impl ObjectSpec for Counter {
     }
 
     fn method_names(&self) -> Vec<&'static str> {
-        vec!["add"]
+        CounterUpdate::METHOD_NAMES.to_vec()
     }
 
-    fn method_of(&self, _call: &CounterUpdate) -> MethodId {
-        ADD
+    fn method_of(&self, call: &CounterUpdate) -> MethodId {
+        call.method()
     }
 
     fn summarize(&self, first: &CounterUpdate, second: &CounterUpdate) -> Option<CounterUpdate> {
@@ -114,7 +114,7 @@ impl ObjectSpec for Counter {
     }
 }
 
-impl SpecSampler for Counter {
+impl WorkloadSupport for Counter {
     fn sample_state(&self, rng: &mut StdRng) -> i64 {
         rng.gen_range(-self.max_delta * 10..=self.max_delta * 10)
     }
@@ -127,29 +127,15 @@ impl SpecSampler for Counter {
         }
         CounterUpdate::Add(d)
     }
-}
 
-impl WorkloadSupport for Counter {
     fn sample_query(&self, _rng: &mut StdRng) -> CounterQuery {
         CounterQuery::Value
-    }
-}
-
-impl Wire for CounterUpdate {
-    fn encode(&self, w: &mut Writer) {
-        let CounterUpdate::Add(d) = self;
-        w.svarint(*d);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(CounterUpdate::Add(r.svarint()?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamband_core::analysis::{validate, AnalysisConfig};
     use hamband_core::relations::BoundedRelations;
     use rand::SeedableRng;
 
@@ -166,24 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn coord_spec_validates() {
-        let c = Counter::default();
-        let report = validate(&c, &c.coord_spec(), &AnalysisConfig::default());
-        assert!(report.is_valid(), "{report}");
-    }
-
-    #[test]
     fn category_is_reducible() {
         let c = Counter::default();
         assert!(c.coord_spec().category(ADD).is_reducible());
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        for d in [0i64, 1, -1, 1 << 40, -(1 << 40)] {
-            let u = CounterUpdate::Add(d);
-            assert_eq!(CounterUpdate::from_bytes(&u.to_bytes()).unwrap(), u);
-        }
     }
 
     #[test]

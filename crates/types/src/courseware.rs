@@ -19,19 +19,9 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
-use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
+use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
 
 use crate::sets::{insert_missing, pick, sorted_union};
-
-/// Method index of `add_course`.
-pub const ADD_COURSE: MethodId = MethodId(0);
-/// Method index of `delete_course`.
-pub const DELETE_COURSE: MethodId = MethodId(1);
-/// Method index of `enroll`.
-pub const ENROLL: MethodId = MethodId(2);
-/// Method index of `register_students`.
-pub const REGISTER_STUDENTS: MethodId = MethodId(3);
 
 /// The schema state.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -55,6 +45,15 @@ pub enum CoursewareUpdate {
     Enroll(u64, u64),
     /// `registerStudents(ss)` — batch registration (summarizable).
     RegisterStudents(Vec<u64>),
+}
+
+hamband_core::calls! {
+    CoursewareUpdate {
+        ADD_COURSE = "add_course" => AddCourse(course),
+        DELETE_COURSE = "delete_course" => DeleteCourse(course),
+        ENROLL = "enroll" => Enroll(student, course),
+        REGISTER_STUDENTS = "register_students" => RegisterStudents(students),
+    }
 }
 
 /// A query call on the schema.
@@ -125,16 +124,11 @@ impl ObjectSpec for Courseware {
     }
 
     fn method_names(&self) -> Vec<&'static str> {
-        vec!["add_course", "delete_course", "enroll", "register_students"]
+        CoursewareUpdate::METHOD_NAMES.to_vec()
     }
 
     fn method_of(&self, call: &CoursewareUpdate) -> MethodId {
-        match call {
-            CoursewareUpdate::AddCourse(_) => ADD_COURSE,
-            CoursewareUpdate::DeleteCourse(_) => DELETE_COURSE,
-            CoursewareUpdate::Enroll(..) => ENROLL,
-            CoursewareUpdate::RegisterStudents(_) => REGISTER_STUDENTS,
-        }
+        call.method()
     }
 
     fn apply_mut(&self, state: &mut CoursewareState, call: &CoursewareUpdate) {
@@ -183,7 +177,7 @@ impl ObjectSpec for Courseware {
     }
 }
 
-impl SpecSampler for Courseware {
+impl WorkloadSupport for Courseware {
     fn sample_state(&self, rng: &mut StdRng) -> CoursewareState {
         let mut s = CoursewareState::default();
         for _ in 0..rng.gen_range(0..8) {
@@ -220,9 +214,7 @@ impl SpecSampler for Courseware {
             other => panic!("courseware has no method {other}"),
         }
     }
-}
 
-impl WorkloadSupport for Courseware {
     fn sample_query(&self, rng: &mut StdRng) -> CoursewareQuery {
         if rng.gen_bool(0.5) {
             CoursewareQuery::Courses
@@ -259,52 +251,15 @@ impl WorkloadSupport for Courseware {
     }
 }
 
-impl Wire for CoursewareUpdate {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            CoursewareUpdate::AddCourse(c) => {
-                w.u8(0);
-                w.varint(*c);
-            }
-            CoursewareUpdate::DeleteCourse(c) => {
-                w.u8(1);
-                w.varint(*c);
-            }
-            CoursewareUpdate::Enroll(s, c) => {
-                w.u8(2);
-                w.varint(*s);
-                w.varint(*c);
-            }
-            CoursewareUpdate::RegisterStudents(ss) => {
-                w.u8(3);
-                ss.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(CoursewareUpdate::AddCourse(r.varint()?)),
-            1 => Ok(CoursewareUpdate::DeleteCourse(r.varint()?)),
-            2 => Ok(CoursewareUpdate::Enroll(r.varint()?, r.varint()?)),
-            3 => Ok(CoursewareUpdate::RegisterStudents(Vec::<u64>::decode(r)?)),
-            _ => Err(DecodeError),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamband_core::analysis::{validate, AnalysisConfig};
     use hamband_core::coord::MethodCategory;
     use hamband_core::relations::BoundedRelations;
 
     #[test]
-    fn coord_spec_validates_with_all_categories() {
+    fn coord_spec_has_all_categories() {
         let cw = Courseware::default();
-        let report = validate(&cw, &cw.coord_spec(), &AnalysisConfig::default());
-        assert!(report.is_valid(), "{report}");
         let c = cw.coord_spec();
         assert!(matches!(c.category(REGISTER_STUDENTS), MethodCategory::Reducible { .. }));
         assert!(c.category(ADD_COURSE).is_conflicting());
@@ -418,18 +373,5 @@ mod tests {
         crate::gen_parity::assert_same_draws(&cw, |state, node, seq, method, rng, skew| {
             collecting_gen_update(&cw, state, node, seq, method, rng, skew)
         });
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let calls = [
-            CoursewareUpdate::AddCourse(4),
-            CoursewareUpdate::DeleteCourse(4),
-            CoursewareUpdate::Enroll(1, 4),
-            CoursewareUpdate::RegisterStudents(vec![8, 9]),
-        ];
-        for c in calls {
-            assert_eq!(CoursewareUpdate::from_bytes(&c.to_bytes()).unwrap(), c);
-        }
     }
 }

@@ -16,13 +16,15 @@
 //! | Movie rental | [`movie`] | two separate synchronization groups |
 //! | Courseware | [`courseware`] | all three categories |
 //!
-//! Every type implements [`hamband_core::ObjectSpec`] (executable
-//! definition), [`hamband_core::SpecSampler`] and
-//! [`hamband_core::WorkloadSupport`] (generation), wire encoding for its
-//! calls, and exposes its coordination relations as a
-//! [`hamband_core::CoordSpec`] — which the tests validate against the
-//! executable definition with the bounded analysis of
-//! [`hamband_core::analysis`].
+//! Every type is two impls and one declaration:
+//! [`hamband_core::ObjectSpec`] (the executable definition),
+//! [`hamband_core::WorkloadSupport`] (sampling and workload
+//! generation), and [`hamband_core::calls!`] over its update enum — the
+//! one list its method constants, method names and wire codec come
+//! from. Each exposes its coordination relations as a
+//! [`hamband_core::CoordSpec`], which `tests/conformance.rs` validates
+//! against the executable definition with the bounded analysis of
+//! [`hamband_core::analysis`], for every type in one table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

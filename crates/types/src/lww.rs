@@ -11,11 +11,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
-use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
-
-/// Method index of `write`.
-pub const WRITE: MethodId = MethodId(0);
+use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
 
 /// A hybrid stamp ordering writes totally: logical time, then writer id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -25,6 +21,8 @@ pub struct Stamp {
     /// Writer identifier (tie-breaker).
     pub node: u64,
 }
+
+hamband_core::calls! { wire struct Stamp { time, node } }
 
 /// An update call on the register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,6 +34,10 @@ pub enum LwwUpdate {
         /// The written value.
         value: u64,
     },
+}
+
+hamband_core::calls! {
+    untagged LwwUpdate { WRITE = "write" => Write { stamp, value } }
 }
 
 /// A query call on the register.
@@ -124,11 +126,11 @@ impl ObjectSpec for LwwRegister {
     }
 
     fn method_names(&self) -> Vec<&'static str> {
-        vec!["write"]
+        LwwUpdate::METHOD_NAMES.to_vec()
     }
 
-    fn method_of(&self, _call: &LwwUpdate) -> MethodId {
-        WRITE
+    fn method_of(&self, call: &LwwUpdate) -> MethodId {
+        call.method()
     }
 
     fn summaries_monotone(&self) -> bool {
@@ -142,7 +144,7 @@ impl ObjectSpec for LwwRegister {
     }
 }
 
-impl SpecSampler for LwwRegister {
+impl WorkloadSupport for LwwRegister {
     fn sample_state(&self, rng: &mut StdRng) -> LwwState {
         if rng.gen_bool(0.1) {
             None
@@ -164,9 +166,7 @@ impl SpecSampler for LwwRegister {
             value: rng.gen_range(0..1_000),
         }
     }
-}
 
-impl WorkloadSupport for LwwRegister {
     fn sample_query(&self, _rng: &mut StdRng) -> LwwQuery {
         LwwQuery::Read
     }
@@ -190,26 +190,9 @@ impl WorkloadSupport for LwwRegister {
     }
 }
 
-impl Wire for LwwUpdate {
-    fn encode(&self, w: &mut Writer) {
-        let LwwUpdate::Write { stamp, value } = self;
-        w.varint(stamp.time);
-        w.varint(stamp.node);
-        w.varint(*value);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(LwwUpdate::Write {
-            stamp: Stamp { time: r.varint()?, node: r.varint()? },
-            value: r.varint()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamband_core::analysis::{validate, AnalysisConfig};
     use hamband_core::relations::BoundedRelations;
 
     fn w(time: u64, node: u64, value: u64) -> LwwUpdate {
@@ -234,10 +217,8 @@ mod tests {
     }
 
     #[test]
-    fn coord_spec_validates() {
+    fn write_is_reducible() {
         let reg = LwwRegister::default();
-        let report = validate(&reg, &reg.coord_spec(), &AnalysisConfig::default());
-        assert!(report.is_valid(), "{report}");
         assert!(reg.coord_spec().category(WRITE).is_reducible());
     }
 
@@ -253,12 +234,6 @@ mod tests {
     fn unwritten_register_reads_zero() {
         let reg = LwwRegister::default();
         assert_eq!(reg.query(&reg.initial(), &LwwQuery::Read), 0);
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let u = w(77, 3, 123);
-        assert_eq!(LwwUpdate::from_bytes(&u.to_bytes()).unwrap(), u);
     }
 
     #[test]

@@ -18,19 +18,9 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
-use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
+use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
 
 use crate::sets::pick;
-
-/// Method index of `add_customer`.
-pub const ADD_CUSTOMER: MethodId = MethodId(0);
-/// Method index of `delete_customer`.
-pub const DELETE_CUSTOMER: MethodId = MethodId(1);
-/// Method index of `add_movie`.
-pub const ADD_MOVIE: MethodId = MethodId(2);
-/// Method index of `delete_movie`.
-pub const DELETE_MOVIE: MethodId = MethodId(3);
 
 /// The schema state: two independent relations.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -52,6 +42,15 @@ pub enum MovieUpdate {
     AddMovie(u64),
     /// `deleteMovie(m)`.
     DeleteMovie(u64),
+}
+
+hamband_core::calls! {
+    MovieUpdate {
+        ADD_CUSTOMER = "add_customer" => AddCustomer(customer),
+        DELETE_CUSTOMER = "delete_customer" => DeleteCustomer(customer),
+        ADD_MOVIE = "add_movie" => AddMovie(movie),
+        DELETE_MOVIE = "delete_movie" => DeleteMovie(movie),
+    }
 }
 
 /// A query call on the schema.
@@ -121,16 +120,11 @@ impl ObjectSpec for Movie {
     }
 
     fn method_names(&self) -> Vec<&'static str> {
-        vec!["add_customer", "delete_customer", "add_movie", "delete_movie"]
+        MovieUpdate::METHOD_NAMES.to_vec()
     }
 
     fn method_of(&self, call: &MovieUpdate) -> MethodId {
-        match call {
-            MovieUpdate::AddCustomer(_) => ADD_CUSTOMER,
-            MovieUpdate::DeleteCustomer(_) => DELETE_CUSTOMER,
-            MovieUpdate::AddMovie(_) => ADD_MOVIE,
-            MovieUpdate::DeleteMovie(_) => DELETE_MOVIE,
-        }
+        call.method()
     }
 
     fn apply_mut(&self, state: &mut MovieState, call: &MovieUpdate) {
@@ -163,7 +157,7 @@ impl ObjectSpec for Movie {
     }
 }
 
-impl SpecSampler for Movie {
+impl WorkloadSupport for Movie {
     fn sample_state(&self, rng: &mut StdRng) -> MovieState {
         let mut s = MovieState::default();
         for _ in 0..rng.gen_range(0..8) {
@@ -185,9 +179,7 @@ impl SpecSampler for Movie {
             other => panic!("movie schema has no method {other}"),
         }
     }
-}
 
-impl WorkloadSupport for Movie {
     fn sample_query(&self, rng: &mut StdRng) -> MovieQuery {
         if rng.gen_bool(0.5) {
             MovieQuery::Customers
@@ -216,35 +208,9 @@ impl WorkloadSupport for Movie {
     }
 }
 
-impl Wire for MovieUpdate {
-    fn encode(&self, w: &mut Writer) {
-        let (tag, id) = match *self {
-            MovieUpdate::AddCustomer(c) => (0, c),
-            MovieUpdate::DeleteCustomer(c) => (1, c),
-            MovieUpdate::AddMovie(m) => (2, m),
-            MovieUpdate::DeleteMovie(m) => (3, m),
-        };
-        w.u8(tag);
-        w.varint(id);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let tag = r.u8()?;
-        let id = r.varint()?;
-        match tag {
-            0 => Ok(MovieUpdate::AddCustomer(id)),
-            1 => Ok(MovieUpdate::DeleteCustomer(id)),
-            2 => Ok(MovieUpdate::AddMovie(id)),
-            3 => Ok(MovieUpdate::DeleteMovie(id)),
-            _ => Err(DecodeError),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamband_core::analysis::{validate, AnalysisConfig};
     use hamband_core::ids::{GroupId, Pid};
     use hamband_core::relations::BoundedRelations;
 
@@ -265,10 +231,8 @@ mod tests {
     }
 
     #[test]
-    fn coord_spec_validates_with_two_groups() {
+    fn coord_spec_has_two_groups() {
         let m = Movie::default();
-        let report = validate(&m, &m.coord_spec(), &AnalysisConfig::default());
-        assert!(report.is_valid(), "{report}");
         let c = m.coord_spec();
         assert_eq!(c.sync_groups().len(), 2);
         assert_eq!(c.sync_group(ADD_CUSTOMER), Some(GroupId(0)));
@@ -324,17 +288,5 @@ mod tests {
         crate::gen_parity::assert_same_draws(&mv, |state, node, seq, method, rng, skew| {
             collecting_gen_update(&mv, state, node, seq, method, rng, skew)
         });
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        for u in [
-            MovieUpdate::AddCustomer(9),
-            MovieUpdate::DeleteCustomer(9),
-            MovieUpdate::AddMovie(3),
-            MovieUpdate::DeleteMovie(3),
-        ] {
-            assert_eq!(MovieUpdate::from_bytes(&u.to_bytes()).unwrap(), u);
-        }
     }
 }

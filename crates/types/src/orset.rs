@@ -24,13 +24,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
-use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
-
-/// Method index of `add`.
-pub const ADD: MethodId = MethodId(0);
-/// Method index of `remove`.
-pub const REMOVE: MethodId = MethodId(1);
+use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
 
 /// A unique insertion tag `(node, seq)`.
 pub type Tag = (u64, u64);
@@ -55,6 +49,13 @@ pub enum OrSetUpdate {
         /// The tags the issuer observed for it.
         tags: Vec<Tag>,
     },
+}
+
+hamband_core::calls! {
+    OrSetUpdate {
+        ADD = "add" => Add { element, tag },
+        REMOVE = "remove" => Remove { element, tags },
+    }
 }
 
 /// A query call on the OR-set.
@@ -140,14 +141,11 @@ impl ObjectSpec for OrSet {
     }
 
     fn method_names(&self) -> Vec<&'static str> {
-        vec!["add", "remove"]
+        OrSetUpdate::METHOD_NAMES.to_vec()
     }
 
     fn method_of(&self, call: &OrSetUpdate) -> MethodId {
-        match call {
-            OrSetUpdate::Add { .. } => ADD,
-            OrSetUpdate::Remove { .. } => REMOVE,
-        }
+        call.method()
     }
 
     fn apply_mut(&self, state: &mut OrSetState, call: &OrSetUpdate) {
@@ -182,7 +180,7 @@ impl ObjectSpec for OrSet {
     }
 }
 
-impl SpecSampler for OrSet {
+impl WorkloadSupport for OrSet {
     fn sample_state(&self, rng: &mut StdRng) -> OrSetState {
         let n = rng.gen_range(0..10);
         let mut s = OrSetState::new();
@@ -212,9 +210,7 @@ impl SpecSampler for OrSet {
             other => panic!("orset has no method {other}"),
         }
     }
-}
 
-impl WorkloadSupport for OrSet {
     fn sample_query(&self, rng: &mut StdRng) -> OrSetQuery {
         if rng.gen_bool(0.5) {
             OrSetQuery::Contains(rng.gen_range(0..self.element_space))
@@ -254,51 +250,9 @@ impl WorkloadSupport for OrSet {
     }
 }
 
-impl Wire for OrSetUpdate {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            OrSetUpdate::Add { element, tag } => {
-                w.u8(0);
-                w.varint(*element);
-                w.varint(tag.0);
-                w.varint(tag.1);
-            }
-            OrSetUpdate::Remove { element, tags } => {
-                w.u8(1);
-                w.varint(*element);
-                w.varint(tags.len() as u64);
-                for t in tags {
-                    w.varint(t.0);
-                    w.varint(t.1);
-                }
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(OrSetUpdate::Add { element: r.varint()?, tag: (r.varint()?, r.varint()?) }),
-            1 => {
-                let element = r.varint()?;
-                let n = r.varint()? as usize;
-                if n > r.remaining() {
-                    return Err(DecodeError);
-                }
-                let mut tags = Vec::with_capacity(n);
-                for _ in 0..n {
-                    tags.push((r.varint()?, r.varint()?));
-                }
-                Ok(OrSetUpdate::Remove { element, tags })
-            }
-            _ => Err(DecodeError),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamband_core::analysis::{validate, AnalysisConfig};
     use hamband_core::relations::BoundedRelations;
     use rand::SeedableRng;
 
@@ -316,10 +270,8 @@ mod tests {
     }
 
     #[test]
-    fn coord_spec_validates() {
+    fn both_methods_are_irreducible_free_and_remove_depends_on_add() {
         let o = OrSet::default();
-        let report = validate(&o, &o.coord_spec(), &AnalysisConfig::default());
-        assert!(report.is_valid(), "{report}");
         let c = o.coord_spec();
         assert!(c.category(ADD).is_irreducible_free());
         assert!(c.category(REMOVE).is_irreducible_free());
@@ -365,17 +317,5 @@ mod tests {
         let s = o.apply(&o.initial(), &OrSetUpdate::Add { element: 7, tag: (0, 0) });
         let rm = o.gen_update(&s, 1, 5, REMOVE, &mut rng, uni).expect("non-empty state");
         assert_eq!(rm, OrSetUpdate::Remove { element: 7, tags: vec![(0, 0)] });
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let calls = [
-            OrSetUpdate::Add { element: 3, tag: (2, 9) },
-            OrSetUpdate::Remove { element: 3, tags: vec![(2, 9), (0, 1)] },
-            OrSetUpdate::Remove { element: 3, tags: vec![] },
-        ];
-        for c in calls {
-            assert_eq!(OrSetUpdate::from_bytes(&c.to_bytes()).unwrap(), c);
-        }
     }
 }

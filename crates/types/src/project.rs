@@ -26,19 +26,9 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
-use hamband_core::wire::{DecodeError, Reader, Wire, Writer};
+use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
 
 use crate::sets::{insert_missing, pick, sorted_union};
-
-/// Method index of `add_project`.
-pub const ADD_PROJECT: MethodId = MethodId(0);
-/// Method index of `delete_project`.
-pub const DELETE_PROJECT: MethodId = MethodId(1);
-/// Method index of `works_on`.
-pub const WORKS_ON: MethodId = MethodId(2);
-/// Method index of `add_employees`.
-pub const ADD_EMPLOYEES: MethodId = MethodId(3);
 
 /// The schema state.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -62,6 +52,15 @@ pub enum ProjectUpdate {
     WorksOn(u64, u64),
     /// `addEmployees(es)` — batch insert (summarizable by union).
     AddEmployees(Vec<u64>),
+}
+
+hamband_core::calls! {
+    ProjectUpdate {
+        ADD_PROJECT = "add_project" => AddProject(project),
+        DELETE_PROJECT = "delete_project" => DeleteProject(project),
+        WORKS_ON = "works_on" => WorksOn(employee, project),
+        ADD_EMPLOYEES = "add_employees" => AddEmployees(employees),
+    }
 }
 
 /// A query call on the schema.
@@ -132,16 +131,11 @@ impl ObjectSpec for Project {
     }
 
     fn method_names(&self) -> Vec<&'static str> {
-        vec!["add_project", "delete_project", "works_on", "add_employees"]
+        ProjectUpdate::METHOD_NAMES.to_vec()
     }
 
     fn method_of(&self, call: &ProjectUpdate) -> MethodId {
-        match call {
-            ProjectUpdate::AddProject(_) => ADD_PROJECT,
-            ProjectUpdate::DeleteProject(_) => DELETE_PROJECT,
-            ProjectUpdate::WorksOn(..) => WORKS_ON,
-            ProjectUpdate::AddEmployees(_) => ADD_EMPLOYEES,
-        }
+        call.method()
     }
 
     fn apply_mut(&self, state: &mut ProjectState, call: &ProjectUpdate) {
@@ -186,7 +180,7 @@ impl ObjectSpec for Project {
     }
 }
 
-impl SpecSampler for Project {
+impl WorkloadSupport for Project {
     fn sample_state(&self, rng: &mut StdRng) -> ProjectState {
         let mut s = ProjectState::default();
         for _ in 0..rng.gen_range(0..8) {
@@ -224,9 +218,7 @@ impl SpecSampler for Project {
             other => panic!("project schema has no method {other}"),
         }
     }
-}
 
-impl WorkloadSupport for Project {
     fn sample_query(&self, rng: &mut StdRng) -> ProjectQuery {
         if rng.gen_bool(0.5) {
             ProjectQuery::Projects
@@ -266,44 +258,9 @@ impl WorkloadSupport for Project {
     }
 }
 
-impl Wire for ProjectUpdate {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            ProjectUpdate::AddProject(p) => {
-                w.u8(0);
-                w.varint(*p);
-            }
-            ProjectUpdate::DeleteProject(p) => {
-                w.u8(1);
-                w.varint(*p);
-            }
-            ProjectUpdate::WorksOn(e, p) => {
-                w.u8(2);
-                w.varint(*e);
-                w.varint(*p);
-            }
-            ProjectUpdate::AddEmployees(es) => {
-                w.u8(3);
-                es.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(ProjectUpdate::AddProject(r.varint()?)),
-            1 => Ok(ProjectUpdate::DeleteProject(r.varint()?)),
-            2 => Ok(ProjectUpdate::WorksOn(r.varint()?, r.varint()?)),
-            3 => Ok(ProjectUpdate::AddEmployees(Vec::<u64>::decode(r)?)),
-            _ => Err(DecodeError),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamband_core::analysis::{validate, AnalysisConfig};
     use hamband_core::coord::MethodCategory;
     use hamband_core::relations::BoundedRelations;
 
@@ -349,10 +306,8 @@ mod tests {
     }
 
     #[test]
-    fn coord_spec_validates_and_has_all_categories() {
+    fn coord_spec_has_all_categories() {
         let pm = Project::default();
-        let report = validate(&pm, &pm.coord_spec(), &AnalysisConfig::default());
-        assert!(report.is_valid(), "{report}");
         let c = pm.coord_spec();
         assert!(matches!(c.category(ADD_EMPLOYEES), MethodCategory::Reducible { .. }));
         assert!(c.category(ADD_PROJECT).is_conflicting());
@@ -432,18 +387,5 @@ mod tests {
         crate::gen_parity::assert_same_draws(&pm, |state, node, seq, method, rng, skew| {
             collecting_gen_update(&pm, state, node, seq, method, rng, skew)
         });
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let calls = [
-            ProjectUpdate::AddProject(7),
-            ProjectUpdate::DeleteProject(7),
-            ProjectUpdate::WorksOn(1, 2),
-            ProjectUpdate::AddEmployees(vec![4, 5, 6]),
-        ];
-        for c in calls {
-            assert_eq!(ProjectUpdate::from_bytes(&c.to_bytes()).unwrap(), c);
-        }
     }
 }

@@ -1,0 +1,85 @@
+//! What every shipped type owes the runtime, checked over one table:
+//! its declared coordination validates against its executable
+//! definition, its method list is dense and uniquely named, its
+//! initial state has integrity, and every call either generator
+//! produces belongs to the method asked for and survives the wire.
+
+use std::collections::BTreeSet;
+
+use hamband_core::analysis::{validate, AnalysisConfig};
+use hamband_core::coord::CoordSpec;
+use hamband_core::ids::MethodId;
+use hamband_core::object::{KeySkew, WorkloadSupport};
+use hamband_core::wire::Wire;
+use hamband_types::{
+    Account, Bank, Cart, Counter, Courseware, GSet, LwwRegister, Movie, OrSet, Project,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+fn conforms<O: WorkloadSupport>(spec: &O, coord: &CoordSpec) {
+    let name = spec.name();
+    let report = validate(spec, coord, &AnalysisConfig::default());
+    assert!(report.is_valid(), "{name}: {report}");
+
+    let names = spec.method_names();
+    assert_eq!(names.len(), coord.method_count(), "{name}: coordination covers every method");
+    let distinct: BTreeSet<_> = names.iter().collect();
+    assert_eq!(distinct.len(), names.len(), "{name}: method names are unique");
+    assert!(spec.invariant(&spec.initial()), "{name}: I(σ₀)");
+
+    let check = |call: &O::Update, method: MethodId| {
+        // `method` indexes `names`, so this also bounds `method_of`.
+        assert_eq!(spec.method_of(call), method, "{name}: {call:?}");
+        assert_eq!(O::Update::from_bytes(&call.to_bytes()).as_ref(), Ok(call), "{name}");
+    };
+
+    let mut rng = StdRng::seed_from_u64(0xc0f);
+    for m in (0..names.len()).map(MethodId) {
+        for _ in 0..200 {
+            check(&spec.sample_update_of(m, &mut rng), m);
+        }
+    }
+
+    // State-aware generation, over a state that evolves with the calls.
+    for skew in [KeySkew::Uniform, KeySkew::Zipfian { theta: 0.9 }] {
+        let mut state = spec.initial();
+        let mut generated = 0;
+        for seq in 0..600u64 {
+            let m = MethodId(rng.gen_range(0..names.len()));
+            let node = (seq % 3) as usize;
+            let Some(call) = spec.gen_update(&state, node, seq, m, &mut rng, skew) else {
+                continue;
+            };
+            generated += 1;
+            check(&call, m);
+            if spec.permissible(&state, &call) {
+                spec.apply_mut(&mut state, &call);
+                assert!(spec.invariant(&state), "{name}: {call:?} was permissible");
+            }
+        }
+        assert!(generated > 300, "{name}: only {generated} calls generated");
+    }
+}
+
+#[test]
+fn every_shipped_type_conforms() {
+    macro_rules! table {
+        ($($spec:expr => $($coord:ident),+;)+) => {$(
+            let spec = $spec;
+            $(conforms(&spec, &spec.$coord());)+
+        )+};
+    }
+    table! {
+        Account::new(20) => coord_spec;
+        Bank::default() => coord_spec;
+        Cart::default() => coord_spec;
+        Counter::default() => coord_spec;
+        Courseware::default() => coord_spec;
+        GSet::default() => coord_spec, coord_spec_buffered;
+        LwwRegister::default() => coord_spec;
+        Movie::default() => coord_spec;
+        OrSet::default() => coord_spec;
+        Project::default() => coord_spec;
+    }
+}

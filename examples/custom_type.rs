@@ -1,10 +1,12 @@
 //! Building your own replicated data type: a warehouse inventory with
 //! a never-negative stock invariant.
 //!
-//! This walks the full downstream-user path: implement [`ObjectSpec`]
-//! (executable definition) plus the sampling/workload traits, let the
-//! bounded analyzer *infer* the coordination relations, check them,
-//! and run the type on a simulated RDMA cluster.
+//! This walks the full downstream-user path — two impls and one
+//! declaration: [`ObjectSpec`] (the executable definition),
+//! [`WorkloadSupport`] (sampling and workload generation), and
+//! `calls!` (the method list: constants, names and wire codec from one
+//! place). Then let the bounded analyzer *infer* the coordination
+//! relations, check them, and run the type on a simulated RDMA cluster.
 //!
 //! ```sh
 //! cargo run --example custom_type
@@ -14,15 +16,11 @@ use std::collections::BTreeMap;
 
 use hamband::core::analysis::{infer, validate, AnalysisConfig};
 use hamband::core::ids::MethodId;
-use hamband::core::object::{KeySkew, ObjectSpec, SpecSampler, WorkloadSupport};
-use hamband::core::wire::{DecodeError, Reader, Wire, Writer};
+use hamband::core::object::{KeySkew, ObjectSpec, WorkloadSupport};
 use hamband::runtime::{RunConfig, Runner, System};
 use hamband::runtime::WorkloadSpec;
 use rand::rngs::StdRng;
 use rand::Rng;
-
-const RESTOCK: MethodId = MethodId(0);
-const SHIP: MethodId = MethodId(1);
 
 /// Stock per item; the invariant keeps every count non-negative.
 type Stock = BTreeMap<u64, i64>;
@@ -37,6 +35,16 @@ enum InventoryUpdate {
     /// recent restock must not overtake it, so `ship` *depends on*
     /// `restock`.
     Ship(u64, u32),
+}
+
+// The one list of methods. `RESTOCK` and `SHIP` are the `MethodId`s,
+// the strings name them in reports, and a call travels as its method
+// index followed by its fields, each through its own `Wire`.
+hamband::core::calls! {
+    InventoryUpdate {
+        RESTOCK = "restock" => Restock(batch),
+        SHIP = "ship" => Ship(item, units),
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -86,14 +94,11 @@ impl ObjectSpec for Inventory {
     }
 
     fn method_names(&self) -> Vec<&'static str> {
-        vec!["restock", "ship"]
+        InventoryUpdate::METHOD_NAMES.to_vec()
     }
 
     fn method_of(&self, call: &InventoryUpdate) -> MethodId {
-        match call {
-            InventoryUpdate::Restock(_) => RESTOCK,
-            InventoryUpdate::Ship(..) => SHIP,
-        }
+        call.method()
     }
 
     fn summarize(&self, a: &InventoryUpdate, b: &InventoryUpdate) -> Option<InventoryUpdate> {
@@ -110,7 +115,7 @@ impl ObjectSpec for Inventory {
     }
 }
 
-impl SpecSampler for Inventory {
+impl WorkloadSupport for Inventory {
     fn sample_state(&self, rng: &mut StdRng) -> Stock {
         (0..rng.gen_range(0..6))
             .map(|_| (rng.gen_range(0..self.items), rng.gen_range(0..30)))
@@ -125,9 +130,7 @@ impl SpecSampler for Inventory {
             other => panic!("inventory has no method {other}"),
         }
     }
-}
 
-impl WorkloadSupport for Inventory {
     fn sample_query(&self, rng: &mut StdRng) -> InventoryQuery {
         InventoryQuery::OnHand(rng.gen_range(0..self.items))
     }
@@ -154,50 +157,6 @@ impl WorkloadSupport for Inventory {
                 Some(InventoryUpdate::Ship(item, rng.gen_range(1..=(have / 2).min(4)) as u32))
             }
             other => panic!("inventory has no method {other}"),
-        }
-    }
-}
-
-impl Wire for InventoryUpdate {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            InventoryUpdate::Restock(batch) => {
-                w.u8(0);
-                w.varint(batch.len() as u64);
-                for &(item, n) in batch {
-                    w.varint(item);
-                    w.varint(u64::from(n));
-                }
-            }
-            InventoryUpdate::Ship(item, n) => {
-                w.u8(1);
-                w.varint(*item);
-                w.varint(u64::from(*n));
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => {
-                let len = r.varint()? as usize;
-                if len > r.remaining() {
-                    return Err(DecodeError);
-                }
-                let mut batch = Vec::with_capacity(len);
-                for _ in 0..len {
-                    batch.push((
-                        r.varint()?,
-                        u32::try_from(r.varint()?).map_err(|_| DecodeError)?,
-                    ));
-                }
-                Ok(InventoryUpdate::Restock(batch))
-            }
-            1 => Ok(InventoryUpdate::Ship(
-                r.varint()?,
-                u32::try_from(r.varint()?).map_err(|_| DecodeError)?,
-            )),
-            _ => Err(DecodeError),
         }
     }
 }

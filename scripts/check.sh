@@ -23,6 +23,26 @@ if grep -rn --include='*.rs' -e '#\[deprecated' -e 'allow(deprecated)' crates sr
   exit 1
 fi
 
+echo "== call-list guard (a type's methods are declared once, through calls!) =="
+# Hand-written codecs and MethodId constants are the parallel lists
+# `hamband_core::calls!` replaced; SpecSampler folded into
+# WorkloadSupport. Only the lines before a file's first #[cfg(test)]
+# count: tests may define throwaway Wire types.
+handkept=0
+for f in crates/types/src/*.rs crates/core/src/demo.rs crates/runtime/src/messages.rs examples/*.rs; do
+  if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" \
+      | grep -E 'impl Wire for|const [A-Z_0-9]+: *MethodId *='; then
+    handkept=1
+  fi
+done
+if grep -rn --include='*.rs' SpecSampler crates src tests examples benchmark/src benchmark/tests; then
+  handkept=1
+fi
+if [ "$handkept" -ne 0 ]; then
+  echo "FAIL: declare the update enum's methods with hamband_core::calls! instead"
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release
 

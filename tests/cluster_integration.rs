@@ -5,7 +5,6 @@
 
 use hamband::core::coord::CoordSpec;
 use hamband::core::object::{ObjectSpec, WorkloadSupport};
-use hamband::core::wire::Wire;
 use hamband::runtime::{RunConfig, Runner, System, WorkloadSpec};
 use hamband::types::{
     Account, Cart, Counter, Courseware, GSet, LwwRegister, Movie, OrSet, Project,
@@ -14,7 +13,7 @@ use hamband::types::{
 fn hamband_converges<O>(spec: &O, coord: &CoordSpec, nodes: usize)
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     // Unbatched (one WRITE per ring entry) and the doorbell-batched
@@ -32,7 +31,7 @@ where
 fn smr_converges<O>(spec: &O, nodes: usize)
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     let run = RunConfig::new(nodes, WorkloadSpec::ops(600).with_update_ratio(0.4).with_seed(0xc0de));
@@ -45,7 +44,7 @@ where
 fn msg_converges<O>(spec: &O, coord: &CoordSpec, nodes: usize)
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     let run = RunConfig::new(nodes, WorkloadSpec::ops(600).with_update_ratio(0.4).with_seed(0xc0de));

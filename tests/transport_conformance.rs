@@ -31,7 +31,6 @@ use std::time::Duration;
 use hamband_core::coord::CoordSpec;
 use hamband_core::counts::CountMap;
 use hamband_core::object::WorkloadSupport;
-use hamband_core::wire::Wire;
 use hamband_runtime::{
     assemble, HambandNode, RunConfig, RuntimeConfig, ThreadedCluster, WorkloadSpec,
 };
@@ -48,11 +47,7 @@ struct NodeObs<S> {
     status: String,
 }
 
-fn observe<O>(node: &HambandNode<O>) -> NodeObs<O::State>
-where
-    O: WorkloadSupport,
-    O::Update: Wire,
-{
+fn observe<O: WorkloadSupport>(node: &HambandNode<O>) -> NodeObs<O::State> {
     let sessions = node.session_stats();
     NodeObs {
         applied: node.applied_updates(),
@@ -94,7 +89,6 @@ fn run_sim<O>(
     what: &str,
 ) where
     O: WorkloadSupport + Clone,
-    O::Update: Wire,
 {
     let run = RunConfig::new(n, workload).with_runtime(cfg);
     let (mut sim, _layout, _trace) = assemble(spec, coord, &run);
@@ -125,7 +119,7 @@ fn run_threaded<O>(
     what: &str,
 ) where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     let mut cluster = ThreadedCluster::new(n, spec, coord, cfg, workload);
@@ -143,7 +137,7 @@ fn run_threaded<O>(
 fn conform<O>(spec: &O, coord: &CoordSpec, name: &str)
 where
     O: WorkloadSupport + Clone + Send,
-    O::Update: Wire + Send,
+    O::Update: Send,
     O::State: Send,
 {
     for n in 3..=5 {
