@@ -189,6 +189,23 @@ fn leader_failure_completes_exactly_the_budget() {
     assert_eq!(report.total_calls, total_ops);
 }
 
+/// A leader whose generator stays dry forfeits the rest of the
+/// conflicting quota (`Account::new(20)`: balance 0, every deposit
+/// folded). The verdict has to be the group's: with the lowered target
+/// known to the leader alone, the followers waited for ever on calls
+/// nobody would issue. No fault needed — the campaign shrank both
+/// seeds to `FaultPlan::new()`.
+#[test]
+fn forfeited_conflicting_quota_ends_the_run_on_every_replica() {
+    let a = hamband_types::Account::new(20);
+    for seed in [62, 79] {
+        let workload = WorkloadSpec::ops(300).with_update_ratio(0.5).with_seed(seed);
+        let run = RunConfig::new(4, workload).with_seed(seed).with_max_time(SimTime(20_000_000));
+        let report = Runner::new(System::Hamband, run).run(&a, &a.coord_spec()).report;
+        assert!(report.converged, "seed {seed}: {report}");
+    }
+}
+
 /// A plan that crashes every node leaves nobody to agree: the harness
 /// reports the run as unconverged instead of failing on an empty
 /// survivor list.
