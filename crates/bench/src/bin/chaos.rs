@@ -1,14 +1,19 @@
 //! Chaos campaigns on the command line: run N seeded randomized fault
-//! schedules against a mix of objects (Counter, buffered GSet, Bank),
-//! check convergence + integrity + trace invariants, and shrink any
-//! failing schedule to a minimal paste-able repro.
+//! schedules, dealt round-robin over every row of the shipped-type
+//! registry (`hamband_types::for_each_shipped`; seed `S` runs row
+//! `S mod rows`), check convergence + integrity + trace invariants +
+//! the update budget, and shrink any failing schedule to a minimal
+//! paste-able repro. The summary says what ran: per row, the cases, the
+//! ones with violations, and the updates acknowledged against planned.
 //!
 //! ```text
 //! chaos [--seeds N] [--start S] [--nodes N] [--ops N] [--max-faults N]
 //!       [--sync-shards N] [--seed S] [--restarts] [--canary]
 //! ```
 //!
-//! * `--seeds N`     number of campaign cases (default 100)
+//! * `--seeds N`     number of campaign cases (default 100; `100 × rows`
+//!   is a hundred per type — the header line prints `rows`, also with
+//!   `--seeds 0`)
 //! * `--start S`     first seed (default 0)
 //! * `--seed S`      run exactly one seed (overrides --seeds/--start)
 //! * `--nodes N`     cluster size (default 4)
@@ -28,61 +33,53 @@
 
 use hamband_bench::cli::{argv, bool_flag, num_flag};
 use hamband_core::coord::CoordSpec;
-use hamband_core::object::WorkloadSupport;
 use hamband_runtime::chaos::{run_seed, shrink_case, ChaosOptions};
-use hamband_types::{Bank, Counter, GSet};
+use hamband_types::{visit_shipped, Shipped, ShippedVisitor, SHIPPED_ROWS};
 
-/// What one case contributed to the campaign tally.
-struct CaseResult {
-    failed: bool,
-    /// Length of the shrunk repro, when the case failed.
-    shrunk_len: Option<usize>,
+/// What the cases dealt to one registry row added up to.
+#[derive(Default)]
+struct RowTally {
+    failed: u64,
+    /// Updates acknowledged, one entry per case.
+    acked: Vec<u64>,
+    planned: u64,
 }
 
-fn run_one<O>(name: &str, spec: &O, coord: &CoordSpec, seed: u64, opts: &ChaosOptions) -> CaseResult
-where
-    O: WorkloadSupport + Clone + Send,
-    O::Update: Send,
-    O::State: Send,
-{
-    let case = run_seed(spec, coord, seed, opts);
-    if case.passed() {
-        return CaseResult { failed: false, shrunk_len: None };
-    }
-    println!("seed {seed} ({name}): {} violation(s)", case.violations.len());
-    for v in &case.violations {
-        println!("  {v}");
-    }
-    let minimal = shrink_case(spec, coord, seed, &case.plan, opts);
-    println!(
-        "  shrunk {} -> {} entries; minimal repro (replay with --seed {seed}):",
-        case.plan.len(),
-        minimal.len()
-    );
-    for line in minimal.to_literal().lines() {
-        println!("    {line}");
-    }
-    CaseResult { failed: true, shrunk_len: Some(minimal.len()) }
+/// The campaign: runs the case of `seed` on whichever row it is handed
+/// and keeps the tallies.
+struct Campaign {
+    opts: ChaosOptions,
+    seed: u64,
+    rows: Vec<RowTally>,
+    worst_repro: usize,
 }
 
-/// One seed against the seed-selected object: campaigns interleave a
-/// reducible type (Counter), an irreducible conflict-free one
-/// (buffered GSet), and a conflicting one (Bank) so all three issue
-/// paths face the fault schedules.
-fn dispatch(seed: u64, opts: &ChaosOptions) -> CaseResult {
-    match seed % 3 {
-        0 => {
-            let c = Counter::default();
-            run_one("counter", &c, &c.coord_spec(), seed, opts)
+impl ShippedVisitor for Campaign {
+    fn visit<O: Shipped>(&mut self, name: &'static str, spec: &O, coord: &CoordSpec) {
+        let (seed, opts) = (self.seed, &self.opts);
+        let case = run_seed(spec, coord, seed, opts);
+        let row = &mut self.rows[seed as usize % SHIPPED_ROWS.len()];
+        row.acked.push(case.updates_acked);
+        row.planned = case.updates_planned;
+        if case.passed() {
+            return;
         }
-        1 => {
-            let g = GSet::default();
-            run_one("gset-buffered", &g, &g.coord_spec_buffered(), seed, opts)
+        row.failed += 1;
+        println!("seed {seed} ({name}): {} violation(s)", case.violations.len());
+        for v in &case.violations {
+            println!("  {v}");
         }
-        _ => {
-            let b = Bank::default();
-            run_one("bank", &b, &b.coord_spec(), seed, opts)
+        let minimal = shrink_case(spec, coord, seed, &case.plan, opts);
+        println!(
+            "  shrunk {} -> {} entries; {} repro (replay with --seed {seed}):",
+            case.plan.len(),
+            minimal.len(),
+            if minimal.is_empty() { "fault-free" } else { "minimal" }
+        );
+        for line in minimal.to_literal().lines() {
+            println!("    {line}");
         }
+        self.worst_repro = self.worst_repro.max(minimal.len());
     }
 }
 
@@ -111,8 +108,10 @@ fn main() {
     };
 
     println!(
-        "chaos campaign: seeds {start}..{} | {} nodes, {} ops, <= {} faults, {} shard(s){}{}",
+        "chaos campaign: seeds {start}..{} over {} rows | {} nodes, {} ops, \
+         <= {} faults, {} shard(s){}{}",
         start + count,
+        SHIPPED_ROWS.len(),
         opts.nodes,
         opts.ops,
         opts.max_faults,
@@ -122,18 +121,37 @@ fn main() {
     );
 
     let wall = std::time::Instant::now();
-    let mut failures = 0u64;
-    let mut worst_repro = 0usize;
+    let canary = opts.canary;
+    let rows = SHIPPED_ROWS.iter().map(|_| RowTally::default()).collect();
+    let mut campaign = Campaign { opts, seed: start, rows, worst_repro: 0 };
+    // Every seed is one case on one registry row, dealt round-robin: a
+    // type added to the registry is under the campaign with no edit
+    // here, and `--seed S` replays exactly the case a campaign ran.
     for seed in start..start + count {
-        let r = dispatch(seed, &opts);
-        if r.failed {
-            failures += 1;
-            worst_repro = worst_repro.max(r.shrunk_len.unwrap_or(0));
-        }
+        campaign.seed = seed;
+        visit_shipped(seed as usize % SHIPPED_ROWS.len(), &mut campaign);
     }
     let secs = wall.elapsed().as_secs_f64();
 
-    if opts.canary {
+    for (name, row) in SHIPPED_ROWS.iter().zip(&mut campaign.rows) {
+        if row.acked.is_empty() {
+            continue;
+        }
+        row.acked.sort_unstable();
+        println!(
+            "  {name:<14} {:>4} cases, {:>3} with violations | updates acked min {} / median {} \
+             of {} planned",
+            row.acked.len(),
+            row.failed,
+            row.acked[0],
+            row.acked[row.acked.len() / 2],
+            row.planned,
+        );
+    }
+    let failures: u64 = campaign.rows.iter().map(|r| r.failed).sum();
+    let worst_repro = campaign.worst_repro;
+
+    if canary {
         // Self-test mode: success means the planted bug was caught at
         // least once and every repro shrank to a tiny schedule.
         let caught = failures > 0;

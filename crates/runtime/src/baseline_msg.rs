@@ -104,8 +104,8 @@ impl<O: WorkloadSupport> MsgCrdtNode<O> {
         let state = spec.initial();
         // No backup ring in the MSG baseline: sessions are bounded by
         // their windows alone.
-        let ingress =
-            Ingress::new(&workload, &coord, GroupMapper::identity(&coord), me.index(), n, usize::MAX);
+        let mapper = GroupMapper::identity(&coord);
+        let ingress = Ingress::new(&spec, &workload, &coord, mapper, me.index(), n, usize::MAX);
         MsgCrdtNode {
             state,
             applied: CountMap::new(n, coord.method_count()),
@@ -183,7 +183,10 @@ impl<O: WorkloadSupport> MsgCrdtNode<O> {
         loop {
             let planned = self.ingress.next(&self.spec, &self.state, &self.coord, &[], &[]);
             match planned {
-                None => return,
+                None => {
+                    self.metrics.forfeited = self.ingress.forfeited();
+                    return;
+                }
                 Some((_, Planned::Query(q))) => {
                     let _ = self.spec.query(&self.state, &q);
                     let cost = ctx.charge_apply();

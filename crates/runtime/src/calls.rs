@@ -99,15 +99,12 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.ingress.release_arrivals(ctx.now());
         let mut reject_streak = 0u32;
         loop {
-            // Group-wide quota accounting: our own tail for shards we
-            // lead, the replicated applied count for shards led
-            // elsewhere (a follower's `tail_hint` is only refreshed by
-            // elections, so it would hide sibling shards' progress and
-            // let every shard leader consume the whole group quota).
+            // Each shard's quota is its leader's to spend, measured
+            // against its own tail: no shard leader needs a sibling's
+            // progress, so none overshoots on a lagging view of it.
             for (g, e) in self.engines.iter().enumerate() {
                 self.gate_accepting[g] = e.accepting_issues();
-                self.gate_appended[g] =
-                    if e.is_leader() { e.known_tail() } else { e.reader.applied() };
+                self.gate_appended[g] = e.known_tail();
             }
             let planned = {
                 let view = self.spec_mat.as_ref().unwrap_or(&self.mat);
@@ -120,7 +117,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 )
             };
             match planned {
-                None => break,
+                None => {
+                    self.metrics.forfeited = self.ingress.forfeited();
+                    break;
+                }
                 Some((_, Planned::Query(q))) => {
                     // Under open-loop load a query's response time is
                     // measured from its arrival, not from when the pump

@@ -4,7 +4,7 @@
 //! A *campaign* runs many seeded cases. Each case derives a randomized
 //! [`FaultPlan`] from its seed ([`FaultPlan::generate`]), runs the full
 //! Hamband (or MSG) cluster under that plan through [`Runner`], and
-//! checks three families of properties:
+//! checks four families of properties:
 //!
 //! * **convergence** — the run's own convergence verdict (all alive
 //!   nodes finished the workload and agree on the final state);
@@ -14,7 +14,11 @@
 //!   moment a node stopped);
 //! * **trace invariants** — structured-trace properties, currently:
 //!   every acknowledged conflicting call is covered by an earlier
-//!   `CommitAdvance` on the acking node (acks never outrun commit).
+//!   `CommitAdvance` on the acking node (acks never outrun commit);
+//! * **budget** — the run acknowledged at least half the updates its
+//!   workload planned. Convergence on a handful of calls is agreement
+//!   about nothing; a fault schedule may cost some of the plan (a
+//!   crashed node's in-flight calls), never most of it.
 //!
 //! Everything is deterministic: the same `(object, seed, options)`
 //! triple replays the same schedule, the same fabric timings, and the
@@ -33,7 +37,7 @@ use hamband_core::coord::CoordSpec;
 use hamband_core::object::WorkloadSupport;
 use rdma_sim::{Fault, FaultGenConfig, FaultPlan, NodeId, Phase, SimTime, TraceEvent};
 
-use crate::driver::WorkloadSpec;
+use crate::driver::{QuotaSplit, WorkloadSpec};
 use crate::harness::{RunConfig, Runner, System, TraceMode};
 
 /// Knobs of one chaos campaign (shared by every case in it).
@@ -97,7 +101,7 @@ impl Default for ChaosOptions {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Which check failed ("convergence", "integrity", "trace-commit",
-    /// "canary").
+    /// "budget", "canary").
     pub check: &'static str,
     /// Human-readable specifics.
     pub detail: String,
@@ -118,6 +122,10 @@ pub struct CaseReport {
     pub plan: FaultPlan,
     /// Failures (empty = the case passed).
     pub violations: Vec<Violation>,
+    /// Update calls the run acknowledged.
+    pub updates_acked: u64,
+    /// Update calls the workload planned (every node's quota).
+    pub updates_planned: u64,
 }
 
 impl CaseReport {
@@ -128,20 +136,22 @@ impl CaseReport {
 }
 
 /// Run one case: the given object under the given fault plan, with the
-/// workload and fabric seeded from `seed`. Returns every check failure.
+/// workload and fabric seeded from `seed`. The report carries every
+/// check failure.
 pub fn run_case<O>(
     spec: &O,
     coord: &CoordSpec,
     seed: u64,
     plan: &FaultPlan,
     opts: &ChaosOptions,
-) -> Vec<Violation>
+) -> CaseReport
 where
     O: WorkloadSupport + Clone + Send,
     O::Update: Send,
     O::State: Send,
 {
     let workload = WorkloadSpec::ops(opts.ops).with_update_ratio(opts.update_ratio).with_seed(seed);
+    let updates_planned = QuotaSplit::planned(&workload, coord, opts.nodes).0;
     let mut config = RunConfig::new(opts.nodes, workload)
         .with_seed(seed)
         .with_faults(plan.clone())
@@ -221,6 +231,20 @@ where
         }
     }
 
+    // Budget: a run that converged on a sliver of its plan passed
+    // nothing (every shard leader spinning dry and forfeiting agrees
+    // with every other one).
+    let updates_acked = outcome.report.total_updates;
+    if updates_acked * 2 < updates_planned {
+        violations.push(Violation {
+            check: "budget",
+            detail: format!(
+                "acked {updates_acked} of {updates_planned} planned updates ({} forfeited)",
+                outcome.report.forfeited
+            ),
+        });
+    }
+
     // The planted checker bug: with the canary armed, flag any
     // schedule that silences a node. A correct campaign must catch
     // this and shrink the schedule to a single Crash/Suspend entry —
@@ -238,7 +262,7 @@ where
         }
     }
 
-    violations
+    CaseReport { seed, plan: plan.clone(), violations, updates_acked, updates_planned }
 }
 
 /// Generate the schedule for `seed` (biased toward the object's group
@@ -258,9 +282,7 @@ where
         .with_leaders(leaders)
         .with_max_faults(opts.max_faults)
         .with_restarts(opts.restarts);
-    let plan = FaultPlan::generate(seed, &gen);
-    let violations = run_case(spec, coord, seed, &plan, opts);
-    CaseReport { seed, plan, violations }
+    run_case(spec, coord, seed, &FaultPlan::generate(seed, &gen), opts)
 }
 
 /// Whether every `Partition` in the plan is healed by a later `Heal`,
@@ -351,7 +373,7 @@ where
     O::Update: Send,
     O::State: Send,
 {
-    shrink(plan, |candidate| !run_case(spec, coord, seed, candidate, opts).is_empty())
+    shrink(plan, |candidate| !run_case(spec, coord, seed, candidate, opts).passed())
 }
 
 #[cfg(test)]
@@ -475,8 +497,8 @@ mod tests {
             (40_000, Fault::Crash(NodeId(2))),
             (40_030, Fault::Restart(NodeId(2), true)),
         ]);
-        let violations = run_case(&spec, &coord, 11, &plan, &opts);
-        assert!(violations.is_empty(), "restart case failed: {violations:?}");
+        let case = run_case(&spec, &coord, 11, &plan, &opts);
+        assert!(case.passed(), "restart case failed: {:?}", case.violations);
     }
 
     #[test]

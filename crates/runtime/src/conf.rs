@@ -17,10 +17,14 @@
 //!  Follower ────────────────────────────────────────────▶ Candidate
 //!      ▲                                                      │
 //!      │ higher-epoch LeaderRequest / LeaderAnnounce          │ majority acks
-//!      │ (depose)                                             ▼
+//!      │ (depose; a candidate or takeover stands down)        ▼
 //!   Leader ◀──────────── install (become_writer) ───── TakingOver
 //!                          after ring catch-up
 //! ```
+//!
+//! A `Candidate` still short of a majority after
+//! `recovery::ELECTION_RETRY_TICKS` failure-detector ticks, with the
+//! leader it would replace still suspected, runs again one epoch up.
 //!
 //! A `Candidate` that wins with the longest ring locally skips
 //! `TakingOver` and installs directly. The engine methods that move
@@ -213,6 +217,7 @@ impl GroupEngine {
                 max_tail: own_tail,
                 max_tail_holder: me,
                 max_commit: own_commit,
+                waited: 0,
             },
         };
         epoch
@@ -276,11 +281,23 @@ impl GroupEngine {
     }
 
     /// Promise `epoch` to `candidate` (a `LeaderRequest` we accept):
-    /// records the promise and recognizes the candidate. The caller
-    /// deposes separately if we were the leader.
+    /// records the promise, recognizes the candidate and gives up any
+    /// candidacy of our own. The caller deposes separately if we were
+    /// the leader.
     pub fn promise(&mut self, epoch: u64, candidate: Pid) {
         self.promised = epoch;
         self.leader_view = candidate;
+        self.stand_down();
+    }
+
+    /// Someone else holds an epoch at or above ours: a candidacy or
+    /// takeover of ours is lost, back to following. (A leader steps
+    /// down through [`depose_leader`](Self::depose_leader), which hands
+    /// back its clients.)
+    pub fn stand_down(&mut self) {
+        if matches!(self.role, Role::Candidate { .. } | Role::TakingOver { .. }) {
+            self.role = Role::Follower;
+        }
     }
 
     /// Advance the commit index over every next-in-line sequence that

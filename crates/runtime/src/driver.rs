@@ -187,6 +187,19 @@ impl QuotaSplit {
         let q_extra = u64::from((node as u64) < queries_total % n as u64);
         QuotaSplit { queries: q_base + q_extra, free, conf_target }
     }
+
+    /// The `(updates, queries)` an `n`-node cluster plans in all: every
+    /// node's local quotas plus the pooled conflicting ones, once. What
+    /// a fault-free run acknowledges, less only what it reports
+    /// forfeited.
+    pub fn planned(spec: &WorkloadSpec, coord: &CoordSpec, n: usize) -> (u64, u64) {
+        let nodes = (0..n).map(|node| Self::for_node(spec, coord, node, n));
+        let (free, queries) = nodes.fold((0, 0), |(f, q), s| {
+            (f + s.free.iter().sum::<u64>(), q + s.queries)
+        });
+        let pooled: u64 = Self::for_node(spec, coord, 0, n).conf_target.iter().sum();
+        (free + pooled, queries)
+    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,10 @@
 //! (`Route::CatchupRead`), rebroadcasts the uncommitted window so all
 //! ring copies converge, and announces itself. Losers and late peers
 //! depose themselves on the higher-epoch `LeaderRequest` or
-//! `LeaderAnnounce`.
+//! `LeaderAnnounce`; a candidate that accepts either has lost and
+//! stands down. A candidacy nobody answers — the promises it needs
+//! went, at its own epoch, to a rival that has since died — is run
+//! again at a higher epoch (`recovery.rs`, `retry_elections`).
 //!
 //! The tally lives in [`Election`], owned by the engine's
 //! [`Candidate`](crate::conf::Role::Candidate) role. The pure
@@ -40,6 +43,10 @@ pub struct Election {
     pub(crate) max_tail: u64,
     pub(crate) max_tail_holder: NodeId,
     pub(crate) max_commit: u64,
+    /// Failure-detector ticks this candidacy has waited for a majority
+    /// while still the one that has to run (`recovery.rs`,
+    /// `retry_elections`).
+    pub(crate) waited: u32,
 }
 
 impl<O: WorkloadSupport> HambandNode<O> {
@@ -139,6 +146,13 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 // joiner's `join_epoch` gate keeps stale acks harmless,
                 // so no consistency coordination is needed here.
                 for g in 0..self.engines.len() {
+                    // A candidate recognizes nobody yet: its promise is
+                    // its own candidacy's, its leader view the old
+                    // leader's, and the pair would seat the joiner
+                    // under a leader that epoch never had.
+                    if matches!(self.engines[g].role, Role::Candidate { .. }) {
+                        continue;
+                    }
                     let ack = ControlMsg::JoinAck {
                         group: g as u32,
                         epoch: self.engines[g].promised,
@@ -186,6 +200,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                                 q == leader as usize,
                             );
                         }
+                        self.engines[g].stand_down();
                         if self.engines[g].is_leader() {
                             self.depose(ctx, g);
                         }

@@ -364,6 +364,9 @@ pub(crate) trait HarnessNode: App {
 
     fn is_halted(&self) -> bool;
     fn workload_done(&self) -> bool;
+    /// Per consensus group, the node this one follows (`None` where it
+    /// leads). No groups on the MSG baseline.
+    fn follows(&self) -> Vec<Option<NodeId>>;
     fn applied_map(&self) -> &CountMap;
     fn applied_updates(&self) -> u64;
     fn snapshot(&self) -> Self::Snapshot;
@@ -382,6 +385,10 @@ impl<O: WorkloadSupport + Clone> HarnessNode for HambandNode<O> {
     }
     fn workload_done(&self) -> bool {
         HambandNode::workload_done(self)
+    }
+    fn follows(&self) -> Vec<Option<NodeId>> {
+        let followed = |e: &crate::conf::GroupEngine| NodeId(e.leader_view.index());
+        self.engines.iter().map(|e| (!e.is_leader()).then(|| followed(e))).collect()
     }
     fn applied_map(&self) -> &CountMap {
         HambandNode::applied_map(self)
@@ -411,6 +418,9 @@ impl<O: WorkloadSupport> HarnessNode for MsgCrdtNode<O> {
     }
     fn workload_done(&self) -> bool {
         MsgCrdtNode::workload_done(self)
+    }
+    fn follows(&self) -> Vec<Option<NodeId>> {
+        Vec::new()
     }
     fn applied_map(&self) -> &CountMap {
         MsgCrdtNode::applied_map(self)
@@ -480,7 +490,17 @@ fn drive<A: HarnessNode>(sim: &mut Simulator<A>, run: &RunConfig) -> (SimTime, b
         sim.run_for(slice);
         let alive = alive_now(sim);
         if sim.now() > last_fault_at && !alive.is_empty() {
-            let all_done = alive.iter().all(|&id| sim.app(id).workload_done());
+            // A follower answers for a group's quota only through its
+            // leader, and between a leader's failure and its suspicion
+            // it cannot know the leader is gone. The harness can: done
+            // needs every followed node alive and leading that group.
+            let led = |id: NodeId| {
+                let follows = sim.app(id).follows();
+                follows.iter().enumerate().all(|(g, l)| {
+                    l.is_none_or(|l| alive.contains(&l) && sim.app(l).follows()[g].is_none())
+                })
+            };
+            let all_done = alive.iter().all(|&id| sim.app(id).workload_done() && led(id));
             if all_done {
                 let a0 = sim.app(alive[0]).applied_map().clone();
                 if alive.iter().all(|&id| *sim.app(id).applied_map() == a0) {
@@ -716,12 +736,14 @@ fn summarize<O: WorkloadSupport>(
     let names = spec.method_names();
     let mut total_calls = 0u64;
     let mut total_updates = 0u64;
+    let mut forfeited = 0u64;
     let mut rt = LatencyHistogram::default();
     let mut per_method: std::collections::BTreeMap<String, LatencyHistogram> = Default::default();
     let mut per_phase: [LatencyHistogram; 4] = Default::default();
     for m in metrics {
         total_calls += m.updates_acked + m.queries;
         total_updates += m.updates_acked;
+        forfeited += m.forfeited;
         rt.merge(&m.rt);
         for (&mid, h) in &m.rt_per_method {
             per_method
@@ -739,6 +761,7 @@ fn summarize<O: WorkloadSupport>(
         nodes,
         total_calls,
         total_updates,
+        forfeited,
         completed_at,
         throughput_ops_per_us: total_calls as f64 / elapsed_us,
         mean_rt_us: rt.mean_us(),

@@ -43,18 +43,25 @@ pub type SessionPlan<O> = (u32, Planned<<O as ObjectSpec>::Update, <O as ObjectS
 
 /// After this many consecutive idle planning attempts with pending but
 /// ungeneratable quota, the ingress forfeits the remainder (e.g. a
-/// remove-only tail on an empty set). At one attempt per poll this is
-/// on the order of a millisecond of virtual time.
+/// remove-only tail on an empty set) and counts it
+/// ([`Ingress::forfeited`]). At one attempt per poll this is on the
+/// order of a millisecond of virtual time. A last resort: only quota
+/// this node alone can serve is ever forfeited — its own conflict-free
+/// quota and the quota of the shards it leads — so the verdict is the
+/// cluster's (`workload_done` asks nobody else about that quota).
 const FORFEIT_AFTER: u64 = 2_000;
 
 /// How many times a conflicting-call generation is redrawn when its
-/// shard key routes to a mapped group this node does not lead (clients
-/// route to their shard's leader). With a random key the acceptance
-/// chance per draw is ≥ 1/n, so 32 tries fail with probability < 1e-4
-/// even on large clusters; exhaustion is treated as a dry generator.
-/// At `sync_shards = 1` a candidate method's only shard is locally led,
-/// so the first draw always routes and no extra RNG is consumed.
-const ROUTE_TRIES: usize = 32;
+/// shard key routes to a shard this node cannot serve (clients route to
+/// their shard's leader). Every try hands the generator the next
+/// fresh-identifier sequence number, so a generator that mints its key
+/// from the sequence draws a different key each time. With a random
+/// key the acceptance chance per draw is ≥ 1/n, so 32 tries fail with
+/// probability < 1e-4 even on large clusters; exhaustion is treated as
+/// a dry generator. At `sync_shards = 1` a candidate method's only
+/// shard is locally led, so the first draw always routes and no extra
+/// RNG is consumed.
+const ROUTE_TRIES: u64 = 32;
 
 /// RNG seed of session `s` on `node`: a splitmix64 chain over
 /// `(seed, node, session)`.
@@ -185,9 +192,17 @@ pub struct Ingress {
     /// Remaining local update quota per conflict-free method.
     free_left: Vec<u64>,
     initial_free: Vec<u64>,
-    /// Global conflicting quota per sync group (consumed by leaders;
-    /// progress is measured against the group ring's appended count).
+    /// Conflicting quota per *mapped* group (sync group × shard),
+    /// consumed by whoever leads it; progress is that ring's appended
+    /// count, which its leader knows exactly. A keyed method's quota is
+    /// spread evenly over its group's shards; a keyless method's calls
+    /// all pin to shard 0, so its whole quota sits there.
     conf_target: Vec<u64>,
+    /// Per method: its calls carry no shard key (always `false` at
+    /// `sync_shards = 1`, where it makes no difference).
+    keyless: Vec<bool>,
+    /// Update quota given up as ungeneratable (see [`FORFEIT_AFTER`]).
+    forfeited: u64,
     /// Updates in flight across all sessions.
     inflight: usize,
     /// Node-level in-flight cap: min(Σ session windows, backup slots).
@@ -216,8 +231,12 @@ impl Ingress {
     /// Build the ingress for `node` of `n`: the §5 quota split plus one
     /// seeded [`ClientSession`] per `spec.sessions`. `max_inflight`
     /// bounds total in-flight calls (pass the backup-ring slot count;
-    /// backends without backup slots pass `usize::MAX`).
-    pub fn new(
+    /// backends without backup slots pass `usize::MAX`). `object` is
+    /// asked, once per conflicting method, whether its calls carry a
+    /// shard key — a method's calls all do or all don't
+    /// (`conformance.rs` holds every shipped type to that).
+    pub fn new<O: WorkloadSupport>(
+        object: &O,
         spec: &WorkloadSpec,
         coord: &CoordSpec,
         mapper: GroupMapper,
@@ -227,6 +246,31 @@ impl Ingress {
     ) -> Self {
         assert!(max_inflight >= 1, "need room for at least one in-flight call");
         let split = QuotaSplit::for_node(spec, coord, node, n);
+        let mut probe = StdRng::seed_from_u64(0);
+        let keyless: Vec<bool> = (0..coord.method_count())
+            .map(|m| {
+                mapper.shards() > 1
+                    && coord.category(MethodId(m)).is_conflicting()
+                    && object.shard_key(&object.sample_update_of(MethodId(m), &mut probe)).is_none()
+            })
+            .collect();
+        let shards = mapper.shards() as u64;
+        let mut conf_target = vec![0u64; mapper.group_count()];
+        for (sg, methods) in coord.sync_groups().iter().enumerate() {
+            // The group's quota is one equal share per method.
+            let per_method = split.conf_target[sg] / methods.len() as u64;
+            let first = mapper.shard_range(GroupId(sg)).start;
+            for m in methods {
+                if keyless[m.index()] {
+                    conf_target[first] += per_method;
+                } else {
+                    for s in 0..shards {
+                        conf_target[first + s as usize] +=
+                            per_method / shards + u64::from(s < per_method % shards);
+                    }
+                }
+            }
+        }
         let sessions: Vec<ClientSession> = (0..spec.sessions)
             .map(|s| ClientSession {
                 rng: StdRng::seed_from_u64(session_seed(spec.seed, node, s as u64)),
@@ -241,9 +285,8 @@ impl Ingress {
             // budget caps generation at the node's §5 op share (global
             // conflicting quota included — over-releasing merely
             // leaves arrivals unconsumed once quotas are spent).
-            let budget = split.queries
-                + split.free.iter().sum::<u64>()
-                + split.conf_target.iter().sum::<u64>();
+            let budget =
+                split.queries + split.free.iter().sum::<u64>() + conf_target.iter().sum::<u64>();
             let mut ol = OpenLoop {
                 rng: StdRng::seed_from_u64(session_seed(spec.seed, node, u64::MAX)),
                 mean_gap_ns: 1e9 * n as f64 / rate,
@@ -263,7 +306,9 @@ impl Ingress {
             initial_queries: split.queries,
             initial_free: split.free.clone(),
             free_left: split.free,
-            conf_target: split.conf_target,
+            conf_target,
+            keyless,
+            forfeited: 0,
             inflight: 0,
             inflight_cap: total_window.min(max_inflight),
             max_inflight,
@@ -316,11 +361,25 @@ impl Ingress {
         self.sessions.iter().map(|s| s.stats).collect()
     }
 
-    /// Remaining global conflicting quota of *sync group* `g`, given
-    /// how many entries its rings already carry (summed over the
-    /// group's shards when `sync_shards > 1`).
+    /// Remaining conflicting quota of *mapped* group `g`, given how
+    /// many entries its ring already carries.
     pub fn conf_remaining(&self, g: usize, ring_appended: u64) -> u64 {
         self.conf_target[g].saturating_sub(ring_appended)
+    }
+
+    /// Update quota this node gave up as ungeneratable.
+    pub fn forfeited(&self) -> u64 {
+        self.forfeited
+    }
+
+    /// The shards of `sync_group` a call of method `m` can route to.
+    fn reachable(&self, sync_group: GroupId, m: usize) -> std::ops::Range<usize> {
+        let shards = self.mapper.shard_range(sync_group);
+        if self.keyless[m] {
+            shards.start..shards.start + 1
+        } else {
+            shards
+        }
     }
 
     /// The shard mapper this ingress routes conflicting calls through.
@@ -409,8 +468,9 @@ impl Ingress {
     /// state).
     ///
     /// `is_leader_of[g]` and `ring_appended[g]` are indexed by *mapped*
-    /// group (sync group × shard) and gate the conflicting quota;
-    /// `state` lets generators produce context-sensitive calls.
+    /// group (sync group × shard) and gate the conflicting quota — the
+    /// appended count is read only where this node leads; `state` lets
+    /// generators produce context-sensitive calls.
     pub fn next<O: WorkloadSupport>(
         &mut self,
         spec: &O,
@@ -433,18 +493,15 @@ impl Ingress {
         let mut updates_left = 0u64;
         for m in 0..coord.method_count() {
             let left = match coord.category(MethodId(m)) {
-                MethodCategory::Conflicting { sync_group } => {
-                    // A node that leads any shard of the group may
-                    // issue; quota is measured against the sum of the
-                    // group's shard rings.
-                    let shards = self.mapper.shard_range(sync_group);
-                    if shards.clone().any(|g| is_leader_of[g]) {
-                        let appended: u64 = shards.map(|g| ring_appended[g]).sum();
-                        self.conf_remaining(sync_group.index(), appended)
-                    } else {
-                        0
-                    }
-                }
+                // What is left on the shards this node leads, of those
+                // the method's calls can reach: a method with nowhere
+                // to go from here is no candidate (and never reads as
+                // a dry generator).
+                MethodCategory::Conflicting { sync_group } => self
+                    .reachable(sync_group, m)
+                    .filter(|&g| is_leader_of[g])
+                    .map(|g| self.conf_remaining(g, ring_appended[g]))
+                    .sum(),
                 _ => self.free_left[m],
             };
             if left > 0 {
@@ -512,7 +569,8 @@ impl Ingress {
                 let node = self.node;
                 let skew = self.skew;
                 // A conflicting call must land on a shard this node
-                // leads: redraw the generation (a fresh key) until it
+                // leads and that has quota left: redraw the generation
+                // (the next fresh identifier, a fresh key) until it
                 // routes. Non-conflicting methods accept the first
                 // draw, as does sync_shards = 1 (the method was only a
                 // candidate because its sole shard is locally led).
@@ -521,24 +579,25 @@ impl Ingress {
                     _ => None,
                 };
                 let mut generated = None;
-                for _ in 0..ROUTE_TRIES {
+                for t in 0..ROUTE_TRIES {
                     let sess = &mut self.sessions[s];
                     let Some(u) =
-                        spec.gen_update(state, node, seq, method, &mut sess.rng, skew)
+                        spec.gen_update(state, node, seq + t, method, &mut sess.rng, skew)
                     else {
                         break;
                     };
-                    let routes = match route_group {
-                        Some(sg) => is_leader_of[self.mapper.group_of(sg, spec.shard_key(&u))],
-                        None => true,
-                    };
+                    let routes = route_group.is_none_or(|sg| {
+                        let g = self.mapper.group_of(sg, spec.shard_key(&u));
+                        is_leader_of[g] && self.conf_remaining(g, ring_appended[g]) > 0
+                    });
                     if routes {
-                        generated = Some(u);
+                        generated = Some((u, t));
                         break;
                     }
                 }
-                if let Some(u) = generated {
-                    self.next_seq += 1;
+                if let Some((u, t)) = generated {
+                    // Past every identifier the tries minted.
+                    self.next_seq = seq + t + 1;
                     self.charge(coord, method);
                     self.inflight += 1;
                     let sess = &mut self.sessions[s];
@@ -557,16 +616,12 @@ impl Ingress {
             if self.inflight == 0 {
                 self.dry_streak += 1;
                 if self.dry_streak >= FORFEIT_AFTER {
+                    self.forfeited += self.free_left.iter().sum::<u64>();
                     self.free_left.fill(0);
-                    let mapper = self.mapper;
-                    for (sg, target) in self.conf_target.iter_mut().enumerate() {
-                        let shards = mapper.shard_range(GroupId(sg));
-                        let leads =
-                            shards.clone().any(|g| is_leader_of.get(g).copied().unwrap_or(false));
-                        if leads {
-                            let appended: u64 =
-                                shards.filter_map(|g| ring_appended.get(g).copied()).sum();
-                            *target = (*target).min(appended);
+                    for (g, target) in self.conf_target.iter_mut().enumerate() {
+                        if is_leader_of[g] && *target > ring_appended[g] {
+                            self.forfeited += *target - ring_appended[g];
+                            *target = ring_appended[g];
                         }
                     }
                 }
@@ -591,298 +646,4 @@ impl Ingress {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use hamband_core::demo::Account;
-
-    fn account_coord() -> CoordSpec {
-        Account::default().coord_spec()
-    }
-
-    #[test]
-    fn window_limits_outstanding_per_session() {
-        let acc = Account::new(10);
-        let coord = account_coord();
-        let w = WorkloadSpec::ops(10_000).with_update_ratio(1.0).with_window(4);
-        let mut ing = Ingress::new(&w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
-        let state = 1_000i128;
-        let mut issued = 0;
-        while let Some((_, p)) = ing.next(&acc, &state, &coord, &[true], &[issued]) {
-            match p {
-                Planned::Update(_) => issued += 1,
-                Planned::Query(_) => {}
-            }
-            if ing.outstanding() == 4 {
-                break;
-            }
-        }
-        assert_eq!(ing.outstanding(), 4);
-        assert!(ing.next(&acc, &state, &coord, &[true], &[issued]).is_none());
-        ing.on_ack(0, 1_000);
-        assert!(ing.next(&acc, &state, &coord, &[true], &[issued]).is_some());
-    }
-
-    #[test]
-    fn sessions_multiply_inflight_up_to_backup_cap() {
-        let acc = Account::new(10);
-        let coord = account_coord();
-        let state = 1_000i128;
-        // 8 sessions × window 4 = 32 in flight; cap at 64 is slack.
-        let w = WorkloadSpec::ops(10_000).with_update_ratio(1.0).with_sessions(8).with_window(4);
-        let mut ing = Ingress::new(&w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
-        let mut issued = 0;
-        while let Some((_, p)) = ing.next(&acc, &state, &coord, &[true], &[issued]) {
-            if let Planned::Update(_) = p {
-                issued += 1;
-            }
-        }
-        assert_eq!(ing.outstanding(), 32);
-        // 1000 sessions × window 4 would be 4000: the backup ring caps
-        // the node at 64 so backup slots never collide.
-        let w = WorkloadSpec::ops(100_000)
-            .with_update_ratio(1.0)
-            .with_sessions(1_000)
-            .with_window(4);
-        let mut ing = Ingress::new(&w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
-        let mut issued = 0;
-        while let Some((_, p)) = ing.next(&acc, &state, &coord, &[true], &[issued]) {
-            if let Planned::Update(_) = p {
-                issued += 1;
-            }
-        }
-        assert_eq!(ing.outstanding(), 64);
-    }
-
-    #[test]
-    fn combining_order_is_round_robin_and_deterministic() {
-        let acc = Account::new(10);
-        let coord = account_coord();
-        let w = WorkloadSpec::ops(10_000).with_update_ratio(1.0).with_sessions(3).with_window(2);
-        let order = |seed: u64| {
-            let mut ing = Ingress::new(&w.clone().with_seed(seed), &coord, GroupMapper::identity(&coord), 0, 1, 64);
-            let mut order = Vec::new();
-            let state = 1_000i128;
-            while let Some((sid, _)) = ing.next(&acc, &state, &coord, &[true], &[0]) {
-                order.push(sid);
-                if order.len() == 6 {
-                    break;
-                }
-            }
-            order
-        };
-        // Sessions act strictly round-robin while all have window room.
-        assert_eq!(order(1), vec![0, 1, 2, 0, 1, 2]);
-        assert_eq!(order(1), order(1), "same seed, same combining order");
-    }
-
-    #[test]
-    fn window_full_session_is_skipped_not_stalled() {
-        let acc = Account::new(10);
-        let coord = account_coord();
-        let w = WorkloadSpec::ops(10_000).with_update_ratio(1.0).with_sessions(2).with_window(1);
-        let mut ing = Ingress::new(&w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
-        let state = 1_000i128;
-        let (s1, _) = ing.next(&acc, &state, &coord, &[true], &[0]).expect("first");
-        let (s2, _) = ing.next(&acc, &state, &coord, &[true], &[0]).expect("second");
-        assert_ne!(s1, s2);
-        assert!(ing.next(&acc, &state, &coord, &[true], &[0]).is_none(), "both windows full");
-        ing.on_ack(s2, 500);
-        let (s3, _) = ing.next(&acc, &state, &coord, &[true], &[0]).expect("slot freed");
-        assert_eq!(s3, s2, "only the acked session has room");
-    }
-
-    #[test]
-    fn non_leader_cannot_issue_conflicting() {
-        let acc = Account::new(10);
-        let coord = account_coord();
-        let w = WorkloadSpec::ops(100).with_update_ratio(1.0).with_window(64);
-        let mut ing = Ingress::new(&w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
-        let state = 1_000i128;
-        let mut saw_withdraw = false;
-        while let Some((s, p)) = ing.next(&acc, &state, &coord, &[false], &[0]) {
-            if let Planned::Update(u) = p {
-                assert!(matches!(u, hamband_core::demo::AccountUpdate::Deposit(_)));
-                saw_withdraw |= matches!(u, hamband_core::demo::AccountUpdate::Withdraw(_));
-                ing.on_ack(s, 100);
-            }
-        }
-        assert!(!saw_withdraw);
-    }
-
-    #[test]
-    fn halt_stops_issuing() {
-        let acc = Account::new(10);
-        let coord = account_coord();
-        let w = WorkloadSpec::ops(100);
-        let mut ing = Ingress::new(&w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
-        ing.halt();
-        assert!(ing.local_done());
-        assert!(ing.next(&acc, &0i128, &coord, &[true], &[0]).is_none());
-    }
-
-    #[test]
-    fn adoption_extends_quota_and_windows() {
-        let coord = account_coord();
-        let w = WorkloadSpec::ops(400).with_update_ratio(1.0).with_sessions(2);
-        let mut ing = Ingress::new(&w, &coord, GroupMapper::identity(&coord), 0, 2, 64);
-        let before = ing.free_left[0];
-        ing.adopt_free_quota(&[10, 0], 5);
-        assert_eq!(ing.free_left[0], before + 10);
-        assert!(ing.sessions().iter().all(|s| s.window == 16), "windows doubled");
-        assert_eq!(ing.inflight_cap, 32);
-    }
-
-    #[test]
-    fn generator_dry_state_returns_none_without_burning_quota() {
-        let acc = Account::new(10);
-        let coord = account_coord();
-        // Pure withdraw workload at zero balance: generator yields None.
-        let w = WorkloadSpec::ops(10).with_update_ratio(1.0);
-        let mut ing = Ingress::new(&w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
-        ing.free_left[0] = 0; // no deposits
-        let state = 0i128;
-        assert_eq!(ing.next(&acc, &state, &coord, &[true], &[0]), None);
-        assert_eq!(ing.outstanding(), 0);
-    }
-
-    #[test]
-    fn session_seeds_never_collide_across_nodes_and_sessions() {
-        // Regression for the xor-of-linear-terms seeding: distinct
-        // (node, session) pairs could feed identical RNG streams. The
-        // splitmix64 chain must give every pair its own seed across a
-        // realistically large grid, for several base seeds.
-        let mut seen = std::collections::HashSet::new();
-        for base in [0u64, 1, 0x5eed, u64::MAX] {
-            for node in 0..16usize {
-                for session in 0..256u64 {
-                    assert!(
-                        seen.insert(session_seed(base, node, session)),
-                        "seed collision at base={base:#x} node={node} session={session}"
-                    );
-                }
-            }
-            seen.clear();
-        }
-    }
-
-    #[test]
-    fn sharded_routing_only_issues_locally_led_keys() {
-        use hamband_types::bank::{Bank, BankUpdate, WITHDRAW};
-        let bank = Bank::new(64, 50);
-        let coord = bank.coord_spec();
-        let mapper = GroupMapper::new(&coord, 4);
-        // Withdraw-only workload; this node leads only shard 2.
-        let w = WorkloadSpec::ops(2_000).with_update_ratio(1.0).with_window(64);
-        let mut ing = Ingress::new(&w, &coord, mapper, 0, 1, 64);
-        ing.free_left.fill(0);
-        let mut state = bank.initial();
-        for a in 0..64 {
-            bank.apply_mut(&mut state, &BankUpdate::OpenAccounts(vec![a]));
-            bank.apply_mut(&mut state, &BankUpdate::Deposit(a, 40));
-        }
-        let mut leads = vec![false; mapper.group_count()];
-        leads[2] = true;
-        let appended = vec![0u64; mapper.group_count()];
-        let mut issued = 0;
-        while let Some((s, p)) = ing.next(&bank, &state, &coord, &leads, &appended) {
-            if let Planned::Update(u) = p {
-                let key = bank.shard_key(&u).expect("withdraw has a key");
-                assert_eq!(
-                    mapper.group_of(coord.sync_group(WITHDRAW).unwrap(), Some(key)),
-                    2,
-                    "issued {u:?} routed off the led shard"
-                );
-                issued += 1;
-                ing.on_ack(s, 100);
-            }
-            if issued >= 50 {
-                break;
-            }
-        }
-        assert!(issued >= 50, "leader of one shard keeps issuing routable keys");
-    }
-
-    #[test]
-    fn keyless_conflicting_calls_pin_to_shard_zero() {
-        let acc = Account::new(10);
-        let coord = account_coord();
-        let mapper = GroupMapper::new(&coord, 4);
-        let w = WorkloadSpec::ops(200).with_update_ratio(1.0).with_window(8);
-        let mut ing = Ingress::new(&w, &coord, mapper, 0, 1, 64);
-        ing.free_left.fill(0); // withdraw-only
-        let state = 1_000i128;
-        // Leading only a non-zero shard: keyless withdraws (shard 0)
-        // can never route here, so nothing is issued.
-        let mut leads = vec![false; 4];
-        leads[3] = true;
-        assert!(ing.next(&acc, &state, &coord, &leads, &[0, 0, 0, 0]).is_none());
-        // Leading shard 0 issues them.
-        let mut leads0 = vec![false; 4];
-        leads0[0] = true;
-        assert!(ing.next(&acc, &state, &coord, &leads0, &[0, 0, 0, 0]).is_some());
-    }
-
-    #[test]
-    fn per_session_stats_track_acks_and_latency() {
-        let acc = Account::new(10);
-        let coord = account_coord();
-        let w = WorkloadSpec::ops(1_000).with_update_ratio(1.0).with_sessions(2).with_window(1);
-        let mut ing = Ingress::new(&w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
-        let state = 1_000i128;
-        let (a, _) = ing.next(&acc, &state, &coord, &[true], &[0]).expect("a");
-        let (b, _) = ing.next(&acc, &state, &coord, &[true], &[0]).expect("b");
-        ing.on_ack(a, 2_000);
-        ing.on_ack(b, 4_000);
-        let stats = ing.session_stats();
-        assert_eq!(stats.len(), 2);
-        assert!(stats.iter().all(|s| s.issued == 1 && s.acked == 1));
-        let rts: Vec<u64> = stats.iter().map(|s| s.sum_rt_ns).collect();
-        assert_eq!(rts.iter().sum::<u64>(), 6_000);
-        assert!((stats[a as usize].mean_rt_us() - 2.0).abs() < 1e-9);
-        assert_eq!(stats[a as usize].completed(), 1);
-    }
-
-    #[test]
-    fn open_loop_gates_issue_on_released_arrivals() {
-        let acc = Account::new(10);
-        let coord = account_coord();
-        let w = WorkloadSpec::ops(100).with_update_ratio(1.0).with_offered_load(1_000_000.0);
-        let mut ing = Ingress::new(&w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
-        let state = 1_000i128;
-        // No arrival has been released yet: the pump gets nothing even
-        // though quota and window are wide open.
-        assert!(ing.next(&acc, &state, &coord, &[true], &[0]).is_none());
-        assert_eq!(ing.arrival_backlog(), 0);
-        // Release everything due in the first 10ms (~10 at 1M ops/s/1 node).
-        ing.release_arrivals(SimTime(10_000_000));
-        let backlog = ing.arrival_backlog();
-        assert!(backlog > 0, "10ms at 1M ops/s released no arrivals");
-        let (_, p) = ing.next(&acc, &state, &coord, &[true], &[0]).expect("arrival pending");
-        assert!(matches!(p, Planned::Update(_)));
-        let at = ing.take_arrival().expect("arrival stamp");
-        assert!(at <= SimTime(10_000_000), "arrival stamped in the future");
-        assert_eq!(ing.arrival_backlog(), backlog - 1);
-    }
-
-    #[test]
-    fn open_loop_arrivals_are_deterministic_and_budget_capped() {
-        let coord = account_coord();
-        let w = WorkloadSpec::ops(40).with_update_ratio(1.0).with_offered_load(2_000_000.0);
-        let drain = || {
-            let mut ing = Ingress::new(&w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
-            // Far future: every budgeted arrival is due.
-            ing.release_arrivals(SimTime(u64::MAX));
-            let mut ts = Vec::new();
-            while let Some(t) = ing.take_arrival() {
-                ts.push(t);
-            }
-            ts
-        };
-        let a = drain();
-        // Generation stops at the node's op budget — offered load far
-        // beyond capacity cannot grow the backlog without bound.
-        assert_eq!(a.len(), 40);
-        assert!(a.windows(2).all(|w| w[0] <= w[1]), "arrivals out of order");
-        assert_eq!(a, drain(), "same seed, same Poisson arrival times");
-    }
-}
+mod tests;

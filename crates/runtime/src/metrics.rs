@@ -189,6 +189,9 @@ pub struct NodeMetrics {
     pub queries: u64,
     /// Calls rejected as locally impermissible.
     pub rejected: u64,
+    /// Update quota given up because no state could generate it (a
+    /// remove-only tail on an empty set): planned, never issued.
+    pub forfeited: u64,
     /// Response times of all acknowledged updates + queries.
     pub rt: LatencyHistogram,
     /// Response times per method (updates only), keyed by method index.
@@ -283,6 +286,10 @@ pub struct RunReport {
     pub total_calls: u64,
     /// Total acknowledged update calls.
     pub total_updates: u64,
+    /// Update quota given up as ungeneratable, cluster-wide: the
+    /// workload's planned updates are `total_updates + forfeited` in a
+    /// fault-free run.
+    pub forfeited: u64,
     /// Virtual time at which every update was applied everywhere.
     pub completed_at: SimTime,
     /// Throughput in operations per microsecond of virtual time.
@@ -385,8 +392,8 @@ impl RunReport {
         out.push_str("{\"system\":");
         push_json_str(&mut out, &self.system);
         out.push_str(&format!(
-            ",\"nodes\":{},\"total_calls\":{},\"total_updates\":{}",
-            self.nodes, self.total_calls, self.total_updates
+            ",\"nodes\":{},\"total_calls\":{},\"total_updates\":{},\"forfeited\":{}",
+            self.nodes, self.total_calls, self.total_updates, self.forfeited
         ));
         out.push_str(",\"completed_at_us\":");
         push_json_f64(&mut out, self.completed_at.as_micros());
@@ -639,6 +646,7 @@ mod tests {
             nodes: 4,
             total_calls: 100,
             total_updates: 25,
+            forfeited: 0,
             completed_at: SimTime(1_000_000),
             throughput_ops_per_us: 12.5,
             mean_rt_us: 1.4,
@@ -696,6 +704,7 @@ mod tests {
             nodes: 3,
             total_calls: 7,
             total_updates: 4,
+            forfeited: 2,
             completed_at: SimTime(2_500),
             throughput_ops_per_us: f64::NAN,
             mean_rt_us: 1.25,
@@ -712,7 +721,7 @@ mod tests {
         let j = r.to_json();
         assert_eq!(
             j,
-            "{\"system\":\"mu-smr\",\"nodes\":3,\"total_calls\":7,\"total_updates\":4,\
+            "{\"system\":\"mu-smr\",\"nodes\":3,\"total_calls\":7,\"total_updates\":4,\"forfeited\":2,\
              \"completed_at_us\":2.5,\"throughput_ops_per_us\":0,\"mean_rt_us\":1.25,\
              \"writes_posted\":12,\"bytes_written\":3400,\"writes_per_op\":3,\
              \"cpu_busy_ns\":[2400,1800,0],\"nic_busy_ns\":[1320,0,0],\
@@ -729,6 +738,7 @@ mod tests {
             nodes: 2,
             total_calls: 10,
             total_updates: 5,
+            forfeited: 0,
             completed_at: SimTime(1_000),
             throughput_ops_per_us: 1.0,
             mean_rt_us: 1.0,

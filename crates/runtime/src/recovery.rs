@@ -14,7 +14,8 @@
 //!    from the suspect's observable progress.
 //! 3. **Leader change** — for every group whose recognized leader is
 //!    down, the lowest alive node starts an election (`election.rs`
-//!    takes it from there).
+//!    takes it from there), and runs again if that one is lost
+//!    (`retry_elections`).
 
 use hamband_core::coord::MethodCategory;
 use hamband_core::ids::{MethodId, Pid};
@@ -23,9 +24,16 @@ use rdma_sim::{NodeId, TraceEvent};
 
 use crate::calls::Route;
 use crate::codec::{parse_backup_slot, BACKUP_FREE};
+use crate::conf::Role;
 use crate::driver::QuotaSplit;
 use crate::replica::HambandNode;
 use crate::transport::Transport;
+
+/// Failure-detector ticks (8 µs each by default) a candidacy may wait
+/// for its majority before it is run again. Several times the slowest
+/// election a loaded cluster shows (≈ 55 µs on the benchmark's
+/// `courseware-leaderfail`): a retry is safe but costs a round.
+pub(crate) const ELECTION_RETRY_TICKS: u32 = 32;
 
 impl<O: WorkloadSupport> HambandNode<O> {
     /// React to the failure detector (or a `Retired` announcement)
@@ -116,9 +124,44 @@ impl<O: WorkloadSupport> HambandNode<O> {
             if (lv == suspect || self.fd.is_suspected(lv))
                 && !self.halted
                 && !self.workload_retired
-                && !matches!(self.engines[g].role, crate::conf::Role::Candidate { .. })
+                && !matches!(self.engines[g].role, Role::Candidate { .. })
                 && members.lowest_alive(Some(lv)) == self.me
             {
+                self.start_election(ctx, g);
+            }
+        }
+    }
+
+    /// The liveness backstop behind step 3 of [`Self::on_suspect`], run
+    /// at every failure-detector tick. Suspicion is an event, and an
+    /// election it starts can be lost without another ever coming: the
+    /// peers' promises went, at this very epoch, to a starter that died
+    /// before winning (they never answer a request they cannot grant),
+    /// or a peer adopted a leader it already suspected from a late
+    /// `LeaderAnnounce`. So while a group's recognized leader stays
+    /// suspected, whoever is next in line runs: at once if it is not
+    /// running, one epoch up if its candidacy has waited
+    /// [`ELECTION_RETRY_TICKS`] ticks. A takeover needs no such look —
+    /// its catch-up READs complete even from a crashed holder, whose
+    /// memory stays readable, and a partition that parks them heals.
+    pub(crate) fn retry_elections<T: Transport>(&mut self, ctx: &mut T) {
+        if self.halted || self.workload_retired {
+            return;
+        }
+        for g in 0..self.engines.len() {
+            let lv = NodeId(self.engines[g].leader_view.index());
+            if !self.fd.is_suspected(lv) || self.fd.lowest_alive(Some(lv)) != self.me {
+                continue;
+            }
+            let rerun = match &mut self.engines[g].role {
+                Role::Follower => true,
+                Role::Candidate { election } => {
+                    election.waited += 1;
+                    election.waited >= ELECTION_RETRY_TICKS
+                }
+                Role::TakingOver { .. } | Role::Leader(_) => false,
+            };
+            if rerun {
                 self.start_election(ctx, g);
             }
         }
@@ -133,6 +176,25 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.wr_routes.insert(wr, Route::RecoveryRead { suspect });
     }
 
+    /// Write `slot` at `offset` of `region` on every node but `suspect`
+    /// (our own copy directly).
+    fn rebroadcast<T: Transport>(
+        &self,
+        ctx: &mut T,
+        suspect: NodeId,
+        region: rdma_sim::RegionId,
+        offset: usize,
+        slot: &[u8],
+    ) {
+        for q in (0..self.n).map(NodeId).filter(|&q| q != suspect) {
+            if q == self.me {
+                ctx.local_write(region, offset, slot);
+            } else {
+                ctx.post_write(q, region, offset, slot);
+            }
+        }
+    }
+
     /// Re-execute a suspected source's pending broadcasts from its
     /// backup slots (the agreement half of reliable broadcast).
     pub(crate) fn recover_backups<T: Transport>(
@@ -142,39 +204,31 @@ impl<O: WorkloadSupport> HambandNode<O> {
         bytes: &[u8],
     ) {
         let (_, slot_size) = self.layout.backup_slot(0);
+        // A summary slot is last-writer-wins and the backup region is
+        // walked in slot order, not version order: of the suspect's
+        // pending summary WRITEs only the newest per group is
+        // re-executed, or an older image would land on top of it.
+        let mut summaries: Vec<Option<(u64, &[u8])>> = vec![None; self.sum_cache.len()];
         for i in 0..self.layout.backup_slots() {
             let b = &bytes[i * slot_size..(i + 1) * slot_size];
             let Some((kind, group, seq, slot)) = parse_backup_slot(b) else {
                 continue;
             };
-            match kind {
-                BACKUP_FREE => {
-                    let ring_off = self.layout.free_ring_base(suspect)
-                        + ((seq - 1) as usize % self.layout.free_cap()) * self.layout.entry_size();
-                    for q in 0..self.n {
-                        if NodeId(q) == suspect {
-                            continue;
-                        }
-                        if q == self.me.index() {
-                            ctx.local_write(self.layout.free_rings, ring_off, slot);
-                        } else {
-                            ctx.post_write(NodeId(q), self.layout.free_rings, ring_off, slot);
-                        }
-                    }
+            if kind != BACKUP_FREE {
+                let newest = &mut summaries[group as usize];
+                if newest.is_none_or(|(version, _)| version < seq) {
+                    *newest = Some((seq, slot));
                 }
-                _ => {
-                    let off = self.layout.summary_offset(group as usize, suspect);
-                    for q in 0..self.n {
-                        if NodeId(q) == suspect {
-                            continue;
-                        }
-                        if q == self.me.index() {
-                            ctx.local_write(self.layout.summaries, off, slot);
-                        } else {
-                            ctx.post_write(NodeId(q), self.layout.summaries, off, slot);
-                        }
-                    }
-                }
+                continue;
+            }
+            let ring_off = self.layout.free_ring_base(suspect)
+                + ((seq - 1) as usize % self.layout.free_cap()) * self.layout.entry_size();
+            self.rebroadcast(ctx, suspect, self.layout.free_rings, ring_off, slot);
+        }
+        for (group, newest) in summaries.into_iter().enumerate() {
+            if let Some((_, slot)) = newest {
+                let off = self.layout.summary_offset(group, suspect);
+                self.rebroadcast(ctx, suspect, self.layout.summaries, off, slot);
             }
         }
         // The recovered slots were placed in our own copies with local

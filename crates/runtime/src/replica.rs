@@ -160,7 +160,8 @@ pub struct HambandNode<O: ObjectSpec> {
     pub(crate) join_epoch: Vec<u64>,
     /// Per mapped group, refreshed by the pump before each planning
     /// step: whether this node may issue conflicting calls there, and
-    /// how many entries the group's ring carries (the quota gate).
+    /// how many entries it has appended to the group's ring (the quota
+    /// gate; read only where it leads).
     pub(crate) gate_accepting: Vec<bool>,
     pub(crate) gate_appended: Vec<u64>,
     /// Open-loop arrival timestamp of the call being issued right now:
@@ -203,7 +204,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // Backup slots are addressed `call_id % backup_slots`, so the
         // ingress caps node-wide in-flight calls at the slot count no
         // matter how many sessions the spec asks for.
-        let ingress = Ingress::new(workload, coord, mapper, me.index(), n, cfg.backup_slots);
+        let ingress = Ingress::new(spec, workload, coord, mapper, me.index(), n, cfg.backup_slots);
         let sum_cache = coord
             .sum_groups()
             .iter()
@@ -409,6 +410,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
             }
             Event::Timer { tag: TAG_FD, .. } => {
                 self.fd.tick(ctx);
+                self.retry_elections(ctx);
                 ctx.set_timer_isolated(self.cfg.fd_interval, TAG_FD);
             }
             Event::Timer { tag: TAG_RETRY, .. } => {

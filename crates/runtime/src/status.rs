@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use hamband_core::ids::{GroupId, Pid};
+use hamband_core::ids::Pid;
 use hamband_core::object::WorkloadSupport;
 
 use crate::conf::Role;
@@ -140,40 +140,25 @@ impl<O: WorkloadSupport> HambandNode<O> {
 
     /// Whether the local workload is fully issued and acknowledged.
     ///
-    /// Conflicting quota is gated only at the node that currently
-    /// leads each group (the quota is global and follows leadership);
-    /// the harness separately requires equal applied maps across
-    /// replicas, which covers follower catch-up. A group whose leader
-    /// is suspected, or with an election or takeover in flight, keeps
-    /// everyone not-done until a new leader resumes the quota.
+    /// Conflicting quota is judged only by the node that leads the
+    /// (mapped) group: the quota follows leadership, its leader knows
+    /// the ring's tail exactly, and a quota the leader forfeited as
+    /// ungeneratable is thereby forfeited for everyone. A follower
+    /// answers for a group only that its leader is not suspected and no
+    /// election or takeover is in flight here — until then the quota is
+    /// about to move. Between a leader's failure and its suspicion a
+    /// follower cannot know; whoever declares a *cluster* done must
+    /// check that every recognized leader is alive and leading (the
+    /// harness does), and that applied maps agree, which covers
+    /// follower catch-up.
     pub fn workload_done(&self) -> bool {
         if self.halted {
             return self.outstanding.is_empty();
         }
-        let me = self.me.index();
-        let mapper = self.ingress.mapper();
-        let conf_done = (0..self.coord.sync_groups().len()).all(|sg| {
-            // Quota is per sync group; progress is the sum over the
-            // group's shard engines.
-            let mut appended = 0u64;
-            for g in mapper.shard_range(GroupId(sg)) {
-                let e = &self.engines[g];
-                if matches!(e.role, Role::Candidate { .. } | Role::TakingOver { .. }) {
-                    return false;
-                }
-                let lv = e.leader_view;
-                if self.fd.is_suspected(rdma_sim::NodeId(lv.index())) {
-                    return false; // leaderless: quota will move
-                }
-                appended += if lv.index() == me && e.is_leader() {
-                    e.known_tail()
-                } else {
-                    // Followers watch the global quota through their
-                    // own ring: committed entries they have applied.
-                    e.reader.applied()
-                };
-            }
-            self.ingress.conf_remaining(sg, appended) == 0
+        let conf_done = self.engines.iter().enumerate().all(|(g, e)| match &e.role {
+            Role::Candidate { .. } | Role::TakingOver { .. } => false,
+            Role::Leader(l) => self.ingress.conf_remaining(g, l.tail) == 0,
+            Role::Follower => !self.fd.is_suspected(rdma_sim::NodeId(e.leader_view.index())),
         });
         self.ingress.local_done() && self.outstanding.is_empty() && conf_done
     }

@@ -1,61 +1,42 @@
-//! End-to-end chaos-campaign tests: a small clean campaign across the
-//! three issue paths (reduce, conflict-free, conflicting), and the
-//! planted canary bug, which must be both caught and shrunk to a
-//! paste-able repro of at most three schedule entries.
+//! End-to-end chaos-campaign tests: a small clean campaign over every
+//! row of the shipped-type registry, and the planted canary bug, which
+//! must be both caught and shrunk to a paste-able repro of at most
+//! three schedule entries.
 
+use hamband_core::CoordSpec;
 use hamband_runtime::chaos::{run_case, run_seed, shrink_case, ChaosOptions};
-use hamband_types::{Bank, Counter, GSet, OrSet};
+use hamband_types::{for_each_shipped, Bank, Counter, Shipped, ShippedVisitor};
 use rdma_sim::{Fault, FaultPlan, NodeId, SimTime};
 
+/// One generated schedule per row, a different seed each.
+struct OneCaseEach {
+    opts: ChaosOptions,
+    seed: u64,
+}
+
+impl ShippedVisitor for OneCaseEach {
+    fn visit<O: Shipped>(&mut self, name: &'static str, spec: &O, coord: &CoordSpec) {
+        let case = run_seed(spec, coord, self.seed, &self.opts);
+        assert!(case.passed(), "{name}, seed {} violated: {:?}", self.seed, case.violations);
+        self.seed += 1;
+    }
+}
+
+/// One pass over the rows in each mode CI campaigns in (a hundred per
+/// row there, through the `chaos` binary): plain, five nodes, four key
+/// shards per synchronization group — four logs and four leaders where
+/// calls carry keys, elections and quotas per shard — and crash-restart.
 #[test]
 fn small_campaign_is_clean() {
-    let opts = ChaosOptions { ops: 150, ..ChaosOptions::default() };
-    for seed in 0..6 {
-        let case = match seed % 3 {
-            0 => {
-                let c = Counter::default();
-                run_seed(&c, &c.coord_spec(), seed, &opts)
-            }
-            1 => {
-                let g = GSet::default();
-                run_seed(&g, &g.coord_spec_buffered(), seed, &opts)
-            }
-            _ => {
-                let b = Bank::default();
-                run_seed(&b, &b.coord_spec(), seed, &opts)
-            }
-        };
-        assert!(case.passed(), "seed {seed} violated: {:?}", case.violations);
-    }
-}
-
-#[test]
-fn five_node_campaign_is_clean() {
-    let opts = ChaosOptions { nodes: 5, ops: 200, ..ChaosOptions::default() };
-    for seed in 500..504 {
-        let b = Bank::default();
-        let case = run_seed(&b, &b.coord_spec(), seed, &opts);
-        assert!(case.passed(), "seed {seed} violated: {:?}", case.violations);
-    }
-}
-
-#[test]
-fn sharded_campaign_is_clean() {
-    // The key-sharded issue paths under fault schedules: Bank and
-    // OrSet carry per-call shard keys, so `sync_shards = 4` splits
-    // each conflicting group across four logs with four leaders —
-    // convergence, integrity, and commit-before-ack must survive
-    // elections and quota adoption on every shard independently.
-    let opts = ChaosOptions { ops: 150, sync_shards: 4, ..ChaosOptions::default() };
-    for seed in 0..6 {
-        let case = if seed % 2 == 0 {
-            let b = Bank::new(64, 50);
-            run_seed(&b, &b.coord_spec(), seed, &opts)
-        } else {
-            let o = OrSet::new(64);
-            run_seed(&o, &o.coord_spec(), seed, &opts)
-        };
-        assert!(case.passed(), "sharded seed {seed} violated: {:?}", case.violations);
+    let plain = ChaosOptions { ops: 150, ..ChaosOptions::default() };
+    let modes = [
+        (0, plain.clone()),
+        (500, ChaosOptions { nodes: 5, ops: 200, ..plain.clone() }),
+        (0, ChaosOptions { sync_shards: 4, ..plain.clone() }),
+        (0, ChaosOptions { restarts: true, ..plain }),
+    ];
+    for (seed, opts) in modes {
+        for_each_shipped(&mut OneCaseEach { opts, seed });
     }
 }
 
@@ -74,8 +55,8 @@ fn recoverer_crash_cascades_backup_recovery() {
         .at(SimTime(39_956), Fault::Crash(NodeId(0)))
         .at(SimTime(41_825), Fault::Crash(NodeId(1)));
     let b = Bank::default();
-    let violations = run_case(&b, &b.coord_spec(), 569, &plan, &opts);
-    assert!(violations.is_empty(), "cascaded recovery regressed: {violations:?}");
+    let case = run_case(&b, &b.coord_spec(), 569, &plan, &opts);
+    assert!(case.passed(), "cascaded recovery regressed: {:?}", case.violations);
 }
 
 #[test]

@@ -7,6 +7,7 @@ use hamband_core::{CoordSpec, WorkloadSupport};
 use hamband_runtime::codec::{
     compose_backup_slot, Entry, SummarySlot, BACKUP_FREE, BACKUP_SUMMARY,
 };
+use hamband_runtime::chaos::{run_case, ChaosOptions};
 use hamband_runtime::{
     assemble, HambandNode, RunConfig, Runner, RuntimeConfig, System, TraceMode, WorkloadSpec,
 };
@@ -415,4 +416,94 @@ fn suspended_node_still_drains_its_summary_channels() {
         sim.app(NodeId(0)).state_snapshot(),
         "the survivors diverged"
     );
+}
+
+/// A shrunk campaign schedule, replayed the way the campaign ran it.
+fn replays_clean<O: hamband_types::Shipped>(
+    spec: &O,
+    coord: &CoordSpec,
+    seed: u64,
+    shards: usize,
+    plan: &FaultPlan,
+) {
+    let opts = ChaosOptions { nodes: 5, ops: 400, sync_shards: shards, ..ChaosOptions::default() };
+    let case = run_case(spec, coord, seed, plan, &opts);
+    assert!(case.passed(), "{}, seed {seed}: {:?}", spec.name(), case.violations);
+}
+
+/// Two leader failures in a row. Node 1 starts the election for node
+/// 0's group, collects the promises of nodes 3 and 4 at epoch 2, and
+/// crashes before winning; node 2, next in line, asks for epoch 2 as
+/// well and is never answered — a peer cannot grant an epoch twice and
+/// says nothing when it cannot grant. Its candidacy has to be run again
+/// one epoch up.
+#[test]
+fn candidacy_lost_to_a_dead_rival_is_run_again() {
+    let plan = FaultPlan::new()
+        .at(SimTime(78_580), Fault::SuspendHeartbeat(NodeId(0)))
+        .at(SimTime(108_053), Fault::Crash(NodeId(1)));
+    let m = hamband_types::Movie::default();
+    replays_clean(&m, &m.coord_spec(), 554, 1, &plan);
+}
+
+/// A delay spike makes node 1 start a second election for a shard at
+/// the epoch node 0 is already winning it at. Node 1 loses, accepts
+/// node 0's announcement — and used to stay a `Candidate`, which never
+/// finishes its workload and, once node 0 fails in turn, is skipped as
+/// "already running" by the very rule that should start the next
+/// election.
+#[test]
+fn candidate_that_lost_stands_down_and_can_run_later() {
+    let plan = FaultPlan::new()
+        .at(SimTime(22_737), Fault::DelaySpike(NodeId(1), 13, SimDuration(32_000)))
+        .at(SimTime(22_997), Fault::Crash(NodeId(2)))
+        .at(SimTime(69_179), Fault::SuspendHeartbeat(NodeId(0)));
+    let c = Courseware::default();
+    replays_clean(&c, &c.coord_spec(), 571, 4, &plan);
+    let p = hamband_types::Project::default();
+    replays_clean(&p, &p.coord_spec(), 571, 4, &plan);
+}
+
+/// Beyond the three families, found by the widened four-node campaign
+/// (Bank, seed 738): node 0 crashes with summary versions 9–13 pending
+/// in its backup slots — a partition held its WRITEs to node 1 — and
+/// recovery re-executed them in slot order, leaving version 11 on top
+/// of 13. Node 1 then waits for ever on deposits that depend on the
+/// two accounts it never saw opened.
+#[test]
+fn recovery_reexecutes_only_the_newest_pending_summary() {
+    let plan = FaultPlan::new()
+        .at(
+            SimTime(29_188),
+            Fault::Partition(vec![NodeId(1)], vec![NodeId(0), NodeId(2), NodeId(3)]),
+        )
+        .at(SimTime(43_775), Fault::Crash(NodeId(0)))
+        .at(SimTime(64_188), Fault::Heal);
+    let b = Bank::default();
+    let case = run_case(&b, &b.coord_spec(), 738, &plan, &ChaosOptions::default());
+    assert!(case.passed(), "{:?}", case.violations);
+}
+
+/// Also beyond them (Courseware, five nodes, `--restarts`, seed 1390):
+/// node 3 rejoins while node 1's candidacy is in flight, and node 1
+/// answered its `JoinRequest` with its own candidacy's epoch beside the
+/// old leader's name. Node 3 passed the pair on to node 0 when that
+/// rejoined in turn, which then followed itself at an epoch it never
+/// led. Nothing objected until the harness began to ask, before it
+/// declares a run done, that every followed node be leading.
+#[test]
+fn candidate_answers_no_join_request() {
+    let plan = FaultPlan::new()
+        .at(SimTime(25_728), Fault::TornWrites(NodeId(2)))
+        .at(
+            SimTime(28_433),
+            Fault::Partition(vec![NodeId(1)], vec![NodeId(0), NodeId(2), NodeId(3), NodeId(4)]),
+        )
+        .at(SimTime(59_433), Fault::Heal)
+        .at(SimTime(75_595), Fault::Crash(NodeId(3)))
+        .at(SimTime(99_499), Fault::Crash(NodeId(0)))
+        .at(SimTime(115_595), Fault::Restart(NodeId(3), true))
+        .at(SimTime(153_499), Fault::Restart(NodeId(0), false));
+    let c = Courseware::default();
+    replays_clean(&c, &c.coord_spec(), 1390, 1, &plan);
 }

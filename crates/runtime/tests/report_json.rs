@@ -227,6 +227,7 @@ fn report_with(system: String, methods: Vec<String>, phase: String) -> RunReport
         nodes: 3,
         total_calls: 9,
         total_updates: 4,
+        forfeited: 1,
         completed_at: SimTime(1_234),
         throughput_ops_per_us: 1.25,
         mean_rt_us: f64::INFINITY, // encoder must still emit a number

@@ -22,9 +22,18 @@
 //! generation), and [`hamband_core::calls!`] over its update enum — the
 //! one list its method constants, method names and wire codec come
 //! from. Each exposes its coordination relations as a
-//! [`hamband_core::CoordSpec`], which `tests/conformance.rs` validates
-//! against the executable definition with the bounded analysis of
-//! [`hamband_core::analysis`], for every type in one table.
+//! [`hamband_core::CoordSpec`].
+//!
+//! And every type is *one row* of [`for_each_shipped`], the single
+//! table of what this crate ships (GSet in both coordinations). The row
+//! is what gets a type checked: `tests/conformance.rs` validates its
+//! coordination against its executable definition with the bounded
+//! analysis of [`hamband_core::analysis`], and the workspace's
+//! refinement, cluster, budget and backend suites and the chaos
+//! campaigns all visit the same rows — a type added to the table is
+//! validated, refined, run on every system and both backends and put
+//! under faults with no other edit. An exported type without a row
+//! fails `tests/conformance.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,6 +50,7 @@ pub mod lww;
 pub mod movie;
 pub mod orset;
 pub mod project;
+mod registry;
 mod sets;
 
 pub use account::Account;
@@ -53,3 +63,4 @@ pub use lww::LwwRegister;
 pub use movie::Movie;
 pub use orset::OrSet;
 pub use project::Project;
+pub use registry::{for_each_shipped, visit_shipped, Shipped, ShippedVisitor, SHIPPED_ROWS};

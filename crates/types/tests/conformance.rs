@@ -1,8 +1,10 @@
-//! What every shipped type owes the runtime, checked over one table:
-//! its declared coordination validates against its executable
-//! definition, its method list is dense and uniquely named, its
-//! initial state has integrity, and every call either generator
-//! produces belongs to the method asked for and survives the wire.
+//! What every shipped type owes the runtime, checked over the one
+//! table (`hamband_types::for_each_shipped`): its declared coordination
+//! validates against its executable definition, its method list is
+//! dense and uniquely named, its initial state has integrity, every
+//! call either generator produces belongs to the method asked for and
+//! survives the wire, and a method's calls all carry a shard key or
+//! none does.
 
 use std::collections::BTreeSet;
 
@@ -11,9 +13,7 @@ use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
 use hamband_core::object::{KeySkew, WorkloadSupport};
 use hamband_core::wire::Wire;
-use hamband_types::{
-    Account, Bank, Cart, Counter, Courseware, GSet, LwwRegister, Movie, OrSet, Project,
-};
+use hamband_types::{for_each_shipped, Shipped, ShippedVisitor, SHIPPED_ROWS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,8 +36,13 @@ fn conforms<O: WorkloadSupport>(spec: &O, coord: &CoordSpec) {
 
     let mut rng = StdRng::seed_from_u64(0xc0f);
     for m in (0..names.len()).map(MethodId) {
+        // The ingress asks one sampled call per method whether the
+        // method is keyed, and splits shard quotas on the answer.
+        let keyed = spec.shard_key(&spec.sample_update_of(m, &mut rng)).is_some();
         for _ in 0..200 {
-            check(&spec.sample_update_of(m, &mut rng), m);
+            let call = spec.sample_update_of(m, &mut rng);
+            check(&call, m);
+            assert_eq!(spec.shard_key(&call).is_some(), keyed, "{name}: {call:?}");
         }
     }
 
@@ -62,24 +67,27 @@ fn conforms<O: WorkloadSupport>(spec: &O, coord: &CoordSpec) {
     }
 }
 
+struct Conforms;
+
+impl ShippedVisitor for Conforms {
+    fn visit<O: Shipped>(&mut self, _name: &'static str, spec: &O, coord: &CoordSpec) {
+        conforms(spec, coord);
+    }
+}
+
 #[test]
 fn every_shipped_type_conforms() {
-    macro_rules! table {
-        ($($spec:expr => $($coord:ident),+;)+) => {$(
-            let spec = $spec;
-            $(conforms(&spec, &spec.$coord());)+
-        )+};
-    }
-    table! {
-        Account::new(20) => coord_spec;
-        Bank::default() => coord_spec;
-        Cart::default() => coord_spec;
-        Counter::default() => coord_spec;
-        Courseware::default() => coord_spec;
-        GSet::default() => coord_spec, coord_spec_buffered;
-        LwwRegister::default() => coord_spec;
-        Movie::default() => coord_spec;
-        OrSet::default() => coord_spec;
-        Project::default() => coord_spec;
-    }
+    for_each_shipped(&mut Conforms);
+}
+
+/// A type exported from the crate root and missing from the registry
+/// would be shipped unchecked: the registry has one row per exported
+/// type, and GSet's second coordination.
+#[test]
+fn every_exported_type_has_a_registry_row() {
+    let exported = include_str!("../src/lib.rs")
+        .lines()
+        .filter(|l| l.starts_with("pub use ") && !l.starts_with("pub use registry::"))
+        .count();
+    assert_eq!(SHIPPED_ROWS.len(), exported + 1);
 }

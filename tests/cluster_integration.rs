@@ -1,108 +1,101 @@
-//! Cross-crate integration: every shipped data type runs on the full
-//! simulated cluster, converges, and ends in a state satisfying its
-//! invariant; conflict-free types additionally run under the MSG
-//! baseline and the Mu-SMR baseline.
+//! Cross-crate integration: every row of the shipped-type registry
+//! runs on the full simulated cluster under Hamband and under the
+//! Mu-SMR baseline, converges, and acknowledges exactly the calls its
+//! workload planned; rows without conflicting methods additionally run
+//! under the MSG baseline.
+
+mod common;
 
 use hamband::core::coord::CoordSpec;
-use hamband::core::object::{ObjectSpec, WorkloadSupport};
-use hamband::runtime::{RunConfig, Runner, System, WorkloadSpec};
-use hamband::types::{
-    Account, Cart, Counter, Courseware, GSet, LwwRegister, Movie, OrSet, Project,
-};
+use hamband::core::object::ObjectSpec;
+use hamband::runtime::{QuotaSplit, RunConfig, RunReport, Runner, System, WorkloadSpec};
+use hamband::types::{for_each_shipped, Counter, Courseware, Project, Shipped, ShippedVisitor};
 
-fn hamband_converges<O>(spec: &O, coord: &CoordSpec, nodes: usize)
-where
-    O: WorkloadSupport + Clone + Send,
-    O::Update: Send,
-    O::State: Send,
-{
+/// The budget oracle: a fault-free run converges having acknowledged
+/// every query and every update the §5 split planned — all nodes'
+/// quotas — less only the updates it reports forfeited.
+fn assert_budget(rep: &RunReport, workload: &WorkloadSpec, coord: &CoordSpec, what: &str) {
+    assert!(rep.converged, "{what} did not converge: {rep}");
+    let (updates, queries) = QuotaSplit::planned(workload, coord, rep.nodes);
+    assert_eq!(
+        (rep.total_updates + rep.forfeited, rep.total_calls - rep.total_updates),
+        (updates, queries),
+        "{what}: (updates acked + {} forfeited, queries) against the plan: {rep}",
+        rep.forfeited
+    );
+}
+
+fn workload() -> WorkloadSpec {
+    WorkloadSpec::ops(600).with_update_ratio(0.4).with_seed(0xc0de)
+}
+
+fn hamband_converges<O: Shipped>(spec: &O, coord: &CoordSpec, nodes: usize) {
     // Unbatched (one WRITE per ring entry) and the doorbell-batched
     // default: every shipped type runs the protocol both ways.
     for max_batch in [1, 16] {
-        let workload = WorkloadSpec::ops(600).with_update_ratio(0.4).with_seed(0xc0de);
-        let mut run = RunConfig::new(nodes, workload);
+        let mut run = RunConfig::new(nodes, workload());
         run.runtime = run.runtime.with_max_batch(max_batch);
         let rep = Runner::new(System::Hamband, run).run(spec, coord).report;
-        assert!(rep.converged, "{} (max_batch {max_batch}) did not converge: {rep}", spec.name());
-        assert!(rep.total_updates > 0, "{} (max_batch {max_batch}) acked no updates", spec.name());
+        let what = format!("{} (max_batch {max_batch})", spec.name());
+        assert_budget(&rep, &workload(), coord, &what);
     }
 }
 
-fn smr_converges<O>(spec: &O, nodes: usize)
-where
-    O: WorkloadSupport + Clone + Send,
-    O::Update: Send,
-    O::State: Send,
-{
-    let run = RunConfig::new(nodes, WorkloadSpec::ops(600).with_update_ratio(0.4).with_seed(0xc0de));
-    let rep = Runner::new(System::MuSmr, run)
-        .run(spec, &CoordSpec::builder(spec.method_count()).build())
-        .report;
-    assert!(rep.converged, "{} SMR did not converge: {rep}", spec.name());
+/// Hamband and Mu-SMR on every picked row, four nodes; MSG where the
+/// row has no conflicting method for it to refuse.
+struct OnEverySystem(fn(&str) -> bool);
+
+impl ShippedVisitor for OnEverySystem {
+    fn visit<O: Shipped>(&mut self, name: &'static str, spec: &O, coord: &CoordSpec) {
+        if !(self.0)(name) {
+            return;
+        }
+        hamband_converges(spec, coord, 4);
+        for system in [System::MuSmr, System::Msg] {
+            if system == System::Msg && !coord.sync_groups().is_empty() {
+                continue;
+            }
+            let rep = Runner::new(system, RunConfig::new(4, workload())).run(spec, coord).report;
+            assert_budget(&rep, &workload(), coord, &format!("{name} on {}", system.label()));
+        }
+    }
 }
 
-fn msg_converges<O>(spec: &O, coord: &CoordSpec, nodes: usize)
-where
-    O: WorkloadSupport + Clone + Send,
-    O::Update: Send,
-    O::State: Send,
-{
-    let run = RunConfig::new(nodes, WorkloadSpec::ops(600).with_update_ratio(0.4).with_seed(0xc0de));
-    let rep = Runner::new(System::Msg, run).run(spec, coord).report;
-    assert!(rep.converged, "{} MSG did not converge: {rep}", spec.name());
+common::row_tests! {
+    OnEverySystem {
+        counter_all_systems: "counter",
+        lww_all_systems: "lww",
+        gset_both_coordinations: "gset" | "gset-buffered",
+        orset_and_cart: "orset" | "cart",
+        account_hamband_and_smr: "account",
+        relational_schemata: "project" | "movie" | "courseware",
+        _: every_other_row_on_every_system,
+    }
 }
 
-#[test]
-fn counter_all_systems() {
-    let c = Counter::default();
-    hamband_converges(&c, &c.coord_spec(), 4);
-    smr_converges(&c, 4);
-    msg_converges(&c, &c.coord_spec(), 4);
-}
+/// The budget on the sharded issue paths and at a cluster size that
+/// leaves a node leading no shard: each shard's quota is its leader's
+/// alone, so four leaders spend exactly what one would.
+struct AcksItsBudget;
 
-#[test]
-fn lww_all_systems() {
-    let l = LwwRegister::default();
-    hamband_converges(&l, &l.coord_spec(), 4);
-    smr_converges(&l, 4);
-    msg_converges(&l, &l.coord_spec(), 4);
-}
-
-#[test]
-fn gset_both_coordinations() {
-    let g = GSet::default();
-    hamband_converges(&g, &g.coord_spec(), 4);
-    hamband_converges(&g, &g.coord_spec_buffered(), 4);
-    msg_converges(&g, &g.coord_spec_buffered(), 4);
-}
-
-#[test]
-fn orset_and_cart() {
-    let o = OrSet::default();
-    hamband_converges(&o, &o.coord_spec(), 5);
-    msg_converges(&o, &o.coord_spec(), 5);
-    let cart = Cart::default();
-    hamband_converges(&cart, &cart.coord_spec(), 5);
-    msg_converges(&cart, &cart.coord_spec(), 5);
+impl ShippedVisitor for AcksItsBudget {
+    fn visit<O: Shipped>(&mut self, name: &'static str, spec: &O, coord: &CoordSpec) {
+        for (nodes, shards) in [(4, 1), (4, 4), (5, 1), (5, 4)] {
+            let workload = WorkloadSpec::ops(300).with_update_ratio(0.5).with_seed(7);
+            let run = RunConfig::new(nodes, workload.clone()).with_sync_shards(shards);
+            let rep = Runner::new(System::Hamband, run).run(spec, coord).report;
+            let what = format!("{name}, {nodes} nodes x {shards} shards");
+            assert_budget(&rep, &workload, coord, &what);
+        }
+    }
 }
 
 #[test]
-fn account_hamband_and_smr() {
-    let a = Account::new(50);
-    hamband_converges(&a, &a.coord_spec(), 3);
-    smr_converges(&a, 3);
+fn every_row_acks_exactly_its_budget() {
+    for_each_shipped(&mut AcksItsBudget);
 }
 
-#[test]
-fn relational_schemata() {
-    let p = Project::default();
-    hamband_converges(&p, &p.coord_spec(), 4);
-    let m = Movie::default();
-    hamband_converges(&m, &m.coord_spec(), 4);
-    let cw = Courseware::default();
-    hamband_converges(&cw, &cw.coord_spec(), 4);
-    smr_converges(&cw, 4);
-}
+// ---- scenario tests: one type each, named on purpose (scripts/check.sh reads this line) ----
 
 #[test]
 fn seven_node_cluster_like_the_paper() {

@@ -1,11 +1,10 @@
 //! Cross-backend transport conformance suite.
 //!
 //! The same `HambandNode` state machine runs over two transports
-//! (simulator, threaded). For each object shape — reducible (Counter),
-//! conflicting (Bank), buffered conflict-free with state-aware updates
-//! (OrSet) — each cluster size 3..=5, and both the unbatched
-//! (`max_batch` 1) and the doorbell-batched (16) ring protocol, a run
-//! on either backend must
+//! (simulator, threaded). For every row of the shipped-type registry,
+//! each cluster size 3..=5, and both the unbatched (`max_batch` 1) and
+//! the doorbell-batched (16) ring protocol, a run on either backend
+//! must
 //!
 //! 1. **converge**: every replica ends with the same applied-call
 //!    count, the same per-(node, method) applied map, and the same
@@ -26,6 +25,8 @@
 //! mid-run and the survivors must elect a replacement and finish
 //! without it.
 
+mod common;
+
 use std::time::Duration;
 
 use hamband_core::coord::CoordSpec;
@@ -34,7 +35,7 @@ use hamband_core::object::WorkloadSupport;
 use hamband_runtime::{
     assemble, HambandNode, RunConfig, RuntimeConfig, ThreadedCluster, WorkloadSpec,
 };
-use hamband_types::{Bank, Counter, OrSet};
+use hamband_types::{Bank, Counter, Shipped, ShippedVisitor};
 use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
 
 /// What the conformance checks need from one finished replica.
@@ -110,18 +111,14 @@ fn run_sim<O>(
     check(&obs, what);
 }
 
-fn run_threaded<O>(
+fn run_threaded<O: Shipped>(
     spec: &O,
     coord: &CoordSpec,
     n: usize,
     cfg: RuntimeConfig,
     workload: WorkloadSpec,
     what: &str,
-) where
-    O: WorkloadSupport + Clone + Send,
-    O::Update: Send,
-    O::State: Send,
-{
+) {
     let mut cluster = ThreadedCluster::new(n, spec, coord, cfg, workload);
     assert!(
         cluster.run_to_convergence(Duration::from_secs(60)),
@@ -134,12 +131,7 @@ fn run_threaded<O>(
 
 /// One object across both backends, cluster sizes 3..=5, and the
 /// unbatched and batched ring protocol.
-fn conform<O>(spec: &O, coord: &CoordSpec, name: &str)
-where
-    O: WorkloadSupport + Clone + Send,
-    O::Update: Send,
-    O::State: Send,
-{
+fn conform<O: Shipped>(spec: &O, coord: &CoordSpec, name: &str) {
     for n in 3..=5 {
         for max_batch in [1, 16] {
             let cfg = RuntimeConfig::default().with_max_batch(max_batch);
@@ -151,23 +143,26 @@ where
     }
 }
 
-#[test]
-fn counter_conforms_across_backends() {
-    let c = Counter::default();
-    conform(&c, &c.coord_spec(), "counter");
+struct Conforms(fn(&str) -> bool);
+
+impl ShippedVisitor for Conforms {
+    fn visit<O: Shipped>(&mut self, name: &'static str, spec: &O, coord: &CoordSpec) {
+        if (self.0)(name) {
+            conform(spec, coord, name);
+        }
+    }
 }
 
-#[test]
-fn bank_conforms_across_backends() {
-    let b = Bank::default();
-    conform(&b, &b.coord_spec(), "bank");
+common::row_tests! {
+    Conforms {
+        counter_conforms_across_backends: "counter",
+        bank_conforms_across_backends: "bank",
+        orset_conforms_across_backends: "orset",
+        _: every_other_row_conforms_across_backends,
+    }
 }
 
-#[test]
-fn orset_conforms_across_backends() {
-    let o = OrSet::default();
-    conform(&o, &o.coord_spec(), "orset");
-}
+// ---- scenario tests: one type each, named on purpose (scripts/check.sh reads this line) ----
 
 /// Multi-session ingress over both backends: flat-combining must not
 /// change what clients were promised (ack ⇒ applied everywhere).
@@ -202,8 +197,13 @@ fn election_replaces_suspended_leader() {
     // Plenty of virtual time: suspicion, election, ring catch-up, and
     // the survivors' (plus the dead node's adopted) quota.
     let survivors: Vec<NodeId> = (0..n).map(NodeId).filter(|&id| id != old).collect();
-    while !survivors.iter().all(|&id| sim.app(id).workload_done())
-        && sim.now() < SimTime(200_000_000)
+    // (Until its detector fires a survivor still answers through the
+    // old leader: finished means finished under the new one.)
+    let finished = |sim: &Simulator<HambandNode<Bank>>| {
+        let mut nodes = survivors.iter().map(|&id| sim.app(id));
+        nodes.all(|a| a.workload_done() && a.leader_view(0).index() != old.index())
+    };
+    while !finished(&sim) && sim.now() < SimTime(200_000_000)
     {
         sim.run_for(SimDuration::micros(50));
     }
