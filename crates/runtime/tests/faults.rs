@@ -507,3 +507,34 @@ fn candidate_answers_no_join_request() {
     let c = Courseware::default();
     replays_clean(&c, &c.coord_spec(), 1390, 1, &plan);
 }
+
+/// Movie, five nodes, seed 1295, shrunk to its two suspensions. Node
+/// 1's heartbeat stops; node 0, next in line, stands for node 1's group
+/// at ≈ 50 us and is itself suspended at 56.9 us, its candidacy in
+/// flight. The promises still arrive, and the halted node won and
+/// announced at 102.5 us: the group was led by a node that issues
+/// nothing until node 2 replaced it two detection periods later. The
+/// run converges either way, so only the trace shows it.
+#[test]
+fn node_halted_mid_candidacy_does_not_win() {
+    let halts = [(SimTime(23_805), NodeId(1)), (SimTime(56_864), NodeId(0))];
+    let plan = halts
+        .iter()
+        .fold(FaultPlan::new(), |plan, &(at, node)| plan.at(at, Fault::SuspendHeartbeat(node)));
+    let m = hamband_types::Movie::default();
+    let workload = WorkloadSpec::ops(400).with_update_ratio(0.5).with_seed(1295);
+    let run = RunConfig::new(5, workload)
+        .with_seed(1295)
+        .with_faults(plan)
+        .with_trace(TraceMode::Collect);
+    let out = Runner::new(System::Hamband, run).run(&m, &m.coord_spec());
+    assert!(out.report.converged);
+    let mut changes = 0;
+    for r in &out.events {
+        let TraceEvent::LeaderChange { group, leader, .. } = r.event else { continue };
+        changes += 1;
+        let halted = halts.iter().any(|&(at, node)| node == leader && at < r.at);
+        assert!(!halted, "halted {leader:?} became leader of group {group} at {}", r.at);
+    }
+    assert!(changes >= 2, "both suspended leaders were replaced");
+}
