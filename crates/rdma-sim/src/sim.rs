@@ -64,6 +64,7 @@ pub struct Simulator<A> {
     fabric: Fabric,
     apps: Vec<Option<A>>,
     started: bool,
+    last_fault_at: SimTime,
 }
 
 impl<A: App> Simulator<A> {
@@ -78,7 +79,7 @@ impl<A: App> Simulator<A> {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize, latency: LatencyModel, seed: u64) -> Self {
-        Simulator { fabric: Fabric::new(n, latency, seed), apps: (0..n).map(|_| None).collect(), started: false }
+        Simulator { fabric: Fabric::new(n, latency, seed), apps: (0..n).map(|_| None).collect(), started: false, last_fault_at: SimTime::ZERO }
     }
 
     /// Cluster size.
@@ -177,11 +178,18 @@ impl<A: App> Simulator<A> {
         }
     }
 
-    /// Schedule a fault plan.
+    /// Schedule a fault plan (also mid-run, on top of earlier ones).
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
         for (t, fault) in plan.entries() {
+            self.last_fault_at = self.last_fault_at.max(t);
             self.fabric.push(t, Action::InjectFault(fault));
         }
+    }
+
+    /// The latest time any installed plan schedules a fault at (zero
+    /// with none): until the clock passes it, a fault is still to fire.
+    pub fn last_fault_at(&self) -> SimTime {
+        self.last_fault_at
     }
 
     /// Borrow a node's application.

@@ -54,6 +54,29 @@ impl Stats {
     }
 }
 
+/// Counter-wise sum, the per-node vectors element by element: the
+/// total of statistics that were counted apart (one per thread).
+impl std::ops::AddAssign<&Stats> for Stats {
+    fn add_assign(&mut self, o: &Stats) {
+        self.writes += o.writes;
+        self.reads += o.reads;
+        self.cas += o.cas;
+        self.messages += o.messages;
+        self.one_sided_bytes += o.one_sided_bytes;
+        self.message_bytes += o.message_bytes;
+        self.trace_events += o.trace_events;
+        self.ring_writes += o.ring_writes;
+        self.ring_slots += o.ring_slots;
+        for (mine, theirs) in [
+            (&mut self.per_node_ops, &o.per_node_ops),
+            (&mut self.cpu_busy_ns, &o.cpu_busy_ns),
+            (&mut self.nic_busy_ns, &o.nic_busy_ns),
+        ] {
+            mine.iter_mut().zip(theirs).for_each(|(m, t)| *m += t);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,5 +90,16 @@ mod tests {
         assert_eq!(s.one_sided_total(), 6);
         assert_eq!(s.per_node_ops.len(), 2);
         assert_eq!((s.cpu_busy_ns.len(), s.nic_busy_ns.len()), (2, 2));
+    }
+
+    #[test]
+    fn sums_counter_wise() {
+        let mut a = Stats::new(2);
+        (a.writes, a.ring_slots, a.per_node_ops[0]) = (3, 5, 3);
+        let mut b = Stats::new(2);
+        (b.writes, b.messages, b.per_node_ops[1]) = (1, 2, 3);
+        a += &b;
+        assert_eq!((a.writes, a.messages, a.ring_slots), (4, 2, 5));
+        assert_eq!(a.per_node_ops, vec![3, 3]);
     }
 }

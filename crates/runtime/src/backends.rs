@@ -91,17 +91,7 @@ where
         run.trace == TraceMode::Off,
         "the threaded backend has no trace sink; use Backend::Sim"
     );
-    assert!(
-        run.leaders.is_none(),
-        "the threaded backend uses the coordination spec's default leaders; use Backend::Sim"
-    );
-    let mut cluster = ThreadedCluster::new(
-        run.nodes,
-        spec,
-        coord,
-        run.runtime.clone(),
-        run.workload.clone(),
-    );
+    let mut cluster = ThreadedCluster::new(spec, coord, run);
     // Threaded runs on the wall clock: max_time caps wall nanoseconds.
     let converged = cluster.run_to_convergence(std::time::Duration::from_nanos(run.max_time.0));
     // No fabric to crash a node here. Completion time is the latest

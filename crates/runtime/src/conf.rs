@@ -290,10 +290,11 @@ impl GroupEngine {
         self.stand_down();
     }
 
-    /// Someone else holds an epoch at or above ours: a candidacy or
-    /// takeover of ours is lost, back to following. (A leader steps
-    /// down through [`depose_leader`](Self::depose_leader), which hands
-    /// back its clients.)
+    /// Someone else holds an epoch at or above ours, or this node was
+    /// halted: a candidacy or takeover of ours is over, back to
+    /// following. (A leader steps down through
+    /// [`depose_leader`](Self::depose_leader), which hands back its
+    /// clients.)
     pub fn stand_down(&mut self) {
         if matches!(self.role, Role::Candidate { .. } | Role::TakingOver { .. }) {
             self.role = Role::Follower;

@@ -3,7 +3,8 @@
 //!
 //! [`assemble`] is the one place a [`RunConfig`] becomes a prepared
 //! simulator cluster; [`Runner`] and every test or example that steps
-//! a cluster by hand start from it.
+//! a cluster by hand start from it, and step it with
+//! [`drive`] or until [`settled`](crate::settled).
 //!
 //! The entry point is [`Runner`]: pick a [`System`], build a
 //! [`RunConfig`] (builder-style, starting from [`RunConfig::for_nodes`]
@@ -25,8 +26,8 @@ use hamband_core::counts::CountMap;
 use hamband_core::ids::Pid;
 use hamband_core::object::WorkloadSupport;
 use rdma_sim::{
-    App, CollectingSink, FaultPlan, LatencyModel, NodeId, Phase, SimDuration, SimTime, Simulator,
-    Stats, StderrSink, TraceBuffer, TraceRecord,
+    App, CollectingSink, FaultPlan, LatencyModel, NodeId, Phase, SimTime, Simulator, Stats,
+    StderrSink, TraceBuffer, TraceRecord,
 };
 
 use crate::backends::dispatch_replicas;
@@ -38,6 +39,7 @@ use crate::ingress::SessionStats;
 use crate::layout::Layout;
 use crate::metrics::{FairnessSummary, LatencyHistogram, NodeMetrics, RunReport};
 use crate::replica::HambandNode;
+use crate::verdict::{drive, HarnessNode};
 
 /// Which replication system to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,8 +77,7 @@ pub enum TraceMode {
     /// and never construct it.
     #[default]
     Off,
-    /// Events (and harness progress diagnostics) printed to stderr as
-    /// they happen.
+    /// Events printed to stderr as they happen.
     Stderr,
     /// Events collected in memory and returned in
     /// [`RunOutcome::events`].
@@ -244,6 +245,10 @@ pub struct NodeEndState<S> {
     /// from the node's structured status; used by chaos failure
     /// reports so a non-converged case shows *why* each node stalled).
     pub status: String,
+    /// Update calls the node applied, per (issuer, method).
+    pub applied: CountMap,
+    /// Completion stats of the client sessions the node served.
+    pub sessions: Vec<SessionStats>,
 }
 
 /// One experiment: a [`System`] plus a [`RunConfig`].
@@ -352,96 +357,6 @@ fn complete_coord(n_methods: usize) -> CoordSpec {
     b.build()
 }
 
-// ---------------------------------------------------------------------
-// The unified drive loop
-// ---------------------------------------------------------------------
-
-/// What the generic drive loop needs from a replica application —
-/// implemented by [`HambandNode`] and [`MsgCrdtNode`].
-pub(crate) trait HarnessNode: App {
-    /// Comparable object-state snapshot (convergence check).
-    type Snapshot: PartialEq;
-
-    fn is_halted(&self) -> bool;
-    fn workload_done(&self) -> bool;
-    /// Per consensus group, the node this one follows (`None` where it
-    /// leads). No groups on the MSG baseline.
-    fn follows(&self) -> Vec<Option<NodeId>>;
-    fn applied_map(&self) -> &CountMap;
-    fn applied_updates(&self) -> u64;
-    fn snapshot(&self) -> Self::Snapshot;
-    fn metrics(&self) -> &NodeMetrics;
-    /// Per-session completion stats from the node's client ingress.
-    fn session_stats(&self) -> Vec<SessionStats>;
-    /// One-line human-readable status (debug output, failure reports).
-    fn status_line(&self) -> String;
-}
-
-impl<O: WorkloadSupport + Clone> HarnessNode for HambandNode<O> {
-    type Snapshot = O::State;
-
-    fn is_halted(&self) -> bool {
-        HambandNode::is_halted(self)
-    }
-    fn workload_done(&self) -> bool {
-        HambandNode::workload_done(self)
-    }
-    fn follows(&self) -> Vec<Option<NodeId>> {
-        let followed = |e: &crate::conf::GroupEngine| NodeId(e.leader_view.index());
-        self.engines.iter().map(|e| (!e.is_leader()).then(|| followed(e))).collect()
-    }
-    fn applied_map(&self) -> &CountMap {
-        HambandNode::applied_map(self)
-    }
-    fn applied_updates(&self) -> u64 {
-        HambandNode::applied_updates(self)
-    }
-    fn snapshot(&self) -> O::State {
-        self.state_snapshot()
-    }
-    fn metrics(&self) -> &NodeMetrics {
-        &self.metrics
-    }
-    fn session_stats(&self) -> Vec<SessionStats> {
-        HambandNode::session_stats(self)
-    }
-    fn status_line(&self) -> String {
-        self.status().to_string()
-    }
-}
-
-impl<O: WorkloadSupport> HarnessNode for MsgCrdtNode<O> {
-    type Snapshot = O::State;
-
-    fn is_halted(&self) -> bool {
-        MsgCrdtNode::is_halted(self)
-    }
-    fn workload_done(&self) -> bool {
-        MsgCrdtNode::workload_done(self)
-    }
-    fn follows(&self) -> Vec<Option<NodeId>> {
-        Vec::new()
-    }
-    fn applied_map(&self) -> &CountMap {
-        MsgCrdtNode::applied_map(self)
-    }
-    fn applied_updates(&self) -> u64 {
-        MsgCrdtNode::applied_updates(self)
-    }
-    fn snapshot(&self) -> O::State {
-        self.state_snapshot()
-    }
-    fn metrics(&self) -> &NodeMetrics {
-        &self.metrics
-    }
-    fn session_stats(&self) -> Vec<SessionStats> {
-        MsgCrdtNode::session_stats(self)
-    }
-    fn status_line(&self) -> String {
-        self.debug_pending()
-    }
-}
-
 fn install_trace<A: App>(sim: &mut Simulator<A>, mode: TraceMode) -> Option<TraceBuffer> {
     match mode {
         TraceMode::Off => None,
@@ -455,108 +370,6 @@ fn install_trace<A: App>(sim: &mut Simulator<A>, mode: TraceMode) -> Option<Trac
             Some(buffer)
         }
     }
-}
-
-/// Drive a prepared cluster to completion: run in slices until every
-/// alive node finished its workload and all applied maps agree (or the
-/// time cap / stall watchdog fires), then let stragglers settle and
-/// check state convergence.
-fn drive<A: HarnessNode>(sim: &mut Simulator<A>, run: &RunConfig) -> (SimTime, bool) {
-    let n = run.nodes;
-    let verbose = run.trace == TraceMode::Stderr;
-    // Aliveness is dynamic: a node scheduled to fail later still
-    // counts until its fault actually fires (it halts or crashes).
-    let alive_now = |sim: &Simulator<A>| -> Vec<NodeId> {
-        (0..n)
-            .map(NodeId)
-            .filter(|&id| !sim.is_crashed(id) && !sim.app(id).is_halted())
-            .collect()
-    };
-    // A run with faults planned must not be declared done before the
-    // last fault has fired.
-    let last_fault_at = run
-        .faults
-        .entries()
-        .iter()
-        .map(|&(t, _)| t)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-
-    let slice = SimDuration::micros(25);
-    let mut done = false;
-    let mut last_progress = 0u64;
-    let mut stalled = 0usize;
-    while sim.now() < run.max_time {
-        sim.run_for(slice);
-        let alive = alive_now(sim);
-        if sim.now() > last_fault_at && !alive.is_empty() {
-            // A follower answers for a group's quota only through its
-            // leader, and between a leader's failure and its suspicion
-            // it cannot know the leader is gone. The harness can: done
-            // needs every followed node alive and leading that group.
-            let led = |id: NodeId| {
-                let follows = sim.app(id).follows();
-                follows.iter().enumerate().all(|(g, l)| {
-                    l.is_none_or(|l| alive.contains(&l) && sim.app(l).follows()[g].is_none())
-                })
-            };
-            let all_done = alive.iter().all(|&id| sim.app(id).workload_done() && led(id));
-            if all_done {
-                let a0 = sim.app(alive[0]).applied_map().clone();
-                if alive.iter().all(|&id| *sim.app(id).applied_map() == a0) {
-                    if verbose {
-                        eprintln!("done declared at {} alive={:?}", sim.now(), alive);
-                        for id in &alive {
-                            eprintln!("  {}", sim.app(*id).status_line());
-                        }
-                    }
-                    done = true;
-                    break;
-                }
-            }
-        }
-        // Stall watchdog: a workload that cannot progress (e.g. nothing
-        // issuable) ends the run as unconverged instead of burning
-        // virtual time to the cap.
-        let progress: u64 = alive.iter().map(|&id| sim.app(id).applied_updates()).sum();
-        if progress == last_progress {
-            stalled += 1;
-            if stalled > 2_000 {
-                if verbose {
-                    eprintln!("harness watchdog break at {}", sim.now());
-                    for id in &alive {
-                        eprintln!("  {}", sim.app(*id).status_line());
-                    }
-                }
-                break;
-            }
-        } else {
-            stalled = 0;
-            last_progress = progress;
-        }
-    }
-    // Let stragglers (commit writes, backups) settle for convergence.
-    sim.run_for(SimDuration::micros(300));
-
-    let alive = alive_now(sim);
-    let completed_at = alive
-        .iter()
-        .map(|&id| sim.app(id).metrics().last_apply)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    // A fault plan may leave no node alive; such a run is unconverged.
-    let converged = done
-        && alive.first().is_some_and(|&first| {
-            let s0 = sim.app(first).snapshot();
-            alive.iter().all(|&id| sim.app(id).snapshot() == s0)
-        });
-    if verbose && !converged {
-        eprintln!("run not converged: done={done} at {}", sim.now());
-        for id in 0..n {
-            eprintln!("  {}", sim.app(NodeId(id)).status_line());
-        }
-    }
-    (completed_at, converged)
 }
 
 /// Gather a finished cluster into the run's outcome and its per-node
@@ -575,12 +388,12 @@ pub(crate) fn collect<A: HarnessNode, O: WorkloadSupport>(
     // real work (the paper counts all calls); only convergence and
     // completion checks exclude it.
     let node_metrics: Vec<NodeMetrics> = nodes.iter().map(|(a, _)| a.metrics().clone()).collect();
-    let sessions: Vec<SessionStats> = nodes.iter().flat_map(|(a, _)| a.session_stats()).collect();
+    let sessions: Vec<Vec<SessionStats>> = nodes.iter().map(|(a, _)| a.session_stats()).collect();
     let report = summarize(
         label,
         nodes.len(),
         &node_metrics,
-        &sessions,
+        &sessions.concat(),
         spec,
         completed_at,
         converged,
@@ -588,10 +401,13 @@ pub(crate) fn collect<A: HarnessNode, O: WorkloadSupport>(
     );
     let states = nodes
         .iter()
-        .map(|&(a, crashed)| NodeEndState {
+        .zip(sessions)
+        .map(|(&(a, crashed), sessions)| NodeEndState {
             alive: !crashed && !a.is_halted(),
             state: a.snapshot(),
             status: a.status_line(),
+            applied: a.applied_map().clone(),
+            sessions,
         })
         .collect();
     (RunOutcome { report, events, node_metrics, stats }, states)
@@ -605,7 +421,7 @@ fn drive_and_collect<A: HarnessNode, O: WorkloadSupport>(
     run: &RunConfig,
     label: &str,
 ) -> (RunOutcome, Vec<NodeEndState<A::Snapshot>>) {
-    let (completed_at, converged) = drive(&mut sim, run);
+    let (completed_at, converged) = drive(&mut sim, run.max_time);
     let nodes: Vec<(&A, bool)> =
         (0..run.nodes).map(NodeId).map(|id| (sim.app(id), sim.is_crashed(id))).collect();
     let events = trace.map(|b| b.take()).unwrap_or_default();
@@ -619,21 +435,27 @@ fn drive_and_collect<A: HarnessNode, O: WorkloadSupport>(
 /// leaders. Returns the simulator, the layout the replicas share, and
 /// the trace buffer when `run.trace` is [`TraceMode::Collect`].
 ///
-/// This is the only assembly routine: [`Runner`] drives what it
-/// returns to completion, and tests or examples that need to step a
-/// cluster by hand (inject mid-run state, watch an election) start
-/// from it instead of wiring `Layout` and replicas themselves.
+/// This is the only assembly routine: [`Runner`] hands what it returns
+/// to [`drive`], and tests or examples that need to step a cluster by
+/// hand (inject mid-run state, watch an election) or look into the
+/// nodes afterwards do the same, instead of wiring `Layout` and
+/// replicas themselves:
 ///
 /// ```
-/// use hamband_runtime::{assemble, RunConfig};
+/// use hamband_runtime::{assemble, drive, RunConfig};
 /// use hamband_types::Counter;
-/// use rdma_sim::{NodeId, SimDuration};
+/// use rdma_sim::NodeId;
 ///
 /// let c = Counter::default();
-/// let (mut sim, _layout, _trace) = assemble(&c, &c.coord_spec(), &RunConfig::for_nodes(3));
-/// sim.run_for(SimDuration::millis(1));
-/// assert!(sim.app(NodeId(0)).workload_done());
+/// let run = RunConfig::for_nodes(3);
+/// let (mut sim, _layout, _trace) = assemble(&c, &c.coord_spec(), &run);
+/// let (_completed_at, converged) = drive(&mut sim, run.max_time);
+/// assert!(converged);
+/// assert_eq!(sim.app(NodeId(0)).applied_updates(), 250);
 /// ```
+///
+/// To watch something else while stepping, step it yourself
+/// (`sim.run_for(..)`) until [`settled`](crate::settled) holds.
 pub fn assemble<O>(
     spec: &O,
     coord: &CoordSpec,
@@ -853,6 +675,23 @@ mod tests {
         assert!(outcome.report.converged, "threaded run did not converge");
         assert_eq!(outcome.report.total_calls, 150);
         assert!(outcome.stats.writes > 0, "threaded stats not collected");
+    }
+
+    /// The pooled conflicting quota is issued by whoever leads the
+    /// group, so the applied map names the leader.
+    #[test]
+    fn threaded_backend_honours_leaders() {
+        use hamband_types::bank::WITHDRAW;
+        let b = hamband_types::Bank::default();
+        let config = RunConfig::new(3, WorkloadSpec::ops(150).with_update_ratio(0.8))
+            .with_backend(Backend::Threaded)
+            .with_leaders(vec![Pid(2)])
+            .with_max_time(SimTime(30_000_000_000));
+        let (outcome, states) =
+            Runner::new(System::Hamband, config).run_with_states(&b, &b.coord_spec());
+        assert!(outcome.report.converged, "threaded run did not converge");
+        let withdrawals = |issuer| states[0].applied.get(Pid(issuer), WITHDRAW);
+        assert!(withdrawals(2) > 0 && withdrawals(0) == 0, "node 2 leads, not the default node 0");
     }
 
     #[test]

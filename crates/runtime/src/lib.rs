@@ -39,7 +39,10 @@
 //!   paper's throughput, response-time, and per-session fairness
 //!   numbers (the Mu-SMR baseline is the same runtime with a complete
 //!   conflict relation, per §3.2's observation that linearizable types
-//!   are WRDTs with a complete conflict relation).
+//!   are WRDTs with a complete conflict relation);
+//! * [`verdict`] — when a cluster run is finished: [`settled`], the
+//!   one rule every backend, test and example asks, and [`drive`], the
+//!   loop that steps an [`assemble`]d simulator until it holds.
 //!
 //! ## Running an experiment
 //!
@@ -138,6 +141,7 @@ pub mod rings;
 pub mod status;
 pub mod threaded;
 pub mod transport;
+pub mod verdict;
 pub mod views;
 
 pub use baseline_msg::MsgCrdtNode;
@@ -157,8 +161,8 @@ pub use metrics::{
 pub use persist::{DurabilityMode, LogRecord, NodeLog};
 pub use replica::HambandNode;
 pub use status::{GroupStatus, NodeStatus, RoleKind};
-pub use threaded::ThreadedCluster;
 pub use transport::Transport;
+pub use verdict::{drive, settled, HarnessNode};
 
 // Trace vocabulary, re-exported so harness consumers need not depend on
 // `rdma_sim` directly.

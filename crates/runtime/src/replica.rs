@@ -429,6 +429,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 self.hb.suspended = true;
                 self.halted = true;
                 self.ingress.halt();
+                // A halted node starts no election (`recovery.rs`); one
+                // already in flight must not be won either, or the
+                // group is led by a node that issues nothing.
+                self.engines.iter_mut().for_each(GroupEngine::stand_down);
             }
             Event::Fault { kind: AppFault::ResumeHeartbeat } => {
                 self.hb.suspended = false;

@@ -21,7 +21,7 @@
 //!   one-sided verbs with FIFO local completions, `mpsc` messaging,
 //!   a private timer heap, and `SimTime` read off a shared monotonic
 //!   epoch;
-//! * [`ThreadedCluster`] — spawn/drive/join, with a convergence
+//! * `ThreadedCluster` — spawn/drive/join, with a convergence
 //!   poller on the calling thread and stretched failure-detection
 //!   timers so OS scheduling jitter does not masquerade as a crash.
 //!
@@ -39,4 +39,4 @@ mod cluster;
 mod ctx;
 mod shared;
 
-pub use cluster::ThreadedCluster;
+pub(crate) use cluster::ThreadedCluster;

@@ -7,15 +7,15 @@ use std::time::{Duration, Instant};
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::object::WorkloadSupport;
-use rdma_sim::{Event, NodeId, SimDuration, SimTime, Stats};
+use rdma_sim::{Event, NodeId, SimDuration, Stats};
 
 use super::ctx::ThreadedCtx;
 use super::shared::SharedMem;
-use crate::config::RuntimeConfig;
-use crate::driver::WorkloadSpec;
+use crate::harness::RunConfig;
 use crate::layout::Layout;
 use crate::replica::HambandNode;
 use crate::transport::Transport;
+use crate::verdict::{nodes_settled, states_agree};
 
 /// How many cross-thread messages one event-loop iteration handles
 /// before re-checking timers — bounds iteration length so heartbeats
@@ -28,14 +28,10 @@ const STABLE_POLLS: usize = 3;
 
 /// A whole Hamband cluster, one OS thread per replica, over
 /// process-shared atomic memory and real wall-clock timers.
-pub struct ThreadedCluster<O: WorkloadSupport> {
-    n: usize,
+pub(crate) struct ThreadedCluster<O: WorkloadSupport> {
     nodes: Vec<HambandNode<O>>,
     ctxs: Vec<ThreadedCtx>,
     receivers: Vec<Receiver<Event>>,
-    epoch: Instant,
-    started: bool,
-    completed_at: SimTime,
 }
 
 impl<O> ThreadedCluster<O>
@@ -44,9 +40,11 @@ where
     O::Update: Send,
     O::State: PartialEq + Send,
 {
-    /// Build an `n`-node cluster: allocate the standard region
-    /// [`Layout`] in shared memory and construct each replica with the
-    /// coordination spec's default leaders.
+    /// Build the cluster `run` describes, like
+    /// [`assemble`](crate::assemble) does for the simulator: allocate
+    /// the standard region [`Layout`] in shared memory and construct
+    /// each replica with `run.leaders` (or the coordination spec's
+    /// default leaders).
     ///
     /// Failure-detection timers are stretched to wall-clock scale
     /// (heartbeat 2 ms, detector read 5 ms, suspicion after 200
@@ -55,14 +53,9 @@ where
     /// jitter — a preempted replica thread on a loaded box — trip the
     /// detector and trigger spurious elections. The threaded backend
     /// injects no faults, so nothing is lost by suspecting slowly.
-    pub fn new(
-        n: usize,
-        spec: &O,
-        coord: &CoordSpec,
-        cfg: RuntimeConfig,
-        workload: WorkloadSpec,
-    ) -> ThreadedCluster<O> {
-        let mut cfg = cfg;
+    pub(crate) fn new(spec: &O, coord: &CoordSpec, run: &RunConfig) -> ThreadedCluster<O> {
+        let n = run.nodes;
+        let mut cfg = run.runtime.clone();
         cfg.heartbeat_interval = SimDuration::millis(2);
         cfg.fd_interval = SimDuration::millis(5);
         cfg.fd_suspect_after = 200;
@@ -76,30 +69,23 @@ where
         let ctxs = (0..n)
             .map(|i| ThreadedCtx::new(NodeId(i), n, Arc::clone(&mem), senders.clone(), epoch))
             .collect();
+        let leaders = run.leaders.as_deref();
         let nodes = (0..n)
-            .map(|i| HambandNode::new(spec, coord, &cfg, &layout, NodeId(i), None, &workload))
+            .map(|i| HambandNode::new(spec, coord, &cfg, &layout, NodeId(i), leaders, &run.workload))
             .collect();
-        ThreadedCluster {
-            n,
-            nodes,
-            ctxs,
-            receivers,
-            epoch,
-            started: false,
-            completed_at: SimTime::ZERO,
-        }
+        ThreadedCluster { nodes, ctxs, receivers }
     }
 
-    /// Spawn one thread per replica and run until every replica
+    /// Spawn one thread per replica (once: the replicas are started
+    /// here) and run until every replica
     /// reports [`workload_done`](HambandNode::workload_done) and all
     /// applied counts agree (observed stable across several polls), or
     /// until `limit` of wall time passes. Threads are joined before
     /// returning; the result is the *post-join* authoritative check —
-    /// all done, identical applied maps, identical state snapshots.
-    pub fn run_to_convergence(&mut self, limit: Duration) -> bool {
-        let first = !self.started;
-        self.started = true;
-        let n = self.n;
+    /// the cluster verdict of [`crate::verdict`] (every replica alive:
+    /// no fault is injected here) and identical state snapshots.
+    pub(crate) fn run_to_convergence(&mut self, limit: Duration) -> bool {
+        let n = self.nodes.len();
         let shutdown = AtomicBool::new(false);
         let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
         let applied: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
@@ -113,7 +99,7 @@ where
                 .enumerate()
             {
                 let (shutdown, done, applied) = (&shutdown, &done[i], &applied[i]);
-                s.spawn(move || replica_thread(node, ctx, rx, first, shutdown, done, applied));
+                s.spawn(move || replica_thread(node, ctx, rx, shutdown, done, applied));
             }
             // Convergence poller (runs on the caller's thread).
             let mut stable = 0usize;
@@ -127,58 +113,24 @@ where
                 let agree = applied.iter().all(|a| a.load(Ordering::Acquire) == a0);
                 stable = if all_done && agree { stable + 1 } else { 0 };
             }
-            self.completed_at = SimTime(self.epoch.elapsed().as_nanos() as u64);
             shutdown.store(true, Ordering::Release);
         });
-        self.converged()
-    }
-
-    fn converged(&self) -> bool {
-        let done = self.nodes.iter().all(|n| n.workload_done());
-        let s0 = self.nodes[0].state_snapshot();
-        let m0 = self.nodes[0].applied_map();
-        done && self
-            .nodes
-            .iter()
-            .all(|n| n.state_snapshot() == s0 && n.applied_map() == m0)
+        let nodes: Vec<_> = self.nodes.iter().map(Some).collect();
+        nodes_settled(&nodes) && states_agree(&nodes)
     }
 
     /// The replica that ran on thread `i` (post-run assertions).
-    pub fn node(&self, i: usize) -> &HambandNode<O> {
+    pub(crate) fn node(&self, i: usize) -> &HambandNode<O> {
         &self.nodes[i]
     }
 
-    /// Wall-clock time (ns since the cluster epoch) at which the
-    /// convergence poller initiated shutdown.
-    pub fn completed_at(&self) -> SimTime {
-        self.completed_at
-    }
-
-    /// Fabric traffic counters, merged across the replica threads.
-    pub fn stats(&self) -> Stats {
-        let mut s = Stats::new(self.n);
-        for (i, ctx) in self.ctxs.iter().enumerate() {
-            let c = &ctx.counters;
-            s.writes += c.writes;
-            s.reads += c.reads;
-            s.messages += c.messages;
-            s.one_sided_bytes += c.one_sided_bytes;
-            s.message_bytes += c.message_bytes;
-            s.ring_writes += c.ring_writes;
-            s.ring_slots += c.ring_slots;
-            s.per_node_ops[i] = c.writes + c.reads + c.messages;
+    /// Fabric traffic counters, summed across the replica threads.
+    pub(crate) fn stats(&self) -> Stats {
+        let mut total = Stats::new(self.nodes.len());
+        for ctx in &self.ctxs {
+            total += &ctx.stats;
         }
-        s
-    }
-
-    /// Number of replicas.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the cluster has no replicas.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
+        total
     }
 }
 
@@ -204,14 +156,11 @@ fn replica_thread<O: WorkloadSupport>(
     node: &mut HambandNode<O>,
     ctx: &mut ThreadedCtx,
     rx: &mut Receiver<Event>,
-    first: bool,
     shutdown: &AtomicBool,
     done: &AtomicBool,
     applied: &AtomicU64,
 ) {
-    if first {
-        node.start(ctx);
-    }
+    node.start(ctx);
     // Whether anything handled since the last plan ran on the
     // application CPU.
     let mut owes_plan = false;
@@ -248,6 +197,7 @@ fn replica_thread<O: WorkloadSupport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::WorkloadSpec;
     use hamband_types::Counter;
 
     /// The tentpole smoke test: a 3-node Counter cluster converges on
@@ -257,8 +207,7 @@ mod tests {
         let spec = Counter::default();
         let coord = spec.coord_spec();
         let workload = WorkloadSpec::ops(300).with_update_ratio(1.0).with_seed(7);
-        let mut cluster =
-            ThreadedCluster::new(3, &spec, &coord, RuntimeConfig::default(), workload);
+        let mut cluster = ThreadedCluster::new(&spec, &coord, &RunConfig::new(3, workload));
         assert!(
             cluster.run_to_convergence(Duration::from_secs(30)),
             "threaded cluster failed to converge: {}",

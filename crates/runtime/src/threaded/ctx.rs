@@ -21,8 +21,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rdma_sim::{
-    Event, LatencyModel, NodeId, RegionId, SimDuration, SimTime, TimerId, TraceEvent, VerbKind,
-    WrId,
+    Event, LatencyModel, NodeId, RegionId, SimDuration, SimTime, Stats, TimerId, TraceEvent,
+    VerbKind, WrId,
 };
 
 use super::shared::SharedMem;
@@ -36,19 +36,6 @@ struct TimerEntry {
     seq: u64,
     id: TimerId,
     tag: u64,
-}
-
-/// Per-thread fabric traffic counters, merged into a
-/// [`Stats`](rdma_sim::Stats) after the threads join.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct Counters {
-    pub writes: u64,
-    pub reads: u64,
-    pub messages: u64,
-    pub one_sided_bytes: u64,
-    pub message_bytes: u64,
-    pub ring_writes: u64,
-    pub ring_slots: u64,
 }
 
 /// One replica thread's transport handle.
@@ -66,7 +53,9 @@ pub(crate) struct ThreadedCtx {
     next_wr: u64,
     next_timer: u64,
     scratch: Vec<u8>,
-    pub(crate) counters: Counters,
+    /// This thread's share of the fabric traffic counters, summed
+    /// across the cluster after the threads join.
+    pub(crate) stats: Stats,
 }
 
 impl ThreadedCtx {
@@ -91,7 +80,7 @@ impl ThreadedCtx {
             next_wr: node.index() as u64,
             next_timer: node.index() as u64,
             scratch: Vec::new(),
-            counters: Counters::default(),
+            stats: Stats::new(n),
         }
     }
 
@@ -155,8 +144,8 @@ impl Transport for ThreadedCtx {
     fn emit(&mut self, _make: impl FnOnce() -> TraceEvent) {}
 
     fn note_ring_write(&mut self, slots: u64) {
-        self.counters.ring_writes += 1;
-        self.counters.ring_slots += slots;
+        self.stats.ring_writes += 1;
+        self.stats.ring_slots += slots;
     }
 
     fn post_write(&mut self, target: NodeId, region: RegionId, offset: usize, data: &[u8]) -> WrId {
@@ -165,8 +154,9 @@ impl Transport for ThreadedCtx {
         if status.is_success() {
             self.mem.write(target, region, offset, data);
         }
-        self.counters.writes += 1;
-        self.counters.one_sided_bytes += data.len() as u64;
+        self.stats.writes += 1;
+        self.stats.per_node_ops[self.node.index()] += 1;
+        self.stats.one_sided_bytes += data.len() as u64;
         self.complete(wr, VerbKind::Write, status, None);
         wr
     }
@@ -179,15 +169,17 @@ impl Transport for ThreadedCtx {
             self.mem.read_into(target, region, offset, len, &mut buf);
             buf
         });
-        self.counters.reads += 1;
-        self.counters.one_sided_bytes += len as u64;
+        self.stats.reads += 1;
+        self.stats.per_node_ops[self.node.index()] += 1;
+        self.stats.one_sided_bytes += len as u64;
         self.complete(wr, VerbKind::Read, status, data);
         wr
     }
 
     fn send(&mut self, target: NodeId, payload: Vec<u8>) {
-        self.counters.messages += 1;
-        self.counters.message_bytes += payload.len() as u64;
+        self.stats.messages += 1;
+        self.stats.per_node_ops[self.node.index()] += 1;
+        self.stats.message_bytes += payload.len() as u64;
         let from = self.node;
         // A send to a thread that already exited its event loop (e.g.
         // during shutdown) is dropped, like a message to a dead node.

@@ -5,7 +5,7 @@
 //! (Run with `--nocapture` to see the per-node status trail.)
 
 use hamband_core::ids::Pid;
-use hamband_runtime::{assemble, RunConfig, WorkloadSpec};
+use hamband_runtime::{assemble, settled, RunConfig, WorkloadSpec};
 use hamband_types::Courseware;
 use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime};
 
@@ -17,7 +17,7 @@ fn leader_failure_trace() {
         FaultPlan::new().at(SimTime(60_000), Fault::SuspendHeartbeat(NodeId(0))),
     );
     let (mut sim, _layout, _trace) = assemble(&cw, &cw.coord_spec(), &run);
-    for step in 0..60 {
+    for step in 0.. {
         sim.run_for(SimDuration::micros(50));
         if step % 4 == 0 {
             println!("--- t={} ---", sim.now());
@@ -25,15 +25,11 @@ fn leader_failure_trace() {
                 println!("{}", sim.app(NodeId(i)).status());
             }
         }
-        let alive: Vec<NodeId> = (1..n).map(NodeId).collect();
-        let done = alive.iter().all(|&id| sim.app(id).workload_done())
-            && alive
-                .iter()
-                .all(|&id| sim.app(id).applied_map() == sim.app(NodeId(1)).applied_map());
-        if done {
+        if settled(&sim) {
             println!("done at {}", sim.now());
             break;
         }
+        assert!(sim.now() < SimTime(3_000_000), "the survivors never settled");
     }
     // Let in-flight commit-index writes and summary writes settle.
     sim.run_for(SimDuration::micros(500));

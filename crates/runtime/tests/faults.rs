@@ -9,18 +9,22 @@ use hamband_runtime::codec::{
 };
 use hamband_runtime::chaos::{run_case, ChaosOptions};
 use hamband_runtime::{
-    assemble, HambandNode, RunConfig, Runner, RuntimeConfig, System, TraceMode, WorkloadSpec,
+    assemble, drive, HambandNode, RunConfig, Runner, RuntimeConfig, System, TraceMode,
+    WorkloadSpec,
 };
 use hamband_types::{Bank, Counter, Courseware, GSet};
 use rdma_sim::{
     Fault, FaultPlan, NodeId, RingKind, SimDuration, SimTime, Simulator, TraceEvent, VerbKind,
 };
 
-fn counter_cluster(n: usize, ops: u64, plan: FaultPlan) -> Simulator<HambandNode<Counter>> {
+/// Whether an `n`-node Counter cluster converges under `plan`: every
+/// node left alive finished, and they agree on what was applied and on
+/// the state.
+fn counter_cluster_converges(n: usize, plan: FaultPlan) -> bool {
     let c = Counter::default();
-    let workload = WorkloadSpec::ops(ops).with_update_ratio(0.5).with_seed(0xfa01);
+    let workload = WorkloadSpec::ops(400).with_update_ratio(0.5).with_seed(0xfa01);
     let run = RunConfig::new(n, workload).with_seed(0xfa02).with_faults(plan);
-    assemble(&c, &c.coord_spec(), &run).0
+    Runner::new(System::Hamband, run).run(&c, &c.coord_spec()).report.converged
 }
 
 /// Calls acknowledged across the cluster's `n` nodes, halted ones
@@ -135,19 +139,7 @@ fn short_backup_image_over_a_longer_stale_one_recovers_the_short_one() {
 #[test]
 fn torn_writes_do_not_corrupt_replication() {
     let plan = FaultPlan::new().at(SimTime::ZERO, Fault::TornWrites(NodeId(1)));
-    let mut sim = counter_cluster(3, 400, plan);
-    for _ in 0..400 {
-        sim.run_for(SimDuration::micros(50));
-        if (0..3).all(|i| sim.app(NodeId(i)).workload_done()) {
-            break;
-        }
-    }
-    sim.run_for(SimDuration::millis(1));
-    let s0 = sim.app(NodeId(0)).state_snapshot();
-    for i in 0..3 {
-        assert_eq!(sim.app(NodeId(i)).state_snapshot(), s0, "node {i} diverged under torn writes");
-        assert_eq!(sim.app(NodeId(i)).applied_updates(), sim.app(NodeId(0)).applied_updates());
-    }
+    assert!(counter_cluster_converges(3, plan), "diverged under torn writes");
 }
 
 /// Crash (not just heartbeat suspension) of a follower: survivors
@@ -155,21 +147,7 @@ fn torn_writes_do_not_corrupt_replication() {
 #[test]
 fn follower_crash_survivors_converge() {
     let plan = FaultPlan::new().at(SimTime(40_000), Fault::Crash(NodeId(3)));
-    let mut sim = counter_cluster(4, 400, plan);
-    for _ in 0..800 {
-        sim.run_for(SimDuration::micros(50));
-        let survivors_done = (0..3).all(|i| sim.app(NodeId(i)).workload_done());
-        let agree = (0..3)
-            .all(|i| sim.app(NodeId(i)).applied_map() == sim.app(NodeId(0)).applied_map());
-        if sim.now() > SimTime(40_000) && survivors_done && agree {
-            break;
-        }
-    }
-    sim.run_for(SimDuration::millis(1));
-    let s0 = sim.app(NodeId(0)).state_snapshot();
-    for i in 1..3 {
-        assert_eq!(sim.app(NodeId(i)).state_snapshot(), s0, "survivor {i} diverged");
-    }
+    assert!(counter_cluster_converges(4, plan), "the survivors diverged");
 }
 
 /// The group leader's heartbeat stops mid-run (Fig. 13). The adopter
@@ -214,11 +192,7 @@ fn forfeited_conflicting_quota_ends_the_run_on_every_replica() {
 fn all_nodes_crashed_is_unconverged() {
     let plan = (0..3)
         .fold(FaultPlan::new(), |plan, i| plan.at(SimTime(40_000), Fault::Crash(NodeId(i))));
-    let c = Counter::default();
-    let workload = WorkloadSpec::ops(400).with_update_ratio(0.5).with_seed(0xfa01);
-    let run = RunConfig::new(3, workload).with_seed(0xfa02).with_faults(plan);
-    let out = Runner::new(System::Hamband, run).run(&c, &c.coord_spec());
-    assert!(!out.report.converged);
+    assert!(!counter_cluster_converges(3, plan));
 }
 
 /// The group leader crashes; the next-in-line candidate (node 1)
@@ -238,21 +212,9 @@ fn leader_crash_during_election_reelects() {
     let workload = WorkloadSpec::ops(400).with_update_ratio(0.5).with_seed(0xfa03);
     let run = RunConfig::new(5, workload).with_seed(0xfa04).with_faults(plan);
     let (mut sim, _layout, _trace) = assemble(&b, &b.coord_spec(), &run);
-    for _ in 0..1600 {
-        sim.run_for(SimDuration::micros(50));
-        let done = (2..5).all(|i| sim.app(NodeId(i)).workload_done());
-        let agree =
-            (2..5).all(|i| sim.app(NodeId(i)).applied_map() == sim.app(NodeId(2)).applied_map());
-        if sim.now() > SimTime(62_000) && done && agree {
-            break;
-        }
-    }
-    sim.run_for(SimDuration::millis(1));
+    let (_, converged) = drive(&mut sim, run.max_time);
+    assert!(converged, "the survivors diverged");
     assert!(sim.is_crashed(NodeId(0)) && sim.is_crashed(NodeId(1)));
-    let s2 = sim.app(NodeId(2)).state_snapshot();
-    for i in 3..5 {
-        assert_eq!(sim.app(NodeId(i)).state_snapshot(), s2, "survivor {i} diverged");
-    }
     // Leadership moved past both crashed nodes to the lowest survivor.
     for i in 2..5 {
         assert_eq!(sim.app(NodeId(i)).leader_view(0), Pid(2), "node {i} leader view");
@@ -397,13 +359,8 @@ fn suspended_node_still_drains_its_summary_channels() {
     sim.install_fault_plan(
         &FaultPlan::new().at(sim.now() + SimDuration::nanos(1), Fault::SuspendHeartbeat(victim)),
     );
-    for _ in 0..400 {
-        sim.run_for(SimDuration::micros(50));
-        if (0..n).all(|i| sim.app(NodeId(i)).workload_done()) {
-            break;
-        }
-    }
-    sim.run_for(SimDuration::millis(1));
+    // The plan installed just now counts: not settled before it fires.
+    drive(&mut sim, run.max_time);
     assert!(sim.app(victim).is_halted(), "the fault landed");
     assert_eq!(
         sim.app(victim).status().outstanding,

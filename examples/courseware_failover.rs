@@ -10,7 +10,7 @@
 //! ```
 
 use hamband::core::ids::Pid;
-use hamband::runtime::{assemble, RunConfig, WorkloadSpec};
+use hamband::runtime::{assemble, settled, RunConfig, WorkloadSpec};
 use hamband::sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime};
 use hamband::types::Courseware;
 
@@ -26,7 +26,9 @@ fn main() {
     println!("initial leader of the course group: {}", sim.app(NodeId(1)).leader_view(0));
 
     let mut failover_seen = false;
-    for _ in 0..400 {
+    // `settled` knows that a follower answers for the conflicting quota
+    // only through its leader, and waits for the successor.
+    while !settled(&sim) {
         sim.run_for(SimDuration::micros(25));
         let view = sim.app(NodeId(1)).leader_view(0);
         if !failover_seen && view != Pid(0) {
@@ -37,21 +39,9 @@ fn main() {
             );
             failover_seen = true;
         }
-        let alive: Vec<NodeId> = (1..n).map(NodeId).collect();
-        // A follower answers for the conflicting quota only through
-        // its leader, and until its detector fires it cannot know the
-        // leader is gone: we injected the fault, so we wait for the
-        // successor before believing the survivors.
-        let done = failover_seen
-            && alive.iter().all(|&id| sim.app(id).workload_done())
-            && alive
-                .iter()
-                .all(|&id| sim.app(id).applied_map() == sim.app(NodeId(1)).applied_map());
-        if done {
-            println!("t={}: workload complete", sim.now());
-            break;
-        }
+        assert!(sim.now() < run.max_time, "the survivors never settled");
     }
+    println!("t={}: workload complete", sim.now());
     sim.run_for(SimDuration::millis(1));
 
     assert!(failover_seen, "a new leader must have been elected");

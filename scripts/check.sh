@@ -66,6 +66,16 @@ if [ "$handkept" -ne 0 ]; then
   exit 1
 fi
 
+echo "== verdict guard (a cluster is finished when hamband_runtime::settled says so) =="
+# A node's workload_done() in a loop condition is a hand-kept cluster
+# verdict growing back, and one without the leader rule (DESIGN §5b.6):
+# step with `drive`, or with `settled` in the condition. Asserting a
+# node's own verdict is fine.
+if grep -rn --include='*.rs' 'workload_done()' tests crates/*/tests examples | grep -v 'assert'; then
+  echo "FAIL: wait for hamband_runtime::settled (or call drive) instead of polling workload_done()"
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release
 

@@ -8,8 +8,7 @@
 //! assert convergence and the exact acknowledged update count instead.
 
 use hamband::core::coord::CoordSpec;
-use hamband::runtime::{assemble, MsgCrdtNode, RunConfig, Runner, System, WorkloadSpec};
-use hamband::sim::{LatencyModel, NodeId, SimDuration, Simulator};
+use hamband::runtime::{RunConfig, Runner, System, WorkloadSpec};
 use hamband::types::Counter;
 
 const N: usize = 4;
@@ -27,56 +26,19 @@ fn complete_coord() -> CoordSpec {
     CoordSpec::builder(1).conflict(0, 0).build()
 }
 
-fn run_hamband_like(coord: CoordSpec) -> i64 {
-    let c = Counter::default();
+/// The value every node of a converged `system` cluster ends with.
+fn final_value(system: System, coord: CoordSpec) -> i64 {
     let run = RunConfig::new(N, workload()).with_seed(SEED ^ 0xfab);
-    let (mut sim, _layout, _trace) = assemble(&c, &coord, &run);
-    for _ in 0..1_000 {
-        sim.run_for(SimDuration::micros(50));
-        let done = (0..N).all(|i| sim.app(NodeId(i)).workload_done())
-            && (0..N).all(|i| sim.app(NodeId(i)).applied_map() == sim.app(NodeId(0)).applied_map());
-        if done {
-            break;
-        }
-    }
-    sim.run_for(SimDuration::millis(1));
-    let s0 = sim.app(NodeId(0)).state_snapshot();
-    for i in 1..N {
-        assert_eq!(sim.app(NodeId(i)).state_snapshot(), s0, "intra-cluster divergence");
-    }
-    s0
-}
-
-fn run_msg_like() -> i64 {
-    let c = Counter::default();
-    let coord = c.coord_spec();
-    let mut sim: Simulator<MsgCrdtNode<Counter>> =
-        Simulator::new(N, LatencyModel::default(), SEED ^ 0xfab);
-    {
-        let coord = coord.clone();
-        sim.set_apps(move |id| MsgCrdtNode::new(c.clone(), coord.clone(), id, N, workload()));
-    }
-    for _ in 0..4_000 {
-        sim.run_for(SimDuration::micros(50));
-        let done = (0..N).all(|i| sim.app(NodeId(i)).workload_done())
-            && (0..N).all(|i| sim.app(NodeId(i)).applied_map() == sim.app(NodeId(0)).applied_map());
-        if done {
-            break;
-        }
-    }
-    sim.run_for(SimDuration::millis(1));
-    let s0 = sim.app(NodeId(0)).state_snapshot();
-    for i in 1..N {
-        assert_eq!(sim.app(NodeId(i)).state_snapshot(), s0, "intra-cluster divergence");
-    }
-    s0
+    let (outcome, nodes) = Runner::new(system, run).run_with_states(&Counter::default(), &coord);
+    assert!(outcome.report.converged, "intra-cluster divergence");
+    nodes[0].state
 }
 
 #[test]
 fn hamband_and_msg_compute_the_same_counter() {
     let c = Counter::default();
-    let hamband = run_hamband_like(c.coord_spec());
-    let msg = run_msg_like();
+    let hamband = final_value(System::Hamband, c.coord_spec());
+    let msg = final_value(System::Msg, c.coord_spec());
     assert_eq!(hamband, msg, "hamband vs msg");
     assert_ne!(hamband, 0, "the workload actually did something");
 }
@@ -86,8 +48,8 @@ fn smr_converges_with_full_quota() {
     // Under the complete conflict relation the update quota is global
     // (consumed at the leader); the value differs from Hamband's
     // per-node streams but the count and convergence must not.
-    let smr = run_hamband_like(complete_coord());
-    let again = run_hamband_like(complete_coord());
+    let smr = final_value(System::Hamband, complete_coord());
+    let again = final_value(System::Hamband, complete_coord());
     assert_eq!(smr, again, "SMR runs are deterministic");
 }
 

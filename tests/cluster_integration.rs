@@ -125,26 +125,15 @@ fn reduce_only_counter_combines_summary_writes() {
 
 #[test]
 fn final_states_satisfy_invariants() {
-    use hamband::runtime::assemble;
-    use hamband::sim::{NodeId, SimDuration};
-
     let p = Project::default();
-    let n = 4;
     let workload = WorkloadSpec::ops(800).with_update_ratio(0.5).with_seed(3);
-    let run = RunConfig::new(n, workload).with_seed(9);
-    let (mut sim, _layout, _trace) = assemble(&p, &p.coord_spec(), &run);
-    for _ in 0..200 {
-        sim.run_for(SimDuration::micros(50));
-        if (0..n).all(|i| sim.app(NodeId(i)).workload_done()) {
-            break;
-        }
-    }
-    sim.run_for(SimDuration::millis(1));
-    for i in 0..n {
-        let state = sim.app(NodeId(i)).state_snapshot();
+    let run = RunConfig::new(4, workload).with_seed(9);
+    let (_, nodes) = Runner::new(System::Hamband, run).run_with_states(&p, &p.coord_spec());
+    for (i, node) in nodes.iter().enumerate() {
         assert!(
-            p.invariant(&state),
-            "referential integrity violated at node {i}: {state:?}"
+            p.invariant(&node.state),
+            "referential integrity violated at node {i}: {:?}",
+            node.state
         );
     }
 }

@@ -27,91 +27,40 @@
 
 mod common;
 
-use std::time::Duration;
-
 use hamband_core::coord::CoordSpec;
-use hamband_core::counts::CountMap;
-use hamband_core::object::WorkloadSupport;
 use hamband_runtime::{
-    assemble, HambandNode, RunConfig, RuntimeConfig, ThreadedCluster, WorkloadSpec,
+    assemble, drive, Backend, NodeEndState, RunConfig, Runner, RuntimeConfig, System, WorkloadSpec,
 };
 use hamband_types::{Bank, Counter, Shipped, ShippedVisitor};
-use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime, Simulator};
-
-/// What the conformance checks need from one finished replica.
-struct NodeObs<S> {
-    applied: u64,
-    map: CountMap,
-    state: S,
-    acked: u64,
-    aborted: u64,
-    status: String,
-}
-
-fn observe<O: WorkloadSupport>(node: &HambandNode<O>) -> NodeObs<O::State> {
-    let sessions = node.session_stats();
-    NodeObs {
-        applied: node.applied_updates(),
-        map: node.applied_map().clone(),
-        state: node.state_snapshot(),
-        acked: sessions.iter().map(|s| s.acked).sum(),
-        aborted: sessions.iter().map(|s| s.aborted).sum(),
-        status: node.status().to_string(),
-    }
-}
+use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime};
 
 /// The two conformance properties over a converged, fault-free run.
-fn check<S: PartialEq + std::fmt::Debug>(obs: &[NodeObs<S>], what: &str) {
-    let cluster_acked: u64 = obs.iter().map(|o| o.acked).sum();
+fn check<S: PartialEq>(nodes: &[NodeEndState<S>], what: &str) {
+    let acked = |o: &NodeEndState<S>| o.sessions.iter().map(|s| s.acked).sum::<u64>();
+    let cluster_acked: u64 = nodes.iter().map(acked).sum();
     assert!(cluster_acked > 0, "{what}: no update was ever acknowledged");
-    for (i, o) in obs.iter().enumerate() {
+    for (i, o) in nodes.iter().enumerate() {
         assert_eq!(
-            o.applied, obs[0].applied,
-            "{what}: node {i} applied-count diverges ({} | {})",
-            o.status, obs[0].status
+            o.applied, nodes[0].applied,
+            "{what}: node {i} applied map diverges ({} | {})",
+            o.status, nodes[0].status
         );
-        assert_eq!(o.map, obs[0].map, "{what}: node {i} applied map diverges");
-        assert!(o.state == obs[0].state, "{what}: node {i} state snapshot diverges");
-        assert_eq!(o.aborted, 0, "{what}: node {i} aborted updates in a fault-free run");
+        assert!(o.state == nodes[0].state, "{what}: node {i} state snapshot diverges");
+        let aborted: u64 = o.sessions.iter().map(|s| s.aborted).sum();
+        assert_eq!(aborted, 0, "{what}: node {i} aborted updates in a fault-free run");
         assert_eq!(
-            o.applied, cluster_acked,
+            o.applied.total(),
+            cluster_acked,
             "{what}: node {i} applied {} updates but clients were acked {}",
-            o.applied, cluster_acked
+            o.applied.total(),
+            cluster_acked
         );
     }
 }
 
-fn run_sim<O>(
-    spec: &O,
-    coord: &CoordSpec,
-    n: usize,
-    cfg: RuntimeConfig,
-    workload: WorkloadSpec,
-    what: &str,
-) where
-    O: WorkloadSupport + Clone,
-{
-    let run = RunConfig::new(n, workload).with_runtime(cfg);
-    let (mut sim, _layout, _trace) = assemble(spec, coord, &run);
-    let converged = |sim: &Simulator<HambandNode<O>>| {
-        let first = sim.app(NodeId(0)).applied_map();
-        (0..n).map(|i| sim.app(NodeId(i))).all(|a| a.workload_done() && a.applied_map() == first)
-    };
-    while !converged(&sim) && sim.now() < SimTime(500_000_000) {
-        sim.run_for(SimDuration::micros(50));
-    }
-    assert!(
-        converged(&sim),
-        "{what}: simulator cluster did not converge: {}",
-        (0..n).map(|i| sim.app(NodeId(i)).status().to_string()).collect::<Vec<_>>().join(" | "),
-    );
-    // Let trailing acks (commit-index and summary writes) land.
-    sim.run_for(SimDuration::millis(1));
-    let obs: Vec<_> = (0..n).map(|i| observe(sim.app(NodeId(i)))).collect();
-    check(&obs, what);
-}
-
-fn run_threaded<O: Shipped>(
+/// Run the cluster on `backend` and hold its end states to [`check`].
+fn run_on<O: Shipped>(
+    backend: Backend,
     spec: &O,
     coord: &CoordSpec,
     n: usize,
@@ -119,14 +68,19 @@ fn run_threaded<O: Shipped>(
     workload: WorkloadSpec,
     what: &str,
 ) {
-    let mut cluster = ThreadedCluster::new(n, spec, coord, cfg, workload);
+    let what = format!("{what}/{}", backend.label());
+    // The cap is wall-clock on the threaded backend: a minute.
+    let run = RunConfig::new(n, workload)
+        .with_runtime(cfg)
+        .with_backend(backend)
+        .with_max_time(SimTime(60_000_000_000));
+    let (outcome, nodes) = Runner::new(System::Hamband, run).run_with_states(spec, coord);
     assert!(
-        cluster.run_to_convergence(Duration::from_secs(60)),
-        "{what}: threaded cluster did not converge: {}",
-        (0..n).map(|i| cluster.node(i).status().to_string()).collect::<Vec<_>>().join(" | "),
+        outcome.report.converged,
+        "{what}: cluster did not converge: {}",
+        nodes.iter().map(|o| o.status.as_str()).collect::<Vec<_>>().join(" | "),
     );
-    let obs: Vec<_> = (0..n).map(|i| observe(cluster.node(i))).collect();
-    check(&obs, what);
+    check(&nodes, &what);
 }
 
 /// One object across both backends, cluster sizes 3..=5, and the
@@ -137,8 +91,9 @@ fn conform<O: Shipped>(spec: &O, coord: &CoordSpec, name: &str) {
             let cfg = RuntimeConfig::default().with_max_batch(max_batch);
             let workload = WorkloadSpec::ops(240).with_update_ratio(0.6).with_seed(90 + n as u64);
             let what = format!("{name}/n={n}/max_batch={max_batch}");
-            run_sim(spec, coord, n, cfg.clone(), workload.clone(), &format!("{what}/sim"));
-            run_threaded(spec, coord, n, cfg, workload, &format!("{what}/threaded"));
+            for backend in [Backend::Sim, Backend::Threaded] {
+                run_on(backend, spec, coord, n, cfg.clone(), workload.clone(), &what);
+            }
         }
     }
 }
@@ -172,9 +127,10 @@ fn sessions_conform_across_backends() {
     let coord = c.coord_spec();
     let workload =
         WorkloadSpec::ops(400).with_update_ratio(0.5).with_sessions(40).with_seed(17);
-    let cfg = RuntimeConfig::default();
-    run_sim(&c, &coord, 3, cfg.clone(), workload.clone(), "counter-sessions/sim");
-    run_threaded(&c, &coord, 3, cfg, workload, "counter-sessions/threaded");
+    for backend in [Backend::Sim, Backend::Threaded] {
+        let cfg = RuntimeConfig::default();
+        run_on(backend, &c, &coord, 3, cfg, workload.clone(), "counter-sessions");
+    }
 }
 
 /// Suspend a group leader's heartbeat mid-run: the survivors must
@@ -194,22 +150,13 @@ fn election_replaces_suspended_leader() {
     sim.run_for(SimDuration::micros(40));
     assert_eq!(sim.app(NodeId(1)).leader_view(0).index(), old.index(), "node 0 leads at first");
 
-    // Plenty of virtual time: suspicion, election, ring catch-up, and
-    // the survivors' (plus the dead node's adopted) quota.
-    let survivors: Vec<NodeId> = (0..n).map(NodeId).filter(|&id| id != old).collect();
-    // (Until its detector fires a survivor still answers through the
-    // old leader: finished means finished under the new one.)
-    let finished = |sim: &Simulator<HambandNode<Bank>>| {
-        let mut nodes = survivors.iter().map(|&id| sim.app(id));
-        nodes.all(|a| a.workload_done() && a.leader_view(0).index() != old.index())
-    };
-    while !finished(&sim) && sim.now() < SimTime(200_000_000)
-    {
-        sim.run_for(SimDuration::micros(50));
-    }
-    sim.run_for(SimDuration::millis(1));
-
-    for &id in &survivors {
+    // Suspicion, election, ring catch-up, and the survivors' (plus the
+    // dead node's adopted) quota. Until its detector fires a survivor
+    // still answers through the old leader: `drive` waits for finished
+    // under the new one.
+    let (_, converged) = drive(&mut sim, run.max_time);
+    assert!(converged, "the survivors did not finish and agree");
+    for id in (0..n).map(NodeId).filter(|&id| id != old) {
         let node = sim.app(id);
         assert_ne!(
             node.leader_view(0).index(),
@@ -217,11 +164,5 @@ fn election_replaces_suspended_leader() {
             "{id:?} still believes the suspended leader leads group 0"
         );
         assert!(!node.is_halted(), "survivor {id:?} halted");
-        assert!(node.workload_done(), "survivor {id:?} never finished: {}", node.status());
-    }
-    let first = sim.app(survivors[0]);
-    for &id in &survivors[1..] {
-        assert!(sim.app(id).state_snapshot() == first.state_snapshot(), "{id:?} state diverges");
-        assert_eq!(sim.app(id).applied_map(), first.applied_map(), "{id:?} applied map diverges");
     }
 }
