@@ -408,7 +408,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
         leader.tail = seq;
         leader.uncommitted.push((seq, method));
         engine.tail_hint = seq;
-        let slot = entry.to_slot(seq, self.layout.entry_size());
+        // The group's rings advance with its ordinal, so the local log
+        // copy and every follower's slot are the same bytes: encode once.
+        let mut slot = std::mem::take(&mut self.slot_buf);
+        entry.to_slot_into(seq, self.layout.entry_size(), &mut slot);
         // Local ring copy (leader's log for catch-up by successors).
         let ring_off = self.layout.conf_ring_base()
             + ((seq - 1) as usize % self.layout.conf_cap()) * self.layout.entry_size();
@@ -419,9 +422,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
         ctx.fence_region(self.layout.conf[g]);
         let leader = self.engines[g].leader_mut().expect("still leading");
         for w in leader.writers.iter_mut().flatten() {
-            let s = w.append(ctx, &entry);
+            let s = w.append_encoded(ctx, &slot);
             debug_assert_eq!(s, seq, "conf rings advance with the group ordinal");
         }
+        self.slot_buf = slot;
         leader.pending_acks.insert(seq, 0);
         leader.client_by_seq.push_back((seq, call_id));
         self.outstanding.insert(

@@ -75,34 +75,32 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.metrics.last_apply = ctx.now();
 
         let entry = Entry { rid, update, deps };
+        // The free rings advance in lockstep, so every peer's slot is
+        // the same bytes: encode them once.
+        let mut slot = std::mem::take(&mut self.slot_buf);
         let mut seq_assigned = None;
         let mut remotes = 0;
-        for q in 0..self.n {
-            if q == self.me.index() {
-                continue;
-            }
-            let w = self.free_writers[q].as_mut().expect("writer for peer");
-            let seq = w.append(ctx, &entry);
-            match seq_assigned {
-                None => seq_assigned = Some(seq),
-                Some(s) => assert_eq!(s, seq, "free rings advance in lockstep"),
-            }
+        for w in self.free_writers.iter_mut().flatten() {
+            let seq = *seq_assigned.get_or_insert_with(|| {
+                let seq = w.next_seq();
+                entry.to_slot_into(seq, self.layout.entry_size(), &mut slot);
+                seq
+            });
+            assert_eq!(w.append_encoded(ctx, &slot), seq, "free rings advance in lockstep");
             remotes += 1;
         }
         let backup_slot = seq_assigned.map(|seq| {
-            let slot = entry.to_slot(seq, self.layout.entry_size());
             self.write_backup(ctx, call_id, crate::codec::BACKUP_FREE, 0xff, seq, &slot)
         });
         // Durability seam: the issuer's own entry is hard state (it was
         // applied to σ above) — log and fence it before the appends can
         // reach any peer.
-        if self.log.is_some() {
-            if let Some(seq) = seq_assigned {
-                let slot = entry.to_slot(seq, self.layout.entry_size());
-                let src = self.me.index() as u32;
-                self.log_and_fence(ctx, &crate::persist::LogRecord::FreeSlot { src, slot });
-            }
+        if self.log.is_some() && seq_assigned.is_some() {
+            let src = self.me.index() as u32;
+            let rec = crate::persist::LogRecord::FreeSlot { src, slot: slot.clone() };
+            self.log_and_fence(ctx, &rec);
         }
+        self.slot_buf = slot;
         if let Some(seq) = seq_assigned {
             self.free_call_by_seq.insert(seq, call_id);
         }

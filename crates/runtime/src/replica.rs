@@ -100,6 +100,10 @@ pub struct HambandNode<O: ObjectSpec> {
     /// Reusable buffer for the backup-slot image of the call being
     /// issued.
     pub(crate) backup_buf: Vec<u8>,
+    /// Reusable buffer for the ring slot of the call being issued: the
+    /// entry is encoded into it once and every peer's writer, the
+    /// backup slot and the log copy take the bytes.
+    pub(crate) slot_buf: Vec<u8>,
 
     pub(crate) free_writers: Vec<Option<RingWriter>>,
     pub(crate) free_readers: Vec<Option<RingReader>>,
@@ -244,6 +248,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
             sum_waiters: (0..sum_group_count).map(|_| vec![VecDeque::new(); n]).collect(),
             sum_slot_buf: vec![Vec::new(); sum_group_count],
             backup_buf: Vec::new(),
+            slot_buf: Vec::new(),
             free_writers: Vec::new(),
             free_readers: Vec::new(),
             engines,

@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 use hamband_core::wire::Wire;
 use rdma_sim::{CompletionStatus, IdMap, NodeId, RegionId, RingKind, TraceEvent, WrId};
 
-use crate::codec::Entry;
+use crate::codec::{slot_ready, Entry};
 use crate::transport::Transport;
 
 /// Writer-side state of one ring (one per (writer, reader) pair for `F`
@@ -163,16 +163,38 @@ impl RingWriter {
         self.base + (((seq - 1) % self.cap) as usize) * self.slot_size
     }
 
-    /// Append an encoded entry; returns its sequence number. The entry
-    /// is only queued: call [`flush`](Self::flush) to post the pending
-    /// entries (coalesced) once the current burst of appends is done.
+    /// Encode `entry` and queue it; returns its sequence number. The
+    /// entry is only queued: call [`flush`](Self::flush) to post the
+    /// pending entries (coalesced) once the current burst of appends is
+    /// done.
     pub fn append<U: Wire>(&mut self, ctx: &mut impl Transport, entry: &Entry<U>) -> u64 {
+        let slot_size = self.slot_size;
+        self.enqueue(ctx, |seq, slot| entry.to_slot_into(seq, slot_size, slot))
+    }
+
+    /// [`append`](Self::append) for a slot the caller already encoded
+    /// for [`next_seq`](Self::next_seq): writers that advance in
+    /// lockstep (a call's `F` rings, a group's `L` rings) carry
+    /// identical bytes, so the caller encodes once and hands each writer
+    /// the image.
+    pub fn append_encoded(&mut self, ctx: &mut impl Transport, slot: &[u8]) -> u64 {
+        debug_assert_eq!(slot.len(), self.slot_size, "slots are fixed-size");
+        debug_assert!(slot_ready(slot, self.next_seq), "slot encoded for another sequence");
+        self.enqueue(ctx, |_, buf| {
+            buf.clear();
+            buf.extend_from_slice(slot);
+        })
+    }
+
+    /// Assign the next sequence number and queue what `fill` renders
+    /// for it into a recycled slot buffer.
+    fn enqueue(&mut self, ctx: &mut impl Transport, fill: impl FnOnce(u64, &mut Vec<u8>)) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         let (kind, writer, reader) = (self.kind, ctx.node(), self.target);
         ctx.emit(|| TraceEvent::RingAppend { ring: kind, writer, reader, seq });
         let mut slot = self.spare.pop().unwrap_or_default();
-        entry.to_slot_into(seq, self.slot_size, &mut slot);
+        fill(seq, &mut slot);
         self.pending.push_back((seq, slot));
         seq
     }
@@ -338,7 +360,7 @@ impl RingReader {
     /// prefix check), without decoding the payload.
     pub fn next_ready(&self, ctx: &mut impl Transport) -> bool {
         let slot = ctx.local(self.region, self.slot_offset(self.next), self.slot_size);
-        crate::codec::slot_ready(slot, self.next)
+        slot_ready(slot, self.next)
     }
 
     /// Peek the next entry if it has fully landed (sequence and canary
@@ -584,6 +606,49 @@ mod tests {
     fn reader_sees_nothing_in_empty_ring() {
         let (received, _) = run(0, false, 4);
         assert!(received.is_empty());
+    }
+
+    /// Does nothing: the test posts from outside the event loop.
+    struct Idle;
+
+    impl App for Idle {
+        fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
+        fn on_event(&mut self, _ctx: &mut Ctx<'_>, _event: Event) {}
+    }
+
+    /// Two rings in one region at node 1, fed by node 0: the first
+    /// through `append`, the second through `append_encoded` with the
+    /// caller's own encoding.
+    #[test]
+    fn append_encoded_lands_the_bytes_append_would() {
+        let mut sim = Simulator::new(2, LatencyModel::deterministic(), 5);
+        let ring = sim.add_region_all(2 * CAP * SLOT);
+        let heads = sim.add_region_all(16);
+        sim.set_apps(|_| Idle);
+        let writer = |base, head| {
+            RingWriter::new(RingKind::Free, NodeId(1), ring, base, CAP, SLOT, heads, head)
+                .with_max_batch(4)
+        };
+        let (mut plain, mut encoded) = (writer(0, 0), writer(CAP * SLOT, 8));
+        sim.with_app_ctx(NodeId(0), |_, ctx| {
+            let mut buf = vec![0xff; 3];
+            for i in 0..5 {
+                let e = Entry {
+                    rid: Rid::new(Pid(0), i),
+                    update: Account::deposit(i + 1),
+                    deps: DepMap::empty(),
+                };
+                let seq = plain.append(ctx, &e);
+                e.to_slot_into(encoded.next_seq(), SLOT, &mut buf);
+                assert_eq!(encoded.append_encoded(ctx, &buf), seq);
+            }
+            plain.flush(ctx);
+            encoded.flush(ctx);
+        });
+        sim.run_for(SimDuration::micros(50));
+        let bytes = sim.region_bytes(NodeId(1), ring);
+        assert!(slot_ready(&bytes[4 * SLOT..5 * SLOT], 5), "the fifth entry landed");
+        assert_eq!(bytes[..CAP * SLOT], bytes[CAP * SLOT..]);
     }
 
     #[test]
