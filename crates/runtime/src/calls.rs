@@ -17,8 +17,9 @@
 //! events produce frees its window slot first; then one planning pass
 //! refills all of them and one flush posts the burst, so what k waiting
 //! completions freed leaves as one coalesced WRITE per peer, not k —
-//! ring appends and summary slots alike: nothing is posted while
-//! handling or planning, only in the flush that ends the pump. The
+//! ring appends, summary slots and the commit index alike: nothing is
+//! posted while handling or planning, only in the flush that ends the
+//! pump. The
 //! simulator shell plans when no event is parked waiting for the node's
 //! CPU (`replica.rs`, `impl App`); the threaded shell once per loop
 //! iteration, after its messages and due timers
@@ -89,7 +90,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
             // A suspended node plans nothing, but the calls it folded
             // in before the fault still wait for a summary WRITE, and
             // the flush is the only place one is posted: keep draining
-            // its channels.
+            // its channels. A commit its completions still reach has
+            // no entry left to ride, either.
+            self.flush_commits(ctx);
             self.flush_summaries(ctx);
             return;
         }
@@ -162,8 +165,21 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // The whole burst is queued by now: post it as one summary
         // WRITE per idle channel and coalesced ring WRITEs (deferring
         // to here is free in virtual time — same instant, fewer
-        // doorbells).
+        // doorbells). A commit index none of the queued entries carries
+        // goes first, as a commit-cell round.
+        self.flush_commits(ctx);
         self.flush_writers(ctx);
+    }
+
+    /// The idle-pipeline fallback of commit distribution: wherever this
+    /// node's commit index is ahead of what its appended entries carry
+    /// (nothing was planned behind the commit — a spent quota, a window
+    /// held by REDUCE/FREE calls, the run's last commits), write it
+    /// into the followers' commit cells.
+    fn flush_commits<T: Transport>(&mut self, ctx: &mut T) {
+        for g in 0..self.engines.len() {
+            self.flush_commit(ctx, g);
+        }
     }
 
     /// Post everything the pump queued: the latest summary slot on

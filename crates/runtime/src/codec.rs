@@ -10,9 +10,19 @@
 //! [0..8)       entry sequence number (1-based; 0 = never written)
 //! [8..10)      payload length (u16 LE)
 //! [10..)       payload: issuer, rid seq, dependency array, encoded call
+//! [size-16..)  `L` rings only: the group's commit index as the leader
+//!              knew it when it appended the entry (u64 LE); padding,
+//!              zero, on `F` rings
 //! [size-8..)   canary trailer: the sequence number again (u64 LE),
 //!              written last on torn fabrics
 //! ```
+//!
+//! The carried commit index is how a follower learns what it may apply
+//! (Mu's discipline: a commit rides the next entry): it sits below the
+//! canary, so it is visible exactly when the entry that carries it is —
+//! [`carried_commit`] reads it only from a slot [`slot_ready`] accepts.
+//! It takes its eight bytes from the payload's room, not from the slot:
+//! a conflicting call's payload may use `size - 26` bytes.
 //!
 //! The canary trailer is the paper's canary *bit* grown into a
 //! sequence echo. A constant marker only proves "some complete entry
@@ -60,6 +70,38 @@ pub fn slot_ready(slot: &[u8], expect_seq: u64) -> bool {
     slot.len() >= 10 + CANARY_TRAILER
         && slot[slot.len() - CANARY_TRAILER..] == seq
         && slot[0..8] == seq
+}
+
+/// Size of the commit index an `L`-ring entry carries, directly below
+/// the canary trailer.
+pub const CARRIED_COMMIT: usize = 8;
+
+/// Stamp `commit` into a rendered ring-entry slot, below its canary
+/// trailer: the leader's commit index as of the append.
+///
+/// # Panics
+///
+/// Panics if the slot's payload reaches into those bytes (raise
+/// `RuntimeConfig::payload_cap`).
+pub fn stamp_commit(slot: &mut [u8], commit: u64) {
+    let at = slot.len() - CANARY_TRAILER - CARRIED_COMMIT;
+    let payload_len = u16::from_le_bytes(slot[8..10].try_into().expect("2 bytes")) as usize;
+    assert!(
+        10 + payload_len <= at,
+        "payload of {payload_len} bytes leaves no room for the carried commit index"
+    );
+    slot[at..at + CARRIED_COMMIT].copy_from_slice(&commit.to_le_bytes());
+}
+
+/// The commit index carried by the slot holding entry `expect_seq`;
+/// `None` unless the entry has completely landed ([`slot_ready`]) — a
+/// slot whose canary is missing or stale says nothing.
+pub fn carried_commit(slot: &[u8], expect_seq: u64) -> Option<u64> {
+    if slot.len() < 10 + CARRIED_COMMIT + CANARY_TRAILER || !slot_ready(slot, expect_seq) {
+        return None;
+    }
+    let at = slot.len() - CANARY_TRAILER - CARRIED_COMMIT;
+    Some(u64::from_le_bytes(slot[at..at + CARRIED_COMMIT].try_into().expect("8 bytes")))
 }
 
 /// The leading version word of a summary slot (0 when never written or
@@ -430,6 +472,46 @@ mod tests {
         assert!(!slot_ready(&stale, 9), "stale-epoch trailer");
         assert!(!slot_ready(&[0u8; 107], 1), "never written");
         assert!(!slot_ready(&[], 1), "too short");
+    }
+
+    #[test]
+    fn carried_commit_is_readable_iff_the_slot_is_ready() {
+        let e = entry();
+        let plain = e.to_slot(9, 104);
+        let mut slot = plain.clone();
+        stamp_commit(&mut slot, 7);
+        assert_eq!(carried_commit(&slot, 9), Some(7));
+        assert_eq!(carried_commit(&slot, 10), None, "wrong seq");
+        // The stamp is the eight bytes below the trailer and nothing
+        // else: an `F`-ring slot, never stamped, is what it always was
+        // (its bytes there are padding), and the entry reads the same.
+        let at = slot.len() - CANARY_TRAILER - CARRIED_COMMIT;
+        assert_eq!(plain[at..at + CARRIED_COMMIT], [0u8; 8]);
+        assert_eq!(slot[..at], plain[..at]);
+        assert_eq!(slot[at + CARRIED_COMMIT..], plain[at + CARRIED_COMMIT..]);
+        assert_eq!(carried_commit(&plain, 9), Some(0));
+        assert_eq!(Entry::<AccountUpdate>::from_slot(&slot, 9), Some(e));
+        // Index landed, canary not: every way `slot_ready` says no.
+        let tail = slot.len() - CANARY_TRAILER;
+        let mut torn = slot.clone();
+        torn[tail..].fill(0);
+        let mut stale = slot.clone();
+        stale[tail..].copy_from_slice(&4u64.to_le_bytes());
+        let mut half = slot.clone();
+        half[slot.len() - 1] = 0xff;
+        for (bad, why) in [(&torn, "no canary"), (&stale, "stale epoch"), (&half, "half a canary")] {
+            assert!(!slot_ready(bad, 9), "{why}");
+            assert_eq!(carried_commit(bad, 9), None, "{why}");
+        }
+        assert_eq!(carried_commit(&[0u8; 24], 0), None, "too short to carry one");
+    }
+
+    #[test]
+    #[should_panic(expected = "no room for the carried commit index")]
+    fn stamping_over_a_payload_panics() {
+        // The payload fits the slot, but not beside the index.
+        let mut slot = entry().to_slot(9, 32);
+        stamp_commit(&mut slot, 1);
     }
 
     #[test]

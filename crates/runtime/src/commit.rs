@@ -3,11 +3,15 @@
 //! An `L`-ring entry is committed once a majority of the cluster holds
 //! it (the leader's own copy plus `n/2` remote completions). The leader
 //! advances the group's commit index over every contiguous committed
-//! sequence, acknowledges the client calls it covers, and pushes the
-//! index into every follower's commit cell — write-combined: at most
-//! one round of commit-cell WRITEs is in flight per group, and a round
-//! that lands stale (the index moved meanwhile) immediately triggers
-//! the next (`HambandNode::flush_commit`).
+//! sequence and acknowledges the client calls it covers. The followers
+//! learn the index from the next entry the leader appends, which
+//! carries it (`conf.rs`, `issue_conf` / `learn_commit`) — Mu's
+//! discipline, and no WRITE of its own. Only an index nothing carries —
+//! the pipeline went idle behind the commit — is written into every
+//! follower's commit cell, by the pump once it has planned
+//! (`HambandNode::flush_commit`): write-combined, at most one round of
+//! commit-cell WRITEs in flight per group, and a round that lands stale
+//! (the index moved meanwhile) immediately triggers the next.
 
 use hamband_core::object::WorkloadSupport;
 use rdma_sim::{CompletionStatus, NodeId, TraceEvent};
@@ -18,8 +22,8 @@ use crate::transport::Transport;
 
 impl<O: WorkloadSupport> HambandNode<O> {
     /// Advance group `g`'s commit index over newly majority-acked
-    /// sequences, acknowledge the committed client calls, and push the
-    /// index to followers.
+    /// sequences and acknowledge the committed client calls. Posts
+    /// nothing: the index leaves with the next entry, or from the pump.
     pub(crate) fn advance_commit<T: Transport>(&mut self, ctx: &mut T, g: usize) {
         let need = self.majority_remote();
         let before = self.engines[g].commit;
@@ -43,8 +47,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
             }
             self.finish_call(ctx, cid);
         }
-        // Push the commit index to followers (coalesced).
-        self.flush_commit(ctx, g);
         // The leader's own commit cell (read by poll_conf fallback and
         // by successors).
         ctx.local_write(
@@ -55,7 +57,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
     }
 
     /// Push `g`'s commit index to every follower's commit cell, unless
-    /// a round is already in flight or the index has not moved.
+    /// a round is already in flight or the index is no further than
+    /// what an appended entry already carries.
     pub(crate) fn flush_commit<T: Transport>(&mut self, ctx: &mut T, g: usize) {
         if !self.engines[g].is_leader() {
             return;

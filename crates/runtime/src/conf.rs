@@ -43,7 +43,7 @@ use hamband_core::object::WorkloadSupport;
 use rdma_sim::{CompletionStatus, NodeId, RingKind, SimDuration, TraceEvent, WrId};
 
 use crate::calls::Outstanding;
-use crate::codec::Entry;
+use crate::codec::{carried_commit, stamp_commit, Entry};
 use crate::election::Election;
 use crate::replica::{HambandNode, TAG_RETRY};
 use crate::rings::{RingReader, RingWriter};
@@ -53,7 +53,8 @@ use crate::transport::Transport;
 #[derive(Debug)]
 pub enum Role {
     /// Not leading: applies committed ring entries, learns the commit
-    /// index from the group's commit cell.
+    /// index from the entries that carry it (and, when none follows,
+    /// from the group's commit cell).
     Follower,
     /// Running an election (this node is tallying `LeaderAck`s).
     Candidate {
@@ -124,12 +125,19 @@ pub struct GroupEngine {
     pub(crate) epoch: u64,
     /// Highest epoch promised to any candidate (Paxos-style promise).
     pub(crate) promised: u64,
-    /// Commit index as this node last knew it directly (followers
-    /// additionally learn it from the commit cell).
+    /// Commit index as this node knows it: advanced by the leader,
+    /// learnt at every poll by everyone else — the highest index a
+    /// landed entry carries or the commit cell holds.
     pub(crate) commit: u64,
-    /// Last commit value pushed to followers (leader bookkeeping that
-    /// deliberately survives deposition: a re-elected leader must wait
-    /// out stale in-flight commit writes before pushing again).
+    /// Next sequence number whose slot a non-leader has not yet read a
+    /// carried commit index from: the learning scan goes forward from
+    /// the reader's head and looks at each landed slot once.
+    pub(crate) commit_scan: u64,
+    /// Highest commit value sent toward the followers, carried by an
+    /// appended entry or written by a commit-cell round (leader
+    /// bookkeeping that deliberately survives deposition: a re-elected
+    /// leader must wait out stale in-flight commit writes before
+    /// pushing again).
     pub(crate) commit_written: u64,
     /// Outstanding commit-cell writes (same lifetime note as above).
     pub(crate) commit_writes_inflight: usize,
@@ -154,6 +162,7 @@ impl GroupEngine {
             epoch: 1,
             promised: 1,
             commit: 0,
+            commit_scan: 0,
             commit_written: 0,
             commit_writes_inflight: 0,
             tail_hint: 0,
@@ -408,10 +417,16 @@ impl<O: WorkloadSupport> HambandNode<O> {
         leader.tail = seq;
         leader.uncommitted.push((seq, method));
         engine.tail_hint = seq;
+        // The entry carries the commit index to the followers, so a
+        // commit costs no WRITE of its own while the pipeline is fed
+        // (the pump's `flush_commit` covers an index nothing carries).
+        let commit = engine.commit;
+        engine.commit_written = engine.commit_written.max(commit);
         // The group's rings advance with its ordinal, so the local log
         // copy and every follower's slot are the same bytes: encode once.
         let mut slot = std::mem::take(&mut self.slot_buf);
         entry.to_slot_into(seq, self.layout.entry_size(), &mut slot);
+        stamp_commit(&mut slot, commit);
         // Local ring copy (leader's log for catch-up by successors).
         let ring_off = self.layout.conf_ring_base()
             + ((seq - 1) as usize % self.layout.conf_cap()) * self.layout.entry_size();
@@ -448,18 +463,31 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
     }
 
+    /// A non-leader learns `g`'s commit index: the highest index carried
+    /// by an entry landed from the reader's head onward, or the commit
+    /// cell when that is ahead (the leader writes it once nothing it
+    /// appends carries the index).
+    fn learn_commit<T: Transport>(&mut self, ctx: &mut T, g: usize) {
+        let cell = ctx.local(self.layout.conf[g], self.layout.conf_commit_offset(), 8);
+        let cell = u64::from_le_bytes(cell.try_into().expect("8 bytes"));
+        let e = &mut self.engines[g];
+        e.commit = e.commit.max(cell);
+        let mut seq = e.commit_scan.max(e.reader.next_seq());
+        while let Some(carried) = carried_commit(e.reader.raw_slot(ctx, seq), seq) {
+            e.commit = e.commit.max(carried);
+            seq += 1;
+        }
+        e.commit_scan = seq;
+    }
+
     /// Apply committed `L`-ring entries, gated by the commit index and
     /// by each entry's dependency map.
     pub(crate) fn poll_conf<T: Transport>(&mut self, ctx: &mut T) {
         for g in 0..self.engines.len() {
-            // Followers learn the commit index from the commit cell;
-            // the leader knows it directly.
-            let commit = if self.engines[g].is_leader() {
-                self.engines[g].commit
-            } else {
-                let cell = ctx.local(self.layout.conf[g], self.layout.conf_commit_offset(), 8);
-                u64::from_le_bytes(cell.try_into().expect("8 bytes"))
-            };
+            if !self.engines[g].is_leader() {
+                self.learn_commit(ctx, g);
+            }
+            let commit = self.engines[g].commit;
             loop {
                 let next = self.engines[g].reader.next_seq();
                 if next > commit {
@@ -616,7 +644,125 @@ impl<O: WorkloadSupport> HambandNode<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdma_sim::RegionId;
+    use crate::driver::WorkloadSpec;
+    use crate::harness::{assemble, RunConfig, TraceMode};
+    use crate::layout::Layout;
+    use hamband_core::coord::CoordSpec;
+    use hamband_types::Counter;
+    use rdma_sim::{RegionId, SimTime, Simulator, TraceBuffer, TraceRecord, VerbKind};
+
+    type Cluster = Simulator<HambandNode<Counter>>;
+
+    /// Three nodes, Counter with its one method declared conflicting:
+    /// every add of the run is ordered through node 0's log, `window`
+    /// at a time. Traced.
+    fn ordered_counter(ops: u64, window: usize) -> (Cluster, Layout, TraceBuffer) {
+        let coord = CoordSpec::builder(1).conflict(0, 0).build();
+        let workload = WorkloadSpec::ops(ops).with_update_ratio(1.0).with_window(window).with_seed(5);
+        let run = RunConfig::new(3, workload).with_seed(5).with_trace(TraceMode::Collect);
+        let (sim, layout, trace) = assemble(&Counter::default(), &coord, &run);
+        (sim, layout, trace.expect("collecting"))
+    }
+
+    fn commit_cell(sim: &Cluster, layout: &Layout, node: usize) -> u64 {
+        let at = layout.conf_commit_offset();
+        let cell = &sim.region_bytes(NodeId(node), layout.conf[0])[at..at + 8];
+        u64::from_le_bytes(cell.try_into().expect("8 bytes"))
+    }
+
+    /// The leader's commit-cell WRITEs: the only 8-byte WRITEs it posts.
+    fn cell_writes(events: &[TraceRecord]) -> Vec<SimTime> {
+        events
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.event,
+                    TraceEvent::VerbPosted { issuer: NodeId(0), kind: VerbKind::Write, bytes: 8, .. }
+                )
+            })
+            .map(|r| r.at)
+            .collect()
+    }
+
+    /// One call at a time: entry k + 1 is appended once k committed and
+    /// carries that index, and nothing else tells the followers.
+    #[test]
+    fn a_follower_applies_seq_k_once_seq_k_plus_one_landed_cells_untouched() {
+        let (mut sim, layout, trace) = ordered_counter(300, 1);
+        while (1..3).any(|f| sim.app(NodeId(f)).engines[0].reader.applied() < 20) {
+            sim.run_for(SimDuration::nanos(200));
+            assert!(sim.now() < SimTime(1_000_000), "the followers never applied 20 entries");
+            for f in 1..3 {
+                assert_eq!(commit_cell(&sim, &layout, f), 0, "node {f}'s commit cell was written");
+            }
+        }
+        let events = trace.take();
+        let appended_at = |seq: u64, to: NodeId| {
+            events.iter().find_map(|r| match r.event {
+                TraceEvent::RingAppend { ring: RingKind::Conf, reader, seq: s, .. }
+                    if s == seq && reader == to =>
+                {
+                    Some(r.at)
+                }
+                _ => None,
+            })
+        };
+        let mut applies = 0;
+        for r in &events {
+            let TraceEvent::RingApply { ring: RingKind::Conf, reader, seq, .. } = r.event else {
+                continue;
+            };
+            if reader == NodeId(0) {
+                continue;
+            }
+            applies += 1;
+            let next = appended_at(seq + 1, reader).expect("applied, so its successor was appended");
+            assert!(next < r.at, "{reader:?} applied seq {seq} before seq {} left the leader", seq + 1);
+        }
+        assert!(applies >= 40);
+        for f in 1..3 {
+            let e = &sim.app(NodeId(f)).engines[0];
+            assert!(e.commit >= e.reader.applied() && e.commit >= 20, "node {f} keeps what it learnt");
+        }
+    }
+
+    /// Nothing follows a lone call, so its commit rides nothing: one
+    /// round of commit-cell WRITEs, one per follower, and no second.
+    #[test]
+    fn a_single_call_on_an_idle_cluster_costs_exactly_one_cell_round() {
+        let (mut sim, layout, trace) = ordered_counter(1, 1);
+        sim.run_until(SimTime(200_000));
+        for f in 1..3 {
+            assert_eq!(sim.app(NodeId(f)).engines[0].reader.applied(), 1, "node {f} applied it");
+            assert_eq!(commit_cell(&sim, &layout, f), 1);
+        }
+        assert_eq!(cell_writes(&trace.take()).len(), 2);
+    }
+
+    /// While the quota lasts a plan follows every commit and its first
+    /// entry carries the index; the cell round is for the commits after
+    /// the last append.
+    #[test]
+    fn a_saturated_leader_posts_no_cell_write_until_its_quota_ends() {
+        let (mut sim, _layout, trace) = ordered_counter(600, 8);
+        let (_, converged) = crate::verdict::drive(&mut sim, SimTime(20_000_000));
+        assert!(converged);
+        let events = trace.take();
+        let last_append = events
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::RingAppend { writer: NodeId(0), .. }))
+            .map(|r| r.at)
+            .max()
+            .expect("the leader appended");
+        let cells = cell_writes(&events);
+        assert!(!cells.is_empty(), "the last commits ride nothing");
+        assert!(
+            cells.iter().all(|&at| at >= last_append),
+            "a cell WRITE at {:?}, the last append at {last_append:?}",
+            cells.iter().min()
+        );
+        assert_eq!(sim.app(NodeId(1)).engines[0].reader.applied(), 600);
+    }
 
     fn engine() -> GroupEngine {
         let reader =

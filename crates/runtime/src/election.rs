@@ -314,3 +314,49 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::WorkloadSpec;
+    use crate::harness::{assemble, RunConfig};
+    use hamband_core::coord::CoordSpec;
+    use hamband_types::Counter;
+    use rdma_sim::{SimDuration, SimTime};
+
+    /// A saturated leader writes no commit cell, so what a follower
+    /// knows of the commit index it read off the entries — and that is
+    /// what its `LeaderAck` must report. Five nodes, every add ordered
+    /// through node 0; mid-run node 4 runs for group 0 with an empty
+    /// tally of its own and asks node 1 alone, so it stays one ack short
+    /// of a majority and the tally it holds is node 1's answer.
+    #[test]
+    fn a_leader_ack_reports_the_commit_index_learnt_from_an_entry() {
+        let coord = CoordSpec::builder(1).conflict(0, 0).build();
+        let workload = WorkloadSpec::ops(2_000).with_update_ratio(1.0).with_window(4).with_seed(9);
+        let run = RunConfig::new(5, workload).with_seed(9);
+        let (mut sim, layout, _trace) = assemble(&Counter::default(), &coord, &run);
+        let (asked, candidate) = (NodeId(1), NodeId(4));
+        while sim.app(asked).engines[0].reader.applied() < 50 {
+            sim.run_for(SimDuration::micros(1));
+            assert!(sim.now() < SimTime(2_000_000), "node 1 never applied 50 entries");
+        }
+        let learnt = sim.app(asked).engines[0].commit;
+        assert!(learnt >= 50);
+        let cell = &sim.region_bytes(asked, layout.conf[0])[layout.conf_commit_offset()..][..8];
+        assert_eq!(cell, [0u8; 8], "node 1's commit cell was written");
+
+        sim.with_app_ctx(candidate, |node, ctx| {
+            let epoch = node.engines[0].begin_election(candidate, 0, 0);
+            ctx.send(asked, ControlMsg::LeaderRequest { group: 0, epoch }.to_bytes());
+        });
+        // Two messages, the protocol's slow path: ~25 us each way.
+        sim.run_for(SimDuration::micros(80));
+        let Role::Candidate { election } = &sim.app(candidate).engines[0].role else {
+            panic!("node 4 is two acks short of three");
+        };
+        assert_eq!(election.acks, 2, "its own vote and node 1's");
+        assert!(election.max_commit >= learnt, "the ack said {}", election.max_commit);
+        assert!(election.max_tail > election.max_commit, "and the longer tail it had landed");
+    }
+}

@@ -320,9 +320,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.poll_summaries(ctx);
         self.poll_free(ctx);
         self.poll_conf(ctx);
-        for g in 0..self.engines.len() {
-            self.flush_commit(ctx, g);
-        }
     }
 
     fn on_completion<T: Transport>(

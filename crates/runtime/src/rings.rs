@@ -412,6 +412,7 @@ impl RingReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{carried_commit, stamp_commit, CANARY_TRAILER, CARRIED_COMMIT};
     use hamband_core::counts::DepMap;
     use hamband_core::demo::{Account, AccountUpdate};
     use hamband_core::ids::{Pid, Rid};
@@ -649,6 +650,54 @@ mod tests {
         let bytes = sim.region_bytes(NodeId(1), ring);
         assert!(slot_ready(&bytes[4 * SLOT..5 * SLOT], 5), "the fifth entry landed");
         assert_eq!(bytes[..CAP * SLOT], bytes[CAP * SLOT..]);
+    }
+
+    /// On a torn fabric a slot's last byte lands 400 ns after the rest,
+    /// the carried commit index included. Sequence numbers past 2^56
+    /// put a non-zero byte there, so the canary really is incomplete in
+    /// that gap: a poll every 50 ns must see the index word landed with
+    /// the slot not ready, and must never be handed it.
+    #[test]
+    fn no_commit_index_is_taken_from_a_slot_whose_canary_has_not_landed() {
+        let mut sim = Simulator::new(2, LatencyModel::deterministic(), 5);
+        let ring = sim.add_region_all(CAP * SLOT);
+        let heads = sim.add_region_all(8);
+        sim.install_fault_plan(
+            &FaultPlan::new().at(SimTime::ZERO, rdma_sim::Fault::TornWrites(NodeId(1))),
+        );
+        sim.set_apps(|_| Idle);
+        let mut w = RingWriter::new(RingKind::Conf, NodeId(1), ring, 0, CAP, SLOT, heads, 0);
+        let base = 1u64 << 56;
+        w.adopt_tail(base);
+        let index_at = SLOT - CANARY_TRAILER - CARRIED_COMMIT;
+        let mut torn_polls = 0;
+        // Half a ring: as far as an adopted tail may run ahead of a
+        // head nobody publishes.
+        let entries = CAP as u64 / 2;
+        for i in 1..=entries {
+            let (seq, stamp) = (base + i, 0x0101_0101_0101_0100 + i);
+            sim.with_app_ctx(NodeId(0), |_, ctx| {
+                let e =
+                    Entry { rid: Rid::new(Pid(0), i), update: Account::deposit(i), deps: DepMap::empty() };
+                let mut slot = e.to_slot(seq, SLOT);
+                stamp_commit(&mut slot, stamp);
+                assert_eq!(w.append_encoded(ctx, &slot), seq);
+                w.flush(ctx);
+            });
+            let off = ((seq - 1) % CAP as u64) as usize * SLOT;
+            let mut ready = false;
+            for _ in 0..60 {
+                sim.run_for(SimDuration::nanos(50));
+                let slot = &sim.region_bytes(NodeId(1), ring)[off..off + SLOT];
+                ready = slot_ready(slot, seq);
+                assert_eq!(carried_commit(slot, seq), ready.then_some(stamp));
+                if !ready && slot[index_at..index_at + 8] == stamp.to_le_bytes() {
+                    torn_polls += 1;
+                }
+            }
+            assert!(ready, "entry {i} never landed");
+        }
+        assert!(torn_polls >= entries, "a torn slot went unobserved ({torn_polls} polls saw one)");
     }
 
     #[test]

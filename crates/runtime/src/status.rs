@@ -66,7 +66,9 @@ pub struct GroupStatus {
     pub promised: u64,
     /// The group tail as this node best knows it.
     pub tail: u64,
-    /// Commit index as this node last knew it directly.
+    /// Commit index as this node knows it: advanced by the leader,
+    /// learnt by everyone else from the entries that carry it or from
+    /// the commit cell — never behind `applied`.
     pub commit: u64,
     /// Ring entries this node's reader has applied.
     pub applied: u64,
@@ -143,7 +145,12 @@ impl<O: WorkloadSupport> HambandNode<O> {
     /// Conflicting quota is judged only by the node that leads the
     /// (mapped) group: the quota follows leadership, its leader knows
     /// the ring's tail exactly, and a quota the leader forfeited as
-    /// ungeneratable is thereby forfeited for everyone. A follower
+    /// ungeneratable is thereby forfeited for everyone. Its verdict
+    /// includes the commit index being on its way to the followers —
+    /// carried by an entry or written to their commit cells: the last
+    /// commits of a run ride nothing, and until the next plan posts
+    /// them a leader that stopped there would leave the followers short
+    /// with every node reporting done. A follower
     /// answers for a group only that its leader is not suspected and no
     /// election or takeover is in flight here — until then the quota is
     /// about to move. Between a leader's failure and its suspicion a
@@ -157,7 +164,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
         let conf_done = self.engines.iter().enumerate().all(|(g, e)| match &e.role {
             Role::Candidate { .. } | Role::TakingOver { .. } => false,
-            Role::Leader(l) => self.ingress.conf_remaining(g, l.tail) == 0,
+            Role::Leader(l) => {
+                self.ingress.conf_remaining(g, l.tail) == 0 && e.commit_written >= e.commit
+            }
             Role::Follower => !self.fd.is_suspected(rdma_sim::NodeId(e.leader_view.index())),
         });
         self.ingress.local_done() && self.outstanding.is_empty() && conf_done
@@ -211,5 +220,52 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 })
                 .collect(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::WorkloadSpec;
+    use crate::harness::{assemble, RunConfig};
+    use crate::verdict::drive;
+    use hamband_types::Bank;
+    use rdma_sim::{NodeId, Simulator};
+
+    fn settled_bank() -> Simulator<HambandNode<Bank>> {
+        let b = Bank::default();
+        let run = RunConfig::new(4, WorkloadSpec::ops(800).with_update_ratio(0.5).with_seed(3));
+        let (mut sim, _layout, _trace) = assemble(&b, &b.coord_spec(), &run);
+        assert!(drive(&mut sim, run.max_time).1, "the run converges");
+        sim
+    }
+
+    /// `com=` is true on every role: a node that never led has learnt
+    /// the index it applied up to.
+    #[test]
+    fn a_follower_reports_the_commit_index_it_applied_under() {
+        let sim = settled_bank();
+        let leader = &sim.app(NodeId(0)).status().groups[0];
+        assert_eq!(leader.role, RoleKind::Leader);
+        assert!(leader.commit > 0, "Bank's withdrawals went through the log");
+        for i in 1..4 {
+            let g = &sim.app(NodeId(i)).status().groups[0];
+            assert_eq!(g.role, RoleKind::Follower);
+            assert!(g.commit >= g.applied, "node {i} shows {g}");
+            assert_eq!(g.applied, leader.commit, "node {i} shows {g}");
+        }
+    }
+
+    /// A leader whose commit index is ahead of everything it sent is
+    /// not done: the followers cannot finish until its next plan posts
+    /// the commit-cell round.
+    #[test]
+    fn a_leader_is_not_done_until_its_commit_index_is_on_its_way() {
+        let mut sim = settled_bank();
+        assert!(sim.app(NodeId(0)).workload_done());
+        sim.app_mut(NodeId(0)).engines[0].commit_written = 0;
+        assert!(!sim.app(NodeId(0)).workload_done(), "nothing carries the index");
+        sim.with_app_ctx(NodeId(0), |node, ctx| node.pump(ctx));
+        assert!(sim.app(NodeId(0)).workload_done(), "the plan's flush posted the round");
     }
 }

@@ -63,8 +63,15 @@
 //! carries the whole burst and a call waits out one WRITE, not two
 //! (Counter: 918 -> 756 events on every seed; Bank 2 973 -> 2 856 on
 //! seed 1). The buffered-GSet and saturated-OrSet sets have no
-//! summarization group and did not move. Any future mismatch is a
-//! regression, not an excuse for another bless.
+//! summarization group and did not move. A SEVENTH re-bless (PR 23,
+//! "the commit index rides the next entry") moved every golden whose run
+//! makes a CONF call — Bank, Bank + leader fault and saturated Bank, and
+//! no other: the leader's round of commit-cell WRITEs per commit is gone
+//! while an entry follows to carry the index, so its verb events go
+//! (Bank: 2 856 -> 2 778 events on seed 1) and everything behind them on
+//! the leader's CPU moves up. Counter, buffered GSet and saturated OrSet
+//! order nothing through a log and did not move. Any future mismatch is
+//! a regression, not an excuse for another bless.
 
 use hamband_core::{CoordSpec, ObjectSpec, WorkloadSupport};
 use hamband_runtime::{
@@ -99,9 +106,9 @@ const GOLDEN_COUNTER: [(u64, usize, u64); 3] = [
     (13, 756, 0x7f74950c81ddbf15),
 ];
 const GOLDEN_BANK: [(u64, usize, u64); 3] = [
-    (1, 2856, 0xd6dbfd7fca128bd2),
-    (7, 2847, 0x88ccf7b1d59d94fb),
-    (13, 2844, 0x81004361633fa311),
+    (1, 2778, 0xa50f0a078a6a3737),
+    (7, 2691, 0xb37db77508f54aee),
+    (13, 2688, 0xccb401600fb96489),
 ];
 const GOLDEN_GSET_FAULTS: [(u64, usize, u64); 3] = [
     (1, 2111, 0xaa98ca14dbe8134f),
@@ -109,9 +116,9 @@ const GOLDEN_GSET_FAULTS: [(u64, usize, u64); 3] = [
     (13, 2111, 0x93f50ad96edd2a64),
 ];
 const GOLDEN_BANK_LEADERFAULT: [(u64, usize, u64); 3] = [
-    (1, 4040, 0x8ca465c17ffa4352),
-    (7, 4012, 0xeb667c6f499afc46),
-    (13, 4044, 0x1d7dbc973f606d22),
+    (1, 3936, 0x33a35b09e3da0aee),
+    (7, 3908, 0xef36a3fb20d3158b),
+    (13, 3952, 0x6d5e0237fe6c0741),
 ];
 
 #[test]
@@ -173,16 +180,16 @@ fn one_session_parity_survives_faults_and_quota_adoption() {
 /// against the re-push scheduler (PR 14's first commit), which the
 /// per-node wait queues reproduced byte for byte; re-blessed with the
 /// other ring goldens in PR 16 and PR 17, and Bank's alone in PR 18
-/// (module header).
+/// and PR 23 (module header).
 const GOLDEN_ORSET_SATURATED: [(u64, usize, u64); 3] = [
     (1, 25124, 0x1378118035d584a5),
     (7, 25124, 0xeba935379f8c265a),
     (13, 34226, 0x355f4843b8111ea5),
 ];
 const GOLDEN_BANK_SATURATED: [(u64, usize, u64); 3] = [
-    (1, 10224, 0xd7f1bc96ef206e53),
-    (7, 10239, 0x08c09eca283ab471),
-    (13, 10224, 0x71fcfa3e8ef84330),
+    (1, 10134, 0xf64099e6910d9ee5),
+    (7, 10155, 0x100a234eba5f2ad5),
+    (13, 10140, 0x7af3fad649f9960a),
 ];
 
 /// Partition + heal, a duplicated completion, a delay spike and a

@@ -4,7 +4,8 @@
 
 use hamband_core::demo::Account;
 use hamband_runtime::{Phase, RunConfig, Runner, System, TraceEvent, TraceMode, WorkloadSpec};
-use hamband_types::Counter;
+use hamband_types::{Bank, Counter};
+use rdma_sim::{NodeId, VerbKind};
 
 /// Every acknowledged conflicting update is covered by a
 /// `CommitAdvance` earlier in the trace: the acking node advanced its
@@ -46,6 +47,34 @@ fn conf_acks_follow_commit_advance() {
         );
     }
     assert!(conf_acks > 0, "the account workload must exercise the CONF path");
+}
+
+/// A commit index rides the next entry the leader appends, so a busy
+/// leader's commits cost it no WRITE: its 8-byte WRITEs — the
+/// commit-cell round, the only ones that size — stay under 1 % of its
+/// commit advances (before, one round of n - 1 per advance or two).
+#[test]
+fn a_saturated_leader_writes_almost_no_commit_cells() {
+    let b = Bank::default();
+    let workload = WorkloadSpec::ops(8_000).with_update_ratio(0.5).with_sessions(8).with_window(8);
+    let config = RunConfig::for_nodes(4).with_workload(workload).with_trace(TraceMode::Collect);
+    let outcome = Runner::new(System::Hamband, config).run(&b, &b.coord_spec());
+    assert!(outcome.report.converged, "{}", outcome.report);
+    let count = |is: &dyn Fn(&TraceEvent) -> bool| {
+        outcome.events.iter().filter(|r| is(&r.event)).count()
+    };
+    let advances = count(&|e| matches!(e, TraceEvent::CommitAdvance { node: NodeId(0), .. }));
+    let cell_writes = count(&|e| {
+        matches!(
+            e,
+            TraceEvent::VerbPosted { issuer: NodeId(0), kind: VerbKind::Write, bytes: 8, .. }
+        )
+    });
+    assert!(advances >= 1_000, "the run must commit in earnest, got {advances} advances");
+    assert!(
+        cell_writes * 100 < advances,
+        "{cell_writes} commit-cell WRITEs for {advances} commit advances"
+    );
 }
 
 /// The overall latency histogram of each node holds exactly one sample

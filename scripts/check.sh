@@ -76,6 +76,17 @@ if grep -rn --include='*.rs' 'workload_done()' tests crates/*/tests examples | g
   exit 1
 fi
 
+echo "== commit guard (a commit index leaves with an entry, or from the pump) =="
+# The commit-cell round is the idle-pipeline fallback (DESIGN §5b.4):
+# the pump posts it once it has planned, and commit.rs re-pushes a
+# denied or stale round. A call from a completion or poll handler is the
+# per-commit WRITE round growing back.
+if grep -rn --include='*.rs' 'flush_commit(' crates src tests examples \
+    | grep -v -e '^crates/runtime/src/calls\.rs:' -e '^crates/runtime/src/commit\.rs:'; then
+  echo "FAIL: flush_commit may be called only from calls.rs (the pump) and commit.rs"
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release
 
