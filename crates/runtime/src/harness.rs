@@ -51,7 +51,9 @@ pub enum System {
     /// "linearizable data types are a special case of WRDTs where the
     /// conflict relation is complete" (§3.2). [`Runner`] applies the
     /// complete relation internally; the coordination spec passed to
-    /// [`Runner::run`] only contributes its method count.
+    /// [`Runner::run`] only contributes its method count. It also forces
+    /// `sync_shards = 1` (one log) and `max_batch = 1` (Mu posts one
+    /// WRITE per request per follower).
     MuSmr,
     /// Message-passing op-based CRDT replication (conflict-free objects
     /// only).
@@ -327,9 +329,14 @@ impl Runner {
                 // the complete conflict relation cross-key calls
                 // conflict too, so key sharding would be unsound here
                 // and is forced off regardless of the configured shard
-                // count.
+                // count. And the baseline is Mu as published: one WRITE
+                // per request per follower, the commit piggybacked on
+                // the next — coalescing a burst of appends into one
+                // WRITE is this runtime's doing, not Mu's, so the
+                // baseline runs without it (DESIGN.md §2).
                 let mut config = self.config.clone();
                 config.runtime.sync_shards = 1;
+                config.runtime.max_batch = 1;
                 dispatch_replicas(spec, &complete_coord(spec.method_count()), &config, label)
             }
             System::Msg => {
@@ -619,6 +626,20 @@ mod tests {
         for m in 0..4 {
             assert!(c.category(hamband_core::ids::MethodId(m)).is_conflicting());
         }
+    }
+
+    /// The baseline is Mu as published — one WRITE per entry per
+    /// follower — whatever coalescing the configuration allows Hamband.
+    #[test]
+    fn mu_smr_baseline_never_coalesces() {
+        let c = hamband_types::Counter::default();
+        let workload = WorkloadSpec::ops(600).with_update_ratio(1.0).with_window(8);
+        let config = RunConfig::for_nodes(3).with_workload(workload);
+        assert_eq!(config.runtime.max_batch, 16);
+        let out = Runner::new(System::MuSmr, config).run(&c, &c.coord_spec());
+        assert!(out.report.converged);
+        assert_eq!(out.stats.ring_slots, 600 * 2, "every add goes through the log, to both followers");
+        assert_eq!(out.stats.ring_writes, out.stats.ring_slots);
     }
 
     #[test]
