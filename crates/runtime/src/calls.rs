@@ -19,10 +19,9 @@
 //! completions freed leaves as one coalesced WRITE per peer, not k —
 //! ring appends, summary slots and the commit index alike: nothing is
 //! posted while handling or planning, only in the flush that ends the
-//! pump. The
-//! simulator shell plans when no event is parked waiting for the node's
-//! CPU (`replica.rs`, `impl App`); the threaded shell once per loop
-//! iteration, after its messages and due timers
+//! pump. The simulator shell plans when no event is parked waiting for
+//! the node's CPU (`replica.rs`, `impl App`); the threaded shell once
+//! per loop iteration, after its messages and due timers
 //! (`threaded/cluster.rs`).
 
 use hamband_core::coord::MethodCategory;

@@ -468,10 +468,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
     /// cell when that is ahead (the leader writes it once nothing it
     /// appends carries the index).
     fn learn_commit<T: Transport>(&mut self, ctx: &mut T, g: usize) {
-        let cell = ctx.local(self.layout.conf[g], self.layout.conf_commit_offset(), 8);
-        let cell = u64::from_le_bytes(cell.try_into().expect("8 bytes"));
+        let known = self.known_commit(ctx, g);
         let e = &mut self.engines[g];
-        e.commit = e.commit.max(cell);
+        e.commit = known;
         let mut seq = e.commit_scan.max(e.reader.next_seq());
         while let Some(carried) = carried_commit(e.reader.raw_slot(ctx, seq), seq) {
             e.commit = e.commit.max(carried);

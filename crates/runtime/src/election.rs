@@ -96,6 +96,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
         tail.max(engine.tail_hint)
     }
 
+    /// Group `g`'s commit index as far as this node can tell without
+    /// looking at the ring: what it learnt or advanced so far, or the
+    /// commit cell when that is ahead.
     pub(crate) fn known_commit<T: Transport>(&self, ctx: &mut T, g: usize) -> u64 {
         let cell = ctx.local(self.layout.conf[g], self.layout.conf_commit_offset(), 8);
         u64::from_le_bytes(cell.try_into().expect("8 bytes")).max(self.engines[g].commit)

@@ -77,31 +77,27 @@ impl<O: WorkloadSupport> HambandNode<O> {
         let entry = Entry { rid, update, deps };
         // The free rings advance in lockstep, so every peer's slot is
         // the same bytes: encode them once.
-        let mut slot = std::mem::take(&mut self.slot_buf);
-        let mut seq_assigned = None;
         let mut remotes = 0;
-        for w in self.free_writers.iter_mut().flatten() {
-            let seq = *seq_assigned.get_or_insert_with(|| {
-                let seq = w.next_seq();
-                entry.to_slot_into(seq, self.layout.entry_size(), &mut slot);
-                seq
-            });
-            assert_eq!(w.append_encoded(ctx, &slot), seq, "free rings advance in lockstep");
-            remotes += 1;
-        }
-        let backup_slot = seq_assigned.map(|seq| {
-            self.write_backup(ctx, call_id, crate::codec::BACKUP_FREE, 0xff, seq, &slot)
-        });
-        // Durability seam: the issuer's own entry is hard state (it was
-        // applied to σ above) — log and fence it before the appends can
-        // reach any peer.
-        if self.log.is_some() && seq_assigned.is_some() {
-            let src = self.me.index() as u32;
-            let rec = crate::persist::LogRecord::FreeSlot { src, slot: slot.clone() };
-            self.log_and_fence(ctx, &rec);
-        }
-        self.slot_buf = slot;
-        if let Some(seq) = seq_assigned {
+        let mut backup_slot = None;
+        let first = self.free_writers.iter().flatten().next().map(RingWriter::next_seq);
+        if let Some(seq) = first {
+            let mut slot = std::mem::take(&mut self.slot_buf);
+            entry.to_slot_into(seq, self.layout.entry_size(), &mut slot);
+            for w in self.free_writers.iter_mut().flatten() {
+                assert_eq!(w.append_encoded(ctx, &slot), seq, "free rings advance in lockstep");
+                remotes += 1;
+            }
+            backup_slot =
+                Some(self.write_backup(ctx, call_id, crate::codec::BACKUP_FREE, 0xff, seq, &slot));
+            // Durability seam: the issuer's own entry is hard state (it
+            // was applied to σ above) — log and fence it before the
+            // appends can reach any peer.
+            if self.log.is_some() {
+                let src = self.me.index() as u32;
+                let rec = crate::persist::LogRecord::FreeSlot { src, slot: slot.clone() };
+                self.log_and_fence(ctx, &rec);
+            }
+            self.slot_buf = slot;
             self.free_call_by_seq.insert(seq, call_id);
         }
         self.outstanding.insert(

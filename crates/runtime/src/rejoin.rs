@@ -159,16 +159,15 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
         for (g, &frontier) in conf_frontier.iter().enumerate() {
             // The commit cell is remote-written (durable as it lands),
-            // so it may be ahead of the last logged GroupHard. Committed
-            // entries past the replayed frontier are re-applied from the
-            // ring copy by the ordinary poll once the reader reaches
-            // them.
-            let cell = {
-                let b = ctx.local(self.layout.conf[g], self.layout.conf_commit_offset(), 8);
-                u64::from_le_bytes(b.try_into().expect("8 bytes"))
-            };
+            // so it may be ahead of the last logged GroupHard — and so
+            // may the indices the landed entries carry, which the
+            // ordinary poll reads again from the adopted head on.
+            // Committed entries past the replayed frontier are
+            // re-applied from the ring copy by that poll once the reader
+            // reaches them.
+            let known = self.known_commit(ctx, g);
             let e = &mut self.engines[g];
-            e.commit = e.commit.max(cell);
+            e.commit = known;
             e.reader.adopt_head(ctx, frontier);
         }
 
