@@ -506,11 +506,6 @@ impl Ctx<'_> {
         self.fabric.now
     }
 
-    /// Cluster size.
-    pub fn cluster_size(&self) -> usize {
-        self.fabric.len()
-    }
-
     /// The deterministic RNG of the fabric (shared; use for workload
     /// generation and protocol timeouts).
     pub fn rng(&mut self) -> &mut StdRng {
@@ -539,14 +534,6 @@ impl Ctx<'_> {
     /// The configured latency model (read-only).
     pub fn latency(&self) -> &LatencyModel {
         &self.fabric.latency
-    }
-
-    /// Whether a trace sink is installed on this run.
-    ///
-    /// [`emit`](Ctx::emit) already skips event construction without a
-    /// sink; use this only to guard work beyond building the event.
-    pub fn trace_enabled(&self) -> bool {
-        self.fabric.trace.enabled()
     }
 
     /// Emit a protocol-level trace event to the run's sink, if any.

@@ -110,12 +110,6 @@ impl<A: App> Simulator<A> {
         self.fabric.trace.set(Some(sink));
     }
 
-    /// Remove the trace sink, disabling tracing for the rest of the
-    /// run.
-    pub fn clear_trace_sink(&mut self) {
-        self.fabric.trace.set(None);
-    }
-
     /// Register a region of `size` bytes on `node`, writable by all
     /// peers until permissions are revoked. Returns its id.
     ///

@@ -1,15 +1,27 @@
-//! Client-call lifecycle: the pump that plans calls, ids,
-//! outstanding-call bookkeeping, backup slots, acknowledgement.
+//! Client-call lifecycle, written once for the three Fig. 7 paths: the
+//! pump that plans calls, the issue guard, the outstanding-call record,
+//! the apply step, acknowledgement.
 //!
-//! Every update call a replica issues gets a local call id and an
-//! `Outstanding` record tracking how many remote completions are
-//! still needed before the client is acknowledged
-//! (`HambandNode::finish_call`) and before the call's
-//! reliable-broadcast backup slot can be garbage-collected. One-sided
-//! work requests that are not ring appends carry a `Route` so their
-//! completions find their handler. The `pump`
-//! drains the driver's plan into the per-category issue paths
-//! (`reduce.rs` / `free.rs` / `conf.rs`).
+//! * **CALL** — `issue` alone checks permissibility against the check
+//!   view (else `reject`), charges the method body and mints the call's
+//!   ids. The call's category picks the path (`reduce.rs::issue_reduce`
+//!   / `free.rs::issue_free` / `conf.rs::issue_conf`), which does only
+//!   what Fig. 7 says differs and reports it as an `Issued`; `issue`
+//!   then files the one `Outstanding` record.
+//! * **Acknowledgement** — the record counts the remote completions
+//!   the call still owes. `credit_remote` is the one countdown: the
+//!   last completion acknowledges the client and frees the call's
+//!   reliable-broadcast backup slot (`finish_call`). A conflicting call
+//!   owes none to the record — its appends are counted per sequence
+//!   number by the group's engine, and `commit.rs::advance_commit`
+//!   acknowledges it; a deposed leader's calls are aborted
+//!   (`abort_call`). The record's fields are private to this module, so
+//!   no path can build one or move the countdown by hand.
+//! * **FREE-APP / CONF-APP** — `apply_buffered` is the one body both
+//!   ring polls run for a delivered entry, gated by its dependency map.
+//!
+//! One-sided work requests that are not ring appends carry a `Route`
+//! so their completions find their handler.
 //!
 //! The pump is the planning step the backend's event loop calls once
 //! the events already due for the node are handled — never from inside
@@ -29,7 +41,8 @@ use hamband_core::ids::{MethodId, Pid, Rid};
 use hamband_core::object::WorkloadSupport;
 use rdma_sim::{NodeId, Phase, SimDuration, SimTime, TraceEvent};
 
-use crate::codec::compose_backup_slot;
+use crate::codec::{compose_backup_slot, Entry};
+use crate::config::BACKUP_SLOTS;
 use crate::driver::Planned;
 use crate::replica::HambandNode;
 use crate::transport::Transport;
@@ -56,22 +69,33 @@ pub(crate) enum Route {
     },
 }
 
-/// Remote-completion bookkeeping for one issued update call.
+/// What a path's issue step did with a call — the part of the
+/// bookkeeping Fig. 7's REDUCE / FREE / CONF rules do not share.
 #[derive(Debug)]
-pub(crate) struct Outstanding {
-    pub(crate) issued_at: SimTime,
-    pub(crate) method: MethodId,
-    /// Client session (ingress slot) the ack fans back to.
-    pub(crate) session: u32,
-    /// Protocol path this call travels (REDUCE/FREE/CONF).
+pub(crate) struct Issued {
+    /// Protocol path the call travels (REDUCE/FREE/CONF).
     pub(crate) phase: Phase,
     /// For conflicting calls: (synchronization group, L-ring seq).
     pub(crate) conf: Option<(usize, u64)>,
-    /// Remote completions still needed before the client is acked.
-    pub(crate) ack_remaining: usize,
-    /// Remote completions still outstanding in total (backup clear).
-    pub(crate) total_remaining: usize,
+    /// Remote completions [`HambandNode::credit_remote`] will see
+    /// before the client may be acknowledged. Zero for a conflicting
+    /// call: commit acknowledges it.
+    pub(crate) remotes: usize,
+    /// The reliable-broadcast backup slot holding the call meanwhile.
     pub(crate) backup_slot: Option<usize>,
+}
+
+/// Bookkeeping for one issued, not yet acknowledged update call. Built
+/// by [`HambandNode::issue`] and counted down, acknowledged or aborted
+/// by this module only.
+#[derive(Debug)]
+pub(crate) struct Outstanding {
+    issued_at: SimTime,
+    method: MethodId,
+    /// Client session (ingress slot) the ack fans back to.
+    session: u32,
+    /// What the call's path reported; `remotes` counts down from there.
+    path: Issued,
 }
 
 impl<O: WorkloadSupport> HambandNode<O> {
@@ -199,13 +223,23 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
     }
 
-    fn issue<T: Transport>(&mut self, ctx: &mut T, update: O::Update, session: u32) {
+    /// CALL, the part Fig. 7's REDUCE / FREE / CONF rules share: guard
+    /// the call against the check view, charge its body, mint its ids,
+    /// let its category's path do what differs, and file the record its
+    /// acknowledgement is counted on.
+    pub(crate) fn issue<T: Transport>(&mut self, ctx: &mut T, update: O::Update, session: u32) {
+        if !self.permissible_now(&update) {
+            self.reject(session);
+            return;
+        }
+        ctx.charge_apply();
         let method = self.spec.method_of(&update);
-        match self.coord.category(method) {
+        let (call_id, rid) = self.mint_call();
+        let path = match self.coord.category(method) {
             MethodCategory::Reducible { sum_group } => {
-                self.issue_reduce(ctx, update, method, sum_group.index(), session)
+                self.issue_reduce(ctx, call_id, update, method, sum_group.index())
             }
-            MethodCategory::IrreducibleFree => self.issue_free(ctx, update, method, session),
+            MethodCategory::IrreducibleFree => self.issue_free(ctx, call_id, rid, update, method),
             MethodCategory::Conflicting { sync_group } => {
                 // Key-sharded routing: hash the call's shard key onto
                 // one of the group's engines. The ingress only emits
@@ -213,13 +247,26 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 // engine index is always a locally-accepting one.
                 let mapped =
                     self.ingress.mapper().group_of(sync_group, self.spec.shard_key(&update));
-                self.issue_conf(ctx, update, method, mapped, session)
+                self.issue_conf(ctx, call_id, rid, update, method, mapped)
             }
+        };
+        let (conf, remotes) = (path.conf, path.remotes);
+        let issued_at = self.pending_arrival.take().unwrap_or_else(|| ctx.now());
+        self.outstanding.insert(call_id, Outstanding { issued_at, method, session, path });
+        if let Some((g, _)) = conf {
+            // Acknowledged when the commit index passes its seq — at
+            // once on a single-node cluster, where the leader's own
+            // copy is the majority.
+            if self.majority_remote() == 0 {
+                self.advance_commit(ctx, g);
+            }
+        } else if remotes == 0 {
+            self.finish_call(ctx, call_id);
         }
     }
 
     /// Mint a fresh (call id, replica-unique request id) pair.
-    pub(crate) fn mint_call(&mut self) -> (u64, Rid) {
+    fn mint_call(&mut self) -> (u64, Rid) {
         let call_id = self.next_call_id;
         self.next_call_id += 1;
         let rid = Rid::new(Pid(self.me.index()), self.next_rid_seq);
@@ -227,11 +274,12 @@ impl<O: WorkloadSupport> HambandNode<O> {
         (call_id, rid)
     }
 
-    /// Reject an impermissible call: count it, free the session's
-    /// window slot, and let the ingress plan a replacement.
-    pub(crate) fn reject(&mut self, session: u32) {
-        // A rejected call never became outstanding; drop its arrival
-        // stamp so the replacement call doesn't inherit it twice.
+    /// Reject an impermissible call (or one `abort_call` orphaned):
+    /// count it, free the session's window slot, and let the ingress
+    /// plan a replacement.
+    fn reject(&mut self, session: u32) {
+        // A call rejected at issue never became outstanding; drop its
+        // arrival stamp so the replacement call doesn't inherit it twice.
         self.pending_arrival = None;
         self.metrics.rejected += 1;
         self.ingress.on_abort(session);
@@ -249,7 +297,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         seq: u64,
         slot: &[u8],
     ) -> usize {
-        let idx = (call_id % self.layout.backup_slots() as u64) as usize;
+        let idx = (call_id % BACKUP_SLOTS as u64) as usize;
         let (off, size) = self.layout.backup_slot(idx);
         compose_backup_slot(&mut self.backup_buf, kind, group, seq, slot, size);
         ctx.local_write(self.layout.backup, off, &self.backup_buf);
@@ -261,70 +309,239 @@ impl<O: WorkloadSupport> HambandNode<O> {
         ctx.local_write(self.layout.backup, off, &[0]);
     }
 
-    /// Acknowledge a call whose ack countdown reached zero: record the
-    /// latency, emit the trace event, fan the completion back to the
-    /// issuing session, and GC the backup slot once no write is in
-    /// flight. The freed window budget is planned by the event loop's
-    /// next pump, together with every other ack handled before it.
+    /// Acknowledge a call — the caller decides when: its last remote
+    /// completion ([`credit_remote`](Self::credit_remote)), or the
+    /// commit index passing it (`commit.rs::advance_commit`). Records
+    /// the latency, emits the trace event, fans the completion back to
+    /// the issuing session, and frees the record and its backup slot.
+    /// The freed window budget is planned by the event loop's next
+    /// pump, together with every other ack handled before it.
     pub(crate) fn finish_call<T: Transport>(&mut self, ctx: &mut T, call_id: u64) {
-        if let Some(o) = self.outstanding.get_mut(&call_id) {
-            if o.ack_remaining != 0 {
-                return;
-            }
-            let method = o.method;
-            let issued_at = o.issued_at;
-            let phase = o.phase;
-            let conf = o.conf;
-            let session = o.session;
-            self.metrics.ack_update(method.index(), phase, issued_at, ctx.now());
-            let node = self.me;
-            ctx.emit(|| TraceEvent::Ack {
-                node,
-                method: method.index(),
-                phase,
-                group: conf.map(|(g, _)| g),
-                seq: conf.map(|(_, s)| s),
-            });
-            let rt_ns = ctx.now().since(issued_at).as_nanos();
-            self.ingress.on_ack(session, rt_ns);
-            let done = o.total_remaining == 0;
-            if done {
-                let slot = o.backup_slot;
-                self.outstanding.remove(&call_id);
-                if let Some(idx) = slot {
-                    self.clear_backup(ctx, idx);
-                }
-            } else {
-                // Acked but writes still in flight: keep for backup GC.
-                o.ack_remaining = 0;
-            }
+        let Some(o) = self.outstanding.remove(&call_id) else { return };
+        let Issued { phase, conf, backup_slot, .. } = o.path;
+        self.metrics.ack_update(o.method.index(), phase, o.issued_at, ctx.now());
+        let node = self.me;
+        ctx.emit(|| TraceEvent::Ack {
+            node,
+            method: o.method.index(),
+            phase,
+            group: conf.map(|(g, _)| g),
+            seq: conf.map(|(_, s)| s),
+        });
+        let rt_ns = ctx.now().since(o.issued_at).as_nanos();
+        self.ingress.on_ack(o.session, rt_ns);
+        if let Some(idx) = backup_slot {
+            self.clear_backup(ctx, idx);
         }
     }
 
-    /// One peer now durably holds this reducible call's summary: the
-    /// per-call remote bookkeeping (ack countdown, backup GC) that a
-    /// dedicated completion used to drive before write-combining.
-    pub(crate) fn credit_summary_peer<T: Transport>(&mut self, ctx: &mut T, call_id: u64) {
-        let mut finished = false;
-        let mut cleanup = None;
-        if let Some(o) = self.outstanding.get_mut(&call_id) {
-            o.total_remaining = o.total_remaining.saturating_sub(1);
-            if o.ack_remaining > 0 && o.ack_remaining != usize::MAX {
-                o.ack_remaining -= 1;
-                finished = o.ack_remaining == 0;
-            }
-            if o.total_remaining == 0 && !finished {
-                cleanup = Some(call_id);
-            }
+    /// One more remote copy of the call landed — a summary version
+    /// covering it at one peer, its `F`-ring append at one peer. The
+    /// one countdown: the last copy acknowledges the call. Returns
+    /// whether this was that last copy. A conflicting call owes the
+    /// record nothing (its appends are the engine's `pending_acks`), so
+    /// it is never acknowledged from here.
+    pub(crate) fn credit_remote<T: Transport>(&mut self, ctx: &mut T, call_id: u64) -> bool {
+        let Some(o) = self.outstanding.get_mut(&call_id) else { return false };
+        if o.path.remotes == 0 {
+            return false;
         }
-        if let Some(cid) = cleanup {
-            if let Some(o) = self.outstanding.remove(&cid) {
-                if let Some(idx) = o.backup_slot {
-                    self.clear_backup(ctx, idx);
-                }
-            }
-        } else if finished {
+        o.path.remotes -= 1;
+        let landed = o.path.remotes == 0;
+        if landed {
             self.finish_call(ctx, call_id);
         }
+        landed
+    }
+
+    /// Abort an unacknowledged call (its leader was deposed): the
+    /// client is told nothing was done, as for a rejected call.
+    pub(crate) fn abort_call(&mut self, call_id: u64) {
+        if let Some(o) = self.outstanding.remove(&call_id) {
+            self.reject(o.session);
+        }
+    }
+
+    /// FREE-APP / CONF-APP: apply a ring-delivered entry, once `Dep(u)`
+    /// is met — `false`, with nothing touched, while it is not (the
+    /// poll retries). `own_speculative` marks the leader's own
+    /// uncommitted entry reaching commit: it is already in the
+    /// speculative view, so only σ/mat advance.
+    pub(crate) fn apply_buffered<T: Transport>(
+        &mut self,
+        ctx: &mut T,
+        entry: &Entry<O::Update>,
+        own_speculative: bool,
+    ) -> bool {
+        if !self.applied.satisfies(&entry.deps) {
+            return false;
+        }
+        ctx.charge_apply();
+        let method = self.spec.method_of(&entry.update);
+        self.spec.apply_mut(&mut self.sigma, &entry.update);
+        if !own_speculative {
+            self.apply_to_views(&entry.update);
+        } else if !self.mat_dirty {
+            self.spec.apply_mut(&mut self.mat, &entry.update);
+        }
+        self.applied.increment(entry.rid.issuer, method);
+        if entry.rid.issuer.index() != self.me.index() {
+            self.metrics.remote_applied += 1;
+        }
+        self.metrics.last_apply = ctx.now();
+        true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{assemble, Layout, RunConfig, TraceMode, WorkloadSpec};
+    use hamband_core::counts::DepMap;
+    use hamband_types::bank::{Bank, BankUpdate, DEPOSIT, OPEN};
+    use rdma_sim::{CompletionStatus, Simulator, TraceBuffer, VerbKind, WrId};
+
+    type Cluster = Simulator<HambandNode<Bank>>;
+
+    const N0: NodeId = NodeId(0);
+    const ACCT: u64 = 7;
+
+    /// Three started Bank replicas with no workload of their own, node 0
+    /// leading the withdraw group; account 7 is open and holds 10
+    /// everywhere. The tests issue node 0's calls by hand.
+    fn funded_cluster() -> (Cluster, Layout, TraceBuffer) {
+        let bank = Bank::default();
+        let run =
+            RunConfig::new(3, WorkloadSpec::ops(0)).with_seed(1).with_trace(TraceMode::Collect);
+        let (mut sim, layout, trace) = assemble(&bank, &bank.coord_spec(), &run);
+        sim.run_for(SimDuration::nanos(1));
+        assert!(sim.app(N0).engines[0].is_leader());
+        issue(&mut sim, BankUpdate::OpenAccounts(vec![ACCT]));
+        issue(&mut sim, BankUpdate::Deposit(ACCT, 10));
+        sim.run_for(SimDuration::micros(10));
+        let app = sim.app(N0);
+        assert!(app.outstanding.is_empty() && app.metrics.updates_acked == 2);
+        let trace = trace.expect("collecting");
+        trace.take();
+        (sim, layout, trace)
+    }
+
+    /// Issue `update` at node 0 and pump (nothing is planned; the flush
+    /// posts what the call queued). Returns the call's id.
+    fn issue(sim: &mut Cluster, update: BankUpdate) -> u64 {
+        sim.with_app_ctx(N0, |app, ctx| {
+            app.issue(ctx, update, 0);
+            app.pump(ctx);
+            app.next_call_id - 1
+        })
+    }
+
+    fn backup_byte(sim: &Cluster, layout: &Layout, call_id: u64) -> u8 {
+        let (off, _) = layout.backup_slot(call_id as usize);
+        sim.region_bytes(N0, layout.backup)[off]
+    }
+
+    /// The WRITEs node 0 posted since the trace was last drained.
+    fn posted_writes(trace: &TraceBuffer) -> Vec<WrId> {
+        trace
+            .take()
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::VerbPosted { issuer: N0, kind: VerbKind::Write, wr, .. } => Some(wr),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_free_call_is_acknowledged_by_the_last_of_its_append_completions() {
+        let (mut sim, layout, trace) = funded_cluster();
+        let cid = issue(&mut sim, BankUpdate::Deposit(ACCT, 5));
+        let appends = posted_writes(&trace);
+        assert_eq!(appends.len(), 2, "one F-ring append per peer");
+        assert_ne!(backup_byte(&sim, &layout, cid), 0, "backed up before the appends left");
+        // The first completion, handed to its handler: claimed, and
+        // nothing else moves.
+        let done = |sim: &mut Cluster, wr| {
+            sim.with_app_ctx(N0, |app, ctx| {
+                app.on_free_completion(ctx, wr, CompletionStatus::Success, None)
+            })
+        };
+        assert!(done(&mut sim, appends[0]));
+        let app = sim.app(N0);
+        assert_eq!((app.metrics.updates_acked, app.outstanding.len()), (2, 1));
+        assert_ne!(backup_byte(&sim, &layout, cid), 0);
+        // The second is the last: ack, backup GC and the record's end,
+        // all in that handler.
+        assert!(done(&mut sim, appends[1]));
+        let app = sim.app(N0);
+        assert_eq!(app.metrics.updates_acked, 3);
+        assert!(app.outstanding.is_empty() && app.free_call_by_seq.is_empty());
+        assert_eq!(backup_byte(&sim, &layout, cid), 0);
+        // The fabric's own completions find nothing left to credit.
+        sim.run_for(SimDuration::micros(10));
+        assert_eq!(sim.app(N0).metrics.updates_acked, 3);
+        assert_eq!(sim.app(NodeId(2)).state_snapshot(), sim.app(N0).state_snapshot());
+    }
+
+    #[test]
+    fn commit_acknowledges_a_conf_call_and_credit_remote_never_does() {
+        let (mut sim, _layout, _trace) = funded_cluster();
+        let cid = issue(&mut sim, BankUpdate::Withdraw(ACCT, 3));
+        for _ in 0..3 {
+            let landed = sim.with_app_ctx(N0, |app, ctx| app.credit_remote(ctx, cid));
+            assert!(!landed);
+        }
+        let app = sim.app(N0);
+        assert_eq!((app.metrics.updates_acked, app.outstanding.len()), (2, 1));
+        // A majority of its appends lands; `advance_commit` acknowledges.
+        sim.run_for(SimDuration::micros(10));
+        let app = sim.app(N0);
+        assert_eq!(app.engines[0].commit, 1);
+        assert_eq!(app.metrics.updates_acked, 3);
+        assert!(app.outstanding.is_empty());
+    }
+
+    #[test]
+    fn a_deposed_leader_aborts_its_unacknowledged_calls() {
+        let (mut sim, _layout, _trace) = funded_cluster();
+        issue(&mut sim, BankUpdate::Withdraw(ACCT, 3));
+        issue(&mut sim, BankUpdate::Withdraw(ACCT, 4));
+        assert_eq!(sim.app(N0).outstanding.len(), 2);
+        sim.with_app_ctx(N0, |app, ctx| app.depose(ctx, 0));
+        let app = sim.app(N0);
+        assert!(app.outstanding.is_empty());
+        assert_eq!((app.metrics.rejected, app.metrics.updates_acked), (2, 2));
+        // Their completions find a follower: nothing is acknowledged.
+        sim.run_for(SimDuration::micros(10));
+        assert_eq!(sim.app(N0).metrics.updates_acked, 2);
+    }
+
+    #[test]
+    fn apply_buffered_touches_nothing_while_a_dependency_is_unmet() {
+        let (mut sim, _layout, _trace) = funded_cluster();
+        let at = NodeId(1);
+        // A deposit from node 2 into an account whose opening (node 2's
+        // first `open`) has not been seen here.
+        let entry = Entry {
+            rid: Rid::new(Pid(2), 0),
+            update: BankUpdate::Deposit(9, 5),
+            deps: DepMap::from_entries([(Pid(2), OPEN, 1)]),
+        };
+        let snapshot = |sim: &Cluster| {
+            let app = sim.app(at);
+            (app.sigma.clone(), app.applied.clone(), format!("{:?}", app.metrics))
+        };
+        let (before, busy) = (snapshot(&sim), sim.stats().cpu_busy_ns[1]);
+        let applied = sim.with_app_ctx(at, |app, ctx| app.apply_buffered(ctx, &entry, false));
+        assert!(!applied);
+        assert_eq!(snapshot(&sim), before);
+        assert_eq!(sim.stats().cpu_busy_ns[1], busy, "no method body was charged");
+        // Once the map is met the same entry applies.
+        sim.app_mut(at).applied.set(Pid(2), OPEN, 1);
+        assert!(sim.with_app_ctx(at, |app, ctx| app.apply_buffered(ctx, &entry, false)));
+        let app = sim.app(at);
+        assert_eq!(app.sigma.balances.get(&9), Some(&5));
+        assert_eq!(app.applied.get(Pid(2), DEPOSIT), 1);
     }
 }

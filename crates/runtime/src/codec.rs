@@ -82,7 +82,7 @@ pub const CARRIED_COMMIT: usize = 8;
 /// # Panics
 ///
 /// Panics if the slot's payload reaches into those bytes (raise
-/// `RuntimeConfig::payload_cap`).
+/// `config::PAYLOAD_CAP`).
 pub fn stamp_commit(slot: &mut [u8], commit: u64) {
     let at = slot.len() - CANARY_TRAILER - CARRIED_COMMIT;
     let payload_len = u16::from_le_bytes(slot[8..10].try_into().expect("2 bytes")) as usize;
@@ -181,7 +181,7 @@ impl<U: Wire> Entry<U> {
     /// # Panics
     ///
     /// Panics if the payload exceeds the slot (raise
-    /// `RuntimeConfig::payload_cap`).
+    /// `config::PAYLOAD_CAP`).
     pub fn to_slot(&self, seq: u64, slot_size: usize) -> Vec<u8> {
         let mut slot = Vec::new();
         self.to_slot_into(seq, slot_size, &mut slot);
@@ -196,7 +196,7 @@ impl<U: Wire> Entry<U> {
     /// # Panics
     ///
     /// Panics if the payload exceeds the slot (raise
-    /// `RuntimeConfig::payload_cap`).
+    /// `config::PAYLOAD_CAP`).
     pub fn to_slot_into(&self, seq: u64, slot_size: usize, out: &mut Vec<u8>) {
         let mut w = Writer::from_vec(std::mem::take(out));
         w.bytes(&[0u8; 10]);

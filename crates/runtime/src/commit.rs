@@ -14,10 +14,10 @@
 //! (the index moved meanwhile) immediately triggers the next.
 
 use hamband_core::object::WorkloadSupport;
-use rdma_sim::{CompletionStatus, NodeId, TraceEvent};
+use rdma_sim::{CompletionStatus, TraceEvent};
 
 use crate::calls::Route;
-use crate::replica::HambandNode;
+use crate::replica::{peers, HambandNode};
 use crate::transport::Transport;
 
 impl<O: WorkloadSupport> HambandNode<O> {
@@ -42,9 +42,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 break;
             }
             leader.client_by_seq.pop_front();
-            if let Some(o) = self.outstanding.get_mut(&cid) {
-                o.ack_remaining = 0;
-            }
             self.finish_call(ctx, cid);
         }
         // The leader's own commit cell (read by poll_conf fallback and
@@ -67,12 +64,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
         if e.commit > e.commit_written && e.commit_writes_inflight == 0 {
             let commit = e.commit;
             let mut inflight = 0;
-            for q in 0..self.n {
-                if q == self.me.index() {
-                    continue;
-                }
+            for q in peers(self.me, self.n) {
                 let wr = ctx.post_write(
-                    NodeId(q),
+                    q,
                     self.layout.conf[g],
                     self.layout.conf_commit_offset(),
                     &commit.to_le_bytes(),

@@ -38,13 +38,15 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use hamband_core::ids::{MethodId, Pid};
+use hamband_core::ids::{MethodId, Pid, Rid};
 use hamband_core::object::WorkloadSupport;
-use rdma_sim::{CompletionStatus, NodeId, RingKind, SimDuration, TraceEvent, WrId};
+use rdma_sim::{CompletionStatus, NodeId, Phase, RingKind, SimDuration, TraceEvent, WrId};
 
-use crate::calls::Outstanding;
+use crate::calls::Issued;
 use crate::codec::{carried_commit, stamp_commit, Entry};
+use crate::config::CONF_RING_CAP;
 use crate::election::Election;
+use crate::persist::LogRecord;
 use crate::replica::{HambandNode, TAG_RETRY};
 use crate::rings::{RingReader, RingWriter};
 use crate::transport::Transport;
@@ -373,7 +375,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                     NodeId(q),
                     self.layout.conf[g],
                     self.layout.conf_ring_base(),
-                    self.layout.conf_cap(),
+                    CONF_RING_CAP,
                     self.layout.entry_size(),
                     self.layout.heads,
                     self.layout.conf_head_offset(g),
@@ -390,22 +392,18 @@ impl<O: WorkloadSupport> HambandNode<O> {
     pub(crate) fn issue_conf<T: Transport>(
         &mut self,
         ctx: &mut T,
+        call_id: u64,
+        rid: Rid,
         update: O::Update,
         method: MethodId,
         g: usize,
-        session: u32,
-    ) {
-        if !self.permissible_now(&update) {
-            self.reject(session);
-            return;
-        }
-        ctx.charge_apply();
+    ) -> Issued {
         let deps = self.applied.project(self.coord.dependencies(method));
-        let (call_id, rid) = self.mint_call();
         // Speculative view gains the call; σ/mat only at commit. The
-        // view is seeded from `mat` (already refreshed by the check
-        // above) by the first call of a leadership and kept from then
-        // on, so this clone is per leadership, not per pipeline drain.
+        // view is seeded from `mat` (already refreshed by `issue`'s
+        // permissibility check) by the first call of a leadership and
+        // kept from then on, so this clone is per leadership, not per
+        // pipeline drain.
         let spec_mat = self.spec_mat.get_or_insert_with(|| self.mat.clone());
         self.spec.apply_mut(spec_mat, &update);
 
@@ -428,9 +426,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         entry.to_slot_into(seq, self.layout.entry_size(), &mut slot);
         stamp_commit(&mut slot, commit);
         // Local ring copy (leader's log for catch-up by successors).
-        let ring_off = self.layout.conf_ring_base()
-            + ((seq - 1) as usize % self.layout.conf_cap()) * self.layout.entry_size();
-        ctx.local_write(self.layout.conf[g], ring_off, &slot);
+        ctx.local_write(self.layout.conf[g], self.layout.conf_slot_offset(seq), &slot);
         // Persist-before-propose: the leader's log copy is the catch-up
         // source for successors, so the slot must survive a restart
         // before any follower can hold it.
@@ -443,24 +439,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.slot_buf = slot;
         leader.pending_acks.insert(seq, 0);
         leader.client_by_seq.push_back((seq, call_id));
-        self.outstanding.insert(
-            call_id,
-            Outstanding {
-                issued_at: self.pending_arrival.take().unwrap_or_else(|| ctx.now()),
-                method,
-                session,
-                phase: rdma_sim::Phase::Conf,
-                conf: Some((g, seq)),
-                // Acked when the commit index passes this seq.
-                ack_remaining: usize::MAX,
-                total_remaining: 0,
-                backup_slot: None,
-            },
-        );
-        if self.majority_remote() == 0 {
-            // Single-node cluster: commit immediately.
-            self.advance_commit(ctx, g);
-        }
+        // Nothing for the record to count: the appends are tallied per
+        // seq in `pending_acks`, and the call is acknowledged when the
+        // commit index passes it. The leader's log copy is its backup.
+        Issued { phase: Phase::Conf, conf: Some((g, seq)), remotes: 0, backup_slot: None }
     }
 
     /// A non-leader learns `g`'s commit index: the highest index carried
@@ -494,43 +476,27 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 }
                 let entry = self.engines[g].reader.peek::<O::Update>(ctx);
                 let Some(entry) = entry else { break };
-                if !self.applied.satisfies(&entry.deps) {
-                    break;
-                }
-                ctx.charge_apply();
-                let method = self.spec.method_of(&entry.update);
-                self.spec.apply_mut(&mut self.sigma, &entry.update);
-                // Own uncommitted entry reaching commit: it is already
-                // in the speculative view; only σ/mat advance.
+                // Own uncommitted entry reaching commit: it leaves the
+                // speculative queue as it enters σ/mat.
                 let own_head = self.engines[g]
                     .leader()
                     .and_then(|l| l.uncommitted.first())
                     .is_some_and(|&(s, _)| s == next);
+                if !self.apply_buffered(ctx, &entry, own_head) {
+                    break;
+                }
                 if own_head {
                     let leader = self.engines[g].leader_mut().expect("own_head implies leader");
                     leader.uncommitted.remove(0);
                     self.speculative_pop();
-                    if !self.mat_dirty {
-                        self.spec.apply_mut(&mut self.mat, &entry.update);
-                    }
-                } else {
-                    self.apply_to_views(&entry.update);
                 }
-                self.applied.increment(entry.rid.issuer, method);
-                if entry.rid.issuer.index() != self.me.index() {
-                    self.metrics.remote_applied += 1;
-                }
-                self.metrics.last_apply = ctx.now();
                 // Durability seam: log+fence the applied entry before
                 // the head publication (same discipline as the free
                 // path).
-                if self.log.is_some() {
-                    let slot = self.engines[g].reader.raw_slot(ctx, next).to_vec();
-                    self.log_and_fence(
-                        ctx,
-                        &crate::persist::LogRecord::ConfSlot { group: g as u32, slot },
-                    );
-                }
+                self.log_slot(ctx, |node, ctx| LogRecord::ConfSlot {
+                    group: g as u32,
+                    slot: node.engines[g].reader.raw_slot(ctx, next).to_vec(),
+                });
                 // The entry's issuer is the leader that appended it.
                 self.engines[g].reader.advance(ctx, NodeId(entry.rid.issuer.index()));
             }
@@ -609,8 +575,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
             if !self.engines[g].is_leader() {
                 continue;
             }
-            let off = self.layout.conf_ring_base()
-                + ((seq - 1) as usize % self.layout.conf_cap()) * self.layout.entry_size();
+            let off = self.layout.conf_slot_offset(seq);
             let slot = ctx.local(self.layout.conf[g], off, self.layout.entry_size()).to_vec();
             if let Some(leader) = self.engines[g].leader_mut() {
                 if let Some(w) = leader.writers[target.index()].as_mut() {
@@ -632,10 +597,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.speculative_clear();
         self.spec_mat = None;
         for (_, cid) in dropped.client_by_seq {
-            if let Some(o) = self.outstanding.remove(&cid) {
-                self.metrics.rejected += 1;
-                self.ingress.on_abort(o.session);
-            }
+            self.abort_call(cid);
         }
     }
 }

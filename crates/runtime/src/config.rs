@@ -1,31 +1,36 @@
-//! Runtime tuning parameters.
+//! Runtime tuning parameters: the constants every run shares, and the
+//! settings some caller sets ([`RuntimeConfig`]).
 
 use rdma_sim::SimDuration;
 
 use crate::persist::DurabilityMode;
 
-/// Tuning for a Hamband cluster (buffer geometry, protocol timers,
-/// workload pacing).
+/// Maximum encoded size of a call + its dependency array, bytes.
+pub const PAYLOAD_CAP: usize = 256;
+/// Capacity (entries) of each conflict-free ring buffer `F`.
+pub const FREE_RING_CAP: usize = 256;
+/// Capacity (entries) of each conflicting ring buffer `L`.
+pub const CONF_RING_CAP: usize = 512;
+/// Number of backup slots for the reliable-broadcast ring.
+pub const BACKUP_SLOTS: usize = 64;
+/// How often each node traverses its buffers (§4: "two threads
+/// traverse and process the calls of F and L buffers").
+pub const POLL_INTERVAL: SimDuration = SimDuration::nanos(800);
+/// CPU cost of one traversal pass that finds nothing.
+pub const POLL_COST: SimDuration = SimDuration::nanos(40);
+/// Size in bytes of each node's persist log region (only allocated
+/// under [`DurabilityMode::Fenced`]).
+pub const PERSIST_LOG_BYTES: usize = 1 << 20;
+
+/// Tuning for a Hamband cluster (summary geometry, failure-detection
+/// timers, batching, sharding, durability).
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Maximum encoded size of a call + its dependency array, bytes.
-    pub payload_cap: usize,
     /// Maximum encoded size of a summarized call, bytes. Summaries of
     /// grow-only types (e.g. GSet's `add_all`) grow with the number of
     /// calls folded in, so this is sized to the workload (the harness
     /// scales it automatically).
     pub summary_payload_cap: usize,
-    /// Capacity (entries) of each conflict-free ring buffer `F`.
-    pub free_ring_cap: usize,
-    /// Capacity (entries) of each conflicting ring buffer `L`.
-    pub conf_ring_cap: usize,
-    /// Number of backup slots for the reliable-broadcast ring.
-    pub backup_slots: usize,
-    /// How often each node traverses its buffers (§4: "two threads
-    /// traverse and process the calls of F and L buffers").
-    pub poll_interval: SimDuration,
-    /// CPU cost of one traversal pass that finds nothing.
-    pub poll_cost: SimDuration,
     /// Heartbeat increment period.
     pub heartbeat_interval: SimDuration,
     /// Failure-detector read period.
@@ -54,21 +59,12 @@ pub struct RuntimeConfig {
     /// crash-stop runtime; `Fenced` allocates a persist log per node
     /// and fences hard state at the seam points.
     pub durability: DurabilityMode,
-    /// Size in bytes of each node's persist log region (only allocated
-    /// under [`DurabilityMode::Fenced`]).
-    pub persist_log_bytes: usize,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
-            payload_cap: 256,
             summary_payload_cap: 4096,
-            free_ring_cap: 256,
-            conf_ring_cap: 512,
-            backup_slots: 64,
-            poll_interval: SimDuration::nanos(800),
-            poll_cost: SimDuration::nanos(40),
             heartbeat_interval: SimDuration::micros(5),
             fd_interval: SimDuration::micros(8),
             fd_suspect_after: 3,
@@ -76,7 +72,6 @@ impl Default for RuntimeConfig {
             max_batch: 16,
             sync_shards: 1,
             durability: DurabilityMode::Off,
-            persist_log_bytes: 1 << 20,
         }
     }
 }
@@ -87,18 +82,10 @@ impl RuntimeConfig {
     pub fn with_window(mut self, window: usize) -> Self {
         assert!(window >= 1, "window must be at least 1");
         assert!(
-            self.free_ring_cap > window * 2,
-            "free ring ({} entries) cannot absorb a window of {window}",
-            self.free_ring_cap
+            FREE_RING_CAP > window * 2,
+            "free ring ({FREE_RING_CAP} entries) cannot absorb a window of {window}"
         );
         self.window = window;
-        self
-    }
-
-    /// Traverse the buffers this often.
-    pub fn with_poll_interval(mut self, interval: SimDuration) -> Self {
-        assert!(interval > SimDuration::ZERO, "poll interval must be positive");
-        self.poll_interval = interval;
         self
     }
 
@@ -131,22 +118,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Use a persist log of this many bytes per node.
-    pub fn with_persist_log_bytes(mut self, bytes: usize) -> Self {
-        assert!(bytes > crate::persist::HEADER_BYTES, "persist log must hold its header");
-        self.persist_log_bytes = bytes;
-        self
-    }
-
-    /// Use rings of these capacities (entries).
-    pub fn with_ring_caps(mut self, free: usize, conf: usize) -> Self {
-        assert!(free > self.window * 2, "free ring must absorb the window");
-        assert!(conf >= 2, "conf ring needs at least two entries");
-        self.free_ring_cap = free;
-        self.conf_ring_cap = conf;
-        self
-    }
-
     /// Size in bytes of one ring entry slot, rounded up to a multiple
     /// of 8 so slot strides stay word-aligned (the threaded backend
     /// stores regions as atomic 64-bit words; word alignment keeps each
@@ -155,7 +126,7 @@ impl RuntimeConfig {
         // seq (8) + len (2) + payload + canary trailer (8: the seq
         // echoed, so a reused slot's stale trailer cannot validate the
         // next epoch's half-landed entry)
-        round_up_8(8 + 2 + self.payload_cap + 8)
+        round_up_8(8 + 2 + PAYLOAD_CAP + 8)
     }
 
     /// Size in bytes of one summary slot for a group of `group_len`
@@ -179,7 +150,7 @@ mod tests {
     #[test]
     fn sizes_are_consistent() {
         let c = RuntimeConfig::default();
-        assert_eq!(c.entry_size(), round_up_8(8 + 2 + c.payload_cap + 8));
+        assert_eq!(c.entry_size(), round_up_8(8 + 2 + PAYLOAD_CAP + 8));
         assert_eq!(
             c.summary_slot_size(2),
             round_up_8(8 + 16 + 2 + c.summary_payload_cap + 8)
@@ -187,7 +158,7 @@ mod tests {
         // Word alignment: slot strides are multiples of 8.
         assert_eq!(c.entry_size() % 8, 0);
         assert_eq!(c.summary_slot_size(5) % 8, 0);
-        assert!(c.free_ring_cap > c.window * 2, "ring must absorb the window");
+        assert!(FREE_RING_CAP > c.window * 2, "ring must absorb the window");
     }
 
     #[test]
@@ -203,14 +174,10 @@ mod tests {
     fn builders_validate_and_compose() {
         let c = RuntimeConfig::default()
             .with_window(16)
-            .with_poll_interval(SimDuration::nanos(500))
             .with_summary_payload_cap(8192)
-            .with_ring_caps(128, 64)
             .with_max_batch(4);
         assert_eq!(c.window, 16);
-        assert_eq!(c.poll_interval, SimDuration::nanos(500));
         assert_eq!(c.summary_payload_cap, 8192);
-        assert_eq!((c.free_ring_cap, c.conf_ring_cap), (128, 64));
         assert_eq!(c.max_batch, 4);
     }
 
@@ -238,6 +205,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "absorb")]
     fn oversized_window_is_rejected() {
-        let _ = RuntimeConfig::default().with_ring_caps(64, 64).with_window(40);
+        let _ = RuntimeConfig::default().with_window(FREE_RING_CAP / 2);
     }
 }

@@ -29,9 +29,10 @@ use rdma_sim::{NodeId, TraceEvent};
 
 use crate::calls::Route;
 use crate::codec::slot_ready;
+use crate::config::CONF_RING_CAP;
 use crate::conf::Role;
 use crate::messages::ControlMsg;
-use crate::replica::HambandNode;
+use crate::replica::{peers, HambandNode};
 use crate::transport::Transport;
 
 /// An in-flight candidacy: the running tally of `LeaderAck`s for one
@@ -65,9 +66,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // peer can act on the request.
         self.log_group_hard(ctx, g);
         let msg = ControlMsg::LeaderRequest { group: g as u32, epoch };
-        for q in 0..self.n {
-            if q != self.me.index() && !self.fd.is_suspected(NodeId(q)) {
-                ctx.send(NodeId(q), msg.to_bytes());
+        for q in peers(self.me, self.n) {
+            if !self.fd.is_suspected(q) {
+                ctx.send(q, msg.to_bytes());
             }
         }
         self.maybe_win(ctx, g);
@@ -78,10 +79,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
     pub(crate) fn landed_tail<T: Transport>(&self, ctx: &mut T, g: usize) -> u64 {
         let engine = &self.engines[g];
         let mut tail = engine.reader.applied();
-        for _ in 0..self.layout.conf_cap() {
+        for _ in 0..CONF_RING_CAP {
             let probe = tail + 1;
-            let off = self.layout.conf_ring_base()
-                + ((probe - 1) as usize % self.layout.conf_cap()) * self.layout.entry_size();
+            let off = self.layout.conf_slot_offset(probe);
             let slot = ctx.local(self.layout.conf[g], off, self.layout.entry_size());
             // The seq+canary prefix check is the landing test; no need
             // to decode the payload just to probe the tail.
@@ -232,12 +232,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
             // Ring is positional: read slot-by-slot range; wrap handled
             // by issuing one read per slot (the suffix is short).
             for s in from_seq..=won.max_tail {
-                let off = self.layout.conf_ring_base()
-                    + ((s - 1) as usize % self.layout.conf_cap()) * self.layout.entry_size();
                 let wr = ctx.post_read(
                     won.max_tail_holder,
                     self.layout.conf[g],
-                    off,
+                    self.layout.conf_slot_offset(s),
                     self.layout.entry_size(),
                 );
                 self.wr_routes.insert(
@@ -269,8 +267,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 .expect("just installed")
                 .pending_acks
                 .insert(s, 0);
-            let off = self.layout.conf_ring_base()
-                + ((s - 1) as usize % self.layout.conf_cap()) * self.layout.entry_size();
+            let off = self.layout.conf_slot_offset(s);
             let slot = ctx.local(self.layout.conf[g], off, self.layout.entry_size()).to_vec();
             let writers =
                 &mut self.engines[g].leader_mut().expect("just installed").writers;
@@ -284,10 +281,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
             epoch: self.engines[g].epoch,
             leader: self.me.index() as u32,
         };
-        for q in 0..self.n {
-            if q != self.me.index() {
-                ctx.send(NodeId(q), msg.to_bytes());
-            }
+        for q in peers(self.me, self.n) {
+            ctx.send(q, msg.to_bytes());
         }
         self.advance_commit(ctx, g);
     }
@@ -303,9 +298,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         data: Option<&[u8]>,
     ) {
         if let Some(bytes) = data {
-            let off = self.layout.conf_ring_base()
-                + ((from_seq - 1) as usize % self.layout.conf_cap()) * self.layout.entry_size();
-            ctx.local_write(self.layout.conf[g], off, bytes);
+            ctx.local_write(self.layout.conf[g], self.layout.conf_slot_offset(from_seq), bytes);
             // The caught-up slot is part of the group's hard log copy.
             ctx.fence_region(self.layout.conf[g]);
         }

@@ -8,13 +8,15 @@
 //! remote append completes (reliable broadcast: a backup slot holds the
 //! entry until then).
 
-use hamband_core::ids::{MethodId, Pid};
+use hamband_core::ids::{MethodId, Pid, Rid};
 use hamband_core::object::WorkloadSupport;
 use rdma_sim::{CompletionStatus, NodeId, Phase, RingKind, WrId};
 
-use crate::calls::Outstanding;
+use crate::calls::Issued;
 use crate::codec::Entry;
-use crate::replica::HambandNode;
+use crate::config::FREE_RING_CAP;
+use crate::persist::LogRecord;
+use crate::replica::{peers, HambandNode};
 use crate::rings::{RingReader, RingWriter};
 use crate::transport::Transport;
 
@@ -35,7 +37,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                     node,
                     self.layout.free_rings,
                     self.layout.free_ring_base(self.me),
-                    self.layout.free_cap(),
+                    FREE_RING_CAP,
                     self.layout.entry_size(),
                     self.layout.heads,
                     self.layout.free_head_offset(self.me),
@@ -46,7 +48,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 RingKind::Free,
                 self.layout.free_rings,
                 self.layout.free_ring_base(node),
-                self.layout.free_cap(),
+                FREE_RING_CAP,
                 self.layout.entry_size(),
                 self.layout.heads,
                 self.layout.free_head_offset(node),
@@ -58,17 +60,12 @@ impl<O: WorkloadSupport> HambandNode<O> {
     pub(crate) fn issue_free<T: Transport>(
         &mut self,
         ctx: &mut T,
+        call_id: u64,
+        rid: Rid,
         update: O::Update,
         method: MethodId,
-        session: u32,
-    ) {
-        if !self.permissible_now(&update) {
-            self.reject(session);
-            return;
-        }
-        ctx.charge_apply();
+    ) -> Issued {
         let deps = self.applied.project(self.coord.dependencies(method));
-        let (call_id, rid) = self.mint_call();
         self.spec.apply_mut(&mut self.sigma, &update);
         self.apply_to_views(&update);
         self.applied.increment(Pid(self.me.index()), method);
@@ -92,70 +89,37 @@ impl<O: WorkloadSupport> HambandNode<O> {
             // Durability seam: the issuer's own entry is hard state (it
             // was applied to σ above) — log and fence it before the
             // appends can reach any peer.
-            if self.log.is_some() {
-                let src = self.me.index() as u32;
-                let rec = crate::persist::LogRecord::FreeSlot { src, slot: slot.clone() };
-                self.log_and_fence(ctx, &rec);
-            }
+            let src = self.me.index() as u32;
+            self.log_slot(ctx, |_, _| LogRecord::FreeSlot { src, slot: slot.clone() });
             self.slot_buf = slot;
             self.free_call_by_seq.insert(seq, call_id);
         }
-        self.outstanding.insert(
-            call_id,
-            Outstanding {
-                issued_at: self.pending_arrival.take().unwrap_or_else(|| ctx.now()),
-                method,
-                session,
-                phase: Phase::Free,
-                conf: None,
-                ack_remaining: remotes,
-                total_remaining: remotes,
-                backup_slot,
-            },
-        );
-        if remotes == 0 {
-            self.finish_call(ctx, call_id);
-        }
+        Issued { phase: Phase::Free, conf: None, remotes, backup_slot }
     }
 
     /// Apply every deliverable entry from each peer's `F` ring (in ring
     /// order, gated by each entry's dependency map).
     pub(crate) fn poll_free<T: Transport>(&mut self, ctx: &mut T) {
-        for src in 0..self.n {
-            if src == self.me.index() {
-                continue;
-            }
+        for node in peers(self.me, self.n) {
+            let src = node.index();
             loop {
                 let entry = {
                     let reader = self.free_readers[src].as_ref().expect("reader for peer");
                     reader.peek::<O::Update>(ctx)
                 };
                 let Some(entry) = entry else { break };
-                if !self.applied.satisfies(&entry.deps) {
+                if !self.apply_buffered(ctx, &entry, false) {
                     break; // blocked on a dependency; retry next poll
                 }
-                ctx.charge_apply();
-                let method = self.spec.method_of(&entry.update);
-                self.spec.apply_mut(&mut self.sigma, &entry.update);
-                self.apply_to_views(&entry.update);
-                self.applied.increment(entry.rid.issuer, method);
-                self.metrics.remote_applied += 1;
-                self.metrics.last_apply = ctx.now();
                 // Durability seam: log+fence the applied entry *before*
                 // publishing the head — the durable frontier must never
                 // trail what the writer is told it may overwrite.
-                if self.log.is_some() {
-                    let slot = {
-                        let reader = self.free_readers[src].as_ref().expect("reader");
-                        let seq = reader.next_seq();
-                        reader.raw_slot(ctx, seq).to_vec()
-                    };
-                    self.log_and_fence(
-                        ctx,
-                        &crate::persist::LogRecord::FreeSlot { src: src as u32, slot },
-                    );
-                }
-                self.free_readers[src].as_mut().expect("reader").advance(ctx, NodeId(src));
+                self.log_slot(ctx, |node, ctx| {
+                    let reader = node.free_readers[src].as_ref().expect("reader");
+                    let slot = reader.raw_slot(ctx, reader.next_seq()).to_vec();
+                    LogRecord::FreeSlot { src: src as u32, slot }
+                });
+                self.free_readers[src].as_mut().expect("reader").advance(ctx, node);
             }
         }
     }
@@ -170,58 +134,19 @@ impl<O: WorkloadSupport> HambandNode<O> {
         status: CompletionStatus,
         data: Option<&[u8]>,
     ) -> bool {
-        let mut free_done = None;
-        for q in 0..self.n {
-            if let Some(w) = self.free_writers.get_mut(q).and_then(|w| w.as_mut()) {
-                if let Some(done) = w.on_completion(ctx, wr, status, data) {
-                    free_done = Some(done);
-                    break;
-                }
-            }
-        }
-        let Some(done) = free_done else { return false };
+        let mut writers = self.free_writers.iter_mut().flatten();
+        let Some(done) = writers.find_map(|w| w.on_completion(ctx, wr, status, data)) else {
+            return false;
+        };
+        debug_assert!(done.status.is_success(), "free rings are never permission-revoked");
         for seq in done.seqs() {
+            // The last of the call's n − 1 appends acknowledges it.
             if let Some(&cid) = self.free_call_by_seq.get(&seq) {
-                self.on_free_write_done(ctx, cid, seq, done.status);
+                if self.credit_remote(ctx, cid) {
+                    self.free_call_by_seq.remove(&seq);
+                }
             }
         }
         true
-    }
-
-    fn on_free_write_done<T: Transport>(
-        &mut self,
-        ctx: &mut T,
-        call_id: u64,
-        seq: u64,
-        status: CompletionStatus,
-    ) {
-        debug_assert!(status.is_success(), "free rings are never permission-revoked");
-        let mut finished = false;
-        let mut fully_done = false;
-        if let Some(o) = self.outstanding.get_mut(&call_id) {
-            o.total_remaining = o.total_remaining.saturating_sub(1);
-            if o.ack_remaining > 0 && o.ack_remaining != usize::MAX {
-                o.ack_remaining -= 1;
-                if o.ack_remaining == 0 {
-                    finished = true;
-                }
-            }
-            fully_done = o.total_remaining == 0;
-        }
-        if fully_done {
-            self.free_call_by_seq.remove(&seq);
-            if !finished {
-                // Already acked earlier; clean up now.
-                if let Some(o) = self.outstanding.remove(&call_id) {
-                    if let Some(idx) = o.backup_slot {
-                        self.clear_backup(ctx, idx);
-                    }
-                }
-                return;
-            }
-        }
-        if finished {
-            self.finish_call(ctx, call_id);
-        }
     }
 }

@@ -191,7 +191,6 @@ pub struct Ingress {
     initial_queries: u64,
     /// Remaining local update quota per conflict-free method.
     free_left: Vec<u64>,
-    initial_free: Vec<u64>,
     /// Conflicting quota per *mapped* group (sync group × shard),
     /// consumed by whoever leads it; progress is that ring's appended
     /// count, which its leader knows exactly. A keyed method's quota is
@@ -304,7 +303,6 @@ impl Ingress {
             sessions,
             queries_left: split.queries,
             initial_queries: split.queries,
-            initial_free: split.free.clone(),
             free_left: split.free,
             conf_target,
             keyless,
@@ -346,11 +344,6 @@ impl Ingress {
         self.open_loop.as_ref().map_or(0, |ol| ol.pending.len())
     }
 
-    /// Number of session slots.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// The session slots (stats, windows) for harness accounting.
     pub fn sessions(&self) -> &[ClientSession] {
         &self.sessions
@@ -385,11 +378,6 @@ impl Ingress {
     /// The shard mapper this ingress routes conflicting calls through.
     pub fn mapper(&self) -> GroupMapper {
         self.mapper
-    }
-
-    /// The conflict-free quota method `m` started with at this node.
-    pub fn initial_free_quota(&self, m: usize) -> u64 {
-        self.initial_free[m]
     }
 
     /// The query quota this node started with.

@@ -28,7 +28,9 @@
 use hamband_core::coord::CoordSpec;
 use rdma_sim::{App, NodeId, RegionId, Simulator};
 
-use crate::config::RuntimeConfig;
+use crate::config::{
+    RuntimeConfig, BACKUP_SLOTS, CONF_RING_CAP, FREE_RING_CAP, PERSIST_LOG_BYTES,
+};
 use crate::persist::DurabilityMode;
 
 /// Computed region ids and offsets, identical on every node.
@@ -59,14 +61,8 @@ pub struct Layout {
     sum_slot_size: Vec<usize>,
     /// Entry slot size (rings).
     entry_size: usize,
-    /// Free-ring capacity.
-    free_cap: usize,
-    /// Conf-ring capacity.
-    conf_cap: usize,
     /// Backup slot size.
     backup_slot_size: usize,
-    /// Backup slot count.
-    backup_slots: usize,
 }
 
 impl Layout {
@@ -117,18 +113,18 @@ impl Layout {
         let summaries = alloc(off.max(8), hard);
 
         let entry_size = cfg.entry_size();
-        let free_rings = alloc(n * cfg.free_ring_cap * entry_size, hard);
+        let free_rings = alloc(n * FREE_RING_CAP * entry_size, hard);
         // One conf ring (and head slot) per *mapped* group: each sync
         // group contributes `sync_shards` independent logs.
         let mapped = coord.sync_groups().len() * cfg.sync_shards.max(1);
         let heads = alloc((n + mapped).max(1) * 8, false);
         let backup_slot_size = Self::backup_slot_size_for(cfg);
-        let backup = alloc(cfg.backup_slots * backup_slot_size, false);
+        let backup = alloc(BACKUP_SLOTS * backup_slot_size, false);
         let conf: Vec<RegionId> =
-            (0..mapped).map(|_| alloc(8 + cfg.conf_ring_cap * entry_size, hard)).collect();
+            (0..mapped).map(|_| alloc(8 + CONF_RING_CAP * entry_size, hard)).collect();
         // The persist log goes last so its presence never shifts the
         // region ids the crash-stop layout assigns.
-        let persist_log = hard.then(|| alloc(cfg.persist_log_bytes, true));
+        let persist_log = hard.then(|| alloc(PERSIST_LOG_BYTES, true));
 
         Layout {
             nodes: n,
@@ -142,10 +138,7 @@ impl Layout {
             sum_group_base,
             sum_slot_size,
             entry_size,
-            free_cap: cfg.free_ring_cap,
-            conf_cap: cfg.conf_ring_cap,
             backup_slot_size,
-            backup_slots: cfg.backup_slots,
         }
     }
 
@@ -170,22 +163,27 @@ impl Layout {
 
     /// Base offset of the conflict-free ring fed by `source`.
     pub fn free_ring_base(&self, source: NodeId) -> usize {
-        source.index() * self.free_cap * self.entry_size
+        source.index() * FREE_RING_CAP * self.entry_size
+    }
+
+    /// Offset within `free_rings` of the slot holding entry `seq` of
+    /// the ring fed by `source` (sequence numbers are 1-based and the
+    /// slots reused in order — the arithmetic
+    /// [`RingWriter`](crate::rings::RingWriter) and
+    /// [`RingReader`](crate::rings::RingReader) do from their base).
+    pub fn free_slot_offset(&self, source: NodeId, seq: u64) -> usize {
+        self.free_ring_base(source) + (seq - 1) as usize % FREE_RING_CAP * self.entry_size
+    }
+
+    /// Offset within region `conf[g]` of the slot holding entry `seq`
+    /// of the group's `L` ring.
+    pub fn conf_slot_offset(&self, seq: u64) -> usize {
+        self.conf_ring_base() + (seq - 1) as usize % CONF_RING_CAP * self.entry_size
     }
 
     /// Ring entry slot size.
     pub fn entry_size(&self) -> usize {
         self.entry_size
-    }
-
-    /// Free-ring capacity in entries.
-    pub fn free_cap(&self) -> usize {
-        self.free_cap
-    }
-
-    /// Conf-ring capacity in entries.
-    pub fn conf_cap(&self) -> usize {
-        self.conf_cap
     }
 
     /// Offset of the head counter for the free ring fed by `source`.
@@ -210,20 +208,20 @@ impl Layout {
 
     /// Offset and size of backup slot `i`.
     pub fn backup_slot(&self, i: usize) -> (usize, usize) {
-        (i % self.backup_slots * self.backup_slot_size, self.backup_slot_size)
-    }
-
-    /// Number of backup slots.
-    pub fn backup_slots(&self) -> usize {
-        self.backup_slots
+        (i % BACKUP_SLOTS * self.backup_slot_size, self.backup_slot_size)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{slot_ready, Entry};
+    use crate::rings::RingWriter;
     use hamband_core::coord::CoordSpec;
-    use rdma_sim::{Ctx, Event, LatencyModel};
+    use hamband_core::counts::DepMap;
+    use hamband_core::ids::{Pid, Rid};
+    use hamband_types::counter::CounterUpdate;
+    use rdma_sim::{Ctx, Event, LatencyModel, RingKind, SimDuration};
 
     struct Noop;
     impl App for Noop {
@@ -265,7 +263,7 @@ mod tests {
         // Free rings of distinct sources are disjoint.
         let f0 = l.free_ring_base(NodeId(0));
         let f1 = l.free_ring_base(NodeId(1));
-        assert_eq!(f1 - f0, l.free_cap() * l.entry_size());
+        assert_eq!(f1 - f0, FREE_RING_CAP * l.entry_size());
         // Heads: free heads then conf heads.
         assert_eq!(l.free_head_offset(NodeId(3)), 24);
         assert_eq!(l.conf_head_offset(0), 32);
@@ -284,12 +282,72 @@ mod tests {
         assert_eq!(l.conf_head_offset(3), 48);
     }
 
+    /// The layout's slot arithmetic is the ring writer's: entries
+    /// appended across a wrap land where `free_slot_offset` /
+    /// `conf_slot_offset` say.
+    #[test]
+    fn slot_offsets_find_entries_appended_across_a_wrap() {
+        let coord = CoordSpec::builder(1).conflict(0, 0).build();
+        let mut sim: Simulator<Noop> = Simulator::new(2, LatencyModel::deterministic(), 0);
+        let l = Layout::install(&mut sim, &coord, &RuntimeConfig::default());
+        sim.set_apps(|_| Noop);
+        let (src, dst) = (NodeId(0), NodeId(1));
+        let free = RingWriter::new(
+            RingKind::Free,
+            dst,
+            l.free_rings,
+            l.free_ring_base(src),
+            FREE_RING_CAP,
+            l.entry_size(),
+            l.heads,
+            l.free_head_offset(src),
+        );
+        let conf = RingWriter::new(
+            RingKind::Conf,
+            dst,
+            l.conf[0],
+            l.conf_ring_base(),
+            CONF_RING_CAP,
+            l.entry_size(),
+            l.heads,
+            l.conf_head_offset(0),
+        );
+        type Offset<'a> = &'a dyn Fn(u64) -> usize;
+        let rings: [(RingWriter, RegionId, u64, Offset); 2] = [
+            (free, l.free_rings, FREE_RING_CAP as u64, &|seq| l.free_slot_offset(src, seq)),
+            (conf, l.conf[0], CONF_RING_CAP as u64, &|seq| l.conf_slot_offset(seq)),
+        ];
+        for (mut writer, region, cap, offset) in rings {
+            // Two slots short of the ring's end: four appends wrap.
+            writer.adopt_tail(cap - 2);
+            sim.with_app_ctx(src, |_, ctx| {
+                for i in 0..4 {
+                    let entry = Entry {
+                        rid: Rid::new(Pid(0), i),
+                        update: CounterUpdate::Add(i as i64),
+                        deps: DepMap::empty(),
+                    };
+                    writer.append(ctx, &entry);
+                }
+                writer.flush(ctx);
+            });
+            sim.run_for(SimDuration::micros(10));
+            let bytes = sim.region_bytes(dst, region);
+            for seq in cap - 1..=cap + 2 {
+                let slot = &bytes[offset(seq)..][..l.entry_size()];
+                assert!(slot_ready(slot, seq), "seq {seq} of a {cap}-slot ring");
+            }
+            assert_eq!(offset(cap + 1), offset(1), "the slots are reused in order");
+            assert_eq!(offset(cap) - offset(1), (cap as usize - 1) * l.entry_size());
+        }
+    }
+
     #[test]
     fn backup_slots_wrap() {
         let l = account_layout(2);
         let (o0, sz) = l.backup_slot(0);
         let (o1, _) = l.backup_slot(1);
-        let (owrap, _) = l.backup_slot(l.backup_slots());
+        let (owrap, _) = l.backup_slot(BACKUP_SLOTS);
         assert_eq!(o0, 0);
         assert_eq!(o1, sz);
         assert_eq!(owrap, 0);

@@ -269,7 +269,7 @@ impl NodeLog {
 
     /// Append one record at the cursor (volatile until the next
     /// [`NodeLog::fence`]). Panics if the region is full: the log is
-    /// sized by [`RuntimeConfig::persist_log_bytes`](crate::config::RuntimeConfig::persist_log_bytes)
+    /// sized by [`PERSIST_LOG_BYTES`](crate::config::PERSIST_LOG_BYTES)
     /// and overflowing it silently would forfeit the durability claim.
     pub fn append<T: Transport>(&mut self, ctx: &mut T, rec: &LogRecord) {
         self.buf.clear();

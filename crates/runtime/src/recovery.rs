@@ -24,6 +24,7 @@ use rdma_sim::{NodeId, TraceEvent};
 
 use crate::calls::Route;
 use crate::codec::{parse_backup_slot, BACKUP_FREE};
+use crate::config::BACKUP_SLOTS;
 use crate::conf::Role;
 use crate::driver::QuotaSplit;
 use crate::replica::HambandNode;
@@ -171,7 +172,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
     /// memory stays readable after a CPU crash); the completion lands
     /// in [`Self::recover_backups`].
     fn post_recovery_read<T: Transport>(&mut self, ctx: &mut T, suspect: NodeId) {
-        let size = self.layout.backup_slots() * self.layout.backup_slot(0).1;
+        let size = BACKUP_SLOTS * self.layout.backup_slot(0).1;
         let wr = ctx.post_read(suspect, self.layout.backup, 0, size);
         self.wr_routes.insert(wr, Route::RecoveryRead { suspect });
     }
@@ -209,7 +210,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // pending summary WRITEs only the newest per group is
         // re-executed, or an older image would land on top of it.
         let mut summaries: Vec<Option<(u64, &[u8])>> = vec![None; self.sum_cache.len()];
-        for i in 0..self.layout.backup_slots() {
+        for i in 0..BACKUP_SLOTS {
             let b = &bytes[i * slot_size..(i + 1) * slot_size];
             let Some((kind, group, seq, slot)) = parse_backup_slot(b) else {
                 continue;
@@ -221,8 +222,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 }
                 continue;
             }
-            let ring_off = self.layout.free_ring_base(suspect)
-                + ((seq - 1) as usize % self.layout.free_cap()) * self.layout.entry_size();
+            let ring_off = self.layout.free_slot_offset(suspect, seq);
             self.rebroadcast(ctx, suspect, self.layout.free_rings, ring_off, slot);
         }
         for (group, newest) in summaries.into_iter().enumerate() {

@@ -22,9 +22,9 @@ use hamband_core::ids::{MethodId, Pid};
 use hamband_core::object::WorkloadSupport;
 use rdma_sim::{NodeId, Phase, TraceEvent};
 
-use crate::calls::{Outstanding, Route};
+use crate::calls::{Issued, Route};
 use crate::codec::{summary_version, SummarySlot};
-use crate::replica::HambandNode;
+use crate::replica::{peers, HambandNode};
 use crate::transport::Transport;
 
 /// Last summary observed from one (summarization group, source):
@@ -37,20 +37,15 @@ pub(crate) struct CachedSummary<U> {
 }
 
 impl<O: WorkloadSupport> HambandNode<O> {
-    /// REDUCE: fold into the summary, broadcast the slot.
+    /// REDUCE: fold into the summary, queue the slot's broadcast.
     pub(crate) fn issue_reduce<T: Transport>(
         &mut self,
         ctx: &mut T,
+        call_id: u64,
         update: O::Update,
         method: MethodId,
         g: usize,
-        session: u32,
-    ) {
-        if !self.permissible_now(&update) {
-            self.reject(session);
-            return;
-        }
-        ctx.charge_apply();
+    ) -> Issued {
         let me = self.me.index();
         let midx = self.coord.sum_groups()[g]
             .iter()
@@ -87,7 +82,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.apply_to_views(&update);
         self.metrics.last_apply = ctx.now();
 
-        let (call_id, _rid) = self.mint_call();
         // Reliable broadcast: backup first, then the remote writes.
         let backup_slot = self.write_backup(ctx, call_id, crate::codec::BACKUP_SUMMARY, g as u8, version, &slot);
         let offset = self.layout.summary_offset(g, self.me);
@@ -101,30 +95,15 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // planning pass has folded in — the slot is last-writer-wins,
         // so a landed version v acknowledges every call folded in up
         // to v.
-        let mut remotes = 0;
-        for q in 0..self.n {
-            if q == me {
-                continue;
-            }
-            remotes += 1;
-            self.sum_waiters[g][q].push_back((version, call_id));
+        for q in peers(self.me, self.n) {
+            self.sum_waiters[g][q.index()].push_back((version, call_id));
         }
         self.sum_slot_buf[g] = slot;
-        self.outstanding.insert(
-            call_id,
-            Outstanding {
-                issued_at: self.pending_arrival.take().unwrap_or_else(|| ctx.now()),
-                method,
-                session,
-                phase: Phase::Reduce,
-                conf: None,
-                ack_remaining: remotes,
-                total_remaining: remotes,
-                backup_slot: Some(backup_slot),
-            },
-        );
-        if remotes == 0 {
-            self.finish_call(ctx, call_id);
+        Issued {
+            phase: Phase::Reduce,
+            conf: None,
+            remotes: self.n - 1,
+            backup_slot: Some(backup_slot),
         }
     }
 
@@ -169,11 +148,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
     pub(crate) fn poll_summaries<T: Transport>(&mut self, ctx: &mut T) {
         let monotone = self.spec.summaries_monotone();
         for g in 0..self.sum_cache.len() {
-            for src in 0..self.n {
-                if src == self.me.index() {
-                    continue;
-                }
-                let off = self.layout.summary_offset(g, NodeId(src));
+            for node in peers(self.me, self.n) {
+                let src = node.index();
+                let off = self.layout.summary_offset(g, node);
                 let size = self.layout.summary_size(g);
                 let parsed = {
                     let bytes = ctx.local(self.layout.summaries, off, size);
@@ -247,7 +224,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 break;
             }
             self.sum_waiters[g][q].pop_front();
-            self.credit_summary_peer(ctx, cid);
+            self.credit_remote(ctx, cid);
         }
     }
 }
@@ -256,7 +233,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
 mod tests {
     use super::*;
     use crate::{assemble, RunConfig, WorkloadSpec};
-    use hamband_types::counter::{Counter, CounterUpdate, ADD};
+    use hamband_types::counter::{Counter, CounterUpdate};
     use rdma_sim::{SimDuration, Simulator};
 
     const N0: NodeId = NodeId(0);
@@ -273,7 +250,7 @@ mod tests {
 
     fn add(sim: &mut Simulator<HambandNode<Counter>>, delta: i64) {
         sim.with_app_ctx(N0, |app, ctx| {
-            app.issue_reduce(ctx, CounterUpdate::Add(delta), ADD, 0, 0);
+            app.issue(ctx, CounterUpdate::Add(delta), 0);
         });
     }
 

@@ -40,10 +40,11 @@ use hamband_core::wire::Wire;
 use rdma_sim::NodeId;
 
 use crate::codec::{Entry, SummarySlot};
+use crate::config::{FREE_RING_CAP, POLL_INTERVAL};
 use crate::messages::ControlMsg;
 use crate::persist::LogRecord;
 use crate::reduce::CachedSummary;
-use crate::replica::{HambandNode, TAG_FD, TAG_HEARTBEAT, TAG_POLL};
+use crate::replica::{peers, HambandNode, TAG_FD, TAG_HEARTBEAT, TAG_POLL};
 use crate::transport::Transport;
 
 impl<O: WorkloadSupport> HambandNode<O> {
@@ -67,10 +68,24 @@ impl<O: WorkloadSupport> HambandNode<O> {
 
     /// Append `rec` to the persist log and fence it immediately; a
     /// no-op under [`DurabilityMode::Off`](crate::persist::DurabilityMode::Off).
-    pub(crate) fn log_and_fence<T: Transport>(&mut self, ctx: &mut T, rec: &LogRecord) {
+    fn log_and_fence<T: Transport>(&mut self, ctx: &mut T, rec: &LogRecord) {
         if let Some(log) = self.log.as_mut() {
             log.append(ctx, rec);
             log.fence(ctx);
+        }
+    }
+
+    /// Log and fence the ring slot `record` renders — the durability
+    /// seam of the issue and apply paths. The record (a copy of the
+    /// slot) is built only when a log exists.
+    pub(crate) fn log_slot<T: Transport>(
+        &mut self,
+        ctx: &mut T,
+        record: impl FnOnce(&Self, &mut T) -> LogRecord,
+    ) {
+        if self.log.is_some() {
+            let rec = record(self, ctx);
+            self.log_and_fence(ctx, &rec);
         }
     }
 
@@ -105,13 +120,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                     if src >= self.n {
                         continue;
                     }
-                    let Some(seq) = slot_seq(&slot) else { continue };
-                    let Some(entry) = Entry::<O::Update>::from_slot(&slot, seq) else {
-                        continue;
-                    };
-                    let method = self.spec.method_of(&entry.update);
-                    self.spec.apply_mut(&mut self.sigma, &entry.update);
-                    self.applied.increment(entry.rid.issuer, method);
+                    let Some(seq) = self.replay_slot(&slot) else { continue };
                     free_frontier[src] = free_frontier[src].max(seq);
                     if src == self.me.index() {
                         own_free.push((seq, slot));
@@ -122,13 +131,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                     if g >= self.engines.len() {
                         continue;
                     }
-                    let Some(seq) = slot_seq(&slot) else { continue };
-                    let Some(entry) = Entry::<O::Update>::from_slot(&slot, seq) else {
-                        continue;
-                    };
-                    let method = self.spec.method_of(&entry.update);
-                    self.spec.apply_mut(&mut self.sigma, &entry.update);
-                    self.applied.increment(entry.rid.issuer, method);
+                    let Some(seq) = self.replay_slot(&slot) else { continue };
                     conf_frontier[g] = conf_frontier[g].max(seq);
                 }
                 LogRecord::GroupHard { group, epoch, promised, commit } => {
@@ -147,11 +150,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // is published, so the durable frontier is always at or past
         // what peers' writers believe we acked — they never reuse a
         // slot above it.
-        for (src, &frontier) in free_frontier.iter().enumerate() {
-            if src == self.me.index() {
-                continue;
-            }
-            self.free_readers[src].as_mut().expect("reader for peer").adopt_head(ctx, frontier);
+        for src in peers(self.me, self.n) {
+            let reader = self.free_readers[src.index()].as_mut().expect("reader for peer");
+            reader.adopt_head(ctx, free_frontier[src.index()]);
         }
         let own_tail = own_free.last().map_or(0, |&(s, _)| s);
         for w in self.free_writers.iter_mut().flatten() {
@@ -192,10 +193,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 }
                 if src == self.me.index() && slot.version > 0 {
                     let image = ctx.local(self.layout.summaries, off, size).to_vec();
-                    for q in 0..self.n {
-                        if q != self.me.index() {
-                            ctx.post_write(NodeId(q), self.layout.summaries, off, &image);
-                        }
+                    for q in peers(self.me, self.n) {
+                        ctx.post_write(q, self.layout.summaries, off, &image);
                     }
                 }
                 self.sum_cache[g][src] =
@@ -209,14 +208,11 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // the backup-slot cap, far below the ring capacity), and slot
         // re-writes are idempotent. Completions arrive with no claiming
         // writer and fall through the dispatch harmlessly.
-        let window_lo = own_tail.saturating_sub(self.layout.free_cap() as u64);
+        let window_lo = own_tail.saturating_sub(FREE_RING_CAP as u64);
         for (seq, slot) in own_free.iter().filter(|&&(s, _)| s > window_lo) {
-            let off = self.layout.free_ring_base(self.me)
-                + ((seq - 1) as usize % self.layout.free_cap()) * self.layout.entry_size();
-            for q in 0..self.n {
-                if q != self.me.index() {
-                    ctx.post_write(NodeId(q), self.layout.free_rings, off, slot);
-                }
+            let off = self.layout.free_slot_offset(self.me, *seq);
+            for q in peers(self.me, self.n) {
+                ctx.post_write(q, self.layout.free_rings, off, slot);
             }
         }
 
@@ -227,7 +223,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // The pre-crash timer chains died inside the crash window
         // (their events were dropped while the node was down), so fresh
         // chains re-arm without doubling.
-        ctx.set_timer(self.cfg.poll_interval, TAG_POLL);
+        ctx.set_timer(POLL_INTERVAL, TAG_POLL);
         ctx.set_timer_isolated(self.cfg.heartbeat_interval, TAG_HEARTBEAT);
         ctx.set_timer_isolated(self.cfg.fd_interval, TAG_FD);
         self.hb.beat(ctx);
@@ -236,12 +232,23 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // (peers adopt the remaining quota and elect replacements for
         // any group this node led), then ask every peer which leader it
         // currently recognizes per mapped group.
-        for q in 0..self.n {
-            if q != self.me.index() {
-                ctx.send(NodeId(q), ControlMsg::Retired.to_bytes());
-                ctx.send(NodeId(q), ControlMsg::JoinRequest.to_bytes());
-            }
+        for q in peers(self.me, self.n) {
+            ctx.send(q, ControlMsg::Retired.to_bytes());
+            ctx.send(q, ControlMsg::JoinRequest.to_bytes());
         }
+    }
+
+    /// Fold one logged ring slot back into σ and the applied map (the
+    /// views are rebuilt from σ afterwards) and return the sequence
+    /// number it held; `None`, nothing folded, for a slot that does not
+    /// decode.
+    fn replay_slot(&mut self, slot: &[u8]) -> Option<u64> {
+        let seq = slot_seq(slot)?;
+        let entry = Entry::<O::Update>::from_slot(slot, seq)?;
+        let method = self.spec.method_of(&entry.update);
+        self.spec.apply_mut(&mut self.sigma, &entry.update);
+        self.applied.increment(entry.rid.issuer, method);
+        Some(seq)
     }
 
     /// Reset every piece of *soft* (reconstructible) state by building

@@ -42,7 +42,9 @@ use rdma_sim::{
 
 use crate::calls::{Outstanding, Route};
 use crate::conf::GroupEngine;
-use crate::config::RuntimeConfig;
+use crate::config::{
+    RuntimeConfig, BACKUP_SLOTS, CONF_RING_CAP, PERSIST_LOG_BYTES, POLL_COST, POLL_INTERVAL,
+};
 use crate::driver::WorkloadSpec;
 use crate::heartbeat::{FailureDetector, FdEvent, Heartbeat};
 use crate::ingress::Ingress;
@@ -58,6 +60,13 @@ pub(crate) const TAG_POLL: u64 = 0;
 pub(crate) const TAG_HEARTBEAT: u64 = 1;
 pub(crate) const TAG_FD: u64 = 2;
 pub(crate) const TAG_RETRY: u64 = 3;
+
+/// Every node of an `n`-node cluster but `me`, in ascending order. A
+/// free function, so a loop over a replica's peers may still borrow the
+/// replica mutably in its body.
+pub(crate) fn peers(me: NodeId, n: usize) -> impl Iterator<Item = NodeId> {
+    (0..n).map(NodeId).filter(move |&q| q != me)
+}
 
 /// The Hamband replica application. One per simulated node.
 pub struct HambandNode<O: ObjectSpec> {
@@ -203,12 +212,12 @@ impl<O: WorkloadSupport> HambandNode<O> {
         let leaders = leaders.map_or_else(|| mapper.default_leaders(n), <[Pid]>::to_vec);
         assert_eq!(leaders.len(), mapper.group_count(), "one leader per mapped group");
         assert_eq!(layout.conf.len(), mapper.group_count(), "layout planned for these shards");
-        assert!(cfg.window <= cfg.backup_slots, "backup ring must cover the window");
+        assert!(cfg.window <= BACKUP_SLOTS, "backup ring must cover the window");
         let sigma = spec.initial();
         // Backup slots are addressed `call_id % backup_slots`, so the
         // ingress caps node-wide in-flight calls at the slot count no
         // matter how many sessions the spec asks for.
-        let ingress = Ingress::new(spec, workload, coord, mapper, me.index(), n, cfg.backup_slots);
+        let ingress = Ingress::new(spec, workload, coord, mapper, me.index(), n, BACKUP_SLOTS);
         let sum_cache = coord
             .sum_groups()
             .iter()
@@ -228,7 +237,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                         RingKind::Conf,
                         layout.conf[g],
                         layout.conf_ring_base(),
-                        layout.conf_cap(),
+                        CONF_RING_CAP,
                         layout.entry_size(),
                         layout.heads,
                         layout.conf_head_offset(g),
@@ -268,7 +277,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
             conf_retries: Vec::new(),
             retry_timer_armed: false,
             halted: false,
-            log: layout.persist_log.map(|r| NodeLog::new(r, cfg.persist_log_bytes)),
+            log: layout.persist_log.map(|r| NodeLog::new(r, PERSIST_LOG_BYTES)),
             join_epoch: vec![0; leaders.len()],
             gate_accepting: vec![false; leaders.len()],
             gate_appended: vec![0; leaders.len()],
@@ -303,7 +312,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
         self.setup_free_endpoints();
         self.setup_conf_groups(ctx);
-        ctx.set_timer(self.cfg.poll_interval, TAG_POLL);
+        ctx.set_timer(POLL_INTERVAL, TAG_POLL);
         // Heartbeat and failure detection run as dedicated threads
         // (§4), so a busy application CPU cannot silence liveness.
         ctx.set_timer_isolated(self.cfg.heartbeat_interval, TAG_HEARTBEAT);
@@ -404,7 +413,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         match event {
             Event::Timer { tag: TAG_POLL, .. } => {
                 self.poll(ctx);
-                ctx.set_timer(self.cfg.poll_interval, TAG_POLL);
+                ctx.set_timer(POLL_INTERVAL, TAG_POLL);
             }
             Event::Timer { tag: TAG_HEARTBEAT, .. } => {
                 self.hb.beat(ctx);
@@ -451,11 +460,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 // replacement for any group it still leads — a zombie
                 // leader wedges the whole workload.
                 if self.halted {
-                    let msg = ControlMsg::Retired;
-                    for q in 0..self.n {
-                        if q != self.me.index() {
-                            ctx.send(NodeId(q), msg.to_bytes());
-                        }
+                    for q in peers(self.me, self.n) {
+                        ctx.send(q, ControlMsg::Retired.to_bytes());
                     }
                 }
             }
@@ -474,7 +480,7 @@ impl<O: WorkloadSupport + Clone> App for HambandNode<O> {
         // it costs what it costs, so the charge lives here and not
         // behind `Transport`.
         if matches!(event, Event::Timer { tag: TAG_POLL, .. }) {
-            ctx.consume(self.cfg.poll_cost);
+            ctx.consume(POLL_COST);
         }
         // A poll loop takes every completion that is there before it
         // serves clients. Events parked behind this one were due while

@@ -8,6 +8,7 @@ use hamband_runtime::codec::{
     compose_backup_slot, Entry, SummarySlot, BACKUP_FREE, BACKUP_SUMMARY,
 };
 use hamband_runtime::chaos::{run_case, ChaosOptions};
+use hamband_runtime::config::POLL_INTERVAL;
 use hamband_runtime::{
     assemble, drive, HambandNode, RunConfig, Runner, RuntimeConfig, System, TraceMode,
     WorkloadSpec,
@@ -225,14 +226,14 @@ fn leader_crash_during_election_reelects() {
 /// (DESIGN.md §5). The one parked event that never reaches a handler is
 /// a message a partition takes out of the wait set — and if it was the
 /// whole backlog, the plan skipped for it has nobody left to make it.
-/// The poll timer does, within one `poll_interval`.
+/// The poll timer does, within one `POLL_INTERVAL`.
 ///
 /// Counter with its one method declared conflicting, so node 0 orders
 /// every add through its log, one at a time (window 1). Node 0 spends
 /// its first ~90 us on its query quota, so the poll timer, the two
 /// completions of its first append and — last in line — a message from
 /// node 2 all wait for its CPU. The poll timer's pass goes first and
-/// keeps the CPU for its 40 ns (`poll_cost`): in that gap a partition
+/// keeps the CPU for its 40 ns (`POLL_COST`): in that gap a partition
 /// cuts node 0 from node 2. The first completion then commits and
 /// acknowledges the call but does not plan (two events wait) — and
 /// posts nothing, the commit index rides the next entry — the second
@@ -248,7 +249,6 @@ fn plan_skipped_for_a_partitioned_message_is_made_up_by_the_next_poll() {
     // Detector reads would queue completions behind the message.
     let mut runtime = RuntimeConfig::default().with_window(1);
     runtime.fd_interval = SimDuration::millis(50);
-    let poll_interval = runtime.poll_interval;
     let run = RunConfig::new(3, workload)
         .with_seed(3)
         .with_runtime(runtime)
@@ -288,7 +288,7 @@ fn plan_skipped_for_a_partitioned_message_is_made_up_by_the_next_poll() {
     });
     assert!(second_issue > first_ack, "the committing completion must not plan: two events wait");
     assert!(
-        second_issue <= first_ack + poll_interval,
+        second_issue <= first_ack + POLL_INTERVAL,
         "the next poll plans: ack at {first_ack}, next call at {second_issue}"
     );
     assert!(second_issue < heal_at, "and not the message, which arrives with the heal");

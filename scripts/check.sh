@@ -128,4 +128,7 @@ echo "== chaos smoke, crash-restart (one pass, persist log + rejoin) =="
 echo "== chaos canary self-test =="
 ./target/release/chaos --seeds 16 --canary
 
+echo "== line counts (informational; the ruler for \"less code\") =="
+./scripts/loc.sh
+
 echo "all checks passed"
