@@ -8,7 +8,10 @@
 //!   receive paths expensive and one-sided writes free for the target).
 //!   Events that find the CPU busy wait in the node's own queues
 //!   (`NodeFabric::waiting`) behind one *wake* entry in the global
-//!   queue, and leave in original sequence order;
+//!   queue, and leave in original sequence order. A node's dedicated
+//!   threads (isolated timers) run on other cores: they never wait, and
+//!   the verbs they post and those verbs' completions stay off this
+//!   clock;
 //! * a **NIC transmit clock** per node — each posted verb serializes
 //!   through it, bounding a node's injection rate;
 //! * a **FIFO channel clock** per (issuer, target) pair — Reliable
@@ -27,83 +30,13 @@ use crate::fault::Fault;
 use crate::idmap::IdSet;
 use crate::latency::LatencyModel;
 use crate::queue::EventQueue;
+use crate::region::Region;
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceHandle};
 use crate::verbs::{
     CompletionStatus, Event, NodeId, RegionId, TimerId, VerbKind, WrId,
 };
-
-/// A registered memory region.
-#[derive(Debug, Clone)]
-pub(crate) struct Region {
-    pub(crate) bytes: Vec<u8>,
-    /// Per-source write permission (the owner itself is always allowed).
-    pub(crate) write_allowed: Vec<bool>,
-    /// Durable shadow copy (`Some` iff the region was registered
-    /// durable). Remote one-sided writes and CAS swaps write through to
-    /// it on landing — an RDMA WRITE into persistent memory is durable
-    /// once placed — while *local* CPU stores reach it only at an
-    /// explicit [`Ctx::fence_region`]. A crash-restart that loses
-    /// unfenced writes reverts `bytes` to this copy.
-    pub(crate) shadow: Option<Vec<u8>>,
-    /// Local-store span not yet fenced to the shadow (durable regions
-    /// only): `(lo, hi)` byte offsets, half-open.
-    pub(crate) dirty: Option<(usize, usize)>,
-}
-
-impl Region {
-    pub(crate) fn new(size: usize, sources: usize, durable: bool) -> Region {
-        Region {
-            bytes: vec![0; size],
-            write_allowed: vec![true; sources],
-            shadow: durable.then(|| vec![0; size]),
-            dirty: None,
-        }
-    }
-
-    /// Write-through for a remotely landed range (durable-on-landing).
-    pub(crate) fn land_through(&mut self, offset: usize, len: usize) {
-        if let Some(shadow) = &mut self.shadow {
-            shadow[offset..offset + len].copy_from_slice(&self.bytes[offset..offset + len]);
-        }
-    }
-
-    /// Note an unfenced local store over `[offset, offset + len)`.
-    pub(crate) fn mark_dirty(&mut self, offset: usize, len: usize) {
-        if self.shadow.is_some() {
-            let (lo, hi) = self.dirty.unwrap_or((offset, offset + len));
-            self.dirty = Some((lo.min(offset), hi.max(offset + len)));
-        }
-    }
-
-    /// Make every local store so far durable (copy the dirty span to
-    /// the shadow). No-op for volatile regions or when nothing is
-    /// dirty.
-    pub(crate) fn fence(&mut self) {
-        if let (Some(shadow), Some((lo, hi))) = (&mut self.shadow, self.dirty.take()) {
-            shadow[lo..hi].copy_from_slice(&self.bytes[lo..hi]);
-        }
-    }
-
-    /// Apply crash-restart semantics: a volatile region loses all
-    /// content; a durable one either keeps everything (`!lose_unfenced`
-    /// — the shadow is resynchronized) or reverts to its last durable
-    /// image.
-    pub(crate) fn restart(&mut self, lose_unfenced: bool) {
-        match &mut self.shadow {
-            None => self.bytes.iter_mut().for_each(|b| *b = 0),
-            Some(shadow) => {
-                if lose_unfenced {
-                    self.bytes.copy_from_slice(shadow);
-                } else {
-                    shadow.copy_from_slice(&self.bytes);
-                }
-            }
-        }
-        self.dirty = None;
-    }
-}
 
 /// An event waiting for its node's CPU, ordered by the sequence number
 /// it was first queued with.
@@ -167,8 +100,14 @@ pub(crate) struct NodeFabric {
     pub(crate) cancelled: IdSet<TimerId>,
     /// Timers that fire even while the node's (application) CPU is
     /// busy — modelling dedicated threads such as the paper's
-    /// heartbeat thread on a multi-core node.
+    /// heartbeat thread on a multi-core node. A dedicated thread's
+    /// verbs and their completions belong to that thread: what its
+    /// handler posts is charged to [`Stats::isolated_busy_ns`], not to
+    /// `cpu_free`, and is remembered in `isolated_wrs`.
     pub(crate) isolated: IdSet<TimerId>,
+    /// Work requests a dedicated thread posted: their completions go
+    /// straight back to it instead of waiting for the application CPU.
+    pub(crate) isolated_wrs: IdSet<WrId>,
 }
 
 impl NodeFabric {
@@ -185,6 +124,7 @@ impl NodeFabric {
         self.duplicate_next_completion = false;
         self.cancelled.clear();
         self.isolated.clear();
+        self.isolated_wrs.clear();
         // A fresh host CPU/NIC is idle.
         self.cpu_free = now;
         self.nic_free = now;
@@ -299,6 +239,7 @@ impl Fabric {
                     next_timer: 0,
                     cancelled: IdSet::default(),
                     isolated: IdSet::default(),
+                    isolated_wrs: IdSet::default(),
                 })
                 .collect(),
             latency,
@@ -493,9 +434,50 @@ impl Fabric {
 pub struct Ctx<'a> {
     pub(crate) fabric: &'a mut Fabric,
     pub(crate) node: NodeId,
+    /// The handler runs on one of the node's dedicated threads (an
+    /// isolated timer, or the completion of a verb such a thread
+    /// posted): what it posts is that thread's work.
+    pub(crate) isolated: bool,
+}
+
+impl<'a> Ctx<'a> {
+    /// A context for a handler on `node`'s application CPU.
+    pub(crate) fn new(fabric: &'a mut Fabric, node: NodeId) -> Self {
+        Ctx { fabric, node, isolated: false }
+    }
 }
 
 impl Ctx<'_> {
+    /// Begin posting a verb or message: mint its work request, charge
+    /// the posting CPU and reserve the NIC. Returns the request and when
+    /// it leaves the NIC. The NIC is shared by every thread of the node;
+    /// the posting cost is the application CPU's — or, from a dedicated
+    /// thread's handler, that thread's core's, which leaves `cpu_free`
+    /// alone.
+    fn post(&mut self) -> (WrId, SimTime) {
+        let wr = self.fabric.mint_wr(self.node);
+        let cost = self.fabric.latency.post_cost;
+        let node = self.node.index();
+        if self.isolated {
+            self.fabric.stats.isolated_busy_ns[node] += cost.as_nanos();
+        } else {
+            self.fabric.charge_cpu(self.node, cost);
+            self.fabric.stats.cpu_post_ns[node] += cost.as_nanos();
+        }
+        self.fabric.stats.per_node_ops[node] += 1;
+        (wr, self.fabric.reserve_nic(self.node))
+    }
+
+    /// [`post`](Self::post) for a one-sided verb: its completion comes
+    /// back to the thread that posted it.
+    fn post_verb(&mut self) -> (WrId, SimTime) {
+        let (wr, tx) = self.post();
+        if self.isolated {
+            self.fabric.nodes[self.node.index()].isolated_wrs.insert(wr);
+        }
+        (wr, tx)
+    }
+
     /// The node this context belongs to.
     pub fn node(&self) -> NodeId {
         self.node
@@ -512,7 +494,8 @@ impl Ctx<'_> {
         &mut self.fabric.rng
     }
 
-    /// Charge `cost` of local CPU work (e.g. executing a method body).
+    /// Charge `cost` of local CPU work (e.g. executing a method body) to
+    /// the application CPU, whichever handler asks.
     pub fn consume(&mut self, cost: SimDuration) {
         self.fabric.charge_cpu(self.node, cost);
     }
@@ -522,7 +505,8 @@ impl Ctx<'_> {
     /// while an earlier charge was running; only delivery parks events,
     /// so the answer holds for the whole handler. False for an event
     /// that found the CPU free, true for every parked event but the
-    /// last to leave; an isolated timer never waits, so never counts.
+    /// last to leave; a dedicated thread's event (an isolated timer, a
+    /// completion of what it posted) never waits, so never counts.
     ///
     /// A counted event can still leave without a handler call (a
     /// cancelled timer, a message a partition holds back, a crashed
@@ -570,16 +554,12 @@ impl Ctx<'_> {
         offset: usize,
         data: &[u8],
     ) -> WrId {
-        let wr = self.fabric.mint_wr(self.node);
-        let post_cost = self.fabric.latency.post_cost;
-        self.fabric.charge_cpu(self.node, post_cost);
-        let tx = self.fabric.reserve_nic(self.node);
+        let (wr, tx) = self.post_verb();
         let lat = self.fabric.latency.write_latency(data.len(), &mut self.fabric.rng);
         let lat = self.fabric.spiked(self.node, target, lat);
         let land = self.fabric.fifo_land(self.node, target, tx + lat);
         self.fabric.stats.writes += 1;
         self.fabric.stats.one_sided_bytes += data.len() as u64;
-        self.fabric.stats.per_node_ops[self.node.index()] += 1;
         let (issuer, len) = (self.node, data.len());
         self.fabric.emit(|| TraceEvent::VerbPosted {
             issuer,
@@ -612,16 +592,12 @@ impl Ctx<'_> {
         offset: usize,
         len: usize,
     ) -> WrId {
-        let wr = self.fabric.mint_wr(self.node);
-        let post_cost = self.fabric.latency.post_cost;
-        self.fabric.charge_cpu(self.node, post_cost);
-        let tx = self.fabric.reserve_nic(self.node);
+        let (wr, tx) = self.post_verb();
         let rtt = self.fabric.latency.read_latency(len, &mut self.fabric.rng);
         let rtt = self.fabric.spiked(self.node, target, rtt);
         let half = SimDuration::nanos(rtt.as_nanos() / 2);
         self.fabric.stats.reads += 1;
         self.fabric.stats.one_sided_bytes += len as u64;
-        self.fabric.stats.per_node_ops[self.node.index()] += 1;
         let issuer = self.node;
         self.fabric.emit(|| TraceEvent::VerbPosted {
             issuer,
@@ -656,15 +632,11 @@ impl Ctx<'_> {
         expected: u64,
         swap: u64,
     ) -> WrId {
-        let wr = self.fabric.mint_wr(self.node);
-        let post_cost = self.fabric.latency.post_cost;
-        self.fabric.charge_cpu(self.node, post_cost);
-        let tx = self.fabric.reserve_nic(self.node);
+        let (wr, tx) = self.post_verb();
         let rtt = self.fabric.latency.cas_latency(&mut self.fabric.rng);
         let rtt = self.fabric.spiked(self.node, target, rtt);
         let half = SimDuration::nanos(rtt.as_nanos() / 2);
         self.fabric.stats.cas += 1;
-        self.fabric.stats.per_node_ops[self.node.index()] += 1;
         let issuer = self.node;
         self.fabric.emit(|| TraceEvent::VerbPosted {
             issuer,
@@ -692,16 +664,12 @@ impl Ctx<'_> {
     /// Send a two-sided message (SEND/RECV through the network stack).
     /// Costs the receiver CPU time on delivery; per-pair FIFO.
     pub fn send(&mut self, target: NodeId, payload: Vec<u8>) {
-        let wr = self.fabric.mint_wr(self.node);
-        let post_cost = self.fabric.latency.post_cost;
-        self.fabric.charge_cpu(self.node, post_cost);
-        let tx = self.fabric.reserve_nic(self.node);
+        let (wr, tx) = self.post();
         let lat = self.fabric.latency.msg_latency(payload.len(), &mut self.fabric.rng);
         let lat = self.fabric.spiked(self.node, target, lat);
         let deliver = self.fabric.fifo_msg(self.node, target, tx + lat);
         self.fabric.stats.messages += 1;
         self.fabric.stats.message_bytes += payload.len() as u64;
-        self.fabric.stats.per_node_ops[self.node.index()] += 1;
         let (issuer, len) = (self.node, payload.len());
         self.fabric.emit(|| TraceEvent::VerbPosted {
             issuer,
@@ -728,8 +696,13 @@ impl Ctx<'_> {
 
     /// Arm a timer that fires *even while the node's CPU is busy* —
     /// the moral equivalent of a dedicated thread on another core
-    /// (§4's heartbeat thread). Use sparingly: handlers still share
-    /// application state.
+    /// (§4's heartbeat thread). A dedicated thread's verbs and their
+    /// completions belong to that thread: what its handler posts is
+    /// charged to [`Stats::isolated_busy_ns`] and leaves the
+    /// application CPU alone, and those verbs' completions are handled
+    /// at once, like the timer, even while the CPU is busy. CPU time
+    /// charged with [`consume`](Ctx::consume) stays the application
+    /// CPU's. Use sparingly: handlers still share application state.
     pub fn set_timer_isolated(&mut self, delay: SimDuration, tag: u64) -> TimerId {
         let id = self.set_timer(delay, tag);
         self.fabric.nodes[self.node.index()].isolated.insert(id);

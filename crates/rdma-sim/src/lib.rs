@@ -36,6 +36,7 @@ pub mod fault;
 pub mod idmap;
 pub mod latency;
 mod queue;
+mod region;
 pub mod sim;
 pub mod stats;
 pub mod time;

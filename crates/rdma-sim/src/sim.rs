@@ -3,9 +3,10 @@
 use std::cmp::Reverse;
 
 
-use crate::fabric::{Action, Ctx, Fabric, Region};
+use crate::fabric::{Action, Ctx, Fabric};
 use crate::fault::{Fault, FaultPlan};
 use crate::latency::LatencyModel;
+use crate::region::Region;
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceSink};
@@ -209,7 +210,7 @@ impl<A: App> Simulator<A> {
     /// letting external drivers issue work on the node's behalf.
     pub fn with_app_ctx<R>(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut Ctx<'_>) -> R) -> R {
         let mut app = self.apps[node.index()].take().expect("application installed");
-        let mut ctx = Ctx { fabric: &mut self.fabric, node };
+        let mut ctx = Ctx::new(&mut self.fabric, node);
         let r = f(&mut app, &mut ctx);
         self.apps[node.index()] = Some(app);
         r
@@ -232,7 +233,7 @@ impl<A: App> Simulator<A> {
         self.started = true;
         for i in 0..self.len() {
             let mut app = self.apps[i].take().expect("all applications installed");
-            let mut ctx = Ctx { fabric: &mut self.fabric, node: NodeId(i) };
+            let mut ctx = Ctx::new(&mut self.fabric, NodeId(i));
             app.on_start(&mut ctx);
             self.apps[i] = Some(app);
         }
@@ -496,25 +497,34 @@ impl<A: App> Simulator<A> {
         if nf.duplicate_next_completion && matches!(&event, Event::Completion { .. }) {
             self.fabric.duplicate_completion(node, &event);
         }
-        let nf = &self.fabric.nodes[node.index()];
+        let nf = &mut self.fabric.nodes[node.index()];
         // Respect the node's CPU availability: if it is busy, the event
         // waits — keeping its original sequence number so arrival order
-        // is preserved among waiting and fresh events. Isolated timers
-        // (dedicated-thread model) bypass the wait.
-        let bypass = matches!(&event, Event::Timer { id, .. }
-            if nf.isolated.contains(id));
-        if !bypass && nf.cpu_free > self.fabric.now {
+        // is preserved among waiting and fresh events. A dedicated
+        // thread's events — its timers and the completions of the verbs
+        // it posted — run on its own core and bypass the wait.
+        let isolated = match &event {
+            Event::Timer { id, .. } => nf.isolated.contains(id),
+            Event::Completion { wr, .. } => nf.isolated_wrs.contains(wr),
+            _ => false,
+        };
+        if !isolated && nf.cpu_free > self.fabric.now {
             self.fabric.park(node, seq, event);
             return;
         }
-        // Cancelled timers are dropped; fired isolated timers are
-        // forgotten (re-arming issues a fresh id).
-        if let Event::Timer { id, .. } = &event {
-            if self.fabric.nodes[node.index()].cancelled.remove(id) {
-                self.fabric.nodes[node.index()].isolated.remove(id);
-                return;
+        // Cancelled timers are dropped; fired isolated timers and
+        // completed isolated verbs are forgotten (ids are never reused).
+        match &event {
+            Event::Timer { id, .. } => {
+                nf.isolated.remove(id);
+                if nf.cancelled.remove(id) {
+                    return;
+                }
             }
-            self.fabric.nodes[node.index()].isolated.remove(id);
+            Event::Completion { wr, .. } => {
+                nf.isolated_wrs.remove(wr);
+            }
+            _ => {}
         }
         // Two-sided receive path costs CPU (the network stack).
         if matches!(event, Event::Message { .. }) {
@@ -522,7 +532,7 @@ impl<A: App> Simulator<A> {
             self.fabric.charge_cpu(node, cost);
         }
         let mut app = self.apps[node.index()].take().expect("application installed");
-        let mut ctx = Ctx { fabric: &mut self.fabric, node };
+        let mut ctx = Ctx { fabric: &mut self.fabric, node, isolated };
         app.on_event(&mut ctx, event);
         self.apps[node.index()] = Some(app);
     }
@@ -596,7 +606,7 @@ impl<A: App> Simulator<A> {
                     r.restart(lose_unfenced);
                 }
                 let mut app = self.apps[n.index()].take().expect("application installed");
-                let mut ctx = Ctx { fabric: &mut self.fabric, node: n };
+                let mut ctx = Ctx::new(&mut self.fabric, n);
                 app.on_restart(&mut ctx);
                 self.apps[n.index()] = Some(app);
             }

@@ -27,13 +27,22 @@ pub struct Stats {
     pub ring_slots: u64,
     /// Per-node posted verb counts (writes + reads + cas + sends).
     pub per_node_ops: Vec<u64>,
-    /// Per-node virtual nanoseconds of CPU charged (handlers, verb
-    /// posting, message receive) — against the run's span, which
-    /// resource binds a workload. A backend without a CPU model
-    /// (threaded) leaves it 0.
+    /// Per-node virtual nanoseconds of application CPU charged
+    /// (handlers, verb posting, message receive) — against the run's
+    /// span, which resource binds a workload. A backend without a CPU
+    /// model (threaded) leaves it 0.
     pub cpu_busy_ns: Vec<u64>,
+    /// The verb-posting part of `cpu_busy_ns`: one `post_cost` per verb
+    /// or message the application CPU posted — the share of a busy CPU
+    /// the protocol controls by posting less. 0 on threaded.
+    pub cpu_post_ns: Vec<u64>,
+    /// Per-node virtual nanoseconds the node's dedicated threads spent
+    /// posting verbs (the failure detector's heartbeat READs): work on
+    /// their own cores, kept out of `cpu_busy_ns`. 0 on threaded.
+    pub isolated_busy_ns: Vec<u64>,
     /// Per-node virtual nanoseconds of NIC transmit time reserved (one
-    /// `nic_tx_cost` per posted verb or message). 0 on threaded.
+    /// `nic_tx_cost` per posted verb or message, whichever thread
+    /// posted it: the NIC is shared). 0 on threaded.
     pub nic_busy_ns: Vec<u64>,
 }
 
@@ -43,6 +52,8 @@ impl Stats {
         Stats {
             per_node_ops: vec![0; n],
             cpu_busy_ns: vec![0; n],
+            cpu_post_ns: vec![0; n],
+            isolated_busy_ns: vec![0; n],
             nic_busy_ns: vec![0; n],
             ..Stats::default()
         }
@@ -70,6 +81,8 @@ impl std::ops::AddAssign<&Stats> for Stats {
         for (mine, theirs) in [
             (&mut self.per_node_ops, &o.per_node_ops),
             (&mut self.cpu_busy_ns, &o.cpu_busy_ns),
+            (&mut self.cpu_post_ns, &o.cpu_post_ns),
+            (&mut self.isolated_busy_ns, &o.isolated_busy_ns),
             (&mut self.nic_busy_ns, &o.nic_busy_ns),
         ] {
             mine.iter_mut().zip(theirs).for_each(|(m, t)| *m += t);
@@ -90,6 +103,7 @@ mod tests {
         assert_eq!(s.one_sided_total(), 6);
         assert_eq!(s.per_node_ops.len(), 2);
         assert_eq!((s.cpu_busy_ns.len(), s.nic_busy_ns.len()), (2, 2));
+        assert_eq!((s.cpu_post_ns.len(), s.isolated_busy_ns.len()), (2, 2));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The simulator's CPU model at its edges: an event that finds its
 //! node's CPU busy waits for `cpu_free` and leaves in original sequence
 //! order; what each fault arm does to an event that is waiting; what
-//! a handler is told about the events waiting behind it.
+//! a handler is told about the events waiting behind it; and that a
+//! dedicated thread's verbs and their completions stay off the
+//! application CPU.
 //!
 //! Every expectation here was first written against the scheduler that
 //! re-pushed each blocked event through the global queue, and holds
@@ -314,26 +316,77 @@ fn duplicate_goes_to_the_waiting_completion_that_comes_due_first() {
     write_at_zero(&mut sim, region); // c0 arrives 1110, due 6000
     timer(&mut sim, 0, 1_000, 1, 5_000);
     isolated(&mut sim, 0, 3_000, 2, 1_000); // cpu_free = 7000
-    // Posts a second WRITE at 5500 (60 more CPU: cpu_free = 7060); its
-    // completion c1 arrives at 6610, after c0 came due at 6000 and
-    // took the duplicate.
-    isolated(&mut sim, 0, 5_500, 3, 0);
-    sim.app_mut(NodeId(0)).extras.push((3, Extra::Write(region)));
     sim.install_fault_plan(
         &FaultPlan::new().at(SimTime(2_000), Fault::DuplicateCompletion(NodeId(0))),
     );
+    // The application posts a second WRITE at 5500 (60 more CPU:
+    // cpu_free = 7060); its completion c1 arrives at 6610 and waits,
+    // after c0 came due at 6000 and took the duplicate.
+    sim.run_until(SimTime(5_500));
+    sim.with_app_ctx(NodeId(0), |_, ctx| {
+        ctx.post_write(NodeId(1), region, 0, &[7]);
+    });
     sim.run_for(SimDuration::micros(20));
     assert_eq!(
         entries(&log),
         vec![
             e(1_000, 0, "t1"),
             e(3_000, 0, "t2"),
-            e(5_500, 0, "t3"),
             e(7_060, 0, "c0"),
             e(7_060, 0, "c0"),
             e(7_060, 0, "c1"),
         ]
     );
+}
+
+/// A dedicated thread's verbs run on its own core: posting from an
+/// isolated timer charges `isolated_busy_ns`, not the application CPU.
+#[test]
+fn a_write_posted_from_an_isolated_timer_leaves_the_cpu_alone() {
+    let (mut sim, region, log) = cluster(2);
+    timer(&mut sim, 0, 0, 1, 1_000); // busy 0..1000
+    isolated(&mut sim, 0, 500, 2, 0); // posts a WRITE at 500
+    sim.app_mut(NodeId(0)).extras.push((2, Extra::Write(region)));
+    timer(&mut sim, 0, 600, 3, 0); // waits for cpu_free: still 1000
+    sim.run_for(SimDuration::nanos(1_100));
+    assert_eq!(entries(&log), vec![e(0, 0, "t1"), e(500, 0, "t2"), e(1_000, 0, "t3")]);
+    let stats = sim.stats();
+    assert_eq!(stats.cpu_busy_ns[0], 1_000, "the WRITE charged the application CPU");
+    assert_eq!((stats.isolated_busy_ns[0], stats.cpu_post_ns[0]), (60, 0));
+    assert_eq!((stats.writes, stats.nic_busy_ns[0]), (1, 110), "the NIC is shared");
+}
+
+#[test]
+fn a_completion_of_an_isolated_write_is_handled_while_the_cpu_is_busy() {
+    let (mut sim, region, log) = cluster(2);
+    timer(&mut sim, 0, 0, 1, 5_000); // busy 0..5000
+    isolated(&mut sim, 0, 500, 2, 0); // posts a WRITE at 500
+    sim.app_mut(NodeId(0)).extras.push((2, Extra::Write(region)));
+    timer(&mut sim, 0, 600, 3, 0); // waits until 5000
+    sim.run_for(SimDuration::micros(10));
+    // 500 + 110 NIC + 1000 wire: back on the dedicated thread at 1610.
+    assert_eq!(
+        entries(&log),
+        vec![e(0, 0, "t1"), e(500, 0, "t2"), e(1_610, 0, "c0"), e(5_000, 0, "t3")]
+    );
+    assert_eq!(
+        backlog_seen(&sim, &log),
+        vec![told("t1", false), told("t2", false), told("c0", true), told("t3", false)]
+    );
+}
+
+#[test]
+fn a_write_posted_from_the_application_cpu_still_charges_and_waits() {
+    let (mut sim, region, log) = cluster(2);
+    timer(&mut sim, 0, 0, 1, 5_000); // busy 0..5000, then posts: 5060
+    sim.app_mut(NodeId(0)).extras.push((1, Extra::Write(region)));
+    isolated(&mut sim, 0, 200, 2, 0); // the node's dedicated thread is idle
+    sim.run_for(SimDuration::micros(10));
+    // The completion arrives at 1110 and waits for the CPU.
+    assert_eq!(entries(&log), vec![e(0, 0, "t1"), e(200, 0, "t2"), e(5_060, 0, "c0")]);
+    let stats = sim.stats();
+    assert_eq!((stats.cpu_busy_ns[0], stats.cpu_post_ns[0]), (5_060, 60));
+    assert_eq!(stats.isolated_busy_ns[0], 0);
 }
 
 /// Node 1 sends a one-byte message at time zero; it reaches node 0 at

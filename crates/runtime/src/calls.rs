@@ -123,6 +123,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // Open loop: move every arrival whose Poisson timestamp has
         // passed into the ingress's releasable pool. Closed loop: no-op.
         self.ingress.release_arrivals(ctx.now());
+        let queries_before = self.metrics.queries;
         let mut reject_streak = 0u32;
         loop {
             // Each shard's quota is its leader's to spend, measured
@@ -192,6 +193,11 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // goes first, as a commit-cell round.
         self.flush_commits(ctx);
         self.flush_writers(ctx);
+        // Peers read the count with this node's heartbeat: a suspicion
+        // adopts exactly the queries it did not run (`recovery.rs`).
+        if self.metrics.queries != queries_before {
+            self.hb.publish_queries(ctx, self.metrics.queries);
+        }
     }
 
     /// The idle-pipeline fallback of commit distribution: wherever this

@@ -602,6 +602,8 @@ fn summarize<O: WorkloadSupport>(
             0.0
         },
         cpu_busy_ns: stats.cpu_busy_ns.clone(),
+        cpu_post_ns: stats.cpu_post_ns.clone(),
+        isolated_busy_ns: stats.isolated_busy_ns.clone(),
         nic_busy_ns: stats.nic_busy_ns.clone(),
         per_method_rt_us: per_method.into_iter().map(|(k, h)| (k, h.mean_us())).collect(),
         phases: Phase::ALL

@@ -6,7 +6,7 @@
 //!
 //! | Region | Contents | Written by |
 //! |--------|----------|------------|
-//! | `heartbeat` | 8-byte liveness counter | owner (read remotely) |
+//! | `heartbeat` | liveness counter, then the count of queries executed | owner: the heartbeat thread, then the application (read remotely) |
 //! | `summaries` | one summary slot per (summarization group, source) | the source process |
 //! | `free_rings` | one ring of conflict-free calls per source | the source process |
 //! | `heads` | head counters of every ring (F per source, then L per group) | owner (read remotely by writers) |
@@ -31,6 +31,7 @@ use rdma_sim::{App, NodeId, RegionId, Simulator};
 use crate::config::{
     RuntimeConfig, BACKUP_SLOTS, CONF_RING_CAP, FREE_RING_CAP, PERSIST_LOG_BYTES,
 };
+use crate::heartbeat::HEARTBEAT_BYTES;
 use crate::persist::DurabilityMode;
 
 /// Computed region ids and offsets, identical on every node.
@@ -38,7 +39,8 @@ use crate::persist::DurabilityMode;
 pub struct Layout {
     /// Cluster size.
     pub nodes: usize,
-    /// Heartbeat counter region (8 bytes).
+    /// Heartbeat region ([`HEARTBEAT_BYTES`]: the beat counter and the
+    /// count of queries executed).
     pub heartbeat: RegionId,
     /// Summary slots region.
     pub summaries: RegionId,
@@ -99,7 +101,7 @@ impl Layout {
         // under `Off` (crash-stop, the default) everything stays
         // volatile and behavior is identical to the pre-seam runtime.
         let hard = cfg.durability == DurabilityMode::Fenced;
-        let heartbeat = alloc(8, false);
+        let heartbeat = alloc(HEARTBEAT_BYTES, false);
 
         let mut sum_group_base = Vec::new();
         let mut sum_slot_size = Vec::new();

@@ -308,12 +308,20 @@ pub struct RunReport {
     /// reducible-only workload this drops below 1.0 per peer once
     /// summary write-combining collapses k reduces into one WRITE.
     pub writes_per_op: f64,
-    /// Per node: virtual nanoseconds of CPU charged and of NIC transmit
-    /// time reserved over the whole simulated span (which runs a settle
-    /// period past [`completed_at`](Self::completed_at)). Against the
-    /// span they say which resource binds the workload, and on which
-    /// node. All zero on the threaded backend, which models neither.
+    /// Per node: virtual nanoseconds of application CPU charged and of
+    /// NIC transmit time reserved over the whole simulated span (which
+    /// runs a settle period past [`completed_at`](Self::completed_at)).
+    /// Against the span they say which resource binds the workload, and
+    /// on which node. All zero on the threaded backend, which models
+    /// neither.
     pub cpu_busy_ns: Vec<u64>,
+    /// The verb-posting part of [`cpu_busy_ns`](Self::cpu_busy_ns)
+    /// ([`rdma_sim::Stats::cpu_post_ns`]).
+    pub cpu_post_ns: Vec<u64>,
+    /// Per node: virtual nanoseconds the dedicated threads (the failure
+    /// detector's heartbeat READs) spent on their own cores, outside
+    /// [`cpu_busy_ns`](Self::cpu_busy_ns).
+    pub isolated_busy_ns: Vec<u64>,
     /// See [`cpu_busy_ns`](Self::cpu_busy_ns).
     pub nic_busy_ns: Vec<u64>,
     /// Mean response time per method name.
@@ -411,6 +419,8 @@ impl RunReport {
         push_json_u64s(&mut out, &self.cpu_busy_ns);
         out.push_str(",\"nic_busy_ns\":");
         push_json_u64s(&mut out, &self.nic_busy_ns);
+        out.push_str(",\"isolated_busy_ns\":");
+        push_json_u64s(&mut out, &self.isolated_busy_ns);
         out.push_str(",\"converged\":");
         out.push_str(if self.converged { "true" } else { "false" });
         out.push_str(",\"per_method_rt_us\":{");
@@ -461,9 +471,11 @@ impl std::fmt::Display for RunReport {
                 s.count, s.p50_us, s.p90_us, s.p99_us, s.max_us
             )?;
         }
-        // Which resource binds the run, on which node. The counters also
-        // cover the settle period past `completed_at` (idle polls), so a
-        // saturated node can read a little over the span: cap at 100.
+        // Which resource binds the run, on which node: the application
+        // CPU, the posting part of it, the failure detector's own core
+        // and the NIC. The counters also cover the settle period past
+        // `completed_at` (idle polls), so a saturated node can read a
+        // little over the span: cap at 100.
         let span_ns = self.completed_at.0;
         if span_ns > 0 && self.cpu_busy_ns.iter().any(|&b| b > 0) {
             let shares = |busy: &[u64]| {
@@ -475,8 +487,10 @@ impl std::fmt::Display for RunReport {
             };
             write!(
                 f,
-                "\n           busy cpu {} % nic {} %",
+                "\n           busy cpu {} % post {} % fd {} % nic {} %",
                 shares(&self.cpu_busy_ns),
+                shares(&self.cpu_post_ns),
+                shares(&self.isolated_busy_ns),
                 shares(&self.nic_busy_ns)
             )?;
         }
@@ -654,6 +668,8 @@ mod tests {
             bytes_written: 6_000,
             writes_per_op: 2.4,
             cpu_busy_ns: vec![900_000; 4],
+            cpu_post_ns: vec![90_000; 4],
+            isolated_busy_ns: vec![20_000; 4],
             nic_busy_ns: vec![300_000; 4],
             per_method_rt_us: BTreeMap::new(),
             phases,
@@ -676,15 +692,26 @@ mod tests {
         assert!(s.contains("sessions=4000"));
         assert!(s.contains("jain=0.987"));
         // Busy shares of the span, after the phase lines.
-        assert!(s.contains("busy cpu 90/90/90/90 % nic 30/30/30/30 %"));
+        assert!(s.contains("busy cpu 90/90/90/90 % post 9/9/9/9 % fd 2/2/2/2 % nic 30/30/30/30 %"));
         assert!(s.find("p99=3.00us") < s.find("busy cpu"));
         let with_busy = |cpu: Vec<u64>, nic: Vec<u64>| {
-            RunReport { cpu_busy_ns: cpu, nic_busy_ns: nic, ..r.clone() }.to_string()
+            let (post, fd) = (vec![0; cpu.len()], vec![0; cpu.len()]);
+            RunReport {
+                cpu_busy_ns: cpu,
+                cpu_post_ns: post,
+                isolated_busy_ns: fd,
+                nic_busy_ns: nic,
+                ..r.clone()
+            }
+            .to_string()
         };
         // Per node, rounded; the settle period's polls are charged too,
         // so a saturated node reads 100, not 101.
         let s = with_busy(vec![1_012_000, 720_400, 715_000, 0], vec![360_000, 120_000, 124_999, 0]);
-        assert!(s.contains("\n           busy cpu 100/72/72/0 % nic 36/12/12/0 %\n"), "{s}");
+        assert!(
+            s.contains("\n           busy cpu 100/72/72/0 % post 0/0/0/0 % fd 0/0/0/0 % nic 36/12/12/0 %\n"),
+            "{s}"
+        );
         // No CPU model (threaded: all zero) or no counters at all: no line.
         assert!(!with_busy(vec![0; 4], vec![0; 4]).contains("busy"));
         assert!(!with_busy(Vec::new(), Vec::new()).contains("busy"));
@@ -712,6 +739,8 @@ mod tests {
             bytes_written: 3_400,
             writes_per_op: 3.0,
             cpu_busy_ns: vec![2_400, 1_800, 0],
+            cpu_post_ns: vec![120, 60, 0],
+            isolated_busy_ns: vec![60, 0, 0],
             nic_busy_ns: vec![1_320, 0, 0],
             per_method_rt_us: per_method,
             phases,
@@ -724,7 +753,7 @@ mod tests {
             "{\"system\":\"mu-smr\",\"nodes\":3,\"total_calls\":7,\"total_updates\":4,\"forfeited\":2,\
              \"completed_at_us\":2.5,\"throughput_ops_per_us\":0,\"mean_rt_us\":1.25,\
              \"writes_posted\":12,\"bytes_written\":3400,\"writes_per_op\":3,\
-             \"cpu_busy_ns\":[2400,1800,0],\"nic_busy_ns\":[1320,0,0],\
+             \"cpu_busy_ns\":[2400,1800,0],\"nic_busy_ns\":[1320,0,0],\"isolated_busy_ns\":[60,0,0],\
              \"converged\":false,\"per_method_rt_us\":{\"with \\\"quote\\\"\":2.5},\
              \"phases\":{\"conf\":{\"count\":3,\"mean_us\":1,\"p50_us\":1,\"p90_us\":2,\
              \"p99_us\":2,\"max_us\":2.25}}}"
@@ -746,6 +775,8 @@ mod tests {
             bytes_written: 500,
             writes_per_op: 1.0,
             cpu_busy_ns: Vec::new(),
+            cpu_post_ns: Vec::new(),
+            isolated_busy_ns: Vec::new(),
             nic_busy_ns: Vec::new(),
             per_method_rt_us: BTreeMap::new(),
             phases: BTreeMap::new(),

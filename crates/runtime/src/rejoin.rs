@@ -20,7 +20,8 @@
 //!   not yet posted when it crashed — slot re-writes are idempotent),
 //! * rebuilds the summary caches from the durable slot copies,
 //! * re-arms the timer chains (the pre-crash chains died inside the
-//!   crash window), and
+//!   crash window) and republishes its heartbeat region, whose
+//!   executed-queries word the restart zeroed, and
 //! * announces [`ControlMsg::Retired`] followed by a
 //!   [`ControlMsg::JoinRequest`]: peers treat its workload as
 //!   crash-stop (quota adoption, elections for groups it led) and
@@ -227,6 +228,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         ctx.set_timer_isolated(self.cfg.heartbeat_interval, TAG_HEARTBEAT);
         ctx.set_timer_isolated(self.cfg.fd_interval, TAG_FD);
         self.hb.beat(ctx);
+        self.hb.publish_queries(ctx, self.metrics.queries);
 
         // Membership handshake: retire the pre-crash workload first
         // (peers adopt the remaining quota and elect replacements for

@@ -46,12 +46,13 @@ use crate::config::{
     RuntimeConfig, BACKUP_SLOTS, CONF_RING_CAP, PERSIST_LOG_BYTES, POLL_COST, POLL_INTERVAL,
 };
 use crate::driver::WorkloadSpec;
-use crate::heartbeat::{FailureDetector, FdEvent, Heartbeat};
+use crate::heartbeat::{FailureDetector, Heartbeat};
 use crate::ingress::Ingress;
 use crate::layout::Layout;
 use crate::messages::ControlMsg;
 use crate::metrics::NodeMetrics;
 use crate::persist::NodeLog;
+use crate::recovery::FdHandoff;
 use crate::reduce::CachedSummary;
 use crate::rings::{RingReader, RingWriter};
 use crate::transport::Transport;
@@ -60,6 +61,7 @@ pub(crate) const TAG_POLL: u64 = 0;
 pub(crate) const TAG_HEARTBEAT: u64 = 1;
 pub(crate) const TAG_FD: u64 = 2;
 pub(crate) const TAG_RETRY: u64 = 3;
+pub(crate) const TAG_FD_HANDOFF: u64 = 4;
 
 /// Every node of an `n`-node cluster but `me`, in ascending order. A
 /// free function, so a loop over a replica's peers may still borrow the
@@ -123,6 +125,9 @@ pub struct HambandNode<O: ObjectSpec> {
 
     pub(crate) hb: Heartbeat,
     pub(crate) fd: FailureDetector,
+    /// Work the detector thread handed to the application CPU, oldest
+    /// first; one [`TAG_FD_HANDOFF`] event each.
+    pub(crate) fd_handoff: VecDeque<FdHandoff>,
     /// Peers whose conflict-free quota we already adopted.
     pub(crate) adopted: Vec<bool>,
 
@@ -264,6 +269,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
             hb: Heartbeat::new(layout.heartbeat),
             fd: FailureDetector::new(me, n, layout.heartbeat, cfg.fd_suspect_after)
                 .with_min_sample_gap(cfg.heartbeat_interval),
+            fd_handoff: VecDeque::new(),
             adopted: vec![false; n],
             ingress,
             workload: workload.clone(),
@@ -338,24 +344,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
         status: CompletionStatus,
         data: Option<&[u8]>,
     ) {
-        // Failure detector reads.
-        match self.fd.on_completion(ctx.now(), wr, data) {
-            Some(FdEvent::Suspected(peer)) => {
-                self.on_suspect(ctx, peer);
-                return;
-            }
-            Some(FdEvent::Recovered(peer)) => {
-                // The peer's heartbeat moved again after suspicion.
-                // Consequences that already fired (quota adoption,
-                // takeover) stay — crash-stop at the protocol level —
-                // but the peer is no longer excluded from future
-                // delegate and election choices.
-                let node = self.me;
-                ctx.emit(|| TraceEvent::FdRecover { node, peer });
-                return;
-            }
-            None => {}
-        }
         // Explicitly routed work requests.
         if let Some(route) = self.wr_routes.remove(&wr) {
             self.on_routed(ctx, route, status, data);
@@ -402,14 +390,19 @@ impl<O: WorkloadSupport> HambandNode<O> {
     /// ([`pump`](HambandNode::pump)) to the backend's event loop, which
     /// knows when its input is drained. Returns whether the event ran on
     /// the application CPU and so left something a plan could use — the
-    /// heartbeat and failure-detector timers are dedicated threads (§4)
-    /// and a fault is injected from outside, so those return `false`.
+    /// heartbeat and failure-detector timers and the detector's READ
+    /// completions run on dedicated threads (§4), and a fault is
+    /// injected from outside, so those return `false`. What a detector
+    /// event sets in motion comes back as a hand-over event
+    /// (`recovery.rs`), which runs on the application CPU.
     #[must_use = "the event loop owes a `pump` once its due events are handled"]
     pub fn handle_event<T: Transport>(&mut self, ctx: &mut T, event: Event) -> bool {
-        let on_app_cpu = !matches!(
-            event,
-            Event::Timer { tag: TAG_HEARTBEAT | TAG_FD, .. } | Event::Fault { .. }
-        );
+        let on_app_cpu = match &event {
+            Event::Timer { tag, .. } => !matches!(*tag, TAG_HEARTBEAT | TAG_FD),
+            Event::Completion { wr, .. } => !self.fd.owns(*wr),
+            Event::Message { .. } => true,
+            Event::Fault { .. } => false,
+        };
         match event {
             Event::Timer { tag: TAG_POLL, .. } => {
                 self.poll(ctx);
@@ -421,13 +414,24 @@ impl<O: WorkloadSupport> HambandNode<O> {
             }
             Event::Timer { tag: TAG_FD, .. } => {
                 self.fd.tick(ctx);
-                self.retry_elections(ctx);
+                if (0..self.engines.len()).any(|g| self.next_in_line(g)) {
+                    self.hand_over(ctx, FdHandoff::RetryElections);
+                }
                 ctx.set_timer_isolated(self.cfg.fd_interval, TAG_FD);
             }
             Event::Timer { tag: TAG_RETRY, .. } => {
                 self.run_retries(ctx);
             }
+            Event::Timer { tag: TAG_FD_HANDOFF, .. } => {
+                self.run_handoff(ctx);
+            }
             Event::Timer { .. } => {}
+            Event::Completion { wr, data, .. } if !on_app_cpu => {
+                // A detector READ, handled on the detector's thread.
+                if let Some(transition) = self.fd.on_completion(ctx.now(), wr, data.as_deref()) {
+                    self.hand_over(ctx, FdHandoff::Transition(transition));
+                }
+            }
             Event::Completion { wr, status, data, .. } => {
                 self.on_completion(ctx, wr, status, data.as_deref());
             }
@@ -470,12 +474,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
     }
 }
 
-impl<O: WorkloadSupport + Clone> App for HambandNode<O> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.start(ctx);
-    }
-
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+impl<O: WorkloadSupport> HambandNode<O> {
+    /// The simulator shell's step for one delivered event. Returns
+    /// whether it planned.
+    pub(crate) fn step(&mut self, ctx: &mut Ctx<'_>, event: Event) -> bool {
         // A poll pass is CPU work on the virtual clock; on real threads
         // it costs what it costs, so the charge lives here and not
         // behind `Transport`.
@@ -489,9 +491,21 @@ impl<O: WorkloadSupport + Clone> App for HambandNode<O> {
         // they all freed. Should the rest never reach a handler (a
         // partition holds a parked message back), the next poll timer
         // plans: it is always re-armed.
-        if self.handle_event(ctx, event) && !ctx.cpu_backlog() {
+        let plans = self.handle_event(ctx, event) && !ctx.cpu_backlog();
+        if plans {
             self.pump(ctx);
         }
+        plans
+    }
+}
+
+impl<O: WorkloadSupport + Clone> App for HambandNode<O> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.start(ctx);
+    }
+
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        self.step(ctx, event);
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {

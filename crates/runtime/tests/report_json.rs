@@ -235,6 +235,8 @@ fn report_with(system: String, methods: Vec<String>, phase: String) -> RunReport
         bytes_written: 700,
         writes_per_op: 1.75,
         cpu_busy_ns: vec![1_200, 0, u64::MAX],
+        cpu_post_ns: vec![60, 0, 0],
+        isolated_busy_ns: vec![0, 60, 0],
         nic_busy_ns: Vec::new(),
         per_method_rt_us: per_method,
         phases,
@@ -269,7 +271,10 @@ proptest! {
         // Per-node busy times are integer arrays: exact at u64::MAX
         // (no float round trip), and `[]` for a cluster of none.
         prop_assert!(
-            json.contains("\"cpu_busy_ns\":[1200,0,18446744073709551615],\"nic_busy_ns\":[],"),
+            json.contains(
+                "\"cpu_busy_ns\":[1200,0,18446744073709551615],\"nic_busy_ns\":[],\
+                 \"isolated_busy_ns\":[0,60,0],"
+            ),
             "busy arrays missing or misencoded: {json}"
         );
     }
