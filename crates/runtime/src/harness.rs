@@ -605,6 +605,7 @@ fn summarize<O: WorkloadSupport>(
         cpu_post_ns: stats.cpu_post_ns.clone(),
         isolated_busy_ns: stats.isolated_busy_ns.clone(),
         nic_busy_ns: stats.nic_busy_ns.clone(),
+        summary_adoptions: metrics.iter().map(|m| m.summary_adoptions).collect(),
         per_method_rt_us: per_method.into_iter().map(|(k, h)| (k, h.mean_us())).collect(),
         phases: Phase::ALL
             .iter()

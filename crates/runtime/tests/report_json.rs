@@ -238,6 +238,7 @@ fn report_with(system: String, methods: Vec<String>, phase: String) -> RunReport
         cpu_post_ns: vec![60, 0, 0],
         isolated_busy_ns: vec![0, 60, 0],
         nic_busy_ns: Vec::new(),
+        summary_adoptions: vec![0, 7, u64::MAX],
         per_method_rt_us: per_method,
         phases,
         converged: true,
@@ -268,12 +269,13 @@ proptest! {
             prop_assert!(decoded.contains(m), "method name lost in encoding: {m:?}");
         }
         prop_assert!(decoded.contains(&phase), "phase label lost in encoding: {phase:?}");
-        // Per-node busy times are integer arrays: exact at u64::MAX
-        // (no float round trip), and `[]` for a cluster of none.
+        // Per-node busy times and adoption counts are integer arrays:
+        // exact at u64::MAX (no float round trip), and `[]` for a
+        // cluster of none.
         prop_assert!(
             json.contains(
                 "\"cpu_busy_ns\":[1200,0,18446744073709551615],\"nic_busy_ns\":[],\
-                 \"isolated_busy_ns\":[0,60,0],"
+                 \"isolated_busy_ns\":[0,60,0],\"summary_adoptions\":[0,7,18446744073709551615],"
             ),
             "busy arrays missing or misencoded: {json}"
         );
