@@ -352,13 +352,20 @@ impl<O: WorkloadSupport> HambandNode<O> {
     /// lead from the start.
     pub(crate) fn setup_conf_groups<T: Transport>(&mut self, ctx: &mut T) {
         for g in 0..self.engines.len() {
-            let leader = self.engines[g].leader_view;
-            for q in 0..self.n {
-                ctx.set_write_permission(self.layout.conf[g], NodeId(q), Pid(q) == leader);
-            }
-            if leader.index() == self.me.index() {
+            let leader = NodeId(self.engines[g].leader_view.index());
+            self.grant_writer(ctx, g, leader);
+            if leader == self.me {
                 self.become_writer(g, 0, 0);
             }
+        }
+    }
+
+    /// The Mu permission flip: grant write permission on group `g`'s
+    /// ring and commit cell to `writer` alone, revoking it from every
+    /// other node.
+    pub(crate) fn grant_writer<T: Transport>(&self, ctx: &mut T, g: usize, writer: NodeId) {
+        for q in (0..self.n).map(NodeId) {
+            ctx.set_write_permission(self.layout.conf[g], q, q == writer);
         }
     }
 
@@ -488,7 +495,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 if own_head {
                     let leader = self.engines[g].leader_mut().expect("own_head implies leader");
                     leader.uncommitted.remove(0);
-                    self.speculative_pop();
+                    if !self.speculative_store.is_empty() {
+                        self.speculative_store.remove(0);
+                    }
                 }
                 // Durability seam: log+fence the applied entry before
                 // the head publication (same discipline as the free
@@ -594,7 +603,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // may not survive into the new leader's log; the speculative
         // view simply vanishes (σ and mat were never touched).
         self.conf_retries.retain(|&(rg, _, _)| rg != g);
-        self.speculative_clear();
+        self.speculative_store.clear();
         self.spec_mat = None;
         for (_, cid) in dropped.client_by_seq {
             self.abort_call(cid);

@@ -56,9 +56,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
     /// every unsuspected peer.
     pub(crate) fn start_election<T: Transport>(&mut self, ctx: &mut T, g: usize) {
         // Vote for ourselves: grant our own permission and record tail.
-        for q in 0..self.n {
-            ctx.set_write_permission(self.layout.conf[g], NodeId(q), q == self.me.index());
-        }
+        self.grant_writer(ctx, g, self.me);
         let own_tail = self.landed_tail(ctx, g);
         let own_commit = self.known_commit(ctx, g);
         let epoch = self.engines[g].begin_election(self.me, own_tail, own_commit);
@@ -111,9 +109,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 let g = group as usize;
                 if epoch > self.engines[g].promised {
                     // Revoke the old leader, grant the candidate.
-                    for q in 0..self.n {
-                        ctx.set_write_permission(self.layout.conf[g], NodeId(q), q == from.index());
-                    }
+                    self.grant_writer(ctx, g, from);
                     self.engines[g].promise(epoch, Pid(from.index()));
                     self.join_epoch[g] = self.join_epoch[g].max(epoch);
                     // The promise is a vote: persist it before the ack
@@ -178,13 +174,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                     self.engines[g].leader_view = Pid(leader);
                     self.log_group_hard(ctx, g);
                     if leader != self.me.index() {
-                        for q in 0..self.n {
-                            ctx.set_write_permission(
-                                self.layout.conf[g],
-                                NodeId(q),
-                                q == leader,
-                            );
-                        }
+                        self.grant_writer(ctx, g, NodeId(leader));
                     }
                 }
             }
@@ -196,13 +186,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                     self.join_epoch[g] = self.join_epoch[g].max(epoch);
                     self.log_group_hard(ctx, g);
                     if leader as usize != self.me.index() {
-                        for q in 0..self.n {
-                            ctx.set_write_permission(
-                                self.layout.conf[g],
-                                NodeId(q),
-                                q == leader as usize,
-                            );
-                        }
+                        self.grant_writer(ctx, g, NodeId(leader as usize));
                         self.engines[g].stand_down();
                         if self.engines[g].is_leader() {
                             self.depose(ctx, g);

@@ -208,9 +208,11 @@ impl Layout {
         8
     }
 
-    /// Offset and size of backup slot `i`.
+    /// Offset and size of backup slot `i` (below [`BACKUP_SLOTS`];
+    /// `write_backup` maps a call onto its slot).
     pub fn backup_slot(&self, i: usize) -> (usize, usize) {
-        (i % BACKUP_SLOTS * self.backup_slot_size, self.backup_slot_size)
+        debug_assert!(i < BACKUP_SLOTS, "backup slot {i} of {BACKUP_SLOTS}");
+        (i * self.backup_slot_size, self.backup_slot_size)
     }
 }
 
@@ -345,13 +347,13 @@ mod tests {
     }
 
     #[test]
-    fn backup_slots_wrap() {
+    fn backup_slots_tile_the_region() {
         let l = account_layout(2);
         let (o0, sz) = l.backup_slot(0);
         let (o1, _) = l.backup_slot(1);
-        let (owrap, _) = l.backup_slot(BACKUP_SLOTS);
+        let (olast, _) = l.backup_slot(BACKUP_SLOTS - 1);
         assert_eq!(o0, 0);
         assert_eq!(o1, sz);
-        assert_eq!(owrap, 0);
+        assert_eq!(olast + sz, BACKUP_SLOTS * sz, "the last slot ends the region");
     }
 }

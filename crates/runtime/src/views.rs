@@ -96,14 +96,4 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
         self.spec_mat = Some(view);
     }
-
-    pub(crate) fn speculative_pop(&mut self) {
-        if !self.speculative_store.is_empty() {
-            self.speculative_store.remove(0);
-        }
-    }
-
-    pub(crate) fn speculative_clear(&mut self) {
-        self.speculative_store.clear();
-    }
 }
