@@ -33,7 +33,7 @@ use crate::queue::EventQueue;
 use crate::region::Region;
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, TraceHandle};
+use crate::trace::{TraceEvent, TraceRecord};
 use crate::verbs::{
     CompletionStatus, Event, NodeId, RegionId, TimerId, VerbKind, WrId,
 };
@@ -202,7 +202,8 @@ pub struct Fabric {
     pub(crate) latency: LatencyModel,
     pub(crate) rng: StdRng,
     pub(crate) stats: Stats,
-    pub(crate) trace: TraceHandle,
+    /// The run's trace, while collection is on.
+    pub(crate) trace: Option<Vec<TraceRecord>>,
     /// FIFO landing clock per (issuer, target) pair of one-sided verbs.
     pub(crate) chan_free: Vec<Vec<SimTime>>,
     /// FIFO delivery clock per (issuer, target) pair of messages.
@@ -245,7 +246,7 @@ impl Fabric {
             latency,
             rng: StdRng::seed_from_u64(seed),
             stats: Stats::new(n),
-            trace: TraceHandle::default(),
+            trace: None,
             chan_free: vec![vec![SimTime::ZERO; n]; n],
             msg_chan_free: vec![vec![SimTime::ZERO; n]; n],
             part_a: vec![false; n],
@@ -274,12 +275,12 @@ impl Fabric {
         &self.stats
     }
 
-    /// Deliver a trace event to the installed sink, if any. Counted in
-    /// [`Stats::trace_events`]; free (one branch) with no sink.
+    /// Record the event `make` builds, if the run collects a trace; one
+    /// branch, and nothing built, when it does not.
     #[inline]
     pub(crate) fn emit(&mut self, make: impl FnOnce() -> TraceEvent) {
-        if self.trace.emit(self.now, make) {
-            self.stats.trace_events += 1;
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceRecord { at: self.now, event: make() });
         }
     }
 
@@ -520,10 +521,10 @@ impl Ctx<'_> {
         &self.fabric.latency
     }
 
-    /// Emit a protocol-level trace event to the run's sink, if any.
+    /// Record a protocol-level trace event, if the run collects a trace.
     ///
-    /// The closure runs only when a sink is installed, so hot paths
-    /// pay a single branch when tracing is off.
+    /// The closure runs only when it does, so hot paths pay a single
+    /// branch when tracing is off.
     #[inline]
     pub fn emit(&mut self, make: impl FnOnce() -> TraceEvent) {
         self.fabric.emit(make);

@@ -50,9 +50,7 @@ pub use latency::LatencyModel;
 pub use sim::{App, Simulator};
 pub use stats::Stats;
 pub use time::{SimDuration, SimTime};
-pub use trace::{
-    CollectingSink, Phase, RingKind, StderrSink, TraceBuffer, TraceEvent, TraceRecord, TraceSink,
-};
+pub use trace::{Phase, RingKind, TraceEvent, TraceRecord};
 pub use verbs::{
     AppFault, CompletionStatus, Event, NodeId, RegionId, TimerId, VerbKind, WrId,
 };

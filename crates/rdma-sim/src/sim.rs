@@ -9,7 +9,7 @@ use crate::latency::LatencyModel;
 use crate::region::Region;
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::{TraceEvent, TraceRecord};
 use crate::verbs::{AppFault, Event, NodeId, RegionId, VerbKind};
 
 /// A node application: a protocol state machine driven by events.
@@ -103,12 +103,20 @@ impl<A: App> Simulator<A> {
         self.fabric.stats()
     }
 
-    /// Install a per-run trace sink; structured events (verb activity
+    /// Collect the run's structured events from now on (verb activity
     /// from the fabric, protocol events from applications via
-    /// [`Ctx::emit`]) are delivered to it as they happen. Replaces any
-    /// previously installed sink.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.fabric.trace.set(Some(sink));
+    /// [`Ctx::emit`]), in the order they happen; [`take_trace`] drains
+    /// them.
+    ///
+    /// [`take_trace`]: Simulator::take_trace
+    pub fn collect_trace(&mut self) {
+        self.fabric.trace.get_or_insert_with(Vec::new);
+    }
+
+    /// Move the events collected so far out, leaving collection on
+    /// (empty when it was never turned on).
+    pub fn take_trace(&mut self) -> Vec<TraceRecord> {
+        self.fabric.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Register a region of `size` bytes on `node`, writable by all

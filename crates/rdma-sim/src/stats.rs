@@ -15,8 +15,6 @@ pub struct Stats {
     pub one_sided_bytes: u64,
     /// Total bytes moved by two-sided messages.
     pub message_bytes: u64,
-    /// Trace events delivered to the installed sink (0 with no sink).
-    pub trace_events: u64,
     /// Ring-slot WRITEs posted (each may span several slots when
     /// doorbell batching coalesces contiguous entries). A subset of
     /// `writes`; reported by the runtime via
@@ -75,7 +73,6 @@ impl std::ops::AddAssign<&Stats> for Stats {
         self.messages += o.messages;
         self.one_sided_bytes += o.one_sided_bytes;
         self.message_bytes += o.message_bytes;
-        self.trace_events += o.trace_events;
         self.ring_writes += o.ring_writes;
         self.ring_slots += o.ring_slots;
         for (mine, theirs) in [

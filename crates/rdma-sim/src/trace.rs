@@ -1,22 +1,18 @@
-//! Structured run tracing: typed events delivered to a pluggable
-//! per-run sink.
+//! The trace vocabulary: typed events and the record a run collects.
 //!
-//! The event vocabulary spans both layers of the stack — fabric-level
-//! verb activity (posted/completed) emitted by the simulator itself,
-//! and protocol-level events (ring append/apply, summary writes,
-//! broadcast acks, commit advancement, leader changes, failure-detector
-//! suspicion) emitted by the runtime through [`Ctx::emit`] — so a
-//! single sink observes a run end to end. This replaces the old
-//! process-global `TRACE` boolean: sinks are installed per simulator
-//! ([`Simulator::set_trace_sink`]), so concurrent runs never share
-//! tracing state, and with no sink installed the hot paths pay one
-//! branch and construct nothing.
+//! The events span both layers of the stack — fabric-level verb
+//! activity (posted/completed) emitted by the simulator itself, and
+//! protocol-level events (ring append/apply, summary writes, broadcast
+//! acks, commit advancement, leader changes, failure-detector
+//! suspicion) emitted by the runtime through [`Ctx::emit`] — so one
+//! record observes a run end to end. Collection is per simulator
+//! ([`Simulator::collect_trace`], drained by
+//! [`Simulator::take_trace`]); with it off an emit is one branch and
+//! builds nothing.
 //!
 //! [`Ctx::emit`]: crate::Ctx::emit
-//! [`Simulator::set_trace_sink`]: crate::Simulator::set_trace_sink
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! [`Simulator::collect_trace`]: crate::Simulator::collect_trace
+//! [`Simulator::take_trace`]: crate::Simulator::take_trace
 
 use crate::time::SimTime;
 use crate::verbs::{CompletionStatus, NodeId, VerbKind, WrId};
@@ -219,122 +215,14 @@ pub enum TraceEvent {
     },
 }
 
-/// A trace event stamped with the virtual time it was recorded at.
+/// A trace event stamped with the time it was recorded at.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
-    /// Virtual time of the event.
+    /// Time of the event: virtual under the simulator, the recording
+    /// backend's own clock elsewhere.
     pub at: SimTime,
     /// The event.
     pub event: TraceEvent,
-}
-
-/// A per-run consumer of trace events.
-///
-/// Installed on a simulator with [`Simulator::set_trace_sink`]; events
-/// are delivered synchronously as they happen, in virtual-time order.
-///
-/// [`Simulator::set_trace_sink`]: crate::Simulator::set_trace_sink
-pub trait TraceSink {
-    /// Record one event observed at virtual time `now`.
-    fn record(&mut self, now: SimTime, event: &TraceEvent);
-}
-
-/// A sink that prints one line per event to stderr.
-#[derive(Debug, Default)]
-pub struct StderrSink;
-
-impl TraceSink for StderrSink {
-    fn record(&mut self, now: SimTime, event: &TraceEvent) {
-        eprintln!("[{now}] {event:?}");
-    }
-}
-
-/// Shared handle to the records collected by a [`CollectingSink`].
-///
-/// The simulation is single-threaded, so an `Rc<RefCell<..>>` suffices:
-/// the sink writes during the run, the harness drains afterwards.
-#[derive(Debug, Clone, Default)]
-pub struct TraceBuffer {
-    records: Rc<RefCell<Vec<TraceRecord>>>,
-}
-
-impl TraceBuffer {
-    /// Number of records collected so far.
-    pub fn len(&self) -> usize {
-        self.records.borrow().len()
-    }
-
-    /// Whether nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.records.borrow().is_empty()
-    }
-
-    /// Move the collected records out, leaving the buffer empty.
-    pub fn take(&self) -> Vec<TraceRecord> {
-        std::mem::take(&mut *self.records.borrow_mut())
-    }
-
-    /// Clone the collected records.
-    pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.records.borrow().clone()
-    }
-}
-
-/// A sink that appends every event to a [`TraceBuffer`].
-#[derive(Debug, Default)]
-pub struct CollectingSink {
-    buffer: TraceBuffer,
-}
-
-impl CollectingSink {
-    /// A new sink plus the buffer its records land in.
-    pub fn new() -> (CollectingSink, TraceBuffer) {
-        let buffer = TraceBuffer::default();
-        (CollectingSink { buffer: buffer.clone() }, buffer)
-    }
-}
-
-impl TraceSink for CollectingSink {
-    fn record(&mut self, now: SimTime, event: &TraceEvent) {
-        self.buffer.records.borrow_mut().push(TraceRecord { at: now, event: event.clone() });
-    }
-}
-
-/// The fabric's trace attachment point: either no sink (events are
-/// never constructed) or one boxed sink.
-#[derive(Default)]
-pub(crate) struct TraceHandle {
-    sink: Option<Box<dyn TraceSink>>,
-}
-
-impl TraceHandle {
-    pub(crate) fn set(&mut self, sink: Option<Box<dyn TraceSink>>) {
-        self.sink = sink;
-    }
-
-    /// Whether a sink is installed (the hot-path guard).
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Deliver the event built by `make` iff a sink is installed.
-    #[inline]
-    pub(crate) fn emit(&mut self, now: SimTime, make: impl FnOnce() -> TraceEvent) -> bool {
-        match &mut self.sink {
-            Some(sink) => {
-                sink.record(now, &make());
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-impl std::fmt::Debug for TraceHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceHandle").field("enabled", &self.enabled()).finish()
-    }
 }
 
 #[cfg(test)]
@@ -350,35 +238,23 @@ mod tests {
         assert_eq!(Phase::Conf.label(), "conf");
     }
 
-    #[test]
-    fn collecting_sink_accumulates_and_drains() {
-        let (mut sink, buf) = CollectingSink::new();
-        assert!(buf.is_empty());
-        sink.record(SimTime(5), &TraceEvent::FdSuspect { node: NodeId(0), suspect: NodeId(1) });
-        sink.record(
-            SimTime(9),
-            &TraceEvent::CommitAdvance { node: NodeId(2), group: 0, commit: 3 },
-        );
-        assert_eq!(buf.len(), 2);
-        let records = buf.take();
-        assert_eq!(records[0].at, SimTime(5));
-        assert!(matches!(records[1].event, TraceEvent::CommitAdvance { commit: 3, .. }));
-        assert!(buf.is_empty(), "take drains");
+    struct Idle;
+    impl crate::App for Idle {
+        fn on_start(&mut self, _ctx: &mut crate::Ctx<'_>) {}
+        fn on_event(&mut self, _ctx: &mut crate::Ctx<'_>, _event: crate::Event) {}
     }
 
     #[test]
-    fn handle_skips_construction_without_sink() {
-        let mut h = TraceHandle::default();
-        assert!(!h.enabled());
-        let emitted = h.emit(SimTime(0), || panic!("must not construct"));
-        assert!(!emitted);
-        let (sink, buf) = CollectingSink::new();
-        h.set(Some(Box::new(sink)));
-        assert!(h.enabled());
-        assert!(h.emit(SimTime(1), || TraceEvent::FdSuspect {
-            node: NodeId(0),
-            suspect: NodeId(1)
-        }));
-        assert_eq!(buf.len(), 1);
+    fn an_emit_builds_nothing_until_collection_is_on() {
+        let mut sim = crate::Simulator::new(2, crate::LatencyModel::deterministic(), 1);
+        sim.set_apps(|_| Idle);
+        let suspect = || TraceEvent::FdSuspect { node: NodeId(0), suspect: NodeId(1) };
+        sim.with_app_ctx(NodeId(0), |_, ctx| ctx.emit(|| panic!("must not construct")));
+        assert!(sim.take_trace().is_empty());
+        sim.collect_trace();
+        sim.with_app_ctx(NodeId(0), |_, ctx| ctx.emit(suspect));
+        let records = sim.take_trace();
+        assert_eq!(records, [TraceRecord { at: SimTime::ZERO, event: suspect() }]);
+        assert!(sim.take_trace().is_empty(), "take drains");
     }
 }

@@ -5,14 +5,14 @@
 //! The replica state machine is identical everywhere; a backend only
 //! decides who supplies memory, messaging, timers and time. The
 //! simulator path stays in [`crate::harness`] (it owns the
-//! `Simulator` plumbing, traces and fault plans); this module holds
-//! the threaded path.
+//! `Simulator` plumbing and fault plans); this module holds the
+//! threaded path.
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::object::WorkloadSupport;
 use rdma_sim::SimTime;
 
-use crate::harness::{collect, run_replicas, NodeEndState, RunConfig, RunOutcome, TraceMode};
+use crate::harness::{collect, run_replicas, NodeEndState, RunConfig, RunOutcome};
 use crate::replica::HambandNode;
 use crate::threaded::ThreadedCluster;
 
@@ -25,12 +25,12 @@ use crate::threaded::ThreadedCluster;
 /// * [`Backend::Sim`] — the [`rdma_sim`] discrete-event simulator:
 ///   virtual time, latency models, fault injection, trace collection.
 ///   The default, and the only backend for
-///   [`System::Msg`](crate::System::Msg) and for runs with faults or
-///   tracing.
+///   [`System::Msg`](crate::System::Msg) and for runs with faults.
 /// * [`Backend::Threaded`] — one OS thread per replica over
 ///   process-shared atomic memory, wall-clock timers. Here
 ///   [`RunConfig::max_time`] is a *wall-clock* cap (nanoseconds), and
-///   reported times/latencies are wall-clock nanoseconds too.
+///   reported times/latencies are wall-clock nanoseconds too, trace
+///   timestamps included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Discrete-event simulation over [`rdma_sim`] (the default).
@@ -80,20 +80,16 @@ where
     O::Update: Send,
     O::State: Send,
 {
-    // Reject config knobs only the simulator honours — silently
-    // ignoring an injected fault plan or a requested trace would
-    // invalidate the experiment.
+    // Silently ignoring an injected fault plan would invalidate the
+    // experiment: only the simulator can inject one.
     assert!(
         run.faults.entries().is_empty(),
         "the threaded backend cannot inject faults; use Backend::Sim"
     );
-    assert!(
-        run.trace == TraceMode::Off,
-        "the threaded backend has no trace sink; use Backend::Sim"
-    );
     let mut cluster = ThreadedCluster::new(spec, coord, run);
     // Threaded runs on the wall clock: max_time caps wall nanoseconds.
     let converged = cluster.run_to_convergence(std::time::Duration::from_nanos(run.max_time.0));
+    let events = cluster.take_trace();
     // No fabric to crash a node here. Completion time is the latest
     // apply any node recorded — the same measure the simulator path
     // uses.
@@ -101,5 +97,5 @@ where
         (0..run.nodes).map(|i| (cluster.node(i), false)).collect();
     let completed_at =
         nodes.iter().map(|(n, _)| n.metrics.last_apply).max().unwrap_or(SimTime::ZERO);
-    collect(&nodes, spec, label, completed_at, converged, cluster.stats(), Vec::new())
+    collect(&nodes, spec, label, completed_at, converged, cluster.stats(), events)
 }

@@ -430,7 +430,7 @@ mod tests {
     use crate::{assemble, Layout, RunConfig, TraceMode, WorkloadSpec};
     use hamband_core::counts::DepMap;
     use hamband_types::bank::{Bank, BankUpdate, DEPOSIT, OPEN};
-    use rdma_sim::{CompletionStatus, Simulator, TraceBuffer, VerbKind, WrId};
+    use rdma_sim::{CompletionStatus, Simulator, VerbKind, WrId};
 
     type Cluster = Simulator<HambandNode<Bank>>;
 
@@ -440,11 +440,11 @@ mod tests {
     /// Three started Bank replicas with no workload of their own, node 0
     /// leading the withdraw group; account 7 is open and holds 10
     /// everywhere. The tests issue node 0's calls by hand.
-    fn funded_cluster() -> (Cluster, Layout, TraceBuffer) {
+    fn funded_cluster() -> (Cluster, Layout) {
         let bank = Bank::default();
         let run =
             RunConfig::new(3, WorkloadSpec::ops(0)).with_seed(1).with_trace(TraceMode::Collect);
-        let (mut sim, layout, trace) = assemble(&bank, &bank.coord_spec(), &run);
+        let (mut sim, layout) = assemble(&bank, &bank.coord_spec(), &run);
         sim.run_for(SimDuration::nanos(1));
         assert!(sim.app(N0).engines[0].is_leader());
         issue(&mut sim, BankUpdate::OpenAccounts(vec![ACCT]));
@@ -452,9 +452,8 @@ mod tests {
         sim.run_for(SimDuration::micros(10));
         let app = sim.app(N0);
         assert!(app.outstanding.is_empty() && app.metrics.updates_acked == 2);
-        let trace = trace.expect("collecting");
-        trace.take();
-        (sim, layout, trace)
+        sim.take_trace();
+        (sim, layout)
     }
 
     /// Issue `update` at node 0 and pump (nothing is planned; the flush
@@ -473,9 +472,8 @@ mod tests {
     }
 
     /// The WRITEs node 0 posted since the trace was last drained.
-    fn posted_writes(trace: &TraceBuffer) -> Vec<WrId> {
-        trace
-            .take()
+    fn posted_writes(sim: &mut Cluster) -> Vec<WrId> {
+        sim.take_trace()
             .iter()
             .filter_map(|r| match r.event {
                 TraceEvent::VerbPosted { issuer: N0, kind: VerbKind::Write, wr, .. } => Some(wr),
@@ -486,9 +484,9 @@ mod tests {
 
     #[test]
     fn a_free_call_is_acknowledged_by_the_last_of_its_append_completions() {
-        let (mut sim, layout, trace) = funded_cluster();
+        let (mut sim, layout) = funded_cluster();
         let cid = issue(&mut sim, BankUpdate::Deposit(ACCT, 5));
-        let appends = posted_writes(&trace);
+        let appends = posted_writes(&mut sim);
         assert_eq!(appends.len(), 2, "one F-ring append per peer");
         assert_ne!(backup_byte(&sim, &layout, cid), 0, "backed up before the appends left");
         // The first completion, handed to its handler: claimed, and
@@ -517,7 +515,7 @@ mod tests {
 
     #[test]
     fn commit_acknowledges_a_conf_call_and_credit_remote_never_does() {
-        let (mut sim, _layout, _trace) = funded_cluster();
+        let (mut sim, _layout) = funded_cluster();
         let cid = issue(&mut sim, BankUpdate::Withdraw(ACCT, 3));
         for _ in 0..3 {
             let landed = sim.with_app_ctx(N0, |app, ctx| app.credit_remote(ctx, cid));
@@ -535,7 +533,7 @@ mod tests {
 
     #[test]
     fn a_deposed_leader_aborts_its_unacknowledged_calls() {
-        let (mut sim, _layout, _trace) = funded_cluster();
+        let (mut sim, _layout) = funded_cluster();
         issue(&mut sim, BankUpdate::Withdraw(ACCT, 3));
         issue(&mut sim, BankUpdate::Withdraw(ACCT, 4));
         assert_eq!(sim.app(N0).outstanding.len(), 2);
@@ -550,7 +548,7 @@ mod tests {
 
     #[test]
     fn apply_buffered_touches_nothing_while_a_dependency_is_unmet() {
-        let (mut sim, _layout, _trace) = funded_cluster();
+        let (mut sim, _layout) = funded_cluster();
         let at = NodeId(1);
         // A deposit from node 2 into an account whose opening (node 2's
         // first `open`) has not been seen here.

@@ -93,8 +93,9 @@ pub struct LeaderState {
     /// `(seq, client call id)` awaiting commit, in sequence order (the
     /// order they were appended in).
     pub(crate) client_by_seq: VecDeque<(u64, u64)>,
-    /// Own uncommitted entries (suffix of the ring), oldest first.
-    pub(crate) uncommitted: Vec<(u64, MethodId)>,
+    /// Sequence numbers of own uncommitted entries (suffix of the
+    /// ring), oldest first; the payloads are in the local ring copy.
+    pub(crate) uncommitted: Vec<u64>,
 }
 
 impl LeaderState {
@@ -414,13 +415,12 @@ impl<O: WorkloadSupport> HambandNode<O> {
         let spec_mat = self.spec_mat.get_or_insert_with(|| self.mat.clone());
         self.spec.apply_mut(spec_mat, &update);
 
-        self.speculative_store.push(update.clone());
         let entry = Entry { rid, update, deps };
         let engine = &mut self.engines[g];
         let leader = engine.leader_mut().expect("issue_conf only runs at the leader");
         let seq = leader.tail + 1;
         leader.tail = seq;
-        leader.uncommitted.push((seq, method));
+        leader.uncommitted.push(seq);
         engine.tail_hint = seq;
         // The entry carries the commit index to the followers, so a
         // commit costs no WRITE of its own while the pipeline is fed
@@ -432,7 +432,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
         let mut slot = std::mem::take(&mut self.slot_buf);
         entry.to_slot_into(seq, self.layout.entry_size(), &mut slot);
         stamp_commit(&mut slot, commit);
-        // Local ring copy (leader's log for catch-up by successors).
+        // Local ring copy (leader's log for catch-up by successors, and
+        // the payload `rebuild_spec_mat` replays until the entry
+        // commits), written before any follower can hold the entry.
         ctx.local_write(self.layout.conf[g], self.layout.conf_slot_offset(seq), &slot);
         // Persist-before-propose: the leader's log copy is the catch-up
         // source for successors, so the slot must survive a restart
@@ -488,16 +490,13 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 let own_head = self.engines[g]
                     .leader()
                     .and_then(|l| l.uncommitted.first())
-                    .is_some_and(|&(s, _)| s == next);
+                    .is_some_and(|&s| s == next);
                 if !self.apply_buffered(ctx, &entry, own_head) {
                     break;
                 }
                 if own_head {
                     let leader = self.engines[g].leader_mut().expect("own_head implies leader");
                     leader.uncommitted.remove(0);
-                    if !self.speculative_store.is_empty() {
-                        self.speculative_store.remove(0);
-                    }
                 }
                 // Durability seam: log+fence the applied entry before
                 // the head publication (same discipline as the free
@@ -600,11 +599,11 @@ impl<O: WorkloadSupport> HambandNode<O> {
         let (node, epoch) = (self.me, self.engines[g].promised);
         ctx.emit(|| TraceEvent::Deposed { group: g, node, epoch });
         // Abort unacknowledged conflicting calls: their entries may or
-        // may not survive into the new leader's log; the speculative
-        // view simply vanishes (σ and mat were never touched).
+        // may not survive into the new leader's log, so they leave the
+        // speculative view (σ and mat were never touched); the
+        // uncommitted calls of groups still led stay in it.
         self.conf_retries.retain(|&(rg, _, _)| rg != g);
-        self.speculative_store.clear();
-        self.spec_mat = None;
+        self.rebuild_spec_mat(ctx);
         for (_, cid) in dropped.client_by_seq {
             self.abort_call(cid);
         }
@@ -612,26 +611,28 @@ impl<O: WorkloadSupport> HambandNode<O> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::driver::WorkloadSpec;
     use crate::harness::{assemble, RunConfig, TraceMode};
     use crate::layout::Layout;
     use hamband_core::coord::CoordSpec;
+    use hamband_core::ids::GroupId;
+    use hamband_types::bank::{Bank, BankUpdate};
     use hamband_types::Counter;
-    use rdma_sim::{RegionId, SimTime, Simulator, TraceBuffer, TraceRecord, VerbKind};
+    use rdma_sim::{RegionId, SimTime, Simulator, TraceRecord, VerbKind};
 
     type Cluster = Simulator<HambandNode<Counter>>;
 
-    /// Three nodes, Counter with its one method declared conflicting:
+    /// `nodes` nodes, Counter with its one method declared conflicting:
     /// every add of the run is ordered through node 0's log, `window`
     /// at a time. Traced.
-    fn ordered_counter(ops: u64, window: usize) -> (Cluster, Layout, TraceBuffer) {
+    pub(crate) fn ordered_counter(nodes: usize, ops: u64, window: usize, seed: u64) -> (Cluster, Layout) {
         let coord = CoordSpec::builder(1).conflict(0, 0).build();
-        let workload = WorkloadSpec::ops(ops).with_update_ratio(1.0).with_window(window).with_seed(5);
-        let run = RunConfig::new(3, workload).with_seed(5).with_trace(TraceMode::Collect);
-        let (sim, layout, trace) = assemble(&Counter::default(), &coord, &run);
-        (sim, layout, trace.expect("collecting"))
+        let workload =
+            WorkloadSpec::ops(ops).with_update_ratio(1.0).with_window(window).with_seed(seed);
+        let run = RunConfig::new(nodes, workload).with_seed(seed).with_trace(TraceMode::Collect);
+        assemble(&Counter::default(), &coord, &run)
     }
 
     fn commit_cell(sim: &Cluster, layout: &Layout, node: usize) -> u64 {
@@ -658,7 +659,7 @@ mod tests {
     /// carries that index, and nothing else tells the followers.
     #[test]
     fn a_follower_applies_seq_k_once_seq_k_plus_one_landed_cells_untouched() {
-        let (mut sim, layout, trace) = ordered_counter(300, 1);
+        let (mut sim, layout) = ordered_counter(3, 300, 1, 5);
         while (1..3).any(|f| sim.app(NodeId(f)).engines[0].reader.applied() < 20) {
             sim.run_for(SimDuration::nanos(200));
             assert!(sim.now() < SimTime(1_000_000), "the followers never applied 20 entries");
@@ -666,7 +667,7 @@ mod tests {
                 assert_eq!(commit_cell(&sim, &layout, f), 0, "node {f}'s commit cell was written");
             }
         }
-        let events = trace.take();
+        let events = sim.take_trace();
         let appended_at = |seq: u64, to: NodeId| {
             events.iter().find_map(|r| match r.event {
                 TraceEvent::RingAppend { ring: RingKind::Conf, reader, seq: s, .. }
@@ -700,13 +701,13 @@ mod tests {
     /// round of commit-cell WRITEs, one per follower, and no second.
     #[test]
     fn a_single_call_on_an_idle_cluster_costs_exactly_one_cell_round() {
-        let (mut sim, layout, trace) = ordered_counter(1, 1);
+        let (mut sim, layout) = ordered_counter(3, 1, 1, 5);
         sim.run_until(SimTime(200_000));
         for f in 1..3 {
             assert_eq!(sim.app(NodeId(f)).engines[0].reader.applied(), 1, "node {f} applied it");
             assert_eq!(commit_cell(&sim, &layout, f), 1);
         }
-        assert_eq!(cell_writes(&trace.take()).len(), 2);
+        assert_eq!(cell_writes(&sim.take_trace()).len(), 2);
     }
 
     /// While the quota lasts a plan follows every commit and its first
@@ -714,10 +715,10 @@ mod tests {
     /// the last append.
     #[test]
     fn a_saturated_leader_posts_no_cell_write_until_its_quota_ends() {
-        let (mut sim, _layout, trace) = ordered_counter(600, 8);
+        let (mut sim, _layout) = ordered_counter(3, 600, 8, 5);
         let (_, converged) = crate::verdict::drive(&mut sim, SimTime(20_000_000));
         assert!(converged);
-        let events = trace.take();
+        let events = sim.take_trace();
         let last_append = events
             .iter()
             .filter(|r| matches!(r.event, TraceEvent::RingAppend { writer: NodeId(0), .. }))
@@ -732,6 +733,45 @@ mod tests {
             cells.iter().min()
         );
         assert_eq!(sim.app(NodeId(1)).engines[0].reader.applied(), 600);
+    }
+
+    /// Node 0 leads both shards of Bank's withdraw group and has a
+    /// withdraw uncommitted on shard 1. Deposed from shard 0, it still
+    /// leads shard 1, so that withdraw stays in its check view (Lemma 1)
+    /// and a second one the balance cannot cover is rejected.
+    #[test]
+    fn deposition_from_one_group_keeps_the_others_uncommitted_calls_in_view() {
+        let bank = Bank::default();
+        let run = RunConfig::new(3, WorkloadSpec::ops(0))
+            .with_seed(1)
+            .with_sync_shards(2)
+            .with_leaders(vec![Pid(0), Pid(0)]);
+        let (mut sim, _layout) = assemble(&bank, &bank.coord_spec(), &run);
+        let n0 = NodeId(0);
+        let issue = |sim: &mut Simulator<HambandNode<Bank>>, update| {
+            sim.with_app_ctx(n0, |app, ctx| {
+                app.issue(ctx, update, 0);
+                app.pump(ctx);
+            });
+        };
+        sim.run_for(SimDuration::nanos(1));
+        let mapper = sim.app(n0).ingress.mapper();
+        let acct = (0..).find(|&k| mapper.group_of(GroupId(0), Some(k)) == 1).expect("a key");
+        issue(&mut sim, BankUpdate::OpenAccounts(vec![acct]));
+        issue(&mut sim, BankUpdate::Deposit(acct, 10));
+        sim.run_for(SimDuration::micros(10));
+        assert_eq!(sim.app(n0).metrics.updates_acked, 2);
+        // The cluster does not run from here: the withdraw stays
+        // uncommitted.
+        issue(&mut sim, BankUpdate::Withdraw(acct, 8));
+        assert_eq!(sim.app(n0).engines[1].leader().map(|l| l.uncommitted.len()), Some(1));
+        sim.with_app_ctx(n0, |app, ctx| app.depose(ctx, 0));
+        let app = sim.app(n0);
+        assert!(!app.engines[0].is_leader() && app.engines[1].is_leader());
+        assert_eq!(app.check_view().balances.get(&acct), Some(&2));
+        issue(&mut sim, BankUpdate::Withdraw(acct, 8));
+        let app = sim.app(n0);
+        assert_eq!((app.metrics.rejected, app.outstanding.len()), (1, 1));
     }
 
     fn engine() -> GroupEngine {
@@ -807,7 +847,7 @@ mod tests {
         let l = e.leader_mut().unwrap();
         l.pending_acks.insert(5, 1);
         l.client_by_seq.push_back((5, 42));
-        l.uncommitted.push((5, MethodId(0)));
+        l.uncommitted.push(5);
 
         // A higher-epoch LeaderRequest arrives: promise and depose.
         e.promise(7, Pid(2));

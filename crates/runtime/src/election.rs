@@ -298,10 +298,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::WorkloadSpec;
-    use crate::harness::{assemble, RunConfig};
-    use hamband_core::coord::CoordSpec;
-    use hamband_types::Counter;
+    use crate::conf::tests::ordered_counter;
     use rdma_sim::{SimDuration, SimTime};
 
     /// A saturated leader writes no commit cell, so what a follower
@@ -312,10 +309,7 @@ mod tests {
     /// of a majority and the tally it holds is node 1's answer.
     #[test]
     fn a_leader_ack_reports_the_commit_index_learnt_from_an_entry() {
-        let coord = CoordSpec::builder(1).conflict(0, 0).build();
-        let workload = WorkloadSpec::ops(2_000).with_update_ratio(1.0).with_window(4).with_seed(9);
-        let run = RunConfig::new(5, workload).with_seed(9);
-        let (mut sim, layout, _trace) = assemble(&Counter::default(), &coord, &run);
+        let (mut sim, layout) = ordered_counter(5, 2_000, 4, 9);
         let (asked, candidate) = (NodeId(1), NodeId(4));
         while sim.app(asked).engines[0].reader.applied() < 50 {
             sim.run_for(SimDuration::micros(1));

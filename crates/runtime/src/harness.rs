@@ -26,8 +26,7 @@ use hamband_core::counts::CountMap;
 use hamband_core::ids::Pid;
 use hamband_core::object::WorkloadSupport;
 use rdma_sim::{
-    App, CollectingSink, FaultPlan, LatencyModel, NodeId, Phase, SimTime, Simulator, Stats,
-    StderrSink, TraceBuffer, TraceRecord,
+    App, FaultPlan, LatencyModel, NodeId, Phase, SimTime, Simulator, Stats, TraceRecord,
 };
 
 use crate::backends::dispatch_replicas;
@@ -71,18 +70,16 @@ impl System {
     }
 }
 
-/// How a run delivers the structured protocol trace
+/// Whether a run collects its structured trace
 /// ([`rdma_sim::TraceEvent`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
-    /// No sink installed — hot paths pay one branch per would-be event
+    /// Nothing collected — hot paths pay one branch per would-be event
     /// and never construct it.
     #[default]
     Off,
-    /// Events printed to stderr as they happen.
-    Stderr,
     /// Events collected in memory and returned in
-    /// [`RunOutcome::events`].
+    /// [`RunOutcome::events`], on either backend.
     Collect,
 }
 
@@ -108,7 +105,7 @@ pub struct RunConfig {
     /// (defaults to the coordination spec's round-robin assignment;
     /// used e.g. by the Fig. 10 single-leader ablation).
     pub leaders: Option<Vec<Pid>>,
-    /// How this run delivers trace events.
+    /// Whether this run collects trace events.
     pub trace: TraceMode,
     /// Which transport backend executes the run (defaults to
     /// [`Backend::Sim`]).
@@ -174,7 +171,7 @@ impl RunConfig {
         self
     }
 
-    /// Deliver trace events this way (off / stderr / collected).
+    /// Collect trace events, or not.
     pub fn with_trace(mut self, trace: TraceMode) -> Self {
         self.trace = trace;
         self
@@ -219,8 +216,11 @@ impl RunConfig {
 pub struct RunOutcome {
     /// The cluster-level summary.
     pub report: RunReport,
-    /// The structured trace, in record order (empty unless the config
-    /// asked for [`TraceMode::Collect`]).
+    /// The structured trace, in time order (empty unless the config
+    /// asked for [`TraceMode::Collect`]). On [`Backend::Threaded`] the
+    /// times are wall-clock nanoseconds, each node's events keep their
+    /// own order, and there are no verb events (the fabric emits
+    /// those).
     pub events: Vec<TraceRecord>,
     /// Per-node metric accumulators, indexed by node id (covers every
     /// node, failed ones included — their pre-failure work is real
@@ -364,21 +364,6 @@ fn complete_coord(n_methods: usize) -> CoordSpec {
     b.build()
 }
 
-fn install_trace<A: App>(sim: &mut Simulator<A>, mode: TraceMode) -> Option<TraceBuffer> {
-    match mode {
-        TraceMode::Off => None,
-        TraceMode::Stderr => {
-            sim.set_trace_sink(Box::new(StderrSink));
-            None
-        }
-        TraceMode::Collect => {
-            let (sink, buffer) = CollectingSink::new();
-            sim.set_trace_sink(Box::new(sink));
-            Some(buffer)
-        }
-    }
-}
-
 /// Gather a finished cluster into the run's outcome and its per-node
 /// end states (shared by both backends and both replica kinds).
 /// `nodes` pairs each replica with whether the fabric crashed it.
@@ -423,24 +408,24 @@ pub(crate) fn collect<A: HarnessNode, O: WorkloadSupport>(
 /// Drive a prepared simulator cluster to completion and collect it.
 fn drive_and_collect<A: HarnessNode, O: WorkloadSupport>(
     mut sim: Simulator<A>,
-    trace: Option<TraceBuffer>,
     spec: &O,
     run: &RunConfig,
     label: &str,
 ) -> (RunOutcome, Vec<NodeEndState<A::Snapshot>>) {
     let (completed_at, converged) = drive(&mut sim, run.max_time);
+    let events = sim.take_trace();
     let nodes: Vec<(&A, bool)> =
         (0..run.nodes).map(NodeId).map(|id| (sim.app(id), sim.is_crashed(id))).collect();
-    let events = trace.map(|b| b.take()).unwrap_or_default();
     collect(&nodes, spec, label, completed_at, converged, sim.stats().clone(), events)
 }
 
 /// Build the prepared simulator cluster `run` describes, ready to be
-/// stepped: fabric (latency model, seed), trace sink, the registered
-/// [`Layout`], the fault plan, and one [`HambandNode`] per node with
-/// `run.leaders` (or the default round-robin assignment) as initial
-/// leaders. Returns the simulator, the layout the replicas share, and
-/// the trace buffer when `run.trace` is [`TraceMode::Collect`].
+/// stepped: fabric (latency model, seed), trace collection, the
+/// registered [`Layout`], the fault plan, and one [`HambandNode`] per
+/// node with `run.leaders` (or the default round-robin assignment) as
+/// initial leaders. Returns the simulator and the layout the replicas
+/// share; under [`TraceMode::Collect`], `sim.take_trace()` drains the
+/// events recorded so far.
 ///
 /// This is the only assembly routine: [`Runner`] hands what it returns
 /// to [`drive`], and tests or examples that need to step a cluster by
@@ -455,7 +440,7 @@ fn drive_and_collect<A: HarnessNode, O: WorkloadSupport>(
 ///
 /// let c = Counter::default();
 /// let run = RunConfig::for_nodes(3);
-/// let (mut sim, _layout, _trace) = assemble(&c, &c.coord_spec(), &run);
+/// let (mut sim, _layout) = assemble(&c, &c.coord_spec(), &run);
 /// let (_completed_at, converged) = drive(&mut sim, run.max_time);
 /// assert!(converged);
 /// assert_eq!(sim.app(NodeId(0)).applied_updates(), 250);
@@ -467,19 +452,27 @@ pub fn assemble<O>(
     spec: &O,
     coord: &CoordSpec,
     run: &RunConfig,
-) -> (Simulator<HambandNode<O>>, Layout, Option<TraceBuffer>)
+) -> (Simulator<HambandNode<O>>, Layout)
 where
     O: WorkloadSupport + Clone,
 {
-    let mut sim = Simulator::new(run.nodes, run.latency.clone(), run.seed);
-    let trace = install_trace(&mut sim, run.trace);
+    let mut sim = new_simulator(run);
     let layout = Layout::install(&mut sim, coord, &run.runtime);
     sim.install_fault_plan(&run.faults);
     sim.set_apps(|id| {
         let leaders = run.leaders.as_deref();
         HambandNode::new(spec, coord, &run.runtime, &layout, id, leaders, &run.workload)
     });
-    (sim, layout, trace)
+    (sim, layout)
+}
+
+/// The fabric `run` describes, collecting its trace if asked to.
+fn new_simulator<A: App>(run: &RunConfig) -> Simulator<A> {
+    let mut sim = Simulator::new(run.nodes, run.latency.clone(), run.seed);
+    if run.trace == TraceMode::Collect {
+        sim.collect_trace();
+    }
+    sim
 }
 
 pub(crate) fn run_replicas<O>(
@@ -491,8 +484,8 @@ pub(crate) fn run_replicas<O>(
 where
     O: WorkloadSupport + Clone,
 {
-    let (sim, _layout, trace) = assemble(spec, coord, run);
-    drive_and_collect(sim, trace, spec, run, label)
+    let (sim, _layout) = assemble(spec, coord, run);
+    drive_and_collect(sim, spec, run, label)
 }
 
 fn run_msg_cluster<O>(
@@ -505,11 +498,10 @@ where
     O: WorkloadSupport + Clone,
 {
     let n = run.nodes;
-    let mut sim: Simulator<MsgCrdtNode<O>> = Simulator::new(n, run.latency.clone(), run.seed);
-    let trace = install_trace(&mut sim, run.trace);
+    let mut sim: Simulator<MsgCrdtNode<O>> = new_simulator(run);
     sim.install_fault_plan(&run.faults);
     sim.set_apps(|id| MsgCrdtNode::new(spec.clone(), coord.clone(), id, n, run.workload.clone()));
-    drive_and_collect(sim, trace, spec, run, label)
+    drive_and_collect(sim, spec, run, label)
 }
 
 /// Cross-session fairness over every session's completion stats: how

@@ -102,11 +102,12 @@
 //!
 //! ## Observability
 //!
-//! Protocol-level observability is structured: the simulator delivers
+//! Protocol-level observability is structured: under
+//! [`TraceMode::Collect`] ([`RunConfig::with_trace`]) a run records
 //! typed [`TraceEvent`]s (ring appends/applies, summary writes, acks,
-//! commit advances, leader changes, failure suspicions) to a pluggable
-//! per-run [`rdma_sim::TraceSink`], selected per run via
-//! [`RunConfig::with_trace`]. Latencies are recorded in log-scale
+//! commit advances, leader changes, failure suspicions) into
+//! [`RunOutcome::events`], on either backend; verb events come from the
+//! simulator's fabric only. Latencies are recorded in log-scale
 //! [`LatencyHistogram`]s per method and per protocol phase
 //! ([`rdma_sim::Phase`]), summarized as p50/p90/p99/max in
 //! [`RunReport`].
@@ -166,7 +167,7 @@ pub use verdict::{drive, settled, HarnessNode};
 
 // Trace vocabulary, re-exported so harness consumers need not depend on
 // `rdma_sim` directly.
-pub use rdma_sim::{Phase, RingKind, TraceEvent, TraceRecord, TraceSink};
+pub use rdma_sim::{Phase, RingKind, TraceEvent, TraceRecord};
 
 // Workload vocabulary from the core crate, re-exported so experiment
 // code can configure key skew without depending on `hamband_core`.

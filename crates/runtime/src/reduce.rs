@@ -213,7 +213,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                     // A stale speculative view would corrupt checks:
                     // rebuild it from the updated cache if present.
                     if self.spec_mat.is_some() {
-                        self.rebuild_spec_mat();
+                        self.rebuild_spec_mat(ctx);
                     }
                 }
                 self.metrics.summary_adoptions += 1;
@@ -275,7 +275,7 @@ mod tests {
     fn idle_cluster() -> Simulator<HambandNode<Counter>> {
         let c = Counter::default();
         let run = RunConfig::new(3, WorkloadSpec::ops(0)).with_seed(1);
-        let (mut sim, _layout, _trace) = assemble(&c, &c.coord_spec(), &run);
+        let (mut sim, _layout) = assemble(&c, &c.coord_spec(), &run);
         sim.run_for(SimDuration::nanos(1));
         sim
     }
@@ -449,7 +449,7 @@ mod tests {
     fn bank_with_an_opening_at_node_1() -> Simulator<HambandNode<Bank>> {
         let bank = Bank::default();
         let run = RunConfig::new(3, WorkloadSpec::ops(0)).with_seed(1);
-        let (mut sim, _layout, _trace) = assemble(&bank, &bank.coord_spec(), &run);
+        let (mut sim, _layout) = assemble(&bank, &bank.coord_spec(), &run);
         sim.run_for(SimDuration::nanos(1));
         assert!(sim.app(N0).engines[0].is_leader());
         sim.app_mut(N0).ingress.adopt_free_quota(&[0, 1, 0], 0);
@@ -508,7 +508,7 @@ mod tests {
     fn a_non_monotone_summary_reaches_the_leaders_check_view() {
         let acct = Account::default();
         let run = RunConfig::new(3, WorkloadSpec::ops(0)).with_seed(1);
-        let (mut sim, _layout, _trace) = assemble(&acct, &acct.coord_spec(), &run);
+        let (mut sim, _layout) = assemble(&acct, &acct.coord_spec(), &run);
         sim.run_for(SimDuration::nanos(1));
         assert!(sim.app(N0).engines[0].is_leader() && !acct.summaries_monotone());
         // The cluster does not run, so the withdraw stays uncommitted.

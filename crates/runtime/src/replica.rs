@@ -138,10 +138,6 @@ pub struct HambandNode<O: ObjectSpec> {
     /// Exposed measurements.
     pub metrics: NodeMetrics,
 
-    /// Payloads of own uncommitted conflicting calls, oldest first
-    /// (mirrors the engines' `uncommitted` queues; kept to rebuild the
-    /// speculative view after non-monotone summary refreshes).
-    pub(crate) speculative_store: Vec<O::Update>,
     pub(crate) next_call_id: u64,
     pub(crate) next_rid_seq: u64,
     pub(crate) outstanding: IdMap<u64, Outstanding>,
@@ -274,7 +270,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
             ingress,
             workload: workload.clone(),
             metrics: NodeMetrics::default(),
-            speculative_store: Vec::new(),
             next_call_id: 0,
             next_rid_seq: 0,
             outstanding: IdMap::default(),

@@ -417,8 +417,8 @@ mod tests {
     use hamband_core::demo::{Account, AccountUpdate};
     use hamband_core::ids::{Pid, Rid};
     use rdma_sim::{
-        App, CollectingSink, Ctx, Event, FaultPlan, LatencyModel, SimDuration, SimTime, Simulator,
-        Stats,
+        App, Ctx, Event, FaultPlan, LatencyModel, SimDuration, SimTime, Simulator, Stats,
+        TraceRecord,
     };
 
     const SLOT: usize = 64;
@@ -522,9 +522,9 @@ mod tests {
         to_send: u64,
         torn: bool,
         max_batch: usize,
-        sink: Option<CollectingSink>,
-    ) -> (Vec<u64>, u64, Stats) {
+    ) -> (Vec<u64>, u64, Stats, Vec<TraceRecord>) {
         let mut sim = Simulator::new(2, LatencyModel::deterministic(), 5);
+        sim.collect_trace();
         let ring = sim.add_region_all(CAP * SLOT);
         let heads = sim.add_region_all(8);
         if torn {
@@ -532,19 +532,16 @@ mod tests {
                 &FaultPlan::new().at(SimTime::ZERO, rdma_sim::Fault::TornWrites(NodeId(1))),
             );
         }
-        if let Some(sink) = sink {
-            sim.set_trace_sink(Box::new(sink));
-        }
         sim.set_apps(|n| RingApp::new(n.index(), ring, heads, to_send, max_batch));
         sim.run_for(SimDuration::millis(20));
         let recv = sim.app(NodeId(1)).received.clone();
         let comp = sim.app(NodeId(0)).completions;
         let stats = sim.stats().clone();
-        (recv, comp, stats)
+        (recv, comp, stats, sim.take_trace())
     }
 
     fn run(to_send: u64, torn: bool, max_batch: usize) -> (Vec<u64>, u64) {
-        let (recv, comp, _) = run_with(to_send, torn, max_batch, None);
+        let (recv, comp, ..) = run_with(to_send, torn, max_batch);
         (recv, comp)
     }
 
@@ -558,8 +555,8 @@ mod tests {
 
     #[test]
     fn batching_reduces_write_count() {
-        let (recv_1, comp_1, stats_1) = run_with(50, false, 1, None);
-        let (recv_8, comp_8, stats_8) = run_with(50, false, 8, None);
+        let (recv_1, comp_1, stats_1, _) = run_with(50, false, 1);
+        let (recv_8, comp_8, stats_8, _) = run_with(50, false, 8);
         assert_eq!(recv_1, recv_8, "delivery order is batch-invariant");
         assert_eq!(comp_1, 50);
         assert_eq!(comp_8, 50);
@@ -578,11 +575,10 @@ mod tests {
 
     #[test]
     fn batches_never_cross_wraparound_or_max_batch() {
-        let (sink, buf) = CollectingSink::new();
-        let (received, _, _) = run_with(50, false, 4, Some(sink));
+        let (received, _, _, trace) = run_with(50, false, 4);
         assert_eq!(received, (1..=50).collect::<Vec<u64>>());
         let mut saw_batch = false;
-        for rec in buf.take() {
+        for rec in trace {
             if let TraceEvent::RingBatch { first_seq, count, .. } = rec.event {
                 saw_batch = true;
                 assert!(count >= 2, "single-slot writes are not batch events");

@@ -235,7 +235,7 @@ mod tests {
     fn settled_bank() -> Simulator<HambandNode<Bank>> {
         let b = Bank::default();
         let run = RunConfig::new(4, WorkloadSpec::ops(800).with_update_ratio(0.5).with_seed(3));
-        let (mut sim, _layout, _trace) = assemble(&b, &b.coord_spec(), &run);
+        let (mut sim, _layout) = assemble(&b, &b.coord_spec(), &run);
         assert!(drive(&mut sim, run.max_time).1, "the run converges");
         sim
     }

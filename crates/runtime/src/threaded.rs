@@ -25,10 +25,14 @@
 //!   poller on the calling thread and stretched failure-detection
 //!   timers so OS scheduling jitter does not masquerade as a crash.
 //!
+//! Traces are per thread: each ctx records its replica's protocol
+//! events into a vector of its own, and the cluster merges them by
+//! wall time at join, so no buffer is shared while the threads race.
+//! Verb events are the simulator fabric's and have no counterpart here.
+//!
 //! What this backend deliberately does **not** do: fault injection
-//! (no virtual fabric to tear writes or silence heartbeats with),
-//! trace collection (a cross-thread sink would serialize the race
-//! being measured), and latency modelling (reality supplies it).
+//! (no virtual fabric to tear writes or silence heartbeats with) and
+//! latency modelling (reality supplies it).
 //! Deterministic parity lives with the simulator; this backend is for
 //! conformance under genuine concurrency and for throughput/latency
 //! measurement.

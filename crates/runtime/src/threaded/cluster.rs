@@ -7,11 +7,11 @@ use std::time::{Duration, Instant};
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::object::WorkloadSupport;
-use rdma_sim::{Event, NodeId, SimDuration, Stats};
+use rdma_sim::{Event, NodeId, SimDuration, Stats, TraceRecord};
 
 use super::ctx::ThreadedCtx;
 use super::shared::SharedMem;
-use crate::harness::RunConfig;
+use crate::harness::{RunConfig, TraceMode};
 use crate::layout::Layout;
 use crate::replica::HambandNode;
 use crate::transport::Transport;
@@ -44,7 +44,8 @@ where
     /// [`assemble`](crate::assemble) does for the simulator: allocate
     /// the standard region [`Layout`] in shared memory and construct
     /// each replica with `run.leaders` (or the coordination spec's
-    /// default leaders).
+    /// default leaders), each recording its own trace under
+    /// [`TraceMode::Collect`].
     ///
     /// Failure-detection timers are stretched to wall-clock scale
     /// (heartbeat 2 ms, detector read 5 ms, suspicion after 200
@@ -66,8 +67,9 @@ where
         let mem = Arc::new(mem);
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
         let epoch = Instant::now();
+        let collect = run.trace == TraceMode::Collect;
         let ctxs = (0..n)
-            .map(|i| ThreadedCtx::new(NodeId(i), n, Arc::clone(&mem), senders.clone(), epoch))
+            .map(|i| ThreadedCtx::new(NodeId(i), n, Arc::clone(&mem), senders.clone(), epoch, collect))
             .collect();
         let leaders = run.leaders.as_deref();
         let nodes = (0..n)
@@ -131,6 +133,16 @@ where
             total += &ctx.stats;
         }
         total
+    }
+
+    /// The threads' traces as one, in wall-clock order: concatenated,
+    /// then stable-sorted by time, which keeps each thread's own order.
+    /// Drains them (empty when the run collects none).
+    pub(crate) fn take_trace(&mut self) -> Vec<TraceRecord> {
+        let mut all: Vec<TraceRecord> =
+            self.ctxs.iter_mut().filter_map(|c| c.trace.as_mut()).flat_map(std::mem::take).collect();
+        all.sort_by_key(|r| r.at);
+        all
     }
 }
 
@@ -201,13 +213,15 @@ mod tests {
     use hamband_types::Counter;
 
     /// The tentpole smoke test: a 3-node Counter cluster converges on
-    /// real OS threads over shared atomic memory.
+    /// real OS threads over shared atomic memory, each thread tracing
+    /// into its own buffer.
     #[test]
     fn three_node_counter_converges_on_threads() {
         let spec = Counter::default();
         let coord = spec.coord_spec();
         let workload = WorkloadSpec::ops(300).with_update_ratio(1.0).with_seed(7);
-        let mut cluster = ThreadedCluster::new(&spec, &coord, &RunConfig::new(3, workload));
+        let run = RunConfig::new(3, workload).with_trace(TraceMode::Collect);
+        let mut cluster = ThreadedCluster::new(&spec, &coord, &run);
         assert!(
             cluster.run_to_convergence(Duration::from_secs(30)),
             "threaded cluster failed to converge: {}",
@@ -223,5 +237,12 @@ mod tests {
         // READ fires (5 ms wall-clock), so only WRITE traffic — which
         // every update necessarily generates — is asserted.
         assert!(stats.writes > 0, "no fabric traffic recorded");
+        for (i, ctx) in cluster.ctxs.iter().enumerate() {
+            let trace = ctx.trace.as_deref().expect("collecting");
+            assert!(trace.windows(2).all(|w| w[0].at <= w[1].at), "node {i}'s clock went back");
+        }
+        let events = cluster.take_trace();
+        assert!(!events.is_empty(), "no events collected");
+        assert!(events.windows(2).all(|w| w[0].at <= w[1].at), "merged in time order");
     }
 }

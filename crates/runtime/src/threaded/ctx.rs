@@ -12,7 +12,8 @@
 //!
 //! Time is the shared monotonic wall clock: every ctx carries the same
 //! [`Instant`] epoch and reports `SimTime` nanoseconds since it, so
-//! latency histograms from different threads are directly mergeable.
+//! latency histograms and trace records from different threads are
+//! directly mergeable.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -22,7 +23,7 @@ use std::time::Instant;
 
 use rdma_sim::{
     Event, LatencyModel, NodeId, RegionId, SimDuration, SimTime, Stats, TimerId, TraceEvent,
-    VerbKind, WrId,
+    TraceRecord, VerbKind, WrId,
 };
 
 use super::shared::SharedMem;
@@ -36,6 +37,11 @@ struct TimerEntry {
     seq: u64,
     id: TimerId,
     tag: u64,
+}
+
+/// Wall-clock nanoseconds since `epoch`, as the backend's `SimTime`.
+fn since(epoch: Instant) -> SimTime {
+    SimTime(epoch.elapsed().as_nanos() as u64)
 }
 
 /// One replica thread's transport handle.
@@ -56,6 +62,9 @@ pub(crate) struct ThreadedCtx {
     /// This thread's share of the fabric traffic counters, summed
     /// across the cluster after the threads join.
     pub(crate) stats: Stats,
+    /// This thread's trace, while the run collects one: no buffer is
+    /// shared while the threads run; the cluster merges them at join.
+    pub(crate) trace: Option<Vec<TraceRecord>>,
 }
 
 impl ThreadedCtx {
@@ -65,6 +74,7 @@ impl ThreadedCtx {
         mem: Arc<SharedMem>,
         senders: Vec<Sender<Event>>,
         epoch: Instant,
+        collect_trace: bool,
     ) -> ThreadedCtx {
         ThreadedCtx {
             node,
@@ -81,6 +91,7 @@ impl ThreadedCtx {
             next_timer: node.index() as u64,
             scratch: Vec::new(),
             stats: Stats::new(n),
+            trace: collect_trace.then(Vec::new),
         }
     }
 
@@ -129,7 +140,7 @@ impl Transport for ThreadedCtx {
 
     /// Wall-clock nanoseconds since the cluster's shared epoch.
     fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_nanos() as u64)
+        since(self.epoch)
     }
 
     /// CPU cost is real here — executing the method body *is* the
@@ -139,9 +150,11 @@ impl Transport for ThreadedCtx {
         self.apply_cost
     }
 
-    /// No trace sink: cross-thread trace collection would serialize
-    /// the very concurrency this backend exists to measure.
-    fn emit(&mut self, _make: impl FnOnce() -> TraceEvent) {}
+    fn emit(&mut self, make: impl FnOnce() -> TraceEvent) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceRecord { at: since(self.epoch), event: make() });
+        }
+    }
 
     fn note_ring_write(&mut self, slots: u64) {
         self.stats.ring_writes += 1;

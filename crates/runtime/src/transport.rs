@@ -61,9 +61,9 @@ pub trait Transport {
     /// the modelled cost charged (a query's whole service time).
     fn charge_apply(&mut self) -> SimDuration;
 
-    /// Emit a protocol-level trace event to the run's sink, if any.
-    /// The closure must only run when a sink is installed, so hot
-    /// paths pay a single branch when tracing is off.
+    /// Record a protocol-level trace event, if the run collects a
+    /// trace. The closure must only run when it does, so hot paths pay
+    /// a single branch when tracing is off.
     fn emit(&mut self, make: impl FnOnce() -> TraceEvent);
 
     /// Record that the WRITE just posted carried `slots` ring entries

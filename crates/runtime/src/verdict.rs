@@ -226,7 +226,7 @@ mod tests {
         let crash_at = SimTime(120_000);
         let run = RunConfig::new(3, WorkloadSpec::ops(1_200).with_update_ratio(0.8).with_seed(11))
             .with_faults(FaultPlan::new().at(crash_at, Fault::Crash(NodeId(0))));
-        let (mut sim, _layout, _trace) = assemble(&b, &b.coord_spec(), &run);
+        let (mut sim, _layout) = assemble(&b, &b.coord_spec(), &run);
         let (n1, n2) = (NodeId(1), NodeId(2));
         sim.run_until(crash_at);
         let look_finished = |sim: &Simulator<HambandNode<Bank>>| {

@@ -18,17 +18,20 @@
 //! `state_snapshot` (a refresh of `mat` after a non-monotone summary or
 //! a rejoin, and the harness's end-of-run comparison), the seeding of
 //! `spec_mat` (once per leadership), and `rebuild_spec_mat` (a
-//! non-monotone summary arriving while calls are uncommitted).
+//! non-monotone summary arriving while calls are uncommitted, or a
+//! deposition while other groups' calls are).
 //!
 //! Lemma 1 (§3.3) needs permissibility checked against a view that
 //! contains every earlier call of the same synchronization group —
-//! that is exactly `spec_mat`'s contract; the uncommitted payloads are
-//! retained in `speculative_store` so the view can be rebuilt after a
-//! non-monotone summary refresh.
+//! that is exactly `spec_mat`'s contract. The uncommitted payloads need
+//! no copy of their own: each led group's local `L`-ring copy holds
+//! them from issue to commit, so the view is rebuilt from there.
 
 use hamband_core::object::WorkloadSupport;
 
+use crate::codec::Entry;
 use crate::replica::HambandNode;
+use crate::transport::Transport;
 
 impl<O: WorkloadSupport> HambandNode<O> {
     /// The node's current (committed) object state.
@@ -74,25 +77,27 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.spec.permissible(self.check_view(), update)
     }
 
-    /// Rebuild the speculative view after a non-monotone summary
-    /// change: committed snapshot + replay of uncommitted own entries.
-    /// Uncommitted conflicting entries are kept by each group, but the
-    /// update payloads are no longer at hand; since non-monotone
-    /// summaries and uncommitted entries can only coexist for objects
-    /// whose conflicting methods commute with summaries (summaries are
-    /// conflict-free by construction), replaying is legal — we keep the
-    /// payloads for exactly this purpose. With nothing uncommitted the
-    /// view is `mat` itself: it is dropped (the next conflicting call
-    /// re-seeds it) and `mat` stays lazily dirty.
-    pub(crate) fn rebuild_spec_mat(&mut self) {
-        if self.speculative_store.is_empty() {
+    /// Rebuild the speculative view: `mat` plus every entry a group
+    /// this node still leads has not committed, decoded from that
+    /// group's local `L`-ring copy. Called after a non-monotone summary
+    /// change and after a deposition. Summaries are conflict-free by
+    /// construction, so they commute with the replayed conflicting
+    /// calls, and so do calls of different groups. With nothing
+    /// uncommitted the view is `mat` itself: it is dropped (the next
+    /// conflicting call re-seeds it) and `mat` stays lazily dirty.
+    pub(crate) fn rebuild_spec_mat<T: Transport>(&mut self, ctx: &mut T) {
+        if self.engines.iter().filter_map(|e| e.leader()).all(|l| l.uncommitted.is_empty()) {
             self.spec_mat = None;
             return;
         }
         self.refresh_mat();
         let mut view = self.mat.clone();
-        for u in &self.speculative_store {
-            self.spec.apply_mut(&mut view, u);
+        for e in self.engines.iter() {
+            for &seq in e.leader().map_or(&[][..], |l| &l.uncommitted) {
+                let entry = Entry::<O::Update>::from_slot(e.reader.raw_slot(ctx, seq), seq)
+                    .expect("a led group's uncommitted entry is in its local ring copy");
+                self.spec.apply_mut(&mut view, &entry.update);
+            }
         }
         self.spec_mat = Some(view);
     }

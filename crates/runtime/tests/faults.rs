@@ -55,7 +55,7 @@ fn crash_recovery_delivers_pending_broadcast() {
     // Crash node 2 shortly after start.
     let plan = FaultPlan::new().at(SimTime(30_000), Fault::Crash(NodeId(2)));
     let run = RunConfig::new(n, workload).with_seed(7).with_faults(plan);
-    let (mut sim, layout, _trace) = assemble(&g, &coord, &run);
+    let (mut sim, layout) = assemble(&g, &coord, &run);
     // Before the crash fires, plant a pending broadcast in node 2's
     // backup region: a conflict-free call (seq 1 in node 2's F rings)
     // that "was about to be written" but never went out — the crash
@@ -100,7 +100,7 @@ fn short_backup_image_over_a_longer_stale_one_recovers_the_short_one() {
     let workload = WorkloadSpec::ops(0).with_update_ratio(0.5).with_seed(1);
     let plan = FaultPlan::new().at(SimTime(30_000), Fault::Crash(NodeId(2)));
     let run = RunConfig::new(3, workload).with_seed(7).with_faults(plan);
-    let (mut sim, layout, _trace) = assemble(&g, &coord, &run);
+    let (mut sim, layout) = assemble(&g, &coord, &run);
     sim.run_for(SimDuration::micros(5));
     let (off, size) = layout.backup_slot(0);
     let summary_slot = run.runtime.summary_slot_size(1);
@@ -217,8 +217,7 @@ fn suspicion_adopts_before_it_counts<O: WorkloadSupport + Clone>(
         .with_seed(1)
         .with_faults(plan)
         .with_trace(TraceMode::Collect);
-    let (mut sim, _layout, trace) = assemble(spec, coord, &run);
-    let trace = trace.expect("collecting");
+    let (mut sim, _layout) = assemble(spec, coord, &run);
     let of_suspect = |sim: &Simulator<HambandNode<O>>, at: NodeId| {
         sim.app(at).applied_map().get(Pid(suspect.index()), reducible)
     };
@@ -227,7 +226,7 @@ fn suspicion_adopts_before_it_counts<O: WorkloadSupport + Clone>(
     let adopted_before = loop {
         let before = of_suspect(&sim, adopter);
         sim.run_for(SimDuration::nanos(50));
-        let reacted = trace.take().iter().any(|r| {
+        let reacted = sim.take_trace().iter().any(|r| {
             matches!(r.event, TraceEvent::FdSuspect { node, suspect: s } if node == adopter && s == suspect)
         });
         if reacted {
@@ -302,7 +301,7 @@ fn leader_crash_during_election_reelects() {
     let b = Bank::default();
     let workload = WorkloadSpec::ops(400).with_update_ratio(0.5).with_seed(0xfa03);
     let run = RunConfig::new(5, workload).with_seed(0xfa04).with_faults(plan);
-    let (mut sim, _layout, _trace) = assemble(&b, &b.coord_spec(), &run);
+    let (mut sim, _layout) = assemble(&b, &b.coord_spec(), &run);
     let (_, converged) = drive(&mut sim, run.max_time);
     assert!(converged, "the survivors diverged");
     assert!(sim.is_crashed(NodeId(0)) && sim.is_crashed(NodeId(1)));
@@ -341,7 +340,7 @@ fn plan_skipped_for_a_partitioned_message_is_made_up_by_the_next_poll() {
         .with_seed(3)
         .with_runtime(runtime)
         .with_trace(TraceMode::Collect);
-    let (mut sim, _layout, trace) = assemble(&c, &coord, &run);
+    let (mut sim, _layout) = assemble(&c, &coord, &run);
     // An undecodable control message: ignored by its handler, but an
     // application-CPU event like any other. Arrives at ~35 us.
     sim.run_until(SimTime(10_000));
@@ -362,7 +361,7 @@ fn plan_skipped_for_a_partitioned_message_is_made_up_by_the_next_poll() {
     );
     sim.run_until(SimTime(2_000_000));
 
-    let events = trace.expect("collecting").take();
+    let events = sim.take_trace();
     let first_at = |what: &str, is: &dyn Fn(&TraceEvent) -> bool| {
         events.iter().find(|r| is(&r.event)).unwrap_or_else(|| panic!("node 0 never {what}")).at
     };
@@ -412,8 +411,7 @@ fn suspended_node_still_drains_its_summary_channels() {
     let total_ops = 2_400;
     let workload = WorkloadSpec::ops(total_ops).with_update_ratio(1.0).with_window(8).with_seed(1);
     let run = RunConfig::new(n, workload).with_seed(1).with_trace(TraceMode::Collect);
-    let (mut sim, _layout, trace) = assemble(&b, &b.coord_spec(), &run);
-    let trace = trace.expect("collecting");
+    let (mut sim, _layout) = assemble(&b, &b.coord_spec(), &run);
     // Per (node, peer): the (work request, version) of the node's summary
     // WRITE in flight there. `post_write` traces the verb, then the
     // replica labels it a summary write.
@@ -422,7 +420,7 @@ fn suspended_node_still_drains_its_summary_channels() {
     sim.run_until(SimTime(60_000));
     let victim = loop {
         sim.run_for(SimDuration::nanos(20));
-        for r in trace.take() {
+        for r in sim.take_trace() {
             match r.event {
                 TraceEvent::VerbPosted { issuer, kind: VerbKind::Write, target, wr, .. } => {
                     last_write[issuer.index()][target.index()] = Some(wr);

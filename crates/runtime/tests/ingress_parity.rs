@@ -18,83 +18,11 @@
 //!    while it was. A saturated REDUCE workload must put a whole window
 //!    of calls on each summary WRITE.
 //!
-//! Golden provenance: the fingerprints were originally captured from
-//! `examples/trace_fingerprint.rs` against the pre-ingress closed-loop
-//! driver. They were re-blessed ONCE, in the key-sharding PR, when the
-//! per-session RNG seeding was fixed — the old
-//! `seed ^ node·C1 ^ session·C2` derivation let distinct
-//! `(node, session)` pairs collide onto one stream, and the
-//! splitmix64-chain replacement (`ingress::session_seed`) reseeds every
-//! session, which legitimately shifts all RNG-dependent traces. The
-//! GSet fingerprints are unchanged by that fix because its workload
-//! mints update payloads from `(node, seq)` without consulting the
-//! session RNG. A SECOND and THIRD re-bless came with the threaded
-//! backend, both pure re-timings (every event count stayed identical,
-//! only `at` timestamps moved, because one-sided WRITE byte counts
-//! feed byte-proportional virtual latencies): slot strides were
-//! rounded up to multiples of 8 (word alignment for the shared-memory
-//! atomic region storage), and then the ring canary byte grew into an
-//! 8-byte sequence echo (`codec::CANARY_TRAILER`) so a reused slot's
-//! stale trailer cannot validate the next epoch's half-landed entry
-//! under word-granularity concurrent readers. Counter goldens were
-//! unchanged both times (its calls ride the summary path; no ring
-//! entries, so no ring byte counts in its timings). A FOURTH re-bless
-//! (PR 16, "one pump per handled event") moved every golden whose run
-//! appends to a ring — Bank, buffered GSet, Bank + leader fault and both
-//! saturated sets: the replica now plans and flushes once per handled
-//! event, not once per acknowledged call, so the appends an event
-//! unblocks leave as one coalesced WRITE per peer (fewer `RingWrite`
-//! events, earlier completions). Counter goldens are again unchanged:
-//! summaries never touch a ring. A FIFTH re-bless (PR 17, "plan when the
-//! completion queue is drained") moved the same five sets and again not
-//! Counter: the simulator shell plans only when no event is parked
-//! waiting for the node's CPU, so what k waiting completions freed
-//! leaves as one WRITE per peer instead of k (Bank: 3 282 -> 2 973
-//! events on seed 1). The 1-session GSet runs keep their event count and
-//! move only in time. One saturated OrSet run (seed 13) grew: its node 0
-//! now ends on a remove-only tail over an empty set, and the ingress
-//! waits out its 2 000 dry polls before forfeiting the last 8 calls —
-//! designed behaviour, 9 102 failure-detector verb events long. A SIXTH
-//! re-bless (PR 18, "summary WRITEs leave from the plan's flush") moved
-//! every golden whose run has a REDUCE call — Counter for the first time
-//! since PR 8, Bank, Bank + leader fault and saturated Bank: the summary
-//! slot is posted by the pump's flush, after the plan that refills the
-//! window its predecessor's completion freed, so one WRITE per peer
-//! carries the whole burst and a call waits out one WRITE, not two
-//! (Counter: 918 -> 756 events on every seed; Bank 2 973 -> 2 856 on
-//! seed 1). The buffered-GSet and saturated-OrSet sets have no
-//! summarization group and did not move. A SEVENTH re-bless (PR 23,
-//! "the commit index rides the next entry") moved every golden whose run
-//! makes a CONF call — Bank, Bank + leader fault and saturated Bank, and
-//! no other: the leader's round of commit-cell WRITEs per commit is gone
-//! while an entry follows to carry the index, so its verb events go
-//! (Bank: 2 856 -> 2 778 events on seed 1) and everything behind them on
-//! the leader's CPU moves up. Counter, buffered GSet and saturated OrSet
-//! order nothing through a log and did not move. An EIGHTH re-bless
-//! ("the failure detector runs on its own core") moved all seven sets:
-//! every heartbeat READ now fetches 16 bytes (the second word is the
-//! node's executed-query count), which every traced run posts, and the
-//! detector's READs and their completions left the application CPU, so
-//! a busy node handles everything else earlier. Counter and buffered
-//! GSet keep their event counts and move in time only; elsewhere the
-//! count moves with the detector READs a run's last settle check falls
-//! after (Bank seed 1: 2 778 -> 2 763, seed 13: 2 688 -> 2 751, both
-//! about 0.7 us shorter). The saturated OrSet runs end 22 % sooner (seed
-//! 1: 451.8 -> 353.8 us) and seed 13 no longer ends on a remove-only
-//! tail over an empty set, so it forfeits nothing: all three seeds read
-//! 24 263 events. A NINTH re-bless ("a landed summary costs its reader
-//! nothing until a read needs it") moved every set whose run has a
-//! REDUCE call — Counter, Bank, Bank + leader fault, saturated Bank and
-//! the window-1 reduce burst — and no other: a node with workload left
-//! no longer pays an `apply_cost` at each poll for every peer version
-//! that landed, only when a query, a rejected check or an unmet
-//! dependency reads one, so its CPU frees up and everything behind it
-//! moves up. Counter keeps its 756 events; Bank seed 1 ends 0.45 us
-//! sooner (50.16 -> 49.71 us), with 36 fewer detector READs and their
-//! completions and 3 more ring batches (2 763 -> 2 694 events). The
-//! buffered-GSet and saturated-OrSet sets have no summary and did not
-//! move. Any future mismatch is a regression, not an excuse for another
-//! bless.
+//! The goldens' rule: a golden moves only in a change that means to
+//! move virtual timing, and CHANGES.md says which sets moved and why
+//! (it holds every re-bless so far). A mismatch prints the measured
+//! entry ready to paste; outside such a change it is a regression, not
+//! an excuse for another bless.
 
 use hamband_core::{CoordSpec, ObjectSpec, WorkloadSupport};
 use hamband_runtime::{
@@ -106,8 +34,7 @@ use hamband_types::{Bank, Counter, GSet, OrSet};
 use proptest::prelude::*;
 use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime};
 
-/// FNV-1a over the debug rendering of the full event stream — the same
-/// digest `examples/trace_fingerprint.rs` prints.
+/// FNV-1a over the debug rendering of the full event stream.
 fn digest(events: &[TraceRecord]) -> (usize, u64) {
     let mut h: u64 = 0xcbf29ce484222325;
     for e in events {
@@ -120,9 +47,21 @@ fn digest(events: &[TraceRecord]) -> (usize, u64) {
     (events.len(), h)
 }
 
-/// Golden (seed, events, hash) fingerprints per workload (see module
-/// header for provenance and the one re-bless). A mismatch means a
-/// fixed-seed run no longer reproduces its blessed event stream.
+/// A run's digest against its golden entry; a mismatch prints the
+/// measured entry as the table holds it, `(seed, events, hash)`, or
+/// `(events, hash)` for a golden without a seed.
+fn assert_golden(what: &str, seed: Option<u64>, got: (usize, u64), golden: (usize, u64)) {
+    let (events, hash) = got;
+    let seed = seed.map(|s| format!("{s}, ")).unwrap_or_default();
+    assert!(
+        got == golden,
+        "{what} moved off its golden; measured, ready to paste:\n    ({seed}{events}, {hash:#018x}),"
+    );
+}
+
+/// Golden (seed, events, hash) fingerprints per workload (see the
+/// module header). A mismatch means a fixed-seed run no longer
+/// reproduces its blessed event stream.
 /// Last re-blessed for adopt-on-read summaries (the ninth bless).
 const GOLDEN_COUNTER: [(u64, usize, u64); 3] = [
     (1, 756, 0xc8c756f20ce87200),
@@ -156,7 +95,7 @@ fn one_session_ingress_matches_pre_ingress_driver_goldens() {
             .with_trace(TraceMode::Collect);
         let out = Runner::new(System::Hamband, cfg).run(&c, &c.coord_spec());
         assert!(out.report.converged);
-        assert_eq!(digest(&out.events), (events, hash), "counter seed={seed}");
+        assert_golden("counter", Some(seed), digest(&out.events), (events, hash));
     }
     for &(seed, events, hash) in &GOLDEN_BANK {
         let b = Bank::default();
@@ -165,7 +104,7 @@ fn one_session_ingress_matches_pre_ingress_driver_goldens() {
             .with_trace(TraceMode::Collect);
         let out = Runner::new(System::Hamband, cfg).run(&b, &b.coord_spec());
         assert!(out.report.converged);
-        assert_eq!(digest(&out.events), (events, hash), "bank seed={seed}");
+        assert_golden("bank", Some(seed), digest(&out.events), (events, hash));
     }
 }
 
@@ -184,7 +123,7 @@ fn one_session_parity_survives_faults_and_quota_adoption() {
             .with_trace(TraceMode::Collect);
         let out = Runner::new(System::Hamband, cfg).run(&g, &g.coord_spec_buffered());
         assert!(out.report.converged);
-        assert_eq!(digest(&out.events), (events, hash), "gset+faults seed={seed}");
+        assert_golden("gset+faults", Some(seed), digest(&out.events), (events, hash));
     }
     for &(seed, events, hash) in &GOLDEN_BANK_LEADERFAULT {
         let b = Bank::default();
@@ -195,7 +134,7 @@ fn one_session_parity_survives_faults_and_quota_adoption() {
             .with_trace(TraceMode::Collect);
         let out = Runner::new(System::Hamband, cfg).run(&b, &b.coord_spec());
         assert!(out.report.converged);
-        assert_eq!(digest(&out.events), (events, hash), "bank+leaderfault seed={seed}");
+        assert_golden("bank+leaderfault", Some(seed), digest(&out.events), (events, hash));
     }
 }
 
@@ -205,7 +144,7 @@ fn one_session_parity_survives_faults_and_quota_adoption() {
 /// load. The plan walks every fault arm that path crosses. First pinned
 /// against the re-push scheduler (PR 14's first commit), which the
 /// per-node wait queues reproduced byte for byte; re-blessed since as
-/// the module header lists.
+/// CHANGES.md lists.
 const GOLDEN_ORSET_SATURATED: [(u64, usize, u64); 3] = [
     (1, 24263, 0x398ef233e4c11f0b),
     (7, 24263, 0xcf5b3da757208a46),
@@ -264,14 +203,14 @@ fn saturated_sessions_match_repush_scheduler_goldens() {
         let spec =
             WorkloadSpec::ops(6_000).with_update_ratio(0.25).with_sessions(64).with_window(8);
         let got = saturated_digest(&o, &o.coord_spec(), 6, spec, seed);
-        assert_eq!(got, (events, hash), "orset saturated seed={seed}");
+        assert_golden("orset saturated", Some(seed), got, (events, hash));
     }
     for &(seed, events, hash) in &GOLDEN_BANK_SATURATED {
         let b = Bank::default();
         let spec =
             WorkloadSpec::ops(2_400).with_update_ratio(0.5).with_sessions(64).with_window(2);
         let got = saturated_digest(&b, &b.coord_spec(), 4, spec, seed);
-        assert_eq!(got, (events, hash), "bank saturated seed={seed}");
+        assert_golden("bank saturated", Some(seed), got, (events, hash));
     }
 }
 
@@ -369,7 +308,7 @@ fn reduce_burst(session_window: usize) -> (RunOutcome, i64) {
 /// the same order whether `issue_reduce` or the pump's flush posts it.
 /// Pinned when the post moved to the flush, which left it unmoved;
 /// re-blessed for the 16-byte heartbeat READ and for adopt-on-read
-/// summaries (module header): 54 288 -> 53 760 events.
+/// summaries (CHANGES.md): 54 288 -> 53 760 events.
 const GOLDEN_REDUCE_WINDOW_1: (usize, u64) = (53_760, 0x809e538f95d68608);
 
 #[test]
@@ -391,7 +330,7 @@ fn saturated_reduce_burst_boards_the_write_its_acks_enable() {
     );
     let (single, state_single) = reduce_burst(1);
     assert_eq!(single.stats.writes, 14_400, "window 1: one WRITE per peer per call");
-    assert_eq!(digest(&single.events), GOLDEN_REDUCE_WINDOW_1, "window 1 must not move");
+    assert_golden("window-1 reduce burst", None, digest(&single.events), GOLDEN_REDUCE_WINDOW_1);
     assert_eq!(state_full, state_single, "combining is pure cost: same final state");
 }
 

@@ -11,8 +11,8 @@ use hamband_runtime::codec::Entry;
 use hamband_runtime::rings::{RingReader, RingWriter};
 use proptest::prelude::*;
 use rdma_sim::{
-    App, CollectingSink, Ctx, Event, Fault, FaultPlan, LatencyModel, NodeId, RegionId, RingKind,
-    SimDuration, SimTime, Simulator, TraceEvent,
+    App, Ctx, Event, Fault, FaultPlan, LatencyModel, NodeId, RegionId, RingKind, SimDuration,
+    SimTime, Simulator, TraceEvent,
 };
 
 const SLOT: usize = 64;
@@ -95,8 +95,7 @@ fn run_ring_traced(
     max_batch: usize,
 ) -> RingRun {
     let mut sim = Simulator::new(2, LatencyModel::default(), seed);
-    let (sink, buffer) = CollectingSink::new();
-    sim.set_trace_sink(Box::new(sink));
+    sim.collect_trace();
     let ring: RegionId = sim.add_region_all(cap * SLOT);
     let heads: RegionId = sim.add_region_all(8);
     if torn {
@@ -122,7 +121,7 @@ fn run_ring_traced(
     // (batched posts land later), but each stream's order must not.
     let mut appends = Vec::new();
     let mut applies = Vec::new();
-    for rec in buffer.take() {
+    for rec in sim.take_trace() {
         match rec.event {
             TraceEvent::RingAppend { seq, .. } => appends.push(seq),
             TraceEvent::RingApply { seq, .. } => applies.push(seq),

@@ -3,50 +3,62 @@
 //! histograms account for exactly the acknowledged calls.
 
 use hamband_core::demo::Account;
-use hamband_runtime::{Phase, RunConfig, Runner, System, TraceEvent, TraceMode, WorkloadSpec};
+use hamband_runtime::{
+    Backend, Phase, RunConfig, Runner, System, TraceEvent, TraceMode, WorkloadSpec,
+};
 use hamband_types::{Bank, Counter};
-use rdma_sim::{NodeId, VerbKind};
+use rdma_sim::{NodeId, SimTime, VerbKind};
 
 /// Every acknowledged conflicting update is covered by a
 /// `CommitAdvance` earlier in the trace: the acking node advanced its
 /// commit index past the call's ring seq before acking the client.
-/// A node acknowledges a group's calls in ring order.
+/// A node acknowledges a group's calls in ring order. Both backends:
+/// the threaded one merges its per-thread traces by wall time, which
+/// keeps each node's own order, and both events are the acking node's.
 #[test]
 fn conf_acks_follow_commit_advance() {
-    let a = Account::new(100);
-    let config = RunConfig::for_nodes(3)
-        .with_workload(WorkloadSpec::ops(600).with_update_ratio(0.5))
-        .with_trace(TraceMode::Collect);
-    let outcome = Runner::new(System::Hamband, config).run(&a, &a.coord_spec());
-    assert!(outcome.report.converged, "{}", outcome.report);
-    assert!(!outcome.events.is_empty(), "collect mode must record events");
-
-    let mut conf_acks = 0usize;
-    let mut last_acked = std::collections::HashMap::new();
-    for (i, rec) in outcome.events.iter().enumerate() {
-        let TraceEvent::Ack { node, phase: Phase::Conf, group: Some(g), seq: Some(s), .. } =
-            rec.event
-        else {
-            continue;
-        };
-        conf_acks += 1;
-        if let Some(prev) = last_acked.insert((node, g), s) {
-            assert!(prev < s, "node {node:?} acked seq {s} of group {g} after seq {prev}");
+    for backend in [Backend::Sim, Backend::Threaded] {
+        let a = Account::new(100);
+        let mut config = RunConfig::for_nodes(3)
+            .with_workload(WorkloadSpec::ops(600).with_update_ratio(0.5))
+            .with_backend(backend)
+            .with_trace(TraceMode::Collect);
+        if backend == Backend::Threaded {
+            // A wall-clock cap there.
+            config = config.with_max_time(SimTime(30_000_000_000));
         }
-        let committed = outcome.events[..i].iter().any(|earlier| {
-            matches!(
-                earlier.event,
-                TraceEvent::CommitAdvance { node: n, group, commit }
-                    if n == node && group == g && commit >= s
-            )
-        });
-        assert!(
-            committed,
-            "ack of seq {s} in group {g} on node {node:?} (event {i}) \
-             has no earlier CommitAdvance covering it"
-        );
+        let outcome = Runner::new(System::Hamband, config).run(&a, &a.coord_spec());
+        let label = backend.label();
+        assert!(outcome.report.converged, "{label}: {}", outcome.report);
+        assert!(!outcome.events.is_empty(), "{label}: collect mode must record events");
+
+        let mut conf_acks = 0usize;
+        let mut last_acked = std::collections::HashMap::new();
+        for (i, rec) in outcome.events.iter().enumerate() {
+            let TraceEvent::Ack { node, phase: Phase::Conf, group: Some(g), seq: Some(s), .. } =
+                rec.event
+            else {
+                continue;
+            };
+            conf_acks += 1;
+            if let Some(prev) = last_acked.insert((node, g), s) {
+                assert!(prev < s, "{label}: node {node:?} acked seq {s} of group {g} after seq {prev}");
+            }
+            let committed = outcome.events[..i].iter().any(|earlier| {
+                matches!(
+                    earlier.event,
+                    TraceEvent::CommitAdvance { node: n, group, commit }
+                        if n == node && group == g && commit >= s
+                )
+            });
+            assert!(
+                committed,
+                "{label}: ack of seq {s} in group {g} on node {node:?} (event {i}) \
+                 has no earlier CommitAdvance covering it"
+            );
+        }
+        assert!(conf_acks > 0, "{label}: the account workload must exercise the CONF path");
     }
-    assert!(conf_acks > 0, "the account workload must exercise the CONF path");
 }
 
 /// A commit index rides the next entry the leader appends, so a busy

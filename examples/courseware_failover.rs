@@ -22,7 +22,7 @@ fn main() {
     let run = RunConfig::new(n, workload)
         .with_seed(42)
         .with_faults(FaultPlan::new().at(SimTime(300_000), Fault::SuspendHeartbeat(NodeId(0))));
-    let (mut sim, _layout, _trace) = assemble(&courseware, &courseware.coord_spec(), &run);
+    let (mut sim, _layout) = assemble(&courseware, &courseware.coord_spec(), &run);
     println!("initial leader of the course group: {}", sim.app(NodeId(1)).leader_view(0));
 
     let mut failover_seen = false;

@@ -146,7 +146,7 @@ fn election_replaces_suspended_leader() {
     let old = NodeId(0);
     let run = RunConfig::new(n, workload)
         .with_faults(FaultPlan::new().at(SimTime(50_000), Fault::SuspendHeartbeat(old)));
-    let (mut sim, _layout, _trace) = assemble(&b, &b.coord_spec(), &run);
+    let (mut sim, _layout) = assemble(&b, &b.coord_spec(), &run);
     sim.run_for(SimDuration::micros(40));
     assert_eq!(sim.app(NodeId(1)).leader_view(0).index(), old.index(), "node 0 leads at first");
 
