@@ -91,11 +91,11 @@ where
     let converged = cluster.run_to_convergence(std::time::Duration::from_nanos(run.max_time.0));
     let events = cluster.take_trace();
     // No fabric to crash a node here. Completion time is the latest
-    // apply any node recorded — the same measure the simulator path
-    // uses.
+    // apply or query any node recorded — the same measure the simulator
+    // path uses.
     let nodes: Vec<(&HambandNode<O>, bool)> =
         (0..run.nodes).map(|i| (cluster.node(i), false)).collect();
     let completed_at =
-        nodes.iter().map(|(n, _)| n.metrics.last_apply).max().unwrap_or(SimTime::ZERO);
+        nodes.iter().map(|(n, _)| n.metrics.done_at()).max().unwrap_or(SimTime::ZERO);
     collect(&nodes, spec, label, completed_at, converged, cluster.stats(), events)
 }

@@ -180,6 +180,9 @@ impl<O: WorkloadSupport> MsgCrdtNode<O> {
         if self.halted {
             return;
         }
+        // As in the Hamband pump: a query's charge ends no sooner than
+        // the pump's start plus the pump's query costs so far.
+        let mut queries_end = ctx.now();
         loop {
             let planned = self.ingress.next(&self.spec, &self.state, &self.coord, &[], &[]);
             match planned {
@@ -190,7 +193,9 @@ impl<O: WorkloadSupport> MsgCrdtNode<O> {
                 Some((_, Planned::Query(q))) => {
                     let _ = self.spec.query(&self.state, &q);
                     let cost = ctx.charge_apply();
+                    queries_end += cost;
                     self.metrics.ack_query(cost);
+                    self.metrics.query_ended(queries_end);
                 }
                 Some((session, Planned::Update(u))) => self.issue(ctx, u, session),
             }

@@ -20,9 +20,11 @@
 //!   no path can build one or move the countdown by hand.
 //! * **FREE-APP / CONF-APP** — `apply_buffered` is the one body both
 //!   ring polls run for a delivered entry, gated by its dependency map.
-//! * **QUERY** — the pump's query arm, which adopts the landed summaries
-//!   before it reads (`reduce.rs`: a landed summary is adopted when a
-//!   read needs it).
+//! * **QUERY** — `query`, which adopts the landed summaries before it
+//!   reads (`reduce.rs`: a landed summary is adopted when a read needs
+//!   it) and reads the committed view `mat`, never a leader's
+//!   uncommitted calls. The pump stamps the instant its charge ends into
+//!   the run's end time.
 //!
 //! One-sided work requests that are not ring appends carry a `Route`
 //! so their completions find their handler.
@@ -135,6 +137,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // passed into the ingress's releasable pool. Closed loop: no-op.
         self.ingress.release_arrivals(ctx.now());
         let queries_before = self.metrics.queries;
+        // A query's charge ends no sooner than the pump's start plus the
+        // service times of the pump's queries so far, its own included.
+        let mut queries_end = ctx.now();
         let mut reject_streak = 0u32;
         loop {
             // Each shard's quota is its leader's to spend, measured
@@ -168,15 +173,11 @@ impl<O: WorkloadSupport> HambandNode<O> {
                         .take_arrival()
                         .map(|a| ctx.now().since(a))
                         .unwrap_or(SimDuration(0));
-                    // QUERY reads σ with the landed summaries applied:
-                    // the first read after one lands adopts it, on the
-                    // query's own time.
-                    let adopted = self.adopt_summaries(ctx);
-                    self.refresh_mat();
-                    let reply = self.spec.query(self.check_view(), &q);
-                    let _ = reply;
-                    let cost = ctx.charge_apply();
-                    self.metrics.ack_query(SimDuration(cost.as_nanos() * (adopted + 1)) + waited);
+                    // The reply is not recorded yet.
+                    let (_reply, service) = self.query(ctx, &q);
+                    queries_end += service;
+                    self.metrics.ack_query(service + waited);
+                    self.metrics.query_ended(queries_end);
                 }
                 Some((session, Planned::Update(u))) => {
                     // Stamp the call with its open-loop arrival time (if
@@ -290,6 +291,24 @@ impl<O: WorkloadSupport> HambandNode<O> {
         } else if remotes == 0 {
             self.finish_call(ctx, call_id);
         }
+    }
+
+    /// QUERY: adopt the landed summaries, then evaluate `q` on the
+    /// committed view `mat` and charge its body. Never on the leader's
+    /// check view: the uncommitted calls in it are aborted if the leader
+    /// is deposed, and a reply read there would show calls that never
+    /// happened. Returns the reply and the query's service time, its
+    /// adoptions and its body.
+    pub(crate) fn query<T: Transport>(
+        &mut self,
+        ctx: &mut T,
+        q: &O::Query,
+    ) -> (O::Reply, SimDuration) {
+        let adopted = self.adopt_summaries(ctx);
+        self.refresh_mat();
+        let reply = self.spec.query(&self.mat, q);
+        let cost = ctx.charge_apply();
+        (reply, SimDuration(cost.as_nanos() * (adopted + 1)))
     }
 
     /// Mint a fresh (call id, replica-unique request id) pair.
@@ -429,7 +448,7 @@ mod tests {
     use super::*;
     use crate::{assemble, Layout, RunConfig, TraceMode, WorkloadSpec};
     use hamband_core::counts::DepMap;
-    use hamband_types::bank::{Bank, BankUpdate, DEPOSIT, OPEN};
+    use hamband_types::bank::{Bank, BankQuery, BankUpdate, DEPOSIT, OPEN};
     use rdma_sim::{CompletionStatus, Simulator, VerbKind, WrId};
 
     type Cluster = Simulator<HambandNode<Bank>>;
@@ -544,6 +563,20 @@ mod tests {
         // Their completions find a follower: nothing is acknowledged.
         sim.run_for(SimDuration::micros(10));
         assert_eq!(sim.app(N0).metrics.updates_acked, 2);
+    }
+
+    /// The leader checks calls against its uncommitted withdraw, but a
+    /// query reads only what is committed: a deposition would abort it.
+    #[test]
+    fn a_query_reads_the_committed_view_not_the_leaders_uncommitted_calls() {
+        let (mut sim, _layout) = funded_cluster();
+        issue(&mut sim, BankUpdate::Withdraw(ACCT, 3));
+        let app = sim.app(N0);
+        assert_eq!(app.engines[0].leader().map(|l| l.uncommitted.len()), Some(1));
+        assert_eq!(app.check_view().balances.get(&ACCT), Some(&7));
+        let (balance, _) =
+            sim.with_app_ctx(N0, |app, ctx| app.query(ctx, &BankQuery::Balance(ACCT)));
+        assert_eq!(balance, 10);
     }
 
     #[test]

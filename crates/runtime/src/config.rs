@@ -16,7 +16,8 @@ pub const BACKUP_SLOTS: usize = 64;
 /// How often each node traverses its buffers (§4: "two threads
 /// traverse and process the calls of F and L buffers").
 pub const POLL_INTERVAL: SimDuration = SimDuration::nanos(800);
-/// CPU cost of one traversal pass that finds nothing.
+/// CPU cost of one traversal pass that finds nothing. Charged only to a
+/// pass that has something another node writes to scan (`replica.rs`).
 pub const POLL_COST: SimDuration = SimDuration::nanos(40);
 /// Size in bytes of each node's persist log region (only allocated
 /// under [`DurabilityMode::Fenced`]).

@@ -16,14 +16,20 @@ use crate::calls::Issued;
 use crate::codec::Entry;
 use crate::config::FREE_RING_CAP;
 use crate::persist::LogRecord;
-use crate::replica::{peers, HambandNode};
+use crate::replica::HambandNode;
 use crate::rings::{RingReader, RingWriter};
 use crate::transport::Transport;
 
 impl<O: WorkloadSupport> HambandNode<O> {
     /// Build the `F`-ring endpoints: one writer feeding our ring at
-    /// each peer, one reader over each peer's ring copy here.
+    /// each peer, one reader over each peer's ring copy here. An object
+    /// without an irreducible conflict-free method gets none: no peer
+    /// would ever append to them, and a poll would scan them for nothing.
     pub(crate) fn setup_free_endpoints(&mut self) {
+        let coord = &self.coord;
+        if !(0..coord.method_count()).any(|m| coord.category(MethodId(m)).is_irreducible_free()) {
+            return;
+        }
         for src in 0..self.n {
             let node = NodeId(src);
             if node == self.me {
@@ -100,14 +106,11 @@ impl<O: WorkloadSupport> HambandNode<O> {
     /// Apply every deliverable entry from each peer's `F` ring (in ring
     /// order, gated by each entry's dependency map).
     pub(crate) fn poll_free<T: Transport>(&mut self, ctx: &mut T) {
-        for node in peers(self.me, self.n) {
-            let src = node.index();
-            loop {
-                let entry = {
-                    let reader = self.free_readers[src].as_ref().expect("reader for peer");
-                    reader.peek::<O::Update>(ctx)
-                };
-                let Some(entry) = entry else { break };
+        for src in 0..self.free_readers.len() {
+            let node = NodeId(src);
+            while let Some(entry) =
+                self.free_readers[src].as_ref().and_then(|r| r.peek::<O::Update>(ctx))
+            {
                 if !self.apply_buffered(ctx, &entry, false) {
                     break; // blocked on a dependency; retry next poll
                 }

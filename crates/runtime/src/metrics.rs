@@ -207,6 +207,8 @@ pub struct NodeMetrics {
     /// (local issue or remote propagation) — the per-node component of
     /// the paper's "time for all update calls to be replicated".
     pub last_apply: SimTime,
+    /// Virtual time at which the most recent query's charge ended.
+    pub last_query: SimTime,
 }
 
 impl NodeMetrics {
@@ -224,6 +226,17 @@ impl NodeMetrics {
         self.queries += 1;
         self.rt.record_duration(cost);
         self.rt_per_phase[Phase::Query.index()].record_duration(cost);
+    }
+
+    /// Record that a query's charge ended at `at`.
+    pub fn query_ended(&mut self, at: SimTime) {
+        self.last_query = self.last_query.max(at);
+    }
+
+    /// When this node's part of the run ended: its last apply or the end
+    /// of its last query, whichever is later.
+    pub fn done_at(&self) -> SimTime {
+        self.last_apply.max(self.last_query)
     }
 
     /// Mean response time in microseconds over all recorded calls.
@@ -639,6 +652,8 @@ mod tests {
         m.ack_update(0, Phase::Reduce, SimTime(0), SimTime(4_000));
         m.ack_update(1, Phase::Conf, SimTime(0), SimTime(1_000));
         m.ack_query(SimDuration::nanos(500));
+        m.query_ended(SimTime(4_500));
+        assert_eq!((m.last_apply, m.done_at()), (SimTime::ZERO, SimTime(4_500)));
         assert_eq!(m.updates_acked, 3);
         assert_eq!(m.queries, 1);
         assert_eq!(m.rt.count(), 4);

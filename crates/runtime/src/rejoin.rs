@@ -151,9 +151,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // is published, so the durable frontier is always at or past
         // what peers' writers believe we acked — they never reuse a
         // slot above it.
-        for src in peers(self.me, self.n) {
-            let reader = self.free_readers[src.index()].as_mut().expect("reader for peer");
-            reader.adopt_head(ctx, free_frontier[src.index()]);
+        for (src, reader) in self.free_readers.iter_mut().enumerate() {
+            if let Some(reader) = reader {
+                reader.adopt_head(ctx, free_frontier[src]);
+            }
         }
         let own_tail = own_free.last().map_or(0, |&(s, _)| s);
         for w in self.free_writers.iter_mut().flatten() {

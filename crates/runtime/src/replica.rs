@@ -116,6 +116,8 @@ pub struct HambandNode<O: ObjectSpec> {
     /// backup slot and the log copy take the bytes.
     pub(crate) slot_buf: Vec<u8>,
 
+    /// `F`-ring endpoints by peer (`None` at our own index); empty when
+    /// the object has no irreducible conflict-free method.
     pub(crate) free_writers: Vec<Option<RingWriter>>,
     pub(crate) free_readers: Vec<Option<RingReader>>,
     /// One consensus engine per *mapped* group: each synchronization
@@ -332,6 +334,17 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.poll_conf(ctx);
     }
 
+    /// Whether a poll now scans anything another node writes: a peer's
+    /// `F` ring (built only for objects with an irreducible
+    /// conflict-free method), a group's `L` ring
+    /// ([`GroupEngine::scans_ring`]), or, once the local workload is
+    /// done, the peers' summary slots.
+    fn poll_scans(&self) -> bool {
+        self.free_readers.iter().any(Option::is_some)
+            || self.engines.iter().any(GroupEngine::scans_ring)
+            || (self.ingress.local_done() && !self.sum_cache.is_empty())
+    }
+
     fn on_completion<T: Transport>(
         &mut self,
         ctx: &mut T,
@@ -475,8 +488,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
     pub(crate) fn step(&mut self, ctx: &mut Ctx<'_>, event: Event) -> bool {
         // A poll pass is CPU work on the virtual clock; on real threads
         // it costs what it costs, so the charge lives here and not
-        // behind `Transport`.
-        if matches!(event, Event::Timer { tag: TAG_POLL, .. }) {
+        // behind `Transport`. A tick with nothing another node writes
+        // to scan costs nothing; it stays armed all the same, as the
+        // planner's backstop below.
+        if matches!(event, Event::Timer { tag: TAG_POLL, .. }) && self.poll_scans() {
             ctx.consume(POLL_COST);
         }
         // A poll loop takes every completion that is there before it
@@ -505,5 +520,51 @@ impl<O: WorkloadSupport + Clone> App for HambandNode<O> {
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
         self.restart_recover(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{assemble, RunConfig};
+    use hamband_types::{Bank, Counter};
+    use rdma_sim::{LatencyModel, SimTime};
+
+    /// A Counter node with quota left finds nothing another node writes
+    /// at a tick: it has no `F` or `L` ring, and it adopts summaries only
+    /// where a read needs them. Its CPU time is method bodies and posts.
+    #[test]
+    fn a_counter_node_with_quota_left_is_charged_nothing_for_its_ticks() {
+        let c = Counter::default();
+        let workload = WorkloadSpec::ops(3_000).with_update_ratio(1.0).with_seed(1);
+        let (mut sim, _layout) =
+            assemble(&c, &c.coord_spec(), &RunConfig::new(3, workload).with_seed(1));
+        sim.run_until(SimTime(100_000));
+        let apply_cost = LatencyModel::default().apply_cost.as_nanos();
+        let stats = sim.stats();
+        for i in 0..3 {
+            let app = sim.app(NodeId(i));
+            assert!(!app.ingress.local_done(), "node {i} has no quota left");
+            assert!(app.next_call_id > 100, "node {i} issued {}", app.next_call_id);
+            let bodies = apply_cost * (app.next_call_id + app.metrics.summary_adoptions);
+            assert_eq!(stats.cpu_busy_ns[i], bodies + stats.cpu_post_ns[i], "node {i}");
+        }
+    }
+
+    /// Every Bank node reads `F` rings its peers append deposits to, so
+    /// each tick scans and is charged, even on a cluster with nothing
+    /// to do.
+    #[test]
+    fn a_bank_node_is_charged_poll_cost_for_every_tick() {
+        let b = Bank::default();
+        let run = RunConfig::new(3, WorkloadSpec::ops(0)).with_seed(1);
+        let (mut sim, _layout) = assemble(&b, &b.coord_spec(), &run);
+        sim.run_until(SimTime(8_400));
+        let before = sim.stats().cpu_busy_ns.clone();
+        // The ticks at 8.8 µs, 9.6 µs, …, 88 µs.
+        sim.run_until(SimTime(88_400));
+        for (i, busy) in before.into_iter().enumerate() {
+            assert_eq!(sim.stats().cpu_busy_ns[i] - busy, 100 * POLL_COST.as_nanos(), "node {i}");
+        }
     }
 }

@@ -164,11 +164,13 @@ pub fn settled<A: HarnessNode>(sim: &Simulator<A>) -> bool {
 
 /// Drive a prepared cluster to completion: run in 25 µs slices until it
 /// is [`settled`] — or `max_time` is reached, or nothing was applied
-/// for 2 000 slices (a workload that cannot progress ends unconverged
-/// instead of burning virtual time to the cap) — then let stragglers
-/// (commit writes, backups) settle for 300 µs. Returns the time of the
-/// last apply on an alive node and whether the run converged: settled,
-/// and the alive nodes' object states equal.
+/// and no query run for 2 000 slices (a workload that cannot progress
+/// ends unconverged instead of burning virtual time to the cap) — then
+/// let stragglers (commit writes, backups) settle for 300 µs. Returns
+/// when the last apply or query on an alive node ended
+/// ([`NodeMetrics::done_at`](crate::metrics::NodeMetrics::done_at)) and
+/// whether the run converged: settled, and the alive nodes' object
+/// states equal.
 pub fn drive<A: HarnessNode>(sim: &mut Simulator<A>, max_time: SimTime) -> (SimTime, bool) {
     let mut done = false;
     let mut last_progress = 0u64;
@@ -179,8 +181,11 @@ pub fn drive<A: HarnessNode>(sim: &mut Simulator<A>, max_time: SimTime) -> (SimT
         if done {
             break;
         }
-        let progress: u64 =
-            alive_nodes(sim).iter().flatten().map(|a| a.applied_map().total()).sum();
+        let progress: u64 = alive_nodes(sim)
+            .iter()
+            .flatten()
+            .map(|a| a.applied_map().total() + a.metrics().queries)
+            .sum();
         if progress == last_progress {
             stalled += 1;
             if stalled > 2_000 {
@@ -195,7 +200,7 @@ pub fn drive<A: HarnessNode>(sim: &mut Simulator<A>, max_time: SimTime) -> (SimT
 
     let alive = alive_nodes(sim);
     let completed_at =
-        alive.iter().flatten().map(|a| a.metrics().last_apply).max().unwrap_or(SimTime::ZERO);
+        alive.iter().flatten().map(|a| a.metrics().done_at()).max().unwrap_or(SimTime::ZERO);
     (completed_at, done && states_agree(&alive))
 }
 
@@ -203,7 +208,7 @@ pub fn drive<A: HarnessNode>(sim: &mut Simulator<A>, max_time: SimTime) -> (SimT
 mod tests {
     use super::*;
     use crate::driver::WorkloadSpec;
-    use crate::harness::{assemble, RunConfig};
+    use crate::harness::{assemble, RunConfig, Runner, System};
     use hamband_core::ids::Pid;
     use hamband_types::{Bank, Counter};
     use rdma_sim::{Fault, FaultPlan, LatencyModel};
@@ -279,6 +284,34 @@ mod tests {
         let (completed_at, converged) = drive(&mut sim, SimTime(10_000_000));
         assert!(converged && settled(&sim));
         assert!(completed_at > SimTime::ZERO && completed_at < sim.now());
+    }
+
+    /// A run of queries alone applies nothing, so only its queries can
+    /// date its end: each node runs its 3 200 back to back in its first
+    /// pump.
+    #[test]
+    fn a_query_only_run_ends_when_its_queries_charges_do() {
+        let c = Counter::default();
+        let run = RunConfig::new(3, WorkloadSpec::ops(9_600).with_update_ratio(0.0));
+        let report = Runner::new(System::Hamband, run).run(&c, &c.coord_spec()).report;
+        let apply_cost = LatencyModel::default().apply_cost.as_nanos();
+        assert!(report.converged);
+        assert!(report.completed_at >= SimTime(3_200 * apply_cost), "{}", report.completed_at);
+        let bound = 9_600.0 / SimTime(3_200 * apply_cost).as_micros();
+        assert!(report.throughput_ops_per_us <= bound, "{} ops/us", report.throughput_ops_per_us);
+    }
+
+    /// Open-loop queries arrive over 60 ms, longer than the 2 000-slice
+    /// stall window, and apply nothing: running them is the progress.
+    #[test]
+    fn queries_alone_are_progress() {
+        let c = Counter::default();
+        let workload =
+            WorkloadSpec::ops(3_600).with_update_ratio(0.0).with_offered_load(60_000.0);
+        let (mut sim, _layout) = assemble(&c, &c.coord_spec(), &RunConfig::new(3, workload));
+        let (completed_at, converged) = drive(&mut sim, SimTime(1_000_000_000));
+        assert!(converged, "declared stalled at {}", sim.now());
+        assert!(completed_at > SimTime(50_000_000), "ended at {completed_at}");
     }
 
     /// "Every alive node …" holds of no node at all; nobody is left to

@@ -5,7 +5,8 @@
 //!   own conflict-free) calls only, never summaries;
 //! * **mat** — the materialized committed view: σ with every cached
 //!   summary applied, refreshed lazily via a dirty bit (non-monotone
-//!   summaries invalidate it wholesale);
+//!   summaries invalidate it wholesale). Queries read it
+//!   (`calls.rs::query`);
 //! * **spec_mat** — the speculative view a group leader checks
 //!   permissibility against: `mat` plus its own uncommitted conflicting
 //!   calls. `None` until the node first issues a conflicting call (the

@@ -4,7 +4,7 @@
 #
 #   total     Rust lines under crates/ src/ tests/ examples/
 #   runtime   non-test lines of crates/runtime/src: each file up to its
-#             first `#[cfg(test)]` line, ingress/tests.rs left out
+#             first `#[cfg(test)]` line, child `tests.rs` modules left out
 #
 # Usage: scripts/loc.sh [-v]     (-v lists the runtime count per file)
 set -euo pipefail
@@ -18,7 +18,7 @@ while IFS= read -r f; do
   if [ "${1:-}" = "-v" ]; then
     printf '%6d %s\n' "$lines" "$f"
   fi
-done < <(find crates/runtime/src -name '*.rs' ! -path '*/ingress/tests.rs' | sort)
+done < <(find crates/runtime/src -name '*.rs' ! -name tests.rs | sort)
 
 echo "rust lines (crates/ src/ tests/ examples/): $total"
 echo "non-test lines of crates/runtime/src:       $runtime"
