@@ -118,6 +118,63 @@ fn gmean(v: &[f64]) -> f64 {
     (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp()
 }
 
+/// Update ratios of the Fig. 8 and Fig. 9 sweeps.
+const SWEEP_RATIOS: [f64; 3] = [0.25, 0.15, 0.05];
+/// Node counts of the Fig. 8 and Fig. 9 sweeps.
+const SWEEP_NODES: [usize; 5] = [3, 4, 5, 6, 7];
+
+/// Hamband, MSG and Mu, in that order, each running one type.
+type Systems<'a> = [&'a dyn Fn(&RunConfig) -> RunReport; 3];
+
+/// One system's runs at one update ratio of a sweep.
+struct SweepRow {
+    /// Throughput at each of [`SWEEP_NODES`].
+    tput: Vec<f64>,
+    /// Mean response time on four nodes.
+    rt4: f64,
+}
+
+/// The Fig. 8 / Fig. 9 sweep of one type: every ratio of
+/// [`SWEEP_RATIOS`] at every node count `n` of [`SWEEP_NODES`] on the
+/// three `systems`, seeded `seed + n` and rendered into `table`; a run
+/// that does not converge clears `converged`. Returns each ratio's
+/// three rows.
+fn sweep(
+    name: &str,
+    systems: Systems<'_>,
+    ops: u64,
+    seed: u64,
+    table: &mut String,
+    converged: &mut bool,
+) -> Vec<[SweepRow; 3]> {
+    let mut rows = Vec::new();
+    for &ratio in &SWEEP_RATIOS {
+        let _ = writeln!(table, "{name}, {}% updates:", (ratio * 100.0) as u32);
+        let _ = write!(table, "  {:>8}", "system");
+        for &n in &SWEEP_NODES {
+            let _ = write!(table, "  n={n:<7}");
+        }
+        let _ = writeln!(table, "  rt@4 (us)");
+        rows.push(std::array::from_fn(|i| {
+            let _ = write!(table, "  {:>8}", ["hamband", "msg", "mu-smr"][i]);
+            let mut row = SweepRow { tput: Vec::new(), rt4: 0.0 };
+            for &n in &SWEEP_NODES {
+                let rep = systems[i](&cfg(n, ops, ratio, seed + n as u64));
+                *converged &= rep.converged;
+                let _ = write!(table, "  {:<9.2}", rep.throughput_ops_per_us);
+                row.tput.push(rep.throughput_ops_per_us);
+                if n == 4 {
+                    row.rt4 = rep.mean_rt_us;
+                }
+            }
+            let _ = writeln!(table, "  {:<9.2}", row.rt4);
+            row
+        }));
+        let _ = writeln!(table);
+    }
+    rows
+}
+
 // ---------------------------------------------------------------------
 // Figure 8: effect of summarization and remote writes (reducible)
 // ---------------------------------------------------------------------
@@ -126,116 +183,50 @@ fn gmean(v: &[f64]) -> f64 {
 /// (a) throughput scaling over node counts and update ratios,
 /// (b) response time on four nodes.
 pub fn fig8(opts: &ExpOptions) -> FigOutcome {
-    let ratios = [0.25, 0.15, 0.05];
-    let node_counts = [3usize, 4, 5, 6, 7];
     let mut table = String::new();
-    let mut hb_over_msg = Vec::new();
-    let mut hb_over_mu = Vec::new();
-    let mut rt_msg_over_hb = Vec::new();
-    let mut rt_hb = Vec::new();
-    let mut rt_mu = Vec::new();
-    let mut scaling_ok = true;
     let mut all_converged = true;
-
-    // One closure per type to keep the generic plumbing simple.
-    let mut run_type = |name: &str,
-                        f_hb: &dyn Fn(&RunConfig) -> RunReport,
-                        f_msg: &dyn Fn(&RunConfig) -> RunReport,
-                        f_mu: &dyn Fn(&RunConfig) -> RunReport,
-                        table: &mut String| {
-        for &ratio in &ratios {
-            let _ = writeln!(table, "{name}, {}% updates:", (ratio * 100.0) as u32);
-            let _ = write!(table, "  {:>8}", "system");
-            for &n in &node_counts {
-                let _ = write!(table, "  n={n:<7}");
-            }
-            let _ = writeln!(table, "  rt@4 (us)");
-            let mut per_sys_tput: Vec<Vec<f64>> = Vec::new();
-            for (label, runner) in
-                [("hamband", f_hb), ("msg", f_msg), ("mu-smr", f_mu)]
-            {
-                let mut tputs = Vec::new();
-                let mut rt4 = 0.0;
-                let _ = write!(table, "  {label:>8}");
-                for &n in &node_counts {
-                    let rc = cfg(n, opts.ops, ratio, opts.seed + n as u64);
-                    let rep = runner(&rc);
-                    all_converged &= rep.converged;
-                    let _ = write!(table, "  {:<9.2}", rep.throughput_ops_per_us);
-                    tputs.push(rep.throughput_ops_per_us);
-                    if n == 4 {
-                        rt4 = rep.mean_rt_us;
-                        match label {
-                            "hamband" => rt_hb.push(rep.mean_rt_us),
-                            "mu-smr" => rt_mu.push(rep.mean_rt_us),
-                            _ => {}
-                        }
-                    }
-                }
-                let _ = writeln!(table, "  {rt4:<9.2}");
-                per_sys_tput.push(tputs);
-            }
-            // Ratios at 4 nodes (index 1).
-            let hb4 = per_sys_tput[0][1];
-            let msg4 = per_sys_tput[1][1];
-            let mu4 = per_sys_tput[2][1];
-            hb_over_msg.push(hb4 / msg4.max(1e-9));
-            hb_over_mu.push(hb4 / mu4.max(1e-9));
-            // Hamband scales with node count at low update ratios.
-            if ratio <= 0.15 {
-                scaling_ok &= per_sys_tput[0][4] > per_sys_tput[0][0];
-            }
-            // 23x claim material: rt msg / rt hamband at 4 nodes.
-            if !rt_hb.is_empty() {
-                // captured below in checks via vectors
-            }
-            let _ = writeln!(table);
-        }
-    };
-
+    // Per type, then per update ratio: the three systems' rows.
+    let mut sweeps = Vec::new();
     {
         let c = Counter::default();
         let coord = c.coord_spec();
-        run_type(
-            "Counter",
-            &|rc| run_hb(&c, &coord, rc),
-            &|rc| run_msg(&c, &coord, rc),
-            &|rc| run_mu(&c, rc),
-            &mut table,
-        );
+        let systems: Systems =
+            [&|rc| run_hb(&c, &coord, rc), &|rc| run_msg(&c, &coord, rc), &|rc| run_mu(&c, rc)];
+        sweeps.extend(sweep("Counter", systems, opts.ops, opts.seed, &mut table, &mut all_converged));
     }
     {
         let l = LwwRegister::default();
         let coord = l.coord_spec();
-        run_type(
-            "LWW",
-            &|rc| run_hb(&l, &coord, rc),
-            &|rc| run_msg(&l, &coord, rc),
-            &|rc| run_mu(&l, rc),
-            &mut table,
-        );
+        let systems: Systems =
+            [&|rc| run_hb(&l, &coord, rc), &|rc| run_msg(&l, &coord, rc), &|rc| run_mu(&l, rc)];
+        sweeps.extend(sweep("LWW", systems, opts.ops, opts.seed, &mut table, &mut all_converged));
     }
     {
         let g = GSet::default();
         let coord = g.coord_spec();
-        run_type(
-            "GSet",
-            &|rc| run_hb(&g, &coord, rc),
-            &|rc| run_msg(&g, &coord, rc),
-            &|rc| run_mu(&g, rc),
-            &mut table,
-        );
+        let systems: Systems =
+            [&|rc| run_hb(&g, &coord, rc), &|rc| run_msg(&g, &coord, rc), &|rc| run_mu(&g, rc)];
+        sweeps.extend(sweep("GSet", systems, opts.ops, opts.seed, &mut table, &mut all_converged));
     }
 
-    // Response-time ratio msg/hamband at 4 nodes, recomputed directly.
-    for &ratio in &ratios {
-        let c = Counter::default();
-        let coord = c.coord_spec();
-        let rc = cfg(4, opts.ops, ratio, opts.seed + 4);
-        let hb = run_hb(&c, &coord, &rc);
-        let msg = run_msg(&c, &coord, &rc);
-        rt_msg_over_hb.push(msg.mean_rt_us / hb.mean_rt_us.max(1e-9));
-    }
+    // Ratios at 4 nodes (index 1).
+    let hb_over_msg: Vec<f64> =
+        sweeps.iter().map(|[hb, msg, _]| hb.tput[1] / msg.tput[1].max(1e-9)).collect();
+    let hb_over_mu: Vec<f64> =
+        sweeps.iter().map(|[hb, _, mu]| hb.tput[1] / mu.tput[1].max(1e-9)).collect();
+    // Hamband scales with node count at low update ratios.
+    let scaling_ok = SWEEP_RATIOS
+        .iter()
+        .cycle()
+        .zip(&sweeps)
+        .all(|(&ratio, [hb, ..])| ratio > 0.15 || hb.tput[4] > hb.tput[0]);
+    let rt_hb: Vec<f64> = sweeps.iter().map(|[hb, ..]| hb.rt4).collect();
+    let rt_mu: Vec<f64> = sweeps.iter().map(|[.., mu]| mu.rt4).collect();
+    // Response-time ratio msg/hamband at 4 nodes, on Counter.
+    let rt_msg_over_hb: Vec<f64> = sweeps[..SWEEP_RATIOS.len()]
+        .iter()
+        .map(|[hb, msg, _]| msg.rt4 / hb.rt4.max(1e-9))
+        .collect();
 
     let checks = vec![
         check("all runs converged", all_converged, String::new()),
@@ -275,87 +266,41 @@ pub fn fig8(opts: &ExpOptions) -> FigOutcome {
 /// Figure 9 — ORSet, GSet (buffered), Shopping cart; Hamband vs MSG vs
 /// Mu on irreducible conflict-free workloads.
 pub fn fig9(opts: &ExpOptions) -> FigOutcome {
-    let ratios = [0.25, 0.15, 0.05];
-    let node_counts = [3usize, 4, 5, 6, 7];
     let mut table = String::new();
-    let mut hb_over_msg = Vec::new();
-    let mut hb_over_mu = Vec::new();
     let mut all_converged = true;
-    let mut rt_ratio = Vec::new();
-
-    let mut run_type = |name: &str,
-                        f_hb: &dyn Fn(&RunConfig) -> RunReport,
-                        f_msg: &dyn Fn(&RunConfig) -> RunReport,
-                        f_mu: &dyn Fn(&RunConfig) -> RunReport,
-                        table: &mut String| {
-        for &ratio in &ratios {
-            let _ = writeln!(table, "{name}, {}% updates:", (ratio * 100.0) as u32);
-            let _ = write!(table, "  {:>8}", "system");
-            for &n in &node_counts {
-                let _ = write!(table, "  n={n:<7}");
-            }
-            let _ = writeln!(table, "  rt@4 (us)");
-            let mut at4 = Vec::new();
-            for (label, runner) in
-                [("hamband", f_hb), ("msg", f_msg), ("mu-smr", f_mu)]
-            {
-                let _ = write!(table, "  {label:>8}");
-                let mut rt4 = 0.0;
-                let mut t4 = 0.0;
-                for &n in &node_counts {
-                    let rc = cfg(n, opts.ops, ratio, opts.seed + 31 + n as u64);
-                    let rep = runner(&rc);
-                    all_converged &= rep.converged;
-                    let _ = write!(table, "  {:<9.2}", rep.throughput_ops_per_us);
-                    if n == 4 {
-                        rt4 = rep.mean_rt_us;
-                        t4 = rep.throughput_ops_per_us;
-                    }
-                }
-                let _ = writeln!(table, "  {rt4:<9.2}");
-                at4.push((t4, rt4));
-                let _ = label;
-            }
-            hb_over_msg.push(at4[0].0 / at4[1].0.max(1e-9));
-            hb_over_mu.push(at4[0].0 / at4[2].0.max(1e-9));
-            rt_ratio.push(at4[1].1 / at4[0].1.max(1e-9));
-            let _ = writeln!(table);
-        }
-    };
-
+    let seed = opts.seed + 31;
+    // Per type, then per update ratio: the three systems' rows.
+    let mut sweeps = Vec::new();
     {
         let o = OrSet::default();
         let coord = o.coord_spec();
-        run_type(
-            "ORSet",
-            &|rc| run_hb(&o, &coord, rc),
-            &|rc| run_msg(&o, &coord, rc),
-            &|rc| run_mu(&o, rc),
-            &mut table,
-        );
+        let systems: Systems =
+            [&|rc| run_hb(&o, &coord, rc), &|rc| run_msg(&o, &coord, rc), &|rc| run_mu(&o, rc)];
+        sweeps.extend(sweep("ORSet", systems, opts.ops, seed, &mut table, &mut all_converged));
     }
     {
         let g = GSet::default();
         let coord = g.coord_spec_buffered();
-        run_type(
-            "GSet(buffered)",
-            &|rc| run_hb(&g, &coord, rc),
-            &|rc| run_msg(&g, &coord, rc),
-            &|rc| run_mu(&g, rc),
-            &mut table,
-        );
+        let systems: Systems =
+            [&|rc| run_hb(&g, &coord, rc), &|rc| run_msg(&g, &coord, rc), &|rc| run_mu(&g, rc)];
+        sweeps.extend(sweep("GSet(buffered)", systems, opts.ops, seed, &mut table, &mut all_converged));
     }
     {
         let cart = Cart::default();
         let coord = cart.coord_spec();
-        run_type(
-            "Cart",
+        let systems: Systems = [
             &|rc| run_hb(&cart, &coord, rc),
             &|rc| run_msg(&cart, &coord, rc),
             &|rc| run_mu(&cart, rc),
-            &mut table,
-        );
+        ];
+        sweeps.extend(sweep("Cart", systems, opts.ops, seed, &mut table, &mut all_converged));
     }
+    let hb_over_msg: Vec<f64> =
+        sweeps.iter().map(|[hb, msg, _]| hb.tput[1] / msg.tput[1].max(1e-9)).collect();
+    let hb_over_mu: Vec<f64> =
+        sweeps.iter().map(|[hb, _, mu]| hb.tput[1] / mu.tput[1].max(1e-9)).collect();
+    let rt_ratio: Vec<f64> =
+        sweeps.iter().map(|[hb, msg, _]| msg.rt4 / hb.rt4.max(1e-9)).collect();
 
     let checks = vec![
         check("all runs converged", all_converged, String::new()),

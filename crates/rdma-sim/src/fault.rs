@@ -10,8 +10,8 @@
 //!   executing (no events are delivered, no new verbs are posted).
 //!   Its registered memory remains remotely accessible, as on real
 //!   RDMA hardware where the NIC can serve DMA while the host CPU is
-//!   wedged — which is precisely what makes remote-read recovery of the
-//!   reliable-broadcast backup slot possible.
+//!   wedged — which is precisely what makes remote-read recovery of a
+//!   failed node's pending reliable broadcasts possible.
 //! * [`Fault::TornWrites`] — a fabric-level mode: subsequent one-sided
 //!   writes to the given node land in two halves with a gap, exposing
 //!   readers that do not honor the canary-bit protocol of §4.

@@ -23,9 +23,10 @@ use rdma_sim::{App, AppFault, Ctx, Event, NodeId, Phase, SimTime, TraceEvent};
 
 use crate::codec::Entry;
 use crate::driver::{Planned, WorkloadSpec};
-use crate::ingress::Ingress;
+use crate::ingress::{Ingress, SessionStats};
 use crate::metrics::NodeMetrics;
 use crate::transport::Transport;
+use crate::verdict::HarnessNode;
 
 const TAG_PUMP: u64 = 0;
 
@@ -102,7 +103,7 @@ impl<O: WorkloadSupport> MsgCrdtNode<O> {
             "the MSG baseline only replicates conflict-free objects"
         );
         let state = spec.initial();
-        // No backup ring in the MSG baseline: sessions are bounded by
+        // The MSG baseline recovers nothing: sessions are bounded by
         // their windows alone.
         let mapper = GroupMapper::identity(&coord);
         let ingress = Ingress::new(&spec, &workload, &coord, mapper, me.index(), n, usize::MAX);
@@ -121,59 +122,6 @@ impl<O: WorkloadSupport> MsgCrdtNode<O> {
             me,
             n,
         }
-    }
-
-    /// The node's current state.
-    pub fn state_snapshot(&self) -> O::State {
-        self.state.clone()
-    }
-
-    /// The applied-calls map.
-    pub fn applied_map(&self) -> &CountMap {
-        &self.applied
-    }
-
-    /// Total update calls applied locally.
-    pub fn applied_updates(&self) -> u64 {
-        self.applied.total()
-    }
-
-    /// Whether the local workload is fully issued and acknowledged.
-    pub fn workload_done(&self) -> bool {
-        (self.ingress.local_done() || self.halted) && self.awaiting.is_empty()
-    }
-
-    /// Per-session completion stats (for harness fairness accounting).
-    pub fn session_stats(&self) -> Vec<crate::ingress::SessionStats> {
-        self.ingress.session_stats()
-    }
-
-    /// Whether this node halted.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// One-line diagnostic snapshot (for harness debugging).
-    pub fn debug_pending(&self) -> String {
-        let pend: Vec<usize> = self.pending.iter().map(|q| q.len()).collect();
-        let mut heads = String::new();
-        for (src, q) in self.pending.iter().enumerate() {
-            if let Some(e) = q.front() {
-                use std::fmt::Write as _;
-                let _ = write!(heads, " head[{src}]={:?} deps={}", e.rid, e.deps);
-                for (p, m, need) in e.deps.iter() {
-                    let have = self.applied.get(p, m);
-                    if have < need {
-                        let _ = write!(heads, " SHORT(p{} u{} have {have} need {need})", p.index(), m.index());
-                    }
-                }
-            }
-        }
-        format!(
-            "awaiting={} pending={pend:?} drv_done={}{heads}",
-            self.awaiting.len(),
-            self.ingress.local_done()
-        )
     }
 
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
@@ -333,5 +281,52 @@ impl<O: WorkloadSupport> App for MsgCrdtNode<O> {
             }
             Event::Fault { kind: AppFault::ResumeHeartbeat } => {}
         }
+    }
+}
+
+impl<O: WorkloadSupport> HarnessNode for MsgCrdtNode<O> {
+    type Snapshot = O::State;
+
+    fn is_halted(&self) -> bool {
+        self.halted
+    }
+    fn workload_done(&self) -> bool {
+        (self.ingress.local_done() || self.halted) && self.awaiting.is_empty()
+    }
+    fn follows(&self) -> Vec<Option<NodeId>> {
+        Vec::new()
+    }
+    fn applied_map(&self) -> &CountMap {
+        &self.applied
+    }
+    fn snapshot(&self) -> O::State {
+        self.state.clone()
+    }
+    fn metrics(&self) -> &NodeMetrics {
+        &self.metrics
+    }
+    fn session_stats(&self) -> Vec<SessionStats> {
+        self.ingress.session_stats()
+    }
+    fn status_line(&self) -> String {
+        let pend: Vec<usize> = self.pending.iter().map(|q| q.len()).collect();
+        let mut heads = String::new();
+        for (src, q) in self.pending.iter().enumerate() {
+            if let Some(e) = q.front() {
+                use std::fmt::Write as _;
+                let _ = write!(heads, " head[{src}]={:?} deps={}", e.rid, e.deps);
+                for (p, m, need) in e.deps.iter() {
+                    let have = self.applied.get(p, m);
+                    if have < need {
+                        let _ = write!(heads, " SHORT(p{} u{} have {have} need {need})", p.index(), m.index());
+                    }
+                }
+            }
+        }
+        format!(
+            "awaiting={} pending={pend:?} drv_done={}{heads}",
+            self.awaiting.len(),
+            self.ingress.local_done()
+        )
     }
 }

@@ -11,8 +11,8 @@
 //!   then files the one `Outstanding` record.
 //! * **Acknowledgement** — the record counts the remote completions
 //!   the call still owes. `credit_remote` is the one countdown: the
-//!   last completion acknowledges the client and frees the call's
-//!   reliable-broadcast backup slot (`finish_call`). A conflicting call
+//!   last completion acknowledges the client (`finish_call`). A
+//!   conflicting call
 //!   owes none to the record — its appends are counted per sequence
 //!   number by the group's engine, and `commit.rs::advance_commit`
 //!   acknowledges it; a deposed leader's calls are aborted
@@ -47,8 +47,7 @@ use hamband_core::ids::{MethodId, Pid, Rid};
 use hamband_core::object::WorkloadSupport;
 use rdma_sim::{NodeId, Phase, SimDuration, SimTime, TraceEvent};
 
-use crate::codec::{compose_backup_slot, Entry};
-use crate::config::BACKUP_SLOTS;
+use crate::codec::Entry;
 use crate::driver::Planned;
 use crate::replica::HambandNode;
 use crate::transport::Transport;
@@ -65,8 +64,9 @@ pub(crate) enum Route {
     },
     /// A commit-cell WRITE pushing the group's commit index (`commit`).
     CommitWrite { group: usize },
-    /// A READ of a suspect's backup region (`recovery`).
-    RecoveryRead { suspect: NodeId },
+    /// A READ of a suspect's own copy of the `F` ring it feeds
+    /// (`group` `None`) or of its summary slot of a group (`recovery`).
+    RecoveryRead { suspect: NodeId, group: Option<usize> },
     /// A READ of one ring slot from the longest follower (`election`).
     CatchupRead {
         group: usize,
@@ -87,8 +87,6 @@ pub(crate) struct Issued {
     /// before the client may be acknowledged. Zero for a conflicting
     /// call: commit acknowledges it.
     pub(crate) remotes: usize,
-    /// The reliable-broadcast backup slot holding the call meanwhile.
-    pub(crate) backup_slot: Option<usize>,
 }
 
 /// Bookkeeping for one issued, not yet acknowledged update call. Built
@@ -102,13 +100,6 @@ pub(crate) struct Outstanding {
     session: u32,
     /// What the call's path reported; `remotes` counts down from there.
     path: Issued,
-}
-
-/// The backup slot call `call_id` takes: the one place a call is mapped
-/// onto a slot. The ingress caps in-flight calls at [`BACKUP_SLOTS`], so
-/// no two live calls share one.
-pub(crate) fn backup_index(call_id: u64) -> usize {
-    (call_id % BACKUP_SLOTS as u64) as usize
 }
 
 impl<O: WorkloadSupport> HambandNode<O> {
@@ -331,41 +322,16 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.ingress.on_abort(session);
     }
 
-    /// Stash the encoded slot in this node's backup region before the
-    /// remote writes go out (the validity half of reliable broadcast:
-    /// a delegate can re-execute the writes if we crash mid-broadcast).
-    /// The call takes slot [`backup_index`]`(call_id)`. Returns the slot.
-    pub(crate) fn write_backup<T: Transport>(
-        &mut self,
-        ctx: &mut T,
-        call_id: u64,
-        kind: u8,
-        group: u8,
-        seq: u64,
-        slot: &[u8],
-    ) -> usize {
-        let idx = backup_index(call_id);
-        let (off, size) = self.layout.backup_slot(idx);
-        compose_backup_slot(&mut self.backup_buf, kind, group, seq, slot, size);
-        ctx.local_write(self.layout.backup, off, &self.backup_buf);
-        idx
-    }
-
-    pub(crate) fn clear_backup<T: Transport>(&mut self, ctx: &mut T, idx: usize) {
-        let (off, _) = self.layout.backup_slot(idx);
-        ctx.local_write(self.layout.backup, off, &[0]);
-    }
-
     /// Acknowledge a call — the caller decides when: its last remote
     /// completion ([`credit_remote`](Self::credit_remote)), or the
     /// commit index passing it (`commit.rs::advance_commit`). Records
     /// the latency, emits the trace event, fans the completion back to
-    /// the issuing session, and frees the record and its backup slot.
-    /// The freed window budget is planned by the event loop's next
-    /// pump, together with every other ack handled before it.
+    /// the issuing session, and frees the record. The freed window
+    /// budget is planned by the event loop's next pump, together with
+    /// every other ack handled before it.
     pub(crate) fn finish_call<T: Transport>(&mut self, ctx: &mut T, call_id: u64) {
         let Some(o) = self.outstanding.remove(&call_id) else { return };
-        let Issued { phase, conf, backup_slot, .. } = o.path;
+        let Issued { phase, conf, .. } = o.path;
         self.metrics.ack_update(o.method.index(), phase, o.issued_at, ctx.now());
         let node = self.me;
         ctx.emit(|| TraceEvent::Ack {
@@ -377,9 +343,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
         });
         let rt_ns = ctx.now().since(o.issued_at).as_nanos();
         self.ingress.on_ack(o.session, rt_ns);
-        if let Some(idx) = backup_slot {
-            self.clear_backup(ctx, idx);
-        }
     }
 
     /// One more remote copy of the call landed — a summary version
@@ -446,6 +409,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::slot_ready;
     use crate::{assemble, Layout, RunConfig, TraceMode, WorkloadSpec};
     use hamband_core::counts::DepMap;
     use hamband_types::bank::{Bank, BankQuery, BankUpdate, DEPOSIT, OPEN};
@@ -485,9 +449,11 @@ mod tests {
         })
     }
 
-    fn backup_byte(sim: &Cluster, layout: &Layout, call_id: u64) -> u8 {
-        let (off, _) = layout.backup_slot(backup_index(call_id));
-        sim.region_bytes(N0, layout.backup)[off]
+    /// Whether node 0's own copy of the `F` ring it feeds holds entry
+    /// `seq`: what a recoverer READs if node 0 fails.
+    fn own_copy_holds(sim: &Cluster, layout: &Layout, seq: u64) -> bool {
+        let off = layout.free_slot_offset(N0, seq);
+        slot_ready(&sim.region_bytes(N0, layout.free_rings)[off..][..layout.entry_size()], seq)
     }
 
     /// The WRITEs node 0 posted since the trace was last drained.
@@ -504,10 +470,13 @@ mod tests {
     #[test]
     fn a_free_call_is_acknowledged_by_the_last_of_its_append_completions() {
         let (mut sim, layout) = funded_cluster();
-        let cid = issue(&mut sim, BankUpdate::Deposit(ACCT, 5));
+        // The funding deposit was entry 1; this one is entry 2.
+        sim.with_app_ctx(N0, |app, ctx| app.issue(ctx, BankUpdate::Deposit(ACCT, 5), 0));
+        assert!(posted_writes(&mut sim).is_empty(), "the appends wait for the pump's flush");
+        assert!(own_copy_holds(&sim, &layout, 2), "the own copy is written before they leave");
+        sim.with_app_ctx(N0, |app, ctx| app.pump(ctx));
         let appends = posted_writes(&mut sim);
         assert_eq!(appends.len(), 2, "one F-ring append per peer");
-        assert_ne!(backup_byte(&sim, &layout, cid), 0, "backed up before the appends left");
         // The first completion, handed to its handler: claimed, and
         // nothing else moves.
         let done = |sim: &mut Cluster, wr| {
@@ -518,14 +487,12 @@ mod tests {
         assert!(done(&mut sim, appends[0]));
         let app = sim.app(N0);
         assert_eq!((app.metrics.updates_acked, app.outstanding.len()), (2, 1));
-        assert_ne!(backup_byte(&sim, &layout, cid), 0);
-        // The second is the last: ack, backup GC and the record's end,
-        // all in that handler.
+        // The second is the last: ack and the record's end, both in
+        // that handler.
         assert!(done(&mut sim, appends[1]));
         let app = sim.app(N0);
         assert_eq!(app.metrics.updates_acked, 3);
         assert!(app.outstanding.is_empty() && app.free_call_by_seq.is_empty());
-        assert_eq!(backup_byte(&sim, &layout, cid), 0);
         // The fabric's own completions find nothing left to credit.
         sim.run_for(SimDuration::micros(10));
         assert_eq!(sim.app(N0).metrics.updates_acked, 3);

@@ -72,6 +72,12 @@ pub fn slot_ready(slot: &[u8], expect_seq: u64) -> bool {
         && slot[0..8] == seq
 }
 
+/// The ring sequence number a slot claims (its first eight bytes);
+/// `None` for a slot too short to carry one.
+pub(crate) fn slot_seq(slot: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(slot.get(0..8)?.try_into().ok()?))
+}
+
 /// Size of the commit index an `L`-ring entry carries, directly below
 /// the canary trailer.
 pub const CARRIED_COMMIT: usize = 8;
@@ -319,95 +325,27 @@ impl<U: Wire> SummarySlot<U> {
     /// Parse a summary slot with `group_len` methods; `None` if the
     /// seqlock check fails (a write is in flight) or the slot is empty.
     pub fn from_slot(slot: &[u8], group_len: usize) -> Option<Self> {
-        let version = u64::from_le_bytes(slot.get(0..8)?.try_into().ok()?);
-        if version == 0 {
-            return None;
-        }
-        let mut counts = Vec::with_capacity(group_len);
-        for i in 0..group_len {
-            counts.push(u64::from_le_bytes(slot.get(8 + 8 * i..16 + 8 * i)?.try_into().ok()?));
-        }
-        let head = 8 + 8 * group_len + 2;
-        let len = u16::from_le_bytes(slot.get(head - 2..head)?.try_into().ok()?) as usize;
-        let trailer = slot.get(head + len..head + len + 8)?;
-        let trailing = u64::from_le_bytes(trailer.try_into().ok()?);
-        if version != trailing {
-            return None;
-        }
-        let summary = if len == 0 {
-            None
-        } else {
-            Some(U::from_bytes(&slot[head..head + len]).ok()?)
-        };
-        Some(SummarySlot { version, counts, summary })
+        let used = summary_prefix(slot, group_len)?;
+        let word = |i: usize| u64::from_le_bytes(used[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        let counts = (1..=group_len).map(word).collect();
+        let payload = &used[8 + 8 * group_len + 2..used.len() - 8];
+        let summary = if payload.is_empty() { None } else { Some(U::from_bytes(payload).ok()?) };
+        Some(SummarySlot { version: word(0), counts, summary })
     }
 }
 
-/// Marker in backup slots: a conflict-free ring entry.
-pub const BACKUP_FREE: u8 = 1;
-/// Marker in backup slots: a summary slot.
-pub const BACKUP_SUMMARY: u8 = 2;
-
-/// Compose into `buf` (cleared first) the used prefix of a backup-slot
-/// image, `12 + inner.len()` bytes for a slot of `slot_size`:
-///
-/// ```text
-/// [0]       kind (BACKUP_FREE / BACKUP_SUMMARY; 0 = cleared)
-/// [1]       group (sync group for summaries, 0xff for free entries)
-/// [2..10)   seq (ring seq for free entries, version for summaries)
-/// [10..12)  inner length (u16 LE)
-/// [12..)    inner slot image
-/// ```
-///
-/// [`parse_backup_slot`] reads by the length field, so the rest of the
-/// slot — whatever a longer, older image left there — is never looked
-/// at and need not be written.
-///
-/// # Panics
-///
-/// Panics if the inner image exceeds the u16 length field or the slot.
-pub fn compose_backup_slot(
-    buf: &mut Vec<u8>,
-    kind: u8,
-    group: u8,
-    seq: u64,
-    inner: &[u8],
-    slot_size: usize,
-) {
-    assert!(
-        inner.len() <= u16::MAX as usize,
-        "backup inner image of {} bytes overflows the u16 length field",
-        inner.len()
-    );
-    assert!(
-        12 + inner.len() <= slot_size,
-        "backup inner image of {} bytes exceeds slot capacity {}",
-        inner.len(),
-        slot_size - 12
-    );
-    buf.clear();
-    buf.extend_from_slice(&[kind, group]);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(inner.len() as u16).to_le_bytes());
-    buf.extend_from_slice(inner);
-}
-
-/// Parse a backup-slot image composed by [`compose_backup_slot`].
-/// Returns `(kind, group, seq, inner)` or `None` for a cleared slot,
-/// an unknown kind, or a length past the slot end.
-pub fn parse_backup_slot(slot: &[u8]) -> Option<(u8, u8, u64, &[u8])> {
-    if slot.len() < 12 {
+/// The used prefix of a summary slot for a group of `group_len`
+/// methods — exactly the bytes its writer wrote — or `None` if the slot
+/// is empty or the seqlock check fails (a write is in flight).
+pub fn summary_prefix(slot: &[u8], group_len: usize) -> Option<&[u8]> {
+    let version = summary_version(slot);
+    if version == 0 {
         return None;
     }
-    let kind = slot[0];
-    if kind != BACKUP_FREE && kind != BACKUP_SUMMARY {
-        return None;
-    }
-    let group = slot[1];
-    let seq = u64::from_le_bytes(slot[2..10].try_into().ok()?);
-    let len = u16::from_le_bytes(slot[10..12].try_into().ok()?) as usize;
-    let inner = slot.get(12..12 + len)?;
-    Some((kind, group, seq, inner))
+    let head = 8 + 8 * group_len + 2;
+    let len = u16::from_le_bytes(slot.get(head - 2..head)?.try_into().ok()?) as usize;
+    let used = slot.get(..head + len + 8)?;
+    (summary_version(&used[head + len..]) == version).then_some(used)
 }
 
 #[cfg(test)]
@@ -666,37 +604,25 @@ mod tests {
         assert_eq!(back, e);
     }
 
+    /// A writer writes only the used prefix, so a short image can sit
+    /// over the tail of a longer, older one: the prefix is the short
+    /// image, byte for byte.
     #[test]
-    fn backup_slot_roundtrip() {
-        let inner = entry().to_slot(17, 107);
-        let mut slot = vec![0xaa; 300]; // reused: earlier content is dropped
-        compose_backup_slot(&mut slot, BACKUP_FREE, 0xff, 17, &inner, 256);
-        assert_eq!(slot.len(), 12 + inner.len());
-        let (kind, group, seq, got) = parse_backup_slot(&slot).unwrap();
-        assert_eq!(kind, BACKUP_FREE);
-        assert_eq!(group, 0xff);
-        assert_eq!(seq, 17);
-        assert_eq!(got, &inner[..]);
-        // The inner image parses back to the original entry.
-        let back = Entry::<AccountUpdate>::from_slot(got, 17).unwrap();
-        assert_eq!(back, entry());
-    }
-
-    #[test]
-    fn backup_slot_rejects_cleared_and_garbage() {
-        assert!(parse_backup_slot(&[0u8; 64]).is_none(), "cleared slot");
-        assert!(parse_backup_slot(&[9u8; 64]).is_none(), "unknown kind");
-        assert!(parse_backup_slot(&[1u8; 8]).is_none(), "too short");
-        let mut slot = Vec::new();
-        compose_backup_slot(&mut slot, BACKUP_SUMMARY, 2, 3, &[1, 2, 3], 64);
-        // Corrupt the length so it points past the slot end.
-        slot[10..12].copy_from_slice(&1000u16.to_le_bytes());
-        assert!(parse_backup_slot(&slot).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds slot capacity")]
-    fn backup_slot_overflow_panics() {
-        compose_backup_slot(&mut Vec::new(), BACKUP_FREE, 0xff, 1, &[0u8; 64], 32);
+    fn summary_prefix_is_the_last_image_written() {
+        let image = |version: u64, amount: u64| SummarySlot {
+            version,
+            counts: vec![version, 0],
+            summary: Some(Account::deposit(amount)),
+        }
+        .to_slot(128);
+        let (long, short) = (image(1, u64::MAX), image(2, 1));
+        assert!(short.len() < long.len());
+        let mut slot = vec![0u8; 128];
+        assert_eq!(summary_prefix(&slot, 2), None, "never written");
+        slot[..long.len()].copy_from_slice(&long);
+        slot[..short.len()].copy_from_slice(&short);
+        assert_eq!(summary_prefix(&slot, 2), Some(&short[..]));
+        slot[short.len() - 1] ^= 1;
+        assert_eq!(summary_prefix(&slot, 2), None, "torn trailer");
     }
 }

@@ -460,7 +460,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // Nothing for the record to count: the appends are tallied per
         // seq in `pending_acks`, and the call is acknowledged when the
         // commit index passes it. The leader's log copy is its backup.
-        Issued { phase: Phase::Conf, conf: Some((g, seq)), remotes: 0, backup_slot: None }
+        Issued { phase: Phase::Conf, conf: Some((g, seq)), remotes: 0 }
     }
 
     /// A non-leader learns `g`'s commit index: the highest index carried

@@ -11,8 +11,10 @@ pub const PAYLOAD_CAP: usize = 256;
 pub const FREE_RING_CAP: usize = 256;
 /// Capacity (entries) of each conflicting ring buffer `L`.
 pub const CONF_RING_CAP: usize = 512;
-/// Number of backup slots for the reliable-broadcast ring.
-pub const BACKUP_SLOTS: usize = 64;
+/// Most update calls a node keeps unacknowledged, over all its client
+/// sessions. It is also the recovery window: a recoverer re-sends the
+/// newest this many entries of a suspect's `F` ring (`recovery.rs`).
+pub const MAX_IN_FLIGHT: usize = 64;
 /// How often each node traverses its buffers (§4: "two threads
 /// traverse and process the calls of F and L buffers").
 pub const POLL_INTERVAL: SimDuration = SimDuration::nanos(800);

@@ -5,8 +5,8 @@
 //! with its dependency projection, and appended to the `F` ring this
 //! node feeds at every peer. Peers apply entries in ring order once the
 //! dependency map is satisfied. The client is acknowledged when every
-//! remote append completes (reliable broadcast: a backup slot holds the
-//! entry until then).
+//! remote append completes (reliable broadcast: the issuer's own copy
+//! of its ring holds the entry for a recoverer meanwhile).
 
 use hamband_core::ids::{MethodId, Pid, Rid};
 use hamband_core::object::WorkloadSupport;
@@ -81,7 +81,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // The free rings advance in lockstep, so every peer's slot is
         // the same bytes: encode them once.
         let mut remotes = 0;
-        let mut backup_slot = None;
         let first = self.free_writers.iter().flatten().next().map(RingWriter::next_seq);
         if let Some(seq) = first {
             let mut slot = std::mem::take(&mut self.slot_buf);
@@ -90,8 +89,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 assert_eq!(w.append_encoded(ctx, &slot), seq, "free rings advance in lockstep");
                 remotes += 1;
             }
-            backup_slot =
-                Some(self.write_backup(ctx, call_id, crate::codec::BACKUP_FREE, 0xff, seq, &slot));
+            // Reliable broadcast: the appends only queue here, so the
+            // own ring copy a recoverer READs holds the entry before
+            // any of them leaves.
+            ctx.local_write(self.layout.free_rings, self.layout.free_slot_offset(self.me, seq), &slot);
             // Durability seam: the issuer's own entry is hard state (it
             // was applied to σ above) — log and fence it before the
             // appends can reach any peer.
@@ -100,7 +101,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
             self.slot_buf = slot;
             self.free_call_by_seq.insert(seq, call_id);
         }
-        Issued { phase: Phase::Free, conf: None, remotes, backup_slot }
+        Issued { phase: Phase::Free, conf: None, remotes }
     }
 
     /// Apply every deliverable entry from each peer's `F` ring (in ring

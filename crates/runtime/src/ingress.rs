@@ -24,9 +24,9 @@
 //! [`QuotaSplit`]): sessions share the
 //! node's update/query budget and differ only in pacing, so adding
 //! sessions changes concurrency, not the workload. The node also caps
-//! total in-flight calls at the backup ring size — backup slots are
-//! indexed `call_id % backup_slots`, and the cap keeps two live calls
-//! from ever sharing a slot no matter how many sessions pile in.
+//! total in-flight calls, however many sessions pile in: a recoverer
+//! re-sends only the newest that many entries of a failed node's `F`
+//! ring (`recovery.rs`).
 
 use hamband_core::coord::{mix64, CoordSpec, GroupMapper, MethodCategory};
 use hamband_core::ids::{GroupId, MethodId};
@@ -204,9 +204,9 @@ pub struct Ingress {
     forfeited: u64,
     /// Updates in flight across all sessions.
     inflight: usize,
-    /// Node-level in-flight cap: min(Σ session windows, backup slots).
+    /// Node-level in-flight cap: min(Σ session windows, `max_inflight`).
     inflight_cap: usize,
-    /// Hard ceiling from the backup ring (survives window adoption).
+    /// Hard ceiling, the recovery window (survives window adoption).
     max_inflight: usize,
     /// Key-popularity skew handed to state-aware generators.
     skew: KeySkew,
@@ -229,8 +229,9 @@ pub struct Ingress {
 impl Ingress {
     /// Build the ingress for `node` of `n`: the §5 quota split plus one
     /// seeded [`ClientSession`] per `spec.sessions`. `max_inflight`
-    /// bounds total in-flight calls (pass the backup-ring slot count;
-    /// backends without backup slots pass `usize::MAX`). `object` is
+    /// bounds total in-flight calls (pass
+    /// [`MAX_IN_FLIGHT`](crate::config::MAX_IN_FLIGHT); the MSG
+    /// baseline, which recovers nothing, passes `usize::MAX`). `object` is
     /// asked, once per conflicting method, whether its calls carry a
     /// shard key — a method's calls all do or all don't
     /// (`conformance.rs` holds every shipped type to that).

@@ -32,7 +32,7 @@ fn window_limits_outstanding_per_session() {
 }
 
 #[test]
-fn sessions_multiply_inflight_up_to_backup_cap() {
+fn sessions_multiply_inflight_up_to_the_in_flight_cap() {
     let acc = Account::new(10);
     let coord = account_coord();
     let state = 1_000i128;
@@ -46,8 +46,8 @@ fn sessions_multiply_inflight_up_to_backup_cap() {
         }
     }
     assert_eq!(ing.outstanding(), 32);
-    // 1000 sessions × window 4 would be 4000: the backup ring caps
-    // the node at 64 so backup slots never collide.
+    // 1000 sessions × window 4 would be 4000: the in-flight cap holds
+    // the node at 64, the window a recoverer re-sends.
     let w = WorkloadSpec::ops(100_000)
         .with_update_ratio(1.0)
         .with_sessions(1_000)

@@ -10,17 +10,20 @@
 //! | `summaries` | one summary slot per (summarization group, source) | the source process |
 //! | `free_rings` | one ring of conflict-free calls per source | the source process |
 //! | `heads` | head counters of every ring (F per source, then L per group) | owner (read remotely by writers) |
-//! | `backup` | reliable-broadcast backup slots | owner (read remotely on suspicion) |
 //! | `conf(g)` | commit cell + the `L` ring of sync group `g` | the group leader (write-permission-controlled) |
 //! | `persist_log` | the node's durable write-ahead record (see [`crate::persist`]) | owner (local, fenced) |
+//!
+//! A source also writes its own copy of its summary slots and of the
+//! `F` ring it feeds, which no peer reads in the normal protocol: they
+//! are what a recoverer READs out of a suspect's memory to finish its
+//! broadcasts (`recovery.rs`).
 //!
 //! Each region also declares its **durability** (the second argument of
 //! the [`Layout::plan`] allocator): ring slots, summary slots, the
 //! conflicting commit cells, and the persist log are *hard* state a
-//! restarted node reads back; heartbeat counters, head counters, and
-//! the backup slots are *soft* — reconstructible (heads are republished
-//! from the replayed persist log; backups only protect in-flight calls
-//! a restarted node no longer owns). Under
+//! restarted node reads back; heartbeat and head counters are *soft* —
+//! reconstructible (heads are republished from the replayed persist
+//! log). Under
 //! [`DurabilityMode::Off`](crate::persist::DurabilityMode) everything
 //! is allocated volatile and no persist log exists, which keeps the
 //! crash-stop runtime byte-identical.
@@ -28,9 +31,7 @@
 use hamband_core::coord::CoordSpec;
 use rdma_sim::{App, NodeId, RegionId, Simulator};
 
-use crate::config::{
-    RuntimeConfig, BACKUP_SLOTS, CONF_RING_CAP, FREE_RING_CAP, PERSIST_LOG_BYTES,
-};
+use crate::config::{RuntimeConfig, CONF_RING_CAP, FREE_RING_CAP, PERSIST_LOG_BYTES};
 use crate::heartbeat::HEARTBEAT_BYTES;
 use crate::persist::DurabilityMode;
 
@@ -48,8 +49,6 @@ pub struct Layout {
     pub free_rings: RegionId,
     /// Ring-head counters region.
     pub heads: RegionId,
-    /// Reliable-broadcast backup region.
-    pub backup: RegionId,
     /// Conflicting ring region per *mapped* group (each synchronization
     /// group contributes [`RuntimeConfig::sync_shards`] entries).
     pub conf: Vec<RegionId>,
@@ -63,8 +62,6 @@ pub struct Layout {
     sum_slot_size: Vec<usize>,
     /// Entry slot size (rings).
     entry_size: usize,
-    /// Backup slot size.
-    backup_slot_size: usize,
 }
 
 impl Layout {
@@ -120,8 +117,6 @@ impl Layout {
         // group contributes `sync_shards` independent logs.
         let mapped = coord.sync_groups().len() * cfg.sync_shards.max(1);
         let heads = alloc((n + mapped).max(1) * 8, false);
-        let backup_slot_size = Self::backup_slot_size_for(cfg);
-        let backup = alloc(BACKUP_SLOTS * backup_slot_size, false);
         let conf: Vec<RegionId> =
             (0..mapped).map(|_| alloc(8 + CONF_RING_CAP * entry_size, hard)).collect();
         // The persist log goes last so its presence never shifts the
@@ -134,23 +129,12 @@ impl Layout {
             summaries,
             free_rings,
             heads,
-            backup,
             conf,
             persist_log,
             sum_group_base,
             sum_slot_size,
             entry_size,
-            backup_slot_size,
         }
-    }
-
-    fn backup_slot_size_for(cfg: &RuntimeConfig) -> usize {
-        // kind (1) + group (1) + seq (8) + len (2) + a full ring or
-        // summary slot, whichever is larger; rounded to a multiple of
-        // 8 so backup-slot strides stay word-aligned for the threaded
-        // backend's atomic word storage.
-        let inner = cfg.entry_size().max(cfg.summary_slot_size(8));
-        crate::config::round_up_8(12 + inner)
     }
 
     /// Offset of the summary slot for `(sum_group, source)`.
@@ -207,13 +191,6 @@ impl Layout {
     pub fn conf_ring_base(&self) -> usize {
         8
     }
-
-    /// Offset and size of backup slot `i` (below [`BACKUP_SLOTS`];
-    /// `write_backup` maps a call onto its slot).
-    pub fn backup_slot(&self, i: usize) -> (usize, usize) {
-        debug_assert!(i < BACKUP_SLOTS, "backup slot {i} of {BACKUP_SLOTS}");
-        (i * self.backup_slot_size, self.backup_slot_size)
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +227,7 @@ mod tests {
     #[test]
     fn regions_are_distinct() {
         let l = account_layout(3);
-        let mut ids = vec![l.heartbeat, l.summaries, l.free_rings, l.heads, l.backup];
+        let mut ids = vec![l.heartbeat, l.summaries, l.free_rings, l.heads];
         ids.extend(l.conf.iter().copied());
         let unique: std::collections::BTreeSet<_> = ids.iter().collect();
         assert_eq!(unique.len(), ids.len());
@@ -344,16 +321,5 @@ mod tests {
             assert_eq!(offset(cap + 1), offset(1), "the slots are reused in order");
             assert_eq!(offset(cap) - offset(1), (cap as usize - 1) * l.entry_size());
         }
-    }
-
-    #[test]
-    fn backup_slots_tile_the_region() {
-        let l = account_layout(2);
-        let (o0, sz) = l.backup_slot(0);
-        let (o1, _) = l.backup_slot(1);
-        let (olast, _) = l.backup_slot(BACKUP_SLOTS - 1);
-        assert_eq!(o0, 0);
-        assert_eq!(o1, sz);
-        assert_eq!(olast + sz, BACKUP_SLOTS * sz, "the last slot ends the region");
     }
 }

@@ -20,7 +20,7 @@
 //!   paths (with [`commit`] advancement, [`election`] and takeover,
 //!   failure [`recovery`]), the shared call lifecycle in [`calls`], the
 //!   view discipline in [`views`], and typed [`status`] snapshots —
-//!   reliable broadcast with backup-slot recovery and one Mu-style
+//!   reliable broadcast recovered from a failed node's own slots, and one Mu-style
 //!   [`conf::GroupEngine`] per synchronization group (permission-based
 //!   leader exclusion, majority commit, leader change with ring
 //!   catch-up);

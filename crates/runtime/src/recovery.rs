@@ -6,9 +6,10 @@
 //! correct observer picks the same nodes:
 //!
 //! 1. **Reliable-broadcast recovery** — the lowest alive node reads the
-//!    suspect's backup region and re-executes its pending broadcasts
-//!    (`Route::RecoveryRead`, the agreement half of reliable
-//!    broadcast).
+//!    suspect's own copies of what it broadcasts, the `F` ring it feeds
+//!    and its summary slots, and re-sends them (`Route::RecoveryRead`,
+//!    the agreement half of reliable broadcast). A broadcast's own slot
+//!    is its backup: the issuer writes it before any remote copy leaves.
 //! 2. **Workload adoption** — the next alive node after the suspect (in
 //!    ring order) adopts its remaining conflict-free quota (what it has
 //!    not seen applied) and exactly the queries the suspect had not run
@@ -30,8 +31,8 @@ use hamband_core::object::WorkloadSupport;
 use rdma_sim::{NodeId, SimDuration, TraceEvent};
 
 use crate::calls::Route;
-use crate::codec::{parse_backup_slot, BACKUP_FREE};
-use crate::config::BACKUP_SLOTS;
+use crate::codec::{slot_ready, slot_seq, summary_prefix};
+use crate::config::{FREE_RING_CAP, MAX_IN_FLIGHT};
 use crate::conf::Role;
 use crate::driver::QuotaSplit;
 use crate::heartbeat::FdEvent;
@@ -90,7 +91,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         ctx.emit(|| TraceEvent::FdSuspect { node, suspect });
         let members = self.fd.membership();
         // 1. Reliable-broadcast recovery: the lowest alive node reads
-        //    the suspect's backup slots and re-executes pending writes.
+        //    the suspect's own copies and re-sends them.
         if members.lowest_alive(Some(suspect)) == self.me {
             self.post_recovery_read(ctx, suspect);
         }
@@ -99,7 +100,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         //     recovery may have died with it — a committed conflicting
         //     call can then wait forever on a free call nobody
         //     re-broadcasts. Whoever inherits the duty re-reads the
-        //     earlier suspect's backups; re-execution is idempotent
+        //     earlier suspect's copies; re-execution is idempotent
         //     (the same ring slots get the same bytes).
         for s in self.fd.suspected() {
             if s == suspect {
@@ -207,13 +208,22 @@ impl<O: WorkloadSupport> HambandNode<O> {
             && self.fd.lowest_alive(Some(lv)) == self.me
     }
 
-    /// Post the RDMA read of `suspect`'s whole backup region (its
-    /// memory stays readable after a CPU crash); the completion lands
-    /// in [`Self::recover_backups`].
+    /// Post the RDMA READs of `suspect`'s own copies (its memory stays
+    /// readable after a CPU crash): the `F` ring it feeds, if the object
+    /// has one, and its summary slot of each group. Each completion
+    /// lands in [`Self::recover_backups`].
     fn post_recovery_read<T: Transport>(&mut self, ctx: &mut T, suspect: NodeId) {
-        let size = BACKUP_SLOTS * self.layout.backup_slot(0).1;
-        let wr = ctx.post_read(suspect, self.layout.backup, 0, size);
-        self.wr_routes.insert(wr, Route::RecoveryRead { suspect });
+        if !self.free_readers.is_empty() {
+            let off = self.layout.free_ring_base(suspect);
+            let len = FREE_RING_CAP * self.layout.entry_size();
+            let wr = ctx.post_read(suspect, self.layout.free_rings, off, len);
+            self.wr_routes.insert(wr, Route::RecoveryRead { suspect, group: None });
+        }
+        for g in 0..self.sum_cache.len() {
+            let (off, len) = (self.layout.summary_offset(g, suspect), self.layout.summary_size(g));
+            let wr = ctx.post_read(suspect, self.layout.summaries, off, len);
+            self.wr_routes.insert(wr, Route::RecoveryRead { suspect, group: Some(g) });
+        }
     }
 
     /// Write `slot` at `offset` of `region` on every node but `suspect`
@@ -235,46 +245,51 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
     }
 
-    /// Re-execute a suspected source's pending broadcasts from its
-    /// backup slots (the agreement half of reliable broadcast).
+    /// Re-execute a suspected source's pending broadcasts from the copy
+    /// `bytes` READ out of its memory (the agreement half of reliable
+    /// broadcast): its own `F` ring, or its summary slot of `group`.
     pub(crate) fn recover_backups<T: Transport>(
         &mut self,
         ctx: &mut T,
         suspect: NodeId,
+        group: Option<usize>,
         bytes: &[u8],
     ) {
-        let (_, slot_size) = self.layout.backup_slot(0);
-        // A summary slot is last-writer-wins and the backup region is
-        // walked in slot order, not version order: of the suspect's
-        // pending summary WRITEs only the newest per group is
-        // re-executed, or an older image would land on top of it.
-        let mut summaries: Vec<Option<(u64, &[u8])>> = vec![None; self.sum_cache.len()];
-        for i in 0..BACKUP_SLOTS {
-            let b = &bytes[i * slot_size..(i + 1) * slot_size];
-            let Some((kind, group, seq, slot)) = parse_backup_slot(b) else {
-                continue;
-            };
-            if kind != BACKUP_FREE {
-                let newest = &mut summaries[group as usize];
-                if newest.is_none_or(|(version, _)| version < seq) {
-                    *newest = Some((seq, slot));
+        let region = match group {
+            // The slot is last-writer-wins and the suspect's own copy
+            // its newest image: re-sending it is the whole recovery.
+            Some(g) => {
+                let Some(image) = summary_prefix(bytes, self.coord.sum_groups()[g].len()) else {
+                    return;
+                };
+                let off = self.layout.summary_offset(g, suspect);
+                self.rebroadcast(ctx, suspect, self.layout.summaries, off, image);
+                self.layout.summaries
+            }
+            // The ingress caps a node's unacknowledged calls at
+            // `MAX_IN_FLIGHT`, so every entry some peer may lack is
+            // among the newest that many.
+            None => {
+                let size = self.layout.entry_size();
+                let entries: Vec<(u64, &[u8])> = bytes
+                    .chunks_exact(size)
+                    .filter_map(|slot| slot_seq(slot).map(|seq| (seq, slot)))
+                    .filter(|&(seq, slot)| seq > 0 && slot_ready(slot, seq))
+                    .collect();
+                let newest = entries.iter().map(|&(seq, _)| seq).max().unwrap_or(0);
+                for (seq, slot) in entries {
+                    if seq + MAX_IN_FLIGHT as u64 > newest {
+                        let off = self.layout.free_slot_offset(suspect, seq);
+                        self.rebroadcast(ctx, suspect, self.layout.free_rings, off, slot);
+                    }
                 }
-                continue;
+                self.layout.free_rings
             }
-            let ring_off = self.layout.free_slot_offset(suspect, seq);
-            self.rebroadcast(ctx, suspect, self.layout.free_rings, ring_off, slot);
-        }
-        for (group, newest) in summaries.into_iter().enumerate() {
-            if let Some((_, slot)) = newest {
-                let off = self.layout.summary_offset(group, suspect);
-                self.rebroadcast(ctx, suspect, self.layout.summaries, off, slot);
-            }
-        }
+        };
         // The recovered slots were placed in our own copies with local
         // writes; fence them so a subsequent restart of *this* node does
         // not lose the re-executed broadcasts.
-        ctx.fence_region(self.layout.free_rings);
-        ctx.fence_region(self.layout.summaries);
+        ctx.fence_region(region);
     }
 }
 

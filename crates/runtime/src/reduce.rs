@@ -91,13 +91,12 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.apply_to_views(&update);
         self.metrics.last_apply = ctx.now();
 
-        // Reliable broadcast: backup first, then the remote writes.
-        let backup_slot = self.write_backup(ctx, call_id, crate::codec::BACKUP_SUMMARY, g as u8, version, &slot);
+        // Reliable broadcast: the own slot a recoverer READs first,
+        // then the remote writes. Durability seam: it is also this
+        // node's only record of its reducible calls — fence it before
+        // the remote copies can land.
         let offset = self.layout.summary_offset(g, self.me);
         ctx.local_write(self.layout.summaries, offset, &slot);
-        // Durability seam: the own summary slot is this node's only
-        // record of its reducible calls — fence it before the remote
-        // copies can land.
         ctx.fence_region(self.layout.summaries);
         // Write-combining: the call only queues here. The pump's flush
         // posts the latest slot on every idle channel once the whole
@@ -108,12 +107,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
             self.sum_waiters[g][q.index()].push_back((version, call_id));
         }
         self.sum_slot_buf[g] = slot;
-        Issued {
-            phase: Phase::Reduce,
-            conf: None,
-            remotes: self.n - 1,
-            backup_slot: Some(backup_slot),
-        }
+        Issued { phase: Phase::Reduce, conf: None, remotes: self.n - 1 }
     }
 
     /// Post the group's latest encoded slot on every (group, peer)

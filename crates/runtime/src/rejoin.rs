@@ -18,6 +18,7 @@
 //! * re-posts its own free-ring window and summary slot to every peer
 //!   (closing the bounded per-peer gap of appends that were minted but
 //!   not yet posted when it crashed — slot re-writes are idempotent),
+//!   and writes that window back into its own ring copy,
 //! * rebuilds the summary caches from the durable slot copies,
 //! * re-arms the timer chains (the pre-crash chains died inside the
 //!   crash window) and republishes its heartbeat region, whose
@@ -40,7 +41,7 @@ use hamband_core::object::WorkloadSupport;
 use hamband_core::wire::Wire;
 use rdma_sim::NodeId;
 
-use crate::codec::{Entry, SummarySlot};
+use crate::codec::{slot_seq, Entry, SummarySlot};
 use crate::config::{FREE_RING_CAP, POLL_INTERVAL};
 use crate::messages::ControlMsg;
 use crate::persist::LogRecord;
@@ -207,12 +208,16 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // Re-post the tail window of the own free ring to every peer:
         // appends minted before the crash may not have been posted to
         // every peer (the unposted gap is a contiguous suffix bounded by
-        // the backup-slot cap, far below the ring capacity), and slot
+        // the in-flight cap, far below the ring capacity), and slot
         // re-writes are idempotent. Completions arrive with no claiming
-        // writer and fall through the dispatch harmlessly.
+        // writer and fall through the dispatch harmlessly. The own copy
+        // a recoverer READs is written again too: the ring region is
+        // durable and the restart may have rolled its unfenced writes
+        // back.
         let window_lo = own_tail.saturating_sub(FREE_RING_CAP as u64);
         for (seq, slot) in own_free.iter().filter(|&&(s, _)| s > window_lo) {
             let off = self.layout.free_slot_offset(self.me, *seq);
+            ctx.local_write(self.layout.free_rings, off, slot);
             for q in peers(self.me, self.n) {
                 ctx.post_write(q, self.layout.free_rings, off, slot);
             }
@@ -284,10 +289,4 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.ingress.halt();
         self.workload_retired = true;
     }
-}
-
-/// The ring sequence number a slot claims (its first eight bytes);
-/// `None` for a slot too short to carry one.
-fn slot_seq(slot: &[u8]) -> Option<u64> {
-    Some(u64::from_le_bytes(slot.get(0..8)?.try_into().ok()?))
 }

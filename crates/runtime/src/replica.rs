@@ -43,7 +43,7 @@ use rdma_sim::{
 use crate::calls::{Outstanding, Route};
 use crate::conf::GroupEngine;
 use crate::config::{
-    RuntimeConfig, BACKUP_SLOTS, CONF_RING_CAP, PERSIST_LOG_BYTES, POLL_COST, POLL_INTERVAL,
+    RuntimeConfig, CONF_RING_CAP, MAX_IN_FLIGHT, PERSIST_LOG_BYTES, POLL_COST, POLL_INTERVAL,
 };
 use crate::driver::WorkloadSpec;
 use crate::heartbeat::{FailureDetector, Heartbeat};
@@ -108,12 +108,9 @@ pub struct HambandNode<O: ObjectSpec> {
     /// latest own summary slot (the used prefix — exactly the bytes
     /// the pump's flush writes).
     pub(crate) sum_slot_buf: Vec<Vec<u8>>,
-    /// Reusable buffer for the backup-slot image of the call being
-    /// issued.
-    pub(crate) backup_buf: Vec<u8>,
     /// Reusable buffer for the ring slot of the call being issued: the
-    /// entry is encoded into it once and every peer's writer, the
-    /// backup slot and the log copy take the bytes.
+    /// entry is encoded into it once and every peer's writer, the own
+    /// ring copy and the log copy take the bytes.
     pub(crate) slot_buf: Vec<u8>,
 
     /// `F`-ring endpoints by peer (`None` at our own index); empty when
@@ -215,12 +212,13 @@ impl<O: WorkloadSupport> HambandNode<O> {
         let leaders = leaders.map_or_else(|| mapper.default_leaders(n), <[Pid]>::to_vec);
         assert_eq!(leaders.len(), mapper.group_count(), "one leader per mapped group");
         assert_eq!(layout.conf.len(), mapper.group_count(), "layout planned for these shards");
-        assert!(cfg.window <= BACKUP_SLOTS, "backup ring must cover the window");
+        assert!(cfg.window <= MAX_IN_FLIGHT, "the in-flight cap must cover the window");
         let sigma = spec.initial();
-        // Backup slots are addressed `call_id % backup_slots`, so the
-        // ingress caps node-wide in-flight calls at the slot count no
-        // matter how many sessions the spec asks for.
-        let ingress = Ingress::new(spec, workload, coord, mapper, me.index(), n, BACKUP_SLOTS);
+        // A recoverer re-sends only the newest `MAX_IN_FLIGHT` entries
+        // of a suspect's `F` ring, so the ingress caps node-wide
+        // in-flight calls there no matter how many sessions the spec
+        // asks for.
+        let ingress = Ingress::new(spec, workload, coord, mapper, me.index(), n, MAX_IN_FLIGHT);
         let sum_cache = coord
             .sum_groups()
             .iter()
@@ -259,7 +257,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
             sum_inflight: (0..sum_group_count).map(|_| vec![None; n]).collect(),
             sum_waiters: (0..sum_group_count).map(|_| vec![VecDeque::new(); n]).collect(),
             sum_slot_buf: vec![Vec::new(); sum_group_count],
-            backup_buf: Vec::new(),
             slot_buf: Vec::new(),
             free_writers: Vec::new(),
             free_readers: Vec::new(),
@@ -378,9 +375,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
             Route::CommitWrite { group } => {
                 self.on_commit_write_done(ctx, group, status);
             }
-            Route::RecoveryRead { suspect } => {
+            Route::RecoveryRead { suspect, group } => {
                 if let Some(bytes) = data {
-                    self.recover_backups(ctx, suspect, bytes);
+                    self.recover_backups(ctx, suspect, group, bytes);
                 }
             }
             Route::CatchupRead { group, from_seq, max_tail } => {

@@ -28,13 +28,13 @@ use hamband_core::counts::CountMap;
 use hamband_core::object::WorkloadSupport;
 use rdma_sim::{App, NodeId, SimDuration, SimTime, Simulator};
 
-use crate::baseline_msg::MsgCrdtNode;
 use crate::ingress::SessionStats;
 use crate::metrics::NodeMetrics;
 use crate::replica::HambandNode;
 
 /// What the verdict and the harness need from a replica application —
-/// implemented by [`HambandNode`] and [`MsgCrdtNode`].
+/// implemented by [`HambandNode`] and, in its own module,
+/// [`MsgCrdtNode`](crate::MsgCrdtNode).
 pub trait HarnessNode: App {
     /// Comparable object-state snapshot (convergence check).
     type Snapshot: PartialEq;
@@ -88,35 +88,6 @@ impl<O: WorkloadSupport + Clone> HarnessNode for HambandNode<O> {
     }
 }
 
-impl<O: WorkloadSupport> HarnessNode for MsgCrdtNode<O> {
-    type Snapshot = O::State;
-
-    fn is_halted(&self) -> bool {
-        MsgCrdtNode::is_halted(self)
-    }
-    fn workload_done(&self) -> bool {
-        MsgCrdtNode::workload_done(self)
-    }
-    fn follows(&self) -> Vec<Option<NodeId>> {
-        Vec::new()
-    }
-    fn applied_map(&self) -> &CountMap {
-        MsgCrdtNode::applied_map(self)
-    }
-    fn snapshot(&self) -> O::State {
-        self.state_snapshot()
-    }
-    fn metrics(&self) -> &NodeMetrics {
-        &self.metrics
-    }
-    fn session_stats(&self) -> Vec<SessionStats> {
-        MsgCrdtNode::session_stats(self)
-    }
-    fn status_line(&self) -> String {
-        self.debug_pending()
-    }
-}
-
 /// The cluster's replicas by node id, `None` where the node crashed or
 /// halted. Aliveness is dynamic: a node scheduled to fail later still
 /// counts until its fault fires.
@@ -166,7 +137,7 @@ pub fn settled<A: HarnessNode>(sim: &Simulator<A>) -> bool {
 /// is [`settled`] — or `max_time` is reached, or nothing was applied
 /// and no query run for 2 000 slices (a workload that cannot progress
 /// ends unconverged instead of burning virtual time to the cap) — then
-/// let stragglers (commit writes, backups) settle for 300 µs. Returns
+/// let stragglers (commit writes, recovery re-sends) settle for 300 µs. Returns
 /// when the last apply or query on an alive node ended
 /// ([`NodeMetrics::done_at`](crate::metrics::NodeMetrics::done_at)) and
 /// whether the run converged: settled, and the alive nodes' object
@@ -207,6 +178,7 @@ pub fn drive<A: HarnessNode>(sim: &mut Simulator<A>, max_time: SimTime) -> (SimT
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline_msg::MsgCrdtNode;
     use crate::driver::WorkloadSpec;
     use crate::harness::{assemble, RunConfig, Runner, System};
     use hamband_core::ids::Pid;

@@ -41,10 +41,10 @@ fn small_campaign_is_clean() {
 }
 
 #[test]
-fn recoverer_crash_cascades_backup_recovery() {
+fn recoverer_crash_cascades_broadcast_recovery() {
     // Shrunk repro from the 5-node campaign (seed 569): the group
-    // leader n0 crashes with a free broadcast still pending in its
-    // backup slots, then its designated recoverer n1 crashes before
+    // leader n0 crashes with a free broadcast still pending in its own
+    // ring copy, then its designated recoverer n1 crashes before
     // re-executing it. Without cascaded recovery (recovery.rs step
     // 1b) the lost free call leaves a majority-committed conflicting
     // entry with an unsatisfiable dependency map on every survivor:

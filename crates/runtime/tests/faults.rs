@@ -4,14 +4,12 @@
 use hamband_core::counts::DepMap;
 use hamband_core::ids::{MethodId, Pid, Rid};
 use hamband_core::{CoordSpec, WorkloadSupport};
-use hamband_runtime::codec::{
-    compose_backup_slot, Entry, SummarySlot, BACKUP_FREE, BACKUP_SUMMARY,
-};
+use hamband_runtime::codec::{slot_ready, Entry, SummarySlot};
 use hamband_runtime::chaos::{run_case, ChaosOptions};
 use hamband_runtime::config::POLL_INTERVAL;
 use hamband_runtime::{
-    assemble, drive, HambandNode, QuotaSplit, RunConfig, Runner, RuntimeConfig, System, TraceMode,
-    WorkloadSpec,
+    assemble, drive, DurabilityMode, HambandNode, QuotaSplit, RunConfig, Runner, RuntimeConfig,
+    System, TraceMode, WorkloadSpec,
 };
 use hamband_types::{Bank, Counter, Courseware, GSet};
 use rdma_sim::{
@@ -40,10 +38,10 @@ fn calls_made<O: WorkloadSupport + Clone>(sim: &Simulator<HambandNode<O>>, n: us
 }
 
 /// A node crashes (fail-stop) with a pending conflict-free broadcast
-/// sitting in its backup slot that never reached anyone. The reliable
-/// broadcast's agreement half must kick in: the designated recoverer
-/// reads the backup remotely and re-executes the writes, and every
-/// alive node applies the rescued call.
+/// sitting in its own copy of its `F` ring that never reached anyone.
+/// The reliable broadcast's agreement half must kick in: the designated
+/// recoverer reads that copy remotely and re-executes the writes, and
+/// every alive node applies the rescued call.
 #[test]
 fn crash_recovery_delivers_pending_broadcast() {
     // Use the buffered GSet so calls flow through F rings.
@@ -56,10 +54,10 @@ fn crash_recovery_delivers_pending_broadcast() {
     let plan = FaultPlan::new().at(SimTime(30_000), Fault::Crash(NodeId(2)));
     let run = RunConfig::new(n, workload).with_seed(7).with_faults(plan);
     let (mut sim, layout) = assemble(&g, &coord, &run);
-    // Before the crash fires, plant a pending broadcast in node 2's
-    // backup region: a conflict-free call (seq 1 in node 2's F rings)
-    // that "was about to be written" but never went out — the crash
-    // window between the local backup write and the remote writes.
+    // Before the crash fires, plant a pending broadcast in node 2's own
+    // ring copy: a conflict-free call (seq 1 in node 2's F rings) that
+    // "was about to be written" but never went out — the crash window
+    // between the issuer's local write and the remote writes.
     sim.run_for(SimDuration::micros(5));
     let entry = Entry {
         rid: Rid::new(Pid(2), 0),
@@ -67,11 +65,8 @@ fn crash_recovery_delivers_pending_broadcast() {
         deps: DepMap::empty(),
     };
     let slot = entry.to_slot(1, layout.entry_size());
-    let (off, size) = layout.backup_slot(0);
-    let mut backup = Vec::new();
-    compose_backup_slot(&mut backup, BACKUP_FREE, 0xff, 1, &slot, size);
     sim.with_app_ctx(NodeId(2), |_, ctx| {
-        ctx.local_write(layout.backup, off, &backup);
+        ctx.local_write(layout.free_rings, layout.free_slot_offset(NodeId(2), 1), &slot);
     });
     // Run long enough for the crash, suspicion, recovery read, and
     // rebroadcast to complete.
@@ -88,12 +83,13 @@ fn crash_recovery_delivers_pending_broadcast() {
     assert_eq!(sim.app(NodeId(1)).state_snapshot(), s0, "survivors agree");
 }
 
-/// `write_backup` stores only the used prefix of an image, so a slot can
-/// hold a short image over the tail of a longer, older one (slots are
-/// shared by every call with the same `call_id % backup_slots`).
-/// Recovery must re-execute exactly the short image.
+/// A node crashes with a summary no peer has seen: only its own slot
+/// holds it, as the issuer writes that slot before any remote copy
+/// leaves. The writer stores only the used prefix, so the slot holds
+/// the newest image over the tail of a longer, older one. Recovery
+/// re-sends exactly the newest image to every survivor.
 #[test]
-fn short_backup_image_over_a_longer_stale_one_recovers_the_short_one() {
+fn a_summary_only_the_crashed_nodes_own_slot_holds_reaches_every_survivor() {
     use hamband_types::gset::GSetUpdate;
     let g = GSet::default();
     let coord = g.coord_spec();
@@ -102,25 +98,17 @@ fn short_backup_image_over_a_longer_stale_one_recovers_the_short_one() {
     let run = RunConfig::new(3, workload).with_seed(7).with_faults(plan);
     let (mut sim, layout) = assemble(&g, &coord, &run);
     sim.run_for(SimDuration::micros(5));
-    let (off, size) = layout.backup_slot(0);
-    let summary_slot = run.runtime.summary_slot_size(1);
     let image = |version: u64, elems: Vec<u64>| {
-        let inner = SummarySlot {
-            version,
-            counts: vec![version],
-            summary: Some(GSetUpdate::AddAll(elems)),
-        }
-        .to_slot(summary_slot);
-        let mut backup = Vec::new();
-        compose_backup_slot(&mut backup, BACKUP_SUMMARY, 0, version, &inner, size);
-        backup
+        SummarySlot { version, counts: vec![version], summary: Some(GSetUpdate::AddAll(elems)) }
+            .to_slot(layout.summary_size(0))
     };
     let stale = image(1, (100..140).collect());
     let fresh = image(2, vec![42, 43]);
     assert!(fresh.len() < stale.len());
+    let off = layout.summary_offset(0, NodeId(2));
     sim.with_app_ctx(NodeId(2), |_, ctx| {
-        ctx.local_write(layout.backup, off, &stale);
-        ctx.local_write(layout.backup, off, &fresh);
+        ctx.local_write(layout.summaries, off, &stale);
+        ctx.local_write(layout.summaries, off, &fresh);
     });
     sim.run_for(SimDuration::millis(2));
     assert!(sim.is_crashed(NodeId(2)));
@@ -131,6 +119,36 @@ fn short_backup_image_over_a_longer_stale_one_recovers_the_short_one() {
             vec![42, 43],
             "node {i} must see the short image only"
         );
+    }
+}
+
+/// The issuer writes its own ring copy unfenced (the persist log is its
+/// durable record), so a restart that loses unfenced writes rolls the
+/// copy back. Rejoin writes the logged window into it again: a
+/// recoverer that READs the node after a later crash finds every entry
+/// it issued.
+#[test]
+fn a_restart_writes_the_logged_window_back_into_the_own_ring_copy() {
+    let g = GSet::default();
+    let coord = g.coord_spec_buffered();
+    let node = NodeId(2);
+    let restart_at = SimTime(60_000);
+    let plan = FaultPlan::new()
+        .at(SimTime(30_000), Fault::Crash(node))
+        .at(restart_at, Fault::Restart(node, true));
+    let workload = WorkloadSpec::ops(600).with_update_ratio(1.0).with_seed(3);
+    let runtime = RuntimeConfig::default().with_durability(DurabilityMode::Fenced);
+    let run = RunConfig::new(3, workload).with_seed(3).with_runtime(runtime).with_faults(plan);
+    let (mut sim, layout) = assemble(&g, &coord, &run);
+    sim.run_until(restart_at + SimDuration::nanos(1));
+    // The replayed log counts the node's own entries, 1 to `issued`.
+    let applied = sim.app(node).applied_map();
+    let issued: u64 = (0..coord.method_count()).map(|m| applied.get(Pid(2), MethodId(m))).sum();
+    assert!(issued > 0, "node 2 issued nothing before its crash");
+    let ring = sim.region_bytes(node, layout.free_rings);
+    for seq in 1..=issued {
+        let slot = &ring[layout.free_slot_offset(node, seq)..][..layout.entry_size()];
+        assert!(slot_ready(slot, seq), "entry {seq} of {issued} is missing from the own copy");
     }
 }
 
@@ -515,10 +533,11 @@ fn candidate_that_lost_stands_down_and_can_run_later() {
 
 /// Beyond the three families, found by the widened four-node campaign
 /// (Bank, seed 738): node 0 crashes with summary versions 9–13 pending
-/// in its backup slots — a partition held its WRITEs to node 1 — and
-/// recovery re-executed them in slot order, leaving version 11 on top
-/// of 13. Node 1 then waits for ever on deposits that depend on the
-/// two accounts it never saw opened.
+/// — a partition held its WRITEs to node 1. Recovery once re-executed
+/// them from per-call backup slots in slot order, leaving version 11 on
+/// top of 13, and node 1 waited for ever on deposits that depend on the
+/// two accounts it never saw opened. It now re-sends node 0's own
+/// slot, which holds version 13 alone.
 #[test]
 fn recovery_reexecutes_only_the_newest_pending_summary() {
     let plan = FaultPlan::new()

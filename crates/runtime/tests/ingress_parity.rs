@@ -75,16 +75,19 @@ const GOLDEN_BANK: [(u64, usize, u64); 3] = [
     (7, 2691, 0xf09efe12bc2c8230),
     (13, 2697, 0xd9500779a4009402),
 ];
+/// Last re-blessed for recovery from the suspect's own copies (the
+/// eleventh bless).
 const GOLDEN_GSET_FAULTS: [(u64, usize, u64); 3] = [
-    (1, 2111, 0xc3a98ad164ea6d4c),
-    (7, 2111, 0xb7fe57bd90ef6446),
-    (13, 2111, 0x2a0b2c4f92161083),
+    (1, 2559, 0x0e257ea55663f1ad),
+    (7, 2559, 0x70cac6a3dc1cdd65),
+    (13, 2559, 0x4a58cb85193afcd9),
 ];
-/// Last re-blessed for adopt-on-read summaries (the ninth bless).
+/// Last re-blessed for recovery from the suspect's own copies (the
+/// eleventh bless).
 const GOLDEN_BANK_LEADERFAULT: [(u64, usize, u64); 3] = [
-    (1, 3936, 0x9b0db3131acbe877),
-    (7, 3908, 0xa7e91cca8ea516f4),
-    (13, 3948, 0xcf38024debd55405),
+    (1, 4022, 0x57c2aa8257f3d9b8),
+    (7, 3994, 0x8fcc28221575ee4c),
+    (13, 4034, 0x7486360f1b96063e),
 ];
 
 #[test]
@@ -147,15 +150,16 @@ fn one_session_parity_survives_faults_and_quota_adoption() {
 /// per-node wait queues reproduced byte for byte; re-blessed since as
 /// CHANGES.md lists.
 const GOLDEN_ORSET_SATURATED: [(u64, usize, u64); 3] = [
-    (1, 24263, 0x398ef233e4c11f0b),
-    (7, 24263, 0xcf5b3da757208a46),
-    (13, 24263, 0x8a9cc0903e929fce),
+    (1, 38661, 0x1ff16f2f145f408c),
+    (7, 38606, 0x8f83ff79bacd942f),
+    (13, 38661, 0xb0e78dd1773021f6),
 ];
-/// Last re-blessed for adopt-on-read summaries (the ninth bless).
+/// Last re-blessed for recovery from the suspect's own copies (the
+/// eleventh bless).
 const GOLDEN_BANK_SATURATED: [(u64, usize, u64); 3] = [
-    (1, 10119, 0x70771ff55c8bd891),
-    (7, 10143, 0x69f45a7f1d2d21b1),
-    (13, 10128, 0xb1d0aea2157e1be5),
+    (1, 10381, 0xf1171c14a876b2a5),
+    (7, 10405, 0x404fbc7685622a97),
+    (13, 10390, 0x2791ef5e571c1c6d),
 ];
 
 /// Partition + heal, a duplicated completion, a delay spike and a

@@ -87,6 +87,16 @@ if grep -rn --include='*.rs' 'flush_commit(' crates src tests examples \
   exit 1
 fi
 
+echo "== one-copy guard (a broadcast's own slot is its backup) =="
+# A recoverer READs the issuer's own F-ring and summary slots (DESIGN
+# §8). A second image of a pending call is the backup region growing
+# back.
+if grep -rn --include='*.rs' -e 'write_backup' -e 'compose_backup_slot' -e 'layout\.backup' \
+    crates src tests examples; then
+  echo "FAIL: recover from the issuer's own slots; keep no second copy of a pending call"
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release
 
