@@ -488,12 +488,6 @@ mod tests {
         fn query(&self, state: &i128, query: &Self::Query) -> i128 {
             self.0.query(state, query)
         }
-        fn method_names(&self) -> Vec<&'static str> {
-            self.0.method_names()
-        }
-        fn method_of(&self, call: &Self::Update) -> MethodId {
-            self.0.method_of(call)
-        }
         fn summarize(&self, a: &Self::Update, b: &Self::Update) -> Option<Self::Update> {
             self.0.summarize(a, b)
         }

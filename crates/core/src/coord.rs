@@ -193,21 +193,6 @@ impl CoordSpec {
         assert!(processes > 0, "cluster must be non-empty");
         (0..self.sync_groups.len()).map(|g| Pid(g % processes)).collect()
     }
-
-    /// Methods in each category, for reporting.
-    pub fn category_summary(&self) -> (Vec<MethodId>, Vec<MethodId>, Vec<MethodId>) {
-        let mut red = Vec::new();
-        let mut free = Vec::new();
-        let mut conf = Vec::new();
-        for m in 0..self.n_methods {
-            match self.categories[m] {
-                MethodCategory::Reducible { .. } => red.push(MethodId(m)),
-                MethodCategory::IrreducibleFree => free.push(MethodId(m)),
-                MethodCategory::Conflicting { .. } => conf.push(MethodId(m)),
-            }
-        }
-        (red, free, conf)
-    }
 }
 
 /// Maps `(synchronization group, shard key)` onto a *mapped group* —
@@ -490,15 +475,6 @@ mod tests {
         let c = CoordSpec::builder(3).conflict(0, 1).conflict(1, 2).build();
         assert_eq!(c.sync_groups().len(), 1);
         assert_eq!(c.sync_groups()[0], vec![MethodId(0), MethodId(1), MethodId(2)]);
-    }
-
-    #[test]
-    fn category_summary_partitions_methods() {
-        let c = account_coord();
-        let (red, free, conf) = c.category_summary();
-        assert_eq!(red, vec![MethodId(0)]);
-        assert!(free.is_empty());
-        assert_eq!(conf, vec![MethodId(1)]);
     }
 
     #[test]

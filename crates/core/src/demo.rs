@@ -125,14 +125,6 @@ impl ObjectSpec for Account {
         }
     }
 
-    fn method_names(&self) -> Vec<&'static str> {
-        AccountUpdate::METHOD_NAMES.to_vec()
-    }
-
-    fn method_of(&self, call: &AccountUpdate) -> MethodId {
-        call.method()
-    }
-
     fn summarize(&self, first: &AccountUpdate, second: &AccountUpdate) -> Option<AccountUpdate> {
         match (first, second) {
             (AccountUpdate::Deposit(a), AccountUpdate::Deposit(b)) => {

@@ -69,14 +69,26 @@ impl KeySkew {
     }
 }
 
+/// The update methods of a class, in dense [`MethodId`] order (§4
+/// indexes them by identifier): the list an update enum declares once
+/// through [`calls!`](crate::calls), which writes this impl.
+pub trait Methods {
+    /// The update method names; `NAMES[m.index()]` names method `m`.
+    const NAMES: &'static [&'static str];
+
+    /// The method this call belongs to.
+    fn method(&self) -> MethodId;
+}
+
 /// A class of replicated objects: ⟨Σ, I, ū:=d̄, q̄:=d̄⟩ (Fig. 3).
 ///
 /// * `State` is the state type `Σ`.
 /// * `Update` is the type of update calls `u(v)` — typically an enum
 ///   with one variant per update method, carrying the argument `v`.
 ///   Every call "is serialized into a byte stream" (§4), so the type
-///   is [`Wire`]; [`calls!`](crate::calls) declares the method list of
-///   such an enum once and derives its constants, names and codec.
+///   is [`Wire`], and it knows its method list, so it is [`Methods`];
+///   [`calls!`](crate::calls) declares that list once and writes the
+///   constants and both impls.
 /// * `Query`/`Reply` are query calls `q(v)` and their return values.
 ///
 /// The executable definitions:
@@ -102,7 +114,7 @@ pub trait ObjectSpec {
     /// The object state `Σ`.
     type State: Clone + PartialEq + std::fmt::Debug;
     /// An update call `u(v)`: the method together with its argument.
-    type Update: Clone + PartialEq + std::fmt::Debug + Wire;
+    type Update: Clone + PartialEq + std::fmt::Debug + Wire + Methods;
     /// A query call `q(v)`.
     type Query: Clone + std::fmt::Debug;
     /// A query return value.
@@ -138,10 +150,19 @@ pub trait ObjectSpec {
     fn query(&self, state: &Self::State, query: &Self::Query) -> Self::Reply;
 
     /// The update method names, in dense [`MethodId`] order.
-    fn method_names(&self) -> Vec<&'static str>;
+    fn method_names(&self) -> &'static [&'static str] {
+        <Self::Update as Methods>::NAMES
+    }
 
     /// The method a call belongs to.
-    fn method_of(&self, call: &Self::Update) -> MethodId;
+    fn method_of(&self, call: &Self::Update) -> MethodId {
+        call.method()
+    }
+
+    /// Number of update methods.
+    fn method_count(&self) -> usize {
+        self.method_names().len()
+    }
 
     /// Summarize two calls of a summarization group (§3.3):
     /// returns `c''` with `second ∘ first = c''`, or `None` if the calls
@@ -165,11 +186,6 @@ pub trait ObjectSpec {
     /// summaries.
     fn summaries_monotone(&self) -> bool {
         false
-    }
-
-    /// Number of update methods.
-    fn method_count(&self) -> usize {
-        self.method_names().len()
     }
 
     /// The *shard key* of an update call, if it has one: the entity

@@ -294,6 +294,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 /// Declare the call list of an update enum once.
 ///
 /// ```
+/// use hamband_core::object::Methods;
 /// use hamband_core::wire::Wire;
 ///
 /// #[derive(Debug, Clone, PartialEq)]
@@ -311,7 +312,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 ///
 /// let call = StockUpdate::Ship { item: 7, units: 2 };
 /// assert_eq!(call.method(), SHIP);
-/// assert_eq!(StockUpdate::METHOD_NAMES[SHIP.index()], "ship");
+/// assert_eq!(StockUpdate::NAMES[SHIP.index()], "ship");
 /// assert_eq!(call.to_bytes(), [1, 7, 2]);
 /// assert_eq!(StockUpdate::from_bytes(&[1, 7, 2]), Ok(call));
 /// ```
@@ -319,12 +320,12 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 /// Each line names a method's [`MethodId`](crate::ids::MethodId)
 /// constant, its name, and the enum variant that carries its calls
 /// with one binder per field. From the one list come, in step by
-/// construction: the `pub const`s (dense, in declaration order),
-/// `Enum::METHOD_NAMES`, `Enum::method(&self)` — what
-/// [`ObjectSpec::method_names`](crate::object::ObjectSpec::method_names)
-/// and [`method_of`](crate::object::ObjectSpec::method_of) delegate to
-/// — and `impl Wire`: one tag byte, the method index, then the fields
-/// in the order written here, each through its own [`Wire`].
+/// construction: the `pub const`s (dense, in declaration order);
+/// `impl` [`Methods`](crate::object::Methods), which
+/// [`ObjectSpec`](crate::object::ObjectSpec)'s `method_names`,
+/// `method_of` and `method_count` read; and `impl Wire`: one tag byte,
+/// the method index, then the fields in the order written here, each
+/// through its own [`Wire`].
 ///
 /// Two more forms: `calls! { untagged Enum { CONST = "name" =>
 /// Variant(..) } }` for an enum with a single method, whose calls
@@ -362,12 +363,10 @@ macro_rules! calls {
     };
     (@methods $enum:ident { $($konst:ident = $name:literal => $variant:ident),+ }) => {
         $crate::calls!(@consts 0; $($konst $name)+);
-        impl $enum {
-            /// The update method names, in dense `MethodId` order.
-            pub const METHOD_NAMES: &'static [&'static str] = &[$($name),+];
+        impl $crate::object::Methods for $enum {
+            const NAMES: &'static [&'static str] = &[$($name),+];
 
-            /// The method this call belongs to.
-            pub fn method(&self) -> $crate::ids::MethodId {
+            fn method(&self) -> $crate::ids::MethodId {
                 match self { $($enum::$variant { .. } => $konst),+ }
             }
         }

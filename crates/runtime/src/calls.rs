@@ -68,11 +68,7 @@ pub(crate) enum Route {
     /// (`group` `None`) or of its summary slot of a group (`recovery`).
     RecoveryRead { suspect: NodeId, group: Option<usize> },
     /// A READ of one ring slot from the longest follower (`election`).
-    CatchupRead {
-        group: usize,
-        from_seq: u64,
-        max_tail: u64,
-    },
+    CatchupRead { group: usize, from_seq: u64 },
 }
 
 /// What a path's issue step did with a call — the part of the

@@ -3,7 +3,7 @@
 //!
 //! A *campaign* runs many seeded cases. Each case derives a randomized
 //! [`FaultPlan`] from its seed ([`FaultPlan::generate`]), runs the full
-//! Hamband (or MSG) cluster under that plan through [`Runner`], and
+//! Hamband cluster under that plan through [`Runner`], and
 //! checks four families of properties:
 //!
 //! * **convergence** — the run's own convergence verdict (all alive
@@ -40,6 +40,13 @@ use rdma_sim::{Fault, FaultGenConfig, FaultPlan, NodeId, Phase, SimTime, TraceEv
 use crate::driver::{QuotaSplit, WorkloadSpec};
 use crate::harness::{RunConfig, Runner, System, TraceMode};
 
+/// Fraction of a case's calls that are updates.
+const UPDATE_RATIO: f64 = 0.5;
+/// Faults are scheduled within `[HORIZON/8, HORIZON]` virtual time.
+const HORIZON: SimTime = SimTime(120_000);
+/// Hard cap on virtual time per case.
+const MAX_TIME: SimTime = SimTime(20_000_000);
+
 /// Knobs of one chaos campaign (shared by every case in it).
 #[derive(Debug, Clone)]
 pub struct ChaosOptions {
@@ -47,16 +54,8 @@ pub struct ChaosOptions {
     pub nodes: usize,
     /// Calls per case (all nodes together).
     pub ops: u64,
-    /// Fraction of calls that are updates.
-    pub update_ratio: f64,
     /// Upper bound on faults per generated schedule.
     pub max_faults: usize,
-    /// Faults are scheduled within `[horizon/8, horizon]` virtual time.
-    pub horizon: SimTime,
-    /// Hard cap on virtual time per case.
-    pub max_time: SimTime,
-    /// Which system to run the cases against.
-    pub system: System,
     /// Per-sync-group key shards (see
     /// [`RuntimeConfig::sync_shards`](crate::config::RuntimeConfig::sync_shards)).
     /// Defaults to the runtime default (`1`); the `chaos` binary's
@@ -85,11 +84,7 @@ impl Default for ChaosOptions {
         ChaosOptions {
             nodes: 4,
             ops: 300,
-            update_ratio: 0.5,
             max_faults: 6,
-            horizon: SimTime(120_000),
-            max_time: SimTime(20_000_000),
-            system: System::Hamband,
             sync_shards: crate::config::RuntimeConfig::default().sync_shards,
             canary: false,
             restarts: false,
@@ -150,13 +145,13 @@ where
     O::Update: Send,
     O::State: Send,
 {
-    let workload = WorkloadSpec::ops(opts.ops).with_update_ratio(opts.update_ratio).with_seed(seed);
+    let workload = WorkloadSpec::ops(opts.ops).with_update_ratio(UPDATE_RATIO).with_seed(seed);
     let updates_planned = QuotaSplit::planned(&workload, coord, opts.nodes).0;
     let mut config = RunConfig::new(opts.nodes, workload)
         .with_seed(seed)
         .with_faults(plan.clone())
         .with_trace(TraceMode::Collect)
-        .with_max_time(opts.max_time);
+        .with_max_time(MAX_TIME);
     config.runtime.sync_shards = opts.sync_shards;
     // Durability is decided by the *plan*, not the campaign option:
     // a shrunk sub-schedule that dropped every restart runs exactly
@@ -168,7 +163,7 @@ where
     } else {
         crate::persist::DurabilityMode::Off
     };
-    let (outcome, states) = Runner::new(opts.system, config).run_with_states(spec, coord);
+    let (outcome, states) = Runner::new(System::Hamband, config).run_with_states(spec, coord);
 
     let mut violations = Vec::new();
 
@@ -278,7 +273,7 @@ where
         .into_iter()
         .map(|p| NodeId(p.index()))
         .collect();
-    let gen = FaultGenConfig::for_cluster(opts.nodes, opts.horizon)
+    let gen = FaultGenConfig::for_cluster(opts.nodes, HORIZON)
         .with_leaders(leaders)
         .with_max_faults(opts.max_faults)
         .with_restarts(opts.restarts);

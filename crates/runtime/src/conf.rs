@@ -26,8 +26,8 @@
 //! `recovery::ELECTION_RETRY_TICKS` failure-detector ticks, with the
 //! leader it would replace still suspected, runs again one epoch up.
 //!
-//! A `Candidate` that wins with the longest ring locally skips
-//! `TakingOver` and installs directly. The engine methods that move
+//! A `Candidate` that wins with the longest ring locally has nothing to
+//! read and installs straight from `TakingOver`. The engine methods that move
 //! between roles are pure state-machine steps (no transport), so the
 //! machine is unit-testable in isolation — see the tests at the bottom.
 //!
@@ -63,11 +63,13 @@ pub enum Role {
         /// The in-flight tally.
         election: Election,
     },
-    /// Won the election but still reading the ring suffix from the
-    /// longest follower; not yet issuing or acking.
+    /// Won the election; reading the ring suffix from the longest
+    /// follower, if ours is shorter. Not yet issuing or acking.
     TakingOver {
         /// The tail adopted from the election (catch-up target).
         max_tail: u64,
+        /// The shortest log the election counted (rebroadcast start).
+        min_tail: u64,
     },
     /// Leading the group: owns the ring writers and the commit index.
     Leader(LeaderState),
@@ -225,8 +227,8 @@ impl GroupEngine {
     }
 
     /// Start an election: bump the promise, tally our own vote.
-    /// `own_tail`/`own_commit` seed the maxima. Returns the epoch the
-    /// candidacy runs under.
+    /// `own_tail`/`own_commit` seed the maxima and the tail minimum.
+    /// Returns the epoch the candidacy runs under.
     pub fn begin_election(&mut self, me: NodeId, own_tail: u64, own_commit: u64) -> u64 {
         let epoch = self.promised + 1;
         self.promised = epoch;
@@ -237,6 +239,7 @@ impl GroupEngine {
                 acks: 1,
                 max_tail: own_tail,
                 max_tail_holder: me,
+                min_tail: own_tail,
                 max_commit: own_commit,
                 waited: 0,
             },
@@ -254,6 +257,7 @@ impl GroupEngine {
                     election.max_tail = tail;
                     election.max_tail_holder = from;
                 }
+                election.min_tail = election.min_tail.min(tail);
                 election.max_commit = election.max_commit.max(commit);
             }
         }
@@ -262,8 +266,8 @@ impl GroupEngine {
     /// If the candidacy has a majority, win it: adopt the election's
     /// commit maximum, recognize ourselves, and return the final tally
     /// (the caller decides between direct install and ring catch-up).
-    /// The role is parked at `Follower` until the caller installs or
-    /// begins the takeover.
+    /// The role is parked at `Follower` until the caller begins the
+    /// takeover.
     pub fn try_win(&mut self, majority: usize, me: Pid) -> Option<Election> {
         let Role::Candidate { election } = &self.role else { return None };
         if election.acks < majority {
@@ -281,10 +285,10 @@ impl GroupEngine {
         Some(election)
     }
 
-    /// Enter ring catch-up toward `max_tail` (between winning and
-    /// installing).
-    pub fn begin_takeover(&mut self, max_tail: u64) {
-        self.role = Role::TakingOver { max_tail };
+    /// Enter the takeover toward `max_tail` (between winning and
+    /// installing); the rebroadcast will start above `min_tail`.
+    pub fn begin_takeover(&mut self, max_tail: u64, min_tail: u64) {
+        self.role = Role::TakingOver { max_tail, min_tail };
     }
 
     /// Step down: drop the leader state (writers, acks, clients) and

@@ -208,13 +208,14 @@ fn follower_to_candidate_to_leader_on_suspicion() {
     let won = e.try_win(2, Pid(1)).expect("majority reached");
     assert_eq!(won.max_tail, 7, "the longer follower log wins");
     assert_eq!(won.max_tail_holder, NodeId(2));
+    assert_eq!(won.min_tail, 5, "our own log is the shortest counted");
     assert_eq!(e.commit, 4, "commit adopted from the tally max");
     assert_eq!(e.leader_view, Pid(1));
     assert_eq!(e.epoch, epoch);
 
     // Our log was shorter: catch up, then install.
-    e.begin_takeover(won.max_tail);
-    assert!(matches!(e.role, Role::TakingOver { max_tail: 7 }));
+    e.begin_takeover(won.max_tail, won.min_tail);
+    assert!(matches!(e.role, Role::TakingOver { max_tail: 7, min_tail: 5 }));
     assert!(!e.accepting_issues());
     e.install_leader(writers(3, 1), won.max_tail, won.max_tail);
     assert!(e.is_leader());

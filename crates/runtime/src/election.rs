@@ -8,11 +8,11 @@
 //! the peer's landed ring tail and commit index. With a majority of
 //! acks the candidate adopts the maximum commit, reads any missing ring
 //! suffix from the follower with the longest log
-//! (`Route::CatchupRead`), rebroadcasts the uncommitted window so all
-//! ring copies converge, and announces itself. Losers and late peers
-//! depose themselves on the higher-epoch `LeaderRequest` or
-//! `LeaderAnnounce`; a candidate that accepts either has lost and
-//! stands down. A candidacy nobody answers — the promises it needs
+//! (`Route::CatchupRead`), rebroadcasts everything past the shortest
+//! acked log (or the commit, if lower) so all ring copies converge, and
+//! announces itself. Losers and late peers depose themselves on the
+//! higher-epoch `LeaderRequest` or `LeaderAnnounce`; a candidate that
+//! accepts either has lost and stands down. A candidacy nobody answers — the promises it needs
 //! went, at its own epoch, to a rival that has since died — is run
 //! again at a higher epoch (`recovery.rs`, `retry_elections`).
 //!
@@ -36,13 +36,17 @@ use crate::replica::{peers, HambandNode};
 use crate::transport::Transport;
 
 /// An in-flight candidacy: the running tally of `LeaderAck`s for one
-/// epoch, tracking the longest follower log and highest commit seen.
+/// epoch, tracking the longest and shortest follower log and the
+/// highest commit seen.
 #[derive(Debug)]
 pub struct Election {
     pub(crate) epoch: u64,
     pub(crate) acks: usize,
     pub(crate) max_tail: u64,
     pub(crate) max_tail_holder: NodeId,
+    /// The shortest log counted: entries a majority committed without
+    /// it reach it only through the takeover's rebroadcast.
+    pub(crate) min_tail: u64,
     pub(crate) max_commit: u64,
     /// Failure-detector ticks this candidacy has waited for a majority
     /// while still the one that has to run (`recovery.rs`,
@@ -209,48 +213,49 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // persist before taking over.
         self.log_group_hard(ctx, g);
         let own_tail = self.landed_tail(ctx, g);
+        self.engines[g].begin_takeover(won.max_tail, won.min_tail);
         if own_tail < won.max_tail && won.max_tail_holder != self.me {
             // Catch up: read the missing suffix from the best follower.
-            let from_seq = own_tail + 1;
-            self.engines[g].begin_takeover(won.max_tail);
             // Ring is positional: read slot-by-slot range; wrap handled
             // by issuing one read per slot (the suffix is short).
-            for s in from_seq..=won.max_tail {
+            for s in (own_tail + 1)..=won.max_tail {
                 let wr = ctx.post_read(
                     won.max_tail_holder,
                     self.layout.conf[g],
                     self.layout.conf_slot_offset(s),
                     self.layout.entry_size(),
                 );
-                self.wr_routes.insert(
-                    wr,
-                    Route::CatchupRead { group: g, from_seq: s, max_tail: won.max_tail },
-                );
+                self.wr_routes.insert(wr, Route::CatchupRead { group: g, from_seq: s });
             }
         } else {
-            self.finish_takeover(ctx, g, won.max_tail);
+            self.finish_takeover(ctx, g);
         }
     }
 
     /// Complete the takeover of `g`: install the writers at the adopted
-    /// tail, rebroadcast the uncommitted window so every ring copy
-    /// converges, and announce. The group's quota resumes with the next
-    /// planning pass — the event loop's, once its due events are handled.
-    pub(crate) fn finish_takeover<T: Transport>(&mut self, ctx: &mut T, g: usize, max_tail: u64) {
+    /// tail, rebroadcast everything past the shortest counted log so
+    /// every ring copy converges, and announce. The group's quota
+    /// resumes with the next planning pass — the event loop's, once its
+    /// due events are handled.
+    pub(crate) fn finish_takeover<T: Transport>(&mut self, ctx: &mut T, g: usize) {
+        let Role::TakingOver { max_tail, min_tail } = self.engines[g].role else { return };
         let (leader, epoch) = (self.me, self.engines[g].epoch);
         ctx.emit(|| TraceEvent::LeaderChange { group: g, leader, epoch });
         // New conflicting calls stay gated until our reader has applied
         // the adopted history (issue floor = the adopted tail).
         self.become_writer(g, max_tail, max_tail);
-        // Rebroadcast the window between the adopted commit and the
-        // tail so every follower's ring converges, then re-count acks.
+        // Rebroadcast from the shortest counted log (or the adopted
+        // commit, if lower) to the tail so every follower's ring
+        // converges, and re-count acks for the uncommitted window.
         let commit = self.engines[g].commit;
-        for s in (commit + 1)..=max_tail {
-            self.engines[g]
-                .leader_mut()
-                .expect("just installed")
-                .pending_acks
-                .insert(s, 0);
+        for s in (min_tail.min(commit) + 1)..=max_tail {
+            if s > commit {
+                self.engines[g]
+                    .leader_mut()
+                    .expect("just installed")
+                    .pending_acks
+                    .insert(s, 0);
+            }
             let off = self.layout.conf_slot_offset(s);
             let slot = ctx.local(self.layout.conf[g], off, self.layout.entry_size()).to_vec();
             let writers =
@@ -278,7 +283,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
         ctx: &mut T,
         g: usize,
         from_seq: u64,
-        max_tail: u64,
         data: Option<&[u8]>,
     ) {
         if let Some(bytes) = data {
@@ -287,10 +291,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
             ctx.fence_region(self.layout.conf[g]);
         }
         // Are we fully caught up now?
-        if matches!(self.engines[g].role, Role::TakingOver { .. })
-            && self.landed_tail(ctx, g) >= max_tail
-        {
-            self.finish_takeover(ctx, g, max_tail);
+        if let Role::TakingOver { max_tail, .. } = self.engines[g].role {
+            if self.landed_tail(ctx, g) >= max_tail {
+                self.finish_takeover(ctx, g);
+            }
         }
     }
 }

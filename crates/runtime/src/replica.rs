@@ -380,8 +380,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
                     self.recover_backups(ctx, suspect, group, bytes);
                 }
             }
-            Route::CatchupRead { group, from_seq, max_tail } => {
-                self.on_catchup_read(ctx, group, from_seq, max_tail, data);
+            Route::CatchupRead { group, from_seq } => {
+                self.on_catchup_read(ctx, group, from_seq, data);
             }
         }
     }

@@ -576,6 +576,24 @@ fn candidate_answers_no_join_request() {
     replays_clean(&c, &c.coord_spec(), 1390, 1, &plan);
 }
 
+/// Movie, five nodes, seed 1658 of the `--restarts` campaign. Node 0's
+/// suspension hands group 0 to node 1, and a delay spike holds node 3
+/// back while a majority commits the group's entries up to 100 without
+/// it. When node 1 is suspended in turn, node 2's takeover re-sent only
+/// what lay above the adopted commit, nobody was left to send node 3
+/// the entries past its 40th, and it stopped applying group 0 there.
+/// The takeover now re-sends from the shortest log the election counted.
+#[test]
+fn a_takeover_resends_committed_entries_a_follower_lacks() {
+    let plan = FaultPlan::new()
+        .at(SimTime(22_042), Fault::SuspendHeartbeat(NodeId(0)))
+        .at(SimTime(50_042), Fault::DelaySpike(NodeId(3), 5, SimDuration::micros(10)))
+        .at(SimTime(90_947), Fault::DelaySpike(NodeId(0), 15, SimDuration::micros(42)))
+        .at(SimTime(117_705), Fault::SuspendHeartbeat(NodeId(1)));
+    let m = hamband_types::Movie::default();
+    replays_clean(&m, &m.coord_spec(), 1658, 1, &plan);
+}
+
 /// Movie, five nodes, seed 1295, shrunk to its two suspensions. Node
 /// 1's heartbeat stops; node 0, next in line, stands for node 1's group
 /// at ≈ 50 us and is itself suspended at 56.9 us, its candidacy in

@@ -75,12 +75,6 @@ impl<O: ObjectSpec> ObjectSpec for Counting<O> {
     fn query(&self, s: &Self::State, q: &Self::Query) -> Self::Reply {
         self.inner.query(&s.state, q)
     }
-    fn method_names(&self) -> Vec<&'static str> {
-        self.inner.method_names()
-    }
-    fn method_of(&self, call: &Self::Update) -> MethodId {
-        self.inner.method_of(call)
-    }
     fn summarize(&self, a: &Self::Update, b: &Self::Update) -> Option<Self::Update> {
         self.inner.summarize(a, b)
     }

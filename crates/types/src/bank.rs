@@ -153,14 +153,6 @@ impl ObjectSpec for Bank {
         }
     }
 
-    fn method_names(&self) -> Vec<&'static str> {
-        BankUpdate::METHOD_NAMES.to_vec()
-    }
-
-    fn method_of(&self, call: &BankUpdate) -> MethodId {
-        call.method()
-    }
-
     fn summarize(&self, a: &BankUpdate, b: &BankUpdate) -> Option<BankUpdate> {
         match (a, b) {
             (BankUpdate::OpenAccounts(x), BankUpdate::OpenAccounts(y)) => {

@@ -122,14 +122,6 @@ impl ObjectSpec for Cart {
         }
     }
 
-    fn method_names(&self) -> Vec<&'static str> {
-        CartUpdate::METHOD_NAMES.to_vec()
-    }
-
-    fn method_of(&self, call: &CartUpdate) -> MethodId {
-        call.method()
-    }
-
     fn apply_mut(&self, state: &mut CartState, call: &CartUpdate) {
         let (item, delta) = match *call {
             CartUpdate::Add { item, qty } => (item, i64::from(qty)),

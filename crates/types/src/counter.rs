@@ -100,14 +100,6 @@ impl ObjectSpec for Counter {
         *state
     }
 
-    fn method_names(&self) -> Vec<&'static str> {
-        CounterUpdate::METHOD_NAMES.to_vec()
-    }
-
-    fn method_of(&self, call: &CounterUpdate) -> MethodId {
-        call.method()
-    }
-
     fn summarize(&self, first: &CounterUpdate, second: &CounterUpdate) -> Option<CounterUpdate> {
         let (CounterUpdate::Add(a), CounterUpdate::Add(b)) = (first, second);
         Some(CounterUpdate::Add(a.wrapping_add(*b)))

@@ -123,14 +123,6 @@ impl ObjectSpec for Courseware {
         }
     }
 
-    fn method_names(&self) -> Vec<&'static str> {
-        CoursewareUpdate::METHOD_NAMES.to_vec()
-    }
-
-    fn method_of(&self, call: &CoursewareUpdate) -> MethodId {
-        call.method()
-    }
-
     fn apply_mut(&self, state: &mut CoursewareState, call: &CoursewareUpdate) {
         match call {
             CoursewareUpdate::AddCourse(c) => {

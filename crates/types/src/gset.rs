@@ -119,14 +119,6 @@ impl ObjectSpec for GSet {
         }
     }
 
-    fn method_names(&self) -> Vec<&'static str> {
-        GSetUpdate::METHOD_NAMES.to_vec()
-    }
-
-    fn method_of(&self, call: &GSetUpdate) -> MethodId {
-        call.method()
-    }
-
     fn apply_mut(&self, state: &mut BTreeSet<u64>, call: &GSetUpdate) {
         let GSetUpdate::AddAll(elems) = call;
         insert_missing(state, elems);

@@ -17,11 +17,12 @@
 //! | Courseware | [`courseware`] | all three categories |
 //!
 //! Every type is two impls and one declaration:
-//! [`hamband_core::ObjectSpec`] (the executable definition),
-//! [`hamband_core::WorkloadSupport`] (sampling and workload
-//! generation), and [`hamband_core::calls!`] over its update enum — the
-//! one list its method constants, method names and wire codec come
-//! from. Each exposes its coordination relations as a
+//! [`hamband_core::ObjectSpec`] (the executable definition, five
+//! required methods), [`hamband_core::WorkloadSupport`] (sampling and
+//! workload generation), and [`hamband_core::calls!`] over its update
+//! enum — the one list its method constants, its
+//! [`Methods`](hamband_core::object::Methods) impl (which `ObjectSpec`
+//! reads for method names and ids) and its wire codec come from. Each exposes its coordination relations as a
 //! [`hamband_core::CoordSpec`].
 //!
 //! And every type is *one row* of [`for_each_shipped`], the single

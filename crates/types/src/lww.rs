@@ -125,14 +125,6 @@ impl ObjectSpec for LwwRegister {
         state.map(|(_, v)| v).unwrap_or(0)
     }
 
-    fn method_names(&self) -> Vec<&'static str> {
-        LwwUpdate::METHOD_NAMES.to_vec()
-    }
-
-    fn method_of(&self, call: &LwwUpdate) -> MethodId {
-        call.method()
-    }
-
     fn summaries_monotone(&self) -> bool {
         true
     }

@@ -119,14 +119,6 @@ impl ObjectSpec for Movie {
         }
     }
 
-    fn method_names(&self) -> Vec<&'static str> {
-        MovieUpdate::METHOD_NAMES.to_vec()
-    }
-
-    fn method_of(&self, call: &MovieUpdate) -> MethodId {
-        call.method()
-    }
-
     fn apply_mut(&self, state: &mut MovieState, call: &MovieUpdate) {
         match *call {
             MovieUpdate::AddCustomer(c) => {

@@ -140,14 +140,6 @@ impl ObjectSpec for OrSet {
         }
     }
 
-    fn method_names(&self) -> Vec<&'static str> {
-        OrSetUpdate::METHOD_NAMES.to_vec()
-    }
-
-    fn method_of(&self, call: &OrSetUpdate) -> MethodId {
-        call.method()
-    }
-
     fn apply_mut(&self, state: &mut OrSetState, call: &OrSetUpdate) {
         match call {
             OrSetUpdate::Add { element, tag } => {

@@ -130,14 +130,6 @@ impl ObjectSpec for Project {
         }
     }
 
-    fn method_names(&self) -> Vec<&'static str> {
-        ProjectUpdate::METHOD_NAMES.to_vec()
-    }
-
-    fn method_of(&self, call: &ProjectUpdate) -> MethodId {
-        call.method()
-    }
-
     fn apply_mut(&self, state: &mut ProjectState, call: &ProjectUpdate) {
         match call {
             ProjectUpdate::AddProject(p) => {

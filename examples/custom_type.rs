@@ -2,10 +2,11 @@
 //! a never-negative stock invariant.
 //!
 //! This walks the full downstream-user path — two impls and one
-//! declaration: [`ObjectSpec`] (the executable definition),
-//! [`WorkloadSupport`] (sampling and workload generation), and
-//! `calls!` (the method list: constants, names and wire codec from one
-//! place). Then let the bounded analyzer *infer* the coordination
+//! declaration: [`ObjectSpec`] (the executable definition: state,
+//! invariant, update and query), [`WorkloadSupport`] (sampling and
+//! workload generation), and `calls!` (the method list: constants,
+//! the `Methods` impl `ObjectSpec` reads names and ids from, and the
+//! wire codec, from one place). Then let the bounded analyzer *infer* the coordination
 //! relations, check them, and run the type on a simulated RDMA cluster.
 //!
 //! ```sh
@@ -91,14 +92,6 @@ impl ObjectSpec for Inventory {
     fn query(&self, s: &Stock, q: &InventoryQuery) -> i64 {
         let InventoryQuery::OnHand(item) = q;
         s.get(item).copied().unwrap_or(0)
-    }
-
-    fn method_names(&self) -> Vec<&'static str> {
-        InventoryUpdate::METHOD_NAMES.to_vec()
-    }
-
-    fn method_of(&self, call: &InventoryUpdate) -> MethodId {
-        call.method()
     }
 
     fn summarize(&self, a: &InventoryUpdate, b: &InventoryUpdate) -> Option<InventoryUpdate> {

@@ -27,7 +27,9 @@ echo "== call-list guard (a type's methods are declared once, through calls!) ==
 # Hand-written codecs and MethodId constants are the parallel lists
 # `hamband_core::calls!` replaced; SpecSampler folded into
 # WorkloadSupport. Only the lines before a file's first #[cfg(test)]
-# count: tests may define throwaway Wire types.
+# count: tests may define throwaway Wire types. ObjectSpec reads the
+# method list from the `Methods` impl calls! writes, so a
+# `method_names` / `method_of` defined anywhere else restates it.
 handkept=0
 for f in crates/types/src/*.rs crates/core/src/demo.rs crates/runtime/src/messages.rs examples/*.rs; do
   if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" \
@@ -36,6 +38,10 @@ for f in crates/types/src/*.rs crates/core/src/demo.rs crates/runtime/src/messag
   fi
 done
 if grep -rn --include='*.rs' SpecSampler crates src tests examples benchmark/src benchmark/tests; then
+  handkept=1
+fi
+if grep -rnE --include='*.rs' 'fn (method_names|method_of)\b' crates src tests examples \
+    | grep -v '^crates/core/src/object\.rs:'; then
   handkept=1
 fi
 if [ "$handkept" -ne 0 ]; then
