@@ -18,7 +18,7 @@ use rand::Rng;
 
 use crate::coord::CoordSpec;
 use crate::ids::MethodId;
-use crate::object::{KeySkew, ObjectSpec, WorkloadSupport};
+use crate::object::{ObjectSpec, WorkloadSupport};
 
 /// An update call on the account.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,7 +160,6 @@ impl WorkloadSupport for Account {
         _seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        _skew: KeySkew,
     ) -> Option<AccountUpdate> {
         match method {
             DEPOSIT => Some(AccountUpdate::Deposit(rng.gen_range(1..=self.max_sample_amount))),

@@ -76,5 +76,5 @@ pub use coord::{mix64, CoordSpec, GroupMapper, MethodCategory};
 pub use counts::{CountMap, DepMap};
 pub use error::SemError;
 pub use ids::{GroupId, MethodId, Pid, Rid};
-pub use object::{KeySkew, ObjectSpec, WorkloadSupport};
+pub use object::{ObjectSpec, WorkloadSupport};
 pub use rdma_sem::RdmaWrdt;

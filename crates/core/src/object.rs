@@ -11,64 +11,6 @@ use rand::Rng as _;
 use crate::ids::MethodId;
 use crate::wire::Wire;
 
-/// How workload generators pick keys (accounts, set elements, cart
-/// line-items) out of a key space.
-///
-/// The paper's evaluation draws keys uniformly; production traffic is
-/// rarely uniform, so the ingress layer lets workloads skew key
-/// popularity. Generators that have a notion of a key honor this in
-/// [`WorkloadSupport::gen_update`]; key-free types (counters,
-/// registers) ignore it.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum KeySkew {
-    /// Every key equally likely (the paper's §5 setup).
-    #[default]
-    Uniform,
-    /// Power-law popularity: low-numbered keys are hot. `theta` in
-    /// `[0, 1)`; `0.0` degrades to uniform, `0.99` is a YCSB-style hot
-    /// set. Implemented as a bounded Pareto draw
-    /// (`key = ⌊space · u^(1/(1-theta))⌋`), the standard cheap
-    /// approximation of a rank-zipfian — deterministic given the RNG
-    /// stream.
-    Zipfian {
-        /// Skew exponent in `[0, 1)`: higher is more skewed.
-        theta: f64,
-    },
-}
-
-impl KeySkew {
-    /// Sample a key in `0..space` under this skew.
-    ///
-    /// `Uniform` draws exactly one `gen_range(0..space)` (the golden
-    /// traces of the ingress parity tests pin this RNG stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `space == 0` or a zipfian `theta` is outside `[0, 1)`.
-    pub fn sample(&self, rng: &mut StdRng, space: u64) -> u64 {
-        assert!(space > 0, "key space must be non-empty");
-        match *self {
-            KeySkew::Uniform => rng.gen_range(0..space),
-            KeySkew::Zipfian { theta } => {
-                assert!((0.0..1.0).contains(&theta), "zipfian theta must be in [0,1)");
-                let u: f64 = rng.gen_range(0.0..1.0);
-                let x = u.powf(1.0 / (1.0 - theta));
-                ((x * space as f64) as u64).min(space - 1)
-            }
-        }
-    }
-
-    /// Sample an index in `0..len` under this skew (for picking from an
-    /// observed collection, e.g. the open accounts of a bank state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len == 0`.
-    pub fn sample_index(&self, rng: &mut StdRng, len: usize) -> usize {
-        self.sample(rng, len as u64) as usize
-    }
-}
-
 /// The update methods of a class, in dense [`MethodId`] order (§4
 /// indexes them by identifier): the list an update enum declares once
 /// through [`calls!`](crate::calls), which writes this impl.
@@ -268,7 +210,7 @@ pub trait WorkloadSupport: ObjectSpec {
     /// method.
     ///
     /// Types with a notion of a key (bank accounts, set elements) draw
-    /// it through `skew`; key-free types, and this default, ignore it.
+    /// it uniformly from `rng`, as §5 does.
     fn gen_update(
         &self,
         state: &Self::State,
@@ -276,9 +218,8 @@ pub trait WorkloadSupport: ObjectSpec {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        skew: KeySkew,
     ) -> Option<Self::Update> {
-        let _ = (state, node, seq, skew);
+        let _ = (state, node, seq);
         Some(self.sample_update_of(method, rng))
     }
 }

@@ -97,7 +97,6 @@ pub(crate) struct NodeFabric {
     pub(crate) duplicate_next_completion: bool,
     pub(crate) next_wr: u64,
     pub(crate) next_timer: u64,
-    pub(crate) cancelled: IdSet<TimerId>,
     /// Timers that fire even while the node's (application) CPU is
     /// busy — modelling dedicated threads such as the paper's
     /// heartbeat thread on a multi-core node. A dedicated thread's
@@ -122,7 +121,6 @@ impl NodeFabric {
         self.delay_factor = 1;
         self.delay_until = SimTime::ZERO;
         self.duplicate_next_completion = false;
-        self.cancelled.clear();
         self.isolated.clear();
         self.isolated_wrs.clear();
         // A fresh host CPU/NIC is idle.
@@ -238,7 +236,6 @@ impl Fabric {
                     duplicate_next_completion: false,
                     next_wr: 0,
                     next_timer: 0,
-                    cancelled: IdSet::default(),
                     isolated: IdSet::default(),
                     isolated_wrs: IdSet::default(),
                 })
@@ -510,8 +507,8 @@ impl Ctx<'_> {
     /// completion of what it posted) never waits, so never counts.
     ///
     /// A counted event can still leave without a handler call (a
-    /// cancelled timer, a message a partition holds back, a crashed
-    /// node), so whoever defers work on this needs a timer behind it.
+    /// message a partition holds back, a crashed node), so whoever
+    /// defers work on this needs a timer behind it.
     pub fn cpu_backlog(&self) -> bool {
         !self.fabric.nodes[self.node.index()].waiting.is_empty()
     }
@@ -708,11 +705,6 @@ impl Ctx<'_> {
         let id = self.set_timer(delay, tag);
         self.fabric.nodes[self.node.index()].isolated.insert(id);
         id
-    }
-
-    /// Cancel a previously armed timer (no-op if already fired).
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.fabric.nodes[self.node.index()].cancelled.insert(id);
     }
 
     /// Read this node's own region memory (free: local access).

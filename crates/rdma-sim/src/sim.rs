@@ -70,11 +70,10 @@ pub struct Simulator<A> {
 
 impl<A: App> Simulator<A> {
     /// A simulator for `n` nodes with the given latency model and RNG
-    /// seed. Applications must be installed with [`set_apps`]
-    /// (or [`set_app`]) before running.
+    /// seed. Applications must be installed with [`set_apps`] before
+    /// running.
     ///
     /// [`set_apps`]: Simulator::set_apps
-    /// [`set_app`]: Simulator::set_app
     ///
     /// # Panics
     ///
@@ -119,59 +118,35 @@ impl<A: App> Simulator<A> {
         self.fabric.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    /// Register a region of `size` bytes on `node`, writable by all
-    /// peers until permissions are revoked. Returns its id.
+    /// Register a region of `size` bytes on every node, writable by all
+    /// peers until permissions are revoked; all nodes get the same
+    /// [`RegionId`].
     ///
     /// # Panics
     ///
     /// Panics if called after the simulation started.
-    pub fn add_region(&mut self, node: NodeId, size: usize) -> RegionId {
-        self.add_region_inner(node, size, false)
+    pub fn add_region_all(&mut self, size: usize) -> RegionId {
+        self.add_region_everywhere(size, false)
     }
 
-    /// Register a *durable* region on `node`: its contents survive a
-    /// [`Fault::Restart`]. Remote writes become durable as they land
-    /// (the NIC writes through to persistence, as on PMEM with DDIO
-    /// disabled); local writes are volatile until
+    /// Register the same-sized *durable* region on every node: its
+    /// contents survive a [`Fault::Restart`]. Remote writes become
+    /// durable as they land (the NIC writes through to persistence, as
+    /// on PMEM with DDIO disabled); local writes are volatile until
     /// [`Ctx::fence_region`].
-    pub fn add_region_durable(&mut self, node: NodeId, size: usize) -> RegionId {
-        self.add_region_inner(node, size, true)
+    pub fn add_region_all_durable(&mut self, size: usize) -> RegionId {
+        self.add_region_everywhere(size, true)
     }
 
-    fn add_region_inner(&mut self, node: NodeId, size: usize, durable: bool) -> RegionId {
+    fn add_region_everywhere(&mut self, size: usize, durable: bool) -> RegionId {
         assert!(!self.started, "regions must be registered before start");
         let n = self.fabric.len();
-        let regions = &mut self.fabric.nodes[node.index()].regions;
-        let id = RegionId(regions.len());
-        regions.push(Region::new(size, n, durable));
+        // Every region is registered on every node, so ids agree.
+        let id = RegionId(self.fabric.nodes[0].regions.len());
+        for nf in &mut self.fabric.nodes {
+            nf.regions.push(Region::new(size, n, durable));
+        }
         id
-    }
-
-    /// Register the same-sized region on every node (the common layout
-    /// case); all nodes get the same [`RegionId`].
-    pub fn add_region_all(&mut self, size: usize) -> RegionId {
-        let ids: Vec<RegionId> =
-            (0..self.len()).map(|i| self.add_region(NodeId(i), size)).collect();
-        let first = ids[0];
-        assert!(ids.iter().all(|&i| i == first), "region layout diverged");
-        first
-    }
-
-    /// Register the same-sized durable region on every node; all nodes
-    /// get the same [`RegionId`]. See
-    /// [`add_region_durable`](Simulator::add_region_durable) for the
-    /// durability model.
-    pub fn add_region_all_durable(&mut self, size: usize) -> RegionId {
-        let ids: Vec<RegionId> =
-            (0..self.len()).map(|i| self.add_region_durable(NodeId(i), size)).collect();
-        let first = ids[0];
-        assert!(ids.iter().all(|&i| i == first), "region layout diverged");
-        first
-    }
-
-    /// Install the application for one node.
-    pub fn set_app(&mut self, node: NodeId, app: A) {
-        self.apps[node.index()] = Some(app);
     }
 
     /// Install applications for all nodes from a constructor.
@@ -520,14 +495,11 @@ impl<A: App> Simulator<A> {
             self.fabric.park(node, seq, event);
             return;
         }
-        // Cancelled timers are dropped; fired isolated timers and
-        // completed isolated verbs are forgotten (ids are never reused).
+        // Fired isolated timers and completed isolated verbs are
+        // forgotten (ids are never reused).
         match &event {
             Event::Timer { id, .. } => {
                 nf.isolated.remove(id);
-                if nf.cancelled.remove(id) {
-                    return;
-                }
             }
             Event::Completion { wr, .. } => {
                 nf.isolated_wrs.remove(wr);

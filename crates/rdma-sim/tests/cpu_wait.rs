@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use rdma_sim::{
     App, Ctx, Event, Fault, FaultPlan, LatencyModel, NodeId, RegionId, SimDuration, SimTime,
-    Simulator, TimerId,
+    Simulator,
 };
 
 /// `(virtual ns, node, what)` per handled event, shared by all nodes so
@@ -26,12 +26,6 @@ const fn tag(label: u64, cpu_ns: u64) -> u64 {
     label * 1_000_000 + cpu_ns
 }
 
-/// What a timer's handler does besides charging CPU.
-enum Extra {
-    Cancel(TimerId),
-    Write(RegionId),
-}
-
 /// `Ctx::cpu_backlog` as each handler saw it, in handling order.
 type Backlog = Rc<RefCell<Vec<bool>>>;
 
@@ -39,8 +33,9 @@ type Backlog = Rc<RefCell<Vec<bool>>>;
 struct Worker {
     log: Log,
     backlog: Backlog,
-    /// `(label, action)`: run `action` when the timer `label` fires.
-    extras: Vec<(u64, Extra)>,
+    /// `(label, region)`: write a byte to node 1's `region` when the
+    /// timer `label` fires.
+    writes: Vec<(u64, RegionId)>,
 }
 
 impl App for Worker {
@@ -56,14 +51,9 @@ impl App for Worker {
         self.backlog.borrow_mut().push(ctx.cpu_backlog());
         if let Event::Timer { tag, .. } = event {
             ctx.consume(SimDuration::nanos(tag % 1_000_000));
-            for (label, extra) in &self.extras {
+            for (label, region) in &self.writes {
                 if *label == tag / 1_000_000 {
-                    match extra {
-                        Extra::Cancel(id) => ctx.cancel_timer(*id),
-                        Extra::Write(region) => {
-                            ctx.post_write(NodeId(1), *region, 0, &[7]);
-                        }
-                    }
+                    ctx.post_write(NodeId(1), *region, 0, &[7]);
                 }
             }
         }
@@ -75,15 +65,15 @@ fn cluster(n: usize) -> (Simulator<Worker>, RegionId, Log) {
     let backlog: Backlog = Rc::default();
     let mut sim = Simulator::new(n, LatencyModel::deterministic(), 1);
     let region = sim.add_region_all(64);
-    sim.set_apps(|_| Worker { log: log.clone(), backlog: backlog.clone(), extras: Vec::new() });
+    sim.set_apps(|_| Worker { log: log.clone(), backlog: backlog.clone(), writes: Vec::new() });
     (sim, region, log)
 }
 
 /// Arm a timer on `node` from outside, at virtual time zero.
-fn timer(sim: &mut Simulator<Worker>, node: usize, at_ns: u64, label: u64, cpu_ns: u64) -> TimerId {
+fn timer(sim: &mut Simulator<Worker>, node: usize, at_ns: u64, label: u64, cpu_ns: u64) {
     sim.with_app_ctx(NodeId(node), |_, ctx| {
-        ctx.set_timer(SimDuration::nanos(at_ns), tag(label, cpu_ns))
-    })
+        ctx.set_timer(SimDuration::nanos(at_ns), tag(label, cpu_ns));
+    });
 }
 
 fn isolated(sim: &mut Simulator<Worker>, node: usize, at_ns: u64, label: u64, cpu_ns: u64) {
@@ -163,18 +153,6 @@ fn cpu_extended_while_events_wait_delays_them() {
         entries(&log),
         vec![e(0, 0, "t1"), e(400, 0, "t3"), e(1_300, 0, "t2"), e(1_300, 0, "t4")]
     );
-}
-
-#[test]
-fn isolated_timers_bypass_and_cancellation_reaches_a_waiting_timer() {
-    let (mut sim, _, log) = cluster(1);
-    timer(&mut sim, 0, 0, 1, 1_000);
-    let doomed = timer(&mut sim, 0, 100, 2, 0);
-    timer(&mut sim, 0, 200, 3, 0);
-    isolated(&mut sim, 0, 500, 4, 0); // fires at 500 although busy, cancels t2
-    sim.app_mut(NodeId(0)).extras.push((4, Extra::Cancel(doomed)));
-    sim.run_for(SimDuration::micros(10));
-    assert_eq!(entries(&log), vec![e(0, 0, "t1"), e(500, 0, "t4"), e(1_000, 0, "t3")]);
 }
 
 /// What each handled event was, and whether its handler was told that
@@ -346,7 +324,7 @@ fn a_write_posted_from_an_isolated_timer_leaves_the_cpu_alone() {
     let (mut sim, region, log) = cluster(2);
     timer(&mut sim, 0, 0, 1, 1_000); // busy 0..1000
     isolated(&mut sim, 0, 500, 2, 0); // posts a WRITE at 500
-    sim.app_mut(NodeId(0)).extras.push((2, Extra::Write(region)));
+    sim.app_mut(NodeId(0)).writes.push((2, region));
     timer(&mut sim, 0, 600, 3, 0); // waits for cpu_free: still 1000
     sim.run_for(SimDuration::nanos(1_100));
     assert_eq!(entries(&log), vec![e(0, 0, "t1"), e(500, 0, "t2"), e(1_000, 0, "t3")]);
@@ -361,7 +339,7 @@ fn a_completion_of_an_isolated_write_is_handled_while_the_cpu_is_busy() {
     let (mut sim, region, log) = cluster(2);
     timer(&mut sim, 0, 0, 1, 5_000); // busy 0..5000
     isolated(&mut sim, 0, 500, 2, 0); // posts a WRITE at 500
-    sim.app_mut(NodeId(0)).extras.push((2, Extra::Write(region)));
+    sim.app_mut(NodeId(0)).writes.push((2, region));
     timer(&mut sim, 0, 600, 3, 0); // waits until 5000
     sim.run_for(SimDuration::micros(10));
     // 500 + 110 NIC + 1000 wire: back on the dedicated thread at 1610.
@@ -379,7 +357,7 @@ fn a_completion_of_an_isolated_write_is_handled_while_the_cpu_is_busy() {
 fn a_write_posted_from_the_application_cpu_still_charges_and_waits() {
     let (mut sim, region, log) = cluster(2);
     timer(&mut sim, 0, 0, 1, 5_000); // busy 0..5000, then posts: 5060
-    sim.app_mut(NodeId(0)).extras.push((1, Extra::Write(region)));
+    sim.app_mut(NodeId(0)).writes.push((1, region));
     isolated(&mut sim, 0, 200, 2, 0); // the node's dedicated thread is idle
     sim.run_for(SimDuration::micros(10));
     // The completion arrives at 1110 and waits for the CPU.

@@ -8,10 +8,10 @@
 //! nodes."
 //!
 //! [`WorkloadSpec`] is the composable description of one run's client
-//! load: total call count, update/query mix, key-popularity skew,
-//! per-session closed-loop windows, and how many independent client
-//! sessions each node serves. The issuing machinery itself lives in
-//! [`crate::ingress`]: every node runs an
+//! load: total call count, update/query mix, per-session closed-loop
+//! windows, and how many independent client sessions each node serves
+//! (keys are drawn uniformly, as §5 draws them). The issuing machinery
+//! itself lives in [`crate::ingress`]: every node runs an
 //! [`Ingress`](crate::ingress::Ingress) whose pump flat-combines the
 //! sessions' operations into the replica's batched protocol paths.
 //! [`QuotaSplit`] is the pure §5 arithmetic both the ingress and
@@ -19,18 +19,16 @@
 
 use hamband_core::coord::{CoordSpec, MethodCategory};
 use hamband_core::ids::MethodId;
-use hamband_core::object::KeySkew;
 
 /// Workload parameters for one run, builder-style.
 ///
 /// ```
-/// use hamband_runtime::{KeySkew, WorkloadSpec};
+/// use hamband_runtime::WorkloadSpec;
 ///
 /// let spec = WorkloadSpec::ops(10_000)
 ///     .with_update_ratio(0.25)
 ///     .with_sessions(1_000)
 ///     .with_window(4)
-///     .with_skew(KeySkew::Zipfian { theta: 0.9 })
 ///     .with_seed(42);
 /// assert_eq!(spec.sessions, 1_000);
 /// ```
@@ -48,8 +46,6 @@ pub struct WorkloadSpec {
     pub window: usize,
     /// RNG seed (per-node, per-session streams are derived from it).
     pub seed: u64,
-    /// Key-popularity skew applied by state-aware generators.
-    pub skew: KeySkew,
     /// Open-loop offered load, cluster-wide operations per second.
     ///
     /// `None` (the default) keeps the classic closed loop: sessions
@@ -75,7 +71,6 @@ impl WorkloadSpec {
             sessions: 1,
             window: 8,
             seed: 0xda7a,
-            skew: KeySkew::Uniform,
             offered_load: None,
         }
     }
@@ -104,12 +99,6 @@ impl WorkloadSpec {
     pub fn with_window(mut self, window: usize) -> Self {
         assert!(window >= 1, "window must be at least 1");
         self.window = window;
-        self
-    }
-
-    /// Builder-style key-skew override.
-    pub fn with_skew(mut self, skew: KeySkew) -> Self {
-        self.skew = skew;
         self
     }
 
@@ -232,14 +221,12 @@ mod tests {
             .with_update_ratio(1.0)
             .with_sessions(64)
             .with_window(2)
-            .with_seed(9)
-            .with_skew(KeySkew::Zipfian { theta: 0.5 });
+            .with_seed(9);
         assert_eq!(w.total_ops, 500);
         assert_eq!(w.update_ratio, 1.0);
         assert_eq!(w.sessions, 64);
         assert_eq!(w.window, 2);
         assert_eq!(w.seed, 9);
-        assert_eq!(w.skew, KeySkew::Zipfian { theta: 0.5 });
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! observable even though the fabric only ever sees combined batches.
 //!
 //! Determinism: on the simulator every session is a seeded RNG stream
-//! (a splitmix64 chain over the workload seed, the node, and the
-//! session index — see [`session_seed`]) and the combiner visits
-//! sessions in deterministic round-robin order, so whole-run traces
-//! are reproducible byte-for-byte. The parity tests pin whole runs
-//! against golden trace fingerprints.
+//! (a splitmix64 chain over the workload seed, the node, and the session
+//! index — see [`session_seed`]) its calls draw from, keys uniformly (§5);
+//! the combiner visits sessions in deterministic round-robin order, so
+//! whole-run traces are reproducible byte-for-byte. The parity tests pin
+//! whole runs against golden trace fingerprints.
 //!
 //! Quotas stay *node-level* (the §5 split of
 //! [`QuotaSplit`]): sessions share the
@@ -30,7 +30,7 @@
 
 use hamband_core::coord::{mix64, CoordSpec, GroupMapper, MethodCategory};
 use hamband_core::ids::{GroupId, MethodId};
-use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
+use hamband_core::object::{ObjectSpec, WorkloadSupport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdma_sim::{SimDuration, SimTime};
@@ -208,8 +208,6 @@ pub struct Ingress {
     inflight_cap: usize,
     /// Hard ceiling, the recovery window (survives window adoption).
     max_inflight: usize,
-    /// Key-popularity skew handed to state-aware generators.
-    skew: KeySkew,
     /// Sequence for fresh identifiers handed to generators
     /// (node-level, so e.g. OR-set tags stay collision-free across
     /// sessions).
@@ -311,7 +309,6 @@ impl Ingress {
             inflight: 0,
             inflight_cap: total_window.min(max_inflight),
             max_inflight,
-            skew: spec.skew,
             next_seq: 0,
             dry_streak: 0,
             halted: false,
@@ -556,7 +553,6 @@ impl Ingress {
                 let (method, _) = self.tries.swap_remove(idx);
                 let seq = self.next_seq;
                 let node = self.node;
-                let skew = self.skew;
                 // A conflicting call must land on a shard this node
                 // leads and that has quota left: redraw the generation
                 // (the next fresh identifier, a fresh key) until it
@@ -570,8 +566,7 @@ impl Ingress {
                 let mut generated = None;
                 for t in 0..ROUTE_TRIES {
                     let sess = &mut self.sessions[s];
-                    let Some(u) =
-                        spec.gen_update(state, node, seq + t, method, &mut sess.rng, skew)
+                    let Some(u) = spec.gen_update(state, node, seq + t, method, &mut sess.rng)
                     else {
                         break;
                     };

@@ -72,7 +72,7 @@
 //! ## Serving many clients per replica
 //!
 //! Each node's client load is described by a [`WorkloadSpec`]: op
-//! count, update/query mix, key skew, and — via
+//! count, update/query mix, and — via
 //! [`WorkloadSpec::with_sessions`] — how many independent client
 //! sessions the node serves. Sessions are flat-combined by the
 //! replica's pump (see [`ingress`]), so a node can serve thousands of
@@ -168,7 +168,3 @@ pub use verdict::{drive, settled, HarnessNode};
 // Trace vocabulary, re-exported so harness consumers need not depend on
 // `rdma_sim` directly.
 pub use rdma_sim::{Phase, RingKind, TraceEvent, TraceRecord};
-
-// Workload vocabulary from the core crate, re-exported so experiment
-// code can configure key skew without depending on `hamband_core`.
-pub use hamband_core::object::KeySkew;

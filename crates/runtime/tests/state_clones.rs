@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
+use hamband_core::object::{ObjectSpec, WorkloadSupport};
 use hamband_runtime::{RunConfig, Runner, System, WorkloadSpec};
 use hamband_types::{Bank, Courseware};
 use rand::rngs::StdRng;
@@ -109,10 +109,8 @@ impl<O: WorkloadSupport> WorkloadSupport for Counting<O> {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        skew: KeySkew,
     ) -> Option<Self::Update> {
-        self.inner
-            .gen_update(&s.state, node, seq, method, rng, skew)
+        self.inner.gen_update(&s.state, node, seq, method, rng)
     }
 }
 

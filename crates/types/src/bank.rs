@@ -25,7 +25,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
+use hamband_core::object::{ObjectSpec, WorkloadSupport};
 
 use crate::sets::{insert_missing, sorted_union};
 
@@ -233,7 +233,6 @@ impl WorkloadSupport for Bank {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        skew: KeySkew,
     ) -> Option<BankUpdate> {
         match method {
             OPEN => Some(BankUpdate::OpenAccounts(vec![
@@ -244,7 +243,7 @@ impl WorkloadSupport for Bank {
                 if state.open.is_empty() {
                     return None;
                 }
-                let idx = skew.sample_index(rng, state.open.len());
+                let idx = rng.gen_range(0..state.open.len());
                 let acct = *state.open.iter().nth(idx).expect("index in range");
                 Some(BankUpdate::Deposit(acct, rng.gen_range(1..=self.max_amount)))
             }
@@ -257,7 +256,7 @@ impl WorkloadSupport for Bank {
                     return None;
                 }
                 let (&acct, &bal) =
-                    funded().nth(skew.sample_index(rng, count)).expect("index in range");
+                    funded().nth(rng.gen_range(0..count)).expect("index in range");
                 let cap = (bal / 2).min(i128::from(self.max_amount)) as u64;
                 Some(BankUpdate::Withdraw(acct, rng.gen_range(1..=cap.max(1))))
             }
@@ -357,17 +356,16 @@ mod tests {
         use rand::SeedableRng;
         let bank = Bank::default();
         let mut rng = StdRng::seed_from_u64(0);
-        let uni = KeySkew::Uniform;
-        assert_eq!(bank.gen_update(&bank.initial(), 0, 0, DEPOSIT, &mut rng, uni), None);
-        assert_eq!(bank.gen_update(&bank.initial(), 0, 0, WITHDRAW, &mut rng, uni), None);
+        assert_eq!(bank.gen_update(&bank.initial(), 0, 0, DEPOSIT, &mut rng), None);
+        assert_eq!(bank.gen_update(&bank.initial(), 0, 0, WITHDRAW, &mut rng), None);
         let mut s = bank.apply(&bank.initial(), &BankUpdate::OpenAccounts(vec![4]));
-        let dep = bank.gen_update(&s, 0, 0, DEPOSIT, &mut rng, uni).expect("account open");
+        let dep = bank.gen_update(&s, 0, 0, DEPOSIT, &mut rng).expect("account open");
         assert!(bank.permissible(&s, &dep));
         s = bank.apply(&s, &dep);
         // Top up so a withdraw is visible whatever amount the sampled
         // deposit had (gen_update only withdraws from balances >= 2).
         s = bank.apply(&s, &BankUpdate::Deposit(4, 2));
-        let wd = bank.gen_update(&s, 0, 1, WITHDRAW, &mut rng, uni).expect("funds available");
+        let wd = bank.gen_update(&s, 0, 1, WITHDRAW, &mut rng).expect("funds available");
         assert!(bank.permissible(&s, &wd));
     }
 
@@ -380,7 +378,6 @@ mod tests {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        skew: KeySkew,
     ) -> Option<BankUpdate> {
         match method {
             DEPOSIT => {
@@ -389,7 +386,7 @@ mod tests {
                     return None;
                 }
                 Some(BankUpdate::Deposit(
-                    open[skew.sample_index(rng, open.len())],
+                    open[rng.gen_range(0..open.len())],
                     rng.gen_range(1..=bank.max_amount),
                 ))
             }
@@ -403,19 +400,19 @@ mod tests {
                 if funded.is_empty() {
                     return None;
                 }
-                let (acct, bal) = funded[skew.sample_index(rng, funded.len())];
+                let (acct, bal) = funded[rng.gen_range(0..funded.len())];
                 let cap = (bal / 2).min(i128::from(bank.max_amount)) as u64;
                 Some(BankUpdate::Withdraw(acct, rng.gen_range(1..=cap.max(1))))
             }
-            _ => bank.gen_update(state, node, seq, method, rng, skew),
+            _ => bank.gen_update(state, node, seq, method, rng),
         }
     }
 
     #[test]
     fn iterator_sampling_draws_what_collecting_drew() {
         let bank = Bank::default();
-        crate::gen_parity::assert_same_draws(&bank, |state, node, seq, method, rng, skew| {
-            collecting_gen_update(&bank, state, node, seq, method, rng, skew)
+        crate::gen_parity::assert_same_draws(&bank, |state, node, seq, method, rng| {
+            collecting_gen_update(&bank, state, node, seq, method, rng)
         });
     }
 }

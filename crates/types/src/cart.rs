@@ -15,7 +15,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
+use hamband_core::object::{ObjectSpec, WorkloadSupport};
 
 /// The cart state: item → net signed quantity.
 pub type CartState = BTreeMap<u64, i64>;
@@ -178,7 +178,6 @@ impl WorkloadSupport for Cart {
         _seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        _skew: KeySkew,
     ) -> Option<CartUpdate> {
         match method {
             ADD => Some(self.sample_update_of(ADD, rng)),
@@ -248,9 +247,9 @@ mod tests {
         use rand::SeedableRng;
         let c = Cart::default();
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(c.gen_update(&c.initial(), 0, 0, REMOVE, &mut rng, KeySkew::Uniform), None);
+        assert_eq!(c.gen_update(&c.initial(), 0, 0, REMOVE, &mut rng), None);
         let s = c.apply(&c.initial(), &CartUpdate::Add { item: 4, qty: 3 });
-        match c.gen_update(&s, 0, 0, REMOVE, &mut rng, KeySkew::Uniform) {
+        match c.gen_update(&s, 0, 0, REMOVE, &mut rng) {
             Some(CartUpdate::Remove { item: 4, qty }) => assert!((1..=3).contains(&qty)),
             other => panic!("unexpected {other:?}"),
         }
@@ -265,10 +264,9 @@ mod tests {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        skew: KeySkew,
     ) -> Option<CartUpdate> {
         if method != REMOVE {
-            return cart.gen_update(state, node, seq, method, rng, skew);
+            return cart.gen_update(state, node, seq, method, rng);
         }
         let present: Vec<u64> =
             state.iter().filter(|&(_, &q)| q > 0).map(|(&i, _)| i).collect();
@@ -283,8 +281,8 @@ mod tests {
     #[test]
     fn iterator_sampling_draws_what_collecting_drew() {
         let cart = Cart::default();
-        crate::gen_parity::assert_same_draws(&cart, |state, node, seq, method, rng, skew| {
-            collecting_gen_update(&cart, state, node, seq, method, rng, skew)
+        crate::gen_parity::assert_same_draws(&cart, |state, node, seq, method, rng| {
+            collecting_gen_update(&cart, state, node, seq, method, rng)
         });
     }
 }

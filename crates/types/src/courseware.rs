@@ -19,7 +19,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
+use hamband_core::object::{ObjectSpec, WorkloadSupport};
 
 use crate::sets::{insert_missing, pick, sorted_union};
 
@@ -222,7 +222,6 @@ impl WorkloadSupport for Courseware {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        _skew: KeySkew,
     ) -> Option<CoursewareUpdate> {
         match method {
             ADD_COURSE => Some(CoursewareUpdate::AddCourse(node as u64 * 1_000_000 + seq)),
@@ -315,14 +314,11 @@ mod tests {
         let cw = Courseware::default();
         let mut rng = StdRng::seed_from_u64(2);
         let mut s = cw.initial();
-        assert_eq!(cw.gen_update(&s, 0, 0, ENROLL, &mut rng, KeySkew::Uniform), None);
+        assert_eq!(cw.gen_update(&s, 0, 0, ENROLL, &mut rng), None);
         s = cw.apply(&s, &CoursewareUpdate::AddCourse(3));
-        assert_eq!(cw.gen_update(&s, 0, 0, ENROLL, &mut rng, KeySkew::Uniform), None);
+        assert_eq!(cw.gen_update(&s, 0, 0, ENROLL, &mut rng), None);
         s = cw.apply(&s, &CoursewareUpdate::RegisterStudents(vec![5]));
-        assert_eq!(
-            cw.gen_update(&s, 0, 0, ENROLL, &mut rng, KeySkew::Uniform),
-            Some(CoursewareUpdate::Enroll(5, 3))
-        );
+        assert_eq!(cw.gen_update(&s, 0, 0, ENROLL, &mut rng), Some(CoursewareUpdate::Enroll(5, 3)));
     }
 
     /// `gen_update` as it was while it copied the course and student
@@ -334,7 +330,6 @@ mod tests {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        skew: KeySkew,
     ) -> Option<CoursewareUpdate> {
         match method {
             DELETE_COURSE => {
@@ -355,15 +350,15 @@ mod tests {
                     cs[rng.gen_range(0..cs.len())],
                 ))
             }
-            _ => cw.gen_update(state, node, seq, method, rng, skew),
+            _ => cw.gen_update(state, node, seq, method, rng),
         }
     }
 
     #[test]
     fn iterator_sampling_draws_what_collecting_drew() {
         let cw = Courseware::default();
-        crate::gen_parity::assert_same_draws(&cw, |state, node, seq, method, rng, skew| {
-            collecting_gen_update(&cw, state, node, seq, method, rng, skew)
+        crate::gen_parity::assert_same_draws(&cw, |state, node, seq, method, rng| {
+            collecting_gen_update(&cw, state, node, seq, method, rng)
         });
     }
 }

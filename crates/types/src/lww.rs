@@ -11,7 +11,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
+use hamband_core::object::{ObjectSpec, WorkloadSupport};
 
 /// A hybrid stamp ordering writes totally: logical time, then writer id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -170,7 +170,6 @@ impl WorkloadSupport for LwwRegister {
         seq: u64,
         _method: MethodId,
         rng: &mut StdRng,
-        _skew: KeySkew,
     ) -> Option<LwwUpdate> {
         // Stamps advance past the locally visible maximum, like a
         // Lamport clock, so writes from a live workload keep winning.
@@ -235,7 +234,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let state = Some((Stamp { time: 10, node: 0 }, 5));
         let Some(LwwUpdate::Write { stamp, .. }) =
-            reg.gen_update(&state, 2, 0, WRITE, &mut rng, KeySkew::Uniform)
+            reg.gen_update(&state, 2, 0, WRITE, &mut rng)
         else {
             panic!("write expected")
         };

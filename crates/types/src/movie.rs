@@ -18,7 +18,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
+use hamband_core::object::{ObjectSpec, WorkloadSupport};
 
 use crate::sets::pick;
 
@@ -187,7 +187,6 @@ impl WorkloadSupport for Movie {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        _skew: KeySkew,
     ) -> Option<MovieUpdate> {
         let fresh = node as u64 * 1_000_000 + seq;
         match method {
@@ -253,7 +252,6 @@ mod tests {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        skew: KeySkew,
     ) -> Option<MovieUpdate> {
         match method {
             DELETE_CUSTOMER => {
@@ -270,15 +268,15 @@ mod tests {
                 }
                 Some(MovieUpdate::DeleteMovie(ms[rng.gen_range(0..ms.len())]))
             }
-            _ => mv.gen_update(state, node, seq, method, rng, skew),
+            _ => mv.gen_update(state, node, seq, method, rng),
         }
     }
 
     #[test]
     fn iterator_sampling_draws_what_collecting_drew() {
         let mv = Movie::default();
-        crate::gen_parity::assert_same_draws(&mv, |state, node, seq, method, rng, skew| {
-            collecting_gen_update(&mv, state, node, seq, method, rng, skew)
+        crate::gen_parity::assert_same_draws(&mv, |state, node, seq, method, rng| {
+            collecting_gen_update(&mv, state, node, seq, method, rng)
         });
     }
 }

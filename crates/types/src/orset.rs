@@ -24,7 +24,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
+use hamband_core::object::{ObjectSpec, WorkloadSupport};
 
 /// A unique insertion tag `(node, seq)`.
 pub type Tag = (u64, u64);
@@ -218,11 +218,10 @@ impl WorkloadSupport for OrSet {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        skew: KeySkew,
     ) -> Option<OrSetUpdate> {
         match method {
             ADD => Some(OrSetUpdate::Add {
-                element: skew.sample(rng, self.element_space),
+                element: rng.gen_range(0..self.element_space),
                 tag: (node as u64, seq),
             }),
             REMOVE => {
@@ -230,7 +229,7 @@ impl WorkloadSupport for OrSet {
                 if state.is_empty() {
                     return None;
                 }
-                let idx = skew.sample_index(rng, state.len());
+                let idx = rng.gen_range(0..state.len());
                 let (element, tags) = state.iter().nth(idx).expect("index in range");
                 Some(OrSetUpdate::Remove {
                     element: *element,
@@ -304,10 +303,9 @@ mod tests {
     fn workload_remove_targets_observed_state() {
         let o = OrSet::default();
         let mut rng = StdRng::seed_from_u64(4);
-        let uni = KeySkew::Uniform;
-        assert_eq!(o.gen_update(&o.initial(), 0, 0, REMOVE, &mut rng, uni), None);
+        assert_eq!(o.gen_update(&o.initial(), 0, 0, REMOVE, &mut rng), None);
         let s = o.apply(&o.initial(), &OrSetUpdate::Add { element: 7, tag: (0, 0) });
-        let rm = o.gen_update(&s, 1, 5, REMOVE, &mut rng, uni).expect("non-empty state");
+        let rm = o.gen_update(&s, 1, 5, REMOVE, &mut rng).expect("non-empty state");
         assert_eq!(rm, OrSetUpdate::Remove { element: 7, tags: vec![(0, 0)] });
     }
 }

@@ -26,7 +26,7 @@ use rand::Rng;
 
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, ObjectSpec, WorkloadSupport};
+use hamband_core::object::{ObjectSpec, WorkloadSupport};
 
 use crate::sets::{insert_missing, pick, sorted_union};
 
@@ -226,7 +226,6 @@ impl WorkloadSupport for Project {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        _skew: KeySkew,
     ) -> Option<ProjectUpdate> {
         match method {
             ADD_PROJECT => {
@@ -330,11 +329,11 @@ mod tests {
         use rand::SeedableRng;
         let pm = Project::default();
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(pm.gen_update(&pm.initial(), 0, 0, WORKS_ON, &mut rng, KeySkew::Uniform), None);
+        assert_eq!(pm.gen_update(&pm.initial(), 0, 0, WORKS_ON, &mut rng), None);
         let mut s = pm.initial();
         s = pm.apply(&s, &ProjectUpdate::AddProject(5));
         s = pm.apply(&s, &ProjectUpdate::AddEmployees(vec![9]));
-        let w = pm.gen_update(&s, 0, 0, WORKS_ON, &mut rng, KeySkew::Uniform).expect("refs exist");
+        let w = pm.gen_update(&s, 0, 0, WORKS_ON, &mut rng).expect("refs exist");
         assert_eq!(w, ProjectUpdate::WorksOn(9, 5));
         assert!(pm.permissible(&s, &w));
     }
@@ -348,7 +347,6 @@ mod tests {
         seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        skew: KeySkew,
     ) -> Option<ProjectUpdate> {
         match method {
             DELETE_PROJECT => {
@@ -369,15 +367,15 @@ mod tests {
                     ps[rng.gen_range(0..ps.len())],
                 ))
             }
-            _ => pm.gen_update(state, node, seq, method, rng, skew),
+            _ => pm.gen_update(state, node, seq, method, rng),
         }
     }
 
     #[test]
     fn iterator_sampling_draws_what_collecting_drew() {
         let pm = Project::default();
-        crate::gen_parity::assert_same_draws(&pm, |state, node, seq, method, rng, skew| {
-            collecting_gen_update(&pm, state, node, seq, method, rng, skew)
+        crate::gen_parity::assert_same_draws(&pm, |state, node, seq, method, rng| {
+            collecting_gen_update(&pm, state, node, seq, method, rng)
         });
     }
 }

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use hamband_core::analysis::{validate, AnalysisConfig};
 use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
-use hamband_core::object::{KeySkew, WorkloadSupport};
+use hamband_core::object::WorkloadSupport;
 use hamband_core::wire::Wire;
 use hamband_types::{for_each_shipped, Shipped, ShippedVisitor, SHIPPED_ROWS};
 use rand::rngs::StdRng;
@@ -47,24 +47,22 @@ fn conforms<O: WorkloadSupport>(spec: &O, coord: &CoordSpec) {
     }
 
     // State-aware generation, over a state that evolves with the calls.
-    for skew in [KeySkew::Uniform, KeySkew::Zipfian { theta: 0.9 }] {
-        let mut state = spec.initial();
-        let mut generated = 0;
-        for seq in 0..600u64 {
-            let m = MethodId(rng.gen_range(0..names.len()));
-            let node = (seq % 3) as usize;
-            let Some(call) = spec.gen_update(&state, node, seq, m, &mut rng, skew) else {
-                continue;
-            };
-            generated += 1;
-            check(&call, m);
-            if spec.permissible(&state, &call) {
-                spec.apply_mut(&mut state, &call);
-                assert!(spec.invariant(&state), "{name}: {call:?} was permissible");
-            }
+    let mut state = spec.initial();
+    let mut generated = 0;
+    for seq in 0..600u64 {
+        let m = MethodId(rng.gen_range(0..names.len()));
+        let node = (seq % 3) as usize;
+        let Some(call) = spec.gen_update(&state, node, seq, m, &mut rng) else {
+            continue;
+        };
+        generated += 1;
+        check(&call, m);
+        if spec.permissible(&state, &call) {
+            spec.apply_mut(&mut state, &call);
+            assert!(spec.invariant(&state), "{name}: {call:?} was permissible");
         }
-        assert!(generated > 300, "{name}: only {generated} calls generated");
     }
+    assert!(generated > 300, "{name}: only {generated} calls generated");
 }
 
 struct Conforms;

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use hamband::core::analysis::{infer, validate, AnalysisConfig};
 use hamband::core::ids::MethodId;
-use hamband::core::object::{KeySkew, ObjectSpec, WorkloadSupport};
+use hamband::core::object::{ObjectSpec, WorkloadSupport};
 use hamband::runtime::{RunConfig, Runner, System};
 use hamband::runtime::WorkloadSpec;
 use rand::rngs::StdRng;
@@ -135,7 +135,6 @@ impl WorkloadSupport for Inventory {
         _seq: u64,
         method: MethodId,
         rng: &mut StdRng,
-        _skew: KeySkew,
     ) -> Option<InventoryUpdate> {
         match method {
             RESTOCK => Some(self.sample_update_of(RESTOCK, rng)),

@@ -37,6 +37,12 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
+# Cargo prunes a stale entry from benchmark/Cargo.lock whenever it builds
+# the benchmark package; put the committed file back on the way out.
+lock_copy=$(mktemp)
+cp -p benchmark/Cargo.lock "$lock_copy"
+trap 'cp -p "$lock_copy" benchmark/Cargo.lock; rm -f "$lock_copy"' EXIT
+
 KNOWN="orset-sessions: the hold-out seed repeats the default seed's fingerprint"
 BENCH=(cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml --)
 

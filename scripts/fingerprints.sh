@@ -13,6 +13,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Cargo prunes a stale entry from benchmark/Cargo.lock whenever it builds
+# the benchmark package; put the committed file back on the way out.
+lock_copy=$(mktemp)
+cp -p benchmark/Cargo.lock "$lock_copy"
+trap 'cp -p "$lock_copy" benchmark/Cargo.lock; rm -f "$lock_copy"' EXIT
+
 print_fingerprints() {
   cargo build --release --quiet --offline --manifest-path benchmark/Cargo.toml
   for seed in 1 1592642302; do

@@ -9,7 +9,7 @@ mod common;
 
 use hamband::core::coord::{CoordSpec, MethodCategory};
 use hamband::core::ids::{GroupId, MethodId, Pid};
-use hamband::core::object::{KeySkew, ObjectSpec, WorkloadSupport};
+use hamband::core::object::{ObjectSpec, WorkloadSupport};
 use hamband::core::rdma_sem::RdmaWrdt;
 use hamband::core::refinement::replay_and_check;
 use hamband::types::{for_each_shipped, Bank, Courseware, Project, Shipped, ShippedVisitor};
@@ -39,7 +39,7 @@ where
             }
             _ => (p, k.current_state(Pid(p))),
         };
-        if let Some(call) = spec.gen_update(&state, issuer, seq, m, &mut rng, KeySkew::Uniform) {
+        if let Some(call) = spec.gen_update(&state, issuer, seq, m, &mut rng) {
             seq += 1;
             let _ = k.issue(issuer, call);
         }
@@ -120,7 +120,7 @@ fn permissible_is_invariant_of_post_state<O: WorkloadSupport>(spec: &O) {
         // amounts) and a state-aware one (usually permissible).
         check(&state, &spec.sample_update(&mut rng));
         let m = MethodId(rng.gen_range(0..spec.method_count()));
-        let Some(call) = spec.gen_update(&state, 0, seq, m, &mut rng, KeySkew::Uniform) else {
+        let Some(call) = spec.gen_update(&state, 0, seq, m, &mut rng) else {
             continue;
         };
         check(&state, &call);
