@@ -426,7 +426,7 @@ pub fn fig11(opts: &ExpOptions) -> FigOutcome {
     }
     let _ = writeln!(table, "\n  per-method response time (hamband, 10% updates):");
     if let Some(hb) = &last_hb {
-        for (m, rt) in &hb.per_method_rt_us {
+        for (m, rt) in &hb.rt_per_method_us {
             let _ = writeln!(table, "    {m:<16} {rt:>8.2} us");
         }
     }
@@ -568,11 +568,11 @@ pub fn fig13(opts: &ExpOptions) -> FigOutcome {
         let _ = write!(table, "  {name:>14}");
     }
     let _ = writeln!(table);
-    let methods: Vec<String> = reports[0].per_method_rt_us.keys().cloned().collect();
+    let methods: Vec<String> = reports[0].rt_per_method_us.keys().cloned().collect();
     for m in &methods {
         let _ = write!(table, "    {m:<18}");
         for r in &reports {
-            let _ = write!(table, "  {:>14.2}", r.per_method_rt_us.get(m).copied().unwrap_or(0.0));
+            let _ = write!(table, "  {:>14.2}", r.rt_per_method_us.get(m).copied().unwrap_or(0.0));
         }
         let _ = writeln!(table);
     }
@@ -581,8 +581,8 @@ pub fn fig13(opts: &ExpOptions) -> FigOutcome {
     let follower_drop = 1.0 - t(1) / t(0).max(1e-9);
     let leader_drop = 1.0 - t(2) / t(0).max(1e-9);
     let reg_rt_stable = {
-        let normal = reports[0].per_method_rt_us.get("register_students").copied().unwrap_or(0.0);
-        let leaderf = reports[2].per_method_rt_us.get("register_students").copied().unwrap_or(0.0);
+        let normal = reports[0].rt_per_method_us.get("register_students").copied().unwrap_or(0.0);
+        let leaderf = reports[2].rt_per_method_us.get("register_students").copied().unwrap_or(0.0);
         leaderf < 2.0 * normal.max(0.1)
     };
     let checks = vec![

@@ -1,7 +1,7 @@
 //! Fabric-level traffic statistics, for reports and ablations.
 
 /// Counters of simulated traffic, global and per node.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stats {
     /// One-sided WRITE verbs posted.
     pub writes: u64,

@@ -219,7 +219,6 @@ impl<O: WorkloadSupport> MsgCrdtNode<O> {
                     let method = self.spec.method_of(&entry.update);
                     self.spec.apply_mut(&mut self.state, &entry.update);
                     self.applied.increment(entry.rid.issuer, method);
-                    self.metrics.remote_applied += 1;
                     self.metrics.last_apply = ctx.now();
                     ctx.send(entry.rid.issuer_node(), Frame::<O::Update>::Ack(entry.rid.seq).encode());
                     progressed = true;

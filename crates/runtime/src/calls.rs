@@ -394,9 +394,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
             self.spec.apply_mut(&mut self.mat, &entry.update);
         }
         self.applied.increment(entry.rid.issuer, method);
-        if entry.rid.issuer.index() != self.me.index() {
-            self.metrics.remote_applied += 1;
-        }
         self.metrics.last_apply = ctx.now();
         true
     }

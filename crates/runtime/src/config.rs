@@ -25,8 +25,10 @@ pub const POLL_COST: SimDuration = SimDuration::nanos(40);
 /// under [`DurabilityMode::Fenced`]).
 pub const PERSIST_LOG_BYTES: usize = 1 << 20;
 
-/// Tuning for a Hamband cluster (summary geometry, failure-detection
-/// timers, batching, sharding, durability).
+/// Tuning for a Hamband cluster (summary geometry, window, batching,
+/// sharding, durability). The failure-detection timers are fixed to
+/// the simulator's microsecond scale; only the threaded backend
+/// overrides them, with wall-clock values (`threaded/cluster.rs`).
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Maximum encoded size of a summarized call, bytes. Summaries of
@@ -35,11 +37,11 @@ pub struct RuntimeConfig {
     /// scales it automatically).
     pub summary_payload_cap: usize,
     /// Heartbeat increment period.
-    pub heartbeat_interval: SimDuration,
+    pub(crate) heartbeat_interval: SimDuration,
     /// Failure-detector read period.
-    pub fd_interval: SimDuration,
+    pub(crate) fd_interval: SimDuration,
     /// Consecutive unchanged reads before suspecting a peer.
-    pub fd_suspect_after: u32,
+    pub(crate) fd_suspect_after: u32,
     /// Max update calls a node keeps outstanding (client pipelining).
     pub window: usize,
     /// Doorbell-batching knob: maximum number of contiguous ring slots

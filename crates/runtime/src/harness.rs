@@ -10,8 +10,8 @@
 //! [`RunConfig`] (builder-style, starting from [`RunConfig::for_nodes`]
 //! or [`RunConfig::new`]), and call [`Runner::run`] with the object
 //! spec and coordination spec. The result is a [`RunOutcome`]: the
-//! cluster-level [`RunReport`] (JSON-serializable via
-//! [`RunReport::to_json`]), the per-node [`NodeMetrics`], and — when
+//! cluster-level [`RunReport`] (a plain value that prints itself), the
+//! fabric's [`Stats`], the per-node [`NodeMetrics`], and — when
 //! the config asks for [`TraceMode::Collect`] — the run's structured
 //! [`TraceRecord`] stream.
 //!
@@ -264,7 +264,7 @@ pub struct NodeEndState<S> {
 ///     RunConfig::for_nodes(3).with_workload(WorkloadSpec::ops(300).with_update_ratio(0.5));
 /// let outcome = Runner::new(System::Hamband, config).run(&c, &c.coord_spec());
 /// assert!(outcome.report.converged);
-/// println!("{}", outcome.report.to_json());
+/// println!("{}", outcome.report);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Runner {
@@ -586,8 +586,6 @@ fn summarize<O: WorkloadSupport>(
         completed_at,
         throughput_ops_per_us: total_calls as f64 / elapsed_us,
         mean_rt_us: rt.mean_us(),
-        writes_posted: stats.writes,
-        bytes_written: stats.one_sided_bytes,
         writes_per_op: if total_updates > 0 {
             stats.writes as f64 / total_updates as f64
         } else {
@@ -598,7 +596,7 @@ fn summarize<O: WorkloadSupport>(
         isolated_busy_ns: stats.isolated_busy_ns.clone(),
         nic_busy_ns: stats.nic_busy_ns.clone(),
         summary_adoptions: metrics.iter().map(|m| m.summary_adoptions).collect(),
-        per_method_rt_us: per_method.into_iter().map(|(k, h)| (k, h.mean_us())).collect(),
+        rt_per_method_us: per_method.into_iter().map(|(k, h)| (k, h.mean_us())).collect(),
         phases: Phase::ALL
             .iter()
             .filter(|p| !per_phase[p.index()].is_empty())

@@ -129,8 +129,6 @@ pub struct SessionStats {
     pub queries: u64,
     /// Sum of acked-update response times, nanoseconds.
     pub sum_rt_ns: u64,
-    /// Largest acked-update response time, nanoseconds.
-    pub max_rt_ns: u64,
 }
 
 impl SessionStats {
@@ -419,7 +417,6 @@ impl Ingress {
         s.outstanding = s.outstanding.saturating_sub(1);
         s.stats.acked += 1;
         s.stats.sum_rt_ns = s.stats.sum_rt_ns.saturating_add(rt_ns);
-        s.stats.max_rt_ns = s.stats.max_rt_ns.max(rt_ns);
     }
 
     /// An outstanding update of `session` failed permanently (rejected

@@ -6,9 +6,9 @@
 //! Response times are recorded in log-scale [`LatencyHistogram`]s —
 //! per call overall, per method, and per protocol phase
 //! ([`Phase::Reduce`]/[`Phase::Free`]/[`Phase::Conf`]/[`Phase::Query`])
-//! — so reports carry p50/p90/p99/max, not just means. [`RunReport`]
-//! serializes to stable JSON with [`RunReport::to_json`] for
-//! machine-readable benchmark output.
+//! — so reports carry p50/p90/p99/max, not just means. A [`RunReport`]
+//! is a plain value: its `Display` prints it, and tests compare two of
+//! them with `==`.
 
 use std::collections::BTreeMap;
 
@@ -181,8 +181,6 @@ pub struct LatencySummary {
 /// Per-node measurement accumulator.
 #[derive(Debug, Clone, Default)]
 pub struct NodeMetrics {
-    /// Update calls issued (acknowledged or still outstanding).
-    pub updates_issued: u64,
     /// Update calls acknowledged to the client.
     pub updates_acked: u64,
     /// Query calls executed.
@@ -198,8 +196,6 @@ pub struct NodeMetrics {
     pub rt_per_method: BTreeMap<usize, LatencyHistogram>,
     /// Response times per protocol phase, indexed by [`Phase::index`].
     pub rt_per_phase: [LatencyHistogram; 4],
-    /// Peers' ring entries applied locally (FREE-APP / CONF-APP).
-    pub remote_applied: u64,
     /// Peers' summary versions adopted, one `apply_cost` each: when a
     /// read needed them, or at a poll once the local workload was done.
     pub summary_adoptions: u64,
@@ -243,12 +239,6 @@ impl NodeMetrics {
     pub fn mean_rt_us(&self) -> f64 {
         self.rt.mean_us()
     }
-
-    /// Mean response time of one method, microseconds.
-    pub fn method_rt_us(&self, method: usize) -> Option<f64> {
-        let h = self.rt_per_method.get(&method)?;
-        (!h.is_empty()).then(|| h.mean_us())
-    }
 }
 
 /// Cross-session fairness for a multi-session (flat-combined) run:
@@ -275,24 +265,8 @@ pub struct FairnessSummary {
     pub jain_index: f64,
 }
 
-impl FairnessSummary {
-    fn push_json(&self, out: &mut String) {
-        out.push_str(&format!("{{\"sessions\":{},\"ops_per_user_per_sec\":", self.sessions));
-        push_json_f64(out, self.ops_per_user_per_sec);
-        out.push_str(",\"min_session_ops_per_sec\":");
-        push_json_f64(out, self.min_session_ops_per_sec);
-        out.push_str(",\"max_session_ops_per_sec\":");
-        push_json_f64(out, self.max_session_ops_per_sec);
-        out.push_str(",\"p99_session_rt_us\":");
-        push_json_f64(out, self.p99_session_rt_us);
-        out.push_str(",\"jain_index\":");
-        push_json_f64(out, self.jain_index);
-        out.push('}');
-    }
-}
-
 /// A cluster-level run summary produced by the harness.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// System label ("hamband", "mu-smr", "msg").
     pub system: String,
@@ -312,15 +286,10 @@ pub struct RunReport {
     pub throughput_ops_per_us: f64,
     /// Mean response time over all calls, microseconds.
     pub mean_rt_us: f64,
-    /// One-sided WRITE verbs posted during the run (fabric-wide).
-    /// With doorbell batching a single WRITE may carry several ring
-    /// entries, so this can drop well below the call count.
-    pub writes_posted: u64,
-    /// Bytes moved by one-sided verbs during the run (fabric-wide).
-    pub bytes_written: u64,
-    /// WRITEs posted per acknowledged update (`writes_posted /
-    /// total_updates`; 0 when there were no updates). The paper's
-    /// amortized-O(1)-communication claim shows up here: for a
+    /// One-sided WRITEs posted fabric-wide ([`rdma_sim::Stats::writes`])
+    /// per acknowledged update (0 when there were no updates); with
+    /// doorbell batching one WRITE may carry several ring entries. The
+    /// paper's amortized-O(1)-communication claim shows up here: for a
     /// reducible-only workload this drops below 1.0 per peer once
     /// summary write-combining collapses k reduces into one WRITE.
     pub writes_per_op: f64,
@@ -345,7 +314,7 @@ pub struct RunReport {
     /// [`cpu_busy_ns`](Self::cpu_busy_ns) each.
     pub summary_adoptions: Vec<u64>,
     /// Mean response time per method name.
-    pub per_method_rt_us: BTreeMap<String, f64>,
+    pub rt_per_method_us: BTreeMap<String, f64>,
     /// Latency distribution per protocol phase, keyed by
     /// [`Phase::label`] ("reduce", "free", "conf", "query"). Phases
     /// with no samples are omitted.
@@ -355,122 +324,6 @@ pub struct RunReport {
     /// Cross-session fairness (present when the backend exposes
     /// per-session stats; `None` for backends without an ingress).
     pub fairness: Option<FairnessSummary>,
-}
-
-/// Append `s` JSON-escaped (quotes, backslashes, control characters).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Append `vs` as a JSON array of integers.
-fn push_json_u64s(out: &mut String, vs: &[u64]) {
-    out.push('[');
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-}
-
-/// Append `v` as a JSON number (non-finite values become 0).
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push('0');
-    }
-}
-
-impl LatencySummary {
-    fn push_json(&self, out: &mut String) {
-        out.push_str(&format!("{{\"count\":{},\"mean_us\":", self.count));
-        push_json_f64(out, self.mean_us);
-        out.push_str(",\"p50_us\":");
-        push_json_f64(out, self.p50_us);
-        out.push_str(",\"p90_us\":");
-        push_json_f64(out, self.p90_us);
-        out.push_str(",\"p99_us\":");
-        push_json_f64(out, self.p99_us);
-        out.push_str(",\"max_us\":");
-        push_json_f64(out, self.max_us);
-        out.push('}');
-    }
-}
-
-impl RunReport {
-    /// Serialize to one stable JSON object (hand-encoded; no external
-    /// dependencies). Keys are emitted in a fixed order so output is
-    /// diffable across runs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\"system\":");
-        push_json_str(&mut out, &self.system);
-        out.push_str(&format!(
-            ",\"nodes\":{},\"total_calls\":{},\"total_updates\":{},\"forfeited\":{}",
-            self.nodes, self.total_calls, self.total_updates, self.forfeited
-        ));
-        out.push_str(",\"completed_at_us\":");
-        push_json_f64(&mut out, self.completed_at.as_micros());
-        out.push_str(",\"throughput_ops_per_us\":");
-        push_json_f64(&mut out, self.throughput_ops_per_us);
-        out.push_str(",\"mean_rt_us\":");
-        push_json_f64(&mut out, self.mean_rt_us);
-        out.push_str(&format!(
-            ",\"writes_posted\":{},\"bytes_written\":{}",
-            self.writes_posted, self.bytes_written
-        ));
-        out.push_str(",\"writes_per_op\":");
-        push_json_f64(&mut out, self.writes_per_op);
-        out.push_str(",\"cpu_busy_ns\":");
-        push_json_u64s(&mut out, &self.cpu_busy_ns);
-        out.push_str(",\"nic_busy_ns\":");
-        push_json_u64s(&mut out, &self.nic_busy_ns);
-        out.push_str(",\"isolated_busy_ns\":");
-        push_json_u64s(&mut out, &self.isolated_busy_ns);
-        out.push_str(",\"summary_adoptions\":");
-        push_json_u64s(&mut out, &self.summary_adoptions);
-        out.push_str(",\"converged\":");
-        out.push_str(if self.converged { "true" } else { "false" });
-        out.push_str(",\"per_method_rt_us\":{");
-        for (i, (name, rt)) in self.per_method_rt_us.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, name);
-            out.push(':');
-            push_json_f64(&mut out, *rt);
-        }
-        out.push_str("},\"phases\":{");
-        for (i, (name, summary)) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, name);
-            out.push(':');
-            summary.push_json(&mut out);
-        }
-        out.push('}');
-        if let Some(fairness) = &self.fairness {
-            out.push_str(",\"fairness\":");
-            fairness.push_json(&mut out);
-        }
-        out.push('}');
-        out
-    }
 }
 
 impl std::fmt::Display for RunReport {
@@ -658,9 +511,9 @@ mod tests {
         assert_eq!(m.queries, 1);
         assert_eq!(m.rt.count(), 4);
         assert!((m.mean_rt_us() - (2.0 + 4.0 + 1.0 + 0.5) / 4.0).abs() < 1e-9);
-        assert!((m.method_rt_us(0).unwrap() - 3.0).abs() < 1e-9);
-        assert!((m.method_rt_us(1).unwrap() - 1.0).abs() < 1e-9);
-        assert_eq!(m.method_rt_us(9), None);
+        assert!((m.rt_per_method[&0].mean_us() - 3.0).abs() < 1e-9);
+        assert!((m.rt_per_method[&1].mean_us() - 1.0).abs() < 1e-9);
+        assert!(!m.rt_per_method.contains_key(&9));
         assert_eq!(m.rt_per_phase[Phase::Reduce.index()].count(), 2);
         assert_eq!(m.rt_per_phase[Phase::Conf.index()].count(), 1);
         assert_eq!(m.rt_per_phase[Phase::Query.index()].count(), 1);
@@ -693,15 +546,13 @@ mod tests {
             completed_at: SimTime(1_000_000),
             throughput_ops_per_us: 12.5,
             mean_rt_us: 1.4,
-            writes_posted: 60,
-            bytes_written: 6_000,
             writes_per_op: 2.4,
             cpu_busy_ns: vec![900_000; 4],
             cpu_post_ns: vec![90_000; 4],
             isolated_busy_ns: vec![20_000; 4],
             nic_busy_ns: vec![300_000; 4],
             summary_adoptions: vec![0, 6, 6, 6],
-            per_method_rt_us: BTreeMap::new(),
+            rt_per_method_us: BTreeMap::new(),
             phases,
             converged: true,
             fairness: Some(FairnessSummary {
@@ -750,88 +601,5 @@ mod tests {
         // No CPU model (threaded: all zero) or no counters at all: no line.
         assert!(!with_busy(vec![0; 4], vec![0; 4]).contains("busy"));
         assert!(!with_busy(Vec::new(), Vec::new()).contains("busy"));
-    }
-
-    #[test]
-    fn json_is_stable_and_escaped() {
-        let mut per_method = BTreeMap::new();
-        per_method.insert("with \"quote\"".to_string(), 2.5);
-        let mut phases = BTreeMap::new();
-        phases.insert(
-            "conf".to_string(),
-            LatencySummary { count: 3, mean_us: 1.0, p50_us: 1.0, p90_us: 2.0, p99_us: 2.0, max_us: 2.25 },
-        );
-        let r = RunReport {
-            system: "mu-smr".into(),
-            nodes: 3,
-            total_calls: 7,
-            total_updates: 4,
-            forfeited: 2,
-            completed_at: SimTime(2_500),
-            throughput_ops_per_us: f64::NAN,
-            mean_rt_us: 1.25,
-            writes_posted: 12,
-            bytes_written: 3_400,
-            writes_per_op: 3.0,
-            cpu_busy_ns: vec![2_400, 1_800, 0],
-            cpu_post_ns: vec![120, 60, 0],
-            isolated_busy_ns: vec![60, 0, 0],
-            nic_busy_ns: vec![1_320, 0, 0],
-            summary_adoptions: vec![0, 5, 0],
-            per_method_rt_us: per_method,
-            phases,
-            converged: false,
-            fairness: None,
-        };
-        let j = r.to_json();
-        assert_eq!(
-            j,
-            "{\"system\":\"mu-smr\",\"nodes\":3,\"total_calls\":7,\"total_updates\":4,\"forfeited\":2,\
-             \"completed_at_us\":2.5,\"throughput_ops_per_us\":0,\"mean_rt_us\":1.25,\
-             \"writes_posted\":12,\"bytes_written\":3400,\"writes_per_op\":3,\
-             \"cpu_busy_ns\":[2400,1800,0],\"nic_busy_ns\":[1320,0,0],\"isolated_busy_ns\":[60,0,0],\
-             \"summary_adoptions\":[0,5,0],\"converged\":false,\"per_method_rt_us\":{\"with \\\"quote\\\"\":2.5},\
-             \"phases\":{\"conf\":{\"count\":3,\"mean_us\":1,\"p50_us\":1,\"p90_us\":2,\
-             \"p99_us\":2,\"max_us\":2.25}}}"
-        );
-    }
-
-    #[test]
-    fn fairness_block_serializes_after_phases() {
-        let r = RunReport {
-            system: "hamband".into(),
-            nodes: 2,
-            total_calls: 10,
-            total_updates: 5,
-            forfeited: 0,
-            completed_at: SimTime(1_000),
-            throughput_ops_per_us: 1.0,
-            mean_rt_us: 1.0,
-            writes_posted: 5,
-            bytes_written: 500,
-            writes_per_op: 1.0,
-            cpu_busy_ns: Vec::new(),
-            cpu_post_ns: Vec::new(),
-            isolated_busy_ns: Vec::new(),
-            nic_busy_ns: Vec::new(),
-            summary_adoptions: Vec::new(),
-            per_method_rt_us: BTreeMap::new(),
-            phases: BTreeMap::new(),
-            converged: true,
-            fairness: Some(FairnessSummary {
-                sessions: 16,
-                ops_per_user_per_sec: 625.0,
-                min_session_ops_per_sec: 500.0,
-                max_session_ops_per_sec: 750.0,
-                p99_session_rt_us: 2.5,
-                jain_index: 0.99,
-            }),
-        };
-        let j = r.to_json();
-        assert!(j.ends_with(
-            ",\"fairness\":{\"sessions\":16,\"ops_per_user_per_sec\":625,\
-             \"min_session_ops_per_sec\":500,\"max_session_ops_per_sec\":750,\
-             \"p99_session_rt_us\":2.5,\"jain_index\":0.99}}"
-        ));
     }
 }

@@ -25,7 +25,7 @@ fn account_all_categories_converges() {
     let report = Runner::new(System::Hamband, config).run(&a, &a.coord_spec()).report;
     assert!(report.converged, "{report}");
     // Some withdrawals must actually have committed.
-    assert!(report.per_method_rt_us.contains_key("withdraw"), "{report:?}");
+    assert!(report.rt_per_method_us.contains_key("withdraw"), "{report:?}");
     // Withdrawals go through consensus, so the report must carry a CONF
     // phase distribution alongside REDUCE/FREE.
     assert!(report.phases.contains_key("conf"), "{report:?}");

@@ -399,12 +399,12 @@ fn many_session_runs_are_deterministic() {
         let spec = WorkloadSpec::ops(1_000).with_sessions(32).with_window(2).with_seed(9);
         let cfg = RunConfig::new(3, spec).with_seed(9).with_trace(TraceMode::Collect);
         let out = Runner::new(System::Hamband, cfg).run(&c, &c.coord_spec());
-        (digest(&out.events), out.report.to_json())
+        (digest(&out.events), out.report)
     };
-    let (d1, j1) = run();
-    let (d2, j2) = run();
+    let (d1, r1) = run();
+    let (d2, r2) = run();
     assert_eq!(d1, d2, "same seed, same combined event stream");
-    assert_eq!(j1, j2, "same seed, same report (fairness included)");
+    assert_eq!(r1, r2, "same seed, same report (fairness included)");
 }
 
 proptest! {

@@ -115,12 +115,12 @@ fn sharded_runs_are_deterministic() {
             .with_trace(TraceMode::Collect);
         let out = Runner::new(System::Hamband, cfg).run(&b, &b.coord_spec());
         assert!(out.report.converged);
-        (digest(&out.events), out.report.to_json())
+        (digest(&out.events), out.report)
     };
-    let (d1, j1) = run();
-    let (d2, j2) = run();
+    let (d1, r1) = run();
+    let (d2, r2) = run();
     assert_eq!(d1, d2, "same seed + same shard count, same event stream");
-    assert_eq!(j1, j2);
+    assert_eq!(r1, r2);
 }
 
 #[test]

@@ -114,7 +114,8 @@ fn histograms_account_for_every_ack() {
 }
 
 /// Trace collection must not change the run itself: same seed, same
-/// workload, identical report with tracing off and on.
+/// workload, identical report and fabric counters with tracing off and
+/// on.
 #[test]
 fn tracing_does_not_perturb_the_run() {
     let a = Account::new(100);
@@ -122,6 +123,7 @@ fn tracing_does_not_perturb_the_run() {
     let quiet = Runner::new(System::Hamband, base.clone()).run(&a, &a.coord_spec());
     let traced = Runner::new(System::Hamband, base.with_trace(TraceMode::Collect))
         .run(&a, &a.coord_spec());
-    assert_eq!(quiet.report.to_json(), traced.report.to_json());
+    assert_eq!(quiet.report, traced.report);
+    assert_eq!(quiet.stats, traced.stats);
     assert!(quiet.events.is_empty() && !traced.events.is_empty());
 }

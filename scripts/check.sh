@@ -103,6 +103,15 @@ if grep -rn --include='*.rs' -e 'write_backup' -e 'compose_backup_slot' -e 'layo
   exit 1
 fi
 
+echo "== report guard (a run's report is a value; Display is its one format) =="
+# RunReport prints itself and tests compare two with `==`. A JSON
+# encoder in the library is the second, unread format growing back;
+# the benchmark (outside these paths) writes its own result line.
+if grep -rn --include='*.rs' -e 'fn to_json' -e 'push_json' crates src tests examples; then
+  echo "FAIL: print a RunReport with Display or compare it as a value; add no JSON encoder"
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release
 
