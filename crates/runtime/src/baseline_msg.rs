@@ -132,7 +132,7 @@ impl<O: WorkloadSupport> MsgCrdtNode<O> {
         // the pump's start plus the pump's query costs so far.
         let mut queries_end = ctx.now();
         loop {
-            let planned = self.ingress.next(&self.spec, &self.state, &self.coord, &[], &[]);
+            let planned = self.ingress.next(&self.spec, &self.state, &self.coord, |_| None);
             match planned {
                 None => {
                     self.metrics.forfeited = self.ingress.forfeited();

@@ -6,8 +6,8 @@
 //! The engine owns the group's `L`-ring reader, the node's view of the
 //! group's leadership (epoch, promise, commit index), and a typed
 //! [`Role`] state machine that makes illegal role/field combinations
-//! unrepresentable: only a [`Leader`](Role::Leader) has ring writers, a
-//! tail, pending acks, or an issue floor; only a
+//! unrepresentable: only a [`Leader`](Role::Leader) has ring writers,
+//! pending acks, or an issue floor; only a
 //! [`Candidate`](Role::Candidate) has an election tally.
 //!
 //! Role transitions (see `election.rs` for the message protocol):
@@ -81,8 +81,6 @@ pub enum Role {
 pub struct LeaderState {
     /// Per-target ring writers (`None` at our own slot).
     pub(crate) writers: Vec<Option<RingWriter>>,
-    /// Entries appended so far (the group's global ordinal).
-    pub(crate) tail: u64,
     /// No new conflicting calls are issued until our own reader has
     /// applied the ring through this sequence number. A fresh leader
     /// adopts the old tail before it has applied every entry below it;
@@ -101,10 +99,9 @@ pub struct LeaderState {
 }
 
 impl LeaderState {
-    fn new(writers: Vec<Option<RingWriter>>, tail: u64, issue_floor: u64) -> Self {
+    fn new(writers: Vec<Option<RingWriter>>, issue_floor: u64) -> Self {
         LeaderState {
             writers,
-            tail,
             issue_floor,
             pending_acks: BTreeMap::new(),
             client_by_seq: VecDeque::new(),
@@ -146,11 +143,13 @@ pub struct GroupEngine {
     pub(crate) commit_written: u64,
     /// Outstanding commit-cell writes (same lifetime note as above).
     pub(crate) commit_writes_inflight: usize,
-    /// Highest tail this node ever appended as a leader. Survives
-    /// deposition: the local ring probe alone can under-report the
-    /// tail when the ring has wrapped past the reader, so elections
+    /// The highest sequence number this node appended as the group's
+    /// leader (the adopted tail until its first append): while it
+    /// leads, the ring's appended count, the group's global ordinal.
+    /// Survives deposition: the local ring probe alone can under-report
+    /// the tail when the ring has wrapped past the reader, so elections
     /// take the max with this.
-    pub(crate) tail_hint: u64,
+    pub(crate) tail: u64,
     /// The role state machine.
     pub(crate) role: Role,
 }
@@ -170,7 +169,7 @@ impl GroupEngine {
             commit_scan: 0,
             commit_written: 0,
             commit_writes_inflight: 0,
-            tail_hint: 0,
+            tail: 0,
             role: Role::Follower,
         }
     }
@@ -222,8 +221,8 @@ impl GroupEngine {
         tail: u64,
         issue_floor: u64,
     ) {
-        self.role = Role::Leader(LeaderState::new(writers, tail, issue_floor));
-        self.tail_hint = tail;
+        self.role = Role::Leader(LeaderState::new(writers, issue_floor));
+        self.tail = tail;
     }
 
     /// Start an election: bump the promise, tally our own vote.
@@ -344,15 +343,6 @@ impl GroupEngine {
         }
         self.commit
     }
-
-    /// The group tail as this node best knows it (leader: the real
-    /// tail; otherwise the highest tail it ever appended).
-    pub fn known_tail(&self) -> u64 {
-        match &self.role {
-            Role::Leader(l) => l.tail,
-            _ => self.tail_hint,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -430,11 +420,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
 
         let entry = Entry { rid, update, deps };
         let engine = &mut self.engines[g];
-        let leader = engine.leader_mut().expect("issue_conf only runs at the leader");
-        let seq = leader.tail + 1;
-        leader.tail = seq;
-        leader.uncommitted.push(seq);
-        engine.tail_hint = seq;
+        let seq = engine.tail + 1;
+        engine.tail = seq;
+        engine.leader_mut().expect("issue_conf only runs at the leader").uncommitted.push(seq);
         // The entry carries the commit index to the followers, so a
         // commit costs no WRITE of its own while the pipeline is fed
         // (the pump's `flush_commit` covers an index nothing carries).

@@ -141,7 +141,7 @@ fn deposition_from_one_group_keeps_the_others_uncommitted_calls_in_view() {
     let n0 = NodeId(0);
     let issue = |sim: &mut Simulator<HambandNode<Bank>>, update| {
         sim.with_app_ctx(n0, |app, ctx| {
-            app.issue(ctx, update, 0);
+            app.issue(ctx, update, 0, None);
             app.pump(ctx);
         });
     };
@@ -249,7 +249,7 @@ fn depose_on_higher_epoch_drops_leader_state_wholesale() {
     assert_eq!(e.leader_view, Pid(2));
     assert_eq!(dropped.client_by_seq, [(5, 42)], "orphans surface");
     assert!(e.leader().is_none(), "no leader field survives deposition");
-    assert_eq!(e.tail_hint, 4, "tail hint survives for future elections");
+    assert_eq!(e.tail, 4, "the tail survives for future elections");
     assert!(e.depose_leader().is_none(), "deposing a follower is a no-op");
 }
 

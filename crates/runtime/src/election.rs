@@ -95,7 +95,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
         // The local probe under-reports once the ring has wrapped past
         // the reader; an ex-leader additionally knows what it appended.
-        tail.max(engine.tail_hint)
+        tail.max(engine.tail)
     }
 
     /// Group `g`'s commit index as far as this node can tell without

@@ -112,17 +112,20 @@ pub struct RunConfig {
     pub backend: Backend,
 }
 
+/// The summary-slot capacity a run of `workload` needs, at least `cap`:
+/// grow-only summaries accumulate every call their issuer folded in.
+fn summary_cap_for(cap: usize, workload: &WorkloadSpec) -> usize {
+    cap.max(workload.total_ops as usize * 16)
+}
+
 impl RunConfig {
     /// A default configuration for `nodes` nodes and `workload`.
     ///
-    /// The summary-slot capacity is scaled to the workload, since
-    /// grow-only summaries accumulate every call their issuer folded
-    /// in.
+    /// The summary-slot capacity is scaled to the workload.
     pub fn new(nodes: usize, workload: WorkloadSpec) -> Self {
         assert!(nodes >= 1, "a cluster needs at least one node");
         let mut runtime = RuntimeConfig::default();
-        runtime.summary_payload_cap =
-            runtime.summary_payload_cap.max(workload.total_ops as usize * 16);
+        runtime.summary_payload_cap = summary_cap_for(runtime.summary_payload_cap, &workload);
         RunConfig {
             nodes,
             workload,
@@ -148,7 +151,7 @@ impl RunConfig {
     /// same way [`RunConfig::new`] does).
     pub fn with_workload(mut self, workload: WorkloadSpec) -> Self {
         self.runtime.summary_payload_cap =
-            self.runtime.summary_payload_cap.max(workload.total_ops as usize * 16);
+            summary_cap_for(self.runtime.summary_payload_cap, &workload);
         self.workload = workload;
         self
     }

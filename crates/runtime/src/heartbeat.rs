@@ -32,6 +32,14 @@
 //! after a suspicion (`recovery.rs`) hands over exactly the queries the
 //! suspect did not run.
 //!
+//! The detector's suspicions are the one record of who is alive: the
+//! recovery delegate and the election starter
+//! ([`lowest_alive`](FailureDetector::lowest_alive)) and the adopter of
+//! a failed node's quota
+//! ([`next_alive_after`](FailureDetector::next_alive_after)) are read
+//! from them directly, so every observer with the same suspicions picks
+//! the same node.
+//!
 //! Both threads run on their own cores (§4): the detector's READs and
 //! their completions are not the application CPU's work. What a
 //! completion sets in motion — a suspicion's recovery, adoption and
@@ -40,7 +48,6 @@
 
 use rdma_sim::{IdMap, NodeId, RegionId, SimDuration, SimTime, WrId};
 
-use crate::membership::Membership;
 use crate::transport::Transport;
 
 /// Byte size of a node's heartbeat region. Word 0 is the beat counter,
@@ -195,21 +202,27 @@ impl FailureDetector {
             .collect()
     }
 
-    /// A point-in-time [`Membership`] snapshot of the unsuspected set,
-    /// for alive-set decisions (recovery delegate, election starter,
-    /// quota adoption).
-    pub fn membership(&self) -> Membership {
-        Membership::new(
-            self.me,
-            self.peers.iter().map(|p| !p.suspected).collect(),
-        )
+    /// The lowest-numbered node not suspected (and not `skip`); falls
+    /// back to `me` when everyone (else) is suspected. Picks the
+    /// recovery delegate and the election starter: every observer with
+    /// the same suspicion set picks the same node.
+    pub fn lowest_alive(&self, skip: Option<NodeId>) -> NodeId {
+        (0..self.peers.len())
+            .map(NodeId)
+            .find(|&p| !self.peers[p.index()].suspected && Some(p) != skip)
+            .unwrap_or(self.me)
     }
 
-    /// The lowest-numbered node not suspected (and not `skip`), used to
-    /// pick recovery delegates deterministically. Shorthand for
-    /// [`membership`](Self::membership)`.lowest_alive(skip)`.
-    pub fn lowest_alive(&self, skip: Option<NodeId>) -> NodeId {
-        self.membership().lowest_alive(skip)
+    /// The first node after `suspect` in ring order (wrapping at the
+    /// cluster size) that is not suspected, never `suspect` itself;
+    /// falls back to `me` when everyone else is suspected. Picks who
+    /// adopts a failed node's remaining conflict-free quota.
+    pub fn next_alive_after(&self, suspect: NodeId) -> NodeId {
+        let n = self.peers.len();
+        (1..n)
+            .map(|d| NodeId((suspect.index() + d) % n))
+            .find(|q| !self.peers[q.index()].suspected)
+            .unwrap_or(self.me)
     }
 
     /// One detector tick: post a read of every peer's heartbeat region.
@@ -383,6 +396,71 @@ mod tests {
         assert_eq!(app.recovered, vec![NodeId(1)]);
         // A single suspect/recover cycle, not a flapping series.
         assert_eq!(app.newly_suspected, vec![NodeId(1)]);
+    }
+
+    /// A detector at `me` of an `n`-node cluster that suspects exactly
+    /// `suspects` (announced dead, so heartbeats play no part).
+    fn suspecting(me: usize, n: usize, suspects: &[usize]) -> FailureDetector {
+        let mut fd = FailureDetector::new(NodeId(me), n, RegionId(0), 3);
+        for &p in suspects {
+            assert!(fd.mark_workload_dead(NodeId(p)));
+        }
+        fd
+    }
+
+    #[test]
+    fn lowest_alive_picks_first_unsuspected() {
+        let fd = suspecting(2, 4, &[0]);
+        assert_eq!(fd.lowest_alive(None), NodeId(1));
+        assert_eq!(fd.lowest_alive(Some(NodeId(1))), NodeId(2));
+    }
+
+    #[test]
+    fn lowest_alive_falls_back_to_me_when_all_suspected() {
+        let fd = suspecting(3, 4, &[0, 1, 2, 3]);
+        assert_eq!(fd.lowest_alive(None), NodeId(3));
+        assert_eq!(fd.lowest_alive(Some(NodeId(3))), NodeId(3));
+    }
+
+    #[test]
+    fn next_alive_after_wraps_around() {
+        // Suspect is the last node: the scan must wrap to node 0.
+        let fd = suspecting(1, 4, &[3]);
+        assert_eq!(fd.next_alive_after(NodeId(3)), NodeId(0));
+        // A dead node right after the suspect is skipped, wrapping on.
+        let fd = suspecting(0, 4, &[1, 3]);
+        assert_eq!(fd.next_alive_after(NodeId(3)), NodeId(0));
+        assert_eq!(fd.next_alive_after(NodeId(0)), NodeId(2));
+    }
+
+    #[test]
+    fn next_alive_after_never_returns_the_suspect() {
+        // The suspect may still be unsuspected here (adoption can race
+        // the detector); it must not adopt from itself.
+        let fd = suspecting(0, 3, &[]);
+        assert_eq!(fd.next_alive_after(NodeId(1)), NodeId(2));
+        // Only the suspect itself is unsuspected: the scan wraps the
+        // whole ring without ever yielding the suspect, then falls
+        // back to me.
+        let fd = suspecting(2, 3, &[0, 2]);
+        assert_eq!(fd.next_alive_after(NodeId(1)), NodeId(2));
+    }
+
+    #[test]
+    fn all_suspected_falls_back_to_me() {
+        let fd = suspecting(1, 3, &[0, 1, 2]);
+        assert_eq!(fd.next_alive_after(NodeId(0)), NodeId(1));
+        assert_eq!(fd.next_alive_after(NodeId(1)), NodeId(1));
+    }
+
+    #[test]
+    fn mark_workload_dead_suspects_exactly_that_peer() {
+        let mut fd = suspecting(0, 3, &[2]);
+        assert!(!fd.is_suspected(NodeId(0)));
+        assert!(!fd.is_suspected(NodeId(1)));
+        assert!(fd.is_suspected(NodeId(2)));
+        assert_eq!(fd.suspected(), vec![NodeId(2)]);
+        assert!(!fd.mark_workload_dead(NodeId(2)), "already suspected");
     }
 
     /// A heartbeat region as a detector READ returns it.

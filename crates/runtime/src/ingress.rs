@@ -186,7 +186,6 @@ pub struct Ingress {
     rotation: std::collections::VecDeque<u32>,
     /// Remaining local query quota (node-level, shared by sessions).
     queries_left: u64,
-    initial_queries: u64,
     /// Remaining local update quota per conflict-free method.
     free_left: Vec<u64>,
     /// Conflicting quota per *mapped* group (sync group × shard),
@@ -299,7 +298,6 @@ impl Ingress {
             rotation: (0..sessions.len() as u32).collect(),
             sessions,
             queries_left: split.queries,
-            initial_queries: split.queries,
             free_left: split.free,
             conf_target,
             keyless,
@@ -376,19 +374,9 @@ impl Ingress {
         self.mapper
     }
 
-    /// The query quota this node started with.
-    pub fn initial_queries(&self) -> u64 {
-        self.initial_queries
-    }
-
     /// Stop issuing (the node was "failed" by the fault plan).
     pub fn halt(&mut self) {
         self.halted = true;
-    }
-
-    /// Whether the ingress was halted.
-    pub fn is_halted(&self) -> bool {
-        self.halted
     }
 
     /// Adopt part of a failed peer's conflict-free quota ("after a
@@ -450,17 +438,16 @@ impl Ingress {
     /// full, quotas spent, or the generators have nothing valid in this
     /// state).
     ///
-    /// `is_leader_of[g]` and `ring_appended[g]` are indexed by *mapped*
-    /// group (sync group × shard) and gate the conflicting quota — the
-    /// appended count is read only where this node leads; `state` lets
+    /// `led(g)` gates the conflicting quota of *mapped* group `g` (sync
+    /// group × shard): how many entries its ring carries where this
+    /// node may issue to it, `None` where it may not. `state` lets
     /// generators produce context-sensitive calls.
     pub fn next<O: WorkloadSupport>(
         &mut self,
         spec: &O,
         state: &O::State,
         coord: &CoordSpec,
-        is_leader_of: &[bool],
-        ring_appended: &[u64],
+        led: impl Fn(usize) -> Option<u64>,
     ) -> Option<SessionPlan<O>> {
         if self.halted {
             return None;
@@ -482,8 +469,7 @@ impl Ingress {
                 // a dry generator).
                 MethodCategory::Conflicting { sync_group } => self
                     .reachable(sync_group, m)
-                    .filter(|&g| is_leader_of[g])
-                    .map(|g| self.conf_remaining(g, ring_appended[g]))
+                    .filter_map(|g| led(g).map(|appended| self.conf_remaining(g, appended)))
                     .sum(),
                 _ => self.free_left[m],
             };
@@ -569,7 +555,7 @@ impl Ingress {
                     };
                     let routes = route_group.is_none_or(|sg| {
                         let g = self.mapper.group_of(sg, spec.shard_key(&u));
-                        is_leader_of[g] && self.conf_remaining(g, ring_appended[g]) > 0
+                        led(g).is_some_and(|appended| self.conf_remaining(g, appended) > 0)
                     });
                     if routes {
                         generated = Some((u, t));
@@ -600,9 +586,9 @@ impl Ingress {
                     self.forfeited += self.free_left.iter().sum::<u64>();
                     self.free_left.fill(0);
                     for (g, target) in self.conf_target.iter_mut().enumerate() {
-                        if is_leader_of[g] && *target > ring_appended[g] {
-                            self.forfeited += *target - ring_appended[g];
-                            *target = ring_appended[g];
+                        if let Some(appended) = led(g).filter(|&a| *target > a) {
+                            self.forfeited += *target - appended;
+                            *target = appended;
                         }
                     }
                 }

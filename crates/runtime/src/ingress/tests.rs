@@ -16,7 +16,7 @@ fn window_limits_outstanding_per_session() {
     let mut ing = Ingress::new(&acc, &w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
     let state = 1_000i128;
     let mut issued = 0;
-    while let Some((_, p)) = ing.next(&acc, &state, &coord, &[true], &[issued]) {
+    while let Some((_, p)) = ing.next(&acc, &state, &coord, move |_| Some(issued)) {
         match p {
             Planned::Update(_) => issued += 1,
             Planned::Query(_) => {}
@@ -26,9 +26,9 @@ fn window_limits_outstanding_per_session() {
         }
     }
     assert_eq!(ing.outstanding(), 4);
-    assert!(ing.next(&acc, &state, &coord, &[true], &[issued]).is_none());
+    assert!(ing.next(&acc, &state, &coord, move |_| Some(issued)).is_none());
     ing.on_ack(0, 1_000);
-    assert!(ing.next(&acc, &state, &coord, &[true], &[issued]).is_some());
+    assert!(ing.next(&acc, &state, &coord, move |_| Some(issued)).is_some());
 }
 
 #[test]
@@ -40,7 +40,7 @@ fn sessions_multiply_inflight_up_to_the_in_flight_cap() {
     let w = WorkloadSpec::ops(10_000).with_update_ratio(1.0).with_sessions(8).with_window(4);
     let mut ing = Ingress::new(&acc, &w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
     let mut issued = 0;
-    while let Some((_, p)) = ing.next(&acc, &state, &coord, &[true], &[issued]) {
+    while let Some((_, p)) = ing.next(&acc, &state, &coord, move |_| Some(issued)) {
         if let Planned::Update(_) = p {
             issued += 1;
         }
@@ -54,7 +54,7 @@ fn sessions_multiply_inflight_up_to_the_in_flight_cap() {
         .with_window(4);
     let mut ing = Ingress::new(&acc, &w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
     let mut issued = 0;
-    while let Some((_, p)) = ing.next(&acc, &state, &coord, &[true], &[issued]) {
+    while let Some((_, p)) = ing.next(&acc, &state, &coord, move |_| Some(issued)) {
         if let Planned::Update(_) = p {
             issued += 1;
         }
@@ -72,7 +72,7 @@ fn combining_order_is_round_robin_and_deterministic() {
         let mut ing = Ingress::new(&acc, &w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
         let mut order = Vec::new();
         let state = 1_000i128;
-        while let Some((sid, _)) = ing.next(&acc, &state, &coord, &[true], &[0]) {
+        while let Some((sid, _)) = ing.next(&acc, &state, &coord, |_| Some(0)) {
             order.push(sid);
             if order.len() == 6 {
                 break;
@@ -92,12 +92,12 @@ fn window_full_session_is_skipped_not_stalled() {
     let w = WorkloadSpec::ops(10_000).with_update_ratio(1.0).with_sessions(2).with_window(1);
     let mut ing = Ingress::new(&acc, &w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
     let state = 1_000i128;
-    let (s1, _) = ing.next(&acc, &state, &coord, &[true], &[0]).expect("first");
-    let (s2, _) = ing.next(&acc, &state, &coord, &[true], &[0]).expect("second");
+    let (s1, _) = ing.next(&acc, &state, &coord, |_| Some(0)).expect("first");
+    let (s2, _) = ing.next(&acc, &state, &coord, |_| Some(0)).expect("second");
     assert_ne!(s1, s2);
-    assert!(ing.next(&acc, &state, &coord, &[true], &[0]).is_none(), "both windows full");
+    assert!(ing.next(&acc, &state, &coord, |_| Some(0)).is_none(), "both windows full");
     ing.on_ack(s2, 500);
-    let (s3, _) = ing.next(&acc, &state, &coord, &[true], &[0]).expect("slot freed");
+    let (s3, _) = ing.next(&acc, &state, &coord, |_| Some(0)).expect("slot freed");
     assert_eq!(s3, s2, "only the acked session has room");
 }
 
@@ -109,7 +109,7 @@ fn non_leader_cannot_issue_conflicting() {
     let mut ing = Ingress::new(&acc, &w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
     let state = 1_000i128;
     let mut saw_withdraw = false;
-    while let Some((s, p)) = ing.next(&acc, &state, &coord, &[false], &[0]) {
+    while let Some((s, p)) = ing.next(&acc, &state, &coord, |_| None) {
         if let Planned::Update(u) = p {
             assert!(matches!(u, hamband_core::demo::AccountUpdate::Deposit(_)));
             saw_withdraw |= matches!(u, hamband_core::demo::AccountUpdate::Withdraw(_));
@@ -127,7 +127,7 @@ fn halt_stops_issuing() {
     let mut ing = Ingress::new(&acc, &w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
     ing.halt();
     assert!(ing.local_done());
-    assert!(ing.next(&acc, &0i128, &coord, &[true], &[0]).is_none());
+    assert!(ing.next(&acc, &0i128, &coord, |_| Some(0)).is_none());
 }
 
 #[test]
@@ -152,7 +152,7 @@ fn generator_dry_state_returns_none_without_burning_quota() {
     let mut ing = Ingress::new(&acc, &w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
     ing.free_left[0] = 0; // no deposits
     let state = 0i128;
-    assert_eq!(ing.next(&acc, &state, &coord, &[true], &[0]), None);
+    assert_eq!(ing.next(&acc, &state, &coord, |_| Some(0)), None);
     assert_eq!(ing.outstanding(), 0);
 }
 
@@ -188,11 +188,9 @@ fn issues_only_on_led_shard<O: WorkloadSupport>(
     let w = WorkloadSpec::ops(2_000).with_update_ratio(1.0).with_window(64);
     let mut ing = Ingress::new(spec, &w, coord, mapper, 0, 1, 64);
     ing.free_left.fill(0);
-    let mut leads = vec![false; mapper.group_count()];
-    leads[led] = true;
-    let appended = vec![0u64; mapper.group_count()];
     let mut issued = 0;
-    while let Some((s, Planned::Update(u))) = ing.next(spec, state, coord, &leads, &appended) {
+    let only_led = |g| (g == led).then_some(0);
+    while let Some((s, Planned::Update(u))) = ing.next(spec, state, coord, only_led) {
         let sg = coord.sync_group(spec.method_of(&u)).expect("only conflicting quota is left");
         assert_eq!(mapper.group_of(sg, spec.shard_key(&u)), led, "{u:?} routed off the led shard");
         issued += 1;
@@ -235,14 +233,10 @@ fn keyless_conflicting_calls_pin_to_shard_zero() {
     // reaches: leading another shard, withdraw is no candidate, and
     // having nothing to try is not a dry generator.
     assert_eq!(ing.conf_target, [100, 0, 0, 0]);
-    let mut leads = vec![false; 4];
-    leads[3] = true;
-    assert!(ing.next(&acc, &state, &coord, &leads, &[0, 0, 0, 0]).is_none());
+    assert!(ing.next(&acc, &state, &coord, |g| (g == 3).then_some(0)).is_none());
     assert_eq!(ing.dry_streak, 0);
     // Leading shard 0 issues them.
-    let mut leads0 = vec![false; 4];
-    leads0[0] = true;
-    assert!(ing.next(&acc, &state, &coord, &leads0, &[0, 0, 0, 0]).is_some());
+    assert!(ing.next(&acc, &state, &coord, |g| (g == 0).then_some(0)).is_some());
 }
 
 #[test]
@@ -252,8 +246,8 @@ fn per_session_stats_track_acks_and_latency() {
     let w = WorkloadSpec::ops(1_000).with_update_ratio(1.0).with_sessions(2).with_window(1);
     let mut ing = Ingress::new(&acc, &w, &coord, GroupMapper::identity(&coord), 0, 1, 64);
     let state = 1_000i128;
-    let (a, _) = ing.next(&acc, &state, &coord, &[true], &[0]).expect("a");
-    let (b, _) = ing.next(&acc, &state, &coord, &[true], &[0]).expect("b");
+    let (a, _) = ing.next(&acc, &state, &coord, |_| Some(0)).expect("a");
+    let (b, _) = ing.next(&acc, &state, &coord, |_| Some(0)).expect("b");
     ing.on_ack(a, 2_000);
     ing.on_ack(b, 4_000);
     let stats = ing.session_stats();
@@ -274,13 +268,13 @@ fn open_loop_gates_issue_on_released_arrivals() {
     let state = 1_000i128;
     // No arrival has been released yet: the pump gets nothing even
     // though quota and window are wide open.
-    assert!(ing.next(&acc, &state, &coord, &[true], &[0]).is_none());
+    assert!(ing.next(&acc, &state, &coord, |_| Some(0)).is_none());
     assert_eq!(ing.arrival_backlog(), 0);
     // Release everything due in the first 10ms (~10 at 1M ops/s/1 node).
     ing.release_arrivals(SimTime(10_000_000));
     let backlog = ing.arrival_backlog();
     assert!(backlog > 0, "10ms at 1M ops/s released no arrivals");
-    let (_, p) = ing.next(&acc, &state, &coord, &[true], &[0]).expect("arrival pending");
+    let (_, p) = ing.next(&acc, &state, &coord, |_| Some(0)).expect("arrival pending");
     assert!(matches!(p, Planned::Update(_)));
     let at = ing.take_arrival().expect("arrival stamp");
     assert!(at <= SimTime(10_000_000), "arrival stamped in the future");

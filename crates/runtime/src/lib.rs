@@ -7,8 +7,9 @@
 //!   bytes, and seqlock-versioned summary slots;
 //! * [`rings`] — single-writer single-reader ring buffers with
 //!   one-sided flow control (remote reads of the reader's head);
-//! * [`heartbeat`] — heartbeat counters and the pull failure detector
-//!   (alive-set arithmetic lives in [`membership`]);
+//! * [`heartbeat`] — heartbeat counters and the pull failure detector,
+//!   which also answers the alive-set questions (recovery delegate,
+//!   election starter, quota adopter) from its own suspicions;
 //! * [`layout`] — the registered-memory map every replica shares;
 //! * [`transport`] — the [`Transport`] trait the whole runtime is
 //!   generic over: one-sided verbs, messaging, timers, permissions and
@@ -91,14 +92,6 @@
 //! assert!(outcome.report.converged);
 //! ```
 //!
-//! The JSON report has a stable key order, e.g.:
-//!
-//! ```json
-//! {"system": "hamband", "nodes": 3, "total_calls": 300, ...,
-//!  "phases": {"free": {"count": 50, "p50_us": 4.0, "p90_us": 6.0,
-//!             "p99_us": 8.0, ...}, "query": {...}}}
-//! ```
-//!
 //! ## Observability
 //!
 //! Protocol-level observability is structured: under
@@ -129,7 +122,6 @@ pub mod harness;
 pub mod heartbeat;
 pub mod ingress;
 pub mod layout;
-pub mod membership;
 pub mod messages;
 pub mod metrics;
 pub mod persist;
@@ -154,7 +146,6 @@ pub use harness::{
 };
 pub use ingress::{ClientSession, Ingress, SessionStats};
 pub use layout::Layout;
-pub use membership::Membership;
 pub use metrics::{
     FairnessSummary, LatencyHistogram, LatencySummary, NodeMetrics, RunReport,
 };

@@ -1,9 +1,10 @@
 //! Failure handling: what a replica does when its detector suspects a
 //! peer.
 //!
-//! Three deterministic reactions, each keyed off the same
-//! [`Membership`](crate::membership::Membership) snapshot so every
-//! correct observer picks the same nodes:
+//! Three deterministic reactions, each picking its nodes from the
+//! failure detector's suspicions (`FailureDetector::lowest_alive` and
+//! `next_alive_after`), so every correct observer with the same
+//! suspicion set picks the same nodes:
 //!
 //! 1. **Reliable-broadcast recovery** — the lowest alive node reads the
 //!    suspect's own copies of what it broadcasts, the `F` ring it feeds
@@ -89,10 +90,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
     pub(crate) fn on_suspect<T: Transport>(&mut self, ctx: &mut T, suspect: NodeId) {
         let node = self.me;
         ctx.emit(|| TraceEvent::FdSuspect { node, suspect });
-        let members = self.fd.membership();
         // 1. Reliable-broadcast recovery: the lowest alive node reads
         //    the suspect's own copies and re-sends them.
-        if members.lowest_alive(Some(suspect)) == self.me {
+        if self.fd.lowest_alive(Some(suspect)) == self.me {
             self.post_recovery_read(ctx, suspect);
         }
         // 1b. Cascaded recovery: if the new suspect was itself the
@@ -102,23 +102,18 @@ impl<O: WorkloadSupport> HambandNode<O> {
         //     re-broadcasts. Whoever inherits the duty re-reads the
         //     earlier suspect's copies; re-execution is idempotent
         //     (the same ring slots get the same bytes).
+        //     `suspect` recovered `s` iff it ranked below every node
+        //     other than `s` alive now. The duty passes to the lowest
+        //     of those: this node acts iff it is that one and ranks
+        //     above `suspect`.
         for s in self.fd.suspected() {
-            if s == suspect {
-                continue;
-            }
-            // The recoverer of `s` before this suspicion: the lowest
-            // node then alive, i.e. currently alive or `suspect`.
-            let prev = (0..self.n)
-                .map(NodeId)
-                .find(|&q| q != s && (q == suspect || !self.fd.is_suspected(q)))
-                .unwrap_or(self.me);
-            if prev == suspect && members.lowest_alive(Some(s)) == self.me {
+            if s != suspect && suspect < self.me && self.fd.lowest_alive(Some(s)) == self.me {
                 self.post_recovery_read(ctx, s);
             }
         }
         // 2. Workload adoption: the next alive node picks up the
         //    suspect's remaining conflict-free quota.
-        let adopter = members.next_alive_after(suspect);
+        let adopter = self.fd.next_alive_after(suspect);
         if adopter == self.me && !self.adopted[suspect.index()] && !self.workload_retired {
             self.adopted[suspect.index()] = true;
             // What the suspect did is what landed here, not what this
@@ -156,7 +151,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 && !self.halted
                 && !self.workload_retired
                 && !matches!(self.engines[g].role, Role::Candidate { .. })
-                && members.lowest_alive(Some(lv)) == self.me
+                && self.fd.lowest_alive(Some(lv)) == self.me
             {
                 self.start_election(ctx, g);
             }

@@ -276,7 +276,7 @@ mod tests {
 
     fn add(sim: &mut Simulator<HambandNode<Counter>>, delta: i64) {
         sim.with_app_ctx(N0, |app, ctx| {
-            app.issue(ctx, CounterUpdate::Add(delta), 0);
+            app.issue(ctx, CounterUpdate::Add(delta), 0, None);
         });
     }
 
@@ -448,7 +448,7 @@ mod tests {
         assert!(sim.app(N0).engines[0].is_leader());
         sim.app_mut(N0).ingress.adopt_free_quota(&[0, 1, 0], 0);
         let open = BankUpdate::OpenAccounts(vec![ACCT]);
-        sim.with_app_ctx(N1, |app, ctx| app.issue(ctx, open, 0));
+        sim.with_app_ctx(N1, |app, ctx| app.issue(ctx, open, 0, None));
         sim
     }
 
@@ -456,7 +456,7 @@ mod tests {
     fn a_withdraw_on_a_landed_but_unadopted_opening_is_accepted() {
         let mut sim = bank_with_an_opening_at_node_1();
         let withdraw = |sim: &mut Simulator<HambandNode<Bank>>| {
-            sim.with_app_ctx(N0, |app, ctx| app.issue(ctx, BankUpdate::Withdraw(ACCT, 0), 0));
+            sim.with_app_ctx(N0, |app, ctx| app.issue(ctx, BankUpdate::Withdraw(ACCT, 0), 0, None));
             let app = sim.app(N0);
             (app.metrics.rejected, app.metrics.summary_adoptions, app.outstanding.len())
         };
@@ -507,11 +507,11 @@ mod tests {
         assert!(sim.app(N0).engines[0].is_leader() && !acct.summaries_monotone());
         // The cluster does not run, so the withdraw stays uncommitted.
         sim.with_app_ctx(N0, |app, ctx| {
-            app.issue(ctx, Account::deposit(10), 0);
-            app.issue(ctx, Account::withdraw(3), 0);
+            app.issue(ctx, Account::deposit(10), 0, None);
+            app.issue(ctx, Account::withdraw(3), 0, None);
         });
         assert_eq!(sim.app(N0).spec_mat, Some(7));
-        sim.with_app_ctx(N1, |app, ctx| app.issue(ctx, Account::deposit(5), 0));
+        sim.with_app_ctx(N1, |app, ctx| app.issue(ctx, Account::deposit(5), 0, None));
         land(&mut sim, N1, N0);
         assert_eq!(sim.with_app_ctx(N0, |app, ctx| app.adopt_summaries(ctx)), 1);
         let app = sim.app(N0);

@@ -42,11 +42,11 @@ use hamband_core::wire::Wire;
 use rdma_sim::NodeId;
 
 use crate::codec::{slot_seq, Entry, SummarySlot};
-use crate::config::{FREE_RING_CAP, POLL_INTERVAL};
+use crate::config::FREE_RING_CAP;
 use crate::messages::ControlMsg;
 use crate::persist::LogRecord;
 use crate::reduce::CachedSummary;
-use crate::replica::{peers, HambandNode, TAG_FD, TAG_HEARTBEAT, TAG_POLL};
+use crate::replica::{peers, HambandNode};
 use crate::transport::Transport;
 
 impl<O: WorkloadSupport> HambandNode<O> {
@@ -230,13 +230,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // The pre-crash timer chains died inside the crash window
         // (their events were dropped while the node was down), so fresh
         // chains re-arm without doubling.
-        ctx.set_timer(POLL_INTERVAL, TAG_POLL);
-        ctx.set_timer_isolated(self.cfg.heartbeat_interval, TAG_HEARTBEAT);
-        ctx.set_timer_isolated(self.cfg.fd_interval, TAG_FD);
-        self.hb.beat(ctx);
+        self.arm_timers(ctx);
         self.hb.publish_queries(ctx, self.metrics.queries);
 
-        // Membership handshake: retire the pre-crash workload first
+        // Join handshake: retire the pre-crash workload first
         // (peers adopt the remaining quota and elect replacements for
         // any group this node led), then ask every peer which leader it
         // currently recognizes per mapped group.

@@ -36,8 +36,7 @@ use hamband_core::ids::Pid;
 use hamband_core::object::{ObjectSpec, WorkloadSupport};
 use hamband_core::wire::Wire;
 use rdma_sim::{
-    App, AppFault, CompletionStatus, Ctx, Event, IdMap, NodeId, RingKind, SimTime, TraceEvent,
-    WrId,
+    App, AppFault, CompletionStatus, Ctx, Event, IdMap, NodeId, RingKind, TraceEvent, WrId,
 };
 
 use crate::calls::{Outstanding, Route};
@@ -171,17 +170,6 @@ pub struct HambandNode<O: ObjectSpec> {
     /// the first ack in even when the replayed promise exceeds the
     /// current winning epoch (a dead pre-crash candidacy).
     pub(crate) join_epoch: Vec<u64>,
-    /// Per mapped group, refreshed by the pump before each planning
-    /// step: whether this node may issue conflicting calls there, and
-    /// how many entries it has appended to the group's ring (the quota
-    /// gate; read only where it leads).
-    pub(crate) gate_accepting: Vec<bool>,
-    pub(crate) gate_appended: Vec<u64>,
-    /// Open-loop arrival timestamp of the call being issued right now:
-    /// set by the pump before dispatching a planned update, taken by
-    /// the issue path as the call's `issued_at` so response time
-    /// includes arrival-queue wait. `None` under closed-loop load.
-    pub(crate) pending_arrival: Option<SimTime>,
 }
 
 impl<O: WorkloadSupport> HambandNode<O> {
@@ -279,11 +267,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
             halted: false,
             log: layout.persist_log.map(|r| NodeLog::new(r, PERSIST_LOG_BYTES)),
             join_epoch: vec![0; leaders.len()],
-            gate_accepting: vec![false; leaders.len()],
-            gate_appended: vec![0; leaders.len()],
             initial_leaders: leaders,
             workload_retired: false,
-            pending_arrival: None,
             spec: spec.clone(),
             coord: coord.clone(),
             cfg: cfg.clone(),
@@ -312,13 +297,18 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
         self.setup_free_endpoints();
         self.setup_conf_groups(ctx);
+        self.arm_timers(ctx);
+        self.pump(ctx);
+    }
+
+    /// Arm the poll, heartbeat and failure-detector timer chains and
+    /// beat once. Heartbeat and failure detection run as dedicated
+    /// threads (§4), so a busy application CPU cannot silence liveness.
+    pub(crate) fn arm_timers<T: Transport>(&mut self, ctx: &mut T) {
         ctx.set_timer(POLL_INTERVAL, TAG_POLL);
-        // Heartbeat and failure detection run as dedicated threads
-        // (§4), so a busy application CPU cannot silence liveness.
         ctx.set_timer_isolated(self.cfg.heartbeat_interval, TAG_HEARTBEAT);
         ctx.set_timer_isolated(self.cfg.fd_interval, TAG_FD);
         self.hb.beat(ctx);
-        self.pump(ctx);
     }
 
     // ------------------------------------------------------------------

@@ -64,7 +64,8 @@ pub struct GroupStatus {
     pub role: RoleKind,
     /// Highest epoch this node promised.
     pub promised: u64,
-    /// The group tail as this node best knows it.
+    /// The highest sequence number this node appended as the group's
+    /// leader (the ring's tail while it leads).
     pub tail: u64,
     /// Commit index as this node knows it: advanced by the leader,
     /// learnt by everyone else from the entries that carry it or from
@@ -164,8 +165,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
         let conf_done = self.engines.iter().enumerate().all(|(g, e)| match &e.role {
             Role::Candidate { .. } | Role::TakingOver { .. } => false,
-            Role::Leader(l) => {
-                self.ingress.conf_remaining(g, l.tail) == 0 && e.commit_written >= e.commit
+            Role::Leader(_) => {
+                self.ingress.conf_remaining(g, e.tail) == 0 && e.commit_written >= e.commit
             }
             Role::Follower => !self.fd.is_suspected(rdma_sim::NodeId(e.leader_view.index())),
         });
@@ -213,7 +214,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                     leader_view: e.leader_view,
                     role: RoleKind::from(&e.role),
                     promised: e.promised,
-                    tail: e.known_tail(),
+                    tail: e.tail,
                     commit: e.commit,
                     applied: e.reader.applied(),
                     uncommitted: e.leader().map_or(0, |l| l.uncommitted.len()),

@@ -112,6 +112,19 @@ if grep -rn --include='*.rs' -e 'fn to_json' -e 'push_json' crates src tests exa
   exit 1
 fi
 
+echo "== mirror guard (a replica keeps each fact once) =="
+# The failure detector answers alive-set questions from its own
+# suspicions, GroupEngine::tail is a leader's one tail, the pump hands
+# the engines' gate to Ingress::next as a closure, and an arrival time
+# reaches `issue` as its argument. A snapshot, a second tail or a field
+# that carries either is a copy growing back.
+if grep -rnE --include='*.rs' \
+    'mod membership|Membership::|gate_accepting|gate_appended|pending_arrival|tail_hint' \
+    crates src tests examples; then
+  echo "FAIL: read the fact where it lives; keep no copy of it in another field"
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release
 
