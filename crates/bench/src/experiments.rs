@@ -71,7 +71,7 @@ impl std::fmt::Display for FigOutcome {
     }
 }
 
-fn check(claim: &str, holds: bool, detail: String) -> Check {
+pub(crate) fn check(claim: &str, holds: bool, detail: String) -> Check {
     Check { claim: claim.to_string(), holds, detail }
 }
 
@@ -79,39 +79,19 @@ fn cfg(nodes: usize, ops: u64, ratio: f64, seed: u64) -> RunConfig {
     RunConfig::new(nodes, WorkloadSpec::ops(ops).with_update_ratio(ratio).with_seed(seed)).with_seed(seed ^ 0xfab)
 }
 
-fn run_hb<O>(spec: &O, coord: &CoordSpec, rc: &RunConfig) -> RunReport
+/// One run of `system` on `spec`. Mu-SMR substitutes the complete
+/// conflict relation for `coord` and reads only its method count.
+pub(crate) fn run<O>(system: System, spec: &O, coord: &CoordSpec, rc: &RunConfig) -> RunReport
 where
     O: WorkloadSupport + Clone + Send,
     O::Update: Send,
     O::State: Send,
 {
-    Runner::new(System::Hamband, rc.clone()).run(spec, coord).report
-}
-
-fn run_msg<O>(spec: &O, coord: &CoordSpec, rc: &RunConfig) -> RunReport
-where
-    O: WorkloadSupport + Clone + Send,
-    O::Update: Send,
-    O::State: Send,
-{
-    Runner::new(System::Msg, rc.clone()).run(spec, coord).report
-}
-
-fn run_mu<O>(spec: &O, rc: &RunConfig) -> RunReport
-where
-    O: WorkloadSupport + Clone + Send,
-    O::Update: Send,
-    O::State: Send,
-{
-    // The Mu-SMR runner derives the complete conflict relation itself;
-    // the coordination spec only contributes its method count.
-    Runner::new(System::MuSmr, rc.clone())
-        .run(spec, &CoordSpec::builder(spec.method_count()).build())
-        .report
+    Runner::new(system, rc.clone()).run(spec, coord).report
 }
 
 /// Geometric mean of positive ratios.
-fn gmean(v: &[f64]) -> f64 {
+pub(crate) fn gmean(v: &[f64]) -> f64 {
     if v.is_empty() {
         return 0.0;
     }
@@ -123,8 +103,9 @@ const SWEEP_RATIOS: [f64; 3] = [0.25, 0.15, 0.05];
 /// Node counts of the Fig. 8 and Fig. 9 sweeps.
 const SWEEP_NODES: [usize; 5] = [3, 4, 5, 6, 7];
 
-/// Hamband, MSG and Mu, in that order, each running one type.
-type Systems<'a> = [&'a dyn Fn(&RunConfig) -> RunReport; 3];
+/// The systems a Fig. 8 / Fig. 9 sweep and the headline compare, in
+/// the order their rows are printed.
+const SYSTEMS: [System; 3] = [System::Hamband, System::Msg, System::MuSmr];
 
 /// One system's runs at one update ratio of a sweep.
 struct SweepRow {
@@ -136,17 +117,23 @@ struct SweepRow {
 
 /// The Fig. 8 / Fig. 9 sweep of one type: every ratio of
 /// [`SWEEP_RATIOS`] at every node count `n` of [`SWEEP_NODES`] on the
-/// three `systems`, seeded `seed + n` and rendered into `table`; a run
-/// that does not converge clears `converged`. Returns each ratio's
+/// three [`SYSTEMS`], seeded `seed + n` and rendered into `table`; a
+/// run that does not converge clears `converged`. Returns each ratio's
 /// three rows.
-fn sweep(
+fn sweep<O>(
     name: &str,
-    systems: Systems<'_>,
+    spec: &O,
+    coord: &CoordSpec,
     ops: u64,
     seed: u64,
     table: &mut String,
     converged: &mut bool,
-) -> Vec<[SweepRow; 3]> {
+) -> Vec<[SweepRow; 3]>
+where
+    O: WorkloadSupport + Clone + Send,
+    O::Update: Send,
+    O::State: Send,
+{
     let mut rows = Vec::new();
     for &ratio in &SWEEP_RATIOS {
         let _ = writeln!(table, "{name}, {}% updates:", (ratio * 100.0) as u32);
@@ -156,10 +143,10 @@ fn sweep(
         }
         let _ = writeln!(table, "  rt@4 (us)");
         rows.push(std::array::from_fn(|i| {
-            let _ = write!(table, "  {:>8}", ["hamband", "msg", "mu-smr"][i]);
+            let _ = write!(table, "  {:>8}", SYSTEMS[i].label());
             let mut row = SweepRow { tput: Vec::new(), rt4: 0.0 };
             for &n in &SWEEP_NODES {
-                let rep = systems[i](&cfg(n, ops, ratio, seed + n as u64));
+                let rep = run(SYSTEMS[i], spec, coord, &cfg(n, ops, ratio, seed + n as u64));
                 *converged &= rep.converged;
                 let _ = write!(table, "  {:<9.2}", rep.throughput_ops_per_us);
                 row.tput.push(rep.throughput_ops_per_us);
@@ -187,27 +174,11 @@ pub fn fig8(opts: &ExpOptions) -> FigOutcome {
     let mut all_converged = true;
     // Per type, then per update ratio: the three systems' rows.
     let mut sweeps = Vec::new();
-    {
-        let c = Counter::default();
-        let coord = c.coord_spec();
-        let systems: Systems =
-            [&|rc| run_hb(&c, &coord, rc), &|rc| run_msg(&c, &coord, rc), &|rc| run_mu(&c, rc)];
-        sweeps.extend(sweep("Counter", systems, opts.ops, opts.seed, &mut table, &mut all_converged));
-    }
-    {
-        let l = LwwRegister::default();
-        let coord = l.coord_spec();
-        let systems: Systems =
-            [&|rc| run_hb(&l, &coord, rc), &|rc| run_msg(&l, &coord, rc), &|rc| run_mu(&l, rc)];
-        sweeps.extend(sweep("LWW", systems, opts.ops, opts.seed, &mut table, &mut all_converged));
-    }
-    {
-        let g = GSet::default();
-        let coord = g.coord_spec();
-        let systems: Systems =
-            [&|rc| run_hb(&g, &coord, rc), &|rc| run_msg(&g, &coord, rc), &|rc| run_mu(&g, rc)];
-        sweeps.extend(sweep("GSet", systems, opts.ops, opts.seed, &mut table, &mut all_converged));
-    }
+    let (c, l, g) = (Counter::default(), LwwRegister::default(), GSet::default());
+    let (t, ok) = (&mut table, &mut all_converged);
+    sweeps.extend(sweep("Counter", &c, &c.coord_spec(), opts.ops, opts.seed, t, ok));
+    sweeps.extend(sweep("LWW", &l, &l.coord_spec(), opts.ops, opts.seed, t, ok));
+    sweeps.extend(sweep("GSet", &g, &g.coord_spec(), opts.ops, opts.seed, t, ok));
 
     // Ratios at 4 nodes (index 1).
     let hb_over_msg: Vec<f64> =
@@ -271,30 +242,11 @@ pub fn fig9(opts: &ExpOptions) -> FigOutcome {
     let seed = opts.seed + 31;
     // Per type, then per update ratio: the three systems' rows.
     let mut sweeps = Vec::new();
-    {
-        let o = OrSet::default();
-        let coord = o.coord_spec();
-        let systems: Systems =
-            [&|rc| run_hb(&o, &coord, rc), &|rc| run_msg(&o, &coord, rc), &|rc| run_mu(&o, rc)];
-        sweeps.extend(sweep("ORSet", systems, opts.ops, seed, &mut table, &mut all_converged));
-    }
-    {
-        let g = GSet::default();
-        let coord = g.coord_spec_buffered();
-        let systems: Systems =
-            [&|rc| run_hb(&g, &coord, rc), &|rc| run_msg(&g, &coord, rc), &|rc| run_mu(&g, rc)];
-        sweeps.extend(sweep("GSet(buffered)", systems, opts.ops, seed, &mut table, &mut all_converged));
-    }
-    {
-        let cart = Cart::default();
-        let coord = cart.coord_spec();
-        let systems: Systems = [
-            &|rc| run_hb(&cart, &coord, rc),
-            &|rc| run_msg(&cart, &coord, rc),
-            &|rc| run_mu(&cart, rc),
-        ];
-        sweeps.extend(sweep("Cart", systems, opts.ops, seed, &mut table, &mut all_converged));
-    }
+    let (o, g, cart) = (OrSet::default(), GSet::default(), Cart::default());
+    let (t, ok) = (&mut table, &mut all_converged);
+    sweeps.extend(sweep("ORSet", &o, &o.coord_spec(), opts.ops, seed, t, ok));
+    sweeps.extend(sweep("GSet(buffered)", &g, &g.coord_spec_buffered(), opts.ops, seed, t, ok));
+    sweeps.extend(sweep("Cart", &cart, &cart.coord_spec(), opts.ops, seed, t, ok));
     let hb_over_msg: Vec<f64> =
         sweeps.iter().map(|[hb, msg, _]| hb.tput[1] / msg.tput[1].max(1e-9)).collect();
     let hb_over_mu: Vec<f64> =
@@ -349,8 +301,8 @@ pub fn fig10(opts: &ExpOptions) -> FigOutcome {
     let mut all_converged = true;
     for (i, &ops) in sizes.iter().enumerate() {
         let rc = cfg(4, ops, 1.0, opts.seed + 100 + i as u64);
-        let hb = run_hb(&m, &coord, &rc);
-        let mu = run_mu(&m, &rc);
+        let hb = run(System::Hamband, &m, &coord, &rc);
+        let mu = run(System::MuSmr, &m, &coord, &rc);
         let rc1 = rc.clone().with_leaders(vec![Pid(0), Pid(0)]);
         let hb1 = Runner::new(System::Hamband, rc1).with_label("hamband-1ldr").run(&m, &coord).report;
         all_converged &= hb.converged && mu.converged && hb1.converged;
@@ -409,8 +361,8 @@ pub fn fig11(opts: &ExpOptions) -> FigOutcome {
     );
     for (i, &ratio) in ratios.iter().enumerate() {
         let rc = cfg(4, opts.ops, ratio, opts.seed + 200 + i as u64);
-        let hb = run_hb(&p, &coord, &rc);
-        let mu = run_mu(&p, &rc);
+        let hb = run(System::Hamband, &p, &coord, &rc);
+        let mu = run(System::MuSmr, &p, &coord, &rc);
         all_converged &= hb.converged && mu.converged;
         let gain = hb.throughput_ops_per_us / mu.throughput_ops_per_us.max(1e-9);
         gains.push(gain);
@@ -492,16 +444,9 @@ pub fn fig12(opts: &ExpOptions) -> FigOutcome {
         let _ = writeln!(table);
     };
 
-    {
-        let c = Counter::default();
-        let coord = c.coord_spec();
-        run_case("Counter", &|rc| run_hb(&c, &coord, rc), &mut table);
-    }
-    {
-        let o = OrSet::default();
-        let coord = o.coord_spec();
-        run_case("ORSet", &|rc| run_hb(&o, &coord, rc), &mut table);
-    }
+    let (c, o) = (Counter::default(), OrSet::default());
+    run_case("Counter", &|rc| run(System::Hamband, &c, &c.coord_spec(), rc), &mut table);
+    run_case("ORSet", &|rc| run(System::Hamband, &o, &o.coord_spec(), rc), &mut table);
 
     let avg_drop = drops.iter().sum::<f64>() / drops.len() as f64;
     let avg_rt_inc = rt_increases.iter().sum::<f64>() / rt_increases.len() as f64;
@@ -550,7 +495,7 @@ pub fn fig13(opts: &ExpOptions) -> FigOutcome {
             rc.faults =
                 FaultPlan::new().at(SimTime(normal_end / 2), Fault::SuspendHeartbeat(*v));
         }
-        let rep = run_hb(&cw, &coord, &rc);
+        let rep = run(System::Hamband, &cw, &coord, &rc);
         if victim.is_none() {
             normal_end = rep.completed_at.nanos();
         }
@@ -619,7 +564,7 @@ pub fn headline(opts: &ExpOptions) -> FigOutcome {
     let mut rt_mu = Vec::new();
     let mut all_converged = true;
 
-    let mut add = |hb: RunReport, msg: RunReport, mu: RunReport| {
+    let mut add = |[hb, msg, mu]: [RunReport; 3]| {
         tput_msg.push(hb.throughput_ops_per_us / msg.throughput_ops_per_us.max(1e-9));
         tput_mu.push(hb.throughput_ops_per_us / mu.throughput_ops_per_us.max(1e-9));
         rt_msg.push(msg.mean_rt_us / hb.mean_rt_us.max(1e-9));
@@ -629,16 +574,9 @@ pub fn headline(opts: &ExpOptions) -> FigOutcome {
 
     for (i, ratio) in [0.25, 0.05].into_iter().enumerate() {
         let rc = cfg(4, opts.ops, ratio, opts.seed + 500 + i as u64);
-        {
-            let c = Counter::default();
-            let coord = c.coord_spec();
-            add(run_hb(&c, &coord, &rc), run_msg(&c, &coord, &rc), run_mu(&c, &rc));
-        }
-        {
-            let o = OrSet::default();
-            let coord = o.coord_spec();
-            add(run_hb(&o, &coord, &rc), run_msg(&o, &coord, &rc), run_mu(&o, &rc));
-        }
+        let (c, o) = (Counter::default(), OrSet::default());
+        add(SYSTEMS.map(|system| run(system, &c, &c.coord_spec(), &rc)));
+        add(SYSTEMS.map(|system| run(system, &o, &o.coord_spec(), &rc)));
     }
 
     let table = format!(

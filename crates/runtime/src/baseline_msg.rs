@@ -80,11 +80,10 @@ pub struct MsgCrdtNode<O: ObjectSpec> {
     /// Buffered out-of-order remote calls, per source.
     pending: Vec<VecDeque<Entry<O::Update>>>,
     ingress: Ingress,
-    /// Own call seq → (call id, acks still expected, issue time,
-    /// method, issuing session).
-    awaiting: HashMap<u64, (u64, usize, SimTime, MethodId, u32)>,
+    /// Own call seq → (acks still expected, issue time, method,
+    /// issuing session).
+    awaiting: HashMap<u64, (usize, SimTime, MethodId, u32)>,
     next_seq: u64,
-    next_call_id: u64,
     halted: bool,
     /// Exposed measurements.
     pub metrics: NodeMetrics,
@@ -114,7 +113,6 @@ impl<O: WorkloadSupport> MsgCrdtNode<O> {
             ingress,
             awaiting: HashMap::new(),
             next_seq: 0,
-            next_call_id: 0,
             halted: false,
             metrics: NodeMetrics::default(),
             spec,
@@ -162,8 +160,6 @@ impl<O: WorkloadSupport> MsgCrdtNode<O> {
         let deps = self.applied.project(self.coord.dependencies(method));
         let seq = self.next_seq;
         self.next_seq += 1;
-        let call_id = self.next_call_id;
-        self.next_call_id += 1;
         let rid = Rid::new(Pid(self.me.index()), seq);
         self.state = post;
         self.applied.increment(Pid(self.me.index()), method);
@@ -175,14 +171,14 @@ impl<O: WorkloadSupport> MsgCrdtNode<O> {
                 ctx.send(NodeId(q), frame.clone());
             }
         }
-        self.awaiting.insert(seq, (call_id, self.n - 1, ctx.now(), method, session));
+        self.awaiting.insert(seq, (self.n - 1, ctx.now(), method, session));
         if self.n == 1 {
             self.complete(ctx, seq);
         }
     }
 
     fn complete(&mut self, ctx: &mut Ctx<'_>, seq: u64) {
-        if let Some((_, _, issued_at, method, session)) = self.awaiting.remove(&seq) {
+        if let Some((_, issued_at, method, session)) = self.awaiting.remove(&seq) {
             // MSG replicates every update through the conflict-free
             // broadcast path; report it under the FREE phase.
             self.metrics.ack_update(method.index(), Phase::Free, issued_at, ctx.now());
@@ -261,8 +257,8 @@ impl<O: WorkloadSupport> App for MsgCrdtNode<O> {
                     let done = {
                         match self.awaiting.get_mut(&seq) {
                             Some(slot) => {
-                                slot.1 -= 1;
-                                slot.1 == 0
+                                slot.0 -= 1;
+                                slot.0 == 0
                             }
                             None => false,
                         }

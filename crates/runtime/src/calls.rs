@@ -245,7 +245,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
         ctx.charge_apply();
         let method = self.spec.method_of(&update);
-        let (call_id, rid) = self.mint_call();
+        // A call's one identity is its `Rid`; the seq keys `outstanding`.
+        let rid = Rid::new(Pid(self.me.index()), self.next_rid_seq);
+        self.next_rid_seq += 1;
+        let call_id = rid.seq;
         let path = match self.coord.category(method) {
             MethodCategory::Reducible { sum_group } => {
                 self.issue_reduce(ctx, call_id, update, method, sum_group.index())
@@ -292,15 +295,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
         let reply = self.spec.query(&self.mat, q);
         let cost = ctx.charge_apply();
         (reply, SimDuration(cost.as_nanos() * (adopted + 1)))
-    }
-
-    /// Mint a fresh (call id, replica-unique request id) pair.
-    fn mint_call(&mut self) -> (u64, Rid) {
-        let call_id = self.next_call_id;
-        self.next_call_id += 1;
-        let rid = Rid::new(Pid(self.me.index()), self.next_rid_seq);
-        self.next_rid_seq += 1;
-        (call_id, rid)
     }
 
     /// Reject an impermissible call (or one `abort_call` orphaned):
@@ -431,7 +425,7 @@ mod tests {
         sim.with_app_ctx(N0, |app, ctx| {
             app.issue(ctx, update, 0, None);
             app.pump(ctx);
-            app.next_call_id - 1
+            app.next_rid_seq - 1
         })
     }
 

@@ -277,7 +277,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
         );
         let old = std::mem::replace(self, fresh);
         self.metrics = old.metrics;
-        self.next_call_id = old.next_call_id;
         self.next_rid_seq = old.next_rid_seq;
         self.log = old.log;
         self.setup_free_endpoints();

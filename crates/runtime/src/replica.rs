@@ -136,7 +136,8 @@ pub struct HambandNode<O: ObjectSpec> {
     /// Exposed measurements.
     pub metrics: NodeMetrics,
 
-    pub(crate) next_call_id: u64,
+    /// Seq of the next call this node mints: its `Rid` seq, which is
+    /// also its key in `outstanding`.
     pub(crate) next_rid_seq: u64,
     pub(crate) outstanding: IdMap<u64, Outstanding>,
     /// (free ring seq) → call id.
@@ -257,7 +258,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
             ingress,
             workload: workload.clone(),
             metrics: NodeMetrics::default(),
-            next_call_id: 0,
             next_rid_seq: 0,
             outstanding: IdMap::default(),
             free_call_by_seq: IdMap::default(),
@@ -532,8 +532,8 @@ mod tests {
         for i in 0..3 {
             let app = sim.app(NodeId(i));
             assert!(!app.ingress.local_done(), "node {i} has no quota left");
-            assert!(app.next_call_id > 100, "node {i} issued {}", app.next_call_id);
-            let bodies = apply_cost * (app.next_call_id + app.metrics.summary_adoptions);
+            assert!(app.next_rid_seq > 100, "node {i} issued {}", app.next_rid_seq);
+            let bodies = apply_cost * (app.next_rid_seq + app.metrics.summary_adoptions);
             assert_eq!(stats.cpu_busy_ns[i], bodies + stats.cpu_post_ns[i], "node {i}");
         }
     }

@@ -125,6 +125,24 @@ if grep -rnE --include='*.rs' \
   exit 1
 fi
 
+echo "== one-driver guard (crates/bench runs figures and chaos; the explorers have one caller) =="
+# The ablations are an outcome `figures` checks, and every model-checking
+# case is a tier-1 test. A third bench binary is an unchecked number
+# growing back; an explorer call outside tests/model_checking.rs is one
+# a port of core::explore to the runtime (ROADMAP item 7(c)) would miss.
+onedriver=0
+if find crates/bench/src/bin -type f ! -name figures.rs ! -name chaos.rs | grep .; then
+  onedriver=1
+fi
+if grep -rnE --include='*.rs' 'explore_(rdma|abstract)' crates src tests examples \
+    | grep -v -e '^crates/core/src/explore\.rs:' -e '^tests/model_checking\.rs:'; then
+  onedriver=1
+fi
+if [ "$onedriver" -ne 0 ]; then
+  echo "FAIL: add a figures outcome or a tests/model_checking.rs case instead of another driver"
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release
 

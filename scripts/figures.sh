@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# The paper-shape checks of `figures all` (Figs. 8-13 and the headline)
-# at 2 000 ops per data point: every `[ok]` / `[!!]` line with the
-# number it printed, under its figure's heading, then the per-figure
-# summary: 26 checks and 7 summary lines, about two seconds.
+# The paper-shape checks of `figures all` (Figs. 8-13, the headline and
+# the two design-choice ablations) at 2 000 ops per data point: every
+# `[ok]` / `[!!]` line with the number it printed, under its figure's
+# heading, then the per-figure summary: 28 checks and 8 summary lines,
+# about two seconds.
 #
 #   scripts/figures.sh           print them
 #   scripts/figures.sh --check   diff them against scripts/figures.txt
@@ -14,8 +15,9 @@
 # one that moves the Hamband / MSG / Mu-SMR frontier — who wins, by how
 # much, which checks hold — regenerates the file (`scripts/figures.sh >
 # scripts/figures.txt`) and shows the moved lines in its diff. The
-# thresholds live in crates/bench/src/experiments.rs; a `[!!]` here is a
-# recorded state of the reproduction (ROADMAP item 2(d)), not a CI
+# thresholds live in crates/bench/src/experiments.rs and ablations.rs; a
+# `[!!]` here is a recorded state of the reproduction (every check has
+# held since the Mu-SMR baseline runs at `max_batch = 1`), not a CI
 # failure — an unrecorded change is.
 set -euo pipefail
 cd "$(dirname "$0")/.."

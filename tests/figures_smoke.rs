@@ -3,7 +3,7 @@
 //! counts. (The full sweeps live in `cargo run -p hamband-bench --bin
 //! figures`; these cover the cheaper figures.)
 
-use hamband_bench::{fig10, fig11, fig13, headline, ExpOptions};
+use hamband_bench::{ablations, fig10, fig11, fig13, headline, ExpOptions};
 
 fn small() -> ExpOptions {
     ExpOptions { ops: 400, seed: 0x51_0e }
@@ -37,5 +37,11 @@ fn fig13_shape_holds() {
 #[test]
 fn headline_shape_holds() {
     let out = headline(&small());
+    assert!(out.all_hold(), "{out}");
+}
+
+#[test]
+fn ablations_shape_holds() {
+    let out = ablations(&small());
     assert!(out.all_hold(), "{out}");
 }

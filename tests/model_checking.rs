@@ -1,15 +1,17 @@
 //! Small-scope model checking across data types: the paper's lemmas
 //! verified over *all* interleavings of small scripted executions, for
-//! representatives of each method-category combination.
+//! every shipped type family, under both explorers.
 
 use hamband::core::explore::{explore_abstract, explore_rdma, ExploreConfig};
 use hamband::types::bank::BankUpdate;
 use hamband::types::cart::CartUpdate;
 use hamband::types::counter::CounterUpdate;
 use hamband::types::courseware::CoursewareUpdate;
+use hamband::types::gset::GSetUpdate;
 use hamband::types::movie::MovieUpdate;
 use hamband::types::orset::OrSetUpdate;
-use hamband::types::{Bank, Cart, Counter, Courseware, Movie, OrSet};
+use hamband::types::project::ProjectUpdate;
+use hamband::types::{Bank, Cart, Counter, Courseware, GSet, Movie, OrSet, Project};
 
 fn cfg() -> ExploreConfig {
     ExploreConfig { max_states: 300_000 }
@@ -56,8 +58,40 @@ fn cart_exhaustive() {
         vec![CartUpdate::Add { item: 1, qty: 2 }, CartUpdate::Remove { item: 1, qty: 1 }],
         vec![CartUpdate::Add { item: 1, qty: 3 }],
     ];
+    let abs = explore_abstract(&cart, &coord, &scripts, &cfg()).expect("abstract lemmas");
+    assert!(abs.exhaustive, "{abs:?}");
     let conc = explore_rdma(&cart, &coord, &scripts, &cfg()).expect("concrete corollaries");
     assert!(conc.exhaustive);
+}
+
+#[test]
+fn gset_reduced_and_buffered_exhaustive() {
+    let g = GSet::default();
+    let scripts = vec![
+        vec![GSetUpdate::AddAll(vec![1]), GSetUpdate::AddAll(vec![2, 3])],
+        vec![GSetUpdate::AddAll(vec![3, 4])],
+    ];
+    // The same set through summary slots and through the `F` rings.
+    for coord in [g.coord_spec(), g.coord_spec_buffered()] {
+        let abs = explore_abstract(&g, &coord, &scripts, &cfg()).expect("abstract lemmas");
+        assert!(abs.exhaustive, "{abs:?}");
+        let conc = explore_rdma(&g, &coord, &scripts, &cfg()).expect("concrete corollaries");
+        assert!(conc.exhaustive, "{conc:?}");
+    }
+}
+
+#[test]
+fn project_exhaustive() {
+    let p = Project::default();
+    let coord = p.coord_spec();
+    let scripts = vec![
+        vec![ProjectUpdate::AddProject(1), ProjectUpdate::WorksOn(7, 1)],
+        vec![ProjectUpdate::AddEmployees(vec![7])],
+    ];
+    let abs = explore_abstract(&p, &coord, &scripts, &cfg()).expect("abstract lemmas");
+    assert!(abs.exhaustive, "{abs:?}");
+    let conc = explore_rdma(&p, &coord, &scripts, &cfg()).expect("concrete corollaries");
+    assert!(conc.exhaustive, "{conc:?}");
 }
 
 #[test]
@@ -70,6 +104,8 @@ fn movie_two_groups_exhaustive() {
         vec![MovieUpdate::DeleteCustomer(1)],
         vec![MovieUpdate::DeleteMovie(9)],
     ];
+    let abs = explore_abstract(&m, &coord, &scripts, &cfg()).expect("abstract lemmas");
+    assert!(abs.exhaustive, "{abs:?}");
     let conc = explore_rdma(&m, &coord, &scripts, &cfg()).expect("concrete corollaries");
     assert!(conc.exhaustive, "{conc:?}");
 }
@@ -82,6 +118,8 @@ fn courseware_all_categories_exhaustive() {
         vec![CoursewareUpdate::AddCourse(1), CoursewareUpdate::Enroll(7, 1)],
         vec![CoursewareUpdate::RegisterStudents(vec![7])],
     ];
+    let abs = explore_abstract(&cw, &coord, &scripts, &cfg()).expect("abstract lemmas");
+    assert!(abs.exhaustive, "{abs:?}");
     let conc = explore_rdma(&cw, &coord, &scripts, &cfg()).expect("concrete corollaries");
     assert!(conc.exhaustive, "{conc:?}");
 }
