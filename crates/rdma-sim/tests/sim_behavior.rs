@@ -17,6 +17,8 @@ struct Recorder {
     read_data: Option<Vec<u8>>,
     cas_prior: Option<u64>,
     heartbeat_suspended: bool,
+    /// When each completion and each message reached the application.
+    at: Vec<(VerbKind, SimTime)>,
 }
 
 impl Recorder {
@@ -29,16 +31,18 @@ impl Recorder {
             read_data: None,
             cas_prior: None,
             heartbeat_suspended: false,
+            at: Vec::new(),
         }
     }
 }
 
 impl App for Recorder {
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
-    fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
         match event {
             Event::Completion { status, kind, data, .. } => {
                 self.completions.push((status, kind));
+                self.at.push((kind, ctx.now()));
                 match kind {
                     VerbKind::Read => self.read_data = data,
                     VerbKind::CompareAndSwap => {
@@ -51,7 +55,10 @@ impl App for Recorder {
                     _ => {}
                 }
             }
-            Event::Message { payload, .. } => self.messages.push(payload),
+            Event::Message { payload, .. } => {
+                self.at.push((VerbKind::Send, ctx.now()));
+                self.messages.push(payload)
+            }
             Event::Timer { .. } => self.timer_fires += 1,
             Event::Fault { kind: AppFault::SuspendHeartbeat } => {
                 self.heartbeat_suspended = true
@@ -409,4 +416,139 @@ fn stats_count_traffic() {
     assert_eq!(s.one_sided_total(), 3);
     assert_eq!(s.one_sided_bytes, 19);
     assert_eq!(s.per_node_ops[0], 3);
+}
+
+#[test]
+fn verbs_from_an_idle_node_complete_at_pinned_instants() {
+    // Deterministic model, posted at 1 µs: 60 ns of posting CPU, the
+    // verb leaves the NIC at 1 110 ns. A WRITE completes when it
+    // lands; a READ or CAS acts at half its round trip and completes
+    // at the whole; a SEND is delivered one message latency later.
+    let one = |post: &dyn Fn(&mut Ctx<'_>, RegionId)| {
+        let (mut sim, region) = two_nodes();
+        sim.run_for(SimDuration::micros(1));
+        sim.with_app_ctx(NodeId(0), |_, ctx| post(ctx, region));
+        sim.run_for(SimDuration::millis(1));
+        let mut at = sim.app(NodeId(0)).at.clone();
+        at.extend(sim.app(NodeId(1)).at.iter().copied());
+        at
+    };
+    let write = one(&|ctx, r| {
+        ctx.post_write(NodeId(1), r, 0, &[7; 100]);
+    });
+    assert_eq!(write, vec![(VerbKind::Write, SimTime(2_130))]);
+    let read = one(&|ctx, r| {
+        ctx.post_read(NodeId(1), r, 0, 100);
+    });
+    assert_eq!(read, vec![(VerbKind::Read, SimTime(3_130))]);
+    let cas = one(&|ctx, r| {
+        ctx.post_cas(NodeId(1), r, 0, 0, 1);
+    });
+    assert_eq!(cas, vec![(VerbKind::CompareAndSwap, SimTime(3_710))]);
+    let send = one(&|ctx, _| ctx.send(NodeId(1), vec![7; 100]));
+    assert_eq!(send, vec![(VerbKind::Send, SimTime(26_130))]);
+}
+
+/// Two nodes sharing one durable region, a fault plan installed.
+fn durable_pair(plan: FaultPlan) -> (Simulator<Recorder>, RegionId) {
+    let mut sim = Simulator::new(2, LatencyModel::deterministic(), 1);
+    let region = sim.add_region_all_durable(64);
+    sim.set_apps(|_| Recorder::new(region));
+    sim.install_fault_plan(&plan);
+    (sim, region)
+}
+
+/// Crash node 1 and restart it losing unfenced stores, now.
+fn crash_and_restart(sim: &mut Simulator<Recorder>) {
+    let t = sim.now();
+    sim.install_fault_plan(
+        &FaultPlan::new()
+            .at(t, Fault::Crash(NodeId(1)))
+            .at(t + SimDuration::micros(1), Fault::Restart(NodeId(1), true)),
+    );
+    sim.run_for(SimDuration::micros(10));
+    assert!(!sim.is_crashed(NodeId(1)));
+}
+
+#[test]
+fn remote_writes_are_durable_once_landed() {
+    let (mut sim, region) = durable_pair(FaultPlan::new());
+    sim.with_app_ctx(NodeId(0), |_, ctx| {
+        ctx.post_write(NodeId(1), region, 8, b"durable!");
+    });
+    sim.run_for(SimDuration::millis(1));
+    crash_and_restart(&mut sim);
+    assert_eq!(&sim.region_bytes(NodeId(1), region)[8..16], b"durable!");
+}
+
+#[test]
+fn both_halves_of_a_torn_write_are_durable() {
+    let (mut sim, region) =
+        durable_pair(FaultPlan::new().at(SimTime(0), Fault::TornWrites(NodeId(1))));
+    sim.run_for(SimDuration::micros(1));
+    sim.with_app_ctx(NodeId(0), |_, ctx| {
+        ctx.post_write(NodeId(1), region, 0, b"payloadC");
+    });
+    sim.run_for(SimDuration::millis(1));
+    assert_eq!(sim.app(NodeId(0)).completions.len(), 1);
+    crash_and_restart(&mut sim);
+    assert_eq!(&sim.region_bytes(NodeId(1), region)[..8], b"payloadC");
+}
+
+#[test]
+fn a_successful_cas_is_durable_and_a_failed_one_changes_nothing() {
+    let (mut sim, region) = durable_pair(FaultPlan::new());
+    // An unfenced store under the failing CAS: were the CAS to write
+    // through, the store would survive the restart.
+    sim.with_app_ctx(NodeId(1), |_, ctx| {
+        ctx.local_write(region, 16, &7u64.to_le_bytes());
+    });
+    sim.with_app_ctx(NodeId(0), |_, ctx| {
+        ctx.post_cas(NodeId(1), region, 0, 0, 99);
+        ctx.post_cas(NodeId(1), region, 16, 5, 9);
+    });
+    sim.run_for(SimDuration::millis(1));
+    assert_eq!(sim.app(NodeId(0)).cas_prior, Some(7), "the second CAS fails");
+    assert_eq!(&sim.region_bytes(NodeId(1), region)[16..24], &7u64.to_le_bytes());
+    crash_and_restart(&mut sim);
+    let bytes = sim.region_bytes(NodeId(1), region);
+    assert_eq!(&bytes[0..8], &99u64.to_le_bytes());
+    assert_eq!(&bytes[16..24], &[0; 8]);
+}
+
+#[test]
+fn local_writes_are_durable_only_once_fenced() {
+    let (mut sim, region) = durable_pair(FaultPlan::new());
+    sim.with_app_ctx(NodeId(1), |_, ctx| {
+        ctx.local_write(region, 0, b"fenced");
+        ctx.fence_region(region);
+        ctx.local_write(region, 32, b"unfenced");
+    });
+    crash_and_restart(&mut sim);
+    let bytes = sim.region_bytes(NodeId(1), region);
+    assert_eq!(&bytes[0..6], b"fenced");
+    assert_eq!(&bytes[32..40], &[0; 8]);
+}
+
+#[test]
+fn a_read_is_not_ordered_behind_an_earlier_write_on_its_pair() {
+    // RC would order the READ after the WRITE; this fabric keeps FIFO
+    // among WRITEs only, so a READ posted right behind a large WRITE
+    // to the same (issuer, target) pair overtakes it.
+    let mut sim = Simulator::new(2, LatencyModel::deterministic(), 1);
+    let region = sim.add_region_all(16_384);
+    sim.set_apps(|_| Recorder::new(region));
+    sim.run_for(SimDuration::micros(1));
+    sim.with_app_ctx(NodeId(0), |_, ctx| {
+        ctx.post_write(NodeId(1), region, 0, &[0xab; 10_000]);
+        ctx.post_read(NodeId(1), region, 0, 4);
+    });
+    sim.run_for(SimDuration::millis(1));
+    let app = sim.app(NodeId(0));
+    assert_eq!(app.read_data.as_deref(), Some(&[0u8; 4][..]), "the READ returns the old bytes");
+    assert_eq!(
+        app.at,
+        vec![(VerbKind::Read, SimTime(3_220)), (VerbKind::Write, SimTime(4_110))]
+    );
+    assert_eq!(sim.region_bytes(NodeId(1), region)[0], 0xab);
 }
