@@ -14,11 +14,22 @@
 //!   clock;
 //! * a **NIC transmit clock** per node — each posted verb serializes
 //!   through it, bounding a node's injection rate;
-//! * a **FIFO channel clock** per (issuer, target) pair — Reliable
-//!   Connection QPs deliver one-sided operations in posting order, which
-//!   the single-writer ring buffers of §4 rely on;
+//! * **FIFO clocks** per (issuer, target) pair — the fabric's ordering
+//!   model. WRITEs land in posting order, which the single-writer ring
+//!   buffers of §4 rely on; SENDs are delivered in posting order on a
+//!   clock of their own. READ and CAS are ordered behind neither: they
+//!   act at the target half a round trip after leaving the NIC, so one
+//!   can overtake an earlier WRITE on its pair, which an RC queue pair
+//!   forbids. A 4-byte READ posted behind a 10 000-byte WRITE at 1 µs
+//!   completes at 3 220 ns with the old bytes; the WRITE lands at
+//!   4 110 ns (`tests/sim_behavior.rs`);
 //! * **registered memory regions** with per-source write permissions —
 //!   the primitive Mu-style leader change is built on.
+//!
+//! Every verb takes one path: `Ctx::post` charges, counts
+//! ([`Stats::count_post`]), prices and orders it, and a one-sided verb
+//! travels as one `Action::Verb` whose single arm in the simulator's
+//! dispatch places, fetches or swaps at the target and completes it.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -136,34 +147,15 @@ pub(crate) enum Action {
         node: NodeId,
         event: Event,
     },
-    Land {
+    /// A one-sided verb arriving at its target: one path for every
+    /// kind. The completion reaches the issuer `return_delay` later.
+    Verb {
         issuer: NodeId,
         wr: WrId,
         target: NodeId,
         region: RegionId,
         offset: usize,
-        bytes: Vec<u8>,
-        /// Whether to notify the issuer on landing (false for the first
-        /// half of a torn write).
-        notify: bool,
-    },
-    ReadAt {
-        issuer: NodeId,
-        wr: WrId,
-        target: NodeId,
-        region: RegionId,
-        offset: usize,
-        len: usize,
-        return_delay: SimDuration,
-    },
-    CasAt {
-        issuer: NodeId,
-        wr: WrId,
-        target: NodeId,
-        region: RegionId,
-        offset: usize,
-        expected: u64,
-        swap: u64,
+        op: Op,
         return_delay: SimDuration,
     },
     InjectFault(Fault),
@@ -179,13 +171,35 @@ impl Action {
     /// the partition check applies to these.
     pub(crate) fn endpoints(&self) -> Option<(NodeId, NodeId)> {
         match self {
-            Action::Land { issuer, target, .. }
-            | Action::ReadAt { issuer, target, .. }
-            | Action::CasAt { issuer, target, .. } => Some((*issuer, *target)),
+            Action::Verb { issuer, target, .. } => Some((*issuer, *target)),
             Action::Deliver { node, event: Event::Message { from, .. } } => {
                 Some((*from, *node))
             }
             _ => None,
+        }
+    }
+}
+
+/// What a one-sided verb does at its target.
+#[derive(Debug)]
+pub(crate) enum Op {
+    /// Place `bytes`. `torn_tail` marks the last byte of a WRITE torn
+    /// in two: it lands apart and completes the request.
+    Write { bytes: Vec<u8>, torn_tail: bool },
+    /// Fetch this many bytes.
+    Read(usize),
+    /// Swap in `swap` if the 8-byte word holds `expected`; fetch the
+    /// prior word either way.
+    Cas { expected: u64, swap: u64 },
+}
+
+impl Op {
+    /// The verb's kind and the bytes it moves.
+    pub(crate) fn shape(&self) -> (VerbKind, usize) {
+        match self {
+            Op::Write { bytes, .. } => (VerbKind::Write, bytes.len()),
+            Op::Read(len) => (VerbKind::Read, *len),
+            Op::Cas { .. } => (VerbKind::CompareAndSwap, 8),
         }
     }
 }
@@ -202,9 +216,9 @@ pub struct Fabric {
     pub(crate) stats: Stats,
     /// The run's trace, while collection is on.
     pub(crate) trace: Option<Vec<TraceRecord>>,
-    /// FIFO landing clock per (issuer, target) pair of one-sided verbs.
+    /// FIFO landing clock per (issuer, target) pair of WRITEs.
     pub(crate) chan_free: Vec<Vec<SimTime>>,
-    /// FIFO delivery clock per (issuer, target) pair of messages.
+    /// FIFO delivery clock per (issuer, target) pair of SENDs.
     pub(crate) msg_chan_free: Vec<Vec<SimTime>>,
     /// Active partition sides (both empty when no partition is active).
     /// Traffic between a side-A and a side-B node is parked.
@@ -356,19 +370,14 @@ impl Fabric {
         nf.nic_free
     }
 
-    /// FIFO-ordered landing time on the (issuer → target) channel.
-    pub(crate) fn fifo_land(&mut self, issuer: NodeId, target: NodeId, earliest: SimTime) -> SimTime {
-        let slot = &mut self.chan_free[issuer.index()][target.index()];
-        let t = (*slot).max(earliest);
-        *slot = t;
-        t
-    }
-
-    pub(crate) fn fifo_msg(&mut self, issuer: NodeId, target: NodeId, earliest: SimTime) -> SimTime {
-        let slot = &mut self.msg_chan_free[issuer.index()][target.index()];
-        let t = (*slot).max(earliest);
-        *slot = t;
-        t
+    /// FIFO arrival time on the (issuer → target) pair: no earlier
+    /// than `earliest`, nor than the pair's last arrival on the clock
+    /// of `kind` — SENDs keep their own, WRITEs the other.
+    pub(crate) fn fifo(&mut self, kind: VerbKind, from: NodeId, to: NodeId, earliest: SimTime) -> SimTime {
+        let clocks = if kind == VerbKind::Send { &mut self.msg_chan_free } else { &mut self.chan_free };
+        let slot = &mut clocks[from.index()][to.index()];
+        *slot = (*slot).max(earliest);
+        *slot
     }
 
     /// Whether the active partition separates `a` from `b`.
@@ -446,34 +455,55 @@ impl<'a> Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    /// Begin posting a verb or message: mint its work request, charge
-    /// the posting CPU and reserve the NIC. Returns the request and when
-    /// it leaves the NIC. The NIC is shared by every thread of the node;
-    /// the posting cost is the application CPU's — or, from a dedicated
-    /// thread's handler, that thread's core's, which leaves `cpu_free`
-    /// alone.
-    fn post(&mut self) -> (WrId, SimTime) {
-        let wr = self.fabric.mint_wr(self.node);
-        let cost = self.fabric.latency.post_cost;
-        let node = self.node.index();
+    /// Post a verb or message of `kind` moving `bytes` to `target`:
+    /// mint its work request, charge the posting CPU, count it
+    /// ([`Stats::count_post`]), reserve the NIC and draw its latency.
+    /// Returns the request, when it arrives at the target and how long
+    /// its completion takes to come back. The NIC is shared by every
+    /// thread of the node; the posting cost is the application CPU's —
+    /// or, from a dedicated thread's handler, that thread's core's,
+    /// which leaves `cpu_free` alone, and a one-sided verb's completion
+    /// then comes back to that thread.
+    ///
+    /// A WRITE or SEND arrives in FIFO order on its pair's clock and
+    /// completes on arrival; a READ or CAS acts at half its round trip,
+    /// unordered, and completes at the whole.
+    fn post(&mut self, kind: VerbKind, target: NodeId, bytes: usize) -> (WrId, SimTime, SimDuration) {
+        let (fabric, issuer) = (&mut *self.fabric, self.node);
+        let wr = fabric.mint_wr(issuer);
+        let cost = fabric.latency.post_cost;
         if self.isolated {
-            self.fabric.stats.isolated_busy_ns[node] += cost.as_nanos();
+            fabric.stats.isolated_busy_ns[issuer.index()] += cost.as_nanos();
+            if kind != VerbKind::Send {
+                fabric.nodes[issuer.index()].isolated_wrs.insert(wr);
+            }
         } else {
-            self.fabric.charge_cpu(self.node, cost);
-            self.fabric.stats.cpu_post_ns[node] += cost.as_nanos();
+            fabric.charge_cpu(issuer, cost);
+            fabric.stats.cpu_post_ns[issuer.index()] += cost.as_nanos();
         }
-        self.fabric.stats.per_node_ops[node] += 1;
-        (wr, self.fabric.reserve_nic(self.node))
+        fabric.stats.count_post(issuer, kind, bytes);
+        let tx = fabric.reserve_nic(issuer);
+        let lat = fabric.latency.latency(kind, bytes, &mut fabric.rng);
+        let lat = fabric.spiked(issuer, target, lat);
+        fabric.emit(|| TraceEvent::VerbPosted { issuer, kind, target, wr, bytes });
+        match kind {
+            VerbKind::Read | VerbKind::CompareAndSwap => {
+                let half = SimDuration::nanos(lat.as_nanos() / 2);
+                (wr, tx + half, half)
+            }
+            VerbKind::Write | VerbKind::Send => {
+                (wr, fabric.fifo(kind, issuer, target, tx + lat), SimDuration::ZERO)
+            }
+        }
     }
 
-    /// [`post`](Self::post) for a one-sided verb: its completion comes
-    /// back to the thread that posted it.
-    fn post_verb(&mut self) -> (WrId, SimTime) {
-        let (wr, tx) = self.post();
-        if self.isolated {
-            self.fabric.nodes[self.node.index()].isolated_wrs.insert(wr);
-        }
-        (wr, tx)
+    /// Post the one-sided verb `op` on `(target, region, offset)`.
+    fn post_one_sided(&mut self, target: NodeId, region: RegionId, offset: usize, op: Op) -> WrId {
+        let (kind, len) = op.shape();
+        let (wr, at, return_delay) = self.post(kind, target, len);
+        let issuer = self.node;
+        self.fabric.push(at, Action::Verb { issuer, wr, target, region, offset, op, return_delay });
+        wr
     }
 
     /// The node this context belongs to.
@@ -552,33 +582,7 @@ impl Ctx<'_> {
         offset: usize,
         data: &[u8],
     ) -> WrId {
-        let (wr, tx) = self.post_verb();
-        let lat = self.fabric.latency.write_latency(data.len(), &mut self.fabric.rng);
-        let lat = self.fabric.spiked(self.node, target, lat);
-        let land = self.fabric.fifo_land(self.node, target, tx + lat);
-        self.fabric.stats.writes += 1;
-        self.fabric.stats.one_sided_bytes += data.len() as u64;
-        let (issuer, len) = (self.node, data.len());
-        self.fabric.emit(|| TraceEvent::VerbPosted {
-            issuer,
-            kind: VerbKind::Write,
-            target,
-            wr,
-            bytes: len,
-        });
-        self.fabric.push(
-            land,
-            Action::Land {
-                issuer: self.node,
-                wr,
-                target,
-                region,
-                offset,
-                bytes: data.to_vec(),
-                notify: true,
-            },
-        );
-        wr
+        self.post_one_sided(target, region, offset, Op::Write { bytes: data.to_vec(), torn_tail: false })
     }
 
     /// Post a one-sided RDMA READ of `len` bytes from
@@ -590,33 +594,7 @@ impl Ctx<'_> {
         offset: usize,
         len: usize,
     ) -> WrId {
-        let (wr, tx) = self.post_verb();
-        let rtt = self.fabric.latency.read_latency(len, &mut self.fabric.rng);
-        let rtt = self.fabric.spiked(self.node, target, rtt);
-        let half = SimDuration::nanos(rtt.as_nanos() / 2);
-        self.fabric.stats.reads += 1;
-        self.fabric.stats.one_sided_bytes += len as u64;
-        let issuer = self.node;
-        self.fabric.emit(|| TraceEvent::VerbPosted {
-            issuer,
-            kind: VerbKind::Read,
-            target,
-            wr,
-            bytes: len,
-        });
-        self.fabric.push(
-            tx + half,
-            Action::ReadAt {
-                issuer: self.node,
-                wr,
-                target,
-                region,
-                offset,
-                len,
-                return_delay: half,
-            },
-        );
-        wr
+        self.post_one_sided(target, region, offset, Op::Read(len))
     }
 
     /// Post a one-sided compare-and-swap on the 8-byte little-endian
@@ -630,56 +608,15 @@ impl Ctx<'_> {
         expected: u64,
         swap: u64,
     ) -> WrId {
-        let (wr, tx) = self.post_verb();
-        let rtt = self.fabric.latency.cas_latency(&mut self.fabric.rng);
-        let rtt = self.fabric.spiked(self.node, target, rtt);
-        let half = SimDuration::nanos(rtt.as_nanos() / 2);
-        self.fabric.stats.cas += 1;
-        let issuer = self.node;
-        self.fabric.emit(|| TraceEvent::VerbPosted {
-            issuer,
-            kind: VerbKind::CompareAndSwap,
-            target,
-            wr,
-            bytes: 8,
-        });
-        self.fabric.push(
-            tx + half,
-            Action::CasAt {
-                issuer: self.node,
-                wr,
-                target,
-                region,
-                offset,
-                expected,
-                swap,
-                return_delay: half,
-            },
-        );
-        wr
+        self.post_one_sided(target, region, offset, Op::Cas { expected, swap })
     }
 
     /// Send a two-sided message (SEND/RECV through the network stack).
     /// Costs the receiver CPU time on delivery; per-pair FIFO.
     pub fn send(&mut self, target: NodeId, payload: Vec<u8>) {
-        let (wr, tx) = self.post();
-        let lat = self.fabric.latency.msg_latency(payload.len(), &mut self.fabric.rng);
-        let lat = self.fabric.spiked(self.node, target, lat);
-        let deliver = self.fabric.fifo_msg(self.node, target, tx + lat);
-        self.fabric.stats.messages += 1;
-        self.fabric.stats.message_bytes += payload.len() as u64;
-        let (issuer, len) = (self.node, payload.len());
-        self.fabric.emit(|| TraceEvent::VerbPosted {
-            issuer,
-            kind: VerbKind::Send,
-            target,
-            wr,
-            bytes: len,
-        });
-        self.fabric.push(
-            deliver,
-            Action::Deliver { node: target, event: Event::Message { from: self.node, payload } },
-        );
+        let (_, at, _) = self.post(VerbKind::Send, target, payload.len());
+        let from = self.node;
+        self.fabric.push(at, Action::Deliver { node: target, event: Event::Message { from, payload } });
     }
 
     /// Arm a timer that fires after `delay` with the given tag.
@@ -782,10 +719,15 @@ mod tests {
     #[test]
     fn fifo_channel_is_monotonic() {
         let mut f = Fabric::new(2, LatencyModel::deterministic(), 0);
-        let a = f.fifo_land(NodeId(0), NodeId(1), SimTime(100));
-        let b = f.fifo_land(NodeId(0), NodeId(1), SimTime(50));
+        let (w, s) = (VerbKind::Write, VerbKind::Send);
+        let a = f.fifo(w, NodeId(0), NodeId(1), SimTime(100));
+        let b = f.fifo(w, NodeId(0), NodeId(1), SimTime(50));
         assert_eq!(a, SimTime(100));
         assert_eq!(b, SimTime(100), "later post cannot land earlier");
+        // SENDs keep their own clock, as does each pair.
+        assert_eq!(f.fifo(s, NodeId(0), NodeId(1), SimTime(50)), SimTime(50));
+        assert_eq!(f.fifo(s, NodeId(0), NodeId(1), SimTime(20)), SimTime(50));
+        assert_eq!(f.fifo(w, NodeId(1), NodeId(0), SimTime(50)), SimTime(50));
     }
 
     #[test]

@@ -20,6 +20,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::time::SimDuration;
+use crate::verbs::VerbKind;
 
 /// Latency/cost parameters of the simulated fabric.
 #[derive(Debug, Clone)]
@@ -74,7 +75,15 @@ impl LatencyModel {
         LatencyModel { jitter: 0.0, ..LatencyModel::default() }
     }
 
-    fn jittered(&self, base: SimDuration, len: usize, rng: &mut StdRng) -> SimDuration {
+    /// Sampled wire latency of a verb of `kind` moving `len` bytes: one
+    /// way for a WRITE or SEND, the round trip for a READ or CAS.
+    pub fn latency(&self, kind: VerbKind, len: usize, rng: &mut StdRng) -> SimDuration {
+        let base = match kind {
+            VerbKind::Write => self.write_base,
+            VerbKind::Read => self.read_base,
+            VerbKind::CompareAndSwap => self.cas_base,
+            VerbKind::Send => self.msg_base,
+        };
         let wire = base + SimDuration::nanos((self.per_byte_ns * len as f64) as u64);
         if self.jitter == 0.0 {
             wire
@@ -82,26 +91,6 @@ impl LatencyModel {
             let f = 1.0 + rng.gen_range(-self.jitter..=self.jitter);
             wire.mul_f64(f)
         }
-    }
-
-    /// Sampled latency of a one-sided WRITE of `len` bytes.
-    pub fn write_latency(&self, len: usize, rng: &mut StdRng) -> SimDuration {
-        self.jittered(self.write_base, len, rng)
-    }
-
-    /// Sampled round-trip latency of a one-sided READ of `len` bytes.
-    pub fn read_latency(&self, len: usize, rng: &mut StdRng) -> SimDuration {
-        self.jittered(self.read_base, len, rng)
-    }
-
-    /// Sampled round-trip latency of a CAS.
-    pub fn cas_latency(&self, rng: &mut StdRng) -> SimDuration {
-        self.jittered(self.cas_base, 8, rng)
-    }
-
-    /// Sampled one-way latency of a two-sided message of `len` bytes.
-    pub fn msg_latency(&self, len: usize, rng: &mut StdRng) -> SimDuration {
-        self.jittered(self.msg_base, len, rng)
     }
 }
 
@@ -115,16 +104,17 @@ mod tests {
         let m = LatencyModel::deterministic();
         let mut r1 = StdRng::seed_from_u64(1);
         let mut r2 = StdRng::seed_from_u64(2);
-        assert_eq!(m.write_latency(100, &mut r1), m.write_latency(100, &mut r2));
-        assert_eq!(m.write_latency(0, &mut r1), m.write_base);
+        let write = |rng| m.latency(VerbKind::Write, 100, rng);
+        assert_eq!(write(&mut r1), write(&mut r2));
+        assert_eq!(m.latency(VerbKind::Write, 0, &mut r1), m.write_base);
     }
 
     #[test]
     fn per_byte_cost_scales() {
         let m = LatencyModel::deterministic();
         let mut rng = StdRng::seed_from_u64(0);
-        let small = m.write_latency(10, &mut rng);
-        let large = m.write_latency(10_000, &mut rng);
+        let small = m.latency(VerbKind::Write, 10, &mut rng);
+        let large = m.latency(VerbKind::Write, 10_000, &mut rng);
         assert!(large > small);
         assert_eq!(large.as_nanos() - m.write_base.as_nanos(), 2_000);
     }
@@ -144,7 +134,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let base = m.write_base.as_nanos() as f64;
         for _ in 0..500 {
-            let l = m.write_latency(0, &mut rng).as_nanos() as f64;
+            let l = m.latency(VerbKind::Write, 0, &mut rng).as_nanos() as f64;
             assert!(l >= base * (1.0 - m.jitter) - 1.0);
             assert!(l <= base * (1.0 + m.jitter) + 1.0);
         }
@@ -155,11 +145,11 @@ mod tests {
         let m = LatencyModel::default();
         let a: Vec<_> = {
             let mut rng = StdRng::seed_from_u64(42);
-            (0..10).map(|_| m.msg_latency(64, &mut rng)).collect()
+            (0..10).map(|_| m.latency(VerbKind::Send, 64, &mut rng)).collect()
         };
         let b: Vec<_> = {
             let mut rng = StdRng::seed_from_u64(42);
-            (0..10).map(|_| m.msg_latency(64, &mut rng)).collect()
+            (0..10).map(|_| m.latency(VerbKind::Send, 64, &mut rng)).collect()
         };
         assert_eq!(a, b);
     }

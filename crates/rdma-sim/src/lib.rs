@@ -9,7 +9,13 @@
 //! * **one-sided verbs** — [`Ctx::post_write`], [`Ctx::post_read`],
 //!   [`Ctx::post_cas`] operate directly on a remote node's registered
 //!   memory without involving its CPU, completing asynchronously
-//!   through [`Event::Completion`];
+//!   through [`Event::Completion`]. All three take one post path and
+//!   one landing path, and every verb or message posted is counted by
+//!   [`Stats::count_post`], the threaded backend's rule too. WRITEs are
+//!   FIFO per (issuer, target) pair and SENDs FIFO on a clock of their
+//!   own; READ and CAS are not ordered behind earlier WRITEs on their
+//!   pair, which RC does order (the [`fabric`] module docs give the
+//!   measured case);
 //! * **registered memory** with per-source **write permissions**
 //!   ([`Ctx::set_write_permission`]) — the primitive behind Mu-style
 //!   single-leader enforcement;

@@ -2,8 +2,7 @@
 
 use std::cmp::Reverse;
 
-
-use crate::fabric::{Action, Ctx, Fabric};
+use crate::fabric::{Action, Ctx, Fabric, Op};
 use crate::fault::{Fault, FaultPlan};
 use crate::latency::LatencyModel;
 use crate::region::Region;
@@ -273,135 +272,49 @@ impl<A: App> Simulator<A> {
         }
         match action {
             Action::Deliver { node, event } => self.deliver(seq, node, event),
-            Action::Land { issuer, wr, target, region, offset, bytes, notify } => {
-                let status = self.fabric.check_access(
-                    issuer,
-                    target,
-                    region,
-                    offset,
-                    bytes.len(),
-                    true,
-                );
-                let mut landed_at = self.fabric.now;
+            Action::Verb { issuer, wr, target, region, offset, op, return_delay } => {
+                let (kind, len) = op.shape();
+                let write = kind != VerbKind::Read;
+                let status = self.fabric.check_access(issuer, target, region, offset, len, write);
+                let mut data = None;
                 if status.is_success() {
-                    if self.fabric.nodes[target.index()].torn_writes && bytes.len() > 1 && notify {
-                        // Tear: all but the last byte now, the last byte
-                        // (where protocols put their canary) later.
-                        let split = bytes.len() - 1;
-                        let r = &mut self.fabric.nodes[target.index()].regions[region.index()];
-                        r.bytes[offset..offset + split].copy_from_slice(&bytes[..split]);
-                        r.land_through(offset, split);
-                        let gap = SimDuration::nanos(400);
-                        landed_at = self.fabric.now + gap;
-                        self.fabric.push(
-                            landed_at,
-                            Action::Land {
-                                issuer,
-                                wr,
-                                target,
-                                region,
-                                offset: offset + split,
-                                bytes: bytes[split..].to_vec(),
-                                notify: false,
-                            },
-                        );
-                        // Completion will be delivered by the tail land.
-                        return;
+                    let nf = &mut self.fabric.nodes[target.index()];
+                    let torn = nf.torn_writes;
+                    let r = &mut nf.regions[region.index()];
+                    match op {
+                        Op::Write { bytes, torn_tail } if torn && !torn_tail && len > 1 => {
+                            // Tear: all but the last byte now, the last
+                            // byte (where protocols put their canary)
+                            // later; the tail completes the request.
+                            let split = len - 1;
+                            r.bytes[offset..offset + split].copy_from_slice(&bytes[..split]);
+                            r.land_through(offset, split);
+                            let op = Op::Write { bytes: bytes[split..].to_vec(), torn_tail: true };
+                            let offset = offset + split;
+                            let tail = Action::Verb { issuer, wr, target, region, offset, op, return_delay };
+                            self.fabric.push(self.fabric.now + SimDuration::nanos(400), tail);
+                            return;
+                        }
+                        // Remote writes are durable on landing: the NIC
+                        // writes through to persistence.
+                        Op::Write { bytes, .. } => {
+                            r.bytes[offset..offset + len].copy_from_slice(&bytes);
+                            r.land_through(offset, len);
+                        }
+                        Op::Read(_) => data = Some(r.bytes[offset..offset + len].to_vec()),
+                        Op::Cas { expected, swap } => {
+                            let prior = &mut r.bytes[offset..offset + 8];
+                            data = Some(prior.to_vec());
+                            if *prior == expected.to_le_bytes() {
+                                prior.copy_from_slice(&swap.to_le_bytes());
+                                r.land_through(offset, 8);
+                            }
+                        }
                     }
-                    let r = &mut self.fabric.nodes[target.index()].regions[region.index()];
-                    r.bytes[offset..offset + bytes.len()].copy_from_slice(&bytes);
-                    // Remote writes are durable on landing: the NIC
-                    // writes through to persistence.
-                    r.land_through(offset, bytes.len());
                 }
-                // Torn tail writes carry notify = false and must still
-                // complete the original request; plain writes complete
-                // here directly.
-                let completed_at = landed_at.max(self.fabric.now);
-                self.fabric.emit(|| TraceEvent::VerbCompleted {
-                    issuer,
-                    kind: VerbKind::Write,
-                    wr,
-                    status,
-                });
-                self.fabric.push(
-                    completed_at,
-                    Action::Deliver {
-                        node: issuer,
-                        event: Event::Completion {
-                            wr,
-                            kind: VerbKind::Write,
-                            status,
-                            data: None,
-                            completed_at,
-                        },
-                    },
-                );
-            }
-            Action::ReadAt { issuer, wr, target, region, offset, len, return_delay } => {
-                let status = self.fabric.check_access(issuer, target, region, offset, len, false);
-                let data = if status.is_success() {
-                    let r = &self.fabric.nodes[target.index()].regions[region.index()];
-                    Some(r.bytes[offset..offset + len].to_vec())
-                } else {
-                    None
-                };
-                let at = self.fabric.now + return_delay;
-                self.fabric.emit(|| TraceEvent::VerbCompleted {
-                    issuer,
-                    kind: VerbKind::Read,
-                    wr,
-                    status,
-                });
-                self.fabric.push(
-                    at,
-                    Action::Deliver {
-                        node: issuer,
-                        event: Event::Completion {
-                            wr,
-                            kind: VerbKind::Read,
-                            status,
-                            data,
-                            completed_at: self.fabric.now,
-                        },
-                    },
-                );
-            }
-            Action::CasAt { issuer, wr, target, region, offset, expected, swap, return_delay } => {
-                let status = self.fabric.check_access(issuer, target, region, offset, 8, true);
-                let data = if status.is_success() {
-                    let r = &mut self.fabric.nodes[target.index()].regions[region.index()];
-                    let mut word = [0u8; 8];
-                    word.copy_from_slice(&r.bytes[offset..offset + 8]);
-                    let prior = u64::from_le_bytes(word);
-                    if prior == expected {
-                        r.bytes[offset..offset + 8].copy_from_slice(&swap.to_le_bytes());
-                        r.land_through(offset, 8);
-                    }
-                    Some(prior.to_le_bytes().to_vec())
-                } else {
-                    None
-                };
-                let at = self.fabric.now + return_delay;
-                self.fabric.emit(|| TraceEvent::VerbCompleted {
-                    issuer,
-                    kind: VerbKind::CompareAndSwap,
-                    wr,
-                    status,
-                });
-                self.fabric.push(
-                    at,
-                    Action::Deliver {
-                        node: issuer,
-                        event: Event::Completion {
-                            wr,
-                            kind: VerbKind::CompareAndSwap,
-                            status,
-                            data,
-                            completed_at: self.fabric.now,
-                        },
-                    },
-                );
+                self.fabric.emit(|| TraceEvent::VerbCompleted { issuer, kind, wr, status });
+                let event = Event::Completion { wr, kind, status, data };
+                self.fabric.push(self.fabric.now + return_delay, Action::Deliver { node: issuer, event });
             }
             Action::InjectFault(fault) => self.inject(fault),
             Action::Wake { node } => self.wake(seq, node),

@@ -1,5 +1,7 @@
 //! Fabric-level traffic statistics, for reports and ablations.
 
+use crate::verbs::{NodeId, VerbKind};
+
 /// Counters of simulated traffic, global and per node.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stats {
@@ -11,7 +13,8 @@ pub struct Stats {
     pub cas: u64,
     /// Two-sided messages sent.
     pub messages: u64,
-    /// Total bytes moved by one-sided verbs.
+    /// Total bytes moved by one-sided WRITEs and READs (a CAS counts
+    /// none).
     pub one_sided_bytes: u64,
     /// Total bytes moved by two-sided messages.
     pub message_bytes: u64,
@@ -54,6 +57,25 @@ impl Stats {
             isolated_busy_ns: vec![0; n],
             nic_busy_ns: vec![0; n],
             ..Stats::default()
+        }
+    }
+
+    /// Count one posted verb or message: the one traffic-accounting
+    /// rule, which the simulator's post path and the threaded backend
+    /// both call. `bytes` is what the verb moves; a CAS's 8-byte word
+    /// is counted in neither byte total.
+    pub fn count_post(&mut self, node: NodeId, kind: VerbKind, bytes: usize) {
+        self.per_node_ops[node.index()] += 1;
+        match kind {
+            VerbKind::Write => self.writes += 1,
+            VerbKind::Read => self.reads += 1,
+            VerbKind::CompareAndSwap => self.cas += 1,
+            VerbKind::Send => self.messages += 1,
+        }
+        match kind {
+            VerbKind::Write | VerbKind::Read => self.one_sided_bytes += bytes as u64,
+            VerbKind::Send => self.message_bytes += bytes as u64,
+            VerbKind::CompareAndSwap => {}
         }
     }
 

@@ -1,13 +1,13 @@
 //! Verb and event vocabulary: work-request identifiers, completion
 //! statuses, and the events delivered to node applications.
 //!
-//! The simulator models RDMA's Reliable Connection (RC) service: posted
-//! one-sided operations complete in order per issuer, and a successful
-//! WRITE completion means the data has been placed in the remote
-//! region (no remote CPU involved). Two-sided messages model SEND/RECV
+//! The simulator models RDMA's Reliable Connection (RC) service: WRITEs
+//! from one issuer to one target land and complete in posting order
+//! (READ and CAS are not ordered behind them — the [`fabric`](crate::fabric)
+//! module states the model), and a successful WRITE completion means
+//! the data has been placed in the remote region (no remote CPU
+//! involved). Two-sided messages model SEND/RECV
 //! through the network stack and *do* consume receiver CPU.
-
-use crate::time::SimTime;
 
 /// A node of the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -119,8 +119,6 @@ pub enum Event {
         status: CompletionStatus,
         /// For READ: the fetched bytes; for CAS: the 8-byte prior value.
         data: Option<Vec<u8>>,
-        /// When the operation took effect at the target.
-        completed_at: SimTime,
     },
     /// A fault-plan action aimed at this node's application (e.g.
     /// "suspend your heartbeat thread", the paper's failure injection).

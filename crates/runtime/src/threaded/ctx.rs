@@ -112,17 +112,6 @@ impl ThreadedCtx {
         id
     }
 
-    fn complete(
-        &mut self,
-        wr: WrId,
-        kind: VerbKind,
-        status: rdma_sim::CompletionStatus,
-        data: Option<Vec<u8>>,
-    ) {
-        let completed_at = self.now();
-        self.local_q.push_back(Event::Completion { wr, kind, status, data, completed_at });
-    }
-
     /// Pop the earliest armed timer that is due at `now`, as an event.
     pub(crate) fn pop_due_timer(&mut self, now: SimTime) -> Option<Event> {
         if self.timers.peek().is_some_and(|Reverse(t)| t.at <= now) {
@@ -167,10 +156,8 @@ impl Transport for ThreadedCtx {
         if status.is_success() {
             self.mem.write(target, region, offset, data);
         }
-        self.stats.writes += 1;
-        self.stats.per_node_ops[self.node.index()] += 1;
-        self.stats.one_sided_bytes += data.len() as u64;
-        self.complete(wr, VerbKind::Write, status, None);
+        self.stats.count_post(self.node, VerbKind::Write, data.len());
+        self.local_q.push_back(Event::Completion { wr, kind: VerbKind::Write, status, data: None });
         wr
     }
 
@@ -182,17 +169,13 @@ impl Transport for ThreadedCtx {
             self.mem.read_into(target, region, offset, len, &mut buf);
             buf
         });
-        self.stats.reads += 1;
-        self.stats.per_node_ops[self.node.index()] += 1;
-        self.stats.one_sided_bytes += len as u64;
-        self.complete(wr, VerbKind::Read, status, data);
+        self.stats.count_post(self.node, VerbKind::Read, len);
+        self.local_q.push_back(Event::Completion { wr, kind: VerbKind::Read, status, data });
         wr
     }
 
     fn send(&mut self, target: NodeId, payload: Vec<u8>) {
-        self.stats.messages += 1;
-        self.stats.per_node_ops[self.node.index()] += 1;
-        self.stats.message_bytes += payload.len() as u64;
+        self.stats.count_post(self.node, VerbKind::Send, payload.len());
         let from = self.node;
         // A send to a thread that already exited its event loop (e.g.
         // during shutdown) is dropped, like a message to a dead node.

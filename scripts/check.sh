@@ -143,6 +143,19 @@ if [ "$onedriver" -ne 0 ]; then
   exit 1
 fi
 
+echo "== one-verb-path guard (a verb is posted, priced and landed one way) =="
+# Ctx::post charges, counts, prices and orders every verb and message,
+# one Action::Verb arm lands every one-sided verb, LatencyModel::latency
+# prices every kind and Fabric::fifo keeps both FIFO clocks. A per-kind
+# action, post helper, latency function or clock is the restated rule
+# growing back.
+if grep -rnE --include='*.rs' \
+    'Action::Land\b|\bReadAt\b|\bCasAt\b|\bpost_verb\b|\b(write|read|cas|msg)_latency\b|\bfifo_msg\b' \
+    crates src tests examples; then
+  echo "FAIL: post through Ctx::post and land through Action::Verb; add no per-kind copy"
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release
 
