@@ -137,6 +137,12 @@ impl Writer {
         Writer { buf }
     }
 
+    /// A writer appending to `buf`'s contents (a log growing by one
+    /// record). Recover the buffer with [`into_vec`](Self::into_vec).
+    pub fn appending(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     /// The encoded bytes.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf

@@ -150,8 +150,7 @@ impl<O: WorkloadSupport> MsgCrdtNode<O> {
 
     fn issue(&mut self, ctx: &mut Ctx<'_>, update: O::Update, session: u32) {
         let method = self.spec.method_of(&update);
-        let post = self.spec.apply(&self.state, &update);
-        if !self.spec.invariant(&post) {
+        if !self.spec.permissible(&self.state, &update) {
             self.metrics.rejected += 1;
             self.ingress.on_abort(session);
             return;
@@ -161,7 +160,7 @@ impl<O: WorkloadSupport> MsgCrdtNode<O> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let rid = Rid::new(Pid(self.me.index()), seq);
-        self.state = post;
+        self.spec.apply_mut(&mut self.state, &update);
         self.applied.increment(Pid(self.me.index()), method);
         self.metrics.last_apply = ctx.now();
         let entry = Entry { rid, update, deps };

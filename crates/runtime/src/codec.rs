@@ -37,17 +37,34 @@
 //! accepts no torn slot.
 //!
 //! Summary slot (per summarization group × source process,
-//! [`RuntimeConfig::summary_slot_size`]):
+//! [`RuntimeConfig::summary_slot_size`]): an append-only log of
+//! records, written by the source alone. One record:
 //!
 //! ```text
-//! [0..8)        version (number of calls folded in)
-//! [8..8+8g)     applied-call count per method of the group
+//! [0..8)        version (number of calls folded in, the record's
+//!               own and every earlier record's)
+//! [8..8+8g)     applied-call count per method of the group, as of
+//!               that version (they sum to it)
 //! [..+2)        payload length (u16 LE)
-//! [..]          payload: encoded summarized call
+//! [..]          payload: the encoded summary of the record's calls
 //! [..+8)        trailing version, directly after the payload (seqlock
-//!               check; placed there so a write covers only the used
-//!               prefix of the slot, not its worst-case capacity)
+//!               check; placed there so a write covers only the bytes
+//!               it adds, not the slot's worst-case capacity)
 //! ```
+//!
+//! A log is records back to back from offset 0. Record 0 summarizes
+//! every call up to its version; a later record only the calls folded
+//! in since the record before it, so a reader applies the records past
+//! the last one it read (the join of a grow-only summary's deltas is
+//! the summary, Almeida et al.). When the next record would not fit,
+//! the source *compacts*: it writes one record summarizing everything
+//! at offset 0, and what lay beyond it goes stale. A non-monotone
+//! summary (a replacement, not a join) compacts at every record, so
+//! its log is a single image. [`summary_records`] accepts a record
+//! only if its trailer validates and its version is above the
+//! previous record's (and its counts sum to it), so it stops at a torn
+//! last record and at the stale bytes behind a compaction, whose
+//! versions are all older.
 //!
 //! [`RuntimeConfig::entry_size`]: crate::config::RuntimeConfig::entry_size
 //! [`RuntimeConfig::summary_slot_size`]: crate::config::RuntimeConfig::summary_slot_size
@@ -256,9 +273,9 @@ pub struct SummarySlot<U> {
 }
 
 impl<U: Wire> SummarySlot<U> {
-    /// Render the used prefix of a slot of capacity `slot_size`
-    /// (`RuntimeConfig::summary_slot_size(counts.len())`): the returned
-    /// bytes are exactly what a REDUCE remote-writes.
+    /// Render this summary as a one-record log for a slot of capacity
+    /// `slot_size` (`RuntimeConfig::summary_slot_size(counts.len())`):
+    /// the bytes a compaction writes at offset 0.
     ///
     /// # Panics
     ///
@@ -269,29 +286,37 @@ impl<U: Wire> SummarySlot<U> {
         slot
     }
 
-    /// Render the used prefix into `out`, reusing its allocation (the
-    /// summarized call is encoded in place, no intermediate `Vec`).
+    /// [`to_slot`](Self::to_slot) into `out`, reusing its allocation.
     ///
     /// # Panics
     ///
     /// Panics if the payload exceeds the slot capacity.
     pub fn to_slot_into(&self, slot_size: usize, out: &mut Vec<u8>) {
-        Self::encode_parts_into(self.version, &self.counts, self.summary.as_ref(), slot_size, out)
+        out.clear();
+        Self::append_parts(self.version, &self.counts, self.summary.as_ref(), slot_size, out);
     }
 
-    /// [`to_slot_into`](Self::to_slot_into) from borrowed parts — the
-    /// runtime encodes straight out of its summary cache without
-    /// cloning the counts or the summarized call.
-    pub fn encode_parts_into(
+    /// Append one record, from borrowed parts, to the log `log` of a
+    /// slot of capacity `slot_size` — the summarized call is encoded in
+    /// place, no intermediate `Vec`. Only the record itself is checked
+    /// against the capacity: whether it fits behind the records already
+    /// in `log` is the caller's question (`log.len() > slot_size`
+    /// afterwards means compact).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload overflows the u16 length field or the
+    /// record alone exceeds the slot capacity.
+    pub fn append_parts(
         version: u64,
         counts: &[u64],
         summary: Option<&U>,
         slot_size: usize,
-        out: &mut Vec<u8>,
+        log: &mut Vec<u8>,
     ) {
-        let g = counts.len();
-        let head = 8 + 8 * g + 2;
-        let mut w = Writer::from_vec(std::mem::take(out));
+        let start = log.len();
+        let head = 8 + 8 * counts.len() + 2;
+        let mut w = Writer::appending(std::mem::take(log));
         w.bytes(&version.to_le_bytes());
         for c in counts {
             w.bytes(&c.to_le_bytes());
@@ -300,13 +325,13 @@ impl<U: Wire> SummarySlot<U> {
         if let Some(u) = summary {
             u.encode(&mut w);
         }
-        let mut slot = w.into_vec();
-        let payload_len = slot.len() - head;
+        *log = w.into_vec();
+        let payload_len = log.len() - start - head;
         // The summary slot capacity scales with the workload
         // (`RuntimeConfig::summary_payload_cap`), so unlike ring
-        // entries it can legitimately exceed 64 KiB — the u16 length
-        // field is the binding limit and must be checked explicitly or
-        // `payload_len as u16` truncates silently.
+        // entries a record can legitimately exceed 64 KiB — the u16
+        // length field is the binding limit and must be checked
+        // explicitly or `payload_len as u16` truncates silently.
         assert!(
             payload_len <= u16::MAX as usize,
             "summary payload of {payload_len} bytes overflows the u16 length field"
@@ -315,15 +340,15 @@ impl<U: Wire> SummarySlot<U> {
             head + payload_len + 8 <= slot_size,
             "summary payload of {} bytes exceeds slot capacity {}",
             payload_len,
-            slot_size - head - 8
+            slot_size.saturating_sub(head + 8)
         );
-        slot[head - 2..head].copy_from_slice(&(payload_len as u16).to_le_bytes());
-        slot.extend_from_slice(&version.to_le_bytes());
-        *out = slot;
+        log[start + head - 2..start + head].copy_from_slice(&(payload_len as u16).to_le_bytes());
+        log.extend_from_slice(&version.to_le_bytes());
     }
 
-    /// Parse a summary slot with `group_len` methods; `None` if the
-    /// seqlock check fails (a write is in flight) or the slot is empty.
+    /// Parse the first record of a summary log with `group_len`
+    /// methods; `None` if the seqlock check fails (a write is in
+    /// flight) or the slot is empty.
     pub fn from_slot(slot: &[u8], group_len: usize) -> Option<Self> {
         let used = summary_prefix(slot, group_len)?;
         let word = |i: usize| u64::from_le_bytes(used[8 * i..8 * i + 8].try_into().expect("8 bytes"));
@@ -334,18 +359,46 @@ impl<U: Wire> SummarySlot<U> {
     }
 }
 
-/// The used prefix of a summary slot for a group of `group_len`
-/// methods — exactly the bytes its writer wrote — or `None` if the slot
+/// The first record of a summary log for a group of `group_len`
+/// methods — exactly the bytes its writer wrote — or `None` if the log
 /// is empty or the seqlock check fails (a write is in flight).
-pub fn summary_prefix(slot: &[u8], group_len: usize) -> Option<&[u8]> {
-    let version = summary_version(slot);
+pub fn summary_prefix(log: &[u8], group_len: usize) -> Option<&[u8]> {
+    let version = summary_version(log);
     if version == 0 {
         return None;
     }
     let head = 8 + 8 * group_len + 2;
-    let len = u16::from_le_bytes(slot.get(head - 2..head)?.try_into().ok()?) as usize;
-    let used = slot.get(..head + len + 8)?;
+    let len = u16::from_le_bytes(log.get(head - 2..head)?.try_into().ok()?) as usize;
+    let used = log.get(..head + len + 8)?;
     (summary_version(&used[head + len..]) == version).then_some(used)
+}
+
+/// The records of the summary log `log` (a group of `group_len`
+/// methods) from its start, each as its bytes, while they are
+/// complete and newer than `after` and than the record before: a
+/// record whose trailer has not landed, or whose version does not
+/// rise (the stale bytes behind a compaction, or never-written
+/// zeroes), ends the walk. A record whose counts do not sum to its
+/// version is not one the runtime wrote, and ends it too.
+pub fn summary_records(
+    log: &[u8],
+    group_len: usize,
+    after: u64,
+) -> impl Iterator<Item = &[u8]> + '_ {
+    let (mut rest, mut prev) = (log, after);
+    std::iter::from_fn(move || {
+        let record = summary_prefix(rest, group_len)?;
+        let version = summary_version(record);
+        let word =
+            |i: usize| u64::from_le_bytes(record[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        let counted = (1..=group_len).try_fold(0u64, |sum, i| sum.checked_add(word(i)));
+        if version <= prev || counted != Some(version) {
+            return None;
+        }
+        prev = version;
+        rest = &rest[record.len()..];
+        Some(record)
+    })
 }
 
 #[cfg(test)]
@@ -589,6 +642,30 @@ mod tests {
         let _ = s.to_slot(2 * 1024 * 1024);
     }
 
+    /// The u16 field bounds a record, not the log: a log of records
+    /// each well under it passes 64 KiB in total and walks back whole.
+    #[test]
+    fn a_log_grows_past_64_kib_while_every_record_stays_under_u16_max() {
+        let size = 256 * 1024;
+        let records: Vec<SummarySlot<Blob>> = (1..=3u64)
+            .map(|v| SummarySlot {
+                version: v,
+                counts: vec![v],
+                summary: Some(Blob(vec![v as u8; 40_000])),
+            })
+            .collect();
+        let mut log = Vec::new();
+        for r in &records {
+            SummarySlot::append_parts(r.version, &r.counts, r.summary.as_ref(), size, &mut log);
+        }
+        assert!(log.len() > u16::MAX as usize, "{} bytes", log.len());
+        let back: Vec<SummarySlot<Blob>> = summary_records(&log, 1, 0)
+            .map(|record| SummarySlot::from_slot(record, 1).expect("a whole record"))
+            .collect();
+        assert_eq!(back, records);
+        assert_eq!(summary_records(&log, 1, 2).count(), 0, "nothing is newer than version 2 at 0");
+    }
+
     #[test]
     fn biggest_legal_payload_roundtrips() {
         // The u16 boundary itself is fine in both directions.
@@ -604,9 +681,9 @@ mod tests {
         assert_eq!(back, e);
     }
 
-    /// A writer writes only the used prefix, so a short image can sit
-    /// over the tail of a longer, older one: the prefix is the short
-    /// image, byte for byte.
+    /// A compaction writes one record at offset 0, so a short image can
+    /// sit over the tail of a longer, older one: the first record is the
+    /// short image, byte for byte.
     #[test]
     fn summary_prefix_is_the_last_image_written() {
         let image = |version: u64, amount: u64| SummarySlot {

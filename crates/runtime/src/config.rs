@@ -31,10 +31,12 @@ pub const PERSIST_LOG_BYTES: usize = 1 << 20;
 /// overrides them, with wall-clock values (`threaded/cluster.rs`).
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Maximum encoded size of a summarized call, bytes. Summaries of
-    /// grow-only types (e.g. GSet's `add_all`) grow with the number of
-    /// calls folded in, so this is sized to the workload (the harness
-    /// scales it automatically).
+    /// Maximum encoded size of a summarized call, bytes, and so the
+    /// room a summary slot's log has for records before its source
+    /// compacts it (`codec.rs`). Summaries of grow-only types (e.g.
+    /// GSet's `add_all`) grow with the number of calls folded in, so
+    /// this is sized to the workload (the harness scales it
+    /// automatically).
     pub summary_payload_cap: usize,
     /// Heartbeat increment period.
     pub(crate) heartbeat_interval: SimDuration,
@@ -135,8 +137,9 @@ impl RuntimeConfig {
     }
 
     /// Size in bytes of one summary slot for a group of `group_len`
-    /// methods, rounded up to a multiple of 8 (same word-alignment
-    /// requirement as [`entry_size`](Self::entry_size)).
+    /// methods: room for one record of the largest payload, rounded up
+    /// to a multiple of 8 (same word-alignment requirement as
+    /// [`entry_size`](Self::entry_size)).
     pub fn summary_slot_size(&self, group_len: usize) -> usize {
         // ver (8) + per-method applied counts + len (2) + payload + ver2 (8)
         round_up_8(8 + 8 * group_len + 2 + self.summary_payload_cap + 8)

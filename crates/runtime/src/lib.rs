@@ -4,7 +4,7 @@
 //! one-sided verbs of [`rdma_sim`]:
 //!
 //! * [`codec`] — call serialization, ring-entry slots with canary
-//!   bytes, and seqlock-versioned summary slots;
+//!   bytes, and summary slots as logs of seqlock-versioned records;
 //! * [`rings`] — single-writer single-reader ring buffers with
 //!   one-sided flow control (remote reads of the reader's head);
 //! * [`heartbeat`] — heartbeat counters and the pull failure detector,

@@ -7,10 +7,12 @@
 //! suspicion set picks the same nodes:
 //!
 //! 1. **Reliable-broadcast recovery** — the lowest alive node reads the
-//!    suspect's own copies of what it broadcasts, the `F` ring it feeds
-//!    and its summary slots, and re-sends them (`Route::RecoveryRead`,
-//!    the agreement half of reliable broadcast). A broadcast's own slot
-//!    is its backup: the issuer writes it before any remote copy leaves.
+//!    suspect's own copy of the `F` ring it feeds and re-sends it
+//!    (`Route::RecoveryRead`, the agreement half of reliable
+//!    broadcast); a broadcast's own slot is its backup, as the issuer
+//!    writes it before any remote copy leaves. A summary slot has one
+//!    writer, its source, so nobody re-sends it: every survivor READs
+//!    the suspect's own log and adopts from the bytes it read.
 //! 2. **Workload adoption** — the next alive node after the suspect (in
 //!    ring order) adopts its remaining conflict-free quota (what it has
 //!    not seen applied) and exactly the queries the suspect had not run
@@ -32,11 +34,12 @@ use hamband_core::object::WorkloadSupport;
 use rdma_sim::{NodeId, SimDuration, TraceEvent};
 
 use crate::calls::Route;
-use crate::codec::{slot_ready, slot_seq, summary_prefix};
+use crate::codec::{slot_ready, slot_seq};
 use crate::config::{FREE_RING_CAP, MAX_IN_FLIGHT};
 use crate::conf::Role;
 use crate::driver::QuotaSplit;
 use crate::heartbeat::FdEvent;
+use crate::reduce::unread_records;
 use crate::replica::{HambandNode, TAG_FD_HANDOFF};
 use crate::transport::Transport;
 
@@ -91,16 +94,22 @@ impl<O: WorkloadSupport> HambandNode<O> {
         let node = self.me;
         ctx.emit(|| TraceEvent::FdSuspect { node, suspect });
         // 1. Reliable-broadcast recovery: the lowest alive node reads
-        //    the suspect's own copies and re-sends them.
+        //    the suspect's own `F`-ring copy and re-sends it; every
+        //    survivor reads its summary logs for itself.
         if self.fd.lowest_alive(Some(suspect)) == self.me {
             self.post_recovery_read(ctx, suspect);
+        }
+        for g in 0..self.sum_cache.len() {
+            let (off, len) = (self.layout.summary_offset(g, suspect), self.layout.summary_size(g));
+            let wr = ctx.post_read(suspect, self.layout.summaries, off, len);
+            self.wr_routes.insert(wr, Route::RecoveryRead { suspect, group: Some(g) });
         }
         // 1b. Cascaded recovery: if the new suspect was itself the
         //     designated recoverer of an earlier suspect, that earlier
         //     recovery may have died with it — a committed conflicting
         //     call can then wait forever on a free call nobody
         //     re-broadcasts. Whoever inherits the duty re-reads the
-        //     earlier suspect's copies; re-execution is idempotent
+        //     earlier suspect's ring copy; re-execution is idempotent
         //     (the same ring slots get the same bytes).
         //     `suspect` recovered `s` iff it ranked below every node
         //     other than `s` alive now. The duty passes to the lowest
@@ -203,10 +212,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
             && self.fd.lowest_alive(Some(lv)) == self.me
     }
 
-    /// Post the RDMA READs of `suspect`'s own copies (its memory stays
-    /// readable after a CPU crash): the `F` ring it feeds, if the object
-    /// has one, and its summary slot of each group. Each completion
-    /// lands in [`Self::recover_backups`].
+    /// Post the RDMA READ of `suspect`'s own copy of the `F` ring it
+    /// feeds (its memory stays readable after a CPU crash), if the
+    /// object has one. The completion lands in [`Self::recover_backups`].
     fn post_recovery_read<T: Transport>(&mut self, ctx: &mut T, suspect: NodeId) {
         if !self.free_readers.is_empty() {
             let off = self.layout.free_ring_base(suspect);
@@ -214,35 +222,24 @@ impl<O: WorkloadSupport> HambandNode<O> {
             let wr = ctx.post_read(suspect, self.layout.free_rings, off, len);
             self.wr_routes.insert(wr, Route::RecoveryRead { suspect, group: None });
         }
-        for g in 0..self.sum_cache.len() {
-            let (off, len) = (self.layout.summary_offset(g, suspect), self.layout.summary_size(g));
-            let wr = ctx.post_read(suspect, self.layout.summaries, off, len);
-            self.wr_routes.insert(wr, Route::RecoveryRead { suspect, group: Some(g) });
-        }
     }
 
-    /// Write `slot` at `offset` of `region` on every node but `suspect`
-    /// (our own copy directly).
-    fn rebroadcast<T: Transport>(
-        &self,
-        ctx: &mut T,
-        suspect: NodeId,
-        region: rdma_sim::RegionId,
-        offset: usize,
-        slot: &[u8],
-    ) {
+    /// Write `slot` at `offset` of the `F`-ring region on every node
+    /// but `suspect` (our own copy directly).
+    fn rebroadcast<T: Transport>(&self, ctx: &mut T, suspect: NodeId, offset: usize, slot: &[u8]) {
         for q in (0..self.n).map(NodeId).filter(|&q| q != suspect) {
             if q == self.me {
-                ctx.local_write(region, offset, slot);
+                ctx.local_write(self.layout.free_rings, offset, slot);
             } else {
-                ctx.post_write(q, region, offset, slot);
+                ctx.post_write(q, self.layout.free_rings, offset, slot);
             }
         }
     }
 
-    /// Re-execute a suspected source's pending broadcasts from the copy
-    /// `bytes` READ out of its memory (the agreement half of reliable
-    /// broadcast): its own `F` ring, or its summary slot of `group`.
+    /// Act on bytes READ out of a suspected source's memory: adopt the
+    /// records of its summary log of `group` this node lacks, or
+    /// re-execute the pending broadcasts of its own `F` ring (`group`
+    /// `None`, the agreement half of reliable broadcast).
     pub(crate) fn recover_backups<T: Transport>(
         &mut self,
         ctx: &mut T,
@@ -250,41 +247,33 @@ impl<O: WorkloadSupport> HambandNode<O> {
         group: Option<usize>,
         bytes: &[u8],
     ) {
-        let region = match group {
-            // The slot is last-writer-wins and the suspect's own copy
-            // its newest image: re-sending it is the whole recovery.
-            Some(g) => {
-                let Some(image) = summary_prefix(bytes, self.coord.sum_groups()[g].len()) else {
-                    return;
-                };
-                let off = self.layout.summary_offset(g, suspect);
-                self.rebroadcast(ctx, suspect, self.layout.summaries, off, image);
-                self.layout.summaries
+        if let Some(g) = group {
+            let group_len = self.coord.sum_groups()[g].len();
+            let cache = &self.sum_cache[g][suspect.index()];
+            if let Some(unread) = unread_records(bytes, group_len, cache) {
+                self.adopt_unread(ctx, g, suspect.index(), unread);
             }
-            // The ingress caps a node's unacknowledged calls at
-            // `MAX_IN_FLIGHT`, so every entry some peer may lack is
-            // among the newest that many.
-            None => {
-                let size = self.layout.entry_size();
-                let entries: Vec<(u64, &[u8])> = bytes
-                    .chunks_exact(size)
-                    .filter_map(|slot| slot_seq(slot).map(|seq| (seq, slot)))
-                    .filter(|&(seq, slot)| seq > 0 && slot_ready(slot, seq))
-                    .collect();
-                let newest = entries.iter().map(|&(seq, _)| seq).max().unwrap_or(0);
-                for (seq, slot) in entries {
-                    if seq + MAX_IN_FLIGHT as u64 > newest {
-                        let off = self.layout.free_slot_offset(suspect, seq);
-                        self.rebroadcast(ctx, suspect, self.layout.free_rings, off, slot);
-                    }
-                }
-                self.layout.free_rings
+            return;
+        }
+        // The ingress caps a node's unacknowledged calls at
+        // `MAX_IN_FLIGHT`, so every entry some peer may lack is among
+        // the newest that many.
+        let size = self.layout.entry_size();
+        let entries: Vec<(u64, &[u8])> = bytes
+            .chunks_exact(size)
+            .filter_map(|slot| slot_seq(slot).map(|seq| (seq, slot)))
+            .filter(|&(seq, slot)| seq > 0 && slot_ready(slot, seq))
+            .collect();
+        let newest = entries.iter().map(|&(seq, _)| seq).max().unwrap_or(0);
+        for (seq, slot) in entries {
+            if seq + MAX_IN_FLIGHT as u64 > newest {
+                self.rebroadcast(ctx, suspect, self.layout.free_slot_offset(suspect, seq), slot);
             }
-        };
+        }
         // The recovered slots were placed in our own copies with local
         // writes; fence them so a subsequent restart of *this* node does
         // not lose the re-executed broadcasts.
-        ctx.fence_region(region);
+        ctx.fence_region(self.layout.free_rings);
     }
 }
 
@@ -394,5 +383,59 @@ mod tests {
             "the hand-over queued behind the application's backlog"
         );
         assert!(r.at > s.at);
+    }
+
+    /// One writer per summary slot copy, under a false suspicion: node 1
+    /// suspects node 0, which is alive and compacts its log right after
+    /// node 1's READ took the old one. Node 1 adopts from the bytes it
+    /// READ and writes nowhere. Had it re-sent them into node 2's copy,
+    /// they would land after node 0's compaction there and put the old
+    /// record 0 back, and node 2 would never walk the records node 0
+    /// appends behind the new one.
+    #[test]
+    fn a_suspicion_of_a_live_source_leaves_its_summary_copies_to_it() {
+        use hamband_types::gset::{GSet, GSetUpdate};
+        let g = GSet::default();
+        let runtime = crate::RuntimeConfig::default().with_summary_payload_cap(64);
+        let run = RunConfig::new(3, WorkloadSpec::ops(0))
+            .with_seed(1)
+            .with_runtime(runtime)
+            .with_trace(crate::TraceMode::Collect);
+        let (mut sim, _layout) = crate::assemble(&g, &g.coord_spec(), &run);
+        let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
+        let add = |sim: &mut Simulator<HambandNode<GSet>>, x: u64| {
+            sim.with_app_ctx(n0, |app, ctx| {
+                app.issue(ctx, GSetUpdate::AddAll(vec![x]), 0, None);
+                app.flush_summaries(ctx);
+            });
+            sim.run_for(SimDuration::micros(5));
+        };
+        // Three one-element records fill most of the 96-byte slot.
+        sim.run_for(SimDuration::nanos(1));
+        for x in 0..3 {
+            add(&mut sim, x);
+        }
+        sim.take_trace();
+        sim.with_app_ctx(n1, |app, ctx| app.on_suspect(ctx, n0));
+        // The READ lands at node 0 and takes the three records ...
+        let read_landed = |sim: &mut Simulator<HambandNode<GSet>>| {
+            sim.take_trace().iter().any(|r| {
+                matches!(r.event, TraceEvent::VerbCompleted { issuer, kind: rdma_sim::VerbKind::Read, .. }
+                    if issuer == n1)
+            })
+        };
+        while !read_landed(&mut sim) {
+            sim.run_for(SimDuration::nanos(10));
+        }
+        // ... and the fourth compacts; two more fit behind it.
+        for x in 3..6 {
+            add(&mut sim, x);
+        }
+        let all: Vec<u64> = (0..6).collect();
+        for q in [n0, n1, n2] {
+            let state: Vec<u64> = sim.app(q).state_snapshot().into_iter().collect();
+            assert_eq!(state, all, "node {q:?}");
+        }
+        assert!(sim.app(n2).sum_cache[0][0].head > 1, "node 0 compacted");
     }
 }

@@ -1,27 +1,36 @@
 //! REDUCE path: reducible calls folded into per-(group, source)
-//! summaries and broadcast as seqlock-versioned summary slots.
+//! summaries and broadcast as append-only logs of summary records.
 //!
 //! Fig. 7's REDUCE rule: a reducible call is summarized with the
 //! issuer's current summary for its summarization group; peers learn it
-//! by polling the issuer's summary slot (last-writer-wins, carrying the
-//! per-method applied counts). The broadcast is write-combined: at most
-//! one summary WRITE per (group, peer) channel is in flight, and a
-//! landed version acknowledges every call folded in up to it.
+//! by polling the issuer's summary slot, which carries the per-method
+//! applied counts. The slot is a log the issuer alone writes
+//! (`codec.rs`): a call folds into the *pending* record, and the flush
+//! at the end of every pump closes that record into the issuer's own
+//! copy and posts each peer only the records its copy lacks. The
+//! broadcast is write-combined: at most one summary WRITE per (group,
+//! peer) channel is in flight, and a landed version acknowledges every
+//! call folded in up to it.
 //!
 //! The channel obeys the rule the rings obey — queue while handling and
 //! planning, post once in the pump's flush. `issue_reduce` folds and
 //! queues its waiter (`sum_waiters`) and never posts;
 //! `on_summary_write_done` frees the channel and credits what landed
 //! and never reposts; `flush_summaries`, at the end of every pump,
-//! posts the latest slot wherever a channel is idle and someone waits.
-//! So the calls a planning pass issues into the window slots a
-//! completion freed ride the very WRITE that completion made room for,
-//! not the one after it (DESIGN.md §5a).
+//! closes the pending record and posts the log's unsent suffix wherever
+//! a channel is idle and someone waits. So the calls a planning pass
+//! issues into the window slots a completion freed ride the very WRITE
+//! that completion made room for, not the one after it (DESIGN.md §5a).
+//! Because the issuer is the slot's only writer and keeps one WRITE in
+//! flight per channel, it knows each peer's copy exactly: the log up to
+//! `sum_sent`, or nothing past a compaction.
 //!
-//! A landed version costs its reader nothing until a read needs it.
-//! `adopt_summaries` peeks each peer slot's version word and decodes and
-//! adopts a slot that moved, one `apply_cost` each. It runs where a
-//! summary's content is read: a query (`calls.rs::pump`), a call the
+//! A landed record costs its reader nothing until a read needs it.
+//! `adopt_summaries` peeks, per peer log, record 0's version word and
+//! the word at the offset it has read up to, and decodes and adopts the
+//! records past that offset only where something moved, one
+//! `apply_cost` per log however many records it moved by. It runs where
+//! a summary's content is read: a query (`calls.rs::pump`), a call the
 //! stale view rejects (`calls.rs::issue`), an entry whose `Dep(u)` is
 //! unmet (`calls.rs::apply_buffered`) and a suspicion's quota adoption
 //! (`recovery.rs::on_suspect`). A node with no local workload left
@@ -29,24 +38,113 @@
 
 use hamband_core::ids::{MethodId, Pid};
 use hamband_core::object::WorkloadSupport;
+use hamband_core::wire::Wire;
 use rdma_sim::{NodeId, Phase, TraceEvent};
 
 use crate::calls::{Issued, Route};
-use crate::codec::{summary_version, SummarySlot};
+use crate::codec::{summary_records, summary_version, SummarySlot};
 use crate::replica::{peers, HambandNode};
 use crate::transport::Transport;
 
-/// Last summary adopted from one (summarization group, source):
-/// version word, per-method applied counts, and the summary itself.
+/// What a node holds of one (summarization group, source) log: the
+/// records adopted from it since its last compaction (the source's
+/// own: folded in), and where in the log that leaves the node.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedSummary<U> {
+    /// Version of the newest record adopted (own: of the newest call
+    /// folded in).
     pub(crate) version: u64,
+    /// Per-method applied counts as of `version`.
     pub(crate) counts: Vec<u64>,
-    pub(crate) summary: Option<U>,
+    /// The records' summaries, oldest first; applied in order they are
+    /// the source's summary. The own cache's last one is the pending
+    /// record while calls wait for the flush.
+    pub(crate) records: Vec<U>,
+    /// Log offset past the last record adopted (a peer's log only).
+    pub(crate) end: usize,
+    /// Record 0's version when `end` was taken: which compaction `end`
+    /// is an offset into (a peer's log only).
+    pub(crate) head: u64,
+}
+
+impl<U> CachedSummary<U> {
+    pub(crate) fn new(group_len: usize) -> Self {
+        CachedSummary {
+            version: 0,
+            counts: vec![0; group_len],
+            records: Vec::new(),
+            end: 0,
+            head: 0,
+        }
+    }
+
+    /// The offset to walk a log whose record 0 has version `head` from:
+    /// the end of what was adopted, 0 if record 0 changed since (a
+    /// compaction), `None` if it went back (a copy older than the one
+    /// adopted from).
+    fn walk_from(&self, head: u64) -> Option<usize> {
+        match head.cmp(&self.head) {
+            std::cmp::Ordering::Less => None,
+            std::cmp::Ordering::Equal => Some(self.end),
+            std::cmp::Ordering::Greater => Some(0),
+        }
+    }
+}
+
+/// The records of a log a cache has not adopted, decoded.
+pub(crate) struct Unread<U> {
+    /// Whether they start at offset 0 (a compaction happened, or
+    /// nothing was adopted yet) and so replace the cached records.
+    from_start: bool,
+    /// Record 0's version.
+    head: u64,
+    /// Log offset past the last of them.
+    pub(crate) end: usize,
+    /// The last one's version and counts.
+    version: u64,
+    pub(crate) counts: Vec<u64>,
+    records: Vec<U>,
+}
+
+impl<U> Unread<U> {
+    /// Move the records into `cache`; returns the index of the first of
+    /// them in `cache.records`.
+    pub(crate) fn into_cache(self, cache: &mut CachedSummary<U>) -> usize {
+        if self.from_start {
+            cache.records.clear();
+        }
+        let first = cache.records.len();
+        cache.records.extend(self.records);
+        (cache.version, cache.counts) = (self.version, self.counts);
+        (cache.end, cache.head) = (self.end, self.head);
+        first
+    }
+}
+
+/// Walk the log `log` of a group of `group_len` methods from where
+/// `cache` stands ([`CachedSummary::walk_from`]) and decode the records
+/// it has not adopted. `None` when there is none.
+pub(crate) fn unread_records<U: Wire>(
+    log: &[u8],
+    group_len: usize,
+    cache: &CachedSummary<U>,
+) -> Option<Unread<U>> {
+    let head = summary_version(log);
+    let from = cache.walk_from(head)?;
+    let after = if from == 0 { 0 } else { cache.version };
+    let (mut end, mut last, mut records) = (from, None, Vec::new());
+    for record in summary_records(log.get(from..)?, group_len, after) {
+        let Some(slot) = SummarySlot::<U>::from_slot(record, group_len) else { break };
+        end += record.len();
+        records.extend(slot.summary);
+        last = Some((slot.version, slot.counts));
+    }
+    let (version, counts) = last.filter(|&(v, _)| v > cache.version)?;
+    Some(Unread { from_start: from == 0, head, end, version, counts, records })
 }
 
 impl<O: WorkloadSupport> HambandNode<O> {
-    /// REDUCE: fold into the summary, queue the slot's broadcast.
+    /// REDUCE: fold into the pending record, queue the broadcast.
     pub(crate) fn issue_reduce<T: Transport>(
         &mut self,
         ctx: &mut T,
@@ -60,63 +158,47 @@ impl<O: WorkloadSupport> HambandNode<O> {
             .iter()
             .position(|&m| m == method)
             .expect("method in group");
-        // Summarize with the current own summary.
-        let new_summary = match &self.sum_cache[g][me].summary {
-            None => update.clone(),
-            Some(prev) => self
-                .spec
-                .summarize(prev, &update)
-                .expect("summarization group closed under summarize"),
-        };
+        // Summarize with the pending record only. A non-monotone
+        // summary is one record, the whole summary, so it folds there.
+        let fold = self.sum_pending[g] || !self.spec.summaries_monotone();
         let cache = &mut self.sum_cache[g][me];
+        match cache.records.last_mut() {
+            Some(last) if fold => {
+                *last = self
+                    .spec
+                    .summarize(last, &update)
+                    .expect("summarization group closed under summarize");
+            }
+            _ => cache.records.push(update.clone()),
+        }
+        self.sum_pending[g] = true;
         cache.version += 1;
         cache.counts[midx] += 1;
-        cache.summary = Some(new_summary);
-        let version = cache.version;
-        // Encode the latest slot once into the group's reusable buffer
-        // (used prefix only) straight from the cache — no clones.
-        let mut slot = std::mem::take(&mut self.sum_slot_buf[g]);
-        {
-            let cache = &self.sum_cache[g][me];
-            SummarySlot::encode_parts_into(
-                version,
-                &cache.counts,
-                cache.summary.as_ref(),
-                self.layout.summary_size(g),
-                &mut slot,
-            );
-        }
-        self.applied.set(Pid(me), method, self.sum_cache[g][me].counts[midx]);
+        let (version, count) = (cache.version, cache.counts[midx]);
+        self.applied.set(Pid(me), method, count);
         // Local effects: the call itself lands in the views.
         self.apply_to_views(&update);
         self.metrics.last_apply = ctx.now();
-
-        // Reliable broadcast: the own slot a recoverer READs first,
-        // then the remote writes. Durability seam: it is also this
-        // node's only record of its reducible calls — fence it before
-        // the remote copies can land.
-        let offset = self.layout.summary_offset(g, self.me);
-        ctx.local_write(self.layout.summaries, offset, &slot);
-        ctx.fence_region(self.layout.summaries);
         // Write-combining: the call only queues here. The pump's flush
-        // posts the latest slot on every idle channel once the whole
-        // planning pass has folded in — the slot is last-writer-wins,
-        // so a landed version v acknowledges every call folded in up
-        // to v.
+        // closes the record and posts the log's unsent suffix on every
+        // idle channel once the whole planning pass has folded in — a
+        // landed version v acknowledges every call folded in up to v.
         for q in peers(self.me, self.n) {
             self.sum_waiters[g][q.index()].push_back((version, call_id));
         }
-        self.sum_slot_buf[g] = slot;
         Issued { phase: Phase::Reduce, conf: None, remotes: self.n - 1 }
     }
 
-    /// Post the group's latest encoded slot on every (group, peer)
-    /// channel that is idle and has a waiter. Called once per planning
-    /// pass, after the last fold, so one WRITE per peer carries every
-    /// call the pass issued and every call that folded in while the
-    /// previous WRITE was in flight.
+    /// Close every pending record, then post each (group, peer) channel
+    /// that is idle and has a waiter the log's suffix that peer lacks.
+    /// Called once per planning pass, after the last fold, so one WRITE
+    /// per peer carries every call the pass issued and every call that
+    /// folded in while the previous WRITE was in flight.
     pub(crate) fn flush_summaries<T: Transport>(&mut self, ctx: &mut T) {
         for g in 0..self.sum_waiters.len() {
+            if self.sum_pending[g] {
+                self.close_record(ctx, g);
+            }
             for q in 0..self.n {
                 if self.sum_inflight[g][q].is_none() && !self.sum_waiters[g][q].is_empty() {
                     self.post_summary(ctx, g, NodeId(q));
@@ -125,15 +207,56 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
     }
 
-    /// Post one summary WRITE of the group's latest slot to `target`
-    /// and mark the (group, peer) channel busy. A combined write
-    /// carries the whole group's summary, so the trace event is
-    /// labelled with the group's first method.
+    /// Append the pending record of group `g` to the own log and write
+    /// it into the own slot copy — what a recoverer READs, and this
+    /// node's only record of its reducible calls: fenced before any
+    /// remote copy leaves. A record that does not fit behind the log
+    /// compacts it: one record summarizing everything at offset 0, and
+    /// every peer's next post is the whole log. A non-monotone summary
+    /// compacts at every record.
+    fn close_record<T: Transport>(&mut self, ctx: &mut T, g: usize) {
+        let size = self.layout.summary_size(g);
+        let cache = &mut self.sum_cache[g][self.me.index()];
+        let log = &mut self.sum_log[g];
+        if !self.spec.summaries_monotone() {
+            log.clear();
+        }
+        let mut at = log.len();
+        SummarySlot::append_parts(cache.version, &cache.counts, cache.records.last(), size, log);
+        if log.len() > size {
+            let spec = &self.spec;
+            let whole = cache
+                .records
+                .drain(..)
+                .reduce(|a, b| spec.summarize(&a, &b).expect("summarization group closed"))
+                .expect("a pending record");
+            log.clear();
+            at = 0;
+            SummarySlot::append_parts(cache.version, &cache.counts, Some(&whole), size, log);
+            cache.records.push(whole);
+        }
+        if at == 0 {
+            self.sum_sent[g].fill(0);
+        }
+        let offset = self.layout.summary_offset(g, self.me) + at;
+        ctx.local_write(self.layout.summaries, offset, &log[at..]);
+        ctx.fence_region(self.layout.summaries);
+        self.sum_pending[g] = false;
+    }
+
+    /// Post one summary WRITE to `target` of the own log from what its
+    /// copy holds to the end, and mark the (group, peer) channel busy.
+    /// A combined write carries records of every method of the group,
+    /// so the trace event is labelled with the group's first method.
     fn post_summary<T: Transport>(&mut self, ctx: &mut T, g: usize, target: NodeId) {
-        debug_assert!(self.sum_inflight[g][target.index()].is_none(), "one in flight per peer");
+        let q = target.index();
+        debug_assert!(self.sum_inflight[g][q].is_none(), "one in flight per peer");
+        let (log, from) = (&self.sum_log[g], self.sum_sent[g][q]);
+        debug_assert!(from < log.len(), "a waiter's record is past what the peer holds");
         let version = self.sum_cache[g][self.me.index()].version;
-        let offset = self.layout.summary_offset(g, self.me);
-        let wr = ctx.post_write(target, self.layout.summaries, offset, &self.sum_slot_buf[g]);
+        let offset = self.layout.summary_offset(g, self.me) + from;
+        let wr = ctx.post_write(target, self.layout.summaries, offset, &log[from..]);
+        self.sum_sent[g][q] = log.len();
         let issuer = self.me;
         ctx.emit(|| TraceEvent::SummaryWrite {
             issuer,
@@ -141,7 +264,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
             method: self.coord.sum_groups()[g][0].index(),
             version,
         });
-        self.sum_inflight[g][target.index()] = Some(version);
+        self.sum_inflight[g][q] = Some(version);
         self.wr_routes.insert(wr, Route::SummaryWrite { group: g, target, version });
     }
 
@@ -154,76 +277,88 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
     }
 
-    /// Adopt every peer slot whose version moved: decode it, raise the
-    /// applied counts, and fold the summary into the views (or
-    /// invalidate them, for non-monotone summaries), one `apply_cost`
-    /// each. The slot is read as it is now, however many versions it
-    /// moved by — one adoption. Returns how many slots it adopted.
+    /// Adopt the records that landed in every peer log past what was
+    /// adopted from it (see [`unread_records`]), one `apply_cost` per
+    /// log. Returns how many logs it adopted from.
     pub(crate) fn adopt_summaries<T: Transport>(&mut self, ctx: &mut T) -> u64 {
-        let monotone = self.spec.summaries_monotone();
         let mut adopted = 0;
         for g in 0..self.sum_cache.len() {
+            let (size, group_len) = (self.layout.summary_size(g), self.coord.sum_groups()[g].len());
             for node in peers(self.me, self.n) {
                 let src = node.index();
                 let off = self.layout.summary_offset(g, node);
-                let size = self.layout.summary_size(g);
-                let parsed = {
-                    let bytes = ctx.local(self.layout.summaries, off, size);
-                    // Peek the leading version word before paying for a
-                    // full seqlock parse: free on the virtual clock, and
-                    // an unchanged slot is the common case.
-                    if summary_version(bytes) <= self.sum_cache[g][src].version {
-                        continue;
-                    }
-                    SummarySlot::<O::Update>::from_slot(bytes, self.coord.sum_groups()[g].len())
-                };
-                // A torn slot is tried again by the next read.
-                let Some(slot) = parsed else { continue };
-                if slot.version <= self.sum_cache[g][src].version {
+                let cache = &self.sum_cache[g][src];
+                // Peek two version words before walking: free on the
+                // virtual clock, and an unchanged log is the common case.
+                let head = summary_version(ctx.local(self.layout.summaries, off, 8));
+                let Some(from) = cache.walk_from(head) else { continue };
+                let next = ctx.local(self.layout.summaries, off + from, 8.min(size - from));
+                if summary_version(next) <= cache.version {
                     continue;
                 }
-                ctx.charge_apply();
-                for (i, &m) in self.coord.sum_groups()[g].iter().enumerate() {
-                    let old = self.applied.get(Pid(src), m);
-                    self.applied.set(Pid(src), m, old.max(slot.counts[i]));
+                let log = ctx.local(self.layout.summaries, off, size);
+                // A torn record is tried again by the next read.
+                if let Some(unread) = unread_records(log, group_len, cache) {
+                    self.adopt_unread(ctx, g, src, unread);
+                    adopted += 1;
                 }
-                // Cache first: a rebuild of `spec_mat` below reads it.
-                self.sum_cache[g][src] = CachedSummary {
-                    version: slot.version,
-                    counts: slot.counts,
-                    summary: slot.summary,
-                };
-                if monotone {
-                    if let Some(sum) = &self.sum_cache[g][src].summary {
-                        if !self.mat_dirty {
-                            self.spec.apply_mut(&mut self.mat, sum);
-                        }
-                        if let Some(sm) = self.spec_mat.as_mut() {
-                            self.spec.apply_mut(sm, sum);
-                        }
-                    }
-                } else {
-                    self.mat_dirty = true;
-                    // A stale speculative view would corrupt checks:
-                    // rebuild it from the updated cache if present.
-                    if self.spec_mat.is_some() {
-                        self.rebuild_spec_mat(ctx);
-                    }
-                }
-                self.metrics.summary_adoptions += 1;
-                self.metrics.last_apply = ctx.now();
-                adopted += 1;
             }
         }
         adopted
     }
 
+    /// Adopt `unread`, the records of `src`'s log of group `g` past the
+    /// cache: charge one `apply_cost`, raise the applied counts, and
+    /// fold the records into the views (or invalidate them, for
+    /// non-monotone summaries).
+    pub(crate) fn adopt_unread<T: Transport>(
+        &mut self,
+        ctx: &mut T,
+        g: usize,
+        src: usize,
+        unread: Unread<O::Update>,
+    ) {
+        ctx.charge_apply();
+        self.raise_applied(g, src, &unread.counts);
+        // Cache first: a rebuild of `spec_mat` below reads it.
+        let new = unread.into_cache(&mut self.sum_cache[g][src]);
+        if self.spec.summaries_monotone() {
+            // Re-applying what a compaction record repeats is harmless.
+            for sum in &self.sum_cache[g][src].records[new..] {
+                if !self.mat_dirty {
+                    self.spec.apply_mut(&mut self.mat, sum);
+                }
+                if let Some(sm) = self.spec_mat.as_mut() {
+                    self.spec.apply_mut(sm, sum);
+                }
+            }
+        } else {
+            self.mat_dirty = true;
+            // A stale speculative view would corrupt checks:
+            // rebuild it from the updated cache if present.
+            if self.spec_mat.is_some() {
+                self.rebuild_spec_mat(ctx);
+            }
+        }
+        self.metrics.summary_adoptions += 1;
+        self.metrics.last_apply = ctx.now();
+    }
+
+    /// Raise the applied counts of `src`'s methods of group `g` to
+    /// `counts` (a record's, in group order).
+    pub(crate) fn raise_applied(&mut self, g: usize, src: usize, counts: &[u64]) {
+        for (&m, &count) in self.coord.sum_groups()[g].iter().zip(counts) {
+            let old = self.applied.get(Pid(src), m);
+            self.applied.set(Pid(src), m, old.max(count));
+        }
+    }
+
     /// A summary WRITE to `(g, target)` completed: free the channel and
     /// credit every call whose version the landed write covers. Never
-    /// reposts — if the local summary moved past what landed, the
-    /// waiters left behind make the next pump's flush post the latest
-    /// slot, together with whatever that pump plans into the window
-    /// slots this completion frees.
+    /// reposts — if the log grew past what landed, the waiters left
+    /// behind make the next pump's flush post the rest, together with
+    /// whatever that pump plans into the window slots this completion
+    /// frees.
     pub(crate) fn on_summary_write_done<T: Transport>(
         &mut self,
         ctx: &mut T,
@@ -236,8 +371,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
         let q = target.index();
         debug_assert_eq!(self.sum_inflight[g][q], Some(version), "routed write matches");
         self.sum_inflight[g][q] = None;
-        // The slot is last-writer-wins: landing version v makes
-        // every folded-in call up to v durable at this peer.
+        // The peer's copy now holds the log up to version v, so every
+        // call folded in up to v is durable there.
         while let Some(&(v, cid)) = self.sum_waiters[g][q].front() {
             if v > version {
                 break;
@@ -259,7 +394,10 @@ mod tests {
     use hamband_core::ObjectSpec;
     use hamband_types::bank::{Bank, BankUpdate, OPEN};
     use hamband_types::counter::{Counter, CounterUpdate, ADD};
+    use hamband_types::gset::{GSet, GSetUpdate};
     use rdma_sim::{LatencyModel, SimDuration, Simulator};
+
+    use crate::RuntimeConfig;
 
     const N0: NodeId = NodeId(0);
     const N1: NodeId = NodeId(1);
@@ -362,14 +500,20 @@ mod tests {
         assert_eq!(sim.app(NodeId(2)).state_snapshot(), 3);
     }
 
-    /// Copy `from`'s own slot of summarization group 0 into `to`'s copy:
-    /// its WRITE landing, without running the cluster (whose polls and
-    /// pumps would act on it).
+    /// Copy `from`'s own slot of summarization group 0 into `to`'s copy,
+    /// its pending record closed first: the flush's WRITE landing,
+    /// without running the cluster (whose polls and pumps would act on
+    /// it).
     fn land<O: WorkloadSupport + Clone>(
         sim: &mut Simulator<HambandNode<O>>,
         from: NodeId,
         to: NodeId,
     ) {
+        sim.with_app_ctx(from, |app, ctx| {
+            if app.sum_pending[0] {
+                app.close_record(ctx, 0);
+            }
+        });
         let layout = sim.app(from).layout.clone();
         let off = layout.summary_offset(0, from);
         let slot =
@@ -517,5 +661,122 @@ mod tests {
         let app = sim.app(N0);
         assert_eq!(*app.check_view(), 12, "node 1's deposit is in the view the leader checks");
         assert_eq!(app.spec_mat, Some(12));
+    }
+
+    /// Three started GSet replicas with no workload of their own and
+    /// summary payloads capped at `cap` bytes; node 0's calls are
+    /// issued by hand.
+    fn idle_gsets(cap: usize) -> Simulator<HambandNode<GSet>> {
+        let g = GSet::default();
+        let runtime = RuntimeConfig::default().with_summary_payload_cap(cap);
+        let run = RunConfig::new(3, WorkloadSpec::ops(0)).with_seed(1).with_runtime(runtime);
+        let (mut sim, _layout) = assemble(&g, &g.coord_spec(), &run);
+        sim.run_for(SimDuration::nanos(1));
+        sim
+    }
+
+    /// Node 0 folds in one call per batch, closing a record after each.
+    fn close_records(sim: &mut Simulator<HambandNode<GSet>>, batches: &[&[u64]]) {
+        sim.with_app_ctx(N0, |app, ctx| {
+            for batch in batches {
+                app.issue(ctx, GSetUpdate::AddAll(batch.to_vec()), 0, None);
+                app.close_record(ctx, 0);
+            }
+        });
+    }
+
+    fn elements(app: &HambandNode<GSet>) -> Vec<u64> {
+        app.state_snapshot().into_iter().collect()
+    }
+
+    #[test]
+    fn a_delta_write_carries_only_the_records_the_peer_lacks() {
+        let mut sim = idle_gsets(4096);
+        sim.with_app_ctx(N0, |app, ctx| {
+            app.issue(ctx, GSetUpdate::AddAll(vec![1, 2, 3]), 0, None);
+            app.flush_summaries(ctx);
+        });
+        sim.run_for(SimDuration::micros(5));
+        let (writes, bytes) = (sim.stats().writes, sim.stats().one_sided_bytes);
+        sim.with_app_ctx(N0, |app, ctx| {
+            app.issue(ctx, GSetUpdate::AddAll(vec![4]), 0, None);
+            app.flush_summaries(ctx);
+        });
+        let record =
+            SummarySlot { version: 2, counts: vec![2], summary: Some(GSetUpdate::AddAll(vec![4])) }
+                .to_slot(4096);
+        assert!(sim.app(N0).sum_log[0].ends_with(&record));
+        assert_eq!(sim.stats().writes - writes, 2, "one WRITE per peer");
+        assert_eq!(
+            sim.stats().one_sided_bytes - bytes,
+            2 * record.len() as u64,
+            "each carries the new record alone"
+        );
+        sim.run_for(SimDuration::micros(5));
+        for q in [N1, NodeId(2)] {
+            assert_eq!(elements(sim.app(q)), [1, 2, 3, 4]);
+        }
+    }
+
+    #[test]
+    fn a_reader_that_skipped_records_adopts_them_at_once_for_one_apply_cost() {
+        let mut sim = idle_gsets(4096);
+        close_records(&mut sim, &[&[10], &[11, 12], &[13], &[14]]);
+        land(&mut sim, N0, N1);
+        let cpu = sim.stats().cpu_busy_ns[1];
+        assert_eq!(sim.with_app_ctx(N1, |app, ctx| app.adopt_summaries(ctx)), 1);
+        let apply_cost = LatencyModel::default().apply_cost.as_nanos();
+        assert_eq!(sim.stats().cpu_busy_ns[1] - cpu, apply_cost, "one adoption");
+        let app = sim.app(N1);
+        assert_eq!(app.metrics.summary_adoptions, 1);
+        assert_eq!(app.sum_cache[0][0].records.len(), 4, "four records, each once");
+        assert_eq!(app.applied.get(Pid(0), MethodId(0)), 4);
+        assert_eq!(elements(app), [10, 11, 12, 13, 14]);
+        // Nothing new: the next read peeks and adopts nothing.
+        assert_eq!(sim.with_app_ctx(N1, |app, ctx| app.adopt_summaries(ctx)), 0);
+        close_records(&mut sim, &[&[15]]);
+        land(&mut sim, N0, N1);
+        assert_eq!(sim.with_app_ctx(N1, |app, ctx| app.adopt_summaries(ctx)), 1);
+        assert_eq!(sim.app(N1).sum_cache[0][0].records.len(), 5, "the new record only");
+    }
+
+    /// Two 40 KB records fit a 70 KB slot one at a time; the second
+    /// compacts, and the compaction record overflows the u16 length
+    /// field: a clear panic, not a truncated length.
+    #[test]
+    #[should_panic(expected = "overflows the u16 length field")]
+    fn a_compaction_record_past_u16_panics_naming_the_length_field() {
+        let mut sim = idle_gsets(70_000);
+        let batch = |from: u64| (from..from + 13_500).collect::<Vec<u64>>();
+        close_records(&mut sim, &[&batch(20_000), &batch(40_000)]);
+    }
+
+    /// A slot of 96 bytes holds the first three one-element records and
+    /// a compaction with a few behind it: node 0 compacts every few
+    /// calls, and its peers, which adopt at every poll, follow it
+    /// through each compaction (walking from offset 0 past the stale
+    /// records behind the new record 0).
+    #[test]
+    fn a_reader_converges_across_compactions() {
+        let mut sim = idle_gsets(64);
+        let mut heads = std::collections::BTreeSet::new();
+        for x in 0..24u64 {
+            sim.with_app_ctx(N0, |app, ctx| {
+                app.issue(ctx, GSetUpdate::AddAll(vec![x]), 0, None);
+                if x % 3 != 1 {
+                    app.flush_summaries(ctx);
+                }
+            });
+            sim.run_for(SimDuration::micros(3));
+            heads.insert(sim.app(N1).sum_cache[0][0].head);
+        }
+        sim.with_app_ctx(N0, |app, ctx| app.flush_summaries(ctx));
+        sim.run_for(SimDuration::micros(5));
+        assert!(heads.len() > 3, "node 1 followed {} generations", heads.len());
+        let all: Vec<u64> = (0..24).collect();
+        for q in [N0, N1, NodeId(2)] {
+            assert_eq!(elements(sim.app(q)), all, "node {q:?}");
+        }
+        assert_eq!(sim.app(N0).metrics.updates_acked, 24);
     }
 }

@@ -15,11 +15,12 @@
 //!
 //! * republishes its ring-reader heads at the replayed frontiers (so
 //!   peers' writers never reuse a slot this node has applied),
-//! * re-posts its own free-ring window and summary slot to every peer
-//!   (closing the bounded per-peer gap of appends that were minted but
-//!   not yet posted when it crashed — slot re-writes are idempotent),
-//!   and writes that window back into its own ring copy,
-//! * rebuilds the summary caches from the durable slot copies,
+//! * re-posts its own free-ring window and whole summary logs to every
+//!   peer (closing the bounded per-peer gap of appends and records that
+//!   were minted but not yet posted when it crashed — slot re-writes
+//!   are idempotent), and writes that window back into its own ring
+//!   copy,
+//! * rebuilds the summary caches by walking the durable logs,
 //! * re-arms the timer chains (the pre-crash chains died inside the
 //!   crash window) and republishes its heartbeat region, whose
 //!   executed-queries word the restart zeroed, and
@@ -36,16 +37,15 @@
 //! retired leader would wedge convergence because peers keep its
 //! suspicion sticky.
 
-use hamband_core::ids::{MethodId, Pid};
 use hamband_core::object::WorkloadSupport;
 use hamband_core::wire::Wire;
 use rdma_sim::NodeId;
 
-use crate::codec::{slot_seq, Entry, SummarySlot};
+use crate::codec::{slot_seq, Entry};
 use crate::config::FREE_RING_CAP;
 use crate::messages::ControlMsg;
 use crate::persist::LogRecord;
-use crate::reduce::CachedSummary;
+use crate::reduce::unread_records;
 use crate::replica::{peers, HambandNode};
 use crate::transport::Transport;
 
@@ -175,33 +175,32 @@ impl<O: WorkloadSupport> HambandNode<O> {
             e.reader.adopt_head(ctx, frontier);
         }
 
-        // Rebuild the summary caches from the durable slot copies
-        // (remote slots landed durably; the own slot was fenced at every
-        // issue). Re-post the own slot to every peer: a crash between
-        // the local fence and the remote writes may have left peers one
-        // version behind, and summary slots are last-writer-wins.
+        // Rebuild the summary caches by walking the durable logs (remote
+        // records landed durably; the own log was fenced at every
+        // flush). Re-post the whole own log to every peer: a crash
+        // between the local fence and the remote writes may have left
+        // peers records behind, and a fresh node knows nothing of what
+        // their copies hold.
         for g in 0..self.sum_cache.len() {
-            let group_methods: Vec<MethodId> = self.coord.sum_groups()[g].clone();
+            let (size, group_len) = (self.layout.summary_size(g), self.coord.sum_groups()[g].len());
             for src in 0..self.n {
                 let off = self.layout.summary_offset(g, NodeId(src));
-                let size = self.layout.summary_size(g);
-                let parsed = {
-                    let bytes = ctx.local(self.layout.summaries, off, size);
-                    SummarySlot::<O::Update>::from_slot(bytes, group_methods.len())
+                let log = ctx.local(self.layout.summaries, off, size);
+                let Some(unread) = unread_records(log, group_len, &self.sum_cache[g][src]) else {
+                    continue;
                 };
-                let Some(slot) = parsed else { continue };
-                for (i, &m) in group_methods.iter().enumerate() {
-                    let old = self.applied.get(Pid(src), m);
-                    self.applied.set(Pid(src), m, old.max(slot.counts[i]));
+                if src == self.me.index() {
+                    self.sum_log[g] = log[..unread.end].to_vec();
                 }
-                if src == self.me.index() && slot.version > 0 {
-                    let image = ctx.local(self.layout.summaries, off, size).to_vec();
-                    for q in peers(self.me, self.n) {
-                        ctx.post_write(q, self.layout.summaries, off, &image);
-                    }
+                self.raise_applied(g, src, &unread.counts);
+                unread.into_cache(&mut self.sum_cache[g][src]);
+            }
+            let off = self.layout.summary_offset(g, self.me);
+            for q in peers(self.me, self.n) {
+                if !self.sum_log[g].is_empty() {
+                    ctx.post_write(q, self.layout.summaries, off, &self.sum_log[g]);
                 }
-                self.sum_cache[g][src] =
-                    CachedSummary { version: slot.version, counts: slot.counts, summary: slot.summary };
+                self.sum_sent[g][q.index()] = self.sum_log[g].len();
             }
         }
 

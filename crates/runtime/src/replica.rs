@@ -94,8 +94,7 @@ pub struct HambandNode<O: ObjectSpec> {
     /// (summarization group, peer); `None` = the channel is idle. At
     /// most one summary WRITE per (group, peer) is ever in flight —
     /// further reduces only fold locally, and the first pump after the
-    /// completion posts the latest slot if it moved past what landed
-    /// (slots are last-writer-wins, so this is the paper's own
+    /// completion posts what the log gained meanwhile (the paper's own
     /// amortization).
     pub(crate) sum_inflight: Vec<Vec<Option<u64>>>,
     /// Per (summarization group, peer): calls whose summary version has
@@ -103,10 +102,16 @@ pub struct HambandNode<O: ObjectSpec> {
     /// A completed write carrying version `v` covers every waiter with
     /// version `<= v`.
     pub(crate) sum_waiters: Vec<Vec<VecDeque<(u64, u64)>>>,
-    /// Per summarization group: reusable encode buffer holding the
-    /// latest own summary slot (the used prefix — exactly the bytes
-    /// the pump's flush writes).
-    pub(crate) sum_slot_buf: Vec<Vec<u8>>,
+    /// Per summarization group: the own log's bytes, exactly what the
+    /// own slot copy holds from offset 0 (`reduce.rs`).
+    pub(crate) sum_log: Vec<Vec<u8>>,
+    /// Per (summarization group, peer): how much of the own log that
+    /// peer's copy holds once the WRITE in flight lands — the offset
+    /// the next post starts at.
+    pub(crate) sum_sent: Vec<Vec<usize>>,
+    /// Per summarization group: whether calls were folded in since the
+    /// last flush closed the pending record.
+    pub(crate) sum_pending: Vec<bool>,
     /// Reusable buffer for the ring slot of the call being issued: the
     /// entry is encoded into it once and every peer's writer, the own
     /// ring copy and the log copy take the bytes.
@@ -211,11 +216,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         let sum_cache = coord
             .sum_groups()
             .iter()
-            .map(|g| {
-                (0..n)
-                    .map(|_| CachedSummary { version: 0, counts: vec![0; g.len()], summary: None })
-                    .collect()
-            })
+            .map(|g| (0..n).map(|_| CachedSummary::new(g.len())).collect())
             .collect();
         let engines = leaders
             .iter()
@@ -245,7 +246,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
             sum_cache,
             sum_inflight: (0..sum_group_count).map(|_| vec![None; n]).collect(),
             sum_waiters: (0..sum_group_count).map(|_| vec![VecDeque::new(); n]).collect(),
-            sum_slot_buf: vec![Vec::new(); sum_group_count],
+            sum_log: vec![Vec::new(); sum_group_count],
+            sum_sent: vec![vec![0; n]; sum_group_count],
+            sum_pending: vec![false; sum_group_count],
             slot_buf: Vec::new(),
             free_writers: Vec::new(),
             free_readers: Vec::new(),

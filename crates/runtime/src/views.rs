@@ -39,10 +39,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
     pub fn state_snapshot(&self) -> O::State {
         let mut s = self.sigma.clone();
         for group in &self.sum_cache {
-            for cache in group {
-                if let Some(sum) = &cache.summary {
-                    self.spec.apply_mut(&mut s, sum);
-                }
+            for sum in group.iter().flat_map(|cache| &cache.records) {
+                self.spec.apply_mut(&mut s, sum);
             }
         }
         s

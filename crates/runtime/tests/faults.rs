@@ -86,8 +86,8 @@ fn crash_recovery_delivers_pending_broadcast() {
 /// A node crashes with a summary no peer has seen: only its own slot
 /// holds it, as the issuer writes that slot before any remote copy
 /// leaves. The writer stores only the used prefix, so the slot holds
-/// the newest image over the tail of a longer, older one. Recovery
-/// re-sends exactly the newest image to every survivor.
+/// the newest image over the tail of a longer, older one. Every
+/// survivor READs that slot and adopts exactly the newest image.
 #[test]
 fn a_summary_only_the_crashed_nodes_own_slot_holds_reaches_every_survivor() {
     use hamband_types::gset::GSetUpdate;
@@ -483,6 +483,40 @@ fn suspended_node_still_drains_its_summary_channels() {
         sim.app(NodeId(0)).state_snapshot(),
         "the survivors diverged"
     );
+}
+
+/// One writer per summary slot copy (DESIGN §8). Node 0 is cut off
+/// while it opens accounts into a slot so small that it compacts every
+/// few records, and it keeps issuing after the heal: the records and
+/// compactions parked by the partition land in order, and every node
+/// converges. The partition alone makes no detector suspect node 0 —
+/// the heartbeat READs park with everything else — so the hazard a
+/// second writer brings, a READ image landing after a compaction, is
+/// stepped by hand in `recovery.rs`
+/// (`a_suspicion_of_a_live_source_leaves_its_summary_copies_to_it`).
+#[test]
+fn a_partitioned_source_that_compacts_its_summary_log_converges_after_the_heal() {
+    let b = Bank::default();
+    for (cut, heal) in [(20_000, 50_000), (29_188, 64_188), (35_000, 45_000)] {
+        let side = vec![NodeId(1), NodeId(2), NodeId(3)];
+        let plan = FaultPlan::new()
+            .at(SimTime(cut), Fault::Partition(vec![NodeId(0)], side))
+            .at(SimTime(heal), Fault::Heal);
+        let runtime = RuntimeConfig::default().with_summary_payload_cap(64);
+        let workload = WorkloadSpec::ops(1_200).with_update_ratio(0.5).with_seed(cut);
+        let run =
+            RunConfig::new(4, workload).with_seed(cut).with_runtime(runtime).with_faults(plan);
+        let (mut sim, layout) = assemble(&b, &b.coord_spec(), &run);
+        let (_, converged) = drive(&mut sim, run.max_time);
+        assert!(converged, "partition {cut}..{heal}: the nodes diverged");
+        // Record 0 of node 0's own log summarizes more than one call:
+        // it compacted.
+        let own =
+            &sim.region_bytes(NodeId(0), layout.summaries)[layout.summary_offset(0, NodeId(0))..];
+        let head =
+            SummarySlot::<hamband_types::bank::BankUpdate>::from_slot(own, 1).expect("a log");
+        assert!(head.version > 8, "partition {cut}..{heal}: record 0 is version {}", head.version);
+    }
 }
 
 /// A shrunk campaign schedule, replayed the way the campaign ran it.

@@ -69,11 +69,12 @@ const GOLDEN_COUNTER: [(u64, usize, u64); 3] = [
     (7, 756, 0x343bb6649b0406d8),
     (13, 756, 0x56dcb009bfee10f0),
 ];
-/// Last re-blessed for adopt-on-read summaries (the ninth bless).
+/// Last re-blessed for summary logs that ship only the records a peer
+/// lacks (the twelfth bless).
 const GOLDEN_BANK: [(u64, usize, u64); 3] = [
-    (1, 2694, 0xa56bd4313fe1ef19),
-    (7, 2691, 0xf09efe12bc2c8230),
-    (13, 2697, 0xd9500779a4009402),
+    (1, 2694, 0x1e4c31890abf099b),
+    (7, 2691, 0x736ea7737e2b9336),
+    (13, 2697, 0xebeedc4a68cea216),
 ];
 /// Last re-blessed for recovery from the suspect's own copies (the
 /// eleventh bless).
@@ -82,12 +83,12 @@ const GOLDEN_GSET_FAULTS: [(u64, usize, u64); 3] = [
     (7, 2559, 0x70cac6a3dc1cdd65),
     (13, 2559, 0x4a58cb85193afcd9),
 ];
-/// Last re-blessed for recovery from the suspect's own copies (the
-/// eleventh bless).
+/// Last re-blessed for summary logs that ship only the records a peer
+/// lacks (the twelfth bless).
 const GOLDEN_BANK_LEADERFAULT: [(u64, usize, u64); 3] = [
-    (1, 4022, 0x57c2aa8257f3d9b8),
-    (7, 3994, 0x8fcc28221575ee4c),
-    (13, 4034, 0x7486360f1b96063e),
+    (1, 4022, 0xc7bff6e4b6154d84),
+    (7, 3994, 0x8359d13f61c3b712),
+    (13, 4034, 0x13cefa09cdc19d39),
 ];
 
 #[test]
@@ -154,12 +155,12 @@ const GOLDEN_ORSET_SATURATED: [(u64, usize, u64); 3] = [
     (7, 38606, 0x8f83ff79bacd942f),
     (13, 38661, 0xb0e78dd1773021f6),
 ];
-/// Last re-blessed for recovery from the suspect's own copies (the
-/// eleventh bless).
+/// Last re-blessed for summary logs that ship only the records a peer
+/// lacks (the twelfth bless).
 const GOLDEN_BANK_SATURATED: [(u64, usize, u64); 3] = [
-    (1, 10381, 0xf1171c14a876b2a5),
-    (7, 10405, 0x404fbc7685622a97),
-    (13, 10390, 0x2791ef5e571c1c6d),
+    (1, 10381, 0x370e69fe133d8d0b),
+    (7, 10405, 0x19b726ef3a59bec7),
+    (13, 10390, 0xb8522f48ef286ded),
 ];
 
 /// Partition + heal, a duplicated completion, a delay spike and a

@@ -6,7 +6,7 @@
 use hamband_core::counts::DepMap;
 use hamband_core::demo::{Account, AccountUpdate};
 use hamband_core::ids::{MethodId, Pid, Rid};
-use hamband_runtime::codec::{Entry, SummarySlot, CANARY_TRAILER};
+use hamband_runtime::codec::{summary_records, Entry, SummarySlot, CANARY_TRAILER};
 use proptest::prelude::*;
 
 fn arb_deps() -> impl Strategy<Value = Vec<(usize, usize, u64)>> {
@@ -20,8 +20,75 @@ fn arb_update() -> impl Strategy<Value = AccountUpdate> {
     ]
 }
 
+/// A summary log as its source writes it: one record per deposit in
+/// `amounts`, versions rising by one from `first` (a one-method group,
+/// so each record's count is its version). Returns the log and each
+/// record's bytes.
+fn log_of(amounts: &[u64], first: u64) -> (Vec<u8>, Vec<Vec<u8>>) {
+    let records: Vec<Vec<u8>> = amounts
+        .iter()
+        .zip(first..)
+        .map(|(&amount, version)| {
+            SummarySlot {
+                version,
+                counts: vec![version],
+                summary: Some(Account::deposit(amount)),
+            }
+            .to_slot(4096)
+        })
+        .collect();
+    (records.concat(), records)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A log torn at any byte — what lies past the tear is zeroes or
+    /// garbage — parses to a prefix of its records, and to at least
+    /// every record wholly before the tear.
+    #[test]
+    fn a_torn_log_parses_to_a_prefix_of_its_records(
+        amounts in prop::collection::vec(0..u64::MAX / 2, 1..8),
+        cut in 0..100_000usize,
+        filler in prop::collection::vec(any::<u8>(), 0..160),
+    ) {
+        let (log, records) = log_of(&amounts, 1);
+        let at = cut % (log.len() + 1);
+        let mut torn = log[..at].to_vec();
+        torn.extend(filler.iter().chain(&[0u8; 64]).take(log.len() + 64 - at));
+        let parsed: Vec<&[u8]> = summary_records(&torn, 1, 0).collect();
+        prop_assert!(parsed.len() <= records.len());
+        for (p, r) in parsed.iter().zip(&records) {
+            prop_assert_eq!(*p, &r[..]);
+        }
+        let whole = records
+            .iter()
+            .scan(0, |end, r| {
+                *end += r.len();
+                Some(*end)
+            })
+            .take_while(|&end| end <= at)
+            .count();
+        prop_assert!(parsed.len() >= whole, "{} of {} whole records", parsed.len(), whole);
+    }
+
+    /// A compaction leaves the older generation's bytes behind the new
+    /// log: the walk parses exactly the new log's records, whatever
+    /// their lengths and however the old ones lay.
+    #[test]
+    fn a_log_over_an_older_generation_parses_to_exactly_its_own_records(
+        old in prop::collection::vec(0..u64::MAX / 2, 1..16),
+        new in prop::collection::vec(0..u64::MAX / 2, 1..6),
+    ) {
+        let (old_log, _) = log_of(&old, 1);
+        let (new_log, new_records) = log_of(&new, old.len() as u64 + 1);
+        let mut slot = old_log;
+        slot.resize(slot.len().max(new_log.len()) + 64, 0);
+        slot[..new_log.len()].copy_from_slice(&new_log);
+        let parsed: Vec<&[u8]> = summary_records(&slot, 1, 0).collect();
+        let expected: Vec<&[u8]> = new_records.iter().map(Vec::as_slice).collect();
+        prop_assert_eq!(parsed, expected);
+    }
 
     #[test]
     fn entry_payload_roundtrips(

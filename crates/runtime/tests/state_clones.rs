@@ -11,7 +11,7 @@
 //! `semantics_cross_type.rs::permissible_reads_only_the_footprint`.
 //! What stays is constant per run: the views built at construction, one
 //! `spec_mat` seed per leadership, and the harness's end-of-run
-//! snapshots.
+//! snapshots. The MSG baseline is held to the same rule.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
 use hamband_core::object::{ObjectSpec, WorkloadSupport};
 use hamband_runtime::{RunConfig, Runner, System, WorkloadSpec};
-use hamband_types::{Bank, Courseware};
+use hamband_types::{Bank, Courseware, GSet};
 use rand::rngs::StdRng;
 
 #[derive(Debug)]
@@ -114,9 +114,9 @@ impl<O: WorkloadSupport> WorkloadSupport for Counting<O> {
     }
 }
 
-/// State clones of one converged 4-node simulator run of `total_ops`
-/// calls, and the updates it acknowledged.
-fn clones_of_a_run<O>(inner: &O, coord: &CoordSpec, total_ops: u64) -> (usize, u64)
+/// State clones of one converged 4-node simulator run of `system` over
+/// `total_ops` calls, and the updates it acknowledged.
+fn clones_of_a_run<O>(system: System, inner: &O, coord: &CoordSpec, total_ops: u64) -> (usize, u64)
 where
     O: WorkloadSupport + Clone + Send,
     O::Update: Send,
@@ -133,21 +133,19 @@ where
         .with_update_ratio(0.5)
         .with_window(1);
     let config = RunConfig::new(4, workload);
-    let report = Runner::new(System::Hamband, config)
-        .run(&spec, coord)
-        .report;
+    let report = Runner::new(system, config).run(&spec, coord).report;
     assert!(report.converged, "{report}");
     (clones.load(Ordering::Relaxed), report.total_updates)
 }
 
-fn clone_count_is_independent_of_run_length<O>(inner: &O, coord: &CoordSpec)
+fn clone_count_is_independent_of_run_length<O>(system: System, inner: &O, coord: &CoordSpec)
 where
     O: WorkloadSupport + Clone + Send,
     O::Update: Send,
     O::State: Send,
 {
-    let (short, short_updates) = clones_of_a_run(inner, coord, 2_000);
-    let (long, long_updates) = clones_of_a_run(inner, coord, 8_000);
+    let (short, short_updates) = clones_of_a_run(system, inner, coord, 2_000);
+    let (long, long_updates) = clones_of_a_run(system, inner, coord, 8_000);
     assert!(
         long_updates > 3 * short_updates,
         "{short_updates} vs {long_updates} updates"
@@ -170,11 +168,19 @@ where
 #[test]
 fn bank_run_clones_state_a_constant_number_of_times() {
     let bank = Bank::default();
-    clone_count_is_independent_of_run_length(&bank, &bank.coord_spec());
+    clone_count_is_independent_of_run_length(System::Hamband, &bank, &bank.coord_spec());
 }
 
 #[test]
 fn courseware_run_clones_state_a_constant_number_of_times() {
     let cw = Courseware::default();
-    clone_count_is_independent_of_run_length(&cw, &cw.coord_spec());
+    clone_count_is_independent_of_run_length(System::Hamband, &cw, &cw.coord_spec());
+}
+
+/// The MSG baseline checks a call with `permissible` and applies it in
+/// place, as Hamband's `issue` does: no copy of the state per call.
+#[test]
+fn msg_gset_run_clones_state_a_constant_number_of_times() {
+    let g = GSet::default();
+    clone_count_is_independent_of_run_length(System::Msg, &g, &g.coord_spec());
 }

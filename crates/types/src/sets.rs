@@ -2,10 +2,11 @@
 //! batch calls (`OpenAccounts`, `RegisterStudents`, `AddEmployees`,
 //! `AddAll`) and the generators' pick of one element.
 //!
-//! A grow-only summary carries *everything* its source ever added, and
-//! every version bump is applied on top of a state that already holds
-//! all but the newest elements — so the cost that matters is that of
-//! the elements already present, not of the new ones.
+//! A grow-only summary reaches a replica as a log of deltas (the calls
+//! its source folded in between two flushes) and, after a compaction,
+//! once whole on top of a state that already holds all but its newest
+//! elements. So a batch is either a few elements spread over a large
+//! set or most of the set, and [`insert_missing`] prices the two apart.
 
 use std::collections::BTreeSet;
 
@@ -14,12 +15,15 @@ use rand::Rng;
 
 /// `set ∪= items`, touching the tree only for the elements it lacks.
 ///
-/// Sorted `items` (what [`sorted_union`] produces, and any single
-/// element) are checked against one in-order walk over the part of
-/// `set` between their first and last element; only the missing ones
-/// are then inserted. Unsorted `items` are inserted one by one.
+/// A batch under an eighth of the set (a delta) is inserted one element
+/// at a time, a lookup each. A larger sorted one (what [`sorted_union`]
+/// produces, such as a compaction's whole summary) is checked against
+/// one in-order walk over the part of `set` between its first and last
+/// element, and only the missing elements are then inserted; a walk
+/// that per-element lookups would beat, were the batch sparse. Unsorted
+/// `items` are inserted one by one.
 pub(crate) fn insert_missing(set: &mut BTreeSet<u64>, items: &[u64]) {
-    if !items.is_sorted() {
+    if items.len() < set.len() / 8 || !items.is_sorted() {
         set.extend(items.iter().copied());
         return;
     }
@@ -110,6 +114,18 @@ mod tests {
             insert_missing(&mut merged, add);
             extended.extend(add.iter().copied());
             assert_eq!(merged, extended, "{have:?} ∪ {add:?}");
+        }
+    }
+
+    #[test]
+    fn a_sparse_delta_into_a_large_set_equals_extend() {
+        let have: BTreeSet<u64> = (0..1_000).map(|i| i * 3).collect();
+        for add in [&[7u64, 1_500, 2_998, 5_000][..], &[3, 4], &[], &[2_999]] {
+            let mut merged = have.clone();
+            let mut extended = have.clone();
+            insert_missing(&mut merged, add);
+            extended.extend(add.iter().copied());
+            assert_eq!(merged, extended, "{add:?}");
         }
     }
 

@@ -103,6 +103,20 @@ if grep -rn --include='*.rs' -e 'write_backup' -e 'compose_backup_slot' -e 'layo
   exit 1
 fi
 
+echo "== one-writer guard (a summary slot copy is written by its source alone) =="
+# A source appends to its summary log and posts each peer the suffix
+# its copy lacks (reduce.rs); a restarted source re-posts the whole log
+# (rejoin.rs). Anywhere else the region is only READ: a second writer
+# landing an image it READ after the source compacted puts the old
+# prefix back, and the records the source appends behind the new one
+# are stranded at that peer (DESIGN §8).
+if grep -rn --include='*.rs' 'layout\.summaries' crates/*/src src \
+    | grep -v -e '^crates/runtime/src/reduce\.rs:' -e '^crates/runtime/src/rejoin\.rs:' \
+    | grep -v 'post_read('; then
+  echo "FAIL: only reduce.rs and rejoin.rs write summary slots; READ a peer's log and adopt from the bytes"
+  exit 1
+fi
+
 echo "== report guard (a run's report is a value; Display is its one format) =="
 # RunReport prints itself and tests compare two with `==`. A JSON
 # encoder in the library is the second, unread format growing back;
