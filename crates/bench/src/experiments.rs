@@ -75,8 +75,18 @@ pub(crate) fn check(claim: &str, holds: bool, detail: String) -> Check {
     Check { claim: claim.to_string(), holds, detail }
 }
 
+/// Virtual time a run may take per call before `drive` gives up: the
+/// MSG baseline at 25 % updates needs about 1.05 µs a call (210 ms at
+/// 200 000 calls), so twice that.
+const MAX_TIME_PER_CALL_NS: u64 = 2_000;
+
+/// A figure run's configuration. Its `max_time` scales with the call
+/// budget and never falls below `RunConfig`'s default.
 fn cfg(nodes: usize, ops: u64, ratio: f64, seed: u64) -> RunConfig {
-    RunConfig::new(nodes, WorkloadSpec::ops(ops).with_update_ratio(ratio).with_seed(seed)).with_seed(seed ^ 0xfab)
+    let rc = RunConfig::new(nodes, WorkloadSpec::ops(ops).with_update_ratio(ratio).with_seed(seed))
+        .with_seed(seed ^ 0xfab);
+    let max_time = rc.max_time.max(SimTime(ops * MAX_TIME_PER_CALL_NS));
+    rc.with_max_time(max_time)
 }
 
 /// One run of `system` on `spec`. Mu-SMR substitutes the complete

@@ -360,7 +360,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
     /// for — and `false`, with nothing else touched, while it is not
     /// (the poll retries). `own_speculative` marks the leader's own
     /// uncommitted entry reaching commit: it is already in the
-    /// speculative view, so only σ/mat advance.
+    /// speculative view, so only the committed views advance.
     pub(crate) fn apply_buffered<T: Transport>(
         &mut self,
         ctx: &mut T,
@@ -374,12 +374,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
         ctx.charge_apply();
         let method = self.spec.method_of(&entry.update);
-        self.spec.apply_mut(&mut self.sigma, &entry.update);
-        if !own_speculative {
-            self.apply_to_views(&entry.update);
-        } else if !self.mat_dirty {
-            self.spec.apply_mut(&mut self.mat, &entry.update);
-        }
+        self.apply_committed(&entry.update, own_speculative);
         self.applied.increment(entry.rid.issuer, method);
         self.metrics.last_apply = ctx.now();
         true
@@ -539,7 +534,7 @@ mod tests {
         };
         let snapshot = |sim: &Cluster| {
             let app = sim.app(at);
-            (app.sigma.clone(), app.applied.clone(), format!("{:?}", app.metrics))
+            (app.mat.clone(), app.applied.clone(), format!("{:?}", app.metrics))
         };
         let (before, busy) = (snapshot(&sim), sim.stats().cpu_busy_ns[1]);
         let applied = sim.with_app_ctx(at, |app, ctx| app.apply_buffered(ctx, &entry, false));
@@ -550,7 +545,7 @@ mod tests {
         sim.app_mut(at).applied.set(Pid(2), OPEN, 1);
         assert!(sim.with_app_ctx(at, |app, ctx| app.apply_buffered(ctx, &entry, false)));
         let app = sim.app(at);
-        assert_eq!(app.sigma.balances.get(&9), Some(&5));
+        assert_eq!(app.mat.balances.get(&9), Some(&5));
         assert_eq!(app.applied.get(Pid(2), DEPOSIT), 1);
     }
 

@@ -221,10 +221,19 @@ impl<U: Wire> Entry<U> {
     /// Panics if the payload exceeds the slot (raise
     /// `config::PAYLOAD_CAP`).
     pub fn to_slot_into(&self, seq: u64, slot_size: usize, out: &mut Vec<u8>) {
-        let mut w = Writer::from_vec(std::mem::take(out));
+        out.clear();
+        self.append_slot(seq, slot_size, out);
+    }
+
+    /// [`to_slot_into`](Self::to_slot_into) behind what `out` already
+    /// holds: a ring writer queues its pending slots back to back.
+    pub(crate) fn append_slot(&self, seq: u64, slot_size: usize, out: &mut Vec<u8>) {
+        let start = out.len();
+        let mut w = Writer::appending(std::mem::take(out));
         w.bytes(&[0u8; 10]);
         self.write_payload(&mut w);
-        let mut slot = w.into_vec();
+        let mut log = w.into_vec();
+        let slot = &mut log[start..];
         let payload_len = slot.len() - 10;
         // The length field is a u16: a longer payload would silently
         // truncate its recorded length and corrupt the decoded entry
@@ -240,9 +249,9 @@ impl<U: Wire> Entry<U> {
         );
         slot[0..8].copy_from_slice(&seq.to_le_bytes());
         slot[8..10].copy_from_slice(&(payload_len as u16).to_le_bytes());
-        slot.resize(slot_size, 0);
-        slot[slot_size - CANARY_TRAILER..].copy_from_slice(&seq.to_le_bytes());
-        *out = slot;
+        log.resize(start + slot_size, 0);
+        log[start + slot_size - CANARY_TRAILER..].copy_from_slice(&seq.to_le_bytes());
+        *out = log;
     }
 
     /// Parse a ring-entry slot if it completely holds entry `expect_seq`

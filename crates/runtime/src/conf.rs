@@ -410,13 +410,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
         g: usize,
     ) -> Issued {
         let deps = self.applied.project(self.coord.dependencies(method));
-        // Speculative view gains the call; σ/mat only at commit. The
-        // view is seeded from `mat` (already refreshed by `issue`'s
-        // permissibility check) by the first call of a leadership and
-        // kept from then on, so this clone is per leadership, not per
-        // pipeline drain.
-        let spec_mat = self.spec_mat.get_or_insert_with(|| self.mat.clone());
-        self.spec.apply_mut(spec_mat, &update);
+        // Speculative view gains the call; the committed views only at
+        // commit.
+        self.apply_speculative(&update);
 
         let entry = Entry { rid, update, deps };
         let engine = &mut self.engines[g];
@@ -487,7 +483,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 let entry = self.engines[g].reader.peek::<O::Update>(ctx);
                 let Some(entry) = entry else { break };
                 // Own uncommitted entry reaching commit: it leaves the
-                // speculative queue as it enters σ/mat.
+                // speculative queue as it enters the committed views.
                 let own_head = self.engines[g]
                     .leader()
                     .and_then(|l| l.uncommitted.first())
@@ -601,7 +597,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         ctx.emit(|| TraceEvent::Deposed { group: g, node, epoch });
         // Abort unacknowledged conflicting calls: their entries may or
         // may not survive into the new leader's log, so they leave the
-        // speculative view (σ and mat were never touched); the
+        // speculative view (the committed views were never touched); the
         // uncommitted calls of groups still led stay in it.
         self.conf_retries.retain(|&(rg, _, _)| rg != g);
         self.rebuild_spec_mat(ctx);

@@ -72,8 +72,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         method: MethodId,
     ) -> Issued {
         let deps = self.applied.project(self.coord.dependencies(method));
-        self.spec.apply_mut(&mut self.sigma, &update);
-        self.apply_to_views(&update);
+        self.apply_committed(&update, false);
         self.applied.increment(Pid(self.me.index()), method);
         self.metrics.last_apply = ctx.now();
 
@@ -94,7 +93,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
             // any of them leaves.
             ctx.local_write(self.layout.free_rings, self.layout.free_slot_offset(self.me, seq), &slot);
             // Durability seam: the issuer's own entry is hard state (it
-            // was applied to σ above) — log and fence it before the
+            // was applied above) — log and fence it before the
             // appends can reach any peer.
             let src = self.me.index() as u32;
             self.log_slot(ctx, |_, _| LogRecord::FreeSlot { src, slot: slot.clone() });

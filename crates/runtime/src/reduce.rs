@@ -177,7 +177,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         let (version, count) = (cache.version, cache.counts[midx]);
         self.applied.set(Pid(me), method, count);
         // Local effects: the call itself lands in the views.
-        self.apply_to_views(&update);
+        self.apply_summarized(&update);
         self.metrics.last_apply = ctx.now();
         // Write-combining: the call only queues here. The pump's flush
         // closes the record and posts the log's unsent suffix on every
@@ -309,8 +309,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
 
     /// Adopt `unread`, the records of `src`'s log of group `g` past the
     /// cache: charge one `apply_cost`, raise the applied counts, and
-    /// fold the records into the views (or invalidate them, for
-    /// non-monotone summaries).
+    /// fold the records into the views (`views.rs::adopt_records`).
     pub(crate) fn adopt_unread<T: Transport>(
         &mut self,
         ctx: &mut T,
@@ -320,26 +319,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
     ) {
         ctx.charge_apply();
         self.raise_applied(g, src, &unread.counts);
-        // Cache first: a rebuild of `spec_mat` below reads it.
+        // Cache first: a rebuild of `spec_mat` reads it.
         let new = unread.into_cache(&mut self.sum_cache[g][src]);
-        if self.spec.summaries_monotone() {
-            // Re-applying what a compaction record repeats is harmless.
-            for sum in &self.sum_cache[g][src].records[new..] {
-                if !self.mat_dirty {
-                    self.spec.apply_mut(&mut self.mat, sum);
-                }
-                if let Some(sm) = self.spec_mat.as_mut() {
-                    self.spec.apply_mut(sm, sum);
-                }
-            }
-        } else {
-            self.mat_dirty = true;
-            // A stale speculative view would corrupt checks:
-            // rebuild it from the updated cache if present.
-            if self.spec_mat.is_some() {
-                self.rebuild_spec_mat(ctx);
-            }
-        }
+        self.adopt_records(ctx, g, src, new);
         self.metrics.summary_adoptions += 1;
         self.metrics.last_apply = ctx.now();
     }
@@ -542,7 +524,7 @@ mod tests {
         let before = seen(&sim);
         poll(&mut sim, N1);
         assert_eq!(seen(&sim), before, "not adopted, not charged");
-        // The pump runs both queries. The first reads σ with the landed
+        // The pump runs both queries. The first reads `mat` with the landed
         // summary applied, so it adopts it; the second finds nothing new.
         pump(&mut sim, N1);
         let app = sim.app(N1);

@@ -9,7 +9,7 @@
 //! dependency map is satisfied when it is re-applied. The pass is
 //! idempotent: running it twice from the same durable image yields the
 //! same state, because it only folds logged entries into a freshly
-//! reset σ.
+//! reset committed state.
 //!
 //! After replay the node:
 //!
@@ -20,7 +20,8 @@
 //!   were minted but not yet posted when it crashed — slot re-writes
 //!   are idempotent), and writes that window back into its own ring
 //!   copy,
-//! * rebuilds the summary caches by walking the durable logs,
+//! * rebuilds the summary caches by walking the durable logs and folds
+//!   their records into the replayed state (`views.rs::adopt_records`),
 //! * re-arms the timer chains (the pre-crash chains died inside the
 //!   crash window) and republishes its heartbeat region, whose
 //!   executed-queries word the restart zeroed, and
@@ -193,7 +194,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
                     self.sum_log[g] = log[..unread.end].to_vec();
                 }
                 self.raise_applied(g, src, &unread.counts);
-                unread.into_cache(&mut self.sum_cache[g][src]);
+                let new = unread.into_cache(&mut self.sum_cache[g][src]);
+                self.adopt_records(ctx, g, src, new);
             }
             let off = self.layout.summary_offset(g, self.me);
             for q in peers(self.me, self.n) {
@@ -222,10 +224,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
             }
         }
 
-        // Views: σ is rebuilt; let the materialized view refresh lazily
-        // from σ + the rebuilt caches on the next pump.
-        self.mat_dirty = true;
-
         // The pre-crash timer chains died inside the crash window
         // (their events were dropped while the node was down), so fresh
         // chains re-arm without doubling.
@@ -242,15 +240,15 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
     }
 
-    /// Fold one logged ring slot back into σ and the applied map (the
-    /// views are rebuilt from σ afterwards) and return the sequence
-    /// number it held; `None`, nothing folded, for a slot that does not
-    /// decode.
+    /// Fold one logged ring slot back into the committed state and the
+    /// applied map (the rebuilt caches' records follow once every slot
+    /// is in) and return the sequence number it held; `None`, nothing
+    /// folded, for a slot that does not decode.
     fn replay_slot(&mut self, slot: &[u8]) -> Option<u64> {
         let seq = slot_seq(slot)?;
         let entry = Entry::<O::Update>::from_slot(slot, seq)?;
         let method = self.spec.method_of(&entry.update);
-        self.spec.apply_mut(&mut self.sigma, &entry.update);
+        self.apply_committed(&entry.update, false);
         self.applied.increment(entry.rid.issuer, method);
         Some(seq)
     }

@@ -13,7 +13,7 @@
 //!   [`election`](crate::election)/takeover, and
 //!   [`recovery`](crate::recovery) around failures;
 //! * [`calls`](crate::calls) — per-call lifecycle shared by all paths;
-//! * [`views`](crate::views) — the σ/mat/spec_mat view discipline.
+//! * [`views`](crate::views) — the mat/σ/spec_mat views and every apply.
 //!
 //! This module owns the [`HambandNode`] struct itself, startup, the
 //! client pump, the completion/message dispatchers, and the
@@ -78,9 +78,10 @@ pub struct HambandNode<O: ObjectSpec> {
     pub(crate) me: NodeId,
     pub(crate) n: usize,
 
-    /// Stored state σ (buffered calls only).
-    pub(crate) sigma: O::State,
-    /// Materialized committed view: σ with all summaries applied.
+    /// Stored state σ (buffered calls only), kept only for an object
+    /// whose summaries replace (`views.rs`).
+    pub(crate) sigma: Option<O::State>,
+    /// Committed view: σ with all summaries applied.
     pub(crate) mat: O::State,
     pub(crate) mat_dirty: bool,
     /// Speculative view including own uncommitted conflicting calls
@@ -207,7 +208,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
         assert_eq!(leaders.len(), mapper.group_count(), "one leader per mapped group");
         assert_eq!(layout.conf.len(), mapper.group_count(), "layout planned for these shards");
         assert!(cfg.window <= MAX_IN_FLIGHT, "the in-flight cap must cover the window");
-        let sigma = spec.initial();
         // A recoverer re-sends only the newest `MAX_IN_FLIGHT` entries
         // of a suspect's `F` ring, so the ingress caps node-wide
         // in-flight calls there no matter how many sessions the spec
@@ -238,8 +238,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
             .collect();
         let sum_group_count = coord.sum_groups().len();
         HambandNode {
-            mat: sigma.clone(),
-            sigma,
+            sigma: (!coord.sum_groups().is_empty() && !spec.summaries_monotone())
+                .then(|| spec.initial()),
+            mat: spec.initial(),
             mat_dirty: false,
             spec_mat: None,
             applied: CountMap::new(n, coord.method_count()),

@@ -10,7 +10,10 @@
 //! assigns dense sequence numbers on [`RingWriter::append`] and posts
 //! the encoded slots on [`RingWriter::flush`], coalescing contiguous
 //! pending entries into a single one-sided WRITE spanning adjacent
-//! slots (doorbell batching). A batch splits only at ring wraparound
+//! slots (doorbell batching). Pending slots are consecutive and
+//! fixed-size, so an append copies its image once, behind the others in
+//! one buffer, and a batch is posted as a subslice of it; what a flush
+//! cannot post stays at the front. A batch splits only at ring wraparound
 //! (slots are adjacent in memory within one lap), at the flow-control
 //! limit, and at the configured [`max_batch`](RingWriter::with_max_batch).
 //! Flow control is single-sided: when the tail runs more than half the
@@ -24,8 +27,6 @@
 //! advances a local head counter the writer can read. The reader is
 //! oblivious to batching: a coalesced WRITE lands as the same slot
 //! bytes the per-entry WRITEs would have produced.
-
-use std::collections::VecDeque;
 
 use hamband_core::wire::Wire;
 use rdma_sim::{CompletionStatus, IdMap, NodeId, RegionId, RingKind, TraceEvent, WrId};
@@ -49,9 +50,10 @@ pub struct RingWriter {
     next_seq: u64,
     /// The reader's head (applied count) as last observed.
     acked_head: u64,
-    /// Entries assigned a sequence number, encoded, awaiting a flush
-    /// (and, beyond the flow-control window, awaiting ring space).
-    pending: VecDeque<(u64, Vec<u8>)>,
+    /// Slot images of the entries assigned a sequence number but not yet
+    /// posted (awaiting a flush and, beyond the flow-control window,
+    /// ring space), back to back: the last is `next_seq - 1`'s.
+    pending: Vec<u8>,
     /// In-flight writes: work request → (first, last) sequence spanned.
     posted: IdMap<WrId, (u64, u64)>,
     /// In-flight head read, if any.
@@ -59,13 +61,6 @@ pub struct RingWriter {
     /// Where the reader keeps its head counter (reader-local region).
     head_region: RegionId,
     head_offset: usize,
-    /// Recycled slot buffers (capacity `slot_size` each): every buffer a
-    /// flush empties comes back here, so the pool grows to the largest
-    /// burst ever queued — which the ingress bounds by its in-flight cap —
-    /// and an append allocates only while a burst is setting that mark.
-    spare: Vec<Vec<u8>>,
-    /// Scratch for assembling a multi-slot WRITE payload.
-    batch_buf: Vec<u8>,
 }
 
 /// An append completion the caller should account. One completion may
@@ -121,13 +116,11 @@ impl RingWriter {
             max_batch: 1,
             next_seq: 1,
             acked_head: 0,
-            pending: VecDeque::new(),
+            pending: Vec::new(),
             posted: IdMap::default(),
             head_read: None,
             head_region,
             head_offset,
-            spare: Vec::new(),
-            batch_buf: Vec::new(),
         }
     }
 
@@ -155,6 +148,7 @@ impl RingWriter {
 
     /// Adopt a tail position (used by a new leader taking over a ring).
     pub fn adopt_tail(&mut self, appended: u64) {
+        assert!(self.pending.is_empty(), "a tail is adopted before any append");
         self.next_seq = appended + 1;
         self.acked_head = self.acked_head.max(appended.saturating_sub(self.cap / 2));
     }
@@ -169,7 +163,7 @@ impl RingWriter {
     /// done.
     pub fn append<U: Wire>(&mut self, ctx: &mut impl Transport, entry: &Entry<U>) -> u64 {
         let slot_size = self.slot_size;
-        self.enqueue(ctx, |seq, slot| entry.to_slot_into(seq, slot_size, slot))
+        self.enqueue(ctx, |seq, pending| entry.append_slot(seq, slot_size, pending))
     }
 
     /// [`append`](Self::append) for a slot the caller already encoded
@@ -180,22 +174,18 @@ impl RingWriter {
     pub fn append_encoded(&mut self, ctx: &mut impl Transport, slot: &[u8]) -> u64 {
         debug_assert_eq!(slot.len(), self.slot_size, "slots are fixed-size");
         debug_assert!(slot_ready(slot, self.next_seq), "slot encoded for another sequence");
-        self.enqueue(ctx, |_, buf| {
-            buf.clear();
-            buf.extend_from_slice(slot);
-        })
+        self.enqueue(ctx, |_, pending| pending.extend_from_slice(slot))
     }
 
-    /// Assign the next sequence number and queue what `fill` renders
-    /// for it into a recycled slot buffer.
+    /// Assign the next sequence number and queue the slot image `fill`
+    /// appends for it behind the pending ones.
     fn enqueue(&mut self, ctx: &mut impl Transport, fill: impl FnOnce(u64, &mut Vec<u8>)) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         let (kind, writer, reader) = (self.kind, ctx.node(), self.target);
         ctx.emit(|| TraceEvent::RingAppend { ring: kind, writer, reader, seq });
-        let mut slot = self.spare.pop().unwrap_or_default();
-        fill(seq, &mut slot);
-        self.pending.push_back((seq, slot));
+        fill(seq, &mut self.pending);
+        debug_assert_eq!(self.pending.len() % self.slot_size, 0, "slots are fixed-size");
         seq
     }
 
@@ -249,34 +239,20 @@ impl RingWriter {
     /// memory), and at `max_batch` slots. Entries beyond the window
     /// stay queued until a head read observes room.
     pub fn flush(&mut self, ctx: &mut impl Transport) {
-        loop {
-            let first = match self.pending.front() {
-                Some(&(seq, _)) if seq <= self.acked_head + self.cap => seq,
-                _ => break,
-            };
-            self.batch_buf.clear();
-            let mut last = first;
-            while let Some(&(seq, _)) = self.pending.front() {
-                let in_batch = seq - first;
-                if seq > self.acked_head + self.cap
-                    || in_batch >= self.max_batch
-                    || (in_batch > 0 && (seq - 1) % self.cap == 0)
-                {
-                    break;
-                }
-                let (seq, slot) = self.pending.pop_front().expect("front checked");
-                debug_assert_eq!(slot.len(), self.slot_size, "slots are fixed-size");
-                self.batch_buf.extend_from_slice(&slot);
-                self.spare.push(slot);
-                last = seq;
-            }
+        let window_end = self.acked_head + self.cap;
+        let mut first = self.next_seq - (self.pending.len() / self.slot_size) as u64;
+        let mut posted = 0;
+        while first < self.next_seq && first <= window_end {
+            let lap_end = first + self.cap - 1 - (first - 1) % self.cap;
+            let last = (self.next_seq - 1).min(window_end).min(lap_end).min(first + self.max_batch - 1);
+            let count = last - first + 1;
+            let end = posted + count as usize * self.slot_size;
             let offset = self.slot_offset(first);
-            let wr = ctx.post_write(self.target, self.region, offset, &self.batch_buf);
-            ctx.note_ring_write(last - first + 1);
+            let wr = ctx.post_write(self.target, self.region, offset, &self.pending[posted..end]);
+            ctx.note_ring_write(count);
             self.posted.insert(wr, (first, last));
-            if last > first {
+            if count > 1 {
                 let (kind, writer, reader) = (self.kind, ctx.node(), self.target);
-                let count = last - first + 1;
                 ctx.emit(|| TraceEvent::RingBatch {
                     ring: kind,
                     writer,
@@ -285,7 +261,9 @@ impl RingWriter {
                     count,
                 });
             }
+            (first, posted) = (last + 1, end);
         }
+        self.pending.drain(..posted);
         self.maybe_read_head(ctx);
     }
 

@@ -1,12 +1,15 @@
-//! The replica's three object views and the rules for keeping them
-//! consistent.
+//! The replica's object views, and every apply to them: one function
+//! per rule, each reaching every view that exists once.
 //!
-//! * **σ** (`sigma`) — the stored state: buffered (ring-delivered and
-//!   own conflict-free) calls only, never summaries;
-//! * **mat** — the materialized committed view: σ with every cached
-//!   summary applied, refreshed lazily via a dirty bit (non-monotone
-//!   summaries invalidate it wholesale). Queries read it
-//!   (`calls.rs::query`);
+//! * **mat** — the committed view: buffered (ring-delivered and own
+//!   conflict-free) calls, own REDUCE calls and adopted summary records.
+//!   Queries read it (`calls.rs::query`);
+//! * **σ** (`sigma`) — buffered calls only. It exists only for an object
+//!   with a summarization group whose summaries replace
+//!   (`summaries_monotone()` false: `Counter`, `Account`), whose old
+//!   summary cannot be taken back out of `mat`: `mat` is then marked
+//!   dirty and rebuilt lazily as σ plus every cached summary. A monotone
+//!   summary is a join, so every other type keeps `mat` alone;
 //! * **spec_mat** — the speculative view a group leader checks
 //!   permissibility against: `mat` plus its own uncommitted conflicting
 //!   calls. `None` until the node first issues a conflicting call (the
@@ -14,13 +17,11 @@
 //!   leads — every call that reaches `mat` reaches it too, so whenever
 //!   nothing is uncommitted it equals `mat` and needs no re-seeding.
 //!
-//! Each view is a full copy of the object state, so copying one is the
-//! only O(|σ|) step on the call path and happens in three places only:
-//! `state_snapshot` (a refresh of `mat` after a non-monotone summary or
-//! a rejoin, and the harness's end-of-run comparison), the seeding of
-//! `spec_mat` (once per leadership), and `rebuild_spec_mat` (a
-//! non-monotone summary arriving while calls are uncommitted, or a
-//! deposition while other groups' calls are).
+//! Copying a view is the only O(|σ|) step on the call path, in three
+//! places only: `state_snapshot` (a refresh of a dirty `mat`, and the
+//! harness's end-of-run comparison), the seeding of `spec_mat` (once per
+//! leadership), and `rebuild_spec_mat` (a replacing summary arriving
+//! over uncommitted calls, or a deposition while other groups' are).
 //!
 //! Lemma 1 (§3.3) needs permissibility checked against a view that
 //! contains every earlier call of the same synchronization group —
@@ -37,21 +38,19 @@ use crate::transport::Transport;
 impl<O: WorkloadSupport> HambandNode<O> {
     /// The node's current (committed) object state.
     pub fn state_snapshot(&self) -> O::State {
-        let mut s = self.sigma.clone();
-        for group in &self.sum_cache {
-            for sum in group.iter().flat_map(|cache| &cache.records) {
-                self.spec.apply_mut(&mut s, sum);
-            }
+        let Some(sigma) = &self.sigma else { return self.mat.clone() };
+        let mut s = sigma.clone();
+        for sum in self.sum_cache.iter().flatten().flat_map(|cache| &cache.records) {
+            self.spec.apply_mut(&mut s, sum);
         }
         s
     }
 
     pub(crate) fn refresh_mat(&mut self) {
-        if !self.mat_dirty {
-            return;
+        if self.mat_dirty {
+            self.mat = self.state_snapshot();
+            self.mat_dirty = false;
         }
-        self.mat = self.state_snapshot();
-        self.mat_dirty = false;
     }
 
     /// The view used for permissibility checks and call generation.
@@ -59,13 +58,55 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.spec_mat.as_ref().unwrap_or(&self.mat)
     }
 
-    /// Apply a call to the committed views (σ stays per caller choice).
-    pub(crate) fn apply_to_views(&mut self, call: &O::Update) {
+    /// A committed call (ring-delivered, own FREE, or replayed by a
+    /// rejoin) reaches σ, `mat` and `spec_mat` — the last unless
+    /// `in_spec`: a leader's own conflicting call is there since issue.
+    pub(crate) fn apply_committed(&mut self, call: &O::Update, in_spec: bool) {
+        if let Some(sigma) = self.sigma.as_mut() {
+            self.spec.apply_mut(sigma, call);
+        }
+        if !self.mat_dirty {
+            self.spec.apply_mut(&mut self.mat, call);
+        }
+        if let Some(sm) = self.spec_mat.as_mut().filter(|_| !in_spec) {
+            self.spec.apply_mut(sm, call);
+        }
+    }
+
+    /// A leader's own conflicting call at issue reaches `spec_mat` alone;
+    /// the first of a leadership seeds it from `mat` (refreshed by the
+    /// permissibility check), so the clone is per leadership.
+    pub(crate) fn apply_speculative(&mut self, call: &O::Update) {
+        let sm = self.spec_mat.get_or_insert_with(|| self.mat.clone());
+        self.spec.apply_mut(sm, call);
+    }
+
+    /// An own REDUCE call reaches `mat` and `spec_mat`, never σ: the own
+    /// summary cache carries it.
+    pub(crate) fn apply_summarized(&mut self, call: &O::Update) {
         if !self.mat_dirty {
             self.spec.apply_mut(&mut self.mat, call);
         }
         if let Some(sm) = self.spec_mat.as_mut() {
             self.spec.apply_mut(sm, call);
+        }
+    }
+
+    /// The records `src`'s cache of group `g` gained from index `new`
+    /// on. Monotone ones reach `mat` and `spec_mat` once each (what a
+    /// compaction record repeats is harmless to re-apply); replacing
+    /// ones dirty `mat` and rebuild `spec_mat`, which a stale summary
+    /// would corrupt (a no-op unless calls are uncommitted).
+    pub(crate) fn adopt_records<T: Transport>(&mut self, ctx: &mut T, g: usize, src: usize, new: usize) {
+        if self.sigma.is_some() {
+            self.mat_dirty = true;
+            return self.rebuild_spec_mat(ctx);
+        }
+        for sum in &self.sum_cache[g][src].records[new..] {
+            self.spec.apply_mut(&mut self.mat, sum);
+            if let Some(sm) = self.spec_mat.as_mut() {
+                self.spec.apply_mut(sm, sum);
+            }
         }
     }
 
@@ -78,7 +119,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
 
     /// Rebuild the speculative view: `mat` plus every entry a group
     /// this node still leads has not committed, decoded from that
-    /// group's local `L`-ring copy. Called after a non-monotone summary
+    /// group's local `L`-ring copy. Called after a replacing summary
     /// change and after a deposition. Summaries are conflict-free by
     /// construction, so they commute with the replayed conflicting
     /// calls, and so do calls of different groups. With nothing

@@ -658,3 +658,35 @@ fn node_halted_mid_candidacy_does_not_win() {
     }
     assert!(changes >= 2, "both suspended leaders were replaced");
 }
+
+/// GSet's `add_all` is reducible and its summaries are monotone, so a
+/// replica keeps one committed state and no σ. A restarted node replays
+/// its logged slots into that state and folds in the records of the
+/// summary logs it walks again, its own included: it must end where
+/// every peer ends.
+#[test]
+fn a_restarted_node_of_a_monotone_summarizing_type_converges() {
+    let g = GSet::default();
+    let coord = g.coord_spec();
+    let node = NodeId(2);
+    let restart_at = SimTime(40_000);
+    let plan = FaultPlan::new()
+        .at(SimTime(20_000), Fault::Crash(node))
+        .at(restart_at, Fault::Restart(node, true));
+    let workload = WorkloadSpec::ops(2_000).with_update_ratio(0.5).with_seed(5);
+    let runtime = RuntimeConfig::default().with_durability(DurabilityMode::Fenced);
+    let run = RunConfig::new(4, workload).with_seed(5).with_runtime(runtime).with_faults(plan);
+    let (mut sim, _) = assemble(&g, &coord, &run);
+    sim.run_until(restart_at + SimDuration::nanos(1));
+    let own = sim.app(node).applied_map().get(Pid(2), MethodId(0));
+    assert!(own > 0, "node 2 folded nothing into its summary before its crash");
+    let peer_before = sim.app(NodeId(0)).applied_map().get(Pid(0), MethodId(0));
+    let (_, converged) = drive(&mut sim, run.max_time);
+    assert!(converged, "the cluster did not converge after the restart");
+    let peer_after = sim.app(NodeId(0)).applied_map().get(Pid(0), MethodId(0));
+    assert!(peer_after > peer_before, "the restart came after the run ended");
+    let restarted = sim.app(node).state_snapshot();
+    for i in [0, 1, 3] {
+        assert_eq!(sim.app(NodeId(i)).state_snapshot(), restarted, "node {i} differs from node 2");
+    }
+}

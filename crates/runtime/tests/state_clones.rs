@@ -12,6 +12,10 @@
 //! What stays is constant per run: the views built at construction, one
 //! `spec_mat` seed per leadership, and the harness's end-of-run
 //! snapshots. The MSG baseline is held to the same rule.
+//!
+//! The wrapper counts `apply_mut` calls too: a replica keeps one
+//! committed state unless its type's summaries replace, so a type with
+//! no summaries applies each call once per replica.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -20,7 +24,7 @@ use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
 use hamband_core::object::{ObjectSpec, WorkloadSupport};
 use hamband_runtime::{RunConfig, Runner, System, WorkloadSpec};
-use hamband_types::{Bank, Courseware, GSet};
+use hamband_types::{Bank, Cart, Courseware, GSet, OrSet};
 use rand::rngs::StdRng;
 
 #[derive(Debug)]
@@ -49,6 +53,7 @@ impl<S: PartialEq> PartialEq for Counted<S> {
 struct Counting<O> {
     inner: O,
     clones: Arc<AtomicUsize>,
+    applies: Arc<AtomicUsize>,
 }
 
 impl<O: ObjectSpec> ObjectSpec for Counting<O> {
@@ -70,6 +75,7 @@ impl<O: ObjectSpec> ObjectSpec for Counting<O> {
         self.inner.invariant(&s.state)
     }
     fn apply_mut(&self, s: &mut Self::State, call: &Self::Update) {
+        self.applies.fetch_add(1, Ordering::Relaxed);
         self.inner.apply_mut(&mut s.state, call);
     }
     fn query(&self, s: &Self::State, q: &Self::Query) -> Self::Reply {
@@ -122,10 +128,25 @@ where
     O::Update: Send,
     O::State: Send,
 {
+    let (clones, _, updates) = counted_run(system, inner, coord, total_ops);
+    (clones, updates)
+}
+
+/// State clones and `apply_mut` calls of one converged 4-node simulator
+/// run of `system` over `total_ops` calls, and the updates it
+/// acknowledged.
+fn counted_run<O>(system: System, inner: &O, coord: &CoordSpec, total_ops: u64) -> (usize, usize, u64)
+where
+    O: WorkloadSupport + Clone + Send,
+    O::Update: Send,
+    O::State: Send,
+{
     let clones = Arc::new(AtomicUsize::new(0));
+    let applies = Arc::new(AtomicUsize::new(0));
     let spec = Counting {
         inner: inner.clone(),
         clones: Arc::clone(&clones),
+        applies: Arc::clone(&applies),
     };
     // Window 1: the leader's pipeline drains after every conflicting
     // call, the case in which a per-drain copy would be a per-call copy.
@@ -135,7 +156,7 @@ where
     let config = RunConfig::new(4, workload);
     let report = Runner::new(system, config).run(&spec, coord).report;
     assert!(report.converged, "{report}");
-    (clones.load(Ordering::Relaxed), report.total_updates)
+    (clones.load(Ordering::Relaxed), applies.load(Ordering::Relaxed), report.total_updates)
 }
 
 fn clone_count_is_independent_of_run_length<O>(system: System, inner: &O, coord: &CoordSpec)
@@ -183,4 +204,30 @@ fn courseware_run_clones_state_a_constant_number_of_times() {
 fn msg_gset_run_clones_state_a_constant_number_of_times() {
     let g = GSet::default();
     clone_count_is_independent_of_run_length(System::Msg, &g, &g.coord_spec());
+}
+
+/// A type with no summaries keeps one committed state per replica, so
+/// every acknowledged update is applied exactly once at each of the 4
+/// nodes — not once to σ and once more to `mat`.
+fn each_call_is_applied_once_per_replica<O>(inner: &O, coord: &CoordSpec)
+where
+    O: WorkloadSupport + Clone + Send,
+    O::Update: Send,
+    O::State: Send,
+{
+    let (_, applies, updates) = counted_run(System::Hamband, inner, coord, 2_000);
+    assert!(updates > 0);
+    assert_eq!(applies as u64, 4 * updates, "{}: applies over {updates} updates", inner.name());
+}
+
+#[test]
+fn orset_run_applies_each_call_once_per_replica() {
+    let o = OrSet::default();
+    each_call_is_applied_once_per_replica(&o, &o.coord_spec());
+}
+
+#[test]
+fn cart_run_applies_each_call_once_per_replica() {
+    let c = Cart::default();
+    each_call_is_applied_once_per_replica(&c, &c.coord_spec());
 }

@@ -117,6 +117,25 @@ if grep -rn --include='*.rs' 'layout\.summaries' crates/*/src src \
   exit 1
 fi
 
+echo "== one-apply guard (a call reaches each view once, from views.rs) =="
+# views.rs has one function per rule — a committed, a summarized, a
+# speculative call and an adopted record — and each reaches every view
+# that exists once; the MSG baseline keeps its one state itself. An
+# apply elsewhere in the runtime is a second copy of the state growing
+# back (σ beside mat for a type whose summaries are joins). Only the
+# lines before a file's first #[cfg(test)] count, and child tests.rs
+# modules not at all: a test may build a state by hand.
+oneapply=0
+for f in $(find crates/runtime/src -name '*.rs' ! -name tests.rs ! -name views.rs ! -name baseline_msg.rs | sort); do
+  if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" | grep -E '\.apply(_mut)?\('; then
+    oneapply=1
+  fi
+done
+if [ "$oneapply" -ne 0 ]; then
+  echo "FAIL: apply a call to the replica's views through views.rs; keep no second state"
+  exit 1
+fi
+
 echo "== report guard (a run's report is a value; Display is its one format) =="
 # RunReport prints itself and tests compare two with `==`. A JSON
 # encoder in the library is the second, unread format growing back;
