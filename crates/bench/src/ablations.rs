@@ -21,7 +21,7 @@ use hamband_runtime::{RunConfig, System, WorkloadSpec};
 use hamband_types::GSet;
 use rdma_sim::{App, Ctx, Event, LatencyModel, NodeId, RegionId, SimDuration, SimTime, Simulator, VerbKind};
 
-use crate::experiments::{check, gmean, run, ExpOptions, FigOutcome};
+use crate::experiments::{check, gmean, run, scaled, ExpOptions, FigOutcome};
 
 /// Appends per run of the CAS ablation.
 const APPENDS: u64 = 1_000;
@@ -44,7 +44,10 @@ pub fn ablations(opts: &ExpOptions) -> FigOutcome {
     let mut all_converged = true;
     for ratio in [0.25, 0.15, 0.05] {
         for n in [3usize, 5, 7] {
-            let rc = RunConfig::new(n, WorkloadSpec::ops(opts.ops).with_update_ratio(ratio).with_seed(opts.seed));
+            let rc = scaled(RunConfig::new(
+                n,
+                WorkloadSpec::ops(opts.ops).with_update_ratio(ratio).with_seed(opts.seed),
+            ));
             let red = run(System::Hamband, &g, &g.coord_spec(), &rc);
             let buf = run(System::Hamband, &g, &g.coord_spec_buffered(), &rc);
             all_converged &= red.converged && buf.converged;

@@ -80,12 +80,18 @@ pub(crate) fn check(claim: &str, holds: bool, detail: String) -> Check {
 /// 200 000 calls), so twice that.
 const MAX_TIME_PER_CALL_NS: u64 = 2_000;
 
-/// A figure run's configuration. Its `max_time` scales with the call
-/// budget and never falls below `RunConfig`'s default.
+/// A figure run's configuration, its `max_time` [`scaled`].
 fn cfg(nodes: usize, ops: u64, ratio: f64, seed: u64) -> RunConfig {
-    let rc = RunConfig::new(nodes, WorkloadSpec::ops(ops).with_update_ratio(ratio).with_seed(seed))
-        .with_seed(seed ^ 0xfab);
-    let max_time = rc.max_time.max(SimTime(ops * MAX_TIME_PER_CALL_NS));
+    scaled(
+        RunConfig::new(nodes, WorkloadSpec::ops(ops).with_update_ratio(ratio).with_seed(seed))
+            .with_seed(seed ^ 0xfab),
+    )
+}
+
+/// `rc` with a `max_time` that scales with its call budget and never
+/// falls below `RunConfig`'s default.
+pub(crate) fn scaled(rc: RunConfig) -> RunConfig {
+    let max_time = rc.max_time.max(SimTime(rc.workload.total_ops * MAX_TIME_PER_CALL_NS));
     rc.with_max_time(max_time)
 }
 

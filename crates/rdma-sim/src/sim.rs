@@ -203,6 +203,12 @@ impl<A: App> Simulator<A> {
         self.fabric.nodes[node.index()].crashed
     }
 
+    /// When `node`'s CPU is next free: later than [`now`](Simulator::now)
+    /// while it still pays for work a handler charged.
+    pub fn cpu_free_at(&self, node: NodeId) -> SimTime {
+        self.fabric.nodes[node.index()].cpu_free
+    }
+
     /// Inspect a node's region memory (driver/test introspection).
     pub fn region_bytes(&self, node: NodeId, region: RegionId) -> &[u8] {
         &self.fabric.nodes[node.index()].regions[region.index()].bytes

@@ -137,7 +137,12 @@ pub fn settled<A: HarnessNode>(sim: &Simulator<A>) -> bool {
 /// is [`settled`] — or `max_time` is reached, or nothing was applied
 /// and no query run for 2 000 slices (a workload that cannot progress
 /// ends unconverged instead of burning virtual time to the cap) — then
-/// let stragglers (commit writes, recovery re-sends) settle for 300 µs. Returns
+/// let stragglers (commit writes, recovery re-sends) settle for 300 µs.
+/// Slices count toward the stall only once every alive CPU has paid for
+/// the work charged to it by the last progress: a node still paying for
+/// a pump's whole query quota is busy, not wedged, but CPU charged after
+/// the last progress holds nothing open, so a run that stops
+/// progressing ends 50 ms after that CPU horizon at the latest. Returns
 /// when the last apply or query on an alive node ended
 /// ([`NodeMetrics::done_at`](crate::metrics::NodeMetrics::done_at)) and
 /// whether the run converged: settled, and the alive nodes' object
@@ -145,6 +150,7 @@ pub fn settled<A: HarnessNode>(sim: &Simulator<A>) -> bool {
 pub fn drive<A: HarnessNode>(sim: &mut Simulator<A>, max_time: SimTime) -> (SimTime, bool) {
     let mut done = false;
     let mut last_progress = 0u64;
+    let mut busy_until = SimTime::ZERO;
     let mut stalled = 0usize;
     while sim.now() < max_time {
         sim.run_for(SimDuration::micros(25));
@@ -152,19 +158,22 @@ pub fn drive<A: HarnessNode>(sim: &mut Simulator<A>, max_time: SimTime) -> (SimT
         if done {
             break;
         }
-        let progress: u64 = alive_nodes(sim)
-            .iter()
-            .flatten()
-            .map(|a| a.applied_map().total() + a.metrics().queries)
-            .sum();
-        if progress == last_progress {
+        let alive = alive_nodes(sim);
+        let progress: u64 =
+            alive.iter().flatten().map(|a| a.applied_map().total() + a.metrics().queries).sum();
+        if progress != last_progress {
+            stalled = 0;
+            last_progress = progress;
+            busy_until = (0..alive.len())
+                .filter(|&i| alive[i].is_some())
+                .map(|i| sim.cpu_free_at(NodeId(i)))
+                .max()
+                .unwrap_or(SimTime::ZERO);
+        } else if sim.now() >= busy_until {
             stalled += 1;
             if stalled > 2_000 {
                 break;
             }
-        } else {
-            stalled = 0;
-            last_progress = progress;
         }
     }
     sim.run_for(SimDuration::micros(300));
@@ -284,6 +293,80 @@ mod tests {
         let (completed_at, converged) = drive(&mut sim, SimTime(1_000_000_000));
         assert!(converged, "declared stalled at {}", sim.now());
         assert!(completed_at > SimTime(50_000_000), "ended at {completed_at}");
+    }
+
+    /// A closed-loop node runs its whole query quota in its first pump:
+    /// 100 queries at 1 ms of CPU each charge it 100 ms ahead, twice the
+    /// 2 000-slice stall window, before its first update issues. Its
+    /// CPU is busy all that time, and the run is not wedged.
+    #[test]
+    fn a_cpu_charged_past_the_stall_window_is_busy() {
+        let c = Counter::default();
+        let latency =
+            LatencyModel { apply_cost: SimDuration::millis(1), ..LatencyModel::deterministic() };
+        let run =
+            RunConfig::new(3, WorkloadSpec::ops(600).with_update_ratio(0.5)).with_latency(latency);
+        let (mut sim, _layout) = assemble(&c, &c.coord_spec(), &run);
+        let (completed_at, converged) = drive(&mut sim, SimTime(10_000_000_000));
+        assert!(converged, "declared stalled at {}", sim.now());
+        assert!(completed_at > SimTime(100_000_000), "ended at {completed_at}");
+    }
+
+    /// A node that never progresses but keeps its CPU charged past
+    /// every slice's end: 30 µs of work per 10 µs timer.
+    struct Spinner {
+        applied: CountMap,
+        metrics: NodeMetrics,
+    }
+
+    impl App for Spinner {
+        fn on_start(&mut self, ctx: &mut rdma_sim::Ctx<'_>) {
+            ctx.set_timer(SimDuration::micros(10), 0);
+        }
+
+        fn on_event(&mut self, ctx: &mut rdma_sim::Ctx<'_>, _event: rdma_sim::Event) {
+            ctx.consume(SimDuration::micros(30));
+            ctx.set_timer(SimDuration::micros(10), 0);
+        }
+    }
+
+    impl HarnessNode for Spinner {
+        type Snapshot = ();
+
+        fn is_halted(&self) -> bool {
+            false
+        }
+        fn workload_done(&self) -> bool {
+            false
+        }
+        fn follows(&self) -> Vec<Option<NodeId>> {
+            Vec::new()
+        }
+        fn applied_map(&self) -> &CountMap {
+            &self.applied
+        }
+        fn snapshot(&self) {}
+        fn metrics(&self) -> &NodeMetrics {
+            &self.metrics
+        }
+        fn session_stats(&self) -> Vec<SessionStats> {
+            Vec::new()
+        }
+        fn status_line(&self) -> String {
+            String::new()
+        }
+    }
+
+    /// Busy is not progress: a wedged run whose CPUs stay charged still
+    /// ends at the stall window, not at `max_time`.
+    #[test]
+    fn a_busy_but_wedged_run_still_stalls() {
+        let mut sim = Simulator::new(2, LatencyModel::deterministic(), 7);
+        sim.set_apps(|_| Spinner { applied: CountMap::new(2, 1), metrics: NodeMetrics::default() });
+        let (_, converged) = drive(&mut sim, SimTime(10_000_000_000));
+        assert!(!converged);
+        assert!(sim.cpu_free_at(NodeId(0)) > sim.now(), "the spinner went idle");
+        assert!(sim.now() < SimTime(51_000_000), "ran on to {}", sim.now());
     }
 
     /// "Every alive node …" holds of no node at all; nobody is left to

@@ -21,16 +21,17 @@ use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
 use hamband_core::object::{ObjectSpec, WorkloadSupport};
 
-use crate::sets::{insert_missing, pick, sorted_union};
+use crate::sets::{pick, remove_key, sorted_union, RankSet};
 
 /// The schema state.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CoursewareState {
     /// Offered courses.
-    pub courses: BTreeSet<u64>,
+    pub courses: RankSet,
     /// Registered students.
-    pub students: BTreeSet<u64>,
-    /// Enrollment relation: (student, course).
+    pub students: RankSet,
+    /// Enrollment relation: (course, student), keyed by course first so
+    /// that `deleteCourse` cascades over one range.
     pub enrollment: BTreeSet<(u64, u64)>,
 }
 
@@ -113,7 +114,7 @@ impl ObjectSpec for Courseware {
     fn invariant(&self, s: &CoursewareState) -> bool {
         s.enrollment
             .iter()
-            .all(|&(st, c)| s.students.contains(&st) && s.courses.contains(&c))
+            .all(|&(c, st)| s.students.contains(&st) && s.courses.contains(&c))
     }
 
     fn query(&self, state: &CoursewareState, query: &CoursewareQuery) -> u64 {
@@ -130,12 +131,12 @@ impl ObjectSpec for Courseware {
             }
             CoursewareUpdate::DeleteCourse(c) => {
                 state.courses.remove(c);
-                state.enrollment.retain(|&(_, course)| course != *c);
+                remove_key(&mut state.enrollment, *c);
             }
             CoursewareUpdate::Enroll(st, c) => {
-                state.enrollment.insert((*st, *c));
+                state.enrollment.insert((*c, *st));
             }
-            CoursewareUpdate::RegisterStudents(ss) => insert_missing(&mut state.students, ss),
+            CoursewareUpdate::RegisterStudents(ss) => state.students.insert_missing(ss),
         }
     }
 
@@ -182,10 +183,9 @@ impl WorkloadSupport for Courseware {
         let ss: Vec<u64> = s.students.iter().copied().collect();
         if !cs.is_empty() && !ss.is_empty() {
             for _ in 0..rng.gen_range(0..6) {
-                s.enrollment.insert((
-                    ss[rng.gen_range(0..ss.len())],
-                    cs[rng.gen_range(0..cs.len())],
-                ));
+                // Student first, then course: the draw order is pinned.
+                let student = ss[rng.gen_range(0..ss.len())];
+                s.enrollment.insert((cs[rng.gen_range(0..cs.len())], student));
             }
         }
         s
@@ -287,6 +287,31 @@ mod tests {
         let s2 = cw.apply(&s, &CoursewareUpdate::DeleteCourse(1));
         assert!(cw.invariant(&s2));
         assert_eq!(cw.query(&s2, &CoursewareQuery::Enrollments), 0);
+    }
+
+    /// `DeleteCourse` as it was, a `retain` over the whole relation
+    /// kept as (student, course), on sampled states: the range removal
+    /// leaves the same pairs.
+    #[test]
+    fn delete_course_cascades_as_retain_did() {
+        use rand::SeedableRng;
+        let cw = Courseware::new(6);
+        let mut rng = StdRng::seed_from_u64(13);
+        let as_student_course = |s: &CoursewareState| -> BTreeSet<(u64, u64)> {
+            s.enrollment.iter().map(|&(c, st)| (st, c)).collect()
+        };
+        let mut cascaded = 0;
+        for _ in 0..300 {
+            let s = cw.sample_state(&mut rng);
+            let c = rng.gen_range(0..6);
+            let mut retained = as_student_course(&s);
+            retained.retain(|&(_, course)| course != c);
+            let after = cw.apply(&s, &CoursewareUpdate::DeleteCourse(c));
+            assert_eq!(as_student_course(&after), retained, "deleting {c} from {s:?}");
+            assert!(!after.courses.contains(&c));
+            cascaded += s.enrollment.len() - after.enrollment.len();
+        }
+        assert!(cascaded > 50, "only {cascaded} enrollments cascaded");
     }
 
     #[test]

@@ -65,3 +65,4 @@ pub use movie::Movie;
 pub use orset::OrSet;
 pub use project::Project;
 pub use registry::{for_each_shipped, visit_shipped, Shipped, ShippedVisitor, SHIPPED_ROWS};
+pub use sets::RankSet;

@@ -11,8 +11,6 @@
 //! two groups get **two independent leaders**, which is exactly what
 //! Fig. 10 measures against single-leader Mu.
 
-use std::collections::BTreeSet;
-
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -20,15 +18,15 @@ use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
 use hamband_core::object::{ObjectSpec, WorkloadSupport};
 
-use crate::sets::pick;
+use crate::sets::{pick, RankSet};
 
 /// The schema state: two independent relations.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MovieState {
     /// Registered customers.
-    pub customers: BTreeSet<u64>,
+    pub customers: RankSet,
     /// Registered movies.
-    pub movies: BTreeSet<u64>,
+    pub movies: RankSet,
 }
 
 /// An update call on the schema.

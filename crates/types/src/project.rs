@@ -28,16 +28,17 @@ use hamband_core::coord::CoordSpec;
 use hamband_core::ids::MethodId;
 use hamband_core::object::{ObjectSpec, WorkloadSupport};
 
-use crate::sets::{insert_missing, pick, sorted_union};
+use crate::sets::{pick, remove_key, sorted_union, RankSet};
 
 /// The schema state.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ProjectState {
     /// Registered projects.
-    pub projects: BTreeSet<u64>,
+    pub projects: RankSet,
     /// Registered employees.
-    pub employees: BTreeSet<u64>,
-    /// Assignment relation: (employee, project).
+    pub employees: RankSet,
+    /// Assignment relation: (project, employee), keyed by project first
+    /// so that `deleteProject` cascades over one range.
     pub works_on: BTreeSet<(u64, u64)>,
 }
 
@@ -120,7 +121,7 @@ impl ObjectSpec for Project {
     fn invariant(&self, s: &ProjectState) -> bool {
         s.works_on
             .iter()
-            .all(|&(e, p)| s.employees.contains(&e) && s.projects.contains(&p))
+            .all(|&(p, e)| s.employees.contains(&e) && s.projects.contains(&p))
     }
 
     fn query(&self, state: &ProjectState, query: &ProjectQuery) -> u64 {
@@ -137,12 +138,12 @@ impl ObjectSpec for Project {
             }
             ProjectUpdate::DeleteProject(p) => {
                 state.projects.remove(p);
-                state.works_on.retain(|&(_, proj)| proj != *p);
+                remove_key(&mut state.works_on, *p);
             }
             ProjectUpdate::WorksOn(e, p) => {
-                state.works_on.insert((*e, *p));
+                state.works_on.insert((*p, *e));
             }
-            ProjectUpdate::AddEmployees(es) => insert_missing(&mut state.employees, es),
+            ProjectUpdate::AddEmployees(es) => state.employees.insert_missing(es),
         }
     }
 
@@ -186,10 +187,9 @@ impl WorkloadSupport for Project {
         let es: Vec<u64> = s.employees.iter().copied().collect();
         if !ps.is_empty() && !es.is_empty() {
             for _ in 0..rng.gen_range(0..6) {
-                s.works_on.insert((
-                    es[rng.gen_range(0..es.len())],
-                    ps[rng.gen_range(0..ps.len())],
-                ));
+                // Employee first, then project: the draw order is pinned.
+                let employee = es[rng.gen_range(0..es.len())];
+                s.works_on.insert((ps[rng.gen_range(0..ps.len())], employee));
             }
         }
         s
@@ -266,6 +266,31 @@ mod tests {
         let s2 = pm.apply(&s, &ProjectUpdate::DeleteProject(1));
         assert!(pm.invariant(&s2));
         assert!(s2.works_on.is_empty());
+    }
+
+    /// `DeleteProject` as it was, a `retain` over the whole relation
+    /// kept as (employee, project), on sampled states: the range
+    /// removal leaves the same pairs.
+    #[test]
+    fn delete_project_cascades_as_retain_did() {
+        use rand::SeedableRng;
+        let pm = Project::new(6);
+        let mut rng = StdRng::seed_from_u64(17);
+        let as_employee_project = |s: &ProjectState| -> BTreeSet<(u64, u64)> {
+            s.works_on.iter().map(|&(p, e)| (e, p)).collect()
+        };
+        let mut cascaded = 0;
+        for _ in 0..300 {
+            let s = pm.sample_state(&mut rng);
+            let p = rng.gen_range(0..6);
+            let mut retained = as_employee_project(&s);
+            retained.retain(|&(_, proj)| proj != p);
+            let after = pm.apply(&s, &ProjectUpdate::DeleteProject(p));
+            assert_eq!(as_employee_project(&after), retained, "deleting {p} from {s:?}");
+            assert!(!after.projects.contains(&p));
+            cascaded += s.works_on.len() - after.works_on.len();
+        }
+        assert!(cascaded > 50, "only {cascaded} assignments cascaded");
     }
 
     #[test]

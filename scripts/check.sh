@@ -136,6 +136,31 @@ if [ "$oneapply" -ne 0 ]; then
   exit 1
 fi
 
+echo "== rank guard (a generator picks by rank; a cascade drops one range) =="
+# A set a generator picks from is a RankSet, whose nth is O(log n), and
+# a pair relation is keyed by what a delete cascades on, so the delete
+# removes one range (types/src/sets.rs). A walk to the k-th element or
+# a retain over a whole relation grows with the run: host time per call
+# rose with volume while pick walked a BTreeSet. Bank, OrSet and Cart
+# draw their ids from a fixed space (account_space, element_space), so
+# their scans stay bounded however long a run is. Only the lines before
+# a file's first #[cfg(test)] count: a test may keep the walk as the
+# reference it checks against.
+rank=0
+for f in crates/types/src/*.rs; do
+  case "$f" in
+    crates/types/src/bank.rs | crates/types/src/orset.rs | crates/types/src/cart.rs) continue ;;
+  esac
+  if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" \
+      | grep -E '\.iter\(\)\.nth\(|\.retain\('; then
+    rank=1
+  fi
+done
+if [ "$rank" -ne 0 ]; then
+  echo "FAIL: pick with RankSet::nth and cascade with sets::remove_key; walk no growing set"
+  exit 1
+fi
+
 echo "== report guard (a run's report is a value; Display is its one format) =="
 # RunReport prints itself and tests compare two with `==`. A JSON
 # encoder in the library is the second, unread format growing back;
