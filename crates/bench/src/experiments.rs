@@ -541,6 +541,10 @@ pub fn fig13(opts: &ExpOptions) -> FigOutcome {
     let t = |i: usize| reports[i].throughput_ops_per_us;
     let follower_drop = 1.0 - t(1) / t(0).max(1e-9);
     let leader_drop = 1.0 - t(2) / t(0).max(1e-9);
+    // Compared as printed: drops that round to the same percent are a
+    // tie, and a tie is not "hurts more".
+    let pct = |drop: f64| (drop * 100.0).round() as i64;
+    let (leader_pct, follower_pct) = (pct(leader_drop), pct(follower_drop));
     let reg_rt_stable = {
         let normal = reports[0].rt_per_method_us.get("register_students").copied().unwrap_or(0.0);
         let leaderf = reports[2].rt_per_method_us.get("register_students").copied().unwrap_or(0.0);
@@ -555,8 +559,8 @@ pub fn fig13(opts: &ExpOptions) -> FigOutcome {
         ),
         check(
             "leader failure hurts more than follower failure (paper: 53% vs 6%)",
-            leader_drop > follower_drop,
-            format!("leader {:.0}% vs follower {:.0}%", leader_drop * 100.0, follower_drop * 100.0),
+            leader_pct > follower_pct,
+            format!("leader {leader_pct}% vs follower {follower_pct}%"),
         ),
         check(
             "conflict-free register_students response time unaffected by leader failure",

@@ -214,6 +214,18 @@ if grep -rnE --include='*.rs' \
   exit 1
 fi
 
+echo "== quote guard (a figure line EXPERIMENTS.md quotes is a line of scripts/figures.txt) =="
+# EXPERIMENTS.md quotes each figure's `[ok]`/`[!!]` lines from the
+# committed output instead of restating its numbers. A quoted line that
+# is not, whole and verbatim, a line of scripts/figures.txt is a number
+# that drifted from its one home: the next move of a figure line shows
+# up in the doc's diff or fails here.
+quoted=$(grep -E '^ *\[(ok|!!)\]' EXPERIMENTS.md || true)
+if [ -z "$quoted" ] || grep -Fxv -f scripts/figures.txt <<<"$quoted"; then
+  echo "FAIL: quote figure lines verbatim from scripts/figures.txt (EXPERIMENTS.md quotes none, or the lines above are not in it)"
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release
 

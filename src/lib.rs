@@ -28,3 +28,9 @@ pub use hamband_core as core;
 pub use hamband_runtime as runtime;
 pub use hamband_types as types;
 pub use rdma_sim as sim;
+
+/// The README's Rust blocks, compiled and run as doctests so its code
+/// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

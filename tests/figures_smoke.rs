@@ -25,9 +25,9 @@ fn fig11_shape_holds() {
 fn fig13_shape_holds() {
     let out = fig13(&small());
     for c in &out.checks {
-        // The throughput-magnitude checks are volume-sensitive; at
-        // smoke scale require only convergence and the qualitative
-        // leader/follower ordering.
+        // The throughput checks, the leader/follower ordering among
+        // them, are volume-sensitive; at smoke scale require only
+        // convergence and the unaffected conflict-free method.
         if c.claim.contains("converged") || c.claim.contains("register_students") {
             assert!(c.holds, "{out}");
         }
