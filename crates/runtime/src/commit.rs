@@ -3,8 +3,9 @@
 //! An `L`-ring entry is committed once a majority of the cluster holds
 //! it (the leader's own copy plus `n/2` remote completions). The leader
 //! advances the group's commit index over every contiguous committed
-//! sequence and acknowledges the client calls it covers. The followers
-//! learn the index from the next entry the leader appends, which
+//! sequence: the CONF path's watermark, so `calls.rs::ack_landed`
+//! acknowledges the client calls it passes. The followers learn the
+//! index from the next entry the leader appends, which
 //! carries it (`conf.rs`, `issue_conf` / `learn_commit`) — Mu's
 //! discipline, and no WRITE of its own. Only an index nothing carries —
 //! the pipeline went idle behind the commit — is written into every
@@ -16,7 +17,7 @@
 use hamband_core::object::WorkloadSupport;
 use rdma_sim::{CompletionStatus, TraceEvent};
 
-use crate::calls::Route;
+use crate::calls::{Path, Route};
 use crate::replica::{peers, HambandNode};
 use crate::transport::Transport;
 
@@ -35,15 +36,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
             let node = self.me;
             ctx.emit(|| TraceEvent::CommitAdvance { node, group: g, commit });
         }
-        // Acknowledge the committed client calls, in sequence order.
-        while let Some(leader) = self.engines[g].leader_mut() {
-            let Some(&(seq, cid)) = leader.client_by_seq.front() else { break };
-            if seq > commit {
-                break;
-            }
-            leader.client_by_seq.pop_front();
-            self.finish_call(ctx, cid);
-        }
+        self.ack_landed(ctx, Path::Conf(g));
         // The leader's own commit cell (read by poll_conf fallback and
         // by successors).
         ctx.local_write(

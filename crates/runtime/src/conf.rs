@@ -40,9 +40,9 @@ use std::collections::{BTreeMap, VecDeque};
 
 use hamband_core::ids::{MethodId, Pid, Rid};
 use hamband_core::object::WorkloadSupport;
-use rdma_sim::{CompletionStatus, NodeId, Phase, RingKind, SimDuration, TraceEvent, WrId};
+use rdma_sim::{CompletionStatus, NodeId, RingKind, SimDuration, TraceEvent, WrId};
 
-use crate::calls::Issued;
+use crate::calls::{Issued, Path};
 use crate::codec::{carried_commit, stamp_commit, Entry};
 use crate::config::CONF_RING_CAP;
 use crate::election::Election;
@@ -403,7 +403,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
     pub(crate) fn issue_conf<T: Transport>(
         &mut self,
         ctx: &mut T,
-        call_id: u64,
         rid: Rid,
         update: O::Update,
         method: MethodId,
@@ -444,11 +443,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
         self.slot_buf = slot;
         leader.pending_acks.insert(seq, 0);
-        leader.client_by_seq.push_back((seq, call_id));
-        // Nothing for the record to count: the appends are tallied per
-        // seq in `pending_acks`, and the call is acknowledged when the
-        // commit index passes it. The leader's log copy is its backup.
-        Issued { phase: Phase::Conf, conf: Some((g, seq)), remotes: 0 }
+        // The appends are tallied per seq in `pending_acks`, and the
+        // call is acknowledged when the commit index passes it. The
+        // leader's log copy is its backup.
+        Issued { path: Path::Conf(g), position: seq }
     }
 
     /// A non-leader learns `g`'s commit index: the highest index carried
@@ -518,18 +516,11 @@ impl<O: WorkloadSupport> HambandNode<O> {
         data: Option<&[u8]>,
     ) -> bool {
         for g in 0..self.engines.len() {
-            let mut result = None;
-            if let Some(leader) = self.engines[g].leader_mut() {
-                for w in leader.writers.iter_mut().flatten() {
-                    if let Some(done) = w.on_completion(ctx, wr, status, data) {
-                        result = Some((done, w.target()));
-                        break;
-                    }
-                }
-            }
-            if let Some((done, target)) = result {
+            let Some(leader) = self.engines[g].leader_mut() else { continue };
+            let mut writers = leader.writers.iter_mut().flatten();
+            if let Some(done) = writers.find_map(|w| w.on_completion(ctx, wr, status, data)) {
                 for seq in done.seqs() {
-                    self.on_conf_write_done(ctx, g, target, seq, done.status);
+                    self.on_conf_write_done(ctx, g, done.target, seq, done.status);
                 }
                 return true;
             }

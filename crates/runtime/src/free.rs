@@ -4,15 +4,15 @@
 //! Fig. 7's FREE rule: the call is applied locally at issue, paired
 //! with its dependency projection, and appended to the `F` ring this
 //! node feeds at every peer. Peers apply entries in ring order once the
-//! dependency map is satisfied. The client is acknowledged when every
-//! remote append completes (reliable broadcast: the issuer's own copy
-//! of its ring holds the entry for a recoverer meanwhile).
+//! dependency map is satisfied. The client is acknowledged once its
+//! append has completed at every peer (`calls.rs::ack_landed`; reliable
+//! broadcast: the issuer's own ring copy holds the entry meanwhile).
 
 use hamband_core::ids::{MethodId, Pid, Rid};
 use hamband_core::object::WorkloadSupport;
-use rdma_sim::{CompletionStatus, NodeId, Phase, RingKind, WrId};
+use rdma_sim::{CompletionStatus, NodeId, RingKind, WrId};
 
-use crate::calls::Issued;
+use crate::calls::{Issued, Path};
 use crate::codec::Entry;
 use crate::config::FREE_RING_CAP;
 use crate::persist::LogRecord;
@@ -66,7 +66,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
     pub(crate) fn issue_free<T: Transport>(
         &mut self,
         ctx: &mut T,
-        call_id: u64,
         rid: Rid,
         update: O::Update,
         method: MethodId,
@@ -79,14 +78,12 @@ impl<O: WorkloadSupport> HambandNode<O> {
         let entry = Entry { rid, update, deps };
         // The free rings advance in lockstep, so every peer's slot is
         // the same bytes: encode them once.
-        let mut remotes = 0;
         let first = self.free_writers.iter().flatten().next().map(RingWriter::next_seq);
         if let Some(seq) = first {
             let mut slot = std::mem::take(&mut self.slot_buf);
             entry.to_slot_into(seq, self.layout.entry_size(), &mut slot);
             for w in self.free_writers.iter_mut().flatten() {
                 assert_eq!(w.append_encoded(ctx, &slot), seq, "free rings advance in lockstep");
-                remotes += 1;
             }
             // Reliable broadcast: the appends only queue here, so the
             // own ring copy a recoverer READs holds the entry before
@@ -98,9 +95,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
             let src = self.me.index() as u32;
             self.log_slot(ctx, |_, _| LogRecord::FreeSlot { src, slot: slot.clone() });
             self.slot_buf = slot;
-            self.free_call_by_seq.insert(seq, call_id);
         }
-        Issued { phase: Phase::Free, conf: None, remotes }
+        // No peer, no ring: position 0 has landed everywhere.
+        Issued { path: Path::Free, position: first.unwrap_or(0) }
     }
 
     /// Apply every deliverable entry from each peer's `F` ring (in ring
@@ -128,8 +125,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
     }
 
     /// Feed an `F`-ring append completion to whichever free writer
-    /// posted it; returns `true` if one claimed it. A coalesced WRITE
-    /// completes every entry it spans.
+    /// posted it and acknowledge what it landed; returns `true` if one
+    /// claimed it. A coalesced WRITE completes every entry it spans.
     pub(crate) fn on_free_completion<T: Transport>(
         &mut self,
         ctx: &mut T,
@@ -142,14 +139,9 @@ impl<O: WorkloadSupport> HambandNode<O> {
             return false;
         };
         debug_assert!(done.status.is_success(), "free rings are never permission-revoked");
-        for seq in done.seqs() {
-            // The last of the call's n − 1 appends acknowledges it.
-            if let Some(&cid) = self.free_call_by_seq.get(&seq) {
-                if self.credit_remote(ctx, cid) {
-                    self.free_call_by_seq.remove(&seq);
-                }
-            }
-        }
+        // Never revoked nor re-posted: a pair's appends complete in order.
+        self.free_landed[done.target.index()] = done.last_seq;
+        self.ack_landed(ctx, Path::Free);
         true
     }
 }

@@ -181,7 +181,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // flush). Re-post the whole own log to every peer: a crash
         // between the local fence and the remote writes may have left
         // peers records behind, and a fresh node knows nothing of what
-        // their copies hold.
+        // their copies hold. The re-post counts as landed: no flush
+        // posts the log again.
         for g in 0..self.sum_cache.len() {
             let (size, group_len) = (self.layout.summary_size(g), self.coord.sum_groups()[g].len());
             for src in 0..self.n {
@@ -203,6 +204,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
                     ctx.post_write(q, self.layout.summaries, off, &self.sum_log[g]);
                 }
                 self.sum_sent[g][q.index()] = self.sum_log[g].len();
+                self.sum_landed[g][q.index()] = self.sum_cache[g][self.me.index()].version;
             }
         }
 

@@ -91,18 +91,14 @@ pub struct HambandNode<O: ObjectSpec> {
     pub(crate) applied: CountMap,
     /// Summary caches per (summarization group, source).
     pub(crate) sum_cache: Vec<Vec<CachedSummary<O::Update>>>,
-    /// Write-combining: version of the summary WRITE in flight per
-    /// (summarization group, peer); `None` = the channel is idle. At
-    /// most one summary WRITE per (group, peer) is ever in flight —
-    /// further reduces only fold locally, and the first pump after the
-    /// completion posts what the log gained meanwhile (the paper's own
-    /// amortization).
+    /// Write-combining, per (summarization group, peer): the version of
+    /// the one summary WRITE in flight (`None`: the channel is idle), and
+    /// the version the last one that completed carried.
     pub(crate) sum_inflight: Vec<Vec<Option<u64>>>,
-    /// Per (summarization group, peer): calls whose summary version has
-    /// not yet landed at that peer, oldest first (`(version, call_id)`).
-    /// A completed write carrying version `v` covers every waiter with
-    /// version `<= v`.
-    pub(crate) sum_waiters: Vec<Vec<VecDeque<(u64, u64)>>>,
+    pub(crate) sum_landed: Vec<Vec<u64>>,
+    /// Per summarization group: the unacknowledged REDUCE calls,
+    /// `(version, call id)` oldest first (`calls.rs::ack_landed`).
+    pub(crate) sum_acks: Vec<VecDeque<(u64, u64)>>,
     /// Per summarization group: the own log's bytes, exactly what the
     /// own slot copy holds from offset 0 (`reduce.rs`).
     pub(crate) sum_log: Vec<Vec<u8>>,
@@ -146,8 +142,11 @@ pub struct HambandNode<O: ObjectSpec> {
     /// also its key in `outstanding`.
     pub(crate) next_rid_seq: u64,
     pub(crate) outstanding: IdMap<u64, Outstanding>,
-    /// (free ring seq) → call id.
-    pub(crate) free_call_by_seq: IdMap<u64, u64>,
+    /// The unacknowledged FREE calls, `(F-ring seq, call id)` oldest
+    /// first (`calls.rs::ack_landed`).
+    pub(crate) free_acks: VecDeque<(u64, u64)>,
+    /// Per peer: the last `F`-ring seq an append completion spanned.
+    pub(crate) free_landed: Vec<u64>,
     pub(crate) wr_routes: IdMap<WrId, Route>,
     /// Denied conflicting-ring writes awaiting retry: (group, target,
     /// seq). A denial means the target has not (yet) granted this
@@ -246,7 +245,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
             applied: CountMap::new(n, coord.method_count()),
             sum_cache,
             sum_inflight: (0..sum_group_count).map(|_| vec![None; n]).collect(),
-            sum_waiters: (0..sum_group_count).map(|_| vec![VecDeque::new(); n]).collect(),
+            sum_landed: vec![vec![0; n]; sum_group_count],
+            sum_acks: vec![VecDeque::new(); sum_group_count],
             sum_log: vec![Vec::new(); sum_group_count],
             sum_sent: vec![vec![0; n]; sum_group_count],
             sum_pending: vec![false; sum_group_count],
@@ -264,7 +264,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
             metrics: NodeMetrics::default(),
             next_rid_seq: 0,
             outstanding: IdMap::default(),
-            free_call_by_seq: IdMap::default(),
+            free_acks: VecDeque::new(),
+            free_landed: vec![0; n],
             wr_routes: IdMap::default(),
             conf_retries: Vec::new(),
             retry_timer_armed: false,

@@ -74,6 +74,8 @@ pub struct AppendDone {
     pub last_seq: u64,
     /// Completion status of the write.
     pub status: CompletionStatus,
+    /// The node the ring lives at.
+    pub target: NodeId,
 }
 
 impl AppendDone {
@@ -129,11 +131,6 @@ impl RingWriter {
         assert!(max_batch >= 1, "max_batch must be at least 1");
         self.max_batch = max_batch as u64;
         self
-    }
-
-    /// The node this writer feeds.
-    pub fn target(&self) -> NodeId {
-        self.target
     }
 
     /// The sequence number the next append will get.
@@ -230,7 +227,7 @@ impl RingWriter {
             return None;
         }
         let (first_seq, last_seq) = self.posted.remove(&wr)?;
-        Some(AppendDone { first_seq, last_seq, status })
+        Some(AppendDone { first_seq, last_seq, status, target: self.target })
     }
 
     /// Post the pending entries, coalescing contiguous runs into single

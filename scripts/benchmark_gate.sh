@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The benchmark package's two gate steps — its tests and `self-check` —
-# wrapped as ONE EXPECTED FAILURE. scripts/check.sh and the CI `chaos`
-# job both run this file.
+# wrapped as ONE EXPECTED FAILURE. scripts/check.sh runs this file (and
+# CI runs check.sh).
 #
 # Why: since "one pump per handled event" (ROADMAP item 2(a)) the
 # `orset-sessions` run at self-check's 1/20 scale is CPU-lockstep: the

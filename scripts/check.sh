@@ -136,6 +136,45 @@ if [ "$oneapply" -ne 0 ]; then
   exit 1
 fi
 
+echo "== one-ack guard (a call returns when its path's landed prefix passes it) =="
+# Each Fig. 7 path queues its unacknowledged calls in issue order and
+# keeps a watermark (the summary version every peer holds, the F-ring
+# seq every peer's writer saw complete, the commit index); one function,
+# calls.rs::ack_landed, pops what the watermark passed. A per-call
+# countdown of remote copies or a per-peer waiter queue is a second
+# acknowledgement rule growing back. Only the lines before a file's
+# first #[cfg(test)] count, and child tests.rs modules not at all.
+oneack=0
+for f in $(find crates/runtime/src -name '*.rs' ! -name tests.rs | sort); do
+  if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" \
+      | grep -wE 'credit_remote|free_call_by_seq|sum_waiters|remotes'; then
+    oneack=1
+  fi
+done
+if [ "$oneack" -ne 0 ]; then
+  echo "FAIL: acknowledge through calls.rs::ack_landed: queue the call and move its path's watermark"
+  exit 1
+fi
+
+echo "== doc-name guard (a snake_case name DESIGN.md puts in backticks is in the code) =="
+# DESIGN.md names functions, fields, tests and files by their code
+# names. A name that is neither a word of some .rs file nor a .rs file
+# stem is one the code renamed or deleted: the doc describes a mechanism
+# that is gone. Fenced blocks are left out; the benchmark's sources count,
+# because DESIGN.md names its metrics.
+srcs="crates src tests examples benchmark/src benchmark/tests"
+# shellcheck disable=SC2086
+known=$( { find $srcs -name '*.rs' -print0 | xargs -0 grep -ohE '[A-Za-z_][A-Za-z0-9_]*'
+           find $srcs -name '*.rs' -exec basename {} .rs \; ; } | sort -u)
+named=$(awk '/^ *```/{f=!f; next} !f' DESIGN.md | tr '\n' ' ' | grep -oE '`[^`]+`' \
+  | grep -oE '\b[a-z][a-z0-9]*(_[a-z0-9]+)+\b' | sort -u)
+stale=$(comm -23 <(echo "$named") <(echo "$known"))
+if [ -n "$stale" ]; then
+  echo "$stale"
+  echo "FAIL: DESIGN.md names the code above, which no .rs file has: use the current name"
+  exit 1
+fi
+
 echo "== rank guard (a generator picks by rank; a cascade drops one range) =="
 # A set a generator picks from is a RankSet, whose nth is O(log n), and
 # a pair relation is keyed by what a delete cascades on, so the delete
