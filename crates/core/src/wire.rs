@@ -129,14 +129,6 @@ impl Writer {
         Writer::default()
     }
 
-    /// A writer reusing `buf`'s allocation (contents are cleared).
-    /// Recover the buffer with [`into_vec`](Self::into_vec) — this is
-    /// the allocation-free encode cycle used by the runtime hot path.
-    pub fn from_vec(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        Writer { buf }
-    }
-
     /// A writer appending to `buf`'s contents (a log growing by one
     /// record). Recover the buffer with [`into_vec`](Self::into_vec).
     pub fn appending(buf: Vec<u8>) -> Self {

@@ -78,11 +78,6 @@ impl Stats {
             VerbKind::CompareAndSwap => {}
         }
     }
-
-    /// Total one-sided verbs posted.
-    pub fn one_sided_total(&self) -> u64 {
-        self.writes + self.reads + self.cas
-    }
 }
 
 /// Counter-wise sum, the per-node vectors element by element: the
@@ -119,7 +114,7 @@ mod tests {
         s.writes = 3;
         s.reads = 2;
         s.cas = 1;
-        assert_eq!(s.one_sided_total(), 6);
+        assert_eq!(s.writes + s.reads + s.cas, 6);
         assert_eq!(s.per_node_ops.len(), 2);
         assert_eq!((s.cpu_busy_ns.len(), s.nic_busy_ns.len()), (2, 2));
         assert_eq!((s.cpu_post_ns.len(), s.isolated_busy_ns.len()), (2, 2));

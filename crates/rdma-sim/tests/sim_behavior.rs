@@ -413,7 +413,6 @@ fn stats_count_traffic() {
     assert_eq!(s.writes, 1);
     assert_eq!(s.reads, 1);
     assert_eq!(s.cas, 1);
-    assert_eq!(s.one_sided_total(), 3);
     assert_eq!(s.one_sided_bytes, 19);
     assert_eq!(s.per_node_ops[0], 3);
 }

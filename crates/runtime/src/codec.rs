@@ -170,13 +170,6 @@ impl<U: Wire> Entry<U> {
         w.into_vec()
     }
 
-    /// Encode the payload portion into `out`, reusing its allocation.
-    pub fn encode_payload_into(&self, out: &mut Vec<u8>) {
-        let mut w = Writer::from_vec(std::mem::take(out));
-        self.write_payload(&mut w);
-        *out = w.into_vec();
-    }
-
     /// Decode the payload portion of a ring entry.
     ///
     /// # Errors
@@ -450,9 +443,6 @@ mod tests {
         let mut recycled = vec![0xffu8; 300];
         e.to_slot_into(9, 107, &mut recycled);
         assert_eq!(recycled, fresh);
-        let mut payload = vec![0xeeu8; 64];
-        e.encode_payload_into(&mut payload);
-        assert_eq!(payload, e.encode_payload());
     }
 
     #[test]

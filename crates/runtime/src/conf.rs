@@ -7,7 +7,8 @@
 //! group's leadership (epoch, promise, commit index), and a typed
 //! [`Role`] state machine that makes illegal role/field combinations
 //! unrepresentable: only a [`Leader`](Role::Leader) has ring writers,
-//! pending acks, or an issue floor; only a
+//! the ack counts of its log suffix, its calls awaiting commit, or an
+//! issue floor; only a
 //! [`Candidate`](Role::Candidate) has an election tally.
 //!
 //! Role transitions (see `election.rs` for the message protocol):
@@ -36,13 +37,14 @@
 //! issue floor), applying committed ring entries, and retrying
 //! permission-denied ring writes.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::RangeInclusive;
 
 use hamband_core::ids::{MethodId, Pid, Rid};
 use hamband_core::object::WorkloadSupport;
 use rdma_sim::{CompletionStatus, NodeId, RingKind, SimDuration, TraceEvent, WrId};
 
-use crate::calls::{Issued, Path};
+use crate::calls::CallQueue;
 use crate::codec::{carried_commit, stamp_commit, Entry};
 use crate::config::CONF_RING_CAP;
 use crate::election::Election;
@@ -77,6 +79,11 @@ pub enum Role {
 
 /// State that exists only while leading a group. Dropped wholesale on
 /// deposition, so no stale leader field can leak into follower life.
+///
+/// The leader's log suffix is kept by position, not by seq: the entries
+/// awaiting a majority are `commit + 1 ..= tail`, and its own entries
+/// not yet applied are [`GroupEngine::own_unapplied`]; their payloads
+/// are in the local ring copy.
 #[derive(Debug)]
 pub struct LeaderState {
     /// Per-target ring writers (`None` at our own slot).
@@ -88,26 +95,10 @@ pub struct LeaderState {
     /// full history forbids (Lemma 1 needs the check view to contain
     /// every earlier ring entry).
     pub(crate) issue_floor: u64,
-    /// Remote-ack counts per sequence number awaiting majority.
-    pub(crate) pending_acks: BTreeMap<u64, usize>,
-    /// `(seq, client call id)` awaiting commit, in sequence order (the
-    /// order they were appended in).
-    pub(crate) client_by_seq: VecDeque<(u64, u64)>,
-    /// Sequence numbers of own uncommitted entries (suffix of the
-    /// ring), oldest first; the payloads are in the local ring copy.
-    pub(crate) uncommitted: Vec<u64>,
-}
-
-impl LeaderState {
-    fn new(writers: Vec<Option<RingWriter>>, issue_floor: u64) -> Self {
-        LeaderState {
-            writers,
-            issue_floor,
-            pending_acks: BTreeMap::new(),
-            client_by_seq: VecDeque::new(),
-            uncommitted: Vec::new(),
-        }
-    }
+    /// Remote-ack counts of seqs `commit + 1 ..= tail`, oldest first.
+    pub(crate) pending_acks: VecDeque<usize>,
+    /// The client calls awaiting commit, by seq, in append order.
+    pub(crate) client_by_seq: CallQueue,
 }
 
 /// One synchronization group's consensus state at one node.
@@ -213,7 +204,8 @@ impl GroupEngine {
     }
 
     /// Become the group's leader with the given writers and adopted
-    /// `tail`; new conflicting calls stay gated until the reader passes
+    /// `tail`, counting acks afresh for every seq past the commit index;
+    /// new conflicting calls stay gated until the reader passes
     /// `issue_floor`.
     pub fn install_leader(
         &mut self,
@@ -221,8 +213,39 @@ impl GroupEngine {
         tail: u64,
         issue_floor: u64,
     ) {
-        self.role = Role::Leader(LeaderState::new(writers, issue_floor));
+        let pending_acks = vec![0; tail.saturating_sub(self.commit) as usize].into();
+        let client_by_seq = CallQueue::new();
+        self.role = Role::Leader(LeaderState { writers, issue_floor, pending_acks, client_by_seq });
         self.tail = tail;
+    }
+
+    /// The seqs of the leader's own entries it has not yet applied: past
+    /// its reader and past the tail it adopted at install (its issue
+    /// floor), up to its tail. Empty unless leading.
+    pub(crate) fn own_unapplied(&self) -> RangeInclusive<u64> {
+        let start = match &self.role {
+            Role::Leader(l) => self.reader.next_seq().max(l.issue_floor + 1),
+            _ => self.tail + 1,
+        };
+        start..=self.tail
+    }
+
+    /// Append at the leader: the group's next seq, with no remote ack
+    /// counted yet.
+    pub(crate) fn append(&mut self) -> u64 {
+        let leader = self.leader_mut().expect("only a leader appends");
+        leader.pending_acks.push_back(0);
+        self.tail += 1;
+        self.tail
+    }
+
+    /// A remote copy of `seq` landed: count it toward the majority, if
+    /// `seq` still awaits one.
+    pub(crate) fn count_ack(&mut self, seq: u64) {
+        let Some(i) = seq.checked_sub(self.commit + 1) else { return };
+        if let Some(count) = self.leader_mut().and_then(|l| l.pending_acks.get_mut(i as usize)) {
+            *count += 1;
+        }
     }
 
     /// Start an election: bump the promise, tally our own vote.
@@ -330,15 +353,9 @@ impl GroupEngine {
     /// index (unchanged for other roles).
     pub fn advance_commit_index(&mut self, need: usize) -> u64 {
         if let Role::Leader(l) = &mut self.role {
-            loop {
-                let next = self.commit + 1;
-                match l.pending_acks.get(&next) {
-                    Some(&count) if count >= need => {
-                        l.pending_acks.remove(&next);
-                        self.commit = next;
-                    }
-                    _ => break,
-                }
+            while l.pending_acks.front().is_some_and(|&count| count >= need) {
+                l.pending_acks.pop_front();
+                self.commit += 1;
             }
         }
         self.commit
@@ -399,7 +416,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.engines[g].install_leader(writers, tail, issue_floor);
     }
 
-    /// CONF: append to the group's `L` rings; apply at commit.
+    /// CONF: append to the group's `L` rings; apply at commit. Returns
+    /// the entry's seq.
     pub(crate) fn issue_conf<T: Transport>(
         &mut self,
         ctx: &mut T,
@@ -407,7 +425,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         update: O::Update,
         method: MethodId,
         g: usize,
-    ) -> Issued {
+    ) -> u64 {
         let deps = self.applied.project(self.coord.dependencies(method));
         // Speculative view gains the call; the committed views only at
         // commit.
@@ -415,9 +433,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
 
         let entry = Entry { rid, update, deps };
         let engine = &mut self.engines[g];
-        let seq = engine.tail + 1;
-        engine.tail = seq;
-        engine.leader_mut().expect("issue_conf only runs at the leader").uncommitted.push(seq);
+        let seq = engine.append();
         // The entry carries the commit index to the followers, so a
         // commit costs no WRITE of its own while the pipeline is fed
         // (the pump's `flush_commit` covers an index nothing carries).
@@ -442,11 +458,10 @@ impl<O: WorkloadSupport> HambandNode<O> {
             debug_assert_eq!(s, seq, "conf rings advance with the group ordinal");
         }
         self.slot_buf = slot;
-        leader.pending_acks.insert(seq, 0);
         // The appends are tallied per seq in `pending_acks`, and the
         // call is acknowledged when the commit index passes it. The
         // leader's log copy is its backup.
-        Issued { path: Path::Conf(g), position: seq }
+        seq
     }
 
     /// A non-leader learns `g`'s commit index: the highest index carried
@@ -480,18 +495,11 @@ impl<O: WorkloadSupport> HambandNode<O> {
                 }
                 let entry = self.engines[g].reader.peek::<O::Update>(ctx);
                 let Some(entry) = entry else { break };
-                // Own uncommitted entry reaching commit: it leaves the
-                // speculative queue as it enters the committed views.
-                let own_head = self.engines[g]
-                    .leader()
-                    .and_then(|l| l.uncommitted.first())
-                    .is_some_and(|&s| s == next);
-                if !self.apply_buffered(ctx, &entry, own_head) {
+                // Own entry reaching commit: it is in the speculative
+                // view since issue, and enters the committed views.
+                let own = self.engines[g].own_unapplied().contains(&next);
+                if !self.apply_buffered(ctx, &entry, own) {
                     break;
-                }
-                if own_head {
-                    let leader = self.engines[g].leader_mut().expect("own_head implies leader");
-                    leader.uncommitted.remove(0);
                 }
                 // Durability seam: log+fence the applied entry before
                 // the head publication (same discipline as the free
@@ -553,11 +561,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
             }
             return;
         }
-        if let Some(leader) = self.engines[g].leader_mut() {
-            if let Some(count) = leader.pending_acks.get_mut(&seq) {
-                *count += 1;
-            }
-        }
+        self.engines[g].count_ack(seq);
         self.advance_commit(ctx, g);
     }
 
@@ -592,8 +596,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // uncommitted calls of groups still led stay in it.
         self.conf_retries.retain(|&(rg, _, _)| rg != g);
         self.rebuild_spec_mat(ctx);
-        for (_, cid) in dropped.client_by_seq {
-            self.abort_call(cid);
+        for (_, record) in dropped.client_by_seq {
+            self.abort_call(record);
         }
     }
 }

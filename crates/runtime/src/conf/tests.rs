@@ -155,14 +155,14 @@ fn deposition_from_one_group_keeps_the_others_uncommitted_calls_in_view() {
     // The cluster does not run from here: the withdraw stays
     // uncommitted.
     issue(&mut sim, BankUpdate::Withdraw(acct, 8));
-    assert_eq!(sim.app(n0).engines[1].leader().map(|l| l.uncommitted.len()), Some(1));
+    assert_eq!(sim.app(n0).engines[1].leader().map(|l| l.client_by_seq.len()), Some(1));
     sim.with_app_ctx(n0, |app, ctx| app.depose(ctx, 0));
     let app = sim.app(n0);
     assert!(!app.engines[0].is_leader() && app.engines[1].is_leader());
     assert_eq!(app.check_view().balances.get(&acct), Some(&2));
     issue(&mut sim, BankUpdate::Withdraw(acct, 8));
     let app = sim.app(n0);
-    assert_eq!((app.metrics.rejected, app.outstanding.len()), (1, 1));
+    assert_eq!((app.metrics.rejected, app.calls_in_flight()), (1, 1));
 }
 
 fn engine() -> GroupEngine {
@@ -236,10 +236,10 @@ fn stale_epoch_acks_are_ignored() {
 fn depose_on_higher_epoch_drops_leader_state_wholesale() {
     let mut e = engine();
     e.install_leader(writers(3, 0), 4, 0);
-    let l = e.leader_mut().unwrap();
-    l.pending_acks.insert(5, 1);
-    l.client_by_seq.push_back((5, 42));
-    l.uncommitted.push(5);
+    let seq = e.append();
+    e.count_ack(seq);
+    let record = crate::calls::Outstanding::new(SimTime::ZERO, MethodId(0), 3);
+    e.leader_mut().unwrap().client_by_seq.push_back((seq, record));
 
     // A higher-epoch LeaderRequest arrives: promise and depose.
     e.promise(7, Pid(2));
@@ -247,9 +247,11 @@ fn depose_on_higher_epoch_drops_leader_state_wholesale() {
     assert!(matches!(e.role, Role::Follower));
     assert_eq!(e.promised, 7);
     assert_eq!(e.leader_view, Pid(2));
-    assert_eq!(dropped.client_by_seq, [(5, 42)], "orphans surface");
+    let orphans: Vec<u64> = dropped.client_by_seq.iter().map(|&(seq, _)| seq).collect();
+    assert_eq!(orphans, [5], "orphans surface");
+    assert_eq!(dropped.pending_acks, [0, 0, 0, 0, 1], "seqs 1 ..= 5 were uncommitted");
     assert!(e.leader().is_none(), "no leader field survives deposition");
-    assert_eq!(e.tail, 4, "the tail survives for future elections");
+    assert_eq!(e.tail, 5, "the tail survives for future elections");
     assert!(e.depose_leader().is_none(), "deposing a follower is a no-op");
 }
 
@@ -278,7 +280,8 @@ fn a_leader_scans_its_ring_only_while_a_committed_entry_waits() {
     assert!(e.scans_ring(), "a follower reads what the leader writes");
     e.install_leader(writers(3, 0), 0, 0);
     assert!(!e.scans_ring(), "nothing committed past the reader");
-    e.leader_mut().unwrap().pending_acks.insert(1, 1);
+    let seq = e.append();
+    e.count_ack(seq);
     e.advance_commit_index(1);
     assert!(e.scans_ring(), "seq 1 committed, not yet applied");
     e.reader.skip_to_for_test(1);
@@ -289,13 +292,14 @@ fn a_leader_scans_its_ring_only_while_a_committed_entry_waits() {
 fn advance_commit_requires_contiguous_majorities() {
     let mut e = engine();
     e.install_leader(writers(3, 0), 0, 0);
-    let l = e.leader_mut().unwrap();
-    l.pending_acks.insert(1, 1);
-    l.pending_acks.insert(2, 0);
-    l.pending_acks.insert(3, 1);
+    let seqs = [e.append(), e.append(), e.append()];
+    assert_eq!(seqs, [1, 2, 3]);
+    e.count_ack(1);
+    e.count_ack(3);
     assert_eq!(e.advance_commit_index(1), 1, "seq 2 lacks acks: stop there");
-    let l = e.leader_mut().unwrap();
-    *l.pending_acks.get_mut(&2).unwrap() = 1;
+    e.count_ack(2);
     assert_eq!(e.advance_commit_index(1), 3, "gap filled: advance through 3");
     assert_eq!(e.advance_commit_index(1), 3, "idempotent with no new acks");
+    e.count_ack(3);
+    assert!(e.leader().unwrap().pending_acks.is_empty(), "a committed seq's ack counts nowhere");
 }

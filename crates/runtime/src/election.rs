@@ -242,20 +242,14 @@ impl<O: WorkloadSupport> HambandNode<O> {
         let (leader, epoch) = (self.me, self.engines[g].epoch);
         ctx.emit(|| TraceEvent::LeaderChange { group: g, leader, epoch });
         // New conflicting calls stay gated until our reader has applied
-        // the adopted history (issue floor = the adopted tail).
+        // the adopted history (issue floor = the adopted tail); acks are
+        // counted afresh for the uncommitted window.
         self.become_writer(g, max_tail, max_tail);
         // Rebroadcast from the shortest counted log (or the adopted
         // commit, if lower) to the tail so every follower's ring
-        // converges, and re-count acks for the uncommitted window.
+        // converges.
         let commit = self.engines[g].commit;
         for s in (min_tail.min(commit) + 1)..=max_tail {
-            if s > commit {
-                self.engines[g]
-                    .leader_mut()
-                    .expect("just installed")
-                    .pending_acks
-                    .insert(s, 0);
-            }
             let off = self.layout.conf_slot_offset(s);
             let slot = ctx.local(self.layout.conf[g], off, self.layout.entry_size()).to_vec();
             let writers =

@@ -12,7 +12,7 @@ use hamband_core::ids::{MethodId, Pid, Rid};
 use hamband_core::object::WorkloadSupport;
 use rdma_sim::{CompletionStatus, NodeId, RingKind, WrId};
 
-use crate::calls::{Issued, Path};
+use crate::calls::Path;
 use crate::codec::Entry;
 use crate::config::FREE_RING_CAP;
 use crate::persist::LogRecord;
@@ -62,14 +62,15 @@ impl<O: WorkloadSupport> HambandNode<O> {
         }
     }
 
-    /// FREE: apply locally, append to every peer's `F` ring.
+    /// FREE: apply locally, append to every peer's `F` ring. Returns
+    /// the entry's ring seq.
     pub(crate) fn issue_free<T: Transport>(
         &mut self,
         ctx: &mut T,
         rid: Rid,
         update: O::Update,
         method: MethodId,
-    ) -> Issued {
+    ) -> u64 {
         let deps = self.applied.project(self.coord.dependencies(method));
         self.apply_committed(&update, false);
         self.applied.increment(Pid(self.me.index()), method);
@@ -97,7 +98,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
             self.slot_buf = slot;
         }
         // No peer, no ring: position 0 has landed everywhere.
-        Issued { path: Path::Free, position: first.unwrap_or(0) }
+        first.unwrap_or(0)
     }
 
     /// Apply every deliverable entry from each peer's `F` ring (in ring

@@ -333,11 +333,6 @@ impl Ingress {
         self.open_loop.as_mut().and_then(|ol| ol.pending.pop_front())
     }
 
-    /// Released arrivals currently waiting to be issued.
-    pub fn arrival_backlog(&self) -> usize {
-        self.open_loop.as_ref().map_or(0, |ol| ol.pending.len())
-    }
-
     /// The session slots (stats, windows) for harness accounting.
     pub fn sessions(&self) -> &[ClientSession] {
         &self.sessions
@@ -374,7 +369,8 @@ impl Ingress {
         self.mapper
     }
 
-    /// Stop issuing (the node was "failed" by the fault plan).
+    /// Stop issuing for good: the node's heartbeat was suspended, or it
+    /// restarted (`rejoin.rs`; its pre-crash client sessions are gone).
     pub fn halt(&mut self) {
         self.halted = true;
     }

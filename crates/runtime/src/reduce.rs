@@ -42,7 +42,7 @@ use hamband_core::object::WorkloadSupport;
 use hamband_core::wire::Wire;
 use rdma_sim::{NodeId, TraceEvent};
 
-use crate::calls::{Issued, Path, Route};
+use crate::calls::{Path, Route};
 use crate::codec::{summary_records, summary_version, SummarySlot};
 use crate::replica::{peers, HambandNode};
 use crate::transport::Transport;
@@ -146,13 +146,14 @@ pub(crate) fn unread_records<U: Wire>(
 
 impl<O: WorkloadSupport> HambandNode<O> {
     /// REDUCE: fold into the pending record, queue the broadcast.
+    /// Returns the summary version that folded the call in.
     pub(crate) fn issue_reduce<T: Transport>(
         &mut self,
         ctx: &mut T,
         update: O::Update,
         method: MethodId,
         g: usize,
-    ) -> Issued {
+    ) -> u64 {
         let me = self.me.index();
         let midx = self.coord.sum_groups()[g]
             .iter()
@@ -184,7 +185,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         // idle channel once the whole planning pass has folded in — a
         // version v landed at every peer acknowledges every call folded
         // in up to v.
-        Issued { path: Path::Reduce(g), position: version }
+        version
     }
 
     /// Close every pending record, then post, on each (group, peer)
@@ -437,7 +438,7 @@ mod tests {
         assert_eq!(app.sum_inflight[0], [None; 3]);
         assert!(waiting(&sim, 1).is_empty() && waiting(&sim, 2).is_empty());
         assert_eq!(app.metrics.updates_acked, 2);
-        assert!(app.outstanding.is_empty());
+        assert!(app.sum_acks[0].is_empty());
         assert_eq!(sim.stats().writes, 2);
         assert_eq!(sim.app(NodeId(1)).state_snapshot(), 3);
         assert_eq!(sim.app(NodeId(2)).state_snapshot(), 3);
@@ -474,8 +475,7 @@ mod tests {
         let mut sim = idle_counters(4);
         let acked = |sim: &Simulator<HambandNode<Counter>>| {
             let app = sim.app(N0);
-            let mut left: Vec<u64> = app.outstanding.keys().copied().collect();
-            left.sort_unstable();
+            let left: Vec<u64> = app.sum_acks[0].iter().map(|&(v, _)| v).collect();
             (app.metrics.updates_acked, left)
         };
         let done = |sim: &mut Simulator<HambandNode<Counter>>, q: usize, v: u64| {
@@ -490,16 +490,16 @@ mod tests {
         // may still lack it, so nothing is acknowledged.
         done(&mut sim, 3, 1);
         done(&mut sim, 1, 1);
-        assert_eq!(acked(&sim), (0, vec![0, 1]));
+        assert_eq!(acked(&sim), (0, vec![1, 2]));
         // Their channels carry version 2 next, and it lands there too.
         flush(&mut sim);
         assert_eq!(sim.app(N0).sum_inflight[0], [None, Some(2), Some(1), Some(2)]);
         done(&mut sim, 1, 2);
         done(&mut sim, 3, 2);
-        assert_eq!(acked(&sim), (0, vec![0, 1]));
+        assert_eq!(acked(&sim), (0, vec![1, 2]));
         // Node 2, the slowest, gets version 1: the first call only.
         done(&mut sim, 2, 1);
-        assert_eq!(acked(&sim), (1, vec![1]));
+        assert_eq!(acked(&sim), (1, vec![2]));
         flush(&mut sim);
         assert_eq!(sim.app(N0).sum_inflight[0], [None, None, Some(2), None]);
         done(&mut sim, 2, 2);
@@ -522,7 +522,7 @@ mod tests {
         let app = sim.app(N0);
         assert_eq!(app.sum_inflight[0], [None; 3]);
         assert_eq!(app.metrics.updates_acked, 2);
-        assert!(app.outstanding.is_empty());
+        assert!(app.sum_acks[0].is_empty());
         assert_eq!(sim.app(NodeId(1)).state_snapshot(), 3);
         assert_eq!(sim.app(NodeId(2)).state_snapshot(), 3);
     }
@@ -629,7 +629,7 @@ mod tests {
         let withdraw = |sim: &mut Simulator<HambandNode<Bank>>| {
             sim.with_app_ctx(N0, |app, ctx| app.issue(ctx, BankUpdate::Withdraw(ACCT, 0), 0, None));
             let app = sim.app(N0);
-            (app.metrics.rejected, app.metrics.summary_adoptions, app.outstanding.len())
+            (app.metrics.rejected, app.metrics.summary_adoptions, app.calls_in_flight())
         };
         // Before the opening lands, the check has nothing to adopt.
         assert_eq!(withdraw(&mut sim), (1, 0, 0));

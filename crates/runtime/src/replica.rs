@@ -39,7 +39,7 @@ use rdma_sim::{
     App, AppFault, CompletionStatus, Ctx, Event, IdMap, NodeId, RingKind, TraceEvent, WrId,
 };
 
-use crate::calls::{Outstanding, Route};
+use crate::calls::{CallQueue, Route};
 use crate::conf::GroupEngine;
 use crate::config::{
     RuntimeConfig, CONF_RING_CAP, MAX_IN_FLIGHT, PERSIST_LOG_BYTES, POLL_COST, POLL_INTERVAL,
@@ -96,9 +96,9 @@ pub struct HambandNode<O: ObjectSpec> {
     /// the version the last one that completed carried.
     pub(crate) sum_inflight: Vec<Vec<Option<u64>>>,
     pub(crate) sum_landed: Vec<Vec<u64>>,
-    /// Per summarization group: the unacknowledged REDUCE calls,
-    /// `(version, call id)` oldest first (`calls.rs::ack_landed`).
-    pub(crate) sum_acks: Vec<VecDeque<(u64, u64)>>,
+    /// Per summarization group: the REDUCE calls in flight, by the
+    /// version that folded them in (`calls.rs::ack_landed`).
+    pub(crate) sum_acks: Vec<CallQueue>,
     /// Per summarization group: the own log's bytes, exactly what the
     /// own slot copy holds from offset 0 (`reduce.rs`).
     pub(crate) sum_log: Vec<Vec<u8>>,
@@ -138,13 +138,13 @@ pub struct HambandNode<O: ObjectSpec> {
     /// Exposed measurements.
     pub metrics: NodeMetrics,
 
-    /// Seq of the next call this node mints: its `Rid` seq, which is
-    /// also its key in `outstanding`.
+    /// Seq of the next call this node mints: its `Rid` seq. Every call
+    /// gets one, REDUCE calls included, so an entry's bytes do not
+    /// depend on which paths the calls before it took.
     pub(crate) next_rid_seq: u64,
-    pub(crate) outstanding: IdMap<u64, Outstanding>,
-    /// The unacknowledged FREE calls, `(F-ring seq, call id)` oldest
-    /// first (`calls.rs::ack_landed`).
-    pub(crate) free_acks: VecDeque<(u64, u64)>,
+    /// The FREE calls in flight, by `F`-ring seq
+    /// (`calls.rs::ack_landed`).
+    pub(crate) free_acks: CallQueue,
     /// Per peer: the last `F`-ring seq an append completion spanned.
     pub(crate) free_landed: Vec<u64>,
     pub(crate) wr_routes: IdMap<WrId, Route>,
@@ -246,7 +246,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
             sum_cache,
             sum_inflight: (0..sum_group_count).map(|_| vec![None; n]).collect(),
             sum_landed: vec![vec![0; n]; sum_group_count],
-            sum_acks: vec![VecDeque::new(); sum_group_count],
+            sum_acks: (0..sum_group_count).map(|_| CallQueue::new()).collect(),
             sum_log: vec![Vec::new(); sum_group_count],
             sum_sent: vec![vec![0; n]; sum_group_count],
             sum_pending: vec![false; sum_group_count],
@@ -263,8 +263,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
             workload: workload.clone(),
             metrics: NodeMetrics::default(),
             next_rid_seq: 0,
-            outstanding: IdMap::default(),
-            free_acks: VecDeque::new(),
+            free_acks: CallQueue::new(),
             free_landed: vec![0; n],
             wr_routes: IdMap::default(),
             conf_retries: Vec::new(),

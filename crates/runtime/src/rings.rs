@@ -83,11 +83,6 @@ impl AppendDone {
     pub fn seqs(&self) -> std::ops::RangeInclusive<u64> {
         self.first_seq..=self.last_seq
     }
-
-    /// Number of entries this completion covers.
-    pub fn count(&self) -> u64 {
-        self.last_seq - self.first_seq + 1
-    }
 }
 
 impl RingWriter {
@@ -136,11 +131,6 @@ impl RingWriter {
     /// The sequence number the next append will get.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Number of entries appended so far.
-    pub fn appended(&self) -> u64 {
-        self.next_seq - 1
     }
 
     /// Adopt a tail position (used by a new leader taking over a ring).
@@ -269,12 +259,6 @@ impl RingWriter {
     pub fn is_backpressured(&self) -> bool {
         self.next_seq > self.acked_head + self.cap
     }
-
-    /// Whether entries are queued but not yet posted (awaiting a flush
-    /// or ring space).
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
 }
 
 /// Reader-side state of one ring.
@@ -369,8 +353,9 @@ impl RingReader {
         ctx.local_write(self.head_region, self.head_offset, &head.to_le_bytes());
     }
 
-    /// Adopt a head position (node joining an in-progress ring — not
-    /// used in the normal protocol, provided for recovery tooling).
+    /// Adopt a head position and publish it: a restarted node's reader
+    /// resumes past the entries its persist log replayed
+    /// (`rejoin.rs`).
     pub fn adopt_head(&mut self, ctx: &mut impl Transport, applied: u64) {
         self.next = applied + 1;
         ctx.local_write(self.head_region, self.head_offset, &applied.to_le_bytes());
@@ -483,7 +468,7 @@ mod tests {
                     if let Some(w) = self.writer.as_mut() {
                         if let Some(done) = w.on_completion(ctx, wr, status, data.as_deref()) {
                             assert!(done.status.is_success());
-                            self.completions += done.count();
+                            self.completions += done.seqs().count() as u64;
                         }
                     }
                     self.pump_writer(ctx);
@@ -677,7 +662,8 @@ mod tests {
             .with_max_batch(3);
         w.adopt_tail(12);
         assert_eq!(w.next_seq(), 13);
-        assert_eq!(w.appended(), 12);
-        assert!(!w.has_pending());
+        // Nothing was queued by adopting: a tail can be adopted again.
+        w.adopt_tail(20);
+        assert_eq!(w.next_seq(), 21);
     }
 }

@@ -25,9 +25,11 @@
 //!
 //! Lemma 1 (§3.3) needs permissibility checked against a view that
 //! contains every earlier call of the same synchronization group —
-//! that is exactly `spec_mat`'s contract. The uncommitted payloads need
-//! no copy of their own: each led group's local `L`-ring copy holds
-//! them from issue to commit, so the view is rebuilt from there.
+//! that is exactly `spec_mat`'s contract. The leader's own calls in
+//! `spec_mat` but not yet in `mat` need no list of their own: they are
+//! its entries past both its reader and the tail it adopted
+//! (`GroupEngine::own_unapplied`), whose payloads its local `L`-ring
+//! copy holds from issue on, so the view is rebuilt from there.
 
 use hamband_core::object::WorkloadSupport;
 
@@ -117,25 +119,26 @@ impl<O: WorkloadSupport> HambandNode<O> {
         self.spec.permissible(self.check_view(), update)
     }
 
-    /// Rebuild the speculative view: `mat` plus every entry a group
-    /// this node still leads has not committed, decoded from that
-    /// group's local `L`-ring copy. Called after a replacing summary
-    /// change and after a deposition. Summaries are conflict-free by
-    /// construction, so they commute with the replayed conflicting
-    /// calls, and so do calls of different groups. With nothing
-    /// uncommitted the view is `mat` itself: it is dropped (the next
-    /// conflicting call re-seeds it) and `mat` stays lazily dirty.
+    /// Rebuild the speculative view: `mat` plus every own entry a group
+    /// this node still leads has not yet applied
+    /// (`GroupEngine::own_unapplied`), decoded from that group's local
+    /// `L`-ring copy. Called after a replacing summary change and after
+    /// a deposition. Summaries are conflict-free by construction, so
+    /// they commute with the replayed conflicting calls, and so do calls
+    /// of different groups. With nothing unapplied the view is `mat`
+    /// itself: it is dropped (the next conflicting call re-seeds it) and
+    /// `mat` stays lazily dirty.
     pub(crate) fn rebuild_spec_mat<T: Transport>(&mut self, ctx: &mut T) {
-        if self.engines.iter().filter_map(|e| e.leader()).all(|l| l.uncommitted.is_empty()) {
+        if self.engines.iter().all(|e| e.own_unapplied().is_empty()) {
             self.spec_mat = None;
             return;
         }
         self.refresh_mat();
         let mut view = self.mat.clone();
         for e in self.engines.iter() {
-            for &seq in e.leader().map_or(&[][..], |l| &l.uncommitted) {
+            for seq in e.own_unapplied() {
                 let entry = Entry::<O::Update>::from_slot(e.reader.raw_slot(ctx, seq), seq)
-                    .expect("a led group's uncommitted entry is in its local ring copy");
+                    .expect("a led group's unapplied entry is in its local ring copy");
                 self.spec.apply_mut(&mut view, &entry.update);
             }
         }

@@ -136,23 +136,29 @@ if [ "$oneapply" -ne 0 ]; then
   exit 1
 fi
 
-echo "== one-ack guard (a call returns when its path's landed prefix passes it) =="
-# Each Fig. 7 path queues its unacknowledged calls in issue order and
+echo "== one-ack guard (a call lives in its path's queue and returns when the landed prefix passes it) =="
+# Each Fig. 7 path queues its calls in flight in issue order, each as
+# (position, Outstanding): the queue is the call's one record. Each path
 # keeps a watermark (the summary version every peer holds, the F-ring
 # seq every peer's writer saw complete, the commit index); one function,
 # calls.rs::ack_landed, pops what the watermark passed. A per-call
-# countdown of remote copies or a per-peer waiter queue is a second
-# acknowledgement rule growing back. Only the lines before a file's
-# first #[cfg(test)] count, and child tests.rs modules not at all.
+# countdown of remote copies, a per-peer waiter queue or a call-id-keyed
+# map of records (IdMap<u64, Outstanding>) is a second acknowledgement
+# rule or a second home for the call growing back. A CONF leader keeps
+# its log suffix by position: ack counts for commit + 1 ..= tail in a
+# deque, its own unapplied entries as GroupEngine::own_unapplied; a
+# per-seq map or list of it (pending_acks: BTreeMap, uncommitted: Vec)
+# is a copy of the suffix to keep in step. Only the lines before a
+# file's first #[cfg(test)] count, and child tests.rs modules not at all.
 oneack=0
 for f in $(find crates/runtime/src -name '*.rs' ! -name tests.rs | sort); do
   if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" \
-      | grep -wE 'credit_remote|free_call_by_seq|sum_waiters|remotes'; then
+      | grep -wE 'credit_remote|free_call_by_seq|sum_waiters|remotes|IdMap<u64, *Outstanding>|pending_acks: *BTreeMap|uncommitted: *Vec'; then
     oneack=1
   fi
 done
 if [ "$oneack" -ne 0 ]; then
-  echo "FAIL: acknowledge through calls.rs::ack_landed: queue the call and move its path's watermark"
+  echo "FAIL: keep a call in its path's queue and acknowledge through calls.rs::ack_landed; keep the leader's suffix by position"
   exit 1
 fi
 
