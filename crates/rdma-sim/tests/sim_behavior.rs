@@ -551,3 +551,61 @@ fn a_read_is_not_ordered_behind_an_earlier_write_on_its_pair() {
     );
     assert_eq!(sim.region_bytes(NodeId(1), region)[0], 0xab);
 }
+
+/// Notes the address it runs at in every handler.
+struct Located {
+    seen: Vec<usize>,
+}
+
+impl Located {
+    fn note(&mut self) {
+        self.seen.push(self as *const Self as usize);
+    }
+}
+
+impl App for Located {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.note();
+        ctx.send(NodeId(1 - ctx.node().index()), vec![1]);
+        ctx.set_timer(SimDuration::micros(1), 0);
+    }
+    fn on_event(&mut self, _ctx: &mut Ctx<'_>, _event: Event) {
+        self.note();
+    }
+    fn on_restart(&mut self, _ctx: &mut Ctx<'_>) {
+        self.note();
+    }
+}
+
+/// A replica handles its events where the simulator keeps it: start,
+/// messages, timers, faults, a restart and a driver's call all see the
+/// address `Simulator::app` returns, so no handler moved it.
+#[test]
+fn apps_handle_events_in_place() {
+    let mut sim = Simulator::new(2, LatencyModel::deterministic(), 1);
+    sim.set_apps(|_| Located { seen: Vec::new() });
+    let t = SimTime::ZERO + SimDuration::micros(100);
+    sim.install_fault_plan(
+        &FaultPlan::new()
+            .at(t, Fault::SuspendHeartbeat(NodeId(0)))
+            .at(t, Fault::Crash(NodeId(1)))
+            .at(t + SimDuration::micros(1), Fault::Restart(NodeId(1), true)),
+    );
+    sim.run_for(SimDuration::millis(1));
+    sim.with_app_ctx(NodeId(0), |app, _| app.note());
+    for n in [NodeId(0), NodeId(1)] {
+        let at = sim.app(n) as *const Located as usize;
+        let seen = &sim.app(n).seen;
+        // Start, the peer's message and the timer; then node 0's
+        // heartbeat fault and the driver's call, node 1's restart.
+        assert_eq!(seen.len(), 5 - n.index(), "{n:?}: {seen:?}");
+        assert!(seen.iter().all(|&a| a == at), "{n:?} at {at:#x} saw {seen:x?}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "set_apps")]
+fn running_before_set_apps_panics() {
+    let mut sim: Simulator<Located> = Simulator::new(2, LatencyModel::deterministic(), 1);
+    sim.run_for(SimDuration::micros(1));
+}
