@@ -259,6 +259,16 @@ if grep -rnE --include='*.rs' \
   exit 1
 fi
 
+echo "== in-place guard (a replica handles its event where it lives) =="
+# Simulator::apps is a Vec<A> that set_apps fills: every handler borrows
+# its replica in place next to a Ctx on the fabric. Taking a replica out
+# of an Option slot and putting it back copies the whole replica twice
+# per event (about 2 KB for a HambandNode).
+if grep -nE 'apps\[[^]]*\]\.take\(\)|Vec<Option<A>>' crates/rdma-sim/src/sim.rs; then
+  echo "FAIL: borrow self.apps[i] in place beside Ctx { fabric: &mut self.fabric, .. }; move no replica per event"
+  exit 1
+fi
+
 echo "== quote guard (a figure line EXPERIMENTS.md quotes is a line of scripts/figures.txt) =="
 # EXPERIMENTS.md quotes each figure's `[ok]`/`[!!]` lines from the
 # committed output instead of restating its numbers. A quoted line that
