@@ -88,8 +88,7 @@ impl Fault {
     /// Render as a Rust expression (used by [`FaultPlan::to_literal`]).
     fn literal(&self) -> String {
         fn nodes(v: &[NodeId]) -> String {
-            let inner: Vec<String> =
-                v.iter().map(|n| format!("NodeId({})", n.0)).collect();
+            let inner: Vec<String> = v.iter().map(|n| format!("NodeId({})", n.0)).collect();
             format!("vec![{}]", inner.join(", "))
         }
         match self {
@@ -258,9 +257,7 @@ impl FaultPlan {
                 // that leads a group usually gets an election-window
                 // chaser ~30us later, when detection and takeover run.
                 0..=4 => {
-                    if silenced.len() >= config.silence_budget
-                        || silenced.contains(&target)
-                    {
+                    if silenced.len() >= config.silence_budget || silenced.contains(&target) {
                         plan = plan.at(t, Fault::TornWrites(target));
                         continue;
                     }
@@ -286,8 +283,7 @@ impl FaultPlan {
                     }
                     if config.leaders.contains(&target) && rng.gen_bool(0.6) {
                         let chaser_at = t + SimDuration::micros(rng.gen_range(20..50));
-                        let other =
-                            NodeId((target.0 + 1 + rng.gen_range(0..nodes - 1)) % nodes);
+                        let other = NodeId((target.0 + 1 + rng.gen_range(0..nodes - 1)) % nodes);
                         let chaser = if rng.gen_bool(0.5) {
                             Fault::TornWrites(other)
                         } else {
@@ -328,14 +324,10 @@ impl FaultPlan {
                             side_a.push(n);
                         }
                     }
-                    let side_b: Vec<NodeId> = (0..nodes)
-                        .map(NodeId)
-                        .filter(|n| !side_a.contains(n))
-                        .collect();
+                    let side_b: Vec<NodeId> =
+                        (0..nodes).map(NodeId).filter(|n| !side_a.contains(n)).collect();
                     let heal_at = t + SimDuration::micros(rng.gen_range(5..40));
-                    plan = plan
-                        .at(t, Fault::Partition(side_a, side_b))
-                        .at(heal_at, Fault::Heal);
+                    plan = plan.at(t, Fault::Partition(side_a, side_b)).at(heal_at, Fault::Heal);
                 }
             }
         }
@@ -373,10 +365,7 @@ mod tests {
         );
         assert_eq!(Fault::DuplicateCompletion(NodeId(1)).target(), Some(NodeId(1)));
         assert_eq!(Fault::Heal.target(), None);
-        assert_eq!(
-            Fault::Partition(vec![NodeId(0)], vec![NodeId(1)]).target(),
-            None
-        );
+        assert_eq!(Fault::Partition(vec![NodeId(0)], vec![NodeId(1)]).target(), None);
     }
 
     #[test]
@@ -440,9 +429,9 @@ mod tests {
             for (t, f) in &entries {
                 match f {
                     Fault::Crash(n) => assert!(
-                        entries.iter().any(
-                            |(tr, fr)| matches!(fr, Fault::Restart(m, _) if m == n) && tr > t
-                        ),
+                        entries
+                            .iter()
+                            .any(|(tr, fr)| matches!(fr, Fault::Restart(m, _) if m == n) && tr > t),
                         "seed {seed}: crash of {n:?} never restarts"
                     ),
                     Fault::Restart(n, _) => assert!(
@@ -459,14 +448,8 @@ mod tests {
     fn literal_round_trips_shape() {
         let plan = FaultPlan::new()
             .at(SimTime(40_000), Fault::Crash(NodeId(0)))
-            .at(
-                SimTime(60_000),
-                Fault::DelaySpike(NodeId(1), 8, SimDuration::micros(20)),
-            )
-            .at(
-                SimTime(70_000),
-                Fault::Partition(vec![NodeId(0)], vec![NodeId(1), NodeId(2)]),
-            )
+            .at(SimTime(60_000), Fault::DelaySpike(NodeId(1), 8, SimDuration::micros(20)))
+            .at(SimTime(70_000), Fault::Partition(vec![NodeId(0)], vec![NodeId(1), NodeId(2)]))
             .at(SimTime(90_000), Fault::Heal);
         let lit = plan.to_literal();
         assert!(lit.starts_with("FaultPlan::new()"));

@@ -122,10 +122,7 @@ mod tests {
         let t2 = t + SimDuration::nanos(500);
         assert_eq!(t2.since(t), SimDuration::nanos(500));
         assert_eq!(t2 - t, SimDuration::nanos(500));
-        assert_eq!(
-            SimDuration::millis(1),
-            SimDuration::micros(1_000)
-        );
+        assert_eq!(SimDuration::millis(1), SimDuration::micros(1_000));
     }
 
     #[test]

@@ -29,7 +29,12 @@ impl App for Chaos {
                     ChaosOp::Write(i) => {
                         // Writes go to slot (i % 16); landing order is
                         // checked via the message stream only.
-                        ctx.post_write(NodeId(1), self.region, (i as usize % 16) * 8, &i.to_le_bytes());
+                        ctx.post_write(
+                            NodeId(1),
+                            self.region,
+                            (i as usize % 16) * 8,
+                            &i.to_le_bytes(),
+                        );
                     }
                 }
             }

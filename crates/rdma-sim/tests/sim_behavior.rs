@@ -3,8 +3,8 @@
 //! (Moved out of `src/sim.rs` to keep modules under the size guard.)
 
 use rdma_sim::{
-    App, AppFault, CompletionStatus, Ctx, Event, Fault, FaultPlan, LatencyModel, NodeId,
-    RegionId, SimDuration, SimTime, Simulator, VerbKind,
+    App, AppFault, CompletionStatus, Ctx, Event, Fault, FaultPlan, LatencyModel, NodeId, RegionId,
+    SimDuration, SimTime, Simulator, VerbKind,
 };
 
 /// Records everything it sees.
@@ -60,12 +60,8 @@ impl App for Recorder {
                 self.messages.push(payload)
             }
             Event::Timer { .. } => self.timer_fires += 1,
-            Event::Fault { kind: AppFault::SuspendHeartbeat } => {
-                self.heartbeat_suspended = true
-            }
-            Event::Fault { kind: AppFault::ResumeHeartbeat } => {
-                self.heartbeat_suspended = false
-            }
+            Event::Fault { kind: AppFault::SuspendHeartbeat } => self.heartbeat_suspended = true,
+            Event::Fault { kind: AppFault::ResumeHeartbeat } => self.heartbeat_suspended = false,
         }
     }
 }
@@ -213,10 +209,7 @@ fn crash_stops_event_delivery_but_memory_lives() {
     assert!(sim.app(NodeId(1)).messages.is_empty());
     // One-sided write still landed: the NIC serves DMA.
     assert_eq!(&sim.region_bytes(NodeId(1), region)[..4], b"kept");
-    assert_eq!(
-        sim.app(NodeId(0)).completions,
-        vec![(CompletionStatus::Success, VerbKind::Write)]
-    );
+    assert_eq!(sim.app(NodeId(0)).completions, vec![(CompletionStatus::Success, VerbKind::Write)]);
 }
 
 #[test]
@@ -287,10 +280,8 @@ fn delay_spike_slows_traffic_within_window() {
     let complete_time = |spike: bool| {
         let (mut sim, region) = two_nodes();
         if spike {
-            let plan = FaultPlan::new().at(
-                SimTime(0),
-                Fault::DelaySpike(NodeId(1), 8, SimDuration::micros(100)),
-            );
+            let plan = FaultPlan::new()
+                .at(SimTime(0), Fault::DelaySpike(NodeId(1), 8, SimDuration::micros(100)));
             sim.install_fault_plan(&plan);
         }
         sim.run_for(SimDuration::micros(1));
@@ -307,10 +298,8 @@ fn delay_spike_slows_traffic_within_window() {
     assert_eq!(done_spiked, 1);
     // Directly compare landing times via a single sim.
     let (mut sim, region) = two_nodes();
-    let plan = FaultPlan::new().at(
-        SimTime(0),
-        Fault::DelaySpike(NodeId(1), 8, SimDuration::micros(5)),
-    );
+    let plan =
+        FaultPlan::new().at(SimTime(0), Fault::DelaySpike(NodeId(1), 8, SimDuration::micros(5)));
     sim.install_fault_plan(&plan);
     sim.run_for(SimDuration::nanos(100));
     sim.with_app_ctx(NodeId(0), |_, ctx| {
@@ -545,10 +534,7 @@ fn a_read_is_not_ordered_behind_an_earlier_write_on_its_pair() {
     sim.run_for(SimDuration::millis(1));
     let app = sim.app(NodeId(0));
     assert_eq!(app.read_data.as_deref(), Some(&[0u8; 4][..]), "the READ returns the old bytes");
-    assert_eq!(
-        app.at,
-        vec![(VerbKind::Read, SimTime(3_220)), (VerbKind::Write, SimTime(4_110))]
-    );
+    assert_eq!(app.at, vec![(VerbKind::Read, SimTime(3_220)), (VerbKind::Write, SimTime(4_110))]);
     assert_eq!(sim.region_bytes(NodeId(1), region)[0], 0xab);
 }
 
