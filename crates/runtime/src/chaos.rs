@@ -157,12 +157,12 @@ where
     // a shrunk sub-schedule that dropped every restart runs exactly
     // like a crash-stop case (byte-identical layout and traces), and
     // restart-free campaigns never pay the persist-log cost.
-    config.runtime.durability = if plan.entries().iter().any(|(_, f)| matches!(f, Fault::Restart(..)))
-    {
-        crate::persist::DurabilityMode::Fenced
-    } else {
-        crate::persist::DurabilityMode::Off
-    };
+    config.runtime.durability =
+        if plan.entries().iter().any(|(_, f)| matches!(f, Fault::Restart(..))) {
+            crate::persist::DurabilityMode::Fenced
+        } else {
+            crate::persist::DurabilityMode::Off
+        };
     let (outcome, states) = Runner::new(System::Hamband, config).run_with_states(spec, coord);
 
     let mut violations = Vec::new();
@@ -171,8 +171,7 @@ where
         // Per-node status lines (from the structured NodeStatus
         // snapshots) show *where* each node stalled — which group has
         // an election in flight, who still holds uncommitted entries.
-        let statuses: Vec<String> =
-            states.iter().map(|s| format!("\n    {}", s.status)).collect();
+        let statuses: Vec<String> = states.iter().map(|s| format!("\n    {}", s.status)).collect();
         violations.push(Violation {
             check: "convergence",
             detail: format!(
@@ -421,9 +420,8 @@ mod tests {
         ]);
         // "Fails" iff a partition is present — the minimal failing
         // well-formed schedule must keep the heal.
-        let shrunk = shrink(&plan, |p| {
-            p.entries().iter().any(|(_, f)| matches!(f, Fault::Partition(_, _)))
-        });
+        let shrunk =
+            shrink(&plan, |p| p.entries().iter().any(|(_, f)| matches!(f, Fault::Partition(_, _))));
         assert_eq!(shrunk.len(), 2);
         assert!(plan_well_formed(&shrunk));
     }

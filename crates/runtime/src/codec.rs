@@ -236,10 +236,7 @@ impl<U: Wire> Entry<U> {
             "entry payload of {payload_len} bytes overflows the u16 length field"
         );
         let cap = slot_size.saturating_sub(10 + CANARY_TRAILER);
-        assert!(
-            payload_len <= cap,
-            "payload of {payload_len} bytes exceeds slot capacity {cap}"
-        );
+        assert!(payload_len <= cap, "payload of {payload_len} bytes exceeds slot capacity {cap}");
         slot[0..8].copy_from_slice(&seq.to_le_bytes());
         slot[8..10].copy_from_slice(&(payload_len as u16).to_le_bytes());
         log.resize(start + slot_size, 0);
@@ -353,7 +350,8 @@ impl<U: Wire> SummarySlot<U> {
     /// flight) or the slot is empty.
     pub fn from_slot(slot: &[u8], group_len: usize) -> Option<Self> {
         let used = summary_prefix(slot, group_len)?;
-        let word = |i: usize| u64::from_le_bytes(used[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        let word =
+            |i: usize| u64::from_le_bytes(used[8 * i..8 * i + 8].try_into().expect("8 bytes"));
         let counts = (1..=group_len).map(word).collect();
         let payload = &used[8 + 8 * group_len + 2..used.len() - 8];
         let summary = if payload.is_empty() { None } else { Some(U::from_bytes(payload).ok()?) };
@@ -489,7 +487,8 @@ mod tests {
         stale[tail..].copy_from_slice(&4u64.to_le_bytes());
         let mut half = slot.clone();
         half[slot.len() - 1] = 0xff;
-        for (bad, why) in [(&torn, "no canary"), (&stale, "stale epoch"), (&half, "half a canary")] {
+        for (bad, why) in [(&torn, "no canary"), (&stale, "stale epoch"), (&half, "half a canary")]
+        {
             assert!(!slot_ready(bad, 9), "{why}");
             assert_eq!(carried_commit(bad, 9), None, "{why}");
         }
@@ -554,8 +553,7 @@ mod tests {
         let s = SummarySlot {
             version: 4,
             counts: vec![4],
-            summary: Some(acc.apply(&0, &Account::deposit(0)))
-                .map(|_| Account::deposit(12)),
+            summary: Some(acc.apply(&0, &Account::deposit(0))).map(|_| Account::deposit(12)),
         };
         let size = 8 + 8 + 2 + 96 + 8;
         let slot = s.to_slot(size);
@@ -685,12 +683,14 @@ mod tests {
     /// short image, byte for byte.
     #[test]
     fn summary_prefix_is_the_last_image_written() {
-        let image = |version: u64, amount: u64| SummarySlot {
-            version,
-            counts: vec![version, 0],
-            summary: Some(Account::deposit(amount)),
-        }
-        .to_slot(128);
+        let image = |version: u64, amount: u64| {
+            SummarySlot {
+                version,
+                counts: vec![version, 0],
+                summary: Some(Account::deposit(amount)),
+            }
+            .to_slot(128)
+        };
         let (long, short) = (image(1, u64::MAX), image(2, 1));
         assert!(short.len() < long.len());
         let mut slot = vec![0u8; 128];

@@ -295,9 +295,7 @@ impl GroupEngine {
         if election.acks < majority {
             return None;
         }
-        let Role::Candidate { election } =
-            std::mem::replace(&mut self.role, Role::Follower)
-        else {
+        let Role::Candidate { election } = std::mem::replace(&mut self.role, Role::Follower) else {
             unreachable!("matched above");
         };
         self.leader_view = me;

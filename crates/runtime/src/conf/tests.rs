@@ -18,7 +18,12 @@ type Cluster = Simulator<HambandNode<Counter>>;
 /// `nodes` nodes, Counter with its one method declared conflicting:
 /// every add of the run is ordered through node 0's log, `window`
 /// at a time. Traced.
-pub(crate) fn ordered_counter(nodes: usize, ops: u64, window: usize, seed: u64) -> (Cluster, Layout) {
+pub(crate) fn ordered_counter(
+    nodes: usize,
+    ops: u64,
+    window: usize,
+    seed: u64,
+) -> (Cluster, Layout) {
     let coord = CoordSpec::builder(1).conflict(0, 0).build();
     let workload =
         WorkloadSpec::ops(ops).with_update_ratio(1.0).with_window(window).with_seed(seed);
@@ -166,8 +171,7 @@ fn deposition_from_one_group_keeps_the_others_uncommitted_calls_in_view() {
 }
 
 fn engine() -> GroupEngine {
-    let reader =
-        RingReader::new(RingKind::Conf, RegionId(0), 8, 64, 64, RegionId(1), 0);
+    let reader = RingReader::new(RingKind::Conf, RegionId(0), 8, 64, 64, RegionId(1), 0);
     GroupEngine::new(Pid(0), reader)
 }
 
@@ -175,16 +179,7 @@ fn writers(n: usize, me: usize) -> Vec<Option<RingWriter>> {
     (0..n)
         .map(|q| {
             (q != me).then(|| {
-                RingWriter::new(
-                    RingKind::Conf,
-                    NodeId(q),
-                    RegionId(0),
-                    8,
-                    64,
-                    64,
-                    RegionId(1),
-                    0,
-                )
+                RingWriter::new(RingKind::Conf, NodeId(q), RegionId(0), 8, 64, 64, RegionId(1), 0)
             })
         })
         .collect()
@@ -261,10 +256,7 @@ fn issue_floor_gates_until_reader_catches_up() {
     // Takeover adopted tail 6: reader is at seq 1, floor at 6.
     e.install_leader(writers(3, 0), 6, 6);
     assert!(e.is_leader());
-    assert!(
-        !e.accepting_issues(),
-        "a fresh takeover must not issue against an incomplete view"
-    );
+    assert!(!e.accepting_issues(), "a fresh takeover must not issue against an incomplete view");
     // Simulate the reader applying through the floor.
     e.reader.skip_to_for_test(6);
     assert!(e.accepting_issues(), "floor passed: issuing resumes");

@@ -159,10 +159,7 @@ mod tests {
     fn sizes_are_consistent() {
         let c = RuntimeConfig::default();
         assert_eq!(c.entry_size(), round_up_8(8 + 2 + PAYLOAD_CAP + 8));
-        assert_eq!(
-            c.summary_slot_size(2),
-            round_up_8(8 + 16 + 2 + c.summary_payload_cap + 8)
-        );
+        assert_eq!(c.summary_slot_size(2), round_up_8(8 + 16 + 2 + c.summary_payload_cap + 8));
         // Word alignment: slot strides are multiples of 8.
         assert_eq!(c.entry_size() % 8, 0);
         assert_eq!(c.summary_slot_size(5) % 8, 0);

@@ -183,9 +183,8 @@ impl QuotaSplit {
     /// forfeited.
     pub fn planned(spec: &WorkloadSpec, coord: &CoordSpec, n: usize) -> (u64, u64) {
         let nodes = (0..n).map(|node| Self::for_node(spec, coord, node, n));
-        let (free, queries) = nodes.fold((0, 0), |(f, q), s| {
-            (f + s.free.iter().sum::<u64>(), q + s.queries)
-        });
+        let (free, queries) =
+            nodes.fold((0, 0), |(f, q), s| (f + s.free.iter().sum::<u64>(), q + s.queries));
         let pooled: u64 = Self::for_node(spec, coord, 0, n).conf_target.iter().sum();
         (free + pooled, queries)
     }

@@ -29,8 +29,8 @@ use rdma_sim::{NodeId, TraceEvent};
 
 use crate::calls::Route;
 use crate::codec::slot_ready;
-use crate::config::CONF_RING_CAP;
 use crate::conf::Role;
+use crate::config::CONF_RING_CAP;
 use crate::messages::ControlMsg;
 use crate::replica::{peers, HambandNode};
 use crate::transport::Transport;
@@ -252,8 +252,7 @@ impl<O: WorkloadSupport> HambandNode<O> {
         for s in (min_tail.min(commit) + 1)..=max_tail {
             let off = self.layout.conf_slot_offset(s);
             let slot = ctx.local(self.layout.conf[g], off, self.layout.entry_size()).to_vec();
-            let writers =
-                &mut self.engines[g].leader_mut().expect("just installed").writers;
+            let writers = &mut self.engines[g].leader_mut().expect("just installed").writers;
             for w in writers.iter_mut().flatten() {
                 w.rewrite(ctx, s, slot.clone());
             }

@@ -89,7 +89,11 @@ impl<O: WorkloadSupport> HambandNode<O> {
             // Reliable broadcast: the appends only queue here, so the
             // own ring copy a recoverer READs holds the entry before
             // any of them leaves.
-            ctx.local_write(self.layout.free_rings, self.layout.free_slot_offset(self.me, seq), &slot);
+            ctx.local_write(
+                self.layout.free_rings,
+                self.layout.free_slot_offset(self.me, seq),
+                &slot,
+            );
             // Durability seam: the issuer's own entry is hard state (it
             // was applied above) — log and fence it before the
             // appends can reach any peer.

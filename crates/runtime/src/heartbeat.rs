@@ -196,10 +196,7 @@ impl FailureDetector {
 
     /// All currently suspected peers.
     pub fn suspected(&self) -> Vec<NodeId> {
-        (0..self.peers.len())
-            .map(NodeId)
-            .filter(|&p| self.peers[p.index()].suspected)
-            .collect()
+        (0..self.peers.len()).map(NodeId).filter(|&p| self.peers[p.index()].suspected).collect()
     }
 
     /// The lowest-numbered node not suspected (and not `skip`); falls
@@ -332,8 +329,7 @@ mod tests {
         let dead = dead.to_vec();
         sim.set_apps(|id| HbApp {
             hb: Heartbeat::new(hb),
-            fd: FailureDetector::new(id, n, hb, 4)
-                .with_min_sample_gap(SimDuration::micros(5)),
+            fd: FailureDetector::new(id, n, hb, 4).with_min_sample_gap(SimDuration::micros(5)),
             newly_suspected: Vec::new(),
             recovered: Vec::new(),
             beats_enabled: !dead.contains(&id.index()),
@@ -505,10 +501,7 @@ mod tests {
         let value = region_image(7, 0);
         // Seed a counted sample with a fresh value at t=10us.
         fd.inflight.insert(WrId(0), NodeId(1));
-        assert_eq!(
-            fd.on_completion(SimTime(10_000), WrId(0), Some(&value[..])),
-            None
-        );
+        assert_eq!(fd.on_completion(SimTime(10_000), WrId(0), Some(&value[..])), None);
         // A burst of identical values inside one gap: counted once.
         for (i, dt) in [100u64, 200, 300, 400].iter().enumerate() {
             let wr = WrId(1 + i as u64);

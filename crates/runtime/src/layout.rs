@@ -212,11 +212,8 @@ mod tests {
 
     fn account_layout(n: usize) -> Layout {
         // account-like: 2 methods, sum group [0], one sync group.
-        let coord = CoordSpec::builder(2)
-            .conflict(1, 1)
-            .depends(1, 0)
-            .summarization_group([0])
-            .build();
+        let coord =
+            CoordSpec::builder(2).conflict(1, 1).depends(1, 0).summarization_group([0]).build();
         let cfg = RuntimeConfig::default().with_sync_shards(1);
         let mut sim: Simulator<Noop> = Simulator::new(n, LatencyModel::deterministic(), 0);
         let l = Layout::install(&mut sim, &coord, &cfg);

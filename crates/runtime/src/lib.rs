@@ -146,9 +146,7 @@ pub use harness::{
 };
 pub use ingress::{ClientSession, Ingress, SessionStats};
 pub use layout::Layout;
-pub use metrics::{
-    FairnessSummary, LatencyHistogram, LatencySummary, NodeMetrics, RunReport,
-};
+pub use metrics::{FairnessSummary, LatencyHistogram, LatencySummary, NodeMetrics, RunReport};
 pub use persist::{DurabilityMode, LogRecord, NodeLog};
 pub use replica::HambandNode;
 pub use status::{GroupStatus, NodeStatus, RoleKind};

@@ -5,7 +5,6 @@
 //! others to accept it as the leader and waits for a majority of them
 //! to acknowledge", §4) and its announcement.
 
-
 /// A control message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlMsg {

@@ -178,8 +178,12 @@ fn decode_body(body: &[u8]) -> Option<LogRecord> {
     let u32_at = |b: &[u8], o: usize| Some(u32::from_le_bytes(b.get(o..o + 4)?.try_into().ok()?));
     let u64_at = |b: &[u8], o: usize| Some(u64::from_le_bytes(b.get(o..o + 8)?.try_into().ok()?));
     match tag {
-        REC_FREE => Some(LogRecord::FreeSlot { src: u32_at(rest, 0)?, slot: rest.get(4..)?.to_vec() }),
-        REC_CONF => Some(LogRecord::ConfSlot { group: u32_at(rest, 0)?, slot: rest.get(4..)?.to_vec() }),
+        REC_FREE => {
+            Some(LogRecord::FreeSlot { src: u32_at(rest, 0)?, slot: rest.get(4..)?.to_vec() })
+        }
+        REC_CONF => {
+            Some(LogRecord::ConfSlot { group: u32_at(rest, 0)?, slot: rest.get(4..)?.to_vec() })
+        }
         REC_HARD => {
             if rest.len() != 4 + 24 {
                 return None;
@@ -340,11 +344,11 @@ mod tests {
             // FreeSlot src=2, 10-byte slot: len=15
             15, 0, 0, 0, 1, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 9, 0x24, //
             // ConfSlot group=1, 24 bytes of 7: len=29
-            29, 0, 0, 0, 2, 1, 0, 0, 0, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7,
-            7, 7, 7, 7, 7, 7, 0xC7, //
+            29, 0, 0, 0, 2, 1, 0, 0, 0, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7,
+            7, 7, 7, 7, 0xC7, //
             // GroupHard group=3 epoch=4 promised=5 commit=600: len=29
-            29, 0, 0, 0, 3, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0x58,
-            0x02, 0, 0, 0, 0, 0, 0, 0x87,
+            29, 0, 0, 0, 3, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0x58, 0x02,
+            0, 0, 0, 0, 0, 0, 0x87,
         ];
         assert_eq!(image, expect, "persist format drifted without a FORMAT_VERSION bump");
     }
@@ -369,11 +373,15 @@ mod tests {
                 .map(|_| match rng.gen_range(0..3) {
                     0 => LogRecord::FreeSlot {
                         src: rng.gen_range(0..8),
-                        slot: (0..rng.gen_range(1..64)).map(|_| rng.gen_range(0..=u8::MAX)).collect(),
+                        slot: (0..rng.gen_range(1..64))
+                            .map(|_| rng.gen_range(0..=u8::MAX))
+                            .collect(),
                     },
                     1 => LogRecord::ConfSlot {
                         group: rng.gen_range(0..8),
-                        slot: (0..rng.gen_range(1..64)).map(|_| rng.gen_range(0..=u8::MAX)).collect(),
+                        slot: (0..rng.gen_range(1..64))
+                            .map(|_| rng.gen_range(0..=u8::MAX))
+                            .collect(),
                     },
                     _ => LogRecord::GroupHard {
                         group: rng.gen_range(0..8),

@@ -35,8 +35,8 @@ use rdma_sim::{NodeId, SimDuration, TraceEvent};
 
 use crate::calls::Route;
 use crate::codec::{slot_ready, slot_seq};
-use crate::config::{FREE_RING_CAP, MAX_IN_FLIGHT};
 use crate::conf::Role;
+use crate::config::{FREE_RING_CAP, MAX_IN_FLIGHT};
 use crate::driver::QuotaSplit;
 use crate::heartbeat::FdEvent;
 use crate::reduce::unread_records;

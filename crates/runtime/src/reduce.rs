@@ -155,10 +155,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
         g: usize,
     ) -> u64 {
         let me = self.me.index();
-        let midx = self.coord.sum_groups()[g]
-            .iter()
-            .position(|&m| m == method)
-            .expect("method in group");
+        let midx =
+            self.coord.sum_groups()[g].iter().position(|&m| m == method).expect("method in group");
         // Summarize with the pending record only. A non-monotone
         // summary is one record, the whole summary, so it folds there.
         let fold = self.sum_pending[g] || !self.spec.summaries_monotone();

@@ -231,7 +231,8 @@ impl RingWriter {
         let mut posted = 0;
         while first < self.next_seq && first <= window_end {
             let lap_end = first + self.cap - 1 - (first - 1) % self.cap;
-            let last = (self.next_seq - 1).min(window_end).min(lap_end).min(first + self.max_batch - 1);
+            let last =
+                (self.next_seq - 1).min(window_end).min(lap_end).min(first + self.max_batch - 1);
             let count = last - first + 1;
             let end = posted + count as usize * self.slot_size;
             let offset = self.slot_offset(first);
@@ -408,11 +409,21 @@ mod tests {
             max_batch: usize,
         ) -> Self {
             let writer = (node == 0).then(|| {
-                RingWriter::new(RingKind::Free, NodeId(1), ring_region, 0, CAP, SLOT, heads_region, 0)
-                    .with_max_batch(max_batch)
+                RingWriter::new(
+                    RingKind::Free,
+                    NodeId(1),
+                    ring_region,
+                    0,
+                    CAP,
+                    SLOT,
+                    heads_region,
+                    0,
+                )
+                .with_max_batch(max_batch)
             });
-            let reader = (node == 1)
-                .then(|| RingReader::new(RingKind::Free, ring_region, 0, CAP, SLOT, heads_region, 0));
+            let reader = (node == 1).then(|| {
+                RingReader::new(RingKind::Free, ring_region, 0, CAP, SLOT, heads_region, 0)
+            });
             RingApp {
                 ring_region,
                 heads_region,
@@ -633,8 +644,11 @@ mod tests {
         for i in 1..=entries {
             let (seq, stamp) = (base + i, 0x0101_0101_0101_0100 + i);
             sim.with_app_ctx(NodeId(0), |_, ctx| {
-                let e =
-                    Entry { rid: Rid::new(Pid(0), i), update: Account::deposit(i), deps: DepMap::empty() };
+                let e = Entry {
+                    rid: Rid::new(Pid(0), i),
+                    update: Account::deposit(i),
+                    deps: DepMap::empty(),
+                };
                 let mut slot = e.to_slot(seq, SLOT);
                 stamp_commit(&mut slot, stamp);
                 assert_eq!(w.append_encoded(ctx, &slot), seq);
@@ -658,8 +672,9 @@ mod tests {
 
     #[test]
     fn adopt_tail_continues_numbering() {
-        let mut w = RingWriter::new(RingKind::Free, NodeId(1), RegionId(0), 0, 8, 64, RegionId(1), 0)
-            .with_max_batch(3);
+        let mut w =
+            RingWriter::new(RingKind::Free, NodeId(1), RegionId(0), 0, 8, 64, RegionId(1), 0)
+                .with_max_batch(3);
         w.adopt_tail(12);
         assert_eq!(w.next_seq(), 13);
         // Nothing was queued by adopting: a tail can be adopted again.

@@ -69,11 +69,15 @@ where
         let epoch = Instant::now();
         let collect = run.trace == TraceMode::Collect;
         let ctxs = (0..n)
-            .map(|i| ThreadedCtx::new(NodeId(i), n, Arc::clone(&mem), senders.clone(), epoch, collect))
+            .map(|i| {
+                ThreadedCtx::new(NodeId(i), n, Arc::clone(&mem), senders.clone(), epoch, collect)
+            })
             .collect();
         let leaders = run.leaders.as_deref();
         let nodes = (0..n)
-            .map(|i| HambandNode::new(spec, coord, &cfg, &layout, NodeId(i), leaders, &run.workload))
+            .map(|i| {
+                HambandNode::new(spec, coord, &cfg, &layout, NodeId(i), leaders, &run.workload)
+            })
             .collect();
         ThreadedCluster { nodes, ctxs, receivers }
     }
@@ -139,8 +143,12 @@ where
     /// then stable-sorted by time, which keeps each thread's own order.
     /// Drains them (empty when the run collects none).
     pub(crate) fn take_trace(&mut self) -> Vec<TraceRecord> {
-        let mut all: Vec<TraceRecord> =
-            self.ctxs.iter_mut().filter_map(|c| c.trace.as_mut()).flat_map(std::mem::take).collect();
+        let mut all: Vec<TraceRecord> = self
+            .ctxs
+            .iter_mut()
+            .filter_map(|c| c.trace.as_mut())
+            .flat_map(std::mem::take)
+            .collect();
         all.sort_by_key(|r| r.at);
         all
     }
@@ -148,10 +156,7 @@ where
 
 /// Handle every synchronous verb completion queued so far (handlers may
 /// post more). Returns whether any ran on the application CPU.
-fn drain_completions<O: WorkloadSupport>(
-    node: &mut HambandNode<O>,
-    ctx: &mut ThreadedCtx,
-) -> bool {
+fn drain_completions<O: WorkloadSupport>(node: &mut HambandNode<O>, ctx: &mut ThreadedCtx) -> bool {
     let mut on_app_cpu = false;
     while let Some(ev) = ctx.local_q.pop_front() {
         on_app_cpu |= node.handle_event(ctx, ev);

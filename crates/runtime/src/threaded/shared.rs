@@ -92,10 +92,7 @@ impl SharedMem {
         if offset + len > r.len {
             return CompletionStatus::OutOfBounds;
         }
-        if is_write
-            && issuer != target
-            && !r.perms[issuer.index()].load(Ordering::Acquire)
-        {
+        if is_write && issuer != target && !r.perms[issuer.index()].load(Ordering::Acquire) {
             return CompletionStatus::AccessDenied;
         }
         CompletionStatus::Success
@@ -126,7 +123,8 @@ impl SharedMem {
             let word_base = w * 8;
             let from = offset.max(word_base);
             let to = (offset + len).min(word_base + 8);
-            out[from - offset..to - offset].copy_from_slice(&bytes[from - word_base..to - word_base]);
+            out[from - offset..to - offset]
+                .copy_from_slice(&bytes[from - word_base..to - word_base]);
         }
     }
 

@@ -72,8 +72,7 @@ pub trait Transport {
 
     /// Post a one-sided RDMA WRITE of `data` into
     /// `(target, region, offset)`.
-    fn post_write(&mut self, target: NodeId, region: RegionId, offset: usize, data: &[u8])
-        -> WrId;
+    fn post_write(&mut self, target: NodeId, region: RegionId, offset: usize, data: &[u8]) -> WrId;
 
     /// Post a one-sided RDMA READ of `len` bytes from
     /// `(target, region, offset)`; the completion carries the bytes.
@@ -132,13 +131,7 @@ impl Transport for Ctx<'_> {
     fn note_ring_write(&mut self, slots: u64) {
         Ctx::note_ring_write(self, slots)
     }
-    fn post_write(
-        &mut self,
-        target: NodeId,
-        region: RegionId,
-        offset: usize,
-        data: &[u8],
-    ) -> WrId {
+    fn post_write(&mut self, target: NodeId, region: RegionId, offset: usize, data: &[u8]) -> WrId {
         Ctx::post_write(self, target, region, offset, data)
     }
     fn post_read(&mut self, target: NodeId, region: RegionId, offset: usize, len: usize) -> WrId {

@@ -198,7 +198,8 @@ mod tests {
 
     fn counter_cluster(plan: FaultPlan) -> Simulator<HambandNode<Counter>> {
         let c = Counter::default();
-        let run = RunConfig::new(3, WorkloadSpec::ops(300).with_update_ratio(0.5)).with_faults(plan);
+        let run =
+            RunConfig::new(3, WorkloadSpec::ops(300).with_update_ratio(0.5)).with_faults(plan);
         assemble(&c, &c.coord_spec(), &run).0
     }
 
@@ -287,8 +288,7 @@ mod tests {
     #[test]
     fn queries_alone_are_progress() {
         let c = Counter::default();
-        let workload =
-            WorkloadSpec::ops(3_600).with_update_ratio(0.0).with_offered_load(60_000.0);
+        let workload = WorkloadSpec::ops(3_600).with_update_ratio(0.0).with_offered_load(60_000.0);
         let (mut sim, _layout) = assemble(&c, &c.coord_spec(), &RunConfig::new(3, workload));
         let (completed_at, converged) = drive(&mut sim, SimTime(1_000_000_000));
         assert!(converged, "declared stalled at {}", sim.now());

@@ -99,7 +99,13 @@ impl<O: WorkloadSupport> HambandNode<O> {
     /// compaction record repeats is harmless to re-apply); replacing
     /// ones dirty `mat` and rebuild `spec_mat`, which a stale summary
     /// would corrupt (a no-op unless calls are uncommitted).
-    pub(crate) fn adopt_records<T: Transport>(&mut self, ctx: &mut T, g: usize, src: usize, new: usize) {
+    pub(crate) fn adopt_records<T: Transport>(
+        &mut self,
+        ctx: &mut T,
+        g: usize,
+        src: usize,
+        new: usize,
+    ) {
         if self.sigma.is_some() {
             self.mat_dirty = true;
             return self.rebuild_spec_mat(ctx);

@@ -13,9 +13,8 @@ use rdma_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime};
 fn leader_failure_trace() {
     let cw = Courseware::default();
     let n = 4;
-    let run = RunConfig::new(n, WorkloadSpec::ops(600).with_update_ratio(0.5)).with_faults(
-        FaultPlan::new().at(SimTime(60_000), Fault::SuspendHeartbeat(NodeId(0))),
-    );
+    let run = RunConfig::new(n, WorkloadSpec::ops(600).with_update_ratio(0.5))
+        .with_faults(FaultPlan::new().at(SimTime(60_000), Fault::SuspendHeartbeat(NodeId(0))));
     let (mut sim, _layout) = assemble(&cw, &cw.coord_spec(), &run);
     for step in 0.. {
         sim.run_for(SimDuration::micros(50));

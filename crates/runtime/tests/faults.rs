@@ -4,8 +4,8 @@
 use hamband_core::counts::DepMap;
 use hamband_core::ids::{MethodId, Pid, Rid};
 use hamband_core::{CoordSpec, WorkloadSupport};
-use hamband_runtime::codec::{slot_ready, Entry, SummarySlot};
 use hamband_runtime::chaos::{run_case, ChaosOptions};
+use hamband_runtime::codec::{slot_ready, Entry, SummarySlot};
 use hamband_runtime::config::POLL_INTERVAL;
 use hamband_runtime::{
     assemble, drive, DurabilityMode, HambandNode, QuotaSplit, RunConfig, Runner, RuntimeConfig,
@@ -298,8 +298,8 @@ fn forfeited_conflicting_quota_ends_the_run_on_every_replica() {
 /// survivor list.
 #[test]
 fn all_nodes_crashed_is_unconverged() {
-    let plan = (0..3)
-        .fold(FaultPlan::new(), |plan, i| plan.at(SimTime(40_000), Fault::Crash(NodeId(i))));
+    let plan =
+        (0..3).fold(FaultPlan::new(), |plan, i| plan.at(SimTime(40_000), Fault::Crash(NodeId(i))));
     assert!(!counter_cluster_converges(3, plan));
 }
 
@@ -352,8 +352,7 @@ fn plan_skipped_for_a_partitioned_message_is_made_up_by_the_next_poll() {
     let c = Counter::default();
     let coord = CoordSpec::builder(1).conflict(0, 0).build();
     let total_ops = 1_800;
-    let workload =
-        WorkloadSpec::ops(total_ops).with_update_ratio(0.02).with_window(1).with_seed(3);
+    let workload = WorkloadSpec::ops(total_ops).with_update_ratio(0.02).with_window(1).with_seed(3);
     let runtime = RuntimeConfig::default().with_window(1);
     let run = RunConfig::new(3, workload)
         .with_seed(3)
@@ -372,7 +371,10 @@ fn plan_skipped_for_a_partitioned_message_is_made_up_by_the_next_poll() {
     let heal_at = SimTime(400_000);
     sim.install_fault_plan(
         &FaultPlan::new()
-            .at(sim.now() + SimDuration::nanos(1), Fault::Partition(vec![NodeId(0)], vec![NodeId(2)]))
+            .at(
+                sim.now() + SimDuration::nanos(1),
+                Fault::Partition(vec![NodeId(0)], vec![NodeId(2)]),
+            )
             .at(heal_at, Fault::Heal),
     );
     sim.run_until(SimTime(2_000_000));

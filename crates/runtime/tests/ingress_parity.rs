@@ -64,32 +64,20 @@ fn assert_golden(what: &str, seed: Option<u64>, got: (usize, u64), golden: (usiz
 /// reproduces its blessed event stream.
 /// Last re-blessed for charging only the poll ticks that scan something
 /// (the tenth bless).
-const GOLDEN_COUNTER: [(u64, usize, u64); 3] = [
-    (1, 756, 0x543dd4343a4688cf),
-    (7, 756, 0x343bb6649b0406d8),
-    (13, 756, 0x56dcb009bfee10f0),
-];
+const GOLDEN_COUNTER: [(u64, usize, u64); 3] =
+    [(1, 756, 0x543dd4343a4688cf), (7, 756, 0x343bb6649b0406d8), (13, 756, 0x56dcb009bfee10f0)];
 /// Last re-blessed for summary logs that ship only the records a peer
 /// lacks (the twelfth bless).
-const GOLDEN_BANK: [(u64, usize, u64); 3] = [
-    (1, 2694, 0x1e4c31890abf099b),
-    (7, 2691, 0x736ea7737e2b9336),
-    (13, 2697, 0xebeedc4a68cea216),
-];
+const GOLDEN_BANK: [(u64, usize, u64); 3] =
+    [(1, 2694, 0x1e4c31890abf099b), (7, 2691, 0x736ea7737e2b9336), (13, 2697, 0xebeedc4a68cea216)];
 /// Last re-blessed for recovery from the suspect's own copies (the
 /// eleventh bless).
-const GOLDEN_GSET_FAULTS: [(u64, usize, u64); 3] = [
-    (1, 2559, 0x0e257ea55663f1ad),
-    (7, 2559, 0x70cac6a3dc1cdd65),
-    (13, 2559, 0x4a58cb85193afcd9),
-];
+const GOLDEN_GSET_FAULTS: [(u64, usize, u64); 3] =
+    [(1, 2559, 0x0e257ea55663f1ad), (7, 2559, 0x70cac6a3dc1cdd65), (13, 2559, 0x4a58cb85193afcd9)];
 /// Last re-blessed for summary logs that ship only the records a peer
 /// lacks (the twelfth bless).
-const GOLDEN_BANK_LEADERFAULT: [(u64, usize, u64); 3] = [
-    (1, 4022, 0xc7bff6e4b6154d84),
-    (7, 3994, 0x8359d13f61c3b712),
-    (13, 4034, 0x13cefa09cdc19d39),
-];
+const GOLDEN_BANK_LEADERFAULT: [(u64, usize, u64); 3] =
+    [(1, 4022, 0xc7bff6e4b6154d84), (7, 3994, 0x8359d13f61c3b712), (13, 4034, 0x13cefa09cdc19d39)];
 
 #[test]
 fn one_session_ingress_matches_pre_ingress_driver_goldens() {
@@ -213,8 +201,7 @@ fn saturated_sessions_match_repush_scheduler_goldens() {
     }
     for &(seed, events, hash) in &GOLDEN_BANK_SATURATED {
         let b = Bank::default();
-        let spec =
-            WorkloadSpec::ops(2_400).with_update_ratio(0.5).with_sessions(64).with_window(2);
+        let spec = WorkloadSpec::ops(2_400).with_update_ratio(0.5).with_sessions(64).with_window(2);
         let got = saturated_digest(&b, &b.coord_spec(), 4, spec, seed);
         assert_golden("bank saturated", Some(seed), got, (events, hash));
     }
@@ -295,10 +282,8 @@ fn loaded_conf_and_free_appends_batch_naturally() {
 /// the traced outcome and node 0's final count.
 fn reduce_burst(session_window: usize) -> (RunOutcome, i64) {
     let c = Counter::default();
-    let spec = WorkloadSpec::ops(4_800)
-        .with_update_ratio(1.0)
-        .with_window(session_window)
-        .with_seed(1);
+    let spec =
+        WorkloadSpec::ops(4_800).with_update_ratio(1.0).with_window(session_window).with_seed(1);
     let cfg = RunConfig::new(4, spec)
         .with_seed(1)
         .with_runtime(RuntimeConfig::default().with_window(8))

@@ -29,12 +29,8 @@ fn log_of(amounts: &[u64], first: u64) -> (Vec<u8>, Vec<Vec<u8>>) {
         .iter()
         .zip(first..)
         .map(|(&amount, version)| {
-            SummarySlot {
-                version,
-                counts: vec![version],
-                summary: Some(Account::deposit(amount)),
-            }
-            .to_slot(4096)
+            SummarySlot { version, counts: vec![version], summary: Some(Account::deposit(amount)) }
+                .to_slot(4096)
         })
         .collect();
     (records.concat(), records)

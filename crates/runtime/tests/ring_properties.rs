@@ -99,9 +99,7 @@ fn run_ring_traced(
     let ring: RegionId = sim.add_region_all(cap * SLOT);
     let heads: RegionId = sim.add_region_all(8);
     if torn {
-        sim.install_fault_plan(
-            &FaultPlan::new().at(SimTime::ZERO, Fault::TornWrites(NodeId(1))),
-        );
+        sim.install_fault_plan(&FaultPlan::new().at(SimTime::ZERO, Fault::TornWrites(NodeId(1))));
     }
     sim.set_apps(|id| RingApp {
         writer: (id.index() == 0).then(|| {

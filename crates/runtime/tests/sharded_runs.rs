@@ -107,8 +107,7 @@ fn orset_converges_with_four_shards() {
 fn sharded_runs_are_deterministic() {
     let run = || {
         let b = Bank::new(64, 50);
-        let spec =
-            WorkloadSpec::ops(500).with_update_ratio(0.6).with_sessions(8).with_seed(21);
+        let spec = WorkloadSpec::ops(500).with_update_ratio(0.6).with_sessions(8).with_seed(21);
         let cfg = RunConfig::new(4, spec)
             .with_seed(21)
             .with_sync_shards(8)

@@ -36,10 +36,7 @@ struct Counted<S> {
 impl<S: Clone> Clone for Counted<S> {
     fn clone(&self) -> Self {
         self.clones.fetch_add(1, Ordering::Relaxed);
-        Counted {
-            state: self.state.clone(),
-            clones: Arc::clone(&self.clones),
-        }
+        Counted { state: self.state.clone(), clones: Arc::clone(&self.clones) }
     }
 }
 
@@ -66,10 +63,7 @@ impl<O: ObjectSpec> ObjectSpec for Counting<O> {
         self.inner.name()
     }
     fn initial(&self) -> Self::State {
-        Counted {
-            state: self.inner.initial(),
-            clones: Arc::clone(&self.clones),
-        }
+        Counted { state: self.inner.initial(), clones: Arc::clone(&self.clones) }
     }
     fn invariant(&self, s: &Self::State) -> bool {
         self.inner.invariant(&s.state)
@@ -97,10 +91,7 @@ impl<O: ObjectSpec> ObjectSpec for Counting<O> {
 
 impl<O: WorkloadSupport> WorkloadSupport for Counting<O> {
     fn sample_state(&self, rng: &mut StdRng) -> Self::State {
-        Counted {
-            state: self.inner.sample_state(rng),
-            clones: Arc::clone(&self.clones),
-        }
+        Counted { state: self.inner.sample_state(rng), clones: Arc::clone(&self.clones) }
     }
     fn sample_update_of(&self, method: MethodId, rng: &mut StdRng) -> Self::Update {
         self.inner.sample_update_of(method, rng)
@@ -135,7 +126,12 @@ where
 /// State clones and `apply_mut` calls of one converged 4-node simulator
 /// run of `system` over `total_ops` calls, and the updates it
 /// acknowledged.
-fn counted_run<O>(system: System, inner: &O, coord: &CoordSpec, total_ops: u64) -> (usize, usize, u64)
+fn counted_run<O>(
+    system: System,
+    inner: &O,
+    coord: &CoordSpec,
+    total_ops: u64,
+) -> (usize, usize, u64)
 where
     O: WorkloadSupport + Clone + Send,
     O::Update: Send,
@@ -150,9 +146,7 @@ where
     };
     // Window 1: the leader's pipeline drains after every conflicting
     // call, the case in which a per-drain copy would be a per-call copy.
-    let workload = WorkloadSpec::ops(total_ops)
-        .with_update_ratio(0.5)
-        .with_window(1);
+    let workload = WorkloadSpec::ops(total_ops).with_update_ratio(0.5).with_window(1);
     let config = RunConfig::new(4, workload);
     let report = Runner::new(system, config).run(&spec, coord).report;
     assert!(report.converged, "{report}");
@@ -167,10 +161,7 @@ where
 {
     let (short, short_updates) = clones_of_a_run(system, inner, coord, 2_000);
     let (long, long_updates) = clones_of_a_run(system, inner, coord, 8_000);
-    assert!(
-        long_updates > 3 * short_updates,
-        "{short_updates} vs {long_updates} updates"
-    );
+    assert!(long_updates > 3 * short_updates, "{short_updates} vs {long_updates} updates");
     assert_eq!(
         short,
         long,
@@ -179,11 +170,7 @@ where
     );
     // 4 nodes: `mat` at construction, the harness's convergence
     // comparison and end states, one `spec_mat` seed at the leader.
-    assert!(
-        long <= 16,
-        "{}: {long} state clones in one run",
-        inner.name()
-    );
+    assert!(long <= 16, "{}: {long} state clones in one run", inner.name());
 }
 
 #[test]
