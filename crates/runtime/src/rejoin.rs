@@ -204,6 +204,8 @@ impl<O: WorkloadSupport> HambandNode<O> {
                     ctx.post_write(q, self.layout.summaries, off, &self.sum_log[g]);
                 }
                 self.sum_sent[g][q.index()] = self.sum_log[g].len();
+                // No `ack_landed`: `reset_soft_state` left the call
+                // queues empty and the rejoined node issues no call.
                 self.sum_landed[g][q.index()] = self.sum_cache[g][self.me.index()].version;
             }
         }
