@@ -6,13 +6,11 @@
 //! on the simulator's hot path: SipHash was a tenth of a run. One
 //! multiplication spreads consecutive ids over distinct buckets.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A [`HashMap`] keyed by a dense integer id.
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
-/// A [`HashSet`] of dense integer ids.
-pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Multiplicative (Fibonacci) hasher for integer keys minted by the
 /// program itself. Do not use it for keys that arrive from outside.
@@ -67,7 +65,7 @@ mod tests {
         assert_eq!(map.len(), 9_999);
         // Consecutive ids never share their low 10 bits (the bucket of a
         // 1024-slot table).
-        let buckets: IdSet<u64> = (0..1_024u64)
+        let buckets: std::collections::BTreeSet<u64> = (0..1_024u64)
             .map(|id| {
                 let mut h = IdHasher::default();
                 h.write_u64(id);

@@ -52,7 +52,7 @@ mod wait;
 
 pub use fabric::{Ctx, Fabric};
 pub use fault::{Fault, FaultGenConfig, FaultPlan};
-pub use idmap::{IdMap, IdSet};
+pub use idmap::IdMap;
 pub use latency::LatencyModel;
 pub use sim::{App, Simulator};
 pub use stats::Stats;

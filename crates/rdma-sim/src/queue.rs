@@ -1,8 +1,8 @@
 //! The global event queue: a binary heap of 16-byte keys over a slab
 //! that holds the actions.
 //!
-//! An [`Action`] is about a hundred bytes (a landing write carries its
-//! payload handle, a delivery its event) and is written once, into a
+//! An [`Action`] is 56 bytes (a landing write carries its payload's
+//! buffer handle, a delivery its event) and is written once, into a
 //! slab slot reused through a free list, and read once when its key
 //! pops. A key is one `u128`: `time` in bits 64–127, `seq` in bits
 //! 24–63 and the slot in bits 0–23, so one integer comparison orders
@@ -86,14 +86,15 @@ mod tests {
     #[test]
     fn pops_by_time_then_seq_and_reuses_slots() {
         let mut q = EventQueue::default();
-        q.push(SimTime(10), 0, Action::InjectFault(Fault::Crash(NodeId(0))));
-        q.push(SimTime(5), 1, Action::InjectFault(Fault::Crash(NodeId(1))));
-        q.push(SimTime(5), 2, Action::InjectFault(Fault::TornWrites(NodeId(2))));
+        let fault = |f| Action::InjectFault(Box::new(f));
+        q.push(SimTime(10), 0, fault(Fault::Crash(NodeId(0))));
+        q.push(SimTime(5), 1, fault(Fault::Crash(NodeId(1))));
+        q.push(SimTime(5), 2, fault(Fault::TornWrites(NodeId(2))));
         assert_eq!(q.len(), 3);
         assert_eq!(q.next_time(), Some(SimTime(5)));
         let (t1, s1, a1) = q.pop().unwrap();
         assert_eq!((t1, s1), (SimTime(5), 1));
-        assert!(matches!(a1, Action::InjectFault(Fault::Crash(NodeId(1)))));
+        assert!(matches!(a1, Action::InjectFault(f) if matches!(*f, Fault::Crash(NodeId(1)))));
         // An entry queued under an older seq goes ahead of a younger one
         // at the same time, whatever slot it landed in.
         q.push(SimTime(5), 0, Action::Wake { node: NodeId(3) });
@@ -102,7 +103,7 @@ mod tests {
         assert!(matches!(a2, Action::Wake { node: NodeId(3) }));
         let (_, s3, a3) = q.pop().unwrap();
         assert_eq!(s3, 2);
-        assert!(matches!(a3, Action::InjectFault(Fault::TornWrites(_))));
+        assert!(matches!(a3, Action::InjectFault(f) if matches!(*f, Fault::TornWrites(_))));
         let (t4, _, _) = q.pop().unwrap();
         assert_eq!(t4, SimTime(10));
         assert!(q.is_empty() && q.pop().is_none() && q.next_time().is_none());

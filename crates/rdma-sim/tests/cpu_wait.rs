@@ -504,3 +504,41 @@ fn a_partition_that_replaces_another_is_evaluated_afresh() {
         ]
     );
 }
+
+/// A restart ends the node's dedicated threads: an isolated timer armed
+/// before it fires on the application CPU after it and waits for that
+/// CPU like any other event, while one armed after it does not wait.
+#[test]
+fn an_isolated_timer_armed_before_a_restart_runs_on_the_application_cpu_after_it() {
+    let (mut sim, _, log) = cluster(1);
+    isolated(&mut sim, 0, 5_000, 1, 0); // the node's first life
+    sim.install_fault_plan(
+        &FaultPlan::new()
+            .at(SimTime(100), Fault::Crash(NodeId(0)))
+            .at(SimTime(200), Fault::Restart(NodeId(0), false)),
+    );
+    sim.run_until(SimTime(300));
+    timer(&mut sim, 0, 100, 2, 10_000); // busy 400..10400
+    isolated(&mut sim, 0, 5_700, 3, 0); // the second life's: fires at 6000
+    sim.run_for(SimDuration::micros(20));
+    assert_eq!(entries(&log), vec![e(400, 0, "t2"), e(6_000, 0, "t3"), e(10_400, 0, "t1")]);
+}
+
+/// Likewise a WRITE a dedicated thread posted before a restart: its
+/// completion, arriving after the restart, waits for the application
+/// CPU.
+#[test]
+fn a_completion_of_an_isolated_write_posted_before_a_restart_waits_for_the_cpu() {
+    let (mut sim, region, log) = cluster(2);
+    isolated(&mut sim, 0, 50, 1, 0); // posts a WRITE at 50: back at 1160
+    sim.app_mut(NodeId(0)).writes.push((1, region));
+    sim.install_fault_plan(
+        &FaultPlan::new()
+            .at(SimTime(100), Fault::Crash(NodeId(0)))
+            .at(SimTime(200), Fault::Restart(NodeId(0), false)),
+    );
+    sim.run_until(SimTime(300));
+    timer(&mut sim, 0, 0, 2, 5_000); // busy 300..5300
+    sim.run_for(SimDuration::micros(20));
+    assert_eq!(entries(&log), vec![e(50, 0, "t1"), e(300, 0, "t2"), e(5_300, 0, "c0")]);
+}

@@ -595,3 +595,64 @@ fn running_before_set_apps_panics() {
     let mut sim: Simulator<Located> = Simulator::new(2, LatencyModel::deterministic(), 1);
     sim.run_for(SimDuration::micros(1));
 }
+
+/// A WRITE's payload travels in a buffer the fabric reuses once the
+/// WRITE has landed: a short WRITE after a long one to the same place
+/// lands its own bytes and no more, whether the long one's buffer is
+/// still in flight or already back.
+#[test]
+fn a_short_write_after_a_long_one_lands_exactly_its_own_bytes() {
+    let (mut sim, region) = two_nodes();
+    let bytes = |sim: &Simulator<Recorder>| sim.region_bytes(NodeId(1), region)[..12].to_vec();
+    sim.with_app_ctx(NodeId(0), |_, ctx| {
+        ctx.post_write(NodeId(1), region, 0, b"0123456789");
+        ctx.post_write(NodeId(1), region, 0, b"ab");
+    });
+    sim.run_for(SimDuration::micros(5));
+    assert_eq!(bytes(&sim), b"ab23456789\0\0");
+    // Both buffers are back; the next WRITEs reuse them.
+    sim.with_app_ctx(NodeId(0), |_, ctx| {
+        ctx.post_write(NodeId(1), region, 2, b"LONGER-ONE");
+    });
+    sim.run_for(SimDuration::micros(5));
+    sim.with_app_ctx(NodeId(0), |_, ctx| {
+        ctx.post_write(NodeId(1), region, 4, b"x");
+    });
+    sim.run_for(SimDuration::micros(5));
+    assert_eq!(bytes(&sim), b"abLOxGER-ONE");
+    assert_eq!(sim.app(NodeId(0)).completions.len(), 4);
+}
+
+/// Under `TornWrites` a WRITE lands all but its last byte on arrival and
+/// the last byte, from the same buffer, 400 ns later; its one completion
+/// comes with the tail. An 8-byte WRITE posted at 1 000 ns leaves the
+/// NIC at 1 110 and arrives 1 001 ns later (1 000 base + 1 for 8 bytes).
+#[test]
+fn a_torn_write_lands_its_tail_400_ns_after_the_rest() {
+    let (mut sim, region) = two_nodes();
+    let plan = FaultPlan::new().at(SimTime(0), Fault::TornWrites(NodeId(1)));
+    sim.install_fault_plan(&plan);
+    sim.run_until(SimTime(1_000));
+    let post = |sim: &mut Simulator<Recorder>, data: &'static [u8]| {
+        sim.with_app_ctx(NodeId(0), |_, ctx| {
+            ctx.post_write(NodeId(1), region, 0, data);
+        });
+    };
+    let bytes = |sim: &Simulator<Recorder>| sim.region_bytes(NodeId(1), region)[..8].to_vec();
+    post(&mut sim, b"payloadC");
+    sim.run_until(SimTime(2_110));
+    assert_eq!(bytes(&sim), [0; 8]);
+    sim.run_until(SimTime(2_111));
+    assert_eq!(bytes(&sim), b"payload\0");
+    sim.run_until(SimTime(2_510));
+    assert_eq!(bytes(&sim), b"payload\0", "the tail is 400 ns behind");
+    assert!(sim.app(NodeId(0)).completions.is_empty());
+    sim.run_until(SimTime(2_511));
+    assert_eq!(bytes(&sim), b"payloadC");
+    assert_eq!(sim.app(NodeId(0)).at, [(VerbKind::Write, SimTime(2_511))]);
+    // The next torn WRITE reuses the buffer and lands its own bytes.
+    post(&mut sim, b"PAYLOADc");
+    sim.run_for(SimDuration::micros(5));
+    assert_eq!(bytes(&sim), b"PAYLOADc");
+    assert_eq!(sim.app(NodeId(0)).completions.len(), 2);
+}

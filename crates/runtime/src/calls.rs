@@ -54,12 +54,11 @@ use crate::driver::Planned;
 use crate::replica::{peers, HambandNode};
 use crate::transport::Transport;
 
-/// Why a non-ring work request was posted; stored per [`rdma_sim::WrId`]
-/// so the completion is dispatched to the right protocol module.
+/// Why a work request other than a ring append or a summary WRITE was
+/// posted; stored per [`rdma_sim::WrId`] so the completion is dispatched
+/// to the right protocol module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Route {
-    /// A (possibly write-combined) summary-slot WRITE (`reduce`).
-    SummaryWrite { group: usize, target: NodeId, version: u64 },
     /// A commit-cell WRITE pushing the group's commit index (`commit`).
     CommitWrite { group: usize },
     /// A READ of a suspect's own copy of the `F` ring it feeds

@@ -153,9 +153,8 @@ impl<U: Wire> Entry<U> {
     fn write_payload(&self, w: &mut Writer) {
         w.varint(self.rid.issuer.index() as u64);
         w.varint(self.rid.seq);
-        let deps: Vec<(Pid, MethodId, u64)> = self.deps.iter().collect();
-        w.varint(deps.len() as u64);
-        for (p, m, c) in deps {
+        w.varint(self.deps.len() as u64);
+        for (p, m, c) in self.deps.iter() {
             w.varint(p.index() as u64);
             w.varint(m.index() as u64);
             w.varint(c);

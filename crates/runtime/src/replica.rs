@@ -36,7 +36,8 @@ use hamband_core::ids::Pid;
 use hamband_core::object::{ObjectSpec, WorkloadSupport};
 use hamband_core::wire::Wire;
 use rdma_sim::{
-    App, AppFault, CompletionStatus, Ctx, Event, IdMap, NodeId, RingKind, TraceEvent, WrId,
+    App, AppFault, CompletionStatus, Ctx, Event, IdMap, NodeId, RingKind, TraceEvent, VerbKind,
+    WrId,
 };
 
 use crate::calls::{CallQueue, Route};
@@ -91,10 +92,12 @@ pub struct HambandNode<O: ObjectSpec> {
     pub(crate) applied: CountMap,
     /// Summary caches per (summarization group, source).
     pub(crate) sum_cache: Vec<Vec<CachedSummary<O::Update>>>,
-    /// Write-combining, per (summarization group, peer): the version of
-    /// the one summary WRITE in flight (`None`: the channel is idle), and
-    /// the version the last one that completed carried.
-    pub(crate) sum_inflight: Vec<Vec<Option<u64>>>,
+    /// Write-combining, per (summarization group, peer): the version and
+    /// work request of the one summary WRITE in flight (`None`: the
+    /// channel is idle) — its completion is found by that id
+    /// (`reduce.rs::summary_channel`) — and the version the last one
+    /// that completed carried.
+    pub(crate) sum_inflight: Vec<Vec<Option<(u64, WrId)>>>,
     pub(crate) sum_landed: Vec<Vec<u64>>,
     /// Per summarization group: the REDUCE calls in flight, by the
     /// version that folded them in (`calls.rs::ack_landed`).
@@ -343,6 +346,11 @@ impl<O: WorkloadSupport> HambandNode<O> {
         status: CompletionStatus,
         data: Option<&[u8]>,
     ) {
+        // A summary WRITE: its channel holds its id.
+        if let Some((g, target)) = self.summary_channel(wr) {
+            self.on_summary_write_done(ctx, g, target);
+            return;
+        }
         // Explicitly routed work requests.
         if let Some(route) = self.wr_routes.remove(&wr) {
             self.on_routed(ctx, route, status, data);
@@ -363,9 +371,6 @@ impl<O: WorkloadSupport> HambandNode<O> {
         data: Option<&[u8]>,
     ) {
         match route {
-            Route::SummaryWrite { group, target, version } => {
-                self.on_summary_write_done(ctx, group, target, version);
-            }
             Route::CommitWrite { group } => {
                 self.on_commit_write_done(ctx, group, status);
             }
@@ -391,14 +396,16 @@ impl<O: WorkloadSupport> HambandNode<O> {
     /// the application CPU and so left something a plan could use — the
     /// heartbeat and failure-detector timers and the detector's READ
     /// completions run on dedicated threads (§4), and a fault is
-    /// injected from outside, so those return `false`. What a detector
+    /// injected from outside, so those return `false`. The detector
+    /// posts READs only, so a completion of another kind is the
+    /// application's without asking it. What a detector
     /// event sets in motion comes back as a hand-over event
     /// (`recovery.rs`), which runs on the application CPU.
     #[must_use = "the event loop owes a `pump` once its due events are handled"]
     pub fn handle_event<T: Transport>(&mut self, ctx: &mut T, event: Event) -> bool {
         let on_app_cpu = match &event {
             Event::Timer { tag, .. } => !matches!(*tag, TAG_HEARTBEAT | TAG_FD),
-            Event::Completion { wr, .. } => !self.fd.owns(*wr),
+            Event::Completion { wr, kind, .. } => *kind != VerbKind::Read || !self.fd.owns(*wr),
             Event::Message { .. } => true,
             Event::Fault { .. } => false,
         };
