@@ -19,7 +19,9 @@ use std::fmt::Write as _;
 
 use hamband_runtime::{RunConfig, System, WorkloadSpec};
 use hamband_types::GSet;
-use rdma_sim::{App, Ctx, Event, LatencyModel, NodeId, RegionId, SimDuration, SimTime, Simulator, VerbKind};
+use rdma_sim::{
+    App, Ctx, Event, LatencyModel, NodeId, RegionId, SimDuration, SimTime, Simulator, VerbKind,
+};
 
 use crate::experiments::{check, gmean, run, scaled, ExpOptions, FigOutcome};
 
@@ -85,7 +87,11 @@ pub fn ablations(opts: &ExpOptions) -> FigOutcome {
             format!("{single:.3} vs {cas:.3} us per append, {slowdown:.1}x"),
         ),
     ];
-    FigOutcome { name: "Ablations — summarization vs buffering, single-writer vs CAS".into(), table, checks }
+    FigOutcome {
+        name: "Ablations — summarization vs buffering, single-writer vs CAS".into(),
+        table,
+        checks,
+    }
 }
 
 /// When node 0 of a two-node fabric has landed [`APPENDS`] entries in

@@ -104,7 +104,9 @@ fn main() {
 
     let (start, count) = match num_flag(&args, "--seed") {
         Some(s) => (s, 1),
-        None => (num_flag(&args, "--start").unwrap_or(0), num_flag(&args, "--seeds").unwrap_or(100)),
+        None => {
+            (num_flag(&args, "--start").unwrap_or(0), num_flag(&args, "--seeds").unwrap_or(100))
+        }
     };
 
     println!(

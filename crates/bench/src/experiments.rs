@@ -243,7 +243,9 @@ pub fn fig8(opts: &ExpOptions) -> FigOutcome {
             format!("hamband {:.2} us vs mu {:.2} us", gmean(&rt_hb), gmean(&rt_mu)),
         ),
     ];
-    FigOutcome { name: "Figure 8 — effect of reduction (reducible methods)".into(), table, checks }
+    FigOutcome {
+        name: "Figure 8 — effect of reduction (reducible methods)".into(), table, checks
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -267,8 +269,7 @@ pub fn fig9(opts: &ExpOptions) -> FigOutcome {
         sweeps.iter().map(|[hb, msg, _]| hb.tput[1] / msg.tput[1].max(1e-9)).collect();
     let hb_over_mu: Vec<f64> =
         sweeps.iter().map(|[hb, _, mu]| hb.tput[1] / mu.tput[1].max(1e-9)).collect();
-    let rt_ratio: Vec<f64> =
-        sweeps.iter().map(|[hb, msg, _]| msg.rt4 / hb.rt4.max(1e-9)).collect();
+    let rt_ratio: Vec<f64> = sweeps.iter().map(|[hb, msg, _]| msg.rt4 / hb.rt4.max(1e-9)).collect();
 
     let checks = vec![
         check("all runs converged", all_converged, String::new()),
@@ -320,7 +321,8 @@ pub fn fig10(opts: &ExpOptions) -> FigOutcome {
         let hb = run(System::Hamband, &m, &coord, &rc);
         let mu = run(System::MuSmr, &m, &coord, &rc);
         let rc1 = rc.clone().with_leaders(vec![Pid(0), Pid(0)]);
-        let hb1 = Runner::new(System::Hamband, rc1).with_label("hamband-1ldr").run(&m, &coord).report;
+        let hb1 =
+            Runner::new(System::Hamband, rc1).with_label("hamband-1ldr").run(&m, &coord).report;
         all_converged &= hb.converged && mu.converged && hb1.converged;
         let gain = hb.throughput_ops_per_us / mu.throughput_ops_per_us.max(1e-9);
         gains.push(gain);
@@ -336,9 +338,7 @@ pub fn fig10(opts: &ExpOptions) -> FigOutcome {
         );
     }
     let mean_gain = gmean(&gains);
-    let rt_close = rt_pairs
-        .iter()
-        .all(|&(h, m)| h < 2.0 * m.max(1e-9) + 1.0);
+    let rt_close = rt_pairs.iter().all(|&(h, m)| h < 2.0 * m.max(1e-9) + 1.0);
     let checks = vec![
         check("all runs converged", all_converged, String::new()),
         check(
@@ -352,7 +352,11 @@ pub fn fig10(opts: &ExpOptions) -> FigOutcome {
             format!("{rt_pairs:.2?}"),
         ),
     ];
-    FigOutcome { name: "Figure 10 — effect of synchronization groups (Movie)".into(), table, checks }
+    FigOutcome {
+        name: "Figure 10 — effect of synchronization groups (Movie)".into(),
+        table,
+        checks,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -406,7 +410,9 @@ pub fn fig11(opts: &ExpOptions) -> FigOutcome {
             format!("gains {gains:.2?}"),
         ),
     ];
-    FigOutcome { name: "Figure 11 — mix of categories (project management)".into(), table, checks }
+    FigOutcome {
+        name: "Figure 11 — mix of categories (project management)".into(), table, checks
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -422,9 +428,7 @@ pub fn fig12(opts: &ExpOptions) -> FigOutcome {
     let mut rt_increases = Vec::new();
     let mut all_converged = true;
 
-    let mut run_case = |name: &str,
-                        f: &dyn Fn(&RunConfig) -> RunReport,
-                        table: &mut String| {
+    let mut run_case = |name: &str, f: &dyn Fn(&RunConfig) -> RunReport, table: &mut String| {
         let _ = writeln!(
             table,
             "{name}:  {:>7}  {:>10}  {:>10}  {:>9}  {:>9}",
@@ -438,15 +442,13 @@ pub fn fig12(opts: &ExpOptions) -> FigOutcome {
             // Inject mid-run, as a failure amid the paper's 4M-call
             // runs lands mid-run, not within the first percent.
             let mut rcf = rc.clone();
-            rcf.faults = FaultPlan::new().at(
-                SimTime(normal.completed_at.nanos() / 2),
-                Fault::SuspendHeartbeat(NodeId(3)),
-            );
+            rcf.faults = FaultPlan::new()
+                .at(SimTime(normal.completed_at.nanos() / 2), Fault::SuspendHeartbeat(NodeId(3)));
             let failure = f(&rcf);
             all_converged &= normal.converged && failure.converged;
-            drops.push(1.0 - failure.throughput_ops_per_us / normal.throughput_ops_per_us.max(1e-9));
-            rt_increases
-                .push(failure.mean_rt_us / normal.mean_rt_us.max(1e-9) - 1.0);
+            drops
+                .push(1.0 - failure.throughput_ops_per_us / normal.throughput_ops_per_us.max(1e-9));
+            rt_increases.push(failure.mean_rt_us / normal.mean_rt_us.max(1e-9) - 1.0);
             let _ = writeln!(
                 table,
                 "        {:>6}%  {:>10.2}  {:>10.2}  {:>9.2}  {:>9.2}",
@@ -497,19 +499,15 @@ pub fn fig13(opts: &ExpOptions) -> FigOutcome {
     let coord = cw.coord_spec();
     let mut table = String::new();
     let mut reports = Vec::new();
-    let scenarios: [(&str, Option<NodeId>); 3] = [
-        ("normal", None),
-        ("follower-fail", Some(NodeId(3))),
-        ("leader-fail", Some(NodeId(0))),
-    ];
+    let scenarios: [(&str, Option<NodeId>); 3] =
+        [("normal", None), ("follower-fail", Some(NodeId(3))), ("leader-fail", Some(NodeId(0)))];
     let mut all_converged = true;
     let _ = writeln!(table, "  {:>14}  {:>12}  {:>9}", "scenario", "tput", "mean rt");
     let mut normal_end: u64 = 100_000;
     for (i, (name, victim)) in scenarios.iter().enumerate() {
         let mut rc = cfg(4, opts.ops * 4, 0.5, opts.seed + 400 + i as u64);
         if let Some(v) = victim {
-            rc.faults =
-                FaultPlan::new().at(SimTime(normal_end / 2), Fault::SuspendHeartbeat(*v));
+            rc.faults = FaultPlan::new().at(SimTime(normal_end / 2), Fault::SuspendHeartbeat(*v));
         }
         let rep = run(System::Hamband, &cw, &coord, &rc);
         if victim.is_none() {
@@ -614,7 +612,11 @@ pub fn headline(opts: &ExpOptions) -> FigOutcome {
             gmean(&tput_msg) > 8.0,
             format!("{:.1}x", gmean(&tput_msg)),
         ),
-        check("Hamband beats Mu throughput", gmean(&tput_mu) > 1.5, format!("{:.1}x", gmean(&tput_mu))),
+        check(
+            "Hamband beats Mu throughput",
+            gmean(&tput_mu) > 1.5,
+            format!("{:.1}x", gmean(&tput_mu)),
+        ),
         check(
             "Hamband response time well below MSG",
             gmean(&rt_msg) > 5.0,

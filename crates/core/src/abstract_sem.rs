@@ -416,10 +416,7 @@ mod tests {
         let mut w = AbstractWrdt::new(&acc, &coord, 2);
         let d = w.call(0, Account::deposit(10)).unwrap();
         w.propagate(1, 0, d).unwrap();
-        assert!(matches!(
-            w.propagate(1, 0, d).unwrap_err(),
-            SemError::AlreadyApplied { .. }
-        ));
+        assert!(matches!(w.propagate(1, 0, d).unwrap_err(), SemError::AlreadyApplied { .. }));
     }
 
     #[test]
@@ -427,10 +424,7 @@ mod tests {
         let (acc, coord) = setup(2);
         let mut w = AbstractWrdt::new(&acc, &coord, 2);
         let bogus = Rid::new(Pid(0), 99);
-        assert!(matches!(
-            w.propagate(1, 0, bogus).unwrap_err(),
-            SemError::UnknownCall { .. }
-        ));
+        assert!(matches!(w.propagate(1, 0, bogus).unwrap_err(), SemError::UnknownCall { .. }));
     }
 
     #[test]

@@ -181,9 +181,7 @@ pub fn validate<O: WorkloadSupport>(
     // Two methods are synchronized if they share a synchronization
     // group: the group's leader totally orders their calls, whether or
     // not the pair is directly adjacent in the conflict graph.
-    let same_group = |a: MethodId, b: MethodId| {
-        matches!((coord.sync_group(a), coord.sync_group(b)), (Some(x), Some(y)) if x == y)
-    };
+    let same_group = |a: MethodId, b: MethodId| matches!((coord.sync_group(a), coord.sync_group(b)), (Some(x), Some(y)) if x == y);
 
     for a in 0..n {
         for b in a..n {
@@ -310,9 +308,8 @@ pub fn infer<O: WorkloadSupport>(spec: &O, cfg: &AnalysisConfig) -> CoordSpec {
     let n = spec.method_count();
     let mut builder = CoordSpec::builder(n);
 
-    let calls: Vec<Vec<O::Update>> = (0..n)
-        .map(|m| sampled_calls(spec, MethodId(m), cfg, m as u64))
-        .collect();
+    let calls: Vec<Vec<O::Update>> =
+        (0..n).map(|m| sampled_calls(spec, MethodId(m), cfg, m as u64)).collect();
 
     for a in 0..n {
         for b in a..n {
@@ -333,9 +330,7 @@ pub fn infer<O: WorkloadSupport>(spec: &O, cfg: &AnalysisConfig) -> CoordSpec {
     // candidate group, grown greedily.
     let summarizes = |a: usize, b: usize| {
         calls[a].iter().all(|x| {
-            calls[b]
-                .iter()
-                .all(|y| spec.summarize(x, y).is_some() && rel.summary_sound(x, y))
+            calls[b].iter().all(|y| spec.summarize(x, y).is_some() && rel.summary_sound(x, y))
         })
     };
     let mut grouped: BTreeSet<usize> = BTreeSet::new();
@@ -349,9 +344,8 @@ pub fn infer<O: WorkloadSupport>(spec: &O, cfg: &AnalysisConfig) -> CoordSpec {
             if grouped.contains(&m2) {
                 continue;
             }
-            let closed = group.iter().all(|&g| {
-                summarizes(g, m2) && summarizes(m2, g) && summarizes(m2, m2)
-            });
+            let closed =
+                group.iter().all(|&g| summarizes(g, m2) && summarizes(m2, g) && summarizes(m2, m2));
             if closed {
                 group.push(m2);
             }
@@ -400,10 +394,7 @@ mod tests {
     #[test]
     fn missing_dependency_is_detected() {
         let acc = Account::new(20);
-        let bad = CoordSpec::builder(2)
-            .conflict(1, 1)
-            .summarization_group([0])
-            .build();
+        let bad = CoordSpec::builder(2).conflict(1, 1).summarization_group([0]).build();
         let report = validate(&acc, &bad, &AnalysisConfig::default());
         assert!(report
             .violations
@@ -416,11 +407,8 @@ mod tests {
     fn bad_summarization_group_is_detected() {
         let acc = Account::new(20);
         // Withdrawals do not summarize: closure violation.
-        let bad = CoordSpec::builder(2)
-            .conflict(1, 1)
-            .depends(1, 0)
-            .summarization_group([0, 1])
-            .build();
+        let bad =
+            CoordSpec::builder(2).conflict(1, 1).depends(1, 0).summarization_group([0, 1]).build();
         let report = validate(&acc, &bad, &AnalysisConfig::default());
         assert!(report
             .violations
@@ -433,10 +421,7 @@ mod tests {
         let acc = Account::new(20);
         let inferred = infer(&acc, &AnalysisConfig::default());
         // deposit reducible, withdraw conflicting and dependent.
-        assert!(matches!(
-            inferred.category(MethodId(0)),
-            MethodCategory::Reducible { .. }
-        ));
+        assert!(matches!(inferred.category(MethodId(0)), MethodCategory::Reducible { .. }));
         assert!(inferred.category(MethodId(1)).is_conflicting());
         assert!(inferred.dependencies(MethodId(1)).contains(&MethodId(0)));
         // And the inferred spec validates against the object.
@@ -446,17 +431,10 @@ mod tests {
 
     #[test]
     fn violation_display_mentions_methods() {
-        let v = Violation::UndeclaredConflict {
-            a: MethodId(0),
-            b: MethodId(1),
-            witness: "w".into(),
-        };
+        let v =
+            Violation::UndeclaredConflict { a: MethodId(0), b: MethodId(1), witness: "w".into() };
         assert_eq!(v.to_string(), "undeclared conflict between u0 and u1: w");
-        let v = Violation::CrossKeyConflict {
-            a: MethodId(1),
-            b: MethodId(1),
-            witness: "w".into(),
-        };
+        let v = Violation::CrossKeyConflict { a: MethodId(1), b: MethodId(1), witness: "w".into() };
         assert_eq!(v.to_string(), "cross-key conflict between u1 and u1: w");
     }
 
@@ -506,11 +484,7 @@ mod tests {
         fn sample_query(&self, rng: &mut rand::rngs::StdRng) -> Self::Query {
             self.0.sample_query(rng)
         }
-        fn sample_update_of(
-            &self,
-            method: MethodId,
-            rng: &mut rand::rngs::StdRng,
-        ) -> Self::Update {
+        fn sample_update_of(&self, method: MethodId, rng: &mut rand::rngs::StdRng) -> Self::Update {
             self.0.sample_update_of(method, rng)
         }
     }

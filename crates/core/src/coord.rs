@@ -144,7 +144,8 @@ impl CoordSpec {
 
     /// Whether methods `a` and `b` conflict (symmetric).
     pub fn methods_conflict(&self, a: MethodId, b: MethodId) -> bool {
-        let (x, y) = if a.index() <= b.index() { (a.index(), b.index()) } else { (b.index(), a.index()) };
+        let (x, y) =
+            if a.index() <= b.index() { (a.index(), b.index()) } else { (b.index(), a.index()) };
         self.conflicts.contains(&(x, y))
     }
 
@@ -365,11 +366,8 @@ impl CoordSpecBuilder {
             sum_groups.push(grp.iter().map(|&m| MethodId(m)).collect());
         }
 
-        let depends: Vec<Vec<MethodId>> = self
-            .depends
-            .iter()
-            .map(|set| set.iter().map(|&m| MethodId(m)).collect())
-            .collect();
+        let depends: Vec<Vec<MethodId>> =
+            self.depends.iter().map(|set| set.iter().map(|&m| MethodId(m)).collect()).collect();
 
         let categories = (0..n)
             .map(|m| match sync_group_of[m] {
@@ -400,24 +398,14 @@ mod tests {
 
     fn account_coord() -> CoordSpec {
         // 0 = deposit, 1 = withdraw.
-        CoordSpec::builder(2)
-            .conflict(1, 1)
-            .depends(1, 0)
-            .summarization_group([0])
-            .build()
+        CoordSpec::builder(2).conflict(1, 1).depends(1, 0).summarization_group([0]).build()
     }
 
     #[test]
     fn account_categories() {
         let c = account_coord();
-        assert_eq!(
-            c.category(MethodId(0)),
-            MethodCategory::Reducible { sum_group: GroupId(0) }
-        );
-        assert_eq!(
-            c.category(MethodId(1)),
-            MethodCategory::Conflicting { sync_group: GroupId(0) }
-        );
+        assert_eq!(c.category(MethodId(0)), MethodCategory::Reducible { sum_group: GroupId(0) });
+        assert_eq!(c.category(MethodId(1)), MethodCategory::Conflicting { sync_group: GroupId(0) });
         assert!(c.category(MethodId(0)).is_reducible());
         assert!(!c.category(MethodId(0)).is_conflicting());
         assert!(c.category(MethodId(1)).is_conflicting());
@@ -439,10 +427,7 @@ mod tests {
     fn dependent_summarizable_method_is_irreducible() {
         // A method that is summarizable but dependent must not be
         // reducible (§2 "Method categories").
-        let c = CoordSpec::builder(2)
-            .depends(0, 1)
-            .summarization_group([0])
-            .build();
+        let c = CoordSpec::builder(2).depends(0, 1).summarization_group([0]).build();
         assert_eq!(c.category(MethodId(0)), MethodCategory::IrreducibleFree);
         assert_eq!(c.category(MethodId(1)), MethodCategory::IrreducibleFree);
     }
@@ -480,9 +465,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "method already in a summarization group")]
     fn duplicate_sum_group_membership_panics() {
-        let _ = CoordSpec::builder(2)
-            .summarization_group([0])
-            .summarization_group([0, 1]);
+        let _ = CoordSpec::builder(2).summarization_group([0]).summarization_group([0, 1]);
     }
 
     #[test]
@@ -493,11 +476,7 @@ mod tests {
 
     #[test]
     fn leaders_round_robin() {
-        let c = CoordSpec::builder(6)
-            .conflict(0, 0)
-            .conflict(1, 1)
-            .conflict(2, 2)
-            .build();
+        let c = CoordSpec::builder(6).conflict(0, 0).conflict(1, 1).conflict(2, 2).build();
         assert_eq!(c.default_leaders(2), vec![Pid(0), Pid(1), Pid(0)]);
     }
 

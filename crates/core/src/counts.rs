@@ -217,10 +217,7 @@ mod tests {
         a.set(Pid(1), MethodId(2), 2);
         let d = a.project(&[MethodId(1), MethodId(2)]);
         let entries: Vec<_> = d.iter().collect();
-        assert_eq!(
-            entries,
-            vec![(Pid(0), MethodId(1), 7), (Pid(1), MethodId(2), 2)]
-        );
+        assert_eq!(entries, vec![(Pid(0), MethodId(1), 7), (Pid(1), MethodId(2), 2)]);
     }
 
     #[test]
@@ -234,10 +231,7 @@ mod tests {
         assert!(!a.satisfies(&too_high));
         assert!(!a.satisfies(&elsewhere));
         assert!(a.satisfies(&DepMap::empty()));
-        assert_eq!(
-            a.first_unsatisfied(&too_high),
-            Some((Pid(0), MethodId(0), 4))
-        );
+        assert_eq!(a.first_unsatisfied(&too_high), Some((Pid(0), MethodId(0), 4)));
         assert_eq!(a.first_unsatisfied(&ok), None);
     }
 

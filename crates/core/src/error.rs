@@ -123,10 +123,9 @@ impl fmt::Display for SemError {
             SemError::WrongCategory { method, rule } => {
                 write!(f, "rule {rule} not applicable to method {method}")
             }
-            SemError::NotLeader { process, group, leader } => write!(
-                f,
-                "{process} is not the leader of {group} (leader is {leader})"
-            ),
+            SemError::NotLeader { process, group, leader } => {
+                write!(f, "{process} is not the leader of {group} (leader is {leader})")
+            }
             SemError::EmptyBuffer { process } => {
                 write!(f, "no applicable buffered call at {process}")
             }

@@ -248,8 +248,7 @@ pub fn explore_rdma<O: ObjectSpec>(
                 if !k.buffers_empty() {
                     return Err(ExploreViolation {
                         property: "progress",
-                        detail: "terminal concrete configuration with pending buffers"
-                            .to_string(),
+                        detail: "terminal concrete configuration with pending buffers".to_string(),
                     });
                 }
                 if !k.check_convergence() {
@@ -260,10 +259,7 @@ pub fn explore_rdma<O: ObjectSpec>(
                 }
                 // Lemma 3 on this complete path.
                 if let Err(e) = replay_and_check(spec, coord, n, k.trace()) {
-                    return Err(ExploreViolation {
-                        property: "refinement (Lemma 3)",
-                        detail: e,
-                    });
+                    return Err(ExploreViolation { property: "refinement (Lemma 3)", detail: e });
                 }
             }
         }
@@ -311,10 +307,8 @@ mod tests {
     fn account_rdma_exhaustive_and_refines() {
         let acc = Account::default();
         let coord = acc.coord_spec();
-        let scripts = vec![
-            vec![Account::deposit(5), Account::withdraw(3)],
-            vec![Account::deposit(2)],
-        ];
+        let scripts =
+            vec![vec![Account::deposit(5), Account::withdraw(3)], vec![Account::deposit(2)]];
         let report = explore_rdma(&acc, &coord, &scripts, &ExploreConfig::default())
             .expect("corollaries and refinement hold on all interleavings");
         assert!(report.exhaustive);
@@ -342,10 +336,8 @@ mod tests {
     fn wrong_spec_is_refuted() {
         let acc = Account::default();
         let bad = CoordSpec::builder(2).summarization_group([0]).build();
-        let scripts = vec![
-            vec![Account::deposit(5), Account::withdraw(5)],
-            vec![Account::withdraw(5)],
-        ];
+        let scripts =
+            vec![vec![Account::deposit(5), Account::withdraw(5)], vec![Account::withdraw(5)]];
         // p1's withdraw(5) is permissible after p0's deposit propagates;
         // with no conflict declared, both withdraws can execute and one
         // process ends up overdrafted.

@@ -161,10 +161,7 @@ mod tests {
     fn rid_orders_by_issuer_then_seq() {
         let mut v = vec![Rid::new(Pid(1), 0), Rid::new(Pid(0), 9), Rid::new(Pid(0), 1)];
         v.sort();
-        assert_eq!(
-            v,
-            vec![Rid::new(Pid(0), 1), Rid::new(Pid(0), 9), Rid::new(Pid(1), 0)]
-        );
+        assert_eq!(v, vec![Rid::new(Pid(0), 1), Rid::new(Pid(0), 9), Rid::new(Pid(1), 0)]);
     }
 
     #[test]

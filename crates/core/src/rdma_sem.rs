@@ -227,10 +227,9 @@ impl<'a, O: ObjectSpec> RdmaWrdt<'a, O> {
         // Summarize(u'(v'), u(v)) = u''(v'').
         let new_summary = match &self.procs[p.index()].summaries[g.index()][p.index()] {
             None => update.clone(),
-            Some(prev) => self
-                .spec
-                .summarize(prev, &update)
-                .ok_or(SemError::NotSummarizable { method })?,
+            Some(prev) => {
+                self.spec.summarize(prev, &update).ok_or(SemError::NotSummarizable { method })?
+            }
         };
         let rid = self.mint_rid(p);
         let n_applied = self.procs[p.index()].applied.get(p, method) + 1;
@@ -620,10 +619,7 @@ mod tests {
     fn empty_buffer_app_rejected() {
         let (acc, coord) = setup();
         let mut k = RdmaWrdt::new(&acc, &coord, 2);
-        assert!(matches!(
-            k.free_app(Pid(0), Pid(1)).unwrap_err(),
-            SemError::EmptyBuffer { .. }
-        ));
+        assert!(matches!(k.free_app(Pid(0), Pid(1)).unwrap_err(), SemError::EmptyBuffer { .. }));
         assert!(matches!(
             k.conf_app(Pid(0), GroupId(0)).unwrap_err(),
             SemError::EmptyBuffer { .. }

@@ -61,9 +61,7 @@ pub fn replay<'a, O: ObjectSpec>(
     let mut w = AbstractWrdt::new(spec, coord, n);
     for (index, label) in trace.iter().enumerate() {
         let result = match label {
-            Label::Call { process, update, .. } => {
-                w.call(*process, update.clone()).map(|_| ())
-            }
+            Label::Call { process, update, .. } => w.call(*process, update.clone()).map(|_| ()),
             Label::Prop { process, rid } => w.propagate_rid(*process, *rid),
             Label::Query { process } => {
                 // Queries have no side conditions; they only read. The

@@ -64,9 +64,8 @@ pub fn p_r_commutes_on<O: ObjectSpec>(
     c1: &O::Update,
     c2: &O::Update,
 ) -> bool {
-    let relevant = spec.invariant(state)
-        && spec.permissible(state, c1)
-        && spec.permissible(state, c2);
+    let relevant =
+        spec.invariant(state) && spec.permissible(state, c1) && spec.permissible(state, c2);
     !relevant || spec.permissible(&spec.apply(state, c2), c1)
 }
 

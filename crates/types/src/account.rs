@@ -9,9 +9,7 @@
 //! **conflicting** (it 𝒫-conflicts with itself) and **dependent** on
 //! `deposit`.
 
-pub use hamband_core::demo::{
-    Account, AccountQuery, AccountUpdate, DEPOSIT, WITHDRAW,
-};
+pub use hamband_core::demo::{Account, AccountQuery, AccountUpdate, DEPOSIT, WITHDRAW};
 
 #[cfg(test)]
 mod tests {

@@ -129,9 +129,7 @@ impl ObjectSpec for Bank {
     }
 
     fn invariant(&self, s: &BankState) -> bool {
-        s.balances
-            .iter()
-            .all(|(acct, &bal)| bal >= 0 && s.open.contains(acct))
+        s.balances.iter().all(|(acct, &bal)| bal >= 0 && s.open.contains(acct))
     }
 
     fn apply_mut(&self, s: &mut BankState, call: &BankUpdate) {
@@ -200,8 +198,7 @@ impl WorkloadSupport for Bank {
         let open: Vec<u64> = s.open.iter().copied().collect();
         for &acct in &open {
             if rng.gen_bool(0.7) {
-                s.balances
-                    .insert(acct, i128::from(rng.gen_range(0..self.max_amount * 3)));
+                s.balances.insert(acct, i128::from(rng.gen_range(0..self.max_amount * 3)));
             }
         }
         s
@@ -255,8 +252,7 @@ impl WorkloadSupport for Bank {
                 if count == 0 {
                     return None;
                 }
-                let (&acct, &bal) =
-                    funded().nth(rng.gen_range(0..count)).expect("index in range");
+                let (&acct, &bal) = funded().nth(rng.gen_range(0..count)).expect("index in range");
                 let cap = (bal / 2).min(i128::from(self.max_amount)) as u64;
                 Some(BankUpdate::Withdraw(acct, rng.gen_range(1..=cap.max(1))))
             }

@@ -268,8 +268,7 @@ mod tests {
         if method != REMOVE {
             return cart.gen_update(state, node, seq, method, rng);
         }
-        let present: Vec<u64> =
-            state.iter().filter(|&(_, &q)| q > 0).map(|(&i, _)| i).collect();
+        let present: Vec<u64> = state.iter().filter(|&(_, &q)| q > 0).map(|(&i, _)| i).collect();
         if present.is_empty() {
             return None;
         }

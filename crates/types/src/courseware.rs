@@ -112,9 +112,7 @@ impl ObjectSpec for Courseware {
     }
 
     fn invariant(&self, s: &CoursewareState) -> bool {
-        s.enrollment
-            .iter()
-            .all(|&(c, st)| s.students.contains(&st) && s.courses.contains(&c))
+        s.enrollment.iter().all(|&(c, st)| s.students.contains(&st) && s.courses.contains(&c))
     }
 
     fn query(&self, state: &CoursewareState, query: &CoursewareQuery) -> u64 {
@@ -234,9 +232,9 @@ impl WorkloadSupport for Courseware {
                 let student = pick(&state.students, rng)?;
                 Some(CoursewareUpdate::Enroll(student, pick(&state.courses, rng)?))
             }
-            REGISTER_STUDENTS => Some(CoursewareUpdate::RegisterStudents(vec![
-                node as u64 * 1_000_000 + seq,
-            ])),
+            REGISTER_STUDENTS => {
+                Some(CoursewareUpdate::RegisterStudents(vec![node as u64 * 1_000_000 + seq]))
+            }
             other => panic!("courseware has no method {other}"),
         }
     }

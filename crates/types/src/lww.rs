@@ -233,8 +233,7 @@ mod tests {
         let reg = LwwRegister::default();
         let mut rng = StdRng::seed_from_u64(0);
         let state = Some((Stamp { time: 10, node: 0 }, 5));
-        let Some(LwwUpdate::Write { stamp, .. }) =
-            reg.gen_update(&state, 2, 0, WRITE, &mut rng)
+        let Some(LwwUpdate::Write { stamp, .. }) = reg.gen_update(&state, 2, 0, WRITE, &mut rng)
         else {
             panic!("write expected")
         };

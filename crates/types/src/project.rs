@@ -119,9 +119,7 @@ impl ObjectSpec for Project {
     }
 
     fn invariant(&self, s: &ProjectState) -> bool {
-        s.works_on
-            .iter()
-            .all(|&(p, e)| s.employees.contains(&e) && s.projects.contains(&p))
+        s.works_on.iter().all(|&(p, e)| s.employees.contains(&e) && s.projects.contains(&p))
     }
 
     fn query(&self, state: &ProjectState, query: &ProjectQuery) -> u64 {
@@ -241,9 +239,7 @@ impl WorkloadSupport for Project {
                 let employee = pick(&state.employees, rng)?;
                 Some(ProjectUpdate::WorksOn(employee, pick(&state.projects, rng)?))
             }
-            ADD_EMPLOYEES => Some(ProjectUpdate::AddEmployees(vec![
-                node as u64 * 1_000_000 + seq,
-            ])),
+            ADD_EMPLOYEES => Some(ProjectUpdate::AddEmployees(vec![node as u64 * 1_000_000 + seq])),
             other => panic!("project schema has no method {other}"),
         }
     }

@@ -447,7 +447,11 @@ mod tests {
         for size in 0..4 * BLOCK + 3 {
             for _ in 0..3 {
                 let mut walked = rng.clone();
-                assert_eq!(pick(&set, &mut rng), walking_pick(&reference, &mut walked), "size {size}");
+                assert_eq!(
+                    pick(&set, &mut rng),
+                    walking_pick(&reference, &mut walked),
+                    "size {size}"
+                );
                 assert_eq!(rng.next_u64(), walked.next_u64(), "draws diverged at size {size}");
             }
             let x = rng.gen_range(0..1_000_000);

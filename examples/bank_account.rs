@@ -9,8 +9,8 @@
 use hamband::core::demo::Account;
 use hamband::core::object::ObjectSpec;
 use hamband::core::relations::BoundedRelations;
-use hamband::runtime::{RunConfig, Runner, System};
 use hamband::runtime::WorkloadSpec;
+use hamband::runtime::{RunConfig, Runner, System};
 
 fn main() {
     let account = Account::new(50);
@@ -20,14 +20,8 @@ fn main() {
     let withdraw = Account::withdraw(10);
 
     println!("== semantic relations (bounded over sampled states) ==");
-    println!(
-        "  deposit invariant-sufficient:     {}",
-        rel.invariant_sufficient(&deposit)
-    );
-    println!(
-        "  withdraw invariant-sufficient:    {}",
-        rel.invariant_sufficient(&withdraw)
-    );
+    println!("  deposit invariant-sufficient:     {}", rel.invariant_sufficient(&deposit));
+    println!("  withdraw invariant-sufficient:    {}", rel.invariant_sufficient(&withdraw));
     println!(
         "  withdraw ▷ withdraw (P-R-commute): {}",
         rel.p_r_commutes(&withdraw, &Account::withdraw(20))
@@ -36,14 +30,8 @@ fn main() {
         "  withdraw ⋈ withdraw (conflict):    {}",
         rel.conflict(&withdraw, &Account::withdraw(20))
     );
-    println!(
-        "  deposit ⋈ withdraw (conflict):     {}",
-        rel.conflict(&deposit, &withdraw)
-    );
-    println!(
-        "  withdraw depends on deposit:       {}",
-        rel.dependent(&withdraw, &deposit)
-    );
+    println!("  deposit ⋈ withdraw (conflict):     {}", rel.conflict(&deposit, &withdraw));
+    println!("  withdraw depends on deposit:       {}", rel.dependent(&withdraw, &deposit));
     println!(
         "  deposits summarize soundly:        {}",
         rel.summary_sound(&deposit, &Account::deposit(3))

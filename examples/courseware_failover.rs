@@ -32,11 +32,7 @@ fn main() {
         sim.run_for(SimDuration::micros(25));
         let view = sim.app(NodeId(1)).leader_view(0);
         if !failover_seen && view != Pid(0) {
-            println!(
-                "t={}: node 1 now recognizes {} as leader (election done)",
-                sim.now(),
-                view
-            );
+            println!("t={}: node 1 now recognizes {} as leader (election done)", sim.now(), view);
             failover_seen = true;
         }
         assert!(sim.now() < run.max_time, "the survivors never settled");

@@ -18,8 +18,8 @@ use std::collections::BTreeMap;
 use hamband::core::analysis::{infer, validate, AnalysisConfig};
 use hamband::core::ids::MethodId;
 use hamband::core::object::{ObjectSpec, WorkloadSupport};
-use hamband::runtime::{RunConfig, Runner, System};
 use hamband::runtime::WorkloadSpec;
+use hamband::runtime::{RunConfig, Runner, System};
 use rand::rngs::StdRng;
 use rand::Rng;
 

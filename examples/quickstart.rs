@@ -11,8 +11,8 @@ use hamband::core::demo::{Account, AccountQuery};
 use hamband::core::object::ObjectSpec;
 use hamband::core::rdma_sem::RdmaWrdt;
 use hamband::core::refinement::replay;
-use hamband::runtime::{RunConfig, Runner, System};
 use hamband::runtime::WorkloadSpec;
+use hamband::runtime::{RunConfig, Runner, System};
 
 fn main() {
     // 1. An object class: state, invariant, and executable methods.

@@ -125,8 +125,7 @@ common::row_tests! {
 fn sessions_conform_across_backends() {
     let c = Counter::default();
     let coord = c.coord_spec();
-    let workload =
-        WorkloadSpec::ops(400).with_update_ratio(0.5).with_sessions(40).with_seed(17);
+    let workload = WorkloadSpec::ops(400).with_update_ratio(0.5).with_sessions(40).with_seed(17);
     for backend in [Backend::Sim, Backend::Threaded] {
         let cfg = RuntimeConfig::default();
         run_on(backend, &c, &coord, 3, cfg, workload.clone(), "counter-sessions");
