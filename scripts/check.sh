@@ -4,11 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== format (crates/rdma-sim and crates/runtime are rustfmt-clean under rustfmt.toml) =="
+echo "== format (the whole workspace is rustfmt-clean under rustfmt.toml) =="
 # rustfmt.toml records the style the code is written in (100 columns,
-# small items kept on one line). The simulator and runtime crates are
-# held to it; the other crates are not formatted yet.
-cargo fmt -p rdma-sim -p hamband-runtime -- --check
+# small items kept on one line).
+cargo fmt --all -- --check
 
 echo "== module size guard (no src/*.rs over 900 lines) =="
 oversized=0
